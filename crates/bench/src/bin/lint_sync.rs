@@ -307,6 +307,16 @@ mod tests {
         assert!(violations[0].starts_with("injected.rs:1:"));
     }
 
+    /// The facade has no `RwLock` (nothing used it); a direct std one is still a bypass.
+    #[test]
+    fn flags_std_sync_rwlock() {
+        let source = "fn main() {\n    let _ = std::sync::RwLock::new(0);\n}\n";
+        let mut violations = Vec::new();
+        scan("rwlock.rs", source, &mut violations);
+        assert_eq!(violations.len(), 1);
+        assert!(violations[0].starts_with("rwlock.rs:2:"));
+    }
+
     #[test]
     fn flags_std_thread_spawn() {
         let source = "fn main() { std::thread::spawn(|| {}); }\n";

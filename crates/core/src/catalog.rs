@@ -527,8 +527,10 @@ mod tests {
                 held,
             } => {
                 assert_eq!(name, "edges");
-                assert!(requested.contains("OrdKeyBatch"));
-                assert!(held.contains("OrdValBatch"));
+                // One batch implementation: the key-only batch differs from the held one
+                // only in its type parameters, which is what the message must show.
+                assert!(requested.contains("OrdValBatch<u64, (), "), "{requested}");
+                assert!(held.contains("OrdValBatch<u32, u32, "), "{held}");
             }
             other => panic!("unexpected error: {other:?}"),
         }

@@ -77,9 +77,10 @@ fn column_indices(exprs: &[crate::Expr]) -> Option<Vec<usize>> {
 /// The batch type of column-keyed plan arrangements: rows keyed by rows.
 pub type RowBatch = ValBatch<Row, Row>;
 
-/// The batch type of self-keyed plan arrangements (`KeySpec::SelfRow`): a key-only
-/// layout with no value arrays, matching what `Distinct` and whole-row base inputs
-/// actually need. Half the batch-building and cursor work of carrying empty value rows.
+/// The batch type of self-keyed plan arrangements (`KeySpec::SelfRow`), as `Distinct` and
+/// whole-row base inputs need: the same batch implementation as [`RowBatch`] with the
+/// zero-size value `()` in place of an empty value row, so the value column allocates
+/// nothing and costs one offset word per key.
 pub type RowKeyBatch = KeyBatch<Row>;
 
 /// How a global input's base arrangement is published: its catalog name and key spec.

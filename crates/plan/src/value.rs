@@ -194,7 +194,13 @@ impl FromIterator<Value> for Row {
     }
 }
 
+// `#[inline]` on the three comparisons below: they are the inner loop of every batch
+// sort, cursor seek and `Manager::query` fold, and the generic code calling them is
+// instantiated in other codegen units (and other crates). Without the attribute whether
+// they inline depends on how rustc happens to partition this crate, which any change to
+// the set of batch instantiations reshuffles.
 impl PartialEq for Row {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         if self.prefix != other.prefix {
             return false;
@@ -206,12 +212,14 @@ impl PartialEq for Row {
 impl Eq for Row {}
 
 impl PartialOrd for Row {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Row {
+    #[inline]
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         match self.prefix.cmp(&other.prefix) {
             std::cmp::Ordering::Equal => {

@@ -7,24 +7,27 @@
 //! that asked. [`ServerCore`] is that job, with the network left out so tests can pin
 //! its arbitration rules deterministically:
 //!
-//! * **Sequencing.** [`ServerCore::submit`] appends to the shared [`command
-//!   log`](ServerCore::command_log) under one lock; the append order *is* the
-//!   arbitration order for every name conflict. An `Uninstall` sequenced before a
-//!   queued `Install` referencing the same input makes the install fail
-//!   (`unknown-input`/`invalid-plan`); sequenced after it, the uninstall fails
-//!   (`input-in-use`). Within one name, queries shadow inputs: `Uninstall` retires a
-//!   live query named `n` before it would remove an input named `n` (the manager's
-//!   namespace rule, pinned by `tests/arbitration.rs`). By default the log prunes the
-//!   prefix every worker has consumed (a long-lived server holds O(in-flight)
-//!   commands, not its full traffic history); [`ServerCore::with_history`] retains
-//!   everything so tests can replay the merged log.
+//! * **Sequencing.** [`ServerCore::submit_batch`] appends a batch of client commands to
+//!   the shared [`command log`](ServerCore::command_log) holding the client-state lock
+//!   and, inside it, the log lock — one acquisition of each per batch, one worker
+//!   doorbell ring after both are released; [`ServerCore::submit`] is a batch of one.
+//!   The append order *is* the arbitration order for every name conflict. An
+//!   `Uninstall` sequenced before a queued `Install` referencing the same input makes
+//!   the install fail (`unknown-input`/`invalid-plan`); sequenced after it, the
+//!   uninstall fails (`input-in-use`). Within one name, queries shadow inputs:
+//!   `Uninstall` retires a live query named `n` before it would remove an input named
+//!   `n` (the manager's namespace rule, pinned by `tests/arbitration.rs`). By default
+//!   the log prunes the prefix every worker has consumed (a long-lived server holds
+//!   O(in-flight) commands, not its full traffic history);
+//!   [`ServerCore::with_history`] retains everything so tests can replay the merged log.
 //! * **Execution.** Each worker thread runs [`ServerCore::worker_loop`]: a private
 //!   `Manager`, the log consumed in order, [`Manager::settle`] before every `Query` so
 //!   answers are deterministic.
 //! * **Aggregation.** Workers deposit per-command results; the last deposit merges them
 //!   (query rows union-summed across worker shards, everything else identical by
 //!   determinism) into one wire [`Response`] and dispatches it to the origin client
-//!   *under the same lock*, so each client's responses leave in its request order.
+//!   *under the client-state lock*, so each client's responses leave in its request
+//!   order.
 //! * **Ownership.** The sequencer tracks which client owns each *live* query. A name
 //!   is claimed when its `Install` **completes successfully** (completions occur in
 //!   log order, so claims are log-order consistent) — a failed install, duplicate or
@@ -574,41 +577,11 @@ impl ServerCore {
         client
     }
 
-    /// Appends `command` from `client` (answering its request number `reply`) to the
-    /// log. Sequencing happens under the client-state lock, so the log order *is* the
-    /// arbitration order.
-    ///
-    /// Returns the sequence number, or `u64::MAX` if the command was not sequenced —
-    /// the log is closed, or the core is in degraded read-only mode and the command
-    /// mutates (it was answered with the `degraded-read-only` plan error instead).
-    pub fn submit(&self, client: ClientId, reply: u64, command: Command) -> u64 {
-        let mut clients = self.clients.lock().expect("client state poisoned");
-        // Degraded read-only mode: a core that cannot persist mutations refuses them
-        // up front rather than acknowledging work it may lose. Queries pass — the
-        // in-memory state is intact and reads were never logged anyway. Checked
-        // before the Uninstall-at-submit ownership edit below, so a rejected
-        // uninstall leaves ownership untouched.
-        if !matches!(command, Command::Query { .. }) && self.is_degraded() {
-            Self::reject_degraded(&clients, client, reply);
-            return u64::MAX;
-        }
-        // An Uninstall frees the name *at submit*: once one is sequenced, no
-        // disconnect between now and its execution may still count the query as owned
-        // (a cleanup Uninstall sequenced behind it would fall through to a same-named
-        // input). Install claims happen at completion, never here — see `deposit`.
-        if let Command::Uninstall { name } = &command {
-            clients.owners.remove(name);
-        }
-        match self.append(Some((client, reply)), command) {
-            Ok(seq) => seq,
-            // The group commit for this epoch failed past its retry budget: the
-            // advance was unstaged and never sequenced, and the core is now
-            // degraded. Answer the client honestly instead of acknowledging.
-            Err(()) => {
-                Self::reject_degraded(&clients, client, reply);
-                u64::MAX
-            }
-        }
+    /// Sequences one command from `client` (answering its request number `reply`): a
+    /// one-element [`ServerCore::submit_batch`], so single submissions take exactly the
+    /// locks, checks and rejections the reactor's batches do.
+    pub fn submit(&self, client: ClientId, reply: u64, command: Command) {
+        self.submit_batch(std::iter::once((client, reply, command)));
     }
 
     /// Answers `client`'s request `reply` with the degraded-read-only plan error,
@@ -657,9 +630,7 @@ impl ServerCore {
             clients.owners.remove(name);
         }
         for name in owned {
-            // An Uninstall stages without flushing, so this cannot fail (only an
-            // AdvanceTime's group commit can): the cleanup lands even while degraded.
-            let _ = self.append(None, Command::Uninstall { name });
+            self.append_cleanup(name);
         }
     }
 
@@ -715,27 +686,27 @@ impl ServerCore {
         self.log.lock().expect("command log poisoned").entries.len()
     }
 
-    /// Sequences `command`, staging it in the WAL batch on a durable core. `Err(())`
-    /// means an `AdvanceTime`'s group commit failed past its retry budget: the
-    /// advance was unstaged, nothing was sequenced, and the core is now degraded —
-    /// only `AdvanceTime` can fail here. `Ok(u64::MAX)` means the log was closed.
-    fn append(&self, origin: Option<(ClientId, u64)>, command: Command) -> Result<u64, ()> {
+    /// Sequences a server-generated `Uninstall { name }` (disconnect cleanup) under its
+    /// own log-lock acquisition; the caller holds the client-state lock. Ignored once
+    /// the log is closed.
+    fn append_cleanup(&self, name: String) {
         let mut log = self.log.lock().expect("command log poisoned");
         if log.closed {
-            return Ok(u64::MAX);
+            return;
         }
-        let result = self.append_locked(&mut log, origin, command);
+        // An Uninstall stages without flushing, so this cannot fail (only an
+        // AdvanceTime's group commit can): the cleanup lands even while degraded.
+        let _ = self.append_locked(&mut log, None, Command::Uninstall { name });
         drop(log);
-        if result.is_ok() {
-            self.grown.ring();
-        }
-        result
+        self.grown.ring();
     }
 
-    /// The body of [`ServerCore::append`], under an already-held log lock and
-    /// *without* ringing the worker doorbell — the batch submission path appends
-    /// many commands under one lock acquisition and rings once for all of them.
-    /// The caller must have checked `closed`.
+    /// Sequences `command` under an already-held log lock, staging it in the WAL batch
+    /// on a durable core, *without* ringing the worker doorbell — the batch submission
+    /// path appends many commands under one lock acquisition and rings once for all of
+    /// them. The caller must have checked `closed`. `Err(())` means an `AdvanceTime`'s
+    /// group commit failed past its retry budget: the advance was unstaged, nothing was
+    /// sequenced, and the core is now degraded — only `AdvanceTime` can fail here.
     fn append_locked(
         &self,
         log: &mut LogState,
@@ -767,7 +738,7 @@ impl ServerCore {
                 // While degraded, don't even try: the probe owns retries, and a
                 // failing disk under the sequencing lock would stall every client.
                 // (Reached when the checkpoint thread degraded the core after
-                // submit's up-front check passed.)
+                // `submit_batch`'s up-front check passed.)
                 if self.is_degraded() {
                     state.wal_pending.remove(wal_seq);
                     return Err(());
@@ -803,9 +774,8 @@ impl ServerCore {
     /// command, group commit wherever an `AdvanceTime` falls), and one doorbell
     /// ring for the entire batch. This is the reactor's submission path: however
     /// many connections became readable in one wakeup, the sequencer lock is
-    /// taken once, not once per command — while the arbitration rules stay
-    /// *identical* to per-command [`ServerCore::submit`], because batch order is
-    /// append order is arbitration order.
+    /// taken once, not once per command. Batch order is append order is
+    /// arbitration order.
     ///
     /// Degradation mid-batch behaves exactly like degradation mid-stream: once a
     /// group commit fails, every later mutation in the batch is rejected with
@@ -819,19 +789,31 @@ impl ServerCore {
         let mut rejected: Vec<(ClientId, u64)> = Vec::new();
         let mut sequenced = 0;
         for (client, reply, command) in batch {
-            // Submissions after close are ignored, as on the single-command path.
+            // Submissions after close are ignored.
             if log.closed {
                 continue;
             }
+            // Degraded read-only mode: a core that cannot persist mutations refuses them
+            // up front rather than acknowledging work it may lose. Queries pass — the
+            // in-memory state is intact and reads were never logged anyway. Checked
+            // before the Uninstall-at-submit ownership edit below, so a rejected
+            // uninstall leaves ownership untouched.
             if !matches!(command, Command::Query { .. }) && self.is_degraded() {
                 rejected.push((client, reply));
                 continue;
             }
+            // An Uninstall frees the name *at submit*: once one is sequenced, no
+            // disconnect between now and its execution may still count the query as owned
+            // (a cleanup Uninstall sequenced behind it would fall through to a same-named
+            // input). Install claims happen at completion, never here — see `deposit`.
             if let Command::Uninstall { name } = &command {
                 clients.owners.remove(name);
             }
             match self.append_locked(&mut log, Some((client, reply)), command) {
                 Ok(_) => sequenced += 1,
+                // The group commit for this epoch failed past its retry budget: the
+                // advance was unstaged and never sequenced, and the core is now
+                // degraded. Answer the client honestly instead of acknowledging.
                 Err(()) => rejected.push((client, reply)),
             }
         }
@@ -1063,7 +1045,7 @@ impl ServerCore {
                     clients.owners.insert(name.clone(), client);
                 } else {
                     clients.owners.remove(name);
-                    let _ = self.append(None, Command::Uninstall { name: name.clone() });
+                    self.append_cleanup(name.clone());
                 }
             }
             (Command::Uninstall { name }, _) => {

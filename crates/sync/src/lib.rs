@@ -6,7 +6,7 @@
 //!
 //! * **Release, no `model` feature** — thin `#[inline]` wrappers over the std
 //!   primitives. Zero cost: no tracking, no branches, no extra state.
-//! * **Debug builds (both modes)** — every [`Mutex`]/[`RwLock`] acquisition feeds a
+//! * **Debug builds (both modes)** — every [`Mutex`] acquisition feeds a
 //!   process-wide *lock-order graph*; a cycle (AB/BA deadlock potential) panics with
 //!   the offending chain of acquisition sites. [`blocking::annotate`] additionally
 //!   panics when a blocking syscall (fsync, socket IO) runs while a tracked lock is
@@ -32,7 +32,6 @@ mod doorbell;
 pub mod mpsc;
 mod mutex;
 pub mod order;
-mod rwlock;
 pub mod thread;
 
 pub mod atomic;
@@ -44,7 +43,6 @@ pub use barrier::{Barrier, BarrierWaitResult};
 pub use condvar::{Condvar, WaitTimeoutResult};
 pub use doorbell::Doorbell;
 pub use mutex::{Mutex, MutexGuard};
-pub use rwlock::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 // Pure re-exports: these have no blocking semantics a scheduler needs to see (an
 // `Arc` clone never waits), so the std types are the facade.

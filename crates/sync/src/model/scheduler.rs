@@ -62,7 +62,7 @@ impl Strategy {
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Block {
-    /// Waiting to acquire a mutex or rwlock.
+    /// Waiting to acquire a mutex.
     Lock(usize),
     Condvar {
         cv: usize,
@@ -105,25 +105,6 @@ enum Run {
     Finished,
 }
 
-enum LockKind {
-    Mutex {
-        owner: Option<usize>,
-    },
-    Rw {
-        writer: Option<usize>,
-        readers: Vec<usize>,
-    },
-}
-
-impl LockKind {
-    fn vacant(&self) -> bool {
-        match self {
-            LockKind::Mutex { owner } => owner.is_none(),
-            LockKind::Rw { writer, readers } => writer.is_none() && readers.is_empty(),
-        }
-    }
-}
-
 /// No thread is active (run finished or aborting).
 const NO_THREAD: usize = usize::MAX;
 
@@ -137,7 +118,8 @@ struct State {
     max_steps: usize,
     abort: bool,
     failure: Option<String>,
-    locks: HashMap<usize, LockKind>,
+    /// Model-level mutexes by address: the owning thread, or `None` while free.
+    locks: HashMap<usize, Option<usize>>,
     barriers: HashMap<usize, Vec<usize>>,
     /// Why each thread's last block ended: `true` = synthesized timeout.
     wake_timed_out: Vec<bool>,
@@ -198,7 +180,7 @@ impl State {
     /// Releases a model-level mutex and makes its waiters runnable (they re-compete
     /// under scheduler control; who wins is a later decision).
     fn release_mutex(&mut self, id: usize, tid: usize) {
-        if let Some(LockKind::Mutex { owner }) = self.locks.get_mut(&id) {
+        if let Some(owner) = self.locks.get_mut(&id) {
             debug_assert_eq!(*owner, Some(tid), "release by non-owner");
             *owner = None;
         }
@@ -211,37 +193,6 @@ impl State {
                 self.wake(tid, false);
             }
         }
-    }
-
-    /// The lock entry for `id` as the requested kind. A vacant entry left by a
-    /// dropped lock whose address was reused by the other kind is replaced.
-    fn lock_entry(&mut self, id: usize, rw: bool) -> &mut LockKind {
-        let entry = self.locks.entry(id).or_insert_with(|| {
-            if rw {
-                LockKind::Rw {
-                    writer: None,
-                    readers: Vec::new(),
-                }
-            } else {
-                LockKind::Mutex { owner: None }
-            }
-        });
-        let mismatched = matches!(entry, LockKind::Mutex { .. }) == rw;
-        if mismatched {
-            assert!(
-                entry.vacant(),
-                "model: lock address {id:#x} reused while holders are registered"
-            );
-            *entry = if rw {
-                LockKind::Rw {
-                    writer: None,
-                    readers: Vec::new(),
-                }
-            } else {
-                LockKind::Mutex { owner: None }
-            };
-        }
-        entry
     }
 
     fn describe_deadlock(&self) -> String {
@@ -441,11 +392,10 @@ impl Scheduler {
                 drop(st);
                 self.teardown_panic();
             }
-            if let LockKind::Mutex { owner } = st.lock_entry(id, false) {
-                if owner.is_none() {
-                    *owner = Some(tid);
-                    return;
-                }
+            let owner = st.locks.entry(id).or_default();
+            if owner.is_none() {
+                *owner = Some(tid);
+                return;
             }
             self.block_and_park(st, tid, Block::Lock(id));
             // Woken by a release: loop and re-compete.
@@ -461,11 +411,10 @@ impl Scheduler {
             drop(st);
             self.teardown_panic();
         }
-        if let LockKind::Mutex { owner } = st.lock_entry(id, false) {
-            if owner.is_none() {
-                *owner = Some(tid);
-                return true;
-            }
+        let owner = st.locks.entry(id).or_default();
+        if owner.is_none() {
+            *owner = Some(tid);
+            return true;
         }
         false
     }
@@ -478,80 +427,6 @@ impl Scheduler {
             return;
         }
         st.release_mutex(id, tid);
-    }
-
-    /// Acquires a model-level rwlock in read or write mode.
-    pub fn rwlock_acquire(&self, id: usize, write: bool) {
-        let tid = super::current_tid();
-        loop {
-            self.yield_point();
-            let mut st = self.lock_state();
-            if st.abort {
-                drop(st);
-                self.teardown_panic();
-            }
-            if let LockKind::Rw { writer, readers } = st.lock_entry(id, true) {
-                let free = if write {
-                    writer.is_none() && readers.is_empty()
-                } else {
-                    writer.is_none()
-                };
-                if free {
-                    if write {
-                        *writer = Some(tid);
-                    } else {
-                        readers.push(tid);
-                    }
-                    return;
-                }
-            }
-            self.block_and_park(st, tid, Block::Lock(id));
-        }
-    }
-
-    /// Non-blocking rwlock acquisition attempt.
-    pub fn rwlock_try_acquire(&self, id: usize, write: bool) -> bool {
-        let tid = super::current_tid();
-        self.yield_point();
-        let mut st = self.lock_state();
-        if st.abort {
-            drop(st);
-            self.teardown_panic();
-        }
-        if let LockKind::Rw { writer, readers } = st.lock_entry(id, true) {
-            let free = if write {
-                writer.is_none() && readers.is_empty()
-            } else {
-                writer.is_none()
-            };
-            if free {
-                if write {
-                    *writer = Some(tid);
-                } else {
-                    readers.push(tid);
-                }
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Releases a model-level rwlock held in the given mode.
-    pub fn rwlock_release(&self, id: usize, write: bool) {
-        let tid = super::current_tid();
-        let mut st = self.lock_state();
-        if st.abort {
-            return;
-        }
-        if let Some(LockKind::Rw { writer, readers }) = st.locks.get_mut(&id) {
-            if write {
-                debug_assert_eq!(*writer, Some(tid), "write release by non-writer");
-                *writer = None;
-            } else if let Some(position) = readers.iter().position(|&reader| reader == tid) {
-                readers.remove(position);
-            }
-        }
-        st.wake_lock_waiters(id);
     }
 
     /// Condvar wait: releases the model-level mutex, parks until notified or (if

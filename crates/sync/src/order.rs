@@ -1,6 +1,6 @@
 //! Debug-build lock-order analysis.
 //!
-//! Every [`Mutex`](crate::Mutex)/[`RwLock`](crate::RwLock) acquisition adds edges
+//! Every [`Mutex`](crate::Mutex) acquisition adds edges
 //! `held → acquired` to one process-wide directed graph. An edge that closes a cycle
 //! means two code paths acquire the same locks in opposite orders — a deadlock that
 //! needs only the right interleaving — and panics immediately, on whichever schedule

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use kpg_sync::atomic::{AtomicU64, Ordering};
-use kpg_sync::{mpsc, thread, Arc, Barrier, Condvar, Mutex, RwLock};
+use kpg_sync::{mpsc, thread, Arc, Barrier, Condvar, Mutex};
 
 #[test]
 fn mutex_and_condvar_roundtrip() {
@@ -34,23 +34,6 @@ fn wait_timeout_expires() {
     let guard = lock.lock().unwrap();
     let (_guard, result) = cv.wait_timeout(guard, Duration::from_millis(10)).unwrap();
     assert!(result.timed_out());
-}
-
-#[test]
-fn rwlock_readers_and_writer() {
-    let lock = Arc::new(RwLock::new(1u32));
-    {
-        // Concurrent readers from *different* threads: same-thread recursive reads
-        // are flagged by the order graph (they can deadlock a waiting writer).
-        let guard = lock.read().unwrap();
-        let other = {
-            let lock = lock.clone();
-            thread::spawn(move || *lock.read().unwrap())
-        };
-        assert_eq!(*guard + other.join().unwrap(), 2);
-    }
-    *lock.write().unwrap() = 5;
-    assert_eq!(*lock.read().unwrap(), 5);
 }
 
 #[test]

@@ -11,10 +11,12 @@
 //!
 //! * [`Description`](description::Description) — the `lower`/`upper`/`since` frontiers
 //!   that make a batch self-describing.
-//! * [`OrdValBatch`](ord_batch::OrdValBatch) — an immutable batch of updates indexed by
-//!   key, then value, each value carrying its `(time, diff)` history.
-//! * [`OrdKeyBatch`](key_batch::OrdKeyBatch) — the simplified representation for
-//!   collections whose records are just keys (paper §4.2, "Modularity").
+//! * [`OrdValBatch`](ord_batch::OrdValBatch) — the one batch implementation: immutable,
+//!   indexed by key, then value, each value carrying its `(time, diff)` history.
+//!   [`OrdKeyBatch`](ord_batch::OrdKeyBatch), for collections whose records are just
+//!   keys, is an alias for it at `V = ()`.
+//! * [`consolidation`] — the one sort/coalesce/drop-zero kernel that builders, merge-time
+//!   compaction and the public `consolidate*` functions all call.
 //! * [`Cursor`](cursor::Cursor) and [`CursorList`](cursor::CursorList) — navigation over
 //!   one batch or the union of many.
 //! * [`Spine`](spine::Spine) — the amortized-merging trace, with logical compaction
@@ -32,7 +34,6 @@ pub mod consolidation;
 pub mod cursor;
 pub mod description;
 pub mod diff;
-pub mod key_batch;
 pub mod ord_batch;
 pub mod spine;
 pub mod stored;
@@ -41,8 +42,7 @@ pub use consolidation::{consolidate, consolidate_updates};
 pub use cursor::{Cursor, CursorList};
 pub use description::Description;
 pub use diff::{Abelian, Multiply, Semigroup};
-pub use key_batch::OrdKeyBatch;
-pub use ord_batch::OrdValBatch;
+pub use ord_batch::{OrdKeyBatch, OrdValBatch};
 pub use spine::{MergeEffort, Spine};
 pub use stored::{spill_batch, LayerCursor, StoreData, StoredCursor, StoredLayer};
 

@@ -4,9 +4,15 @@
 //! offsets into a flat vector of `(time, diff)` updates. Batches are wrapped in an `Arc`
 //! so the batch stream and every trace reader share the same underlying memory (paper
 //! §4.2, "Shared references").
+//!
+//! This is the crate's only batch implementation. Key-only collections (sets of keys,
+//! e.g. `distinct`'s inputs and outputs) are the same batch at `V = ()`, named
+//! [`OrdKeyBatch`]: `Vec<()>` allocates nothing, so the value layer costs one `val_offs`
+//! word per key and nothing else.
 
 use kpg_sync::Arc;
 
+use crate::consolidation::{consolidate, consolidate_by};
 use crate::cursor::Cursor;
 use crate::description::Description;
 use crate::diff::Semigroup;
@@ -46,6 +52,13 @@ pub struct OrdValBatch<K, V, T, R> {
     storage: Arc<OrdValStorage<K, V, T, R>>,
     description: Description<T>,
 }
+
+/// A batch of `(key, time, diff)` updates for collections whose records are just keys:
+/// the value batch with the zero-size value `()`.
+pub type OrdKeyBatch<K, T, R> = OrdValBatch<K, (), T, R>;
+
+/// The builder of an [`OrdKeyBatch`]; push `()` as the value.
+pub type OrdKeyBuilder<K, T, R> = OrdValBuilder<K, (), T, R>;
 
 impl<K, V, T, R> Clone for OrdValBatch<K, V, T, R>
 where
@@ -107,11 +120,9 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Batch for OrdValBat
     }
 }
 
-/// The minimum unsorted-tail length before a builder re-consolidates its buffer.
-///
-/// Shared by [`OrdValBuilder`] and [`OrdKeyBuilder`](crate::key_batch::OrdKeyBuilder):
-/// below this threshold the O(n log n) of a final sort is cheaper than the bookkeeping.
-pub(crate) const BUILDER_CONSOLIDATE_MIN: usize = 256;
+/// The minimum unsorted-tail length before a builder re-consolidates its buffer: below
+/// this threshold the O(n log n) of a final sort is cheaper than the bookkeeping.
+const BUILDER_CONSOLIDATE_MIN: usize = 256;
 
 /// Builds an [`OrdValBatch`] from unsorted update tuples.
 ///
@@ -144,30 +155,11 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValBuilder<K, V,
         if self.sorted == self.buffer.len() {
             return;
         }
-        self.buffer
-            .sort_by(|a, b| (&a.0, &a.1, &a.2).cmp(&(&b.0, &b.1, &b.2)));
-        let mut write = 0;
-        let mut read = 0;
-        while read < self.buffer.len() {
-            let mut end = read + 1;
-            while end < self.buffer.len()
-                && self.buffer[end].0 == self.buffer[read].0
-                && self.buffer[end].1 == self.buffer[read].1
-                && self.buffer[end].2 == self.buffer[read].2
-            {
-                end += 1;
-            }
-            let (head, tail) = self.buffer.split_at_mut(read + 1);
-            for other in &tail[..end - read - 1] {
-                head[read].3.plus_equals(&other.3);
-            }
-            if !self.buffer[read].3.is_zero() {
-                self.buffer.swap(write, read);
-                write += 1;
-            }
-            read = end;
-        }
-        self.buffer.truncate(write);
+        consolidate_by(
+            &mut self.buffer,
+            |a, b| (&a.0, &a.1, &a.2).cmp(&(&b.0, &b.1, &b.2)),
+            |u| &mut u.3,
+        );
         self.sorted = self.buffer.len();
     }
 
@@ -389,25 +381,7 @@ pub(crate) fn compact_history<T: Timestamp + Lattice, R: Semigroup>(
             time.advance_by(since);
         }
     }
-    history.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut write = 0;
-    let mut read = 0;
-    while read < history.len() {
-        let mut end = read + 1;
-        while end < history.len() && history[end].0 == history[read].0 {
-            end += 1;
-        }
-        let (head, tail) = history.split_at_mut(read + 1);
-        for other in &tail[..end - read - 1] {
-            head[read].1.plus_equals(&other.1);
-        }
-        if !history[read].1.is_zero() {
-            history.swap(write, read);
-            write += 1;
-        }
-        read = end;
-    }
-    history.truncate(write);
+    consolidate(history);
 }
 
 impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Merger<OrdValBatch<K, V, T, R>>
@@ -697,6 +671,60 @@ mod tests {
         assert!(merger.is_complete());
         let merged = merger.done(&batch1, &batch2);
         assert_eq!(merged.len(), 200);
+    }
+
+    #[test]
+    fn key_only_batch_builds_navigates_and_merges() {
+        let mut builder = OrdKeyBuilder::with_capacity(4);
+        builder.push(3u64, (), 0u64, 1isize);
+        builder.push(1, (), 0, 1);
+        builder.push(3, (), 1, -1);
+        builder.push(1, (), 0, 1);
+        let batch1 = builder.done(
+            Antichain::from_elem(0),
+            Antichain::from_elem(2),
+            Antichain::from_elem(0),
+        );
+        let mut cursor = batch1.cursor();
+        let updates = cursor_to_updates(&mut cursor);
+        assert_eq!(updates, vec![(1, (), 0, 2), (3, (), 0, 1), (3, (), 1, -1)]);
+        // Zero-size values: the value column holds one `()` per key and no memory.
+        assert_eq!(batch1.storage().vals.len(), batch1.key_count());
+        assert_eq!(batch1.storage().vals.capacity(), usize::MAX);
+
+        let mut cursor = batch1.cursor();
+        cursor.seek_key(&2);
+        assert_eq!(*cursor.key(), 3);
+        assert!(cursor.val_valid());
+        cursor.step_val();
+        assert!(!cursor.val_valid());
+        cursor.rewind_vals();
+        assert!(cursor.val_valid());
+
+        let mut builder = OrdKeyBuilder::with_capacity(1);
+        builder.push(1u64, (), 2u64, -2isize);
+        let batch2 = builder.done(
+            Antichain::from_elem(2),
+            Antichain::from_elem(3),
+            Antichain::from_elem(0),
+        );
+        // Compacted to 5, key 1 is +2 -2 and key 3 is +1 -1: everything cancels but the
+        // merged batch is still well-formed.
+        let mut merger = batch1.begin_merge(&batch2, AntichainRef::new(&[5u64]));
+        let mut fuel = isize::MAX;
+        merger.work(&batch1, &batch2, &mut fuel);
+        let merged = merger.done(&batch1, &batch2);
+        assert!(merged.is_empty());
+        assert!(!merged.cursor().key_valid());
+
+        let mut merger = batch1.begin_merge(&batch2, AntichainRef::new(&[0u64]));
+        let mut fuel = isize::MAX;
+        merger.work(&batch1, &batch2, &mut fuel);
+        let merged = merger.done(&batch1, &batch2);
+        assert_eq!(
+            cursor_to_updates(&mut merged.cursor()),
+            vec![(1, (), 0, 2), (1, (), 2, -2), (3, (), 0, 1), (3, (), 1, -1)]
+        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 use kpg_timestamp::rng::SmallRng;
 use kpg_timestamp::Antichain;
 use kpg_trace::cursor::cursor_to_updates;
-use kpg_trace::key_batch::OrdKeyBuilder;
-use kpg_trace::ord_batch::OrdValBuilder;
+use kpg_trace::ord_batch::{OrdKeyBuilder, OrdValBuilder};
 use kpg_trace::{BatchReader, Builder};
 
 type Key = u8;
@@ -146,6 +145,8 @@ fn ord_val_builder_interleaved_seal_cycles_match() {
     }
 }
 
+/// The key-only builder is `OrdValBuilder` at `V = ()`: same amortized buffer, zero-size
+/// values.
 #[test]
 fn ord_key_builder_matches_sort_then_coalesce() {
     for seed in 0..cases() {

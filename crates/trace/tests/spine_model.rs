@@ -3,17 +3,33 @@
 //!
 //! Cases are generated from a seeded deterministic PRNG (`kpg_timestamp::rng`), so every
 //! run explores the same corpus and failures are reproducible by seed.
+//!
+//! Every property runs at two value types: `u8`, and `()` — the key-only batch
+//! (`OrdKeyBatch`) is the same implementation at `V = ()`, so its merges and compaction
+//! are modelled here rather than by a separate suite.
 
 use kpg_timestamp::rng::SmallRng;
 use kpg_timestamp::{Antichain, AntichainRef, PartialOrder};
 use kpg_trace::cursor::Cursor;
 use kpg_trace::ord_batch::{OrdValBatch, OrdValBuilder};
-use kpg_trace::{Builder, MergeEffort, Spine};
+use kpg_trace::{Builder, Data, MergeEffort, Spine};
 use std::collections::BTreeMap;
 
 type Key = u8;
-type Val = u8;
 type TimeT = u64;
+
+/// A value type the model can draw: `u8` below a bound, or the single value `()`.
+trait ModelVal: Data + Copy {
+    fn draw(rng: &mut SmallRng, bound: u8) -> Self;
+}
+impl ModelVal for u8 {
+    fn draw(rng: &mut SmallRng, bound: u8) -> Self {
+        rng.gen_range(0..bound)
+    }
+}
+impl ModelVal for () {
+    fn draw(_rng: &mut SmallRng, _bound: u8) -> Self {}
+}
 
 const CASES: u64 = 64;
 
@@ -32,10 +48,10 @@ fn cases() -> u64 {
 }
 
 /// Accumulate a naive update list at `time` for every (key, val).
-fn naive_accumulate(
-    updates: &[(Key, Val, TimeT, isize)],
+fn naive_accumulate<V: ModelVal>(
+    updates: &[(Key, V, TimeT, isize)],
     upto: TimeT,
-) -> BTreeMap<(Key, Val), isize> {
+) -> BTreeMap<(Key, V), isize> {
     let mut result = BTreeMap::new();
     for (k, v, t, r) in updates {
         if (*t).less_equal(&upto) {
@@ -47,10 +63,10 @@ fn naive_accumulate(
 }
 
 /// Accumulate the spine's cursor at `time` for every (key, val).
-fn spine_accumulate(
-    spine: &Spine<OrdValBatch<Key, Val, TimeT, isize>>,
+fn spine_accumulate<V: ModelVal>(
+    spine: &Spine<OrdValBatch<Key, V, TimeT, isize>>,
     upto: TimeT,
-) -> BTreeMap<(Key, Val), isize> {
+) -> BTreeMap<(Key, V), isize> {
     let mut result = BTreeMap::new();
     let mut cursor = spine.cursor();
     while cursor.key_valid() {
@@ -74,13 +90,13 @@ fn spine_accumulate(
 }
 
 /// Draws a random epoch script: per epoch, a small batch of (key, val, diff) changes.
-fn random_epochs(
+fn random_epochs<V: ModelVal>(
     rng: &mut SmallRng,
     epoch_bounds: (usize, usize),
     changes_per_epoch: usize,
     key_bound: u8,
     val_bound: u8,
-) -> Vec<Vec<(Key, Val, isize)>> {
+) -> Vec<Vec<(Key, V, isize)>> {
     let epochs = rng.gen_range(epoch_bounds.0..epoch_bounds.1);
     (0..epochs)
         .map(|_| {
@@ -89,7 +105,7 @@ fn random_epochs(
                 .map(|_| {
                     (
                         rng.gen_range(0..key_bound),
-                        rng.gen_range(0..val_bound),
+                        V::draw(rng, val_bound),
                         rng.gen_range(-2isize..3),
                     )
                 })
@@ -99,13 +115,13 @@ fn random_epochs(
 }
 
 #[allow(clippy::type_complexity)]
-fn build_spine(
-    epochs: &[Vec<(Key, Val, isize)>],
+fn build_spine<V: ModelVal>(
+    epochs: &[Vec<(Key, V, isize)>],
     effort: MergeEffort,
     compaction: Option<TimeT>,
 ) -> (
-    Spine<OrdValBatch<Key, Val, TimeT, isize>>,
-    Vec<(Key, Val, TimeT, isize)>,
+    Spine<OrdValBatch<Key, V, TimeT, isize>>,
+    Vec<(Key, V, TimeT, isize)>,
 ) {
     let mut spine = Spine::new(effort);
     let mut all_updates = Vec::new();
@@ -133,11 +149,10 @@ fn build_spine(
 
 /// Without compaction, the spine accumulates identically to the naive model at every
 /// probe time, regardless of merge effort.
-#[test]
-fn spine_matches_naive_model() {
+fn spine_matches_naive_model<V: ModelVal>() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0xA001 + case);
-        let epochs = random_epochs(&mut rng, (1, 12), 8, 8, 4);
+        let epochs = random_epochs::<V>(&mut rng, (1, 12), 8, 8, 4);
         let effort =
             [MergeEffort::Eager, MergeEffort::Default, MergeEffort::Lazy][(case % 3) as usize];
         let probe = rng.gen_range(0u64..12);
@@ -152,11 +167,10 @@ fn spine_matches_naive_model() {
 
 /// With the logical compaction frontier advanced to `since`, accumulations at times at
 /// or beyond `since` are still exact.
-#[test]
-fn spine_compaction_preserves_accumulations_beyond_since() {
+fn spine_compaction_preserves_accumulations_beyond_since<V: ModelVal>() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0xB001 + case);
-        let epochs = random_epochs(&mut rng, (2, 12), 8, 8, 4);
+        let epochs = random_epochs::<V>(&mut rng, (2, 12), 8, 8, 4);
         let since = rng.gen_range(0u64..6);
         let probe = since + rng.gen_range(0u64..8);
         let (spine, updates) = build_spine(&epochs, MergeEffort::Eager, Some(since));
@@ -170,11 +184,10 @@ fn spine_compaction_preserves_accumulations_beyond_since() {
 
 /// The spine never holds more updates than were inserted (consolidation only shrinks),
 /// and its layer count stays logarithmic.
-#[test]
-fn spine_is_compact() {
+fn spine_is_compact<V: ModelVal>() {
     for case in 0..cases() {
         let mut rng = SmallRng::seed_from_u64(0xC001 + case);
-        let epochs = random_epochs(&mut rng, (1, 40), 6, 4, 2);
+        let epochs = random_epochs::<V>(&mut rng, (1, 40), 6, 4, 2);
         let (mut spine, updates) = build_spine(&epochs, MergeEffort::Default, None);
         assert!(spine.len() <= updates.len(), "case {case}");
         for _ in 0..32 {
@@ -189,4 +202,26 @@ fn spine_is_compact() {
             updates.len()
         );
     }
+}
+
+/// Instantiates each property at `V = u8` (key/value batches) and `V = ()` (key-only).
+macro_rules! at_both_value_types {
+    ($($property:ident => $val_test:ident, $key_test:ident;)*) => {$(
+        #[test]
+        fn $val_test() {
+            $property::<u8>();
+        }
+        #[test]
+        fn $key_test() {
+            $property::<()>();
+        }
+    )*};
+}
+
+at_both_value_types! {
+    spine_matches_naive_model => val_spine_matches_naive_model, key_spine_matches_naive_model;
+    spine_compaction_preserves_accumulations_beyond_since =>
+        val_spine_compaction_preserves_accumulations_beyond_since,
+        key_spine_compaction_preserves_accumulations_beyond_since;
+    spine_is_compact => val_spine_is_compact, key_spine_is_compact;
 }
