@@ -361,16 +361,6 @@ impl Catalog {
         self.with_entry(name, |entry| entry.trace.reader_slots())
     }
 
-    /// The total number of updates held across all published traces.
-    pub fn total_size(&self) -> usize {
-        self.inner
-            .borrow()
-            .entries
-            .values()
-            .map(|entry| entry.trace.len())
-            .sum()
-    }
-
     /// Advances the read frontier of every published entry to `frontier`, releasing the
     /// history no future reader can distinguish — the catalog-wide analogue of advancing
     /// a single handle's `since`, and the hygiene that keeps shared spines compact as

@@ -4,7 +4,7 @@
 //! the binary; this module states the same queries as [`Plan`] values a
 //! [`Manager`](kpg_plan::Manager) can install from data — the shape a query server
 //! receives over the wire. `crates/graph/tests/plan_equivalence.rs` proves the two
-//! formulations produce identical output updates; `churn --plan` measures the
+//! formulations give identical answers at every epoch; `churn --plan` measures the
 //! plan-compilation overhead against the closure baseline.
 //!
 //! Row conventions: edges are `[src, dst]`, node arguments are `[node]`, pair arguments

@@ -1,13 +1,19 @@
 //! Plan/closure equivalence: the plan-IR formulations of the §6.2 query classes must
-//! produce the *same output updates* as the closure-built `InteractiveSession` versions.
+//! give the *same answer at every epoch* as the closure-built `InteractiveSession`
+//! versions.
 //!
 //! Both formulations are driven with an identical seeded workload (same initial graph,
-//! same per-epoch argument and edge churn, same epochs); every captured `(answer, time,
-//! diff)` stream is consolidated (sorted, coalesced, zeros dropped) and the two sides
-//! compared for equality — on 1 and 2 workers, with the multi-worker streams unioned
-//! across workers first. Consolidation is the right equality: batching granularity
-//! within an epoch is an implementation detail, the consolidated update set is the
-//! semantics.
+//! same per-epoch argument and edge churn, same epochs). The closure side is the
+//! reference: it captures its `(answer, time, diff)` output stream, and its answer at
+//! epoch `e` is that stream accumulated over every time before `e`. The plan side has
+//! no such stream — a query's answer is an arrangement — so after each epoch's `settle`
+//! it reads `Manager::query`. The two are compared at every epoch, on 1 and 2 workers
+//! (per-worker answers unioned first) and for both base keyings.
+//!
+//! These queries live at the streaming scope, where update times *are* epochs, so
+//! "equal answers at every epoch" is the same statement as "equal consolidated update
+//! streams" (each is the other's prefix sums / successive differences). Batching
+//! granularity within an epoch is an implementation detail on either side.
 
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
@@ -58,27 +64,58 @@ fn workload() -> (Vec<Edge>, Vec<Step>) {
     (initial, steps)
 }
 
-/// Sorts, coalesces, and drops zeros: the canonical form of an update stream.
-fn consolidated<D: Ord + Clone>(streams: Vec<Vec<(D, Time, isize)>>) -> Vec<(D, Time, isize)> {
-    let mut updates: Vec<(D, Time, isize)> = streams.into_iter().flatten().collect();
-    updates.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-    let mut result: Vec<(D, Time, isize)> = Vec::new();
-    for (data, time, diff) in updates {
+/// Sorts, coalesces, and drops zeros: the canonical form of an answer.
+fn consolidated<D: Ord>(parts: impl IntoIterator<Item = (D, isize)>) -> Vec<(D, isize)> {
+    let mut rows: Vec<(D, isize)> = parts.into_iter().collect();
+    rows.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut result: Vec<(D, isize)> = Vec::new();
+    for (data, diff) in rows {
         match result.last_mut() {
-            Some((d, t, r)) if *d == data && *t == time => *r += diff,
-            _ => result.push((data, time, diff)),
+            Some((d, r)) if *d == data => *r += diff,
+            _ => result.push((data, diff)),
         }
     }
-    result.retain(|(_, _, diff)| *diff != 0);
+    result.retain(|(_, diff)| *diff != 0);
     result
 }
 
-type PairUpdates = Vec<((u32, u32), Time, isize)>;
-type TripleUpdates = Vec<((u32, u32, u32), Time, isize)>;
+/// One query's answer at each epoch: entry `e - 1` is the answer once epoch `e` is
+/// current, i.e. over every time before `e`.
+type Answers<D> = Vec<Vec<(D, isize)>>;
+type Pair = (u32, u32);
+type Triple = (u32, u32, u32);
+
+/// The reference side: per-worker captured update streams, accumulated through each
+/// epoch.
+fn accumulated<D: Ord + Clone>(streams: &[Vec<(D, Time, isize)>]) -> Answers<D> {
+    (1..=EPOCHS)
+        .map(|epoch| {
+            consolidated(
+                streams
+                    .iter()
+                    .flatten()
+                    .filter(|(_, time, _)| time.epoch() < epoch)
+                    .map(|(data, _, diff)| (data.clone(), *diff)),
+            )
+        })
+        .collect()
+}
+
+/// The plan side: per-worker, per-epoch `Manager::query` answers, unioned across
+/// workers.
+fn unioned<D: Ord>(per_worker: Vec<Answers<D>>) -> Answers<D> {
+    let mut epochs: Vec<Vec<(D, isize)>> = (0..EPOCHS).map(|_| Vec::new()).collect();
+    for worker in per_worker {
+        for (epoch, answer) in worker.into_iter().enumerate() {
+            epochs[epoch].extend(answer);
+        }
+    }
+    epochs.into_iter().map(consolidated).collect()
+}
 
 /// The closure formulation: `InteractiveSession` with the three query classes installed
 /// up front, driven through the shared workload.
-fn run_closures(workers: usize) -> (PairUpdates, PairUpdates, TripleUpdates) {
+fn run_closures(workers: usize) -> (Answers<Pair>, Answers<Pair>, Answers<Triple>) {
     let per_worker = execute(Config::new(workers), move |worker| {
         let peers = worker.peers();
         let index = worker.index();
@@ -131,7 +168,7 @@ fn run_closures(workers: usize) -> (PairUpdates, PairUpdates, TripleUpdates) {
             ];
             worker.step_while(|| probes.iter().any(|probe| probe.less_than(&target)));
         }
-        let four: TripleUpdates = four_path
+        let four: Vec<(Triple, Time, isize)> = four_path
             .result
             .results
             .borrow()
@@ -151,16 +188,10 @@ fn run_closures(workers: usize) -> (PairUpdates, PairUpdates, TripleUpdates) {
         fours.push(four);
     }
     (
-        consolidated(lookups),
-        consolidated(two_hops),
-        consolidated(fours),
+        accumulated(&lookups),
+        accumulated(&two_hops),
+        accumulated(&fours),
     )
-}
-
-fn pair_updates(raw: Vec<(Row, Time, isize)>) -> Vec<((u32, u32), Time, isize)> {
-    raw.into_iter()
-        .map(|(row, time, diff)| ((row_u32(&row, 0), row_u32(&row, 1)), time, diff))
-        .collect()
 }
 
 /// The plan formulation: the same workload executed as a `Manager` command stream.
@@ -169,7 +200,7 @@ fn pair_updates(raw: Vec<(Row, Time, isize)>) -> Vec<((u32, u32), Time, isize)> 
 fn run_plans(
     workers: usize,
     key_arity: Option<usize>,
-) -> (PairUpdates, PairUpdates, TripleUpdates) {
+) -> (Answers<Pair>, Answers<Pair>, Answers<Triple>) {
     let per_worker = execute(Config::new(workers), move |worker| {
         let (initial, steps) = workload();
         let mut manager = Manager::new();
@@ -223,6 +254,12 @@ fn run_plans(
         for edge in initial {
             update(&mut manager, worker, "edges", edge_row(edge), 1);
         }
+        let pairs = |manager: &Manager, name: &str| -> Vec<(Pair, isize)> {
+            let answer = manager.query(name).unwrap();
+            let pair = |(row, diff): (Row, isize)| ((row_u32(&row, 0), row_u32(&row, 1)), diff);
+            answer.into_iter().map(pair).collect()
+        };
+        let (mut lookups, mut two_hops, mut fours) = (Vec::new(), Vec::new(), Vec::new());
         for (index, step) in steps.into_iter().enumerate() {
             for &arg in &step.node_args {
                 update(&mut manager, worker, "lookup-args", node_row(arg), 1);
@@ -240,24 +277,16 @@ fn run_plans(
             let epoch = index as u64 + 1;
             run(&mut manager, worker, Command::AdvanceTime { epoch });
             manager.settle(worker);
+            lookups.push(pairs(&manager, "lookup"));
+            two_hops.push(pairs(&manager, "two-hop"));
+            let four = manager.query("four-path").unwrap();
+            let triple = |(row, diff): (Row, isize)| {
+                let triple = (row_u32(&row, 0), row_u32(&row, 1), row_u32(&row, 2));
+                (triple, diff)
+            };
+            fours.push(four.into_iter().map(triple).collect());
         }
-        let four: TripleUpdates = manager
-            .raw_results("four-path")
-            .unwrap()
-            .into_iter()
-            .map(|(row, time, diff)| {
-                (
-                    (row_u32(&row, 0), row_u32(&row, 1), row_u32(&row, 2)),
-                    time,
-                    diff,
-                )
-            })
-            .collect();
-        (
-            pair_updates(manager.raw_results("lookup").unwrap()),
-            pair_updates(manager.raw_results("two-hop").unwrap()),
-            four,
-        )
+        (lookups, two_hops, fours)
     });
     let mut lookups = Vec::new();
     let mut two_hops = Vec::new();
@@ -267,32 +296,28 @@ fn run_plans(
         two_hops.push(two_hop);
         fours.push(four);
     }
-    (
-        consolidated(lookups),
-        consolidated(two_hops),
-        consolidated(fours),
-    )
+    (unioned(lookups), unioned(two_hops), unioned(fours))
 }
 
 fn assert_equivalent(workers: usize) {
     let (closure_lookup, closure_two_hop, closure_four) = run_closures(workers);
     assert!(
-        !closure_two_hop.is_empty(),
-        "the workload must exercise the queries"
+        closure_two_hop.iter().all(|answer| !answer.is_empty()),
+        "the workload must exercise the queries at every epoch"
     );
     for key_arity in [None, Some(1)] {
         let (plan_lookup, plan_two_hop, plan_four) = run_plans(workers, key_arity);
         assert_eq!(
             closure_lookup, plan_lookup,
-            "lookup updates diverge on {workers} workers (key_arity {key_arity:?})"
+            "lookup answers diverge on {workers} workers (key_arity {key_arity:?})"
         );
         assert_eq!(
             closure_two_hop, plan_two_hop,
-            "2-hop updates diverge on {workers} workers (key_arity {key_arity:?})"
+            "2-hop answers diverge on {workers} workers (key_arity {key_arity:?})"
         );
         assert_eq!(
             closure_four, plan_four,
-            "4-hop path updates diverge on {workers} workers (key_arity {key_arity:?})"
+            "4-hop path answers diverge on {workers} workers (key_arity {key_arity:?})"
         );
     }
 }

@@ -16,15 +16,13 @@
 //! arriving query attaches in milliseconds); they are evicted when their underlying
 //! input is removed, or explicitly via [`Manager::evict_unused`].
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::rc::Rc;
 
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
-use kpg_timestamp::{Antichain, PartialOrder};
+use kpg_timestamp::Antichain;
 
 use crate::plan::{ArrangeKey, KeySpec, Plan, PlanValidity};
 use crate::render::{Renderer, SourceBinding};
@@ -79,10 +77,15 @@ pub enum Command {
         name: String,
     },
     /// Reads the named query's current accumulated output: consolidated rows with
-    /// multiplicities, over every time *strictly before* the current epoch — exactly
-    /// the times [`Manager::settle`] seals, so a settled query's answer is
-    /// deterministic. To observe an `Update`, advance time past its epoch and settle
-    /// first; updates at the still-open current epoch are never reported.
+    /// multiplicities, over everything sealed, i.e. every time *strictly before* the
+    /// current epoch — exactly the times [`Manager::settle`] seals, so a settled
+    /// query's answer is deterministic. The answer is the whole content of the query's
+    /// result arrangement, read without a time filter: nothing at or after the current
+    /// epoch can be in it (operators seal only below the input frontier, which the
+    /// inputs hold at the current epoch), and compaction moves sealed times *up to* the
+    /// current epoch, so filtering by time would drop sealed updates. To observe an
+    /// `Update`, advance time past its epoch and settle first; updates at the
+    /// still-open current epoch are never reported.
     Query {
         /// The query name.
         name: String,
@@ -215,12 +218,10 @@ impl From<CatalogError> for PlanError {
 
 struct InputEntry {
     handle: InputHandle<Row, isize>,
-    /// The catalog name of the base arrangement (None for query-local inputs, which are
-    /// not importable by other queries).
-    arrangement: Option<String>,
-    /// How the base arrangement is keyed (always a prefix `Columns(0..k)` or
-    /// `SelfRow`, so the original row is reconstructible as key ++ rest).
-    keys: KeySpec,
+    /// The published base arrangement (None for query-local inputs, which are not
+    /// importable by other queries). Always keyed by a prefix `Columns(0..k)` or
+    /// `SelfRow`, so the original row is reconstructible as key ++ rest.
+    base: Option<SourceBinding>,
     /// The base dataflow's probe (None for query-local inputs).
     probe: Option<ProbeHandle>,
     /// The owning query, for query-local inputs.
@@ -242,7 +243,9 @@ struct MemoEntry {
 
 struct InstalledPlan {
     probe: ProbeHandle,
-    results: Rc<RefCell<Vec<(Row, Time, isize)>>>,
+    /// The published result arrangement: the query's answer, maintained and compacted
+    /// like every other catalog entry, unpublished with the query's dataflow.
+    result: SourceBinding,
     requirements: Vec<ArrangeKey>,
     locals: Vec<String>,
     sources: BTreeSet<String>,
@@ -340,34 +343,20 @@ impl Manager {
             None => KeySpec::SelfRow,
             Some(arity) => KeySpec::Columns((0..arity).collect()),
         };
-        let arrangement = format!("plan-source-{name}");
+        let base = SourceBinding {
+            arrangement: format!("plan-source-{name}"),
+            keys,
+        };
         let dataflow = format!("plan-input-{name}");
         let catalog = self.catalog.clone();
-        let published = arrangement.clone();
-        let split = keys.clone();
         let handle = worker
-            .install_query(&dataflow, &catalog, move |builder, catalog| {
+            .install_query(&dataflow, &catalog, |builder, catalog| {
+                // The base is the input itself, rendered as a source local to this
+                // dataflow and arranged by the requested key.
                 let (handle, rows) = new_collection::<Row, isize>(builder);
-                let probe = match &split {
-                    KeySpec::SelfRow => {
-                        let arranged =
-                            rows.arrange_by_self_named("PlanSource", MergeEffort::Default);
-                        catalog
-                            .publish_if_absent(&published, &arranged)
-                            .expect("fresh source arrangement name");
-                        arranged.probe()
-                    }
-                    KeySpec::Columns(_) => {
-                        let split = split.clone();
-                        let arranged = rows
-                            .map(move |row| split.split(row))
-                            .arrange_by_key_named("PlanSource", MergeEffort::Default);
-                        catalog
-                            .publish_if_absent(&published, &arranged)
-                            .expect("fresh source arrangement name");
-                        arranged.probe()
-                    }
-                };
+                let locals = HashMap::from([(name.to_string(), rows)]);
+                let renderer = Renderer::new(HashMap::new(), HashMap::new(), locals);
+                let probe = publish(&renderer, builder, catalog, &Plan::source(name), &base);
                 (handle, probe)
             })
             .map_err(PlanError::Catalog)?;
@@ -377,8 +366,7 @@ impl Manager {
             name.to_string(),
             InputEntry {
                 handle: input,
-                arrangement: Some(arrangement),
-                keys,
+                base: Some(base),
                 probe: Some(probe),
                 owner: None,
             },
@@ -471,20 +459,31 @@ impl Manager {
             }
         }
 
+        // The answer is the plan's root as an arrangement: a reduce's own output keyed
+        // by its grouping columns, anything else by whole rows.
+        let result = SourceBinding {
+            arrangement: format!("plan-result-{name}"),
+            keys: match &plan {
+                Plan::Reduce { key_arity, .. } => KeySpec::Columns((0..*key_arity).collect()),
+                _ => KeySpec::SelfRow,
+            },
+        };
         let catalog = self.catalog.clone();
         let sources_map = self.source_arrangements();
-        let locals_for_render = locals.clone();
+        let (local_names, binding) = (&locals, &result);
         let handle = match worker.install_query(name, &catalog, move |builder, catalog| {
             let mut local_map = HashMap::new();
             let mut handles = Vec::new();
-            for local in &locals_for_render {
+            for local in local_names {
                 let (handle, collection) = new_collection::<Row, isize>(builder);
                 handles.push((local.clone(), handle));
                 local_map.insert(local.clone(), collection);
             }
             let renderer = Renderer::new(arrangements, sources_map, local_map);
-            let output = renderer.render(builder, catalog, &plan);
-            (handles, output.probe(), output.capture())
+            (
+                handles,
+                publish(&renderer, builder, catalog, &plan, binding),
+            )
         }) {
             Ok(handle) => handle,
             Err(error) => {
@@ -497,15 +496,14 @@ impl Manager {
                 entry.uses += 1;
             }
         }
-        let (handles, probe, results) = handle.result;
+        let (handles, probe) = handle.result;
         for (local, mut input) in handles {
             input.advance_to(self.epoch);
             self.inputs.insert(
                 local,
                 InputEntry {
                     handle: input,
-                    arrangement: None,
-                    keys: KeySpec::SelfRow,
+                    base: None,
                     probe: None,
                     owner: Some(name.to_string()),
                 },
@@ -515,7 +513,7 @@ impl Manager {
             name.to_string(),
             InstalledPlan {
                 probe,
-                results,
+                result,
                 requirements,
                 locals,
                 sources,
@@ -627,13 +625,13 @@ impl Manager {
         // A source keyed the way its base arrangement is keyed *is* the base
         // arrangement; only other keyings need a memoized re-arrangement.
         if let Plan::Source(source) = &key.plan {
-            let entry = self
+            let base = self
                 .inputs
                 .get(source)
-                .filter(|entry| entry.owner.is_none())
+                .and_then(|entry| entry.base.as_ref())
                 .ok_or_else(|| PlanError::UnknownInput(source.clone()))?;
-            if entry.keys == key.keys {
-                return Ok((0, entry.arrangement.clone().expect("global input")));
+            if base.keys == key.keys {
+                return Ok((0, base.arrangement.clone()));
             }
         }
         if let Some(entry) = self.memo.get(key) {
@@ -654,31 +652,16 @@ impl Manager {
 
         self.counter += 1;
         let dataflow = format!("plan-memo-{}", self.counter);
-        let arrangement = format!("plan-arr-{}", self.counter);
+        let published = SourceBinding {
+            arrangement: format!("plan-arr-{}", self.counter),
+            keys: key.keys.clone(),
+        };
         let catalog = self.catalog.clone();
         let sources_map = self.source_arrangements();
-        let plan = key.plan.clone();
-        let keys = key.keys.clone();
-        let published = arrangement.clone();
         let handle = worker
-            .install_query(&dataflow, &catalog, move |builder, catalog| {
+            .install_query(&dataflow, &catalog, |builder, catalog| {
                 let renderer = Renderer::new(arrangements, sources_map, HashMap::new());
-                match &keys {
-                    KeySpec::Columns(columns) => {
-                        let arranged = renderer.render_arranged(builder, catalog, &plan, columns);
-                        catalog
-                            .publish_if_absent(&published, &arranged)
-                            .expect("fresh memo arrangement name");
-                        arranged.probe()
-                    }
-                    KeySpec::SelfRow => {
-                        let arranged = renderer.render_arranged_self(builder, catalog, &plan);
-                        catalog
-                            .publish_if_absent(&published, &arranged)
-                            .expect("fresh memo arrangement name");
-                        arranged.probe()
-                    }
-                }
+                publish(&renderer, builder, catalog, &key.plan, &published)
             })
             .map_err(PlanError::Catalog)?;
         for requirement in &requirements {
@@ -691,7 +674,7 @@ impl Manager {
         self.memo.insert(
             key.clone(),
             MemoEntry {
-                arrangement: arrangement.clone(),
+                arrangement: published.arrangement.clone(),
                 dataflow,
                 probe: handle.result,
                 uses: 0,
@@ -700,7 +683,7 @@ impl Manager {
             },
         );
         created.push(key.clone());
-        Ok((installs + 1, arrangement))
+        Ok((installs + 1, published.arrangement))
     }
 
     /// Undoes a partially completed install: evicts the memo entries it `created`,
@@ -712,36 +695,19 @@ impl Manager {
     }
 
     /// The named query's consolidated output: every `(row, multiplicity)` accumulated
-    /// over times *strictly before* the current epoch, sorted by row. That bound is
-    /// exactly what [`Manager::settle`] waits for ([`Manager::behind`] at the current
-    /// epoch), so a settled query's answer is deterministic; updates introduced at the
-    /// still-open current epoch become visible after the next [`Manager::advance_to`]
-    /// seals it.
+    /// over everything sealed, i.e. every time *strictly before* the current epoch,
+    /// sorted by row. That bound is exactly what [`Manager::settle`] waits for
+    /// ([`Manager::behind`] at the current epoch), so a settled query's answer is
+    /// deterministic; updates introduced at the still-open current epoch become visible
+    /// after the next [`Manager::advance_to`] seals it. The read is one pass over the
+    /// query's result arrangement with no time filter (see [`Command::Query`] for why
+    /// none is needed, or correct), through a handle looked up and dropped per call.
     pub fn query(&self, name: &str) -> Result<Vec<(Row, isize)>, PlanError> {
         let installed = self
             .installed
             .get(name)
             .ok_or_else(|| PlanError::UnknownQuery(name.to_string()))?;
-        let bound = Time::from_epoch(self.epoch);
-        let mut accumulated: BTreeMap<Row, isize> = BTreeMap::new();
-        for (row, time, diff) in installed.results.borrow().iter() {
-            if time.less_than(&bound) {
-                *accumulated.entry(row.clone()).or_insert(0) += diff;
-            }
-        }
-        Ok(accumulated
-            .into_iter()
-            .filter(|(_, diff)| *diff != 0)
-            .collect())
-    }
-
-    /// Every output update the named query has produced, as captured `(row, time,
-    /// diff)` triples (the raw stream behind [`Manager::query`]).
-    pub fn raw_results(&self, name: &str) -> Result<Vec<(Row, Time, isize)>, PlanError> {
-        self.installed
-            .get(name)
-            .map(|installed| installed.results.borrow().clone())
-            .ok_or_else(|| PlanError::UnknownQuery(name.to_string()))
+        Ok(installed.result.read(&self.catalog)?)
     }
 
     /// True iff any managed dataflow (input, memo, or query) has not yet caught up to
@@ -755,9 +721,10 @@ impl Manager {
             .any(|probe| probe.less_than(time))
     }
 
-    /// Steps `worker` until everything managed is current at the manager's epoch,
-    /// sealing every time strictly before it — the bound [`Manager::query`] answers
-    /// over.
+    /// Steps `worker` until everything managed is current at the manager's epoch:
+    /// everything sealed, i.e. every time strictly before the current epoch, is then in
+    /// the arrangements and nothing later is — which is why [`Manager::query`] can read
+    /// a result arrangement whole.
     pub fn settle(&self, worker: &mut Worker) {
         let target = Time::from_epoch(self.epoch);
         worker.step_while(|| self.behind(&target));
@@ -802,13 +769,23 @@ impl Manager {
     /// otherwise).
     pub fn arrangement_name(&self, key: &ArrangeKey) -> Option<String> {
         if let Plan::Source(source) = &key.plan {
-            if let Some(entry) = self.inputs.get(source) {
-                if entry.keys == key.keys {
-                    return entry.arrangement.clone();
+            if let Some(base) = self
+                .inputs
+                .get(source)
+                .and_then(|entry| entry.base.as_ref())
+            {
+                if base.keys == key.keys {
+                    return Some(base.arrangement.clone());
                 }
             }
         }
         self.memo.get(key).map(|entry| entry.arrangement.clone())
+    }
+
+    /// The catalog name of the arrangement holding the named query's answer.
+    pub fn result_name(&self, query: &str) -> Option<String> {
+        let installed = self.installed.get(query)?;
+        Some(installed.result.arrangement.clone())
     }
 
     /// The number of live read handles on the arrangement serving `key` — the sharing
@@ -828,18 +805,35 @@ impl Manager {
     fn source_arrangements(&self) -> HashMap<String, SourceBinding> {
         self.inputs
             .iter()
-            .filter_map(|(name, entry)| {
-                entry.arrangement.clone().map(|arrangement| {
-                    (
-                        name.clone(),
-                        SourceBinding {
-                            arrangement,
-                            keys: entry.keys.clone(),
-                        },
-                    )
-                })
-            })
+            .filter_map(|(name, entry)| Some((name.clone(), entry.base.clone()?)))
             .collect()
+    }
+}
+
+/// Renders `plan` arranged the way `binding.keys` says and publishes the arrangement
+/// under `binding.arrangement`, owned by the dataflow under construction (uninstalling
+/// it unpublishes the entry). Every kind of plan state — input bases, memoized
+/// sub-plans, query results — enters the catalog here. Returns the arrangement's probe.
+fn publish(
+    renderer: &Renderer,
+    builder: &mut DataflowBuilder,
+    catalog: &Catalog,
+    plan: &Plan,
+    binding: &SourceBinding,
+) -> ProbeHandle {
+    let fresh = "plan arrangement names are never reused while published";
+    let name = &binding.arrangement;
+    match &binding.keys {
+        KeySpec::Columns(columns) => {
+            let arranged = renderer.render_arranged(builder, catalog, plan, columns);
+            catalog.publish_if_absent(name, &arranged).expect(fresh);
+            arranged.probe()
+        }
+        KeySpec::SelfRow => {
+            let arranged = renderer.render_arranged_self(builder, catalog, plan);
+            catalog.publish_if_absent(name, &arranged).expect(fresh);
+            arranged.probe()
+        }
     }
 }
 

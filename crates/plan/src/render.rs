@@ -13,6 +13,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use kpg_core::arrange::{KeyBatch, ValBatch};
 use kpg_core::prelude::*;
+use kpg_trace::{Batch, Cursor};
 
 use crate::expr::project;
 use crate::plan::{ArrangeKey, KeySpec, Plan, ReduceKind};
@@ -83,16 +84,56 @@ pub type RowBatch = ValBatch<Row, Row>;
 /// nothing and costs one offset word per key.
 pub type RowKeyBatch = KeyBatch<Row>;
 
-/// How a global input's base arrangement is published: its catalog name and key spec.
+/// How a row collection is published as an arrangement: its catalog name and key spec.
+/// Input bases and query results are both described this way.
 ///
-/// Base keyings are always row prefixes (or the whole row), so the original row is
-/// reconstructible as key ++ rest when the source is read at collection position.
+/// These keyings are always row prefixes (or the whole row), so the original row is
+/// reconstructible as key ++ rest wherever the arrangement is read back as rows.
 #[derive(Clone, Debug)]
 pub struct SourceBinding {
-    /// The catalog name of the base arrangement.
+    /// The catalog name of the arrangement.
     pub arrangement: String,
     /// How its rows are keyed (a prefix `Columns(0..k)` or `SelfRow`).
     pub keys: KeySpec,
+}
+
+impl SourceBinding {
+    /// Everything the arrangement currently holds, as `(row, multiplicity)` pairs in
+    /// row order: one walk of the spine, summing each `(key, rest)` pair's diffs. No
+    /// time filter is applied — compaction legitimately rewrites sealed times forward
+    /// to the read frontier, so a bound would drop sealed updates — and the handle
+    /// looked up is dropped on return, so no reader outlives the call to pin `since`.
+    pub fn read(&self, catalog: &Catalog) -> Result<Vec<(Row, isize)>, CatalogError> {
+        fn rows<B: Batch<Key = Row, Time = Time, Diff = isize>>(
+            trace: &TraceAgent<B>,
+            row: impl Fn(&Row, &B::Val) -> Row,
+        ) -> Vec<(Row, isize)> {
+            let mut rows = Vec::new();
+            let mut cursor = trace.cursor();
+            while cursor.key_valid() {
+                while cursor.val_valid() {
+                    let mut total = 0;
+                    cursor.map_times(|_, diff| total += diff);
+                    if total != 0 {
+                        rows.push((row(cursor.key(), cursor.val()), total));
+                    }
+                    cursor.step_val();
+                }
+                cursor.step_key();
+            }
+            rows
+        }
+        Ok(match self.keys {
+            KeySpec::SelfRow => rows(
+                &catalog.lookup::<RowKeyBatch>(&self.arrangement)?,
+                |key, _| key.clone(),
+            ),
+            KeySpec::Columns(_) => rows(
+                &catalog.lookup::<RowBatch>(&self.arrangement)?,
+                |key, rest| concat_rows(key, rest, &[]),
+            ),
+        })
+    }
 }
 
 /// Loop-scope bookkeeping threaded through rendering.
@@ -102,6 +143,12 @@ struct Scope<'a> {
     /// Iteration nesting depth (0 = the streaming scope).
     depth: usize,
 }
+
+/// The streaming scope, where every dataflow's root renders.
+const ROOT: Scope<'static> = Scope {
+    recur: None,
+    depth: 0,
+};
 
 /// A plan compiler bound to one dataflow installation.
 ///
@@ -190,27 +237,9 @@ impl Renderer {
 }
 
 impl Renderer {
-    /// Compiles `plan` into a collection in `builder`'s dataflow.
-    pub fn render(
-        &self,
-        builder: &mut DataflowBuilder,
-        catalog: &Catalog,
-        plan: &Plan,
-    ) -> Collection<Row> {
-        self.collection(
-            builder,
-            catalog,
-            plan,
-            &Scope {
-                recur: None,
-                depth: 0,
-            },
-        )
-    }
-
     /// Compiles `plan` into a column-keyed arrangement in `builder`'s dataflow — the
-    /// memo-dataflow entry point for `KeySpec::Columns`, with the same operator fusions
-    /// the inline paths get.
+    /// entry point for state published as `KeySpec::Columns`, with the same operator
+    /// fusions the inline paths get.
     pub fn render_arranged(
         &self,
         builder: &mut DataflowBuilder,
@@ -218,35 +247,18 @@ impl Renderer {
         plan: &Plan,
         columns: &[usize],
     ) -> Arranged<RowBatch> {
-        self.arrange_inline(
-            builder,
-            catalog,
-            plan,
-            columns,
-            &Scope {
-                recur: None,
-                depth: 0,
-            },
-        )
+        self.arrange_inline(builder, catalog, plan, columns, &ROOT)
     }
 
     /// Compiles `plan` into a self-keyed arrangement in `builder`'s dataflow — the
-    /// memo-dataflow entry point for `KeySpec::SelfRow`.
+    /// entry point for state published as `KeySpec::SelfRow`.
     pub fn render_arranged_self(
         &self,
         builder: &mut DataflowBuilder,
         catalog: &Catalog,
         plan: &Plan,
     ) -> Arranged<RowKeyBatch> {
-        self.arrange_self_inline(
-            builder,
-            catalog,
-            plan,
-            &Scope {
-                recur: None,
-                depth: 0,
-            },
-        )
+        self.arrange_self_inline(builder, catalog, plan, &ROOT)
     }
 
     fn local_names(&self) -> BTreeSet<String> {
@@ -333,92 +345,12 @@ impl Renderer {
                 input,
                 key_arity,
                 kind,
-            } => {
-                let arranged = self.arranged(
-                    builder,
-                    catalog,
-                    input,
-                    &(0..*key_arity).collect::<Vec<usize>>(),
-                    scope,
-                );
-                let key_arity = *key_arity;
-                let reduced = match kind.clone() {
-                    ReduceKind::Count => arranged.reduce_core(
-                        "PlanCount",
-                        |_key, input, output: &mut Vec<(Row, isize)>| {
-                            let total: isize = input.iter().map(|(_, diff)| *diff).sum();
-                            if total != 0 {
-                                output.push((Row::from(vec![Value::Int(total as i64)]), 1));
-                            }
-                        },
-                    ),
-                    ReduceKind::Sum(column) => {
-                        let index = column - key_arity;
-                        arranged.reduce_core(
-                            "PlanSum",
-                            move |_key, input, output: &mut Vec<(Row, isize)>| {
-                                let sum: i64 = input
-                                    .iter()
-                                    .map(|(val, diff)| {
-                                        val[index]
-                                            .as_i64()
-                                            .checked_mul(*diff as i64)
-                                            .expect("Sum overflow")
-                                    })
-                                    .fold(0i64, |acc, term| {
-                                        acc.checked_add(term).expect("Sum overflow")
-                                    });
-                                output.push((Row::from(vec![Value::Int(sum)]), 1));
-                            },
-                        )
-                    }
-                    ReduceKind::Min(column) => {
-                        let index = column - key_arity;
-                        arranged.reduce_core(
-                            "PlanMin",
-                            move |_key, input, output: &mut Vec<(Row, isize)>| {
-                                let min = input
-                                    .iter()
-                                    .filter(|(_, diff)| *diff > 0)
-                                    .map(|(val, _)| val[index].clone())
-                                    .min();
-                                if let Some(min) = min {
-                                    output.push((Row::from(vec![min]), 1));
-                                }
-                            },
-                        )
-                    }
-                    ReduceKind::Top(column) => {
-                        let index = column - key_arity;
-                        arranged.reduce_core(
-                            "PlanTop",
-                            move |_key, input, output: &mut Vec<(Row, isize)>| {
-                                let best = input
-                                    .iter()
-                                    .filter(|(_, diff)| *diff > 0)
-                                    .max_by_key(|(val, _)| (val[index].clone(), val.clone()));
-                                if let Some((best, _)) = best {
-                                    output.push((best.clone(), 1));
-                                }
-                            },
-                        )
-                    }
-                };
-                reduced.as_collection(|key, val| concat_rows(key, val, &[]))
-            }
-            Plan::Distinct(input) => {
-                let arranged = self.arranged_self(builder, catalog, input, scope);
-                arranged
-                    .reduce_core(
-                        "PlanDistinct",
-                        |_key, input, output: &mut Vec<((), isize)>| {
-                            if input[0].1 > 0 {
-                                output.push(((), 1));
-                            }
-                        },
-                    )
-                    .as_collection(|key, _| key.clone())
-            }
+            } => self
+                .reduced(builder, catalog, input, *key_arity, kind, scope)
+                .as_collection(|key, val| concat_rows(key, val, &[])),
+            Plan::Distinct(input) => self
+                .distinct(builder, catalog, input, scope)
+                .as_collection(|key, _| key.clone()),
             Plan::Iterate { seed, body } => {
                 let seed = self.collection(builder, catalog, seed, scope);
                 seed.iterate(|variable| {
@@ -430,6 +362,108 @@ impl Renderer {
                 })
             }
         }
+    }
+
+    /// `input` grouped by its first `key_arity` columns and reduced by `kind`: the
+    /// reduce operator's own output arrangement, keyed by the grouping columns with the
+    /// aggregate as the value.
+    fn reduced(
+        &self,
+        builder: &mut DataflowBuilder,
+        catalog: &Catalog,
+        input: &Plan,
+        key_arity: usize,
+        kind: &ReduceKind,
+        scope: &Scope<'_>,
+    ) -> Arranged<RowBatch> {
+        let arranged = self.arranged(
+            builder,
+            catalog,
+            input,
+            &(0..key_arity).collect::<Vec<usize>>(),
+            scope,
+        );
+        match kind.clone() {
+            ReduceKind::Count => arranged.reduce_core(
+                "PlanCount",
+                |_key, input, output: &mut Vec<(Row, isize)>| {
+                    let total: isize = input.iter().map(|(_, diff)| *diff).sum();
+                    if total != 0 {
+                        output.push((Row::from(vec![Value::Int(total as i64)]), 1));
+                    }
+                },
+            ),
+            ReduceKind::Sum(column) => {
+                let index = column - key_arity;
+                arranged.reduce_core(
+                    "PlanSum",
+                    move |_key, input, output: &mut Vec<(Row, isize)>| {
+                        let sum: i64 = input
+                            .iter()
+                            .map(|(val, diff)| {
+                                val[index]
+                                    .as_i64()
+                                    .checked_mul(*diff as i64)
+                                    .expect("Sum overflow")
+                            })
+                            .fold(0i64, |acc, term| {
+                                acc.checked_add(term).expect("Sum overflow")
+                            });
+                        output.push((Row::from(vec![Value::Int(sum)]), 1));
+                    },
+                )
+            }
+            ReduceKind::Min(column) => {
+                let index = column - key_arity;
+                arranged.reduce_core(
+                    "PlanMin",
+                    move |_key, input, output: &mut Vec<(Row, isize)>| {
+                        let min = input
+                            .iter()
+                            .filter(|(_, diff)| *diff > 0)
+                            .map(|(val, _)| val[index].clone())
+                            .min();
+                        if let Some(min) = min {
+                            output.push((Row::from(vec![min]), 1));
+                        }
+                    },
+                )
+            }
+            ReduceKind::Top(column) => {
+                let index = column - key_arity;
+                arranged.reduce_core(
+                    "PlanTop",
+                    move |_key, input, output: &mut Vec<(Row, isize)>| {
+                        let best = input
+                            .iter()
+                            .filter(|(_, diff)| *diff > 0)
+                            .max_by_key(|(val, _)| (val[index].clone(), val.clone()));
+                        if let Some((best, _)) = best {
+                            output.push((best.clone(), 1));
+                        }
+                    },
+                )
+            }
+        }
+    }
+
+    /// `input` with set semantics: the distinct operator's own output arrangement.
+    fn distinct(
+        &self,
+        builder: &mut DataflowBuilder,
+        catalog: &Catalog,
+        input: &Plan,
+        scope: &Scope<'_>,
+    ) -> Arranged<RowKeyBatch> {
+        self.arranged_self(builder, catalog, input, scope)
+            .reduce_core(
+                "PlanDistinct",
+                |_key, input, output: &mut Vec<((), isize)>| {
+                    if input[0].1 > 0 {
+                        output.push(((), 1));
+                    }
+                },
+            )
     }
 
     /// An arranged rendering of `plan` keyed by `columns`: imported from the memoized
@@ -485,7 +519,7 @@ impl Renderer {
     }
 
     /// Arranges `plan` keyed by `columns` inside the dataflow under construction (the
-    /// memo dataflows' entry point, and the path for loop-bound / query-local
+    /// published roots' entry point, and the path for loop-bound / query-local
     /// sub-trees).
     ///
     /// Fusions: a join — bare or under a pure column projection — that feeds an
@@ -532,6 +566,15 @@ impl Renderer {
                     }
                 }
             }
+            // A reduce keyed by its own grouping columns *is* its output arrangement
+            // (§5.3.2 "Output arrangements"): no second copy, no arrange operator.
+            Plan::Reduce {
+                input,
+                key_arity,
+                kind,
+            } if columns.iter().copied().eq(0..*key_arity) => {
+                return self.reduced(builder, catalog, input, *key_arity, kind, scope)
+            }
             _ => {}
         }
         let collection = self.collection(builder, catalog, plan, scope);
@@ -551,6 +594,11 @@ impl Renderer {
         plan: &Plan,
         scope: &Scope<'_>,
     ) -> Arranged<RowKeyBatch> {
+        // A distinct, whose output is keyed by whole rows, is likewise its own
+        // arrangement.
+        if let Plan::Distinct(input) = plan {
+            return self.distinct(builder, catalog, input, scope);
+        }
         self.collection(builder, catalog, plan, scope)
             .arrange_by_self_named("PlanArrangeSelf", MergeEffort::Default)
     }
@@ -628,5 +676,54 @@ impl Renderer {
             (key, rest)
         })
         .arrange_by_key_named("PlanArrange", MergeEffort::Default)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Renders `plan` over one local input `rows` in a dataflow of its own and returns
+    /// the index of the node carrying the root arrangement. Nodes are numbered in
+    /// construction order, so it counts the operators the rendering built before it.
+    fn root_node(worker: &mut Worker, dataflow: &str, plan: &Plan, keys: &KeySpec) -> usize {
+        worker.install(dataflow, |builder| {
+            let (_input, rows) = new_collection::<Row, isize>(builder);
+            let locals = HashMap::from([("rows".to_string(), rows)]);
+            let renderer = Renderer::new(HashMap::new(), HashMap::new(), locals);
+            let catalog = Catalog::new();
+            let node = match keys {
+                KeySpec::Columns(columns) => renderer
+                    .render_arranged(builder, &catalog, plan, columns)
+                    .node(),
+                KeySpec::SelfRow => renderer
+                    .render_arranged_self(builder, &catalog, plan)
+                    .node(),
+            };
+            node.0
+        })
+    }
+
+    /// A `Reduce` or `Distinct` root keyed the way its operator keys its output is that
+    /// operator's own arrangement: exactly one node past its input's arrangement, with
+    /// no exchange or arrange operator behind it. Keyed any other way it is re-arranged.
+    #[test]
+    fn reduce_and_distinct_roots_are_their_operators_own_arrangements() {
+        execute(Config::new(1), |worker| {
+            let rows = Plan::source("rows");
+            let counted = rows.clone().reduce(1, ReduceKind::Count);
+            let by_first = KeySpec::Columns(vec![0]);
+            let input = root_node(worker, "reduce-input", &rows, &by_first);
+            let reduce = root_node(worker, "reduce", &counted, &by_first);
+            assert_eq!(reduce, input + 1);
+
+            let input = root_node(worker, "distinct-input", &rows, &KeySpec::SelfRow);
+            let distinct = root_node(worker, "distinct", &rows.distinct(), &KeySpec::SelfRow);
+            assert_eq!(distinct, input + 1);
+
+            let by_count = KeySpec::Columns(vec![1]);
+            let rekeyed = root_node(worker, "rekeyed", &counted, &by_count);
+            assert!(rekeyed > reduce + 1, "{rekeyed} vs {reduce}");
+        });
     }
 }

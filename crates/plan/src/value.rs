@@ -195,7 +195,7 @@ impl FromIterator<Value> for Row {
 }
 
 // `#[inline]` on the three comparisons below: they are the inner loop of every batch
-// sort, cursor seek and `Manager::query` fold, and the generic code calling them is
+// sort and cursor seek, and the generic code calling them is
 // instantiated in other codegen units (and other crates). Without the attribute whether
 // they inline depends on how rustc happens to partition this crate, which any change to
 // the set of batch instantiations reshuffles.

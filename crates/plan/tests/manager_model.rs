@@ -3,11 +3,14 @@
 //! Plan layer), memo retention/eviction, update sharding across workers, and fixed
 //! points rendered from data.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_plan::{
     ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, ReduceKind, Response, Row, Value,
 };
+use kpg_timestamp::rng::SmallRng;
 
 fn row(values: &[u64]) -> Row {
     values.iter().map(|&value| Value::UInt(value)).collect()
@@ -21,6 +24,15 @@ fn two_hop(edges: &str, args: &str) -> Plan {
         .join(Plan::source(edges), vec![(1, 0)]) // [mid, q, dst]
         .map(vec![Expr::col(1), Expr::col(2)]) // [q, dst]
         .distinct()
+}
+
+/// Union-sums per-worker answer shards into one answer, sorted by row.
+fn merged(shards: impl IntoIterator<Item = Vec<(Row, isize)>>) -> Vec<(Row, isize)> {
+    let mut merged: BTreeMap<Row, isize> = BTreeMap::new();
+    for (row, diff) in shards.into_iter().flatten() {
+        *merged.entry(row).or_insert(0) += diff;
+    }
+    merged.into_iter().filter(|(_, diff)| *diff != 0).collect()
 }
 
 fn edges_by_src(edges: &str) -> ArrangeKey {
@@ -265,13 +277,7 @@ fn identical_command_streams_shard_updates_across_workers() {
             manager.settle(worker);
             manager.query("degrees").unwrap()
         });
-        let mut merged: std::collections::BTreeMap<Row, isize> = std::collections::BTreeMap::new();
-        for rows in per_worker {
-            for (row, diff) in rows {
-                *merged.entry(row).or_insert(0) += diff;
-            }
-        }
-        merged.into_iter().filter(|(_, diff)| *diff != 0).collect()
+        merged(per_worker)
     };
     let one = run(1);
     let two = run(2);
@@ -456,6 +462,244 @@ fn query_excludes_the_unsealed_current_epoch() {
             vec![(row(&[1]), 1), (row(&[2]), 1)]
         );
     });
+}
+
+/// The live inputs of the long-churn model below: what a from-scratch evaluation reads.
+/// Set semantics throughout — every edge, argument and root has multiplicity one.
+#[derive(Clone)]
+struct Live {
+    edges: BTreeSet<(u64, u64)>,
+    args: Vec<u64>,
+    roots: Vec<u64>,
+}
+
+impl Live {
+    fn out(&self, node: u64) -> impl Iterator<Item = u64> + '_ {
+        self.edges.range((node, 0)..=(node, u64::MAX)).map(|e| e.1)
+    }
+}
+
+/// A query's from-scratch answer over the live inputs, in row order.
+type Oracle = fn(&Live) -> BTreeSet<Row>;
+
+/// One query per plan-root shape — `(name, plan, query-local inputs, oracle)`. Edges are
+/// keyed by source, so every shape imports the base arrangement directly (no memo
+/// dataflow outlives the queries to hold readers on it).
+fn root_shapes() -> Vec<(&'static str, Plan, Vec<String>, Oracle)> {
+    let reach_body = Plan::source("roots")
+        .concat(
+            Plan::Recur
+                .join(Plan::source("edges"), vec![(0, 0)]) // [n, next]
+                .map(vec![Expr::col(1)]),
+        )
+        .distinct();
+    vec![
+        (
+            "reduce-root",
+            Plan::source("edges").reduce(1, ReduceKind::Count),
+            vec![],
+            |live| {
+                let degree = |&(src, _): &(u64, u64)| {
+                    let count = Value::Int(live.out(src).count() as i64);
+                    Row::from(vec![Value::UInt(src), count])
+                };
+                live.edges.iter().map(degree).collect()
+            },
+        ),
+        (
+            "distinct-root",
+            two_hop("edges", "two-hop-args"),
+            vec!["two-hop-args".into()],
+            |live| {
+                let second = |q: u64, mid: u64| live.out(mid).map(move |dst| row(&[q, dst]));
+                let hops = |&q: &u64| live.out(q).flat_map(move |mid| second(q, mid));
+                live.args.iter().flat_map(hops).collect()
+            },
+        ),
+        (
+            "join-root",
+            Plan::source("lookup-args").join(Plan::source("edges"), vec![(0, 0)]),
+            vec!["lookup-args".into()],
+            |live| {
+                let neighbours = |&q: &u64| live.out(q).map(move |dst| row(&[q, dst]));
+                live.args.iter().flat_map(neighbours).collect()
+            },
+        ),
+        (
+            "iterate-root",
+            Plan::source("roots").iterate(reach_body),
+            vec![],
+            |live| {
+                let mut reached: BTreeSet<u64> = live.roots.iter().copied().collect();
+                let mut frontier = live.roots.clone();
+                while let Some(node) = frontier.pop() {
+                    frontier.extend(live.out(node).filter(|&next| reached.insert(next)));
+                }
+                reached.into_iter().map(|node| row(&[node])).collect()
+            },
+        ),
+    ]
+}
+
+/// A plan's answer is an arrangement like any other. Read across hundreds of
+/// compactions it stays equal to a from-scratch evaluation, its size follows the live
+/// answer rather than the epochs seen, and it leaves the catalog with its query —
+/// whatever the shape of the plan's root, on one worker and on two.
+#[test]
+fn answers_live_in_compacting_result_arrangements() {
+    const NODES: u64 = 30;
+    const EDGES: usize = 45;
+    const EPOCHS: usize = 320;
+
+    // Size-stable seeded churn: two edges out and two new ones in, every epoch.
+    let mut rng = SmallRng::seed_from_u64(17);
+    let mut absent_edge = |live: &Live| loop {
+        let edge = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+        if !live.edges.contains(&edge) {
+            return edge;
+        }
+    };
+    let mut live = Live {
+        edges: BTreeSet::new(),
+        args: vec![0, 1, 2],
+        roots: vec![0],
+    };
+    while live.edges.len() < EDGES {
+        let edge = absent_edge(&live);
+        live.edges.insert(edge);
+    }
+    let initial = live.clone();
+    let shapes = root_shapes();
+    let mut steps: Vec<Vec<((u64, u64), isize)>> = Vec::new();
+    let mut expected: Vec<Vec<BTreeSet<Row>>> = Vec::new();
+    for epoch in 0..EPOCHS {
+        let mut step = Vec::new();
+        for pick in 0..2 {
+            let victim = *live
+                .edges
+                .iter()
+                .nth((epoch * 7 + pick * 13) % EDGES)
+                .unwrap();
+            let arrival = absent_edge(&live);
+            live.edges.remove(&victim);
+            live.edges.insert(arrival);
+            step.extend([(victim, -1), (arrival, 1)]);
+        }
+        steps.push(step);
+        expected.push(shapes.iter().map(|shape| shape.3(&live)).collect());
+    }
+
+    for workers in [1, 2] {
+        let (initial, steps) = (initial.clone(), steps.clone());
+        // Per worker: every shape's answer shard at every epoch, then the final size of
+        // every shape's result arrangement.
+        let per_worker = execute(Config::new(workers), move |worker| {
+            let mut manager = Manager::new();
+            let run = |manager: &mut Manager, worker: &mut Worker, command: Command| {
+                manager.execute(worker, command).unwrap()
+            };
+            let update = |name: &str, values: &[u64], diff: isize| Command::Update {
+                name: name.into(),
+                row: row(values),
+                diff,
+            };
+            for (name, key_arity) in [("edges", Some(1)), ("roots", None)] {
+                let name = name.into();
+                run(
+                    &mut manager,
+                    worker,
+                    Command::CreateInput { name, key_arity },
+                );
+            }
+            let edge_readers = |manager: &Manager| {
+                let catalog = manager.catalog();
+                catalog.reader_count("plan-source-edges").unwrap()
+            };
+            let readers_before = edge_readers(&manager);
+            let mut names = Vec::new();
+            for (name, plan, locals, _) in root_shapes() {
+                names.push(name);
+                let name = name.into();
+                run(
+                    &mut manager,
+                    worker,
+                    Command::Install { name, plan, locals },
+                );
+            }
+            assert!(edge_readers(&manager) > readers_before);
+            for &(src, dst) in &initial.edges {
+                run(&mut manager, worker, update("edges", &[src, dst], 1));
+            }
+            for &arg in &initial.args {
+                run(&mut manager, worker, update("two-hop-args", &[arg], 1));
+                run(&mut manager, worker, update("lookup-args", &[arg], 1));
+            }
+            for &root in &initial.roots {
+                run(&mut manager, worker, update("roots", &[root], 1));
+            }
+
+            let mut answers = Vec::new();
+            for (epoch, step) in steps.iter().enumerate() {
+                for &((src, dst), diff) in step {
+                    run(&mut manager, worker, update("edges", &[src, dst], diff));
+                }
+                let epoch = epoch as u64 + 1;
+                run(&mut manager, worker, Command::AdvanceTime { epoch });
+                manager.settle(worker);
+                let answer = |name: &&str| manager.query(name).unwrap();
+                answers.push(names.iter().map(answer).collect::<Vec<_>>());
+            }
+
+            let result_names: Vec<String> = names
+                .iter()
+                .map(|name| manager.result_name(name).unwrap())
+                .collect();
+            assert_eq!(result_names[0], "plan-result-reduce-root");
+            let sizes: Vec<usize> = result_names
+                .iter()
+                .map(|name| manager.catalog().arrangement_size(name).unwrap())
+                .collect();
+
+            // Uninstalling retires the result with the query and releases its imports.
+            for name in names {
+                let name = name.into();
+                run(&mut manager, worker, Command::Uninstall { name });
+            }
+            let published = manager.catalog().names();
+            assert!(
+                !published
+                    .iter()
+                    .any(|name| name.starts_with("plan-result-")),
+                "results outlived their queries: {published:?}"
+            );
+            assert_eq!(edge_readers(&manager), readers_before);
+            (answers, sizes)
+        });
+
+        for (index, (name, ..)) in shapes.iter().enumerate() {
+            for (epoch, expected) in expected.iter().enumerate() {
+                let shards = per_worker
+                    .iter()
+                    .map(|(answers, _)| answers[epoch][index].clone());
+                let expected: Vec<(Row, isize)> =
+                    expected[index].iter().map(|row| (row.clone(), 1)).collect();
+                assert_eq!(
+                    merged(shards),
+                    expected,
+                    "{name} diverges from a from-scratch evaluation at epoch {} on {workers} workers",
+                    epoch + 1
+                );
+            }
+            // Bounded by state held, not by epochs seen: a log of every output update
+            // these 320 epochs of churn produced would be hundreds of entries long.
+            let held: usize = per_worker.iter().map(|(_, sizes)| sizes[index]).sum();
+            let live = expected[EPOCHS - 1][index].len();
+            assert!(
+                held <= 2 * live + 16,
+                "{name} on {workers} workers holds {held} updates for {live} live rows"
+            );
+        }
+    }
 }
 
 /// An install that fails *after* memo dataflows were created rolls them back. The

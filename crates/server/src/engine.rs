@@ -896,9 +896,12 @@ impl ServerCore {
         let mut next = 0u64;
         while let Some(entry) = self.next_command(worker.index(), next) {
             next = entry.seq + 1;
-            // Settle before reading: Manager::query answers over every time strictly
-            // below the current epoch, which is exactly what settle seals — so a
-            // query's answer is deterministic (and equal to a single-manager replay).
+            // Settle before reading: Manager::query answers over everything sealed,
+            // i.e. every time strictly before the current epoch, which is exactly what
+            // settle brings into the query's result arrangement — so the answer is
+            // deterministic (and equal to a single-manager replay). The read applies no
+            // time filter: a settled arrangement holds nothing later, and compaction
+            // moves sealed times up to the current epoch.
             if matches!(entry.command, Command::Query { .. }) {
                 manager.settle(worker);
             }

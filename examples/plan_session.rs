@@ -80,6 +80,21 @@ fn main() {
             },
         );
 
+        // Query 3, as data: in-degree counts. Grouping by destination needs the edges
+        // keyed another way than their base, so the manager installs a memoized
+        // re-arrangement (`plan-arr-*`) that later plans keyed the same way would share.
+        run(
+            worker,
+            &mut manager,
+            Command::Install {
+                name: "in-degrees".into(),
+                plan: Plan::source("edges")
+                    .map(vec![Expr::col(1), Expr::col(0)])
+                    .reduce(1, ReduceKind::Count),
+                locals: vec![],
+            },
+        );
+
         run(worker, &mut manager, Command::AdvanceTime { epoch: 1 });
         manager.settle(worker);
 
@@ -117,8 +132,18 @@ fn main() {
         assert_eq!(degrees.len(), 1_000);
         assert_eq!(two_hops.len(), 5, "nodes 9..=13 are two hops from 7");
 
-        // Retire a query through the same protocol; its dataflow leaves the scheduler
-        // and its local input disappears with it.
+        // Everything maintained is a catalog entry, told apart by name prefix: input
+        // bases (`plan-source-*`), memoized sub-plans (`plan-arr-*`) and answers
+        // (`plan-result-*`).
+        let catalog = manager.catalog();
+        for name in catalog.names() {
+            let size = catalog.arrangement_size(&name).expect("listed entry");
+            println!("catalog entry {name}: {size} updates");
+        }
+        assert!(catalog.contains("plan-result-two-hop"));
+
+        // Retire a query through the same protocol; its dataflow leaves the scheduler,
+        // and its local input and its answer disappear with it.
         run(
             worker,
             &mut manager,
@@ -131,7 +156,8 @@ fn main() {
             manager.installed_names(),
             manager.input_names()
         );
-        assert_eq!(manager.installed_names(), vec!["degrees".to_string()]);
+        assert_eq!(manager.installed_names(), ["degrees", "in-degrees"]);
         assert_eq!(manager.input_names(), vec!["edges".to_string()]);
+        assert!(!manager.catalog().contains("plan-result-two-hop"));
     });
 }
