@@ -11,8 +11,19 @@
 //! Besides the human-readable figure tables, every experiment emits one machine-readable
 //! `BENCH {...}` JSON line (`micro_latency`, `micro_throughput`, `micro_join_install`),
 //! so CI and future PRs can track the perf trajectory of the hot path.
+//!
+//! `--reduce-bulk [--keys 10000] [--out BENCH_micro_reduce_bulk.json]` runs one other
+//! experiment instead: a `count` over every key of a collection loaded in a single
+//! epoch — what installing a `Reduce`-rooted query against a loaded arrangement does —
+//! at `keys`, 2x, 4x and 8x keys, one `micro_reduce_bulk` record per size. `ratio_2x`
+//! (this size's time over the previous size's) is the number to watch: a linear
+//! `reduce` doubles. `--out FILE` persists the records as a JSON array (the repo-root
+//! `BENCH_*.json` convention, so the trajectory survives in git).
 
-use kpg_bench::{arg_usize, bench_record, num, text, timed, LatencyRecorder};
+use kpg_bench::{
+    arg_flag, arg_string, arg_usize, bench_record, bench_report, num, persist_records, text, timed,
+    LatencyRecorder,
+};
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_timestamp::rng::SmallRng;
@@ -127,6 +138,64 @@ fn join_proportionality(keys: u64, probe_sizes: &[usize]) -> Vec<(usize, f64)> {
     results.into_iter().next().expect("one worker")
 }
 
+/// Times a `count` over `keys` keys with four updates each, loaded in one epoch and
+/// settled by one `step_while` (so the reduce evaluates every key in a single `work`
+/// invocation). The time includes arranging the `4 * keys` input tuples. Median of three.
+fn reduce_bulk_ms(keys: u64) -> f64 {
+    let mut runs: Vec<f64> = (0..3)
+        .map(|_| {
+            let elapsed = execute(Config::new(1), move |worker| {
+                let (mut input, probe) = worker.dataflow(|builder| {
+                    let (input, collection) = new_collection::<(u64, u64), isize>(builder);
+                    (input, collection.map(|(src, _)| src).count().probe())
+                });
+                let (_, elapsed) = timed(|| {
+                    for dst in 0..4 {
+                        for src in 0..keys {
+                            input.insert((src, dst));
+                        }
+                    }
+                    input.advance_to(1);
+                    worker.step_while(|| probe.less_than(&Time::from_epoch(1)));
+                });
+                elapsed
+            })
+            .remove(0);
+            elapsed.as_secs_f64() * 1e3
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[1]
+}
+
+/// The `--reduce-bulk` experiment: four doublings from `base_keys`, one
+/// `micro_reduce_bulk` record each, optionally persisted to `out`.
+fn reduce_bulk(base_keys: u64, out: &str) {
+    println!("# Bulk reduce: count over every key of a freshly loaded collection");
+    println!("keys\tms\tratio vs half the keys");
+    let mut records = Vec::new();
+    let mut previous: Option<f64> = None;
+    for doubling in 0..4 {
+        let keys = base_keys << doubling;
+        let ms = reduce_bulk_ms(keys);
+        let mut fields = vec![("keys", num(keys)), ("ms", num(format!("{ms:.3}")))];
+        match previous {
+            Some(half) => {
+                println!("{keys}\t{ms:.3}\t{:.2}", ms / half);
+                fields.push(("ratio_2x", num(format!("{:.3}", ms / half))));
+            }
+            None => println!("{keys}\t{ms:.3}\t-"),
+        }
+        let report = bench_report("micro_reduce_bulk", &fields);
+        println!("BENCH {}", report.render());
+        records.push(report.render());
+        previous = Some(ms);
+    }
+    if !out.is_empty() {
+        persist_records(out, &records);
+    }
+}
+
 /// Emits the `micro_latency` BENCH line for one step-latency experiment.
 fn emit_latency(label: &str, workers: usize, load: usize, recorder: &LatencyRecorder) {
     bench_record(
@@ -143,6 +212,10 @@ fn emit_latency(label: &str, workers: usize, load: usize, recorder: &LatencyReco
 }
 
 fn main() {
+    if arg_flag("--reduce-bulk") {
+        reduce_bulk(arg_usize("--keys", 10_000) as u64, &arg_string("--out", ""));
+        return;
+    }
     let keys = arg_usize("--keys", 50_000) as u64;
     let rounds = arg_usize("--rounds", 50);
     let max_workers = arg_usize("--max-workers", 2);

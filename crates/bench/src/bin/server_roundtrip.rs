@@ -29,7 +29,8 @@
 use std::time::Instant;
 
 use kpg_bench::{
-    arg_flag, arg_string, arg_usize, bench_record, bench_report, num, LatencyRecorder,
+    arg_flag, arg_string, arg_usize, bench_record, bench_report, num, persist_records,
+    LatencyRecorder,
 };
 use kpg_dataflow::{execute, Config, Worker};
 use kpg_plan::{Command, Manager, Plan, ReduceKind, Row};
@@ -321,9 +322,7 @@ fn main() {
     if clients > 0 {
         let records = measure_fanout(workers, clients, updates, durable);
         if !out.is_empty() {
-            let body = records.join(",\n  ");
-            std::fs::write(&out, format!("[\n  {body}\n]\n")).expect("persist fanout records");
-            println!("wrote {} fanout records to {out}", records.len());
+            persist_records(&out, &records);
         }
     }
 }

@@ -169,6 +169,14 @@ pub fn bench_record(name: &str, fields: &[(&str, BenchField)]) {
     bench_report(name, fields).emit();
 }
 
+/// Persists rendered [`BenchReport`]s as a JSON array, one record per line: the repo-root
+/// `BENCH_<name>.json` convention that keeps a bench's trajectory in git.
+pub fn persist_records(path: &str, records: &[String]) {
+    let body = records.join(",\n  ");
+    std::fs::write(path, format!("[\n  {body}\n]\n")).expect("persist BENCH records");
+    println!("wrote {} BENCH records to {path}", records.len());
+}
+
 /// Escapes a string as a JSON string literal (RFC 8259: quote, backslash, and control
 /// characters; everything else passes through verbatim).
 fn json_string(value: &str) -> String {

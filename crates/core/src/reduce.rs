@@ -10,9 +10,37 @@
 //! The operator keeps its own output in a shared arrangement, both to avoid re-invoking
 //! user logic over historical output and so downstream operators (most commonly a `join`
 //! on the same key) can reuse that index directly ("Output arrangements").
+//!
+//! # Evaluation order
+//!
+//! One `work` invocation evaluates every pending pair whose time the input frontier has
+//! passed, in ascending `(time, key)` order — `Time`'s `Ord` is lexicographic, a linear
+//! extension of the partial order, so a pair is evaluated after every pair at an earlier
+//! time and future work (always at a strictly later time) lands ahead of the walk. The
+//! whole invocation is **one ordered pass** over the two traces, as `join`'s alternating
+//! seeks are (§5.3.1):
+//!
+//! * **One cursor pair.** The first complete pair opens one cursor over the input trace
+//!   and one over the output trace; an invocation with nothing complete opens none.
+//!   While keys ascend (the pairs of one time) both cursors only `seek_key` forward; they
+//!   `rewind_keys` exactly when the next pair's key does not exceed the previous pair's,
+//!   which can only happen when the time changed. A bulk evaluation of n keys at one time
+//!   is therefore one merged forward walk, not n probes from the root.
+//! * **Cursors live for one invocation.** They are dropped before the output batch is
+//!   minted and never stored on the operator: a cursor holds a reference to every batch
+//!   it was opened over, and the input trace is *shared* — a retained cursor would pin
+//!   batches other readers have long since allowed to be merged and compacted away.
+//! * **Corrections of earlier times are found by key.** What the invocation has produced
+//!   so far is not yet in the output trace, so a pair must add it to what the output
+//!   cursor reports. Each `(time, key)` is evaluated once, so only corrections staged at
+//!   *earlier* times can concern a pair: when the walk moves to a new time the
+//!   corrections staged since the last such move are threaded onto a per-key chain
+//!   (`Staged`), and a pair follows its own key's chain only. An invocation that
+//!   evaluates a single time — a bulk load, a steady-state epoch — never builds the index.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
+use std::ops::Bound;
 
 use kpg_dataflow::operator::{downcast_payload, BundleBox, Operator, OutputContext};
 use kpg_dataflow::Time;
@@ -23,19 +51,84 @@ use crate::arrange::{Arranged, KeyBatch, TraceAgent, ValBatch};
 use crate::collection::Collection;
 use crate::Diff;
 
+/// The output corrections produced so far by one `work` invocation, in evaluation order,
+/// with a by-key index over those staged at times earlier than the one under evaluation.
+///
+/// The index is an intrusive chain: `last` maps a key to its most recently indexed
+/// correction and `prev[i]` links correction `i` to the one before it for the same key,
+/// so a lookup visits one key's corrections and nothing else, and staging allocates per
+/// invocation (amortised table and vector growth, capacity retained), never per key.
+struct Staged<K, V2, R2> {
+    updates: Vec<(K, V2, Time, R2)>,
+    /// One entry per indexed correction (`prev.len() <= updates.len()`).
+    prev: Vec<usize>,
+    last: HashMap<K, usize>,
+}
+
+/// The end of a key's chain in [`Staged::prev`].
+const NO_PREVIOUS: usize = usize::MAX;
+
+impl<K, V2, R2> Default for Staged<K, V2, R2> {
+    fn default() -> Self {
+        Staged {
+            updates: Vec::new(),
+            prev: Vec::new(),
+            last: HashMap::new(),
+        }
+    }
+}
+
+impl<K: Data, V2, R2> Staged<K, V2, R2> {
+    /// Threads every correction staged since the last call onto its key's chain.
+    fn index_staged(&mut self) {
+        for (index, (key, ..)) in self.updates.iter().enumerate().skip(self.prev.len()) {
+            let previous = match self.last.get_mut(key) {
+                Some(last) => std::mem::replace(last, index),
+                None => {
+                    self.last.insert(key.clone(), index);
+                    NO_PREVIOUS
+                }
+            };
+            self.prev.push(previous);
+        }
+    }
+
+    /// Applies `logic` to every indexed correction for `key`, most recent first.
+    fn for_each_indexed(&self, key: &K, mut logic: impl FnMut(&V2, &Time, &R2)) {
+        let mut next = self.last.get(key).copied().unwrap_or(NO_PREVIOUS);
+        while next != NO_PREVIOUS {
+            let (_, val, time, diff) = &self.updates[next];
+            logic(val, time, diff);
+            next = self.prev[next];
+        }
+    }
+
+    /// Empties the staging area into `logic`, retaining every capacity.
+    fn drain_into(&mut self, mut logic: impl FnMut(K, V2, Time, R2)) {
+        for (key, val, time, diff) in self.updates.drain(..) {
+            logic(key, val, time, diff);
+        }
+        self.prev.clear();
+        self.last.clear();
+    }
+}
+
 /// Reusable scratch for one [`ReduceOperator`], threaded through
 /// `accumulate_input` / `accumulate_output` so the per-`(key, time)` evaluation loop
 /// allocates nothing in steady state: every vector is cleared and refilled in place,
 /// and `staged` is drained (capacity retained) into the output batch builder.
 struct ReduceScratch<K, V1, R1, V2, R2> {
+    /// The distinct times of one key of an arriving batch.
+    arrived_times: Vec<Time>,
     /// The accumulated input values for the key under evaluation.
     values: Vec<(V1, R1)>,
-    /// The distinct times in the key's input history (future-work scheduling).
+    /// The times in the key's input history not `<=` the time under evaluation
+    /// (future-work scheduling).
     history_times: Vec<Time>,
     /// The previously produced output accumulated at the time under evaluation.
     totals: Vec<(V2, R2)>,
     /// The output corrections staged during the current `work` invocation.
-    staged: Vec<(K, V2, Time, R2)>,
+    staged: Staged<K, V2, R2>,
     /// The user logic's desired output for the key under evaluation.
     desired: Vec<(V2, R2)>,
 }
@@ -43,10 +136,11 @@ struct ReduceScratch<K, V1, R1, V2, R2> {
 impl<K, V1, R1, V2, R2> Default for ReduceScratch<K, V1, R1, V2, R2> {
     fn default() -> Self {
         ReduceScratch {
+            arrived_times: Vec::new(),
             values: Vec::new(),
             history_times: Vec::new(),
             totals: Vec::new(),
-            staged: Vec::new(),
+            staged: Staged::default(),
             desired: Vec::new(),
         }
     }
@@ -73,90 +167,80 @@ where
     _marker: PhantomData<(V2, R2)>,
 }
 
-impl<B1, V2, R2, L> ReduceOperator<B1, V2, R2, L>
-where
-    B1: Batch<Time = Time>,
-    V2: Data,
-    R2: Abelian,
-    L: FnMut(&B1::Key, &[(B1::Val, B1::Diff)], &mut Vec<(V2, R2)>),
-{
-    /// Accumulates the input collection for `key` at `time` into `values` (each value
-    /// with its net multiplicity) and `history_times` (the distinct times in the key's
-    /// history, for future-work scheduling). Both vectors are cleared first.
-    fn accumulate_input(
-        &self,
-        key: &B1::Key,
-        time: &Time,
-        values: &mut Vec<(B1::Val, B1::Diff)>,
-        history_times: &mut Vec<Time>,
-    ) {
-        values.clear();
-        history_times.clear();
-        let mut cursor = self.input_trace.cursor();
-        cursor.seek_key(key);
-        if cursor.key_valid() && cursor.key() == key {
-            while cursor.val_valid() {
-                let mut sum: Option<B1::Diff> = None;
-                cursor.map_times(|t, r| {
-                    if !history_times.contains(t) {
-                        history_times.push(*t);
+/// Accumulates the input collection for `key` at `time` into `values` (each value with
+/// its net multiplicity) and `history_times` (the distinct times in the key's history
+/// that are not `<= time`, for future-work scheduling). Both vectors are cleared first.
+/// `cursor` must have been sought to `key`.
+fn accumulate_input<C: Cursor<Time = Time>>(
+    cursor: &mut C,
+    key: &C::Key,
+    time: &Time,
+    values: &mut Vec<(C::Val, C::Diff)>,
+    history_times: &mut Vec<Time>,
+) {
+    values.clear();
+    history_times.clear();
+    if cursor.key_valid() && cursor.key() == key {
+        while cursor.val_valid() {
+            let mut sum: Option<C::Diff> = None;
+            cursor.map_times(|t, r| {
+                if t.less_equal(time) {
+                    match &mut sum {
+                        None => sum = Some(r.clone()),
+                        Some(s) => s.plus_equals(r),
                     }
-                    if t.less_equal(time) {
-                        match &mut sum {
-                            None => sum = Some(r.clone()),
-                            Some(s) => s.plus_equals(r),
-                        }
-                    }
-                });
-                if let Some(sum) = sum {
-                    if !sum.is_zero() {
-                        values.push((cursor.val().clone(), sum));
-                    }
+                } else {
+                    history_times.push(*t);
                 }
-                cursor.step_val();
+            });
+            if let Some(sum) = sum {
+                if !sum.is_zero() {
+                    values.push((cursor.val().clone(), sum));
+                }
             }
+            cursor.step_val();
         }
     }
+    history_times.sort_unstable();
+    history_times.dedup();
+}
 
-    /// Accumulates the previously produced output for `key` at `time` into `totals`
-    /// (cleared first), including the corrections produced earlier in the current
-    /// invocation (`staged`).
-    fn accumulate_output(
-        &self,
-        key: &B1::Key,
-        time: &Time,
-        staged: &[(B1::Key, V2, Time, R2)],
-        totals: &mut Vec<(V2, R2)>,
-    ) {
-        totals.clear();
-        let add = |totals: &mut Vec<(V2, R2)>, val: &V2, diff: &R2| {
-            if let Some(entry) = totals.iter_mut().find(|(v, _)| v == val) {
-                entry.1.plus_equals(diff);
-            } else {
-                totals.push((val.clone(), diff.clone()));
-            }
-        };
-        let mut cursor = self.output_trace.cursor();
-        cursor.seek_key(key);
-        if cursor.key_valid() && cursor.key() == key {
-            while cursor.val_valid() {
-                let val = cursor.val().clone();
-                cursor.map_times(|t, r| {
-                    if t.less_equal(time) {
-                        add(totals, &val, r);
-                    }
-                });
-                cursor.step_val();
-            }
+/// Accumulates the previously produced output for `key` at `time` into `totals`
+/// (cleared first): what the output trace holds, plus the corrections staged at earlier
+/// times of the current invocation. `cursor` must have been sought to `key`.
+fn accumulate_output<C: Cursor<Time = Time>>(
+    cursor: &mut C,
+    key: &C::Key,
+    time: &Time,
+    staged: &Staged<C::Key, C::Val, C::Diff>,
+    totals: &mut Vec<(C::Val, C::Diff)>,
+) {
+    totals.clear();
+    let add = |totals: &mut Vec<(C::Val, C::Diff)>, val: &C::Val, diff: &C::Diff| {
+        if let Some(entry) = totals.iter_mut().find(|(v, _)| v == val) {
+            entry.1.plus_equals(diff);
+        } else {
+            totals.push((val.clone(), diff.clone()));
         }
-        for (k, v, t, r) in staged.iter() {
-            if k == key && t.less_equal(time) {
-                add(totals, v, r);
-            }
+    };
+    if cursor.key_valid() && cursor.key() == key {
+        while cursor.val_valid() {
+            let val = cursor.val().clone();
+            cursor.map_times(|t, r| {
+                if t.less_equal(time) {
+                    add(totals, &val, r);
+                }
+            });
+            cursor.step_val();
         }
-        totals.retain(|(_, r)| !r.is_zero());
-        totals.sort_by(|a, b| a.0.cmp(&b.0));
     }
+    staged.for_each_indexed(key, |v, t, r| {
+        if t.less_equal(time) {
+            add(totals, v, r);
+        }
+    });
+    totals.retain(|(_, r)| !r.is_zero());
+    totals.sort_by(|a, b| a.0.cmp(&b.0));
 }
 
 impl<B1, V2, R2, L> Operator for ReduceOperator<B1, V2, R2, L>
@@ -175,16 +259,20 @@ where
     }
 
     fn work(&mut self, output: &mut OutputContext<'_>) -> bool {
-        // Record the (key, time) pairs whose output may have changed.
+        // Record the (key, time) pairs whose output may have changed: one insertion per
+        // distinct time of each key, however many updates share it.
         for batch in self.queue.drain(..) {
             let mut cursor = batch.cursor();
             while cursor.key_valid() {
-                let key = cursor.key().clone();
+                let times = &mut self.scratch.arrived_times;
                 while cursor.val_valid() {
-                    cursor.map_times(|time, _| {
-                        self.pending.insert((*time, key.clone()));
-                    });
+                    cursor.map_times(|time, _| times.push(*time));
                     cursor.step_val();
+                }
+                times.sort_unstable();
+                times.dedup();
+                for time in times.drain(..) {
+                    self.pending.insert((time, cursor.key().clone()));
                 }
                 cursor.step_key();
             }
@@ -195,37 +283,58 @@ where
             return false;
         }
 
-        // Process, in an order compatible with the partial order on times, every pending
-        // pair whose time is now complete. The scratch is moved out for the duration so
-        // `self` stays borrowable by the accumulate helpers.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        debug_assert!(scratch.staged.is_empty());
+        // Evaluate, in ascending `(time, key)` order, every pending pair whose time is
+        // now complete (see the module docs for why one cursor pair and one forward walk
+        // suffice). Pairs the walk passes over are incomplete and stay so for the whole
+        // invocation, and future work lands after the pair that schedules it, so the
+        // search for the next pair resumes from the previous one.
+        let scratch = &mut self.scratch;
+        debug_assert!(scratch.staged.updates.is_empty());
+        let mut cursors = None;
+        let mut previous: Option<(Time, B1::Key)> = None;
         loop {
+            let resume = previous.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
             let next = self
                 .pending
-                .iter()
+                .range((resume, Bound::Unbounded))
                 .find(|(time, _)| !self.input_frontier.less_equal(time))
                 .cloned();
-            let Some((time, key)) = next else { break };
-            self.pending.remove(&(time, key.clone()));
+            let Some(next) = next else { break };
+            self.pending.remove(&next);
+            let (time, key) = &next;
 
-            self.accumulate_input(&key, &time, &mut scratch.values, &mut scratch.history_times);
-            self.accumulate_output(&key, &time, &scratch.staged, &mut scratch.totals);
+            let (input, produced) = cursors
+                .get_or_insert_with(|| (self.input_trace.cursor(), self.output_trace.cursor()));
+            if let Some((previous_time, previous_key)) = &previous {
+                if key <= previous_key {
+                    input.rewind_keys();
+                    produced.rewind_keys();
+                }
+                if time != previous_time {
+                    scratch.staged.index_staged();
+                }
+            }
+            input.seek_key(key);
+            produced.seek_key(key);
+            accumulate_input(
+                input,
+                key,
+                time,
+                &mut scratch.values,
+                &mut scratch.history_times,
+            );
+            accumulate_output(produced, key, time, &scratch.staged, &mut scratch.totals);
 
             scratch.desired.clear();
             if !scratch.values.is_empty() {
-                (self.logic)(&key, &scratch.values, &mut scratch.desired);
+                (self.logic)(key, &scratch.values, &mut scratch.desired);
             }
             scratch.desired.sort_by(|a, b| a.0.cmp(&b.0));
 
             // Emit the difference between the desired and current outputs at this time.
-            // (Disjoint field borrows: `staged` grows while `desired`/`totals` are read.)
-            let ReduceScratch {
-                desired,
-                totals: current,
-                staged,
-                ..
-            } = &mut scratch;
+            let desired = &scratch.desired;
+            let current = &scratch.totals;
+            let staged = &mut scratch.staged.updates;
             let mut d = 0;
             let mut c = 0;
             while d < desired.len() || c < current.len() {
@@ -238,12 +347,12 @@ where
                 match order {
                     std::cmp::Ordering::Less => {
                         let (val, diff) = &desired[d];
-                        staged.push((key.clone(), val.clone(), time, diff.clone()));
+                        staged.push((key.clone(), val.clone(), *time, diff.clone()));
                         d += 1;
                     }
                     std::cmp::Ordering::Greater => {
                         let (val, diff) = &current[c];
-                        staged.push((key.clone(), val.clone(), time, diff.negated()));
+                        staged.push((key.clone(), val.clone(), *time, diff.negated()));
                         c += 1;
                     }
                     std::cmp::Ordering::Equal => {
@@ -252,7 +361,7 @@ where
                         let mut delta = want.clone();
                         delta.plus_equals(&have.negated());
                         if !delta.is_zero() {
-                            staged.push((key.clone(), val.clone(), time, delta));
+                            staged.push((key.clone(), val.clone(), *time, delta));
                         }
                         d += 1;
                         c += 1;
@@ -263,21 +372,22 @@ where
             // Future work: the output may also change at joins of this time with other
             // times in the key's history, even if no input arrives then (paper §5.3.2).
             for other in scratch.history_times.iter() {
-                let joined = other.join(&time);
-                if joined != time {
-                    self.pending.insert((joined, key.clone()));
-                }
+                self.pending.insert((other.join(time), key.clone()));
             }
+            previous = Some(next);
         }
+        // The cursors reference batches of the (shared) input trace: release them before
+        // anything below lets that trace merge or compact.
+        drop(cursors);
 
         // Mint the output batch (possibly empty) so the output arrangement's upper tracks
         // the input frontier. Draining `staged` retains its capacity for the next call.
-        let mut builder =
-            <ValBatch<B1::Key, V2, R2> as Batch>::Builder::with_capacity(scratch.staged.len());
-        for (key, val, time, diff) in scratch.staged.drain(..) {
-            builder.push(key, val, time, diff);
-        }
-        self.scratch = scratch;
+        let mut builder = <ValBatch<B1::Key, V2, R2> as Batch>::Builder::with_capacity(
+            scratch.staged.updates.len(),
+        );
+        scratch
+            .staged
+            .drain_into(|key, val, time, diff| builder.push(key, val, time, diff));
         let since = self.output_trace.since();
         let batch = builder.done(
             self.output_upper.clone(),

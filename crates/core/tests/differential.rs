@@ -442,3 +442,363 @@ fn two_workers_agree_with_one() {
     assert_eq!(one.len(), 10);
     assert!(one.keys().all(|(_, count)| *count == 10));
 }
+
+// ---------------------------------------------------------------------------------
+// Evaluation order cannot change answers.
+//
+// `reduce` evaluates every complete `(time, key)` pair of one `work` invocation in one
+// ordered pass: one cursor pair that seeks forward within a time and rewinds between
+// times, and a by-key index over the corrections it staged at earlier times. An
+// epoch-by-epoch run never exercises either (one time per invocation); a backlog settled
+// by one `step_while` — what a `Query` after many unsettled `AdvanceTime`s, or a WAL
+// replay, hands the operator — exercises both, many times per invocation.
+// ---------------------------------------------------------------------------------
+
+use kpg_core::input::collection_from;
+use kpg_timestamp::rng::SmallRng;
+
+/// How a stream of epochs reaches the dataflow.
+#[derive(Clone, Copy, Debug)]
+enum Feed {
+    /// Each epoch is settled by its own `step_while`.
+    EpochByEpoch,
+    /// Every epoch is pushed first; one `step_while` settles them all.
+    Backlog,
+}
+
+/// One epoch's `(record, diff)` updates.
+type Epoch<D> = Vec<(D, isize)>;
+
+/// Pushes `stream` into `input` (each worker its own shard of every epoch) the way
+/// `feed` says, stepping `worker` while `behind(epochs sealed so far)`.
+fn feed_stream<D: Clone + Send + 'static>(
+    worker: &mut Worker,
+    input: &mut InputHandle<D, isize>,
+    stream: &[Epoch<D>],
+    feed: Feed,
+    behind: impl Fn(u64) -> bool,
+) {
+    for (epoch, updates) in stream.iter().enumerate() {
+        for (index, (record, diff)) in updates.iter().enumerate() {
+            if index % worker.peers() == worker.index() {
+                input.update(record.clone(), *diff);
+            }
+        }
+        let sealed = epoch as u64 + 1;
+        input.advance_to(sealed);
+        if matches!(feed, Feed::EpochByEpoch) {
+            worker.step_while(|| behind(sealed));
+        }
+    }
+    let sealed = stream.len() as u64;
+    worker.step_while(|| behind(sealed));
+}
+
+/// A seeded stream of `(key, value)` updates over `epochs` epochs on a dozen recurring
+/// keys: mostly insertions, retractions of records that are present, and every seventh
+/// epoch one key retracted to nothing (it usually returns later). Also returns the live
+/// multiset after each epoch — the scalar side of the comparison.
+#[allow(clippy::type_complexity)]
+fn seeded_pairs(
+    seed: u64,
+    epochs: usize,
+) -> (Vec<Epoch<(u32, u32)>>, Vec<BTreeMap<(u32, u32), isize>>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut live: BTreeMap<(u32, u32), isize> = BTreeMap::new();
+    let mut stream = Vec::new();
+    let mut states = Vec::new();
+    for epoch in 0..epochs {
+        let mut updates = Vec::new();
+        for _ in 0..rng.gen_range(3..10usize) {
+            let present: Vec<(u32, u32)> = live.keys().copied().collect();
+            if !present.is_empty() && rng.gen_range(0..3u32) == 0 {
+                updates.push((present[rng.gen_range(0..present.len())], -1));
+            } else {
+                updates.push(((rng.gen_range(0..12u32), rng.gen_range(0..6u32)), 1));
+            }
+            let (record, diff) = *updates.last().expect("just pushed");
+            *live.entry(record).or_insert(0) += diff;
+            live.retain(|_, count| *count != 0);
+        }
+        if epoch % 7 == 6 {
+            if let Some(&(doomed, _)) = live.keys().next() {
+                for (&record, &count) in live.range((doomed, 0)..=(doomed, u32::MAX)) {
+                    updates.push((record, -count));
+                }
+                live.retain(|(key, _), _| *key != doomed);
+            }
+        }
+        stream.push(updates);
+        states.push(live.clone());
+    }
+    (stream, states)
+}
+
+/// The four reductions under test, tagged into one record type so one capture and one
+/// probe cover them: `count` of each key's records, `distinct` keys, `min_by_key`, and a
+/// `reduce_core` with several output values per key (its three least values, each at its
+/// own multiplicity — so a changed multiplicity is a correction to an existing value).
+type Tagged = (&'static str, u32, i64);
+
+fn four_reductions(pairs: &Collection<(u32, u32), isize>) -> Collection<Tagged, isize> {
+    let keys = pairs.map(|(key, _)| key);
+    let counts = keys
+        .count()
+        .map(|(key, count)| ("count", key, count as i64));
+    let distinct = keys.distinct().map(|key| ("distinct", key, 0));
+    let least = pairs
+        .min_by_key()
+        .map(|(key, val)| ("min", key, val as i64));
+    let three_least = pairs
+        .arrange_by_key()
+        .reduce_core(
+            "ThreeLeast",
+            |_key, input, output: &mut Vec<(u32, isize)>| {
+                output.extend(input.iter().take(3).copied());
+            },
+        )
+        .as_collection(|key, val| ("three-least", *key, *val as i64));
+    counts.concat(&distinct).concat(&least).concat(&three_least)
+}
+
+/// What [`four_reductions`] must hold when its input is `live`.
+fn four_reductions_reference(live: &BTreeMap<(u32, u32), isize>) -> BTreeMap<Tagged, isize> {
+    let mut by_key: BTreeMap<u32, Vec<(u32, isize)>> = BTreeMap::new();
+    for (&(key, val), &count) in live {
+        by_key.entry(key).or_default().push((val, count));
+    }
+    let mut expected = BTreeMap::new();
+    for (key, vals) in by_key {
+        let total: isize = vals.iter().map(|(_, count)| count).sum();
+        expected.insert(("count", key, total as i64), 1);
+        expected.insert(("distinct", key, 0), 1);
+        expected.insert(("min", key, vals[0].0 as i64), 1);
+        for &(val, count) in vals.iter().take(3) {
+            expected.insert(("three-least", key, val as i64), count);
+        }
+    }
+    expected
+}
+
+#[test]
+fn a_backlog_of_epochs_reduces_to_the_same_answers_as_epoch_by_epoch() {
+    const EPOCHS: usize = 36;
+    let (stream, states) = seeded_pairs(0x5eed_0019, EPOCHS);
+    let keys = |live: &BTreeMap<(u32, u32), isize>| -> Vec<u32> {
+        live.keys().map(|(key, _)| *key).collect()
+    };
+    assert!(
+        states.windows(2).any(|pair| keys(&pair[0])
+            .iter()
+            .any(|key| !keys(&pair[1]).contains(key))),
+        "some key is retracted to nothing"
+    );
+    for workers in [1, 2] {
+        let run = |feed: Feed| {
+            let stream = stream.clone();
+            execute(Config::new(workers), move |worker| {
+                let (mut input, probe, captured) = worker.dataflow(|builder| {
+                    let (input, pairs) = new_collection::<(u32, u32), isize>(builder);
+                    let reduced = four_reductions(&pairs);
+                    (input, reduced.probe(), reduced.capture())
+                });
+                feed_stream(worker, &mut input, &stream, feed, |sealed| {
+                    probe.less_than(&Time::from_epoch(sealed))
+                });
+                let result = captured.borrow().clone();
+                result
+            })
+        };
+        let stepped = run(Feed::EpochByEpoch);
+        let backlog = run(Feed::Backlog);
+        for (index, live) in states.iter().enumerate() {
+            let at = epoch(index as u64);
+            let expected = four_reductions_reference(live);
+            assert_eq!(
+                accumulate(&stepped, at),
+                expected,
+                "epoch-by-epoch, {workers} workers, epoch {index}"
+            );
+            assert_eq!(
+                accumulate(&backlog, at),
+                expected,
+                "backlog, {workers} workers, epoch {index}"
+            );
+        }
+    }
+}
+
+/// The same comparison under `iterate`, where times are partially ordered — `(epoch,
+/// round)` — so a key's history holds times that are not `<=` the one under evaluation
+/// and the future-work `(joined, key)` path runs: the nodes reachable from node 0 while
+/// edges come and go, including a retraction mid-stream that disconnects a chain.
+#[test]
+fn a_backlog_of_epochs_iterates_to_the_same_answers_as_epoch_by_epoch() {
+    // A chain 0 -> 1 -> ... -> 6 built one edge per epoch, a shortcut, the retraction of
+    // 2 -> 3 (which the shortcut 1 -> 4 partly heals), and its return.
+    let stream: Vec<Epoch<(u32, u32)>> = vec![
+        vec![((0, 1), 1)],
+        vec![((1, 2), 1)],
+        vec![((2, 3), 1), ((3, 4), 1)],
+        vec![((4, 5), 1), ((5, 6), 1)],
+        vec![((1, 4), 1)],
+        vec![((2, 3), -1)],
+        vec![((6, 0), 1)],
+        vec![((1, 4), -1)],
+        vec![((2, 3), 1), ((0, 1), -1)],
+        vec![((0, 5), 1)],
+    ];
+    // Scalar reference: breadth-first search over the live edges after each epoch.
+    let mut live: BTreeMap<(u32, u32), isize> = BTreeMap::new();
+    let mut expected = Vec::new();
+    for updates in stream.iter() {
+        for &(edge, diff) in updates {
+            *live.entry(edge).or_insert(0) += diff;
+        }
+        live.retain(|_, count| *count != 0);
+        let mut reached = std::collections::BTreeSet::from([0u32]);
+        let mut frontier = vec![0u32];
+        while let Some(node) = frontier.pop() {
+            for &(_, next) in live.keys().filter(|(src, _)| *src == node) {
+                if reached.insert(next) {
+                    frontier.push(next);
+                }
+            }
+        }
+        expected.push(
+            reached
+                .into_iter()
+                .map(|node| (node, 1))
+                .collect::<BTreeMap<u32, isize>>(),
+        );
+    }
+    assert!(
+        expected[5].len() < expected[4].len(),
+        "the retraction disconnects nodes"
+    );
+
+    for workers in [1, 2] {
+        let run = |feed: Feed| {
+            let stream = stream.clone();
+            execute(Config::new(workers), move |worker| {
+                let (mut edges_in, probe, captured) = worker.dataflow(|builder| {
+                    let (edges_in, edges) = new_collection::<(u32, u32), isize>(builder);
+                    let roots = collection_from(builder, [(0u32, 1isize)]);
+                    let reached = roots.iterate(|reach| {
+                        let edges = edges.enter();
+                        let roots = roots.enter();
+                        reach
+                            .map(|node| (node, ()))
+                            .join_map(&edges, |_node, (), next| *next)
+                            .concat(&roots)
+                            .distinct()
+                    });
+                    (edges_in, reached.probe(), reached.capture())
+                });
+                feed_stream(worker, &mut edges_in, &stream, feed, |sealed| {
+                    probe.less_than(&Time::from_epoch(sealed))
+                });
+                let result = captured.borrow().clone();
+                result
+            })
+        };
+        let stepped = run(Feed::EpochByEpoch);
+        let backlog = run(Feed::Backlog);
+        for (index, expected) in expected.iter().enumerate() {
+            let at = epoch(index as u64);
+            assert_eq!(
+                &accumulate(&stepped, at),
+                expected,
+                "stepped, epoch {index}"
+            );
+            assert_eq!(
+                &accumulate(&backlog, at),
+                expected,
+                "backlog, epoch {index}"
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------------
+// Linearity, as a count rather than a timing.
+// ---------------------------------------------------------------------------------
+
+thread_local! {
+    /// Key comparisons (`Ord` and `PartialEq`) made on this thread.
+    static COMPARISONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// A key whose every comparison is counted.
+#[derive(Clone, Debug)]
+struct CountedKey(u64);
+
+impl std::hash::Hash for CountedKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.0.hash(state);
+    }
+}
+
+impl PartialEq for CountedKey {
+    fn eq(&self, other: &Self) -> bool {
+        COMPARISONS.with(|count| count.set(count.get() + 1));
+        self.0 == other.0
+    }
+}
+impl Eq for CountedKey {}
+impl PartialOrd for CountedKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for CountedKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        COMPARISONS.with(|count| count.set(count.get() + 1));
+        self.0.cmp(&other.0)
+    }
+}
+
+/// The key comparisons a bulk `count` makes: `keys` keys, four records each, loaded in
+/// one epoch and settled by one `step_while` (so every key is evaluated in one `work`).
+fn bulk_count_comparisons(keys: u64) -> u64 {
+    execute(Config::new(1), move |worker| {
+        COMPARISONS.with(|count| count.set(0));
+        let (mut input, probe, captured) = worker.dataflow(|builder| {
+            let (input, records) = new_collection::<CountedKey, isize>(builder);
+            let counts = records.count();
+            (input, counts.probe(), counts.capture())
+        });
+        // Scattered, not ascending, so the arrangement's sort does its real work.
+        for round in 0..4 {
+            for index in 0..keys {
+                input.insert(CountedKey((index * 7919 + round * 31) % keys));
+            }
+        }
+        input.advance_to(1);
+        worker.step_while(|| probe.less_than(&Time::from_epoch(1)));
+        let comparisons = COMPARISONS.with(|count| count.get());
+        assert_eq!(captured.borrow().len() as u64, keys);
+        assert!(captured
+            .borrow()
+            .iter()
+            .all(|((_, n), _, diff)| *n == 4 && *diff == 1));
+        comparisons
+    })
+    .remove(0)
+}
+
+/// Doubling the keys of a bulk reduction roughly doubles its comparisons (sorting and
+/// seeking are n log n; nothing is n²). A `reduce` that scans everything it has staged
+/// once per key, or seeks from the root of the trace once per key, quadruples them.
+#[test]
+fn bulk_reduce_comparisons_grow_linearly_with_keys() {
+    const KEYS: u64 = 2_000;
+    let small = bulk_count_comparisons(KEYS);
+    let large = bulk_count_comparisons(2 * KEYS);
+    assert!(
+        large as f64 <= 2.3 * small as f64,
+        "{KEYS} keys: {small} comparisons; {} keys: {large} ({:.2}x)",
+        2 * KEYS,
+        large as f64 / small as f64
+    );
+}

@@ -702,6 +702,108 @@ fn answers_live_in_compacting_result_arrangements() {
     }
 }
 
+/// A `Reduce`- or `Distinct`-rooted plan installed *after* its input is loaded imports
+/// an arrangement that already exists: every key arrives in one batch and the reduce
+/// evaluates all of them in one `work` invocation (one forward walk of the shared trace).
+/// It must answer exactly as the same plan installed *before* the load, which saw the
+/// keys a few at a time — at the install, and as both keep following the input.
+#[test]
+fn install_after_load_answers_as_install_before_load() {
+    const NODES: u64 = 120;
+    // Three epochs of load (insertions, then insertions mixed with retractions of
+    // present edges), and one more epoch of changes after both installs exist.
+    let mut rng = SmallRng::seed_from_u64(19);
+    let mut live: BTreeMap<(u64, u64), isize> = BTreeMap::new();
+    let mut epochs: Vec<Vec<((u64, u64), isize)>> = Vec::new();
+    for epoch in 0..4 {
+        let mut updates = Vec::new();
+        for _ in 0..if epoch == 0 { 500 } else { 120 } {
+            let present: Vec<(u64, u64)> = live.keys().copied().collect();
+            let update = if epoch > 0 && rng.gen_range(0..2u32) == 0 {
+                (present[rng.gen_range(0..present.len())], -1)
+            } else {
+                ((rng.gen_range(0..NODES), rng.gen_range(0..NODES)), 1)
+            };
+            *live.entry(update.0).or_insert(0) += update.1;
+            live.retain(|_, count| *count != 0);
+            updates.push(update);
+        }
+        epochs.push(updates);
+    }
+    let degrees = || Plan::source("edges").reduce(1, ReduceKind::Count);
+    let sources = || Plan::source("edges").map(vec![Expr::col(0)]).distinct();
+
+    for workers in [1, 2] {
+        let epochs = epochs.clone();
+        let per_worker = execute(Config::new(workers), move |worker| {
+            let mut manager = Manager::new();
+            manager.create_input(worker, "edges").unwrap();
+            manager
+                .install(worker, "degrees-before", degrees(), vec![])
+                .unwrap();
+            manager
+                .install(worker, "sources-before", sources(), vec![])
+                .unwrap();
+            let feed = |manager: &mut Manager, worker: &mut Worker, epoch: usize| {
+                for &((src, dst), diff) in &epochs[epoch] {
+                    let (name, row) = ("edges".into(), row(&[src, dst]));
+                    let update = Command::Update { name, row, diff };
+                    manager.execute(worker, update).unwrap();
+                }
+                manager.advance_to(epoch as u64 + 1).unwrap();
+                manager.settle(worker);
+            };
+            for epoch in 0..3 {
+                feed(&mut manager, worker, epoch);
+            }
+            manager
+                .install(worker, "degrees-after", degrees(), vec![])
+                .unwrap();
+            manager
+                .install(worker, "sources-after", sources(), vec![])
+                .unwrap();
+            manager.settle(worker);
+            let answers = |manager: &Manager| {
+                [
+                    "degrees-before",
+                    "degrees-after",
+                    "sources-before",
+                    "sources-after",
+                ]
+                .map(|name| manager.query(name).unwrap())
+            };
+            let at_install = answers(&manager);
+            feed(&mut manager, worker, 3);
+            (at_install, answers(&manager))
+        });
+        for (label, pick) in [("at the install", 0), ("one epoch later", 1)] {
+            let answer = |index: usize| {
+                merged(per_worker.iter().map(|both| {
+                    let answers = if pick == 0 { &both.0 } else { &both.1 };
+                    answers[index].clone()
+                }))
+            };
+            assert!(answer(0).len() > 100, "most nodes have out-edges");
+            assert_eq!(answer(0), answer(1), "degrees {label}, {workers} workers");
+            assert_eq!(answer(2), answer(3), "sources {label}, {workers} workers");
+            assert_eq!(answer(0).len(), answer(2).len());
+        }
+        // And both equal a from-scratch count over the final live edges.
+        let mut expected: BTreeMap<u64, i64> = BTreeMap::new();
+        for (&(src, _), &count) in &live {
+            *expected.entry(src).or_insert(0) += count as i64;
+        }
+        let expected: Vec<(Row, isize)> = expected
+            .into_iter()
+            .map(|(src, count)| (Row::from(vec![Value::UInt(src), Value::Int(count)]), 1))
+            .collect();
+        assert_eq!(
+            merged(per_worker.iter().map(|both| both.1[1].clone())),
+            expected
+        );
+    }
+}
+
 /// An install that fails *after* memo dataflows were created rolls them back. The
 /// manager's reserved "plan-memo-…" names live in the worker's shared dataflow
 /// namespace, so a user query named like the next memo dataflow makes the query's own

@@ -1,5 +1,7 @@
 //! Cursors: navigation over one batch, or the union of several.
 
+use std::cmp::Ordering;
+
 use crate::diff::Semigroup;
 use crate::Data;
 use kpg_timestamp::{Lattice, Timestamp};
@@ -87,49 +89,49 @@ impl<C: Cursor> CursorList<C> {
         self.cursors.len()
     }
 
+    /// Recomputes `min_key`: the cursors positioned at the least key. One pass, comparing
+    /// each cursor against the best so far *by index*, so no key is cloned.
     fn minimize_keys(&mut self) {
         self.min_key.clear();
-        let mut min_key: Option<&C::Key> = None;
-        for cursor in self.cursors.iter() {
-            if cursor.key_valid() {
-                let key = cursor.key();
-                match min_key {
-                    None => min_key = Some(key),
-                    Some(current) if key < current => min_key = Some(key),
-                    _ => {}
-                }
+        for (index, cursor) in self.cursors.iter().enumerate() {
+            if !cursor.key_valid() {
+                continue;
             }
-        }
-        if let Some(min_key) = min_key.cloned() {
-            for (index, cursor) in self.cursors.iter().enumerate() {
-                if cursor.key_valid() && cursor.key() == &min_key {
+            let order = match self.min_key.first() {
+                None => Ordering::Less,
+                Some(&best) => cursor.key().cmp(self.cursors[best].key()),
+            };
+            match order {
+                Ordering::Less => {
+                    self.min_key.clear();
                     self.min_key.push(index);
                 }
+                Ordering::Equal => self.min_key.push(index),
+                Ordering::Greater => {}
             }
         }
         self.minimize_vals();
     }
 
+    /// Recomputes `min_val`: among the `min_key` cursors, those at the least value.
     fn minimize_vals(&mut self) {
         self.min_val.clear();
-        let mut min_val: Option<&C::Val> = None;
         for &index in self.min_key.iter() {
             let cursor = &self.cursors[index];
-            if cursor.val_valid() {
-                let val = cursor.val();
-                match min_val {
-                    None => min_val = Some(val),
-                    Some(current) if val < current => min_val = Some(val),
-                    _ => {}
-                }
+            if !cursor.val_valid() {
+                continue;
             }
-        }
-        if let Some(min_val) = min_val.cloned() {
-            for &index in self.min_key.iter() {
-                let cursor = &self.cursors[index];
-                if cursor.val_valid() && cursor.val() == &min_val {
+            let order = match self.min_val.first() {
+                None => Ordering::Less,
+                Some(&best) => cursor.val().cmp(self.cursors[best].val()),
+            };
+            match order {
+                Ordering::Less => {
+                    self.min_val.clear();
                     self.min_val.push(index);
                 }
+                Ordering::Equal => self.min_val.push(index),
+                Ordering::Greater => {}
             }
         }
     }

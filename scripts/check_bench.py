@@ -72,6 +72,11 @@ SCHEMAS = {
     "micro_latency": {"experiment", "workers", "load", "p50_ns", "p99_ns"},
     "micro_throughput": {"workers", "updates", "records_per_s"},
     "micro_join_install": {"keys", "size", "latency_us"},
+    # `micro --reduce-bulk`: a count over every key of a collection loaded in one
+    # epoch, one record per key count (each double the last). Records after the first
+    # also carry `ratio_2x` (this size's ms over the previous size's): a linear
+    # reduce doubles, so that is the number to watch, not the milliseconds.
+    "micro_reduce_bulk": {"keys", "ms"},
     # The fault-injection sweep: every point must be answered without panics or
     # invariant violations, and heal latency (fault cleared -> read-write again)
     # is the robustness number being tracked.
