@@ -19,6 +19,15 @@
 //! (this size's time over the previous size's) is the number to watch: a linear
 //! `reduce` doubles. `--out FILE` persists the records as a JSON array (the repo-root
 //! `BENCH_*.json` convention, so the trajectory survives in git).
+//!
+//! `--durable-epoch [--rows 10000] [--out BENCH_micro_durable_epoch.json]` prices
+//! durability against the state held: the same 100-update + `AdvanceTime` + `Query`
+//! epochs through `submit_batch` on an in-memory `ServerCore` and on a durable one
+//! (temp directory, default `DurabilityConfig`), with one keyed input holding `rows`,
+//! 2x, 4x and 8x rows. One `micro_durable_epoch` record per size; `overhead_us`
+//! (durable median minus in-memory median) is what durability costs an epoch, and
+//! `overhead_vs_smallest_x` must stay near 1: the epoch is the same size at every
+//! point, so a durable path that costs O(changes) does not notice the state growing.
 
 use kpg_bench::{
     arg_flag, arg_string, arg_usize, bench_record, bench_report, num, persist_records, text, timed,
@@ -26,7 +35,11 @@ use kpg_bench::{
 };
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
+use kpg_plan::{Command, Plan, Row, Value};
+use kpg_server::{DurabilityConfig, ServerCore};
+use kpg_sync::Arc;
 use kpg_timestamp::rng::SmallRng;
+use kpg_wire::Response;
 
 /// Drives an arrangement of `keys` 64-bit identifiers with `updates_per_round` changes
 /// per round for `rounds` rounds, recording per-round completion latency.
@@ -196,6 +209,136 @@ fn reduce_bulk(base_keys: u64, out: &str) {
     }
 }
 
+/// Timed epochs per `--durable-epoch` point.
+const DURABLE_EPOCHS: u64 = 200;
+
+/// Median wall time, in µs, of one 100-update + `AdvanceTime` + `Query` epoch
+/// submitted as one batch to a started `core` whose keyed input `edges` holds `rows`
+/// rows. Each epoch adds 50 fresh rows and retracts the 50 oldest, so the state stays
+/// at `rows`; the query read is a one-root neighbour join, so its answer stays small.
+fn epoch_us(core: &Arc<ServerCore>, rows: u64) -> f64 {
+    let engine = core.start();
+    core.await_replayed();
+    let (client, responses) = core.register_client();
+    let mut sent = 0u64;
+    let mut run = |commands: Vec<Command>| {
+        let count = commands.len();
+        let first = sent;
+        sent += count as u64;
+        core.submit_batch(
+            commands
+                .into_iter()
+                .enumerate()
+                .map(|(index, command)| (client, first + index as u64, command)),
+        );
+        // Poll rather than park: a parked submitter is woken two or three times an
+        // epoch, and on this kind of box each wake-up of an idle core costs tens of
+        // microseconds in one of several modes — more than the durability being priced.
+        let mut received = 0;
+        while received < count {
+            match responses.try_recv() {
+                Ok((_, response)) => {
+                    assert!(
+                        matches!(response, Response::Ok | Response::QueryResults { .. }),
+                        "unexpected response: {response:?}"
+                    );
+                    received += 1;
+                }
+                Err(_) => kpg_sync::thread::yield_now(),
+            }
+        }
+    };
+    let edge = |id: u64, diff: isize| Command::Update {
+        name: "edges".to_string(),
+        row: Row::from(vec![Value::UInt(id % (rows / 4).max(1)), Value::UInt(id)]),
+        diff,
+    };
+    let read = || Command::Query {
+        name: "neighbours".to_string(),
+    };
+
+    let mut load = vec![
+        Command::CreateInput {
+            name: "edges".to_string(),
+            key_arity: Some(1),
+        },
+        Command::Install {
+            name: "neighbours".to_string(),
+            plan: Plan::source("root").join(Plan::source("edges"), vec![(0, 0)]),
+            locals: vec!["root".to_string()],
+        },
+        Command::Update {
+            name: "root".to_string(),
+            row: Row::from(vec![Value::UInt(0)]),
+            diff: 1,
+        },
+    ];
+    load.extend((0..rows).map(|id| edge(id, 1)));
+    load.extend([Command::AdvanceTime { epoch: 1 }, read()]);
+    run(load);
+
+    let mut recorder = LatencyRecorder::new();
+    for epoch in 0..DURABLE_EPOCHS {
+        let mut commands = Vec::with_capacity(102);
+        for slot in 0..50 {
+            commands.push(edge(rows + epoch * 50 + slot, 1));
+            commands.push(edge(epoch * 50 + slot, -1));
+        }
+        commands.extend([Command::AdvanceTime { epoch: epoch + 2 }, read()]);
+        recorder.time(|| run(commands));
+    }
+    core.close();
+    engine.join().expect("engine drained");
+    core.final_checkpoint();
+    recorder.median().as_secs_f64() * 1e6
+}
+
+/// The `--durable-epoch` experiment: four doublings from `base_rows`, one
+/// `micro_durable_epoch` record each, optionally persisted to `out`.
+fn durable_epoch(base_rows: u64, out: &str) {
+    println!("# Durable epoch: 100 updates + AdvanceTime + Query, in-memory vs durable core");
+    println!("rows\tmemory us\tdurable us\toverhead us\tvs smallest");
+    let mut records = Vec::new();
+    let mut smallest: Option<f64> = None;
+    for doubling in 0..4 {
+        let rows = base_rows << doubling;
+        let memory_us = epoch_us(&Arc::new(ServerCore::new(1)), rows);
+        let dir = std::env::temp_dir().join(format!(
+            "kpg-micro-durable-epoch-{}-{rows}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = ServerCore::durable(1, false, DurabilityConfig::new(&dir))
+            .expect("open a durable core on a fresh directory");
+        let durable_us = epoch_us(&Arc::new(durable), rows);
+        let _ = std::fs::remove_dir_all(&dir);
+        let overhead_us = durable_us - memory_us;
+        let mut fields = vec![
+            ("rows", num(rows)),
+            ("memory_us", num(format!("{memory_us:.1}"))),
+            ("durable_us", num(format!("{durable_us:.1}"))),
+            ("overhead_us", num(format!("{overhead_us:.1}"))),
+        ];
+        match smallest {
+            Some(first) => {
+                let ratio = overhead_us / first;
+                println!("{rows}\t{memory_us:.1}\t{durable_us:.1}\t{overhead_us:.1}\t{ratio:.2}");
+                fields.push(("overhead_vs_smallest_x", num(format!("{ratio:.3}"))));
+            }
+            None => {
+                println!("{rows}\t{memory_us:.1}\t{durable_us:.1}\t{overhead_us:.1}\t-");
+                smallest = Some(overhead_us);
+            }
+        }
+        let report = bench_report("micro_durable_epoch", &fields);
+        println!("BENCH {}", report.render());
+        records.push(report.render());
+    }
+    if !out.is_empty() {
+        persist_records(out, &records);
+    }
+}
+
 /// Emits the `micro_latency` BENCH line for one step-latency experiment.
 fn emit_latency(label: &str, workers: usize, load: usize, recorder: &LatencyRecorder) {
     bench_record(
@@ -214,6 +357,10 @@ fn emit_latency(label: &str, workers: usize, load: usize, recorder: &LatencyReco
 fn main() {
     if arg_flag("--reduce-bulk") {
         reduce_bulk(arg_usize("--keys", 10_000) as u64, &arg_string("--out", ""));
+        return;
+    }
+    if arg_flag("--durable-epoch") {
+        durable_epoch(arg_usize("--rows", 10_000) as u64, &arg_string("--out", ""));
         return;
     }
     let keys = arg_usize("--keys", 50_000) as u64;

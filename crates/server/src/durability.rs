@@ -9,16 +9,45 @@
 //! replaying the log reproduces the server's state exactly.
 //!
 //! Replaying from the beginning of time would make restart cost proportional to
-//! history, so the server checkpoints. A [`StateTracker`] follows command *completions*
-//! (which occur in log order) and maintains the collapsed state the log prefix denotes:
-//! live inputs, installed plans, and the sealed contents of every input with history
-//! folded to a single epoch. When an `AdvanceTime` completes, the tracker state is
-//! exactly the effect of WAL records up to that command's sequence number — a
-//! consistent cut — and a clone of it can be written out by a background thread as:
+//! history, so the server checkpoints. A [`StateTracker`] maintains the collapsed
+//! state a log prefix denotes: live inputs, installed plans, and the contents of every
+//! input with history folded to a single epoch. Everything it does per epoch costs
+//! O(epoch), never O(state): an update is folded through its map entry and the entry
+//! is removed the moment its diff reaches zero.
+//!
+//! **Who owns the tracker.** The `kpg-server-checkpoint` thread, on its own stack —
+//! seeded by [`recover`], never shared, never cloned, behind no lock. The workers only
+//! collect: the deposit that completes a command pushes it onto the open epoch's
+//! vector, and the one that completes an `AdvanceTime` sends that vector down a
+//! channel. **What crosses the channel** is therefore whole sealed epochs of
+//! `Arc<SequencedCommand>`, in log order (completions are serialised in log order by
+//! the lock the deposit already holds), holding only *successful* completions that
+//! carry a `wal_seq` — failures have no effect and re-fail deterministically on
+//! replay; `Query`s and recovery-bootstrap entries were never logged. After the
+//! thread applies an epoch, its tracker is exactly the effect of WAL records up to
+//! that `AdvanceTime`'s sequence number — a consistent cut — and it writes
+//! checkpoints from that state in place:
 //!
 //! * a sorted-run file of `(input, row, diff)` contents (`ckpt-<id>.run`), and
 //! * a [`Manifest`] naming the epoch, the WAL watermark, the inputs, and the installed
 //!   plans, committed by atomic rename (the manifest *is* the checkpoint).
+//!
+//! Epochs that seal while a checkpoint is being written wait in the channel as the
+//! commands they are (never as state snapshots); the thread drains them all before it
+//! next asks whether a checkpoint is due, so at most one checkpoint is ever in flight
+//! and none is queued.
+//!
+//! **Cadence.** A checkpoint rewrites the whole state, so one is due when the commands
+//! logged since the last *successful* one reach
+//! `max(checkpoint_every, rows held in the tracker)` — rewrite the state when the log
+//! is as long as the state. Two bounds follow at any state size: write amplification
+//! is at most one checkpointed row per logged command (plus the `checkpoint_every`
+//! floor for tiny states), and recovery is at most one state load plus a WAL tail no
+//! longer than the state, i.e. ≤ 2× the state. [`DurabilityConfig::checkpoint_every`]
+//! is the floor, not the period. A checkpoint that fails past its retry budget leaves
+//! the count standing, so it is retried at the very next seal — under a fresh id, as
+//! every attempt is (see [`checkpoint`]): a run file a manifest may already name is
+//! never rewritten.
 //!
 //! WAL segments entirely below the committed watermark are then pruned. Recovery loads
 //! the manifest (if any), synthesizes a *bootstrap* command prefix — create the inputs,
@@ -31,6 +60,7 @@
 //! until explicitly uninstalled. `Query` commands are never logged — they read state
 //! but do not define it.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -38,7 +68,7 @@ use std::path::{Path, PathBuf};
 use kpg_plan::{Command, Row};
 use kpg_store::bytes::{get_bytes, get_u64, put_bytes, put_u64};
 use kpg_store::run::DEFAULT_BLOCK_BYTES;
-use kpg_store::{Manifest, RunReader, RunWriter, Wal};
+use kpg_store::{Manifest, RunReader, RunWriter, StoreError, Wal};
 use kpg_trace::StoreData;
 use kpg_wire::WireCodec;
 
@@ -49,8 +79,11 @@ pub struct DurabilityConfig {
     pub dir: PathBuf,
     /// WAL segments rotate once they exceed this size.
     pub segment_bytes: u64,
-    /// Checkpoint when at least this many commands have been logged since the last
-    /// checkpoint (evaluated at epoch boundaries, where a consistent cut exists).
+    /// The floor of the checkpoint cadence: a checkpoint is cut at an epoch boundary
+    /// (where a consistent cut exists) once the commands logged since the last one
+    /// reach `max(checkpoint_every, rows of checkpointed state)`. States smaller than
+    /// this are checkpointed every `checkpoint_every` commands; larger ones when the
+    /// log has grown as long as the state (see the module docs).
     pub checkpoint_every: u64,
     /// The retry budget for runtime storage failures (group commit, checkpoints).
     /// Transient errors are retried with doubling backoff up to `retry.attempts`
@@ -63,8 +96,8 @@ pub struct DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// A configuration with default segment size (8 MiB), checkpoint cadence (every
-    /// 4096 logged commands), retry budget (3 attempts, 1–20 ms backoff), and heal
+    /// A configuration with default segment size (8 MiB), checkpoint cadence floor
+    /// (4096 logged commands), retry budget (3 attempts, 1–20 ms backoff), and heal
     /// probe interval (25 ms).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
@@ -86,14 +119,14 @@ struct InstallRecord {
     encoded: Vec<u8>,
 }
 
-/// The collapsed state denoted by a prefix of the command log.
-///
-/// Applied only on *successful* command completions (failures have no effect, and
-/// re-fail deterministically if replayed). Open-epoch updates are held aside and folded
-/// into the sealed contents when an `AdvanceTime` completes; only then does the
-/// watermark advance, so the tracker always describes a prefix that ends at an epoch
+/// The collapsed state denoted by a prefix of the command log that ends at an epoch
 /// boundary — the only points where checkpoints are cut.
-#[derive(Clone, Debug, Default)]
+///
+/// Owned by the checkpoint thread and fed whole sealed epochs of *successful*
+/// completions (failures have no effect, and re-fail deterministically if replayed), so
+/// an update folds straight into the sealed contents: between two
+/// [`StateTracker::apply_epoch`] calls nothing is ever open.
+#[derive(Debug, Default)]
 pub(crate) struct StateTracker {
     /// Sealed epoch: recovered state answers as of this epoch.
     epoch: u64,
@@ -103,40 +136,70 @@ pub(crate) struct StateTracker {
     inputs: BTreeMap<String, Option<usize>>,
     /// Installed queries, in completion order (which respects name dependencies).
     installs: Vec<InstallRecord>,
-    /// Sealed contents per input (global and query-local), history collapsed.
+    /// Sealed contents per input (global and query-local), history collapsed. Holds no
+    /// zero diff and no empty input: entries are removed as they cancel.
     sealed: BTreeMap<String, BTreeMap<Row, isize>>,
-    /// Updates of the open epoch, in completion order, not yet folded.
-    open: Vec<(String, Row, isize)>,
-    /// Commands logged since the last checkpoint was cut.
+    /// Rows held across `sealed`, kept in step with it — what a checkpoint writes.
+    rows: u64,
+    /// Commands logged since the last checkpoint was committed.
     since_checkpoint: u64,
 }
 
 impl StateTracker {
-    /// Applies one successfully completed, WAL-logged command. Returns `true` iff the
-    /// command sealed an epoch (the only moments a checkpoint may be cut).
-    pub(crate) fn apply(&mut self, command: &Command, wal_seq: u64) -> bool {
+    /// Applies one sealed epoch: `(wal_seq, command)` for each of its successful,
+    /// WAL-logged completions in log order, ending with the `AdvanceTime` that sealed
+    /// it. Costs O(epoch) map operations, whatever the state's size.
+    pub(crate) fn apply_epoch<'a>(&mut self, epoch: impl IntoIterator<Item = (u64, &'a Command)>) {
+        let mut last = None;
+        for (wal_seq, command) in epoch {
+            self.apply(command, wal_seq);
+            last = Some(command);
+        }
+        debug_assert!(
+            matches!(last, Some(Command::AdvanceTime { .. })),
+            "a sealed epoch ends with its AdvanceTime"
+        );
+    }
+
+    fn apply(&mut self, command: &Command, wal_seq: u64) {
         self.since_checkpoint += 1;
         match command {
             Command::CreateInput { name, key_arity } => {
                 self.inputs.insert(name.clone(), *key_arity);
-                false
             }
             Command::Update { name, row, diff } => {
-                self.open.push((name.clone(), row.clone(), *diff));
-                false
+                // Probe by `&str` first: the input's map almost always exists, and
+                // `entry` would allocate a `String` per update to find that out.
+                if !self.sealed.contains_key(name) {
+                    self.sealed.insert(name.clone(), BTreeMap::new());
+                }
+                let contents = self.sealed.get_mut(name).expect("ensured above");
+                match contents.entry(row.clone()) {
+                    Entry::Vacant(vacant) => {
+                        if *diff != 0 {
+                            vacant.insert(*diff);
+                            self.rows += 1;
+                        }
+                    }
+                    Entry::Occupied(mut occupied) => {
+                        *occupied.get_mut() += diff;
+                        if *occupied.get() == 0 {
+                            occupied.remove();
+                            self.rows -= 1;
+                        }
+                    }
+                }
+                if contents.is_empty() {
+                    self.sealed.remove(name);
+                }
             }
             Command::AdvanceTime { epoch } => {
-                for (name, row, diff) in self.open.drain(..) {
-                    let contents = self.sealed.entry(name).or_default();
-                    *contents.entry(row).or_insert(0) += diff;
-                }
-                self.sealed.retain(|_, contents| {
-                    contents.retain(|_, diff| *diff != 0);
-                    !contents.is_empty()
-                });
+                assert!(
+                    self.watermark.is_none_or(|mark| mark < wal_seq),
+                    "sealed epochs arrive in log order"
+                );
                 self.epoch = *epoch;
                 self.watermark = Some(wal_seq);
-                true
             }
             Command::Install {
                 name,
@@ -148,7 +211,6 @@ impl StateTracker {
                     locals: locals.clone(),
                     encoded: command.encode(),
                 });
-                false
             }
             Command::Uninstall { name } => {
                 // The manager's namespace rule: a live query shadows a same-named
@@ -156,17 +218,21 @@ impl StateTracker {
                 if let Some(position) = self.installs.iter().position(|i| &i.name == name) {
                     let install = self.installs.remove(position);
                     for local in &install.locals {
-                        self.sealed.remove(local);
-                        self.open.retain(|(input, _, _)| input != local);
+                        self.drop_contents(local);
                     }
                 } else {
                     self.inputs.remove(name);
-                    self.sealed.remove(name);
-                    self.open.retain(|(input, _, _)| input != name);
+                    self.drop_contents(name);
                 }
-                false
             }
-            Command::Query { .. } => false,
+            Command::Query { .. } => {}
+        }
+    }
+
+    /// Forgets everything held for `input` (it was uninstalled).
+    fn drop_contents(&mut self, input: &str) {
+        if let Some(contents) = self.sealed.remove(input) {
+            self.rows -= contents.len() as u64;
         }
     }
 
@@ -175,12 +241,19 @@ impl StateTracker {
         self.watermark
     }
 
-    /// Whether enough has been logged since the last checkpoint to cut a new one.
-    pub(crate) fn checkpoint_due(&self, every: u64) -> bool {
-        self.watermark.is_some() && self.since_checkpoint >= every
+    /// Whether a checkpoint is due: the log has grown, since the last committed
+    /// checkpoint, by at least the state it would rewrite (and by at least `floor`).
+    pub(crate) fn checkpoint_due(&self, floor: u64) -> bool {
+        self.watermark.is_some() && self.since_checkpoint >= floor.max(self.rows)
     }
 
-    /// Notes that a checkpoint was cut from the current state.
+    /// Whether anything was logged since the last committed checkpoint — whether a
+    /// final checkpoint at shutdown would differ from the one already on disk.
+    pub(crate) fn checkpoint_stale(&self) -> bool {
+        self.watermark.is_some() && self.since_checkpoint > 0
+    }
+
+    /// Notes that a checkpoint of the current state was committed.
     pub(crate) fn note_checkpoint(&mut self) {
         self.since_checkpoint = 0;
     }
@@ -226,17 +299,38 @@ fn run_file_name(id: u64) -> String {
     format!("ckpt-{id:016x}.run")
 }
 
-/// Writes a checkpoint of `tracker` (a clone captured at an epoch seal) into `dir`:
-/// the contents run file, then the manifest commit, then removal of superseded run
-/// files. Returns the committed watermark so the caller can prune the WAL.
+/// Writes a checkpoint of `tracker` within the configured retry budget and returns the
+/// committed watermark so the caller can prune the WAL.
 ///
-/// Panics are avoided throughout: any I/O failure leaves the previous checkpoint in
-/// force (the manifest rename is the only commit point).
-pub(crate) fn write_checkpoint(
-    dir: &Path,
+/// Every *attempt* takes a fresh id from `next_id`, successful or not.
+/// [`Manifest::commit`] can fail after its rename (the directory fsync), so a failed
+/// attempt may have left a manifest in force that names the attempt's run file.
+/// Rewriting that file — from a tracker that has since applied more epochs, or torn by
+/// a crash mid-rewrite — would put newer contents under the old manifest's watermark,
+/// and recovery would replay the WAL tail on top of a state that already includes it.
+/// So a run file a manifest may name is never written twice; the orphans failed
+/// attempts leave are swept by the next commit.
+pub(crate) fn checkpoint(
+    config: &DurabilityConfig,
     tracker: &StateTracker,
-    checkpoint_id: u64,
-) -> io::Result<u64> {
+    next_id: &mut u64,
+    op: &'static str,
+) -> Result<u64, StoreError> {
+    config.retry.run(op, || {
+        let id = *next_id;
+        *next_id += 1;
+        write_checkpoint(&config.dir, tracker, id)
+    })
+}
+
+/// One attempt at a checkpoint of `tracker` (which always stands at an epoch seal)
+/// into `dir` under `checkpoint_id`: the contents run file, then the manifest commit,
+/// then removal of superseded run files.
+///
+/// Panics are avoided throughout: any I/O failure leaves a committed checkpoint in
+/// force — the previous one, or this one if only the directory fsync after the
+/// manifest rename failed.
+fn write_checkpoint(dir: &Path, tracker: &StateTracker, checkpoint_id: u64) -> io::Result<u64> {
     let watermark = tracker
         .watermark
         .expect("checkpoints are cut only at epoch seals");
@@ -247,7 +341,11 @@ pub(crate) fn write_checkpoint(
         let mut key_boundary = true;
         for (row, diff) in contents {
             entry.clear();
-            (name.clone(), row.clone(), *diff as i64).store(&mut entry);
+            // A `StoreData` tuple is the concatenation of its fields: this is the
+            // `(String, Row, i64)` entry recovery loads, encoded by reference.
+            name.store(&mut entry);
+            row.store(&mut entry);
+            (*diff as i64).store(&mut entry);
             writer.push(&entry, key_boundary)?;
             key_boundary = false;
         }
@@ -371,12 +469,13 @@ fn tracker_from_manifest(dir: &Path, manifest: &Manifest) -> io::Result<(StateTr
             }
         }
     }
+    tracker.rows = tracker.sealed.values().map(|c| c.len() as u64).sum();
     Ok((tracker, checkpoint_id))
 }
 
 /// Everything recovery hands the sequencer: the synthesized bootstrap prefix, the WAL
-/// tail to replay on top, the open WAL, and the tracker seed that makes subsequent
-/// completions continue the story.
+/// tail to replay on top, the open WAL, and the tracker seed the checkpoint thread
+/// continues the story from.
 pub(crate) struct Recovered {
     /// Commands that rebuild the checkpointed state (not re-logged; already durable).
     pub bootstrap: Vec<Command>,
@@ -440,7 +539,8 @@ pub(crate) fn recover(config: &DurabilityConfig) -> io::Result<Recovered> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kpg_plan::Value;
+    use kpg_dataflow::{execute, Config};
+    use kpg_plan::{Manager, Plan, Value};
 
     fn temp_dir(tag: &str) -> PathBuf {
         use kpg_sync::atomic::{AtomicU64, Ordering};
@@ -459,45 +559,52 @@ mod tests {
         Row::from(values.into_iter().map(Value::UInt).collect::<Vec<_>>())
     }
 
+    fn create(name: &str, key_arity: Option<usize>) -> Command {
+        Command::CreateInput {
+            name: name.into(),
+            key_arity,
+        }
+    }
+
+    fn update(name: &str, values: Vec<u64>, diff: isize) -> Command {
+        Command::Update {
+            name: name.into(),
+            row: row(values),
+            diff,
+        }
+    }
+
+    /// Applies `commands` (which must end with an `AdvanceTime`) as one sealed epoch
+    /// whose WAL sequence numbers run from `first_seq`.
+    fn seal(tracker: &mut StateTracker, first_seq: u64, commands: &[Command]) {
+        tracker.apply_epoch((first_seq..).zip(commands));
+    }
+
     #[test]
     fn tracker_folds_epochs_and_bootstraps() {
         let mut tracker = StateTracker::default();
-        tracker.apply(
-            &Command::CreateInput {
-                name: "edges".into(),
-                key_arity: Some(1),
-            },
+        seal(
+            &mut tracker,
             0,
+            &[
+                create("edges", Some(1)),
+                update("edges", vec![1, 2], 1),
+                update("edges", vec![2, 3], 1),
+                Command::AdvanceTime { epoch: 1 },
+            ],
         );
-        tracker.apply(
-            &Command::Update {
-                name: "edges".into(),
-                row: row(vec![1, 2]),
-                diff: 1,
-            },
-            1,
-        );
-        tracker.apply(
-            &Command::Update {
-                name: "edges".into(),
-                row: row(vec![2, 3]),
-                diff: 1,
-            },
-            2,
-        );
-        assert!(tracker.apply(&Command::AdvanceTime { epoch: 1 }, 3));
         // A retraction in the next epoch cancels (1,2) when folded.
-        tracker.apply(
-            &Command::Update {
-                name: "edges".into(),
-                row: row(vec![1, 2]),
-                diff: -1,
-            },
+        seal(
+            &mut tracker,
             4,
+            &[
+                update("edges", vec![1, 2], -1),
+                Command::AdvanceTime { epoch: 2 },
+            ],
         );
-        assert!(tracker.apply(&Command::AdvanceTime { epoch: 2 }, 5));
         assert_eq!(tracker.watermark(), Some(5));
         assert_eq!(tracker.epoch, 2);
+        assert_eq!(tracker.rows, 1);
 
         let bootstrap = tracker.bootstrap_commands();
         assert_eq!(bootstrap.len(), 3); // create, one surviving update, advance
@@ -511,45 +618,74 @@ mod tests {
     #[test]
     fn tracker_uninstall_follows_namespace_shadowing() {
         let mut tracker = StateTracker::default();
-        tracker.apply(
-            &Command::CreateInput {
-                name: "shared".into(),
-                key_arity: None,
-            },
-            0,
-        );
         // An uninstall with no same-named query removes the input.
-        tracker.apply(
-            &Command::Uninstall {
-                name: "shared".into(),
-            },
-            1,
+        seal(
+            &mut tracker,
+            0,
+            &[
+                create("shared", None),
+                Command::Uninstall {
+                    name: "shared".into(),
+                },
+                Command::AdvanceTime { epoch: 1 },
+            ],
         );
         assert!(tracker.inputs.is_empty());
+    }
+
+    /// The cadence rule: due once the log has grown by `max(floor, rows held)` since
+    /// the last committed checkpoint — so a load's own seal is always due (it logs a
+    /// command per row), a tiny state follows the floor, and a failed checkpoint
+    /// (no `note_checkpoint`) stays due.
+    #[test]
+    fn checkpoint_is_due_when_the_log_is_as_long_as_the_state() {
+        let mut tracker = StateTracker::default();
+        assert!(!tracker.checkpoint_due(1), "nothing has sealed yet");
+        let mut load = vec![create("edges", None)];
+        load.extend((0..10).map(|i| update("edges", vec![i], 1)));
+        load.push(Command::AdvanceTime { epoch: 1 });
+        seal(&mut tracker, 0, &load);
+        assert_eq!(tracker.rows, 10);
+        assert!(tracker.checkpoint_due(4), "a load logs a command per row");
+        assert!(!tracker.checkpoint_due(100), "the floor still rules");
+        tracker.note_checkpoint();
+        assert!(!tracker.checkpoint_stale());
+
+        // Steady churn at 10 rows, 3 commands per epoch: not due until 10 are logged.
+        let mut seq = load.len() as u64;
+        for epoch in 2..=4u64 {
+            let churn = [
+                update("edges", vec![epoch], -1),
+                update("edges", vec![epoch], 1),
+                Command::AdvanceTime { epoch },
+            ];
+            seal(&mut tracker, seq, &churn);
+            seq += 3;
+            assert!(!tracker.checkpoint_due(4), "9 logged < 10 rows held");
+            assert!(tracker.checkpoint_stale());
+        }
+        seal(&mut tracker, seq, &[Command::AdvanceTime { epoch: 5 }]);
+        assert!(tracker.checkpoint_due(4), "10 logged >= 10 rows held");
+        // A failed write never calls `note_checkpoint`: the next seal is due again.
+        seal(&mut tracker, seq + 1, &[Command::AdvanceTime { epoch: 6 }]);
+        assert!(tracker.checkpoint_due(4));
     }
 
     #[test]
     fn checkpoint_round_trips_through_manifest_and_run() {
         let dir = temp_dir("roundtrip");
         let mut tracker = StateTracker::default();
-        tracker.apply(
-            &Command::CreateInput {
-                name: "edges".into(),
-                key_arity: Some(1),
-            },
-            0,
+        seal(
+            &mut tracker,
+            3,
+            &[
+                create("edges", Some(1)),
+                update("edges", vec![1, 2], 1),
+                update("edges", vec![2, 3], 1),
+                update("edges", vec![3, 1], 1),
+                Command::AdvanceTime { epoch: 1 },
+            ],
         );
-        for (source, target) in [(1u64, 2u64), (2, 3), (3, 1)] {
-            tracker.apply(
-                &Command::Update {
-                    name: "edges".into(),
-                    row: row(vec![source, target]),
-                    diff: 1,
-                },
-                source,
-            );
-        }
-        assert!(tracker.apply(&Command::AdvanceTime { epoch: 1 }, 7));
 
         let watermark = write_checkpoint(&dir, &tracker, 3).unwrap();
         assert_eq!(watermark, 7);
@@ -560,6 +696,7 @@ mod tests {
         assert_eq!(recovered.epoch, 1);
         assert_eq!(recovered.watermark(), Some(7));
         assert_eq!(recovered.sealed, tracker.sealed);
+        assert_eq!(recovered.rows, tracker.rows);
         assert_eq!(recovered.inputs, tracker.inputs);
 
         // A second checkpoint removes the superseded run file.
@@ -571,6 +708,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The on-disk format did not move: run entries written field by field are the
+    /// bytes the `(String, Row, i64)` tuple encoding produced, so a directory written
+    /// the old way loads to the same tracker and one written now recovers unchanged.
+    #[test]
+    fn run_entries_are_the_tuple_encoding_byte_for_byte() {
+        let mut tracker = StateTracker::default();
+        seal(
+            &mut tracker,
+            0,
+            &[
+                create("edges", Some(1)),
+                create("names", None),
+                Command::Install {
+                    name: "pairs".into(),
+                    plan: Plan::source("edges").concat(Plan::source("arg")).distinct(),
+                    locals: vec!["arg".into()],
+                },
+                update("edges", vec![1, 2], 1),
+                update("edges", vec![2, 3], 3),
+                update("names", vec![7], 2),
+                update("arg", vec![1, 1], 1),
+                Command::AdvanceTime { epoch: 4 },
+            ],
+        );
+        let new_dir = temp_dir("format-new");
+        write_checkpoint(&new_dir, &tracker, 5).unwrap();
+
+        // The parent's encoder: one owned tuple per row.
+        let old_dir = temp_dir("format-old");
+        let mut writer =
+            RunWriter::create(old_dir.join(run_file_name(5)), DEFAULT_BLOCK_BYTES).unwrap();
+        let mut entry = Vec::new();
+        for (name, contents) in &tracker.sealed {
+            let mut key_boundary = true;
+            for (row, diff) in contents {
+                entry.clear();
+                (name.clone(), row.clone(), *diff as i64).store(&mut entry);
+                writer.push(&entry, key_boundary).unwrap();
+                key_boundary = false;
+            }
+        }
+        writer.finish().unwrap();
+        assert_eq!(
+            std::fs::read(old_dir.join(run_file_name(5))).unwrap(),
+            std::fs::read(new_dir.join(run_file_name(5))).unwrap(),
+            "run files are byte-identical"
+        );
+        let manifest = Manifest::load(&new_dir).unwrap().unwrap();
+        let (from_old, id) = tracker_from_manifest(&old_dir, &manifest).unwrap();
+        assert_eq!(id, 5);
+        assert_eq!(from_old.bootstrap_commands(), tracker.bootstrap_commands());
+        assert_eq!(from_old.rows, tracker.rows);
+
+        let recovered = recover(&DurabilityConfig::new(&new_dir)).unwrap();
+        assert_eq!(recovered.bootstrap, tracker.bootstrap_commands());
+        assert_eq!(recovered.next_checkpoint_id, 6);
+        assert!(recovered.tail.is_empty());
+        for dir in [old_dir, new_dir] {
+            std::fs::remove_dir_all(dir).unwrap();
+        }
+    }
+
     #[test]
     fn recover_skips_records_at_or_below_the_watermark() {
         let dir = temp_dir("watermark");
@@ -579,29 +778,16 @@ mod tests {
         assert!(records.is_empty());
         let mut tracker = StateTracker::default();
         let commands = [
-            Command::CreateInput {
-                name: "edges".into(),
-                key_arity: None,
-            },
-            Command::Update {
-                name: "edges".into(),
-                row: row(vec![1, 2]),
-                diff: 1,
-            },
+            create("edges", None),
+            update("edges", vec![1, 2], 1),
             Command::AdvanceTime { epoch: 1 },
-            Command::Update {
-                name: "edges".into(),
-                row: row(vec![2, 3]),
-                diff: 1,
-            },
+            update("edges", vec![2, 3], 1),
             Command::AdvanceTime { epoch: 2 },
         ];
         for (seq, command) in commands.iter().enumerate() {
             wal.append(seq as u64, command.encode()).unwrap();
-            if seq < 3 {
-                tracker.apply(command, seq as u64);
-            }
         }
+        seal(&mut tracker, 0, &commands[..3]);
         wal.sync().unwrap();
         drop(wal);
         write_checkpoint(&dir, &tracker, 1).unwrap();
@@ -622,6 +808,239 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// splitmix64: a seeded stream for the oracle test below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, bound: u64) -> u64 {
+            self.next() % bound
+        }
+    }
+
+    const GLOBALS: [&str; 3] = ["a", "b", "c"];
+    const QUERIES: [&str; 3] = ["q0", "q1", "q2"];
+
+    fn local_of(query: &str) -> String {
+        format!("{query}-arg")
+    }
+
+    /// What a log of successful commands denotes, computed the slow way: every
+    /// update summed per `(input, row)`, an uninstall forgetting the query's locals
+    /// (or the input), zero sums dropped. Also returns the live globals and queries.
+    #[allow(clippy::type_complexity)]
+    fn naive_fold(
+        log: &[Command],
+    ) -> (
+        BTreeMap<(String, Row), isize>,
+        BTreeMap<String, Option<usize>>,
+        BTreeMap<String, Vec<String>>,
+    ) {
+        let mut contents: BTreeMap<(String, Row), isize> = BTreeMap::new();
+        let mut globals = BTreeMap::new();
+        let mut queries: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for command in log {
+            match command {
+                Command::CreateInput { name, key_arity } => {
+                    globals.insert(name.clone(), *key_arity);
+                }
+                Command::Update { name, row, diff } => {
+                    *contents.entry((name.clone(), row.clone())).or_insert(0) += diff;
+                }
+                Command::Install { name, locals, .. } => {
+                    queries.insert(name.clone(), locals.clone());
+                }
+                Command::Uninstall { name } => {
+                    let gone = queries.remove(name).unwrap_or_else(|| {
+                        globals.remove(name);
+                        vec![name.clone()]
+                    });
+                    contents.retain(|(input, _), _| !gone.contains(input));
+                }
+                Command::AdvanceTime { .. } | Command::Query { .. } => {}
+            }
+        }
+        contents.retain(|_, diff| *diff != 0);
+        (contents, globals, queries)
+    }
+
+    /// Replays `commands` into a fresh `Manager` and answers a `distinct` over every
+    /// live global input plus every live query (each a `distinct` over its local).
+    fn answers(
+        commands: Vec<Command>,
+        globals: Vec<String>,
+        queries: Vec<String>,
+        epoch: u64,
+    ) -> Vec<(String, Vec<(Row, isize)>)> {
+        execute(Config::new(1), move |worker| {
+            let mut manager = Manager::new();
+            for command in commands.clone() {
+                let rendered = format!("{command:?}");
+                manager
+                    .execute(worker, command)
+                    .unwrap_or_else(|error| panic!("replay of {rendered} failed: {error}"));
+            }
+            let mut readers = queries.clone();
+            for global in &globals {
+                let check = format!("check-{global}");
+                manager
+                    .install(worker, &check, Plan::source(global).distinct(), Vec::new())
+                    .expect("install a reader over a live input");
+                readers.push(check);
+            }
+            manager.advance_to(epoch + 1).expect("time moves forward");
+            manager.settle(worker);
+            readers
+                .iter()
+                .map(|reader| (reader.clone(), manager.query(reader).expect("live reader")))
+                .collect()
+        })
+        .remove(0)
+    }
+
+    /// The tracker against a naive oracle over a seeded random command stream, fed
+    /// as whole sealed epochs of successful completions — the way the checkpoint
+    /// thread receives them. Which commands succeed is decided by a live `Manager`,
+    /// exactly as on the server; failures consume a WAL sequence number and are
+    /// never handed over.
+    #[test]
+    fn tracker_matches_a_naive_fold_and_bootstraps_the_same_answers() {
+        const EPOCHS: u64 = 220;
+        // Generate against a live manager: `epochs[e]` is epoch e+1's successful
+        // `(wal_seq, command)` completions, its `AdvanceTime` last.
+        let epochs: Vec<Vec<(u64, Command)>> = execute(Config::new(1), |worker| {
+            let mut rng = Rng(20);
+            let mut manager = Manager::new();
+            // Multiplicity per (input, row) as of the last command, so the stream can
+            // aim: retract to exactly zero, re-insert what was retracted.
+            let mut counts: BTreeMap<(String, u64), isize> = BTreeMap::new();
+            let mut wal_seq = 0u64;
+            let mut epochs = Vec::new();
+            for epoch in 1..=EPOCHS {
+                let mut sealed = Vec::new();
+                let actions = rng.below(14);
+                for action in 0..=actions {
+                    let query = QUERIES[rng.below(3) as usize];
+                    let global = GLOBALS[rng.below(3) as usize];
+                    let commands = match rng.below(100) {
+                        _ if action == actions => vec![Command::AdvanceTime { epoch }],
+                        0..=9 => vec![create(global, [None, Some(1)][rng.below(2) as usize])],
+                        10..=19 => vec![Command::Install {
+                            name: query.into(),
+                            plan: Plan::source(&local_of(query)).distinct(),
+                            locals: vec![local_of(query)],
+                        }],
+                        20..=27 => vec![Command::Uninstall {
+                            name: [query, global][rng.below(2) as usize].into(),
+                        }],
+                        _ => {
+                            let input = [global.to_string(), local_of(query)]
+                                [rng.below(2) as usize]
+                                .clone();
+                            let key = rng.below(6);
+                            let held = counts.get(&(input.clone(), key)).copied().unwrap_or(0);
+                            let diffs = match (held, rng.below(4)) {
+                                (0, 0) => vec![-1, 1], // retraction first; nets to nothing
+                                (0, 1) => vec![-2, 3], // ... or to an insertion
+                                (0, _) | (_, 0) => vec![1],
+                                (_, 1) => vec![-1],
+                                _ => vec![-held], // to exactly zero
+                            };
+                            diffs
+                                .into_iter()
+                                .map(|diff| update(&input, vec![key, key + 10], diff))
+                                .collect()
+                        }
+                    };
+                    for command in commands {
+                        let seq = wal_seq;
+                        wal_seq += 1;
+                        if manager.execute(worker, command.clone()).is_err() {
+                            continue;
+                        }
+                        match &command {
+                            Command::Update { name, row, diff } => {
+                                let Value::UInt(key) = row.fields()[0] else {
+                                    unreachable!("generated rows are unsigned")
+                                };
+                                *counts.entry((name.clone(), key)).or_insert(0) += diff;
+                            }
+                            Command::Uninstall { name } => counts
+                                .retain(|(input, _), _| input != name && *input != local_of(name)),
+                            _ => {}
+                        }
+                        sealed.push((seq, command));
+                    }
+                }
+                epochs.push(sealed);
+            }
+            epochs
+        })
+        .remove(0);
+
+        let mut tracker = StateTracker::default();
+        let mut log: Vec<Command> = Vec::new();
+        let (mut cancelled, mut emptied, mut dropped_locals) = (0, 0, 0);
+        for (index, sealed) in epochs.iter().enumerate() {
+            let epoch = index as u64 + 1;
+            let inputs_before = tracker.sealed.len();
+            let rows_before = tracker.rows;
+            tracker.apply_epoch(sealed.iter().map(|(seq, command)| (*seq, command)));
+            log.extend(sealed.iter().map(|(_, command)| command.clone()));
+
+            let (contents, globals, queries) = naive_fold(&log);
+            let held: BTreeMap<(String, Row), isize> = tracker
+                .sealed
+                .iter()
+                .flat_map(|(name, rows)| {
+                    rows.iter()
+                        .map(move |(row, diff)| ((name.clone(), row.clone()), *diff))
+                })
+                .collect();
+            assert_eq!(held, contents, "epoch {epoch}: sealed contents");
+            assert!(
+                tracker.sealed.values().all(|rows| !rows.is_empty()),
+                "epoch {epoch}: an emptied input lingers"
+            );
+            assert_eq!(
+                tracker.rows,
+                contents.len() as u64,
+                "epoch {epoch}: row count"
+            );
+            assert_eq!(tracker.inputs, globals, "epoch {epoch}: live inputs");
+            assert_eq!(tracker.epoch, epoch);
+            assert_eq!(tracker.watermark(), sealed.last().map(|(seq, _)| *seq));
+            cancelled += usize::from(tracker.rows < rows_before);
+            emptied += usize::from(tracker.sealed.len() < inputs_before);
+            dropped_locals += sealed
+                .iter()
+                .filter(|(_, c)| matches!(c, Command::Uninstall { name } if QUERIES.contains(&name.as_str())))
+                .count();
+
+            let globals: Vec<String> = globals.into_keys().collect();
+            let queries: Vec<String> = queries.into_keys().collect();
+            assert_eq!(
+                answers(
+                    tracker.bootstrap_commands(),
+                    globals.clone(),
+                    queries.clone(),
+                    epoch
+                ),
+                answers(log.clone(), globals, queries, epoch),
+                "epoch {epoch}: the bootstrap answers as the original stream does"
+            );
+        }
+        // The stream really went where the test claims it does.
+        assert!(cancelled > 20 && emptied > 5 && dropped_locals > 5);
+    }
+
     /// A checkpoint torn at any stage — the run-file write, the manifest temp-file
     /// write (torn or out of space), its fsync, or the final rename — returns an
     /// error and leaves the previous manifest in force; the identical retry then
@@ -632,34 +1051,26 @@ mod tests {
         use kpg_store::io::faults::FaultPlan;
         let dir = temp_dir("torn-ckpt");
         let mut tracker = StateTracker::default();
-        tracker.apply(
-            &Command::CreateInput {
-                name: "edges".into(),
-                key_arity: None,
-            },
+        seal(
+            &mut tracker,
             0,
+            &[
+                create("edges", None),
+                update("edges", vec![1, 2], 1),
+                Command::AdvanceTime { epoch: 1 },
+            ],
         );
-        tracker.apply(
-            &Command::Update {
-                name: "edges".into(),
-                row: row(vec![1, 2]),
-                diff: 1,
-            },
-            1,
-        );
-        assert!(tracker.apply(&Command::AdvanceTime { epoch: 1 }, 2));
         write_checkpoint(&dir, &tracker, 1).unwrap();
         let committed = Manifest::load(&dir).unwrap().unwrap();
 
-        tracker.apply(
-            &Command::Update {
-                name: "edges".into(),
-                row: row(vec![2, 3]),
-                diff: 1,
-            },
+        seal(
+            &mut tracker,
             3,
+            &[
+                update("edges", vec![2, 3], 1),
+                Command::AdvanceTime { epoch: 2 },
+            ],
         );
-        assert!(tracker.apply(&Command::AdvanceTime { epoch: 2 }, 4));
         for plan in [
             "write@1=short:5",  // the run file tears mid-write
             "write@1..=enospc", // the disk fills
@@ -687,6 +1098,127 @@ mod tests {
         // The identical retry, with the disk healthy again, commits.
         write_checkpoint(&dir, &tracker, 2).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap().unwrap().epoch, 2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `Manifest::commit` can fail *after* its rename (the directory fsync), leaving a
+    /// manifest in force that names the failed attempt's run file. The retry — cut
+    /// from a tracker that has meanwhile applied another epoch, and itself failing —
+    /// must not touch that file: recovery has to find the contents the manifest's
+    /// watermark denotes, or the WAL tail is replayed onto a state that includes it.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn a_failed_attempt_never_rewrites_a_run_file_a_manifest_may_name() {
+        use kpg_store::io::faults::FaultPlan;
+        let dir = temp_dir("fresh-ids");
+        let mut config = DurabilityConfig::new(&dir);
+        config.retry = kpg_store::RetryPolicy::none();
+        let mut next_id = 1;
+        let mut tracker = StateTracker::default();
+        seal(
+            &mut tracker,
+            0,
+            &[
+                create("edges", None),
+                update("edges", vec![1, 2], 1),
+                Command::AdvanceTime { epoch: 1 },
+            ],
+        );
+        checkpoint(&config, &tracker, &mut next_id, "test").unwrap();
+
+        seal(
+            &mut tracker,
+            3,
+            &[
+                update("edges", vec![2, 3], 1),
+                Command::AdvanceTime { epoch: 2 },
+            ],
+        );
+        let at_epoch_2 = tracker.bootstrap_commands();
+        // Run file fsync, manifest temp fsync, rename, then the directory fsync fails.
+        let guard = FaultPlan::parse("fsync@3=eio")
+            .unwrap()
+            .scoped(&dir)
+            .install();
+        assert!(checkpoint(&config, &tracker, &mut next_id, "test").is_err());
+        drop(guard);
+        let named = Manifest::load(&dir).unwrap().unwrap();
+        assert_eq!(named.epoch, 2, "the rename had already happened");
+        assert!(
+            tracker.checkpoint_stale(),
+            "yet the caller was told it failed"
+        );
+
+        // Another epoch seals; the retry fails at its own commit point.
+        seal(
+            &mut tracker,
+            5,
+            &[
+                update("edges", vec![3, 4], 1),
+                Command::AdvanceTime { epoch: 3 },
+            ],
+        );
+        let guard = FaultPlan::parse("rename@1=eio")
+            .unwrap()
+            .scoped(&dir)
+            .install();
+        assert!(checkpoint(&config, &tracker, &mut next_id, "test").is_err());
+        drop(guard);
+        assert_eq!(next_id, 4, "every attempt took its own id");
+
+        // A crash here recovers epoch 2's manifest with epoch 2's contents.
+        let recovered = recover(&config).unwrap();
+        assert_eq!(recovered.tracker.watermark(), Some(4));
+        assert_eq!(recovered.bootstrap, at_epoch_2);
+        // The new process may reuse the orphan's id: no manifest names it.
+        assert_eq!(recovered.next_checkpoint_id, 3);
+
+        // The disk healthy again, the next attempt commits and sweeps the rest.
+        checkpoint(&config, &tracker, &mut next_id, "test").unwrap();
+        assert_eq!(Manifest::load(&dir).unwrap().unwrap().epoch, 3);
+        let runs: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|entry| entry.file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".run"))
+            .collect();
+        assert_eq!(runs, vec![run_file_name(4)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Inside the retry budget too: the attempt that follows a failed one writes a
+    /// new file rather than truncating one the first may have committed.
+    #[cfg(feature = "faults")]
+    #[test]
+    fn in_budget_retries_take_fresh_ids() {
+        use kpg_store::io::faults::FaultPlan;
+        let dir = temp_dir("fresh-ids-retry");
+        let config = DurabilityConfig::new(&dir);
+        let mut next_id = 7;
+        let mut tracker = StateTracker::default();
+        seal(
+            &mut tracker,
+            0,
+            &[
+                create("edges", None),
+                update("edges", vec![1, 2], 1),
+                Command::AdvanceTime { epoch: 1 },
+            ],
+        );
+        let guard = FaultPlan::parse("fsync@3=eio")
+            .unwrap()
+            .scoped(&dir)
+            .install();
+        assert_eq!(
+            checkpoint(&config, &tracker, &mut next_id, "test").unwrap(),
+            2
+        );
+        drop(guard);
+        assert_eq!(next_id, 9);
+        let recovered = recover(&config).unwrap();
+        assert_eq!(recovered.next_checkpoint_id, 9, "the manifest names id 8");
+        assert_eq!(recovered.bootstrap, tracker.bootstrap_commands());
+        assert!(!dir.join(run_file_name(7)).exists(), "the orphan was swept");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -27,7 +27,10 @@
 //!   (query rows union-summed across worker shards, everything else identical by
 //!   determinism) into one wire [`Response`] and dispatches it to the origin client
 //!   *under the client-state lock*, so each client's responses leave in its request
-//!   order.
+//!   order. On a durable core the same deposit pushes the completed command onto the
+//!   open epoch's vector, and the one that completes an `AdvanceTime` hands the whole
+//!   epoch to the checkpoint thread (see [`crate::durability`]) — a push per command
+//!   and a channel send per epoch; an in-memory core pays one `Option` test.
 //! * **Ownership.** The sequencer tracks which client owns each *live* query. A name
 //!   is claimed when its `Install` **completes successfully** (completions occur in
 //!   log order, so claims are log-order consistent) — a failed install, duplicate or
@@ -39,7 +42,7 @@
 
 use kpg_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use kpg_sync::thread::JoinHandle;
-use kpg_sync::{mpsc, Arc, Condvar, Doorbell, Mutex};
+use kpg_sync::{mpsc, Arc, Condvar, Doorbell, Mutex, Weak};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 
@@ -48,7 +51,7 @@ use kpg_plan::{Command, Manager, PlanError, Response as PlanResponse, Row};
 use kpg_store::{RetryPolicy, StoreError, Wal, WalBatch};
 use kpg_wire::{Response, WireCodec};
 
-use crate::durability::{recover, write_checkpoint, DurabilityConfig, StateTracker};
+use crate::durability::{checkpoint, recover, DurabilityConfig, StateTracker};
 use crate::route::{ChannelRoute, ResponseRoute};
 
 /// Identifies one connected client (or test-registered pseudo-client).
@@ -63,8 +66,8 @@ pub struct SequencedCommand {
     pub origin: Option<(ClientId, u64)>,
     /// The command's WAL sequence number on a durable core. `None` for `Query`
     /// commands (reads are never logged) and for recovery-bootstrap entries (their
-    /// effects are already in the checkpoint the tracker was seeded from); the state
-    /// tracker follows exactly the completions that carry one.
+    /// effects are already in the checkpoint the tracker was seeded from); the
+    /// checkpoint thread is handed exactly the completions that carry one.
     pub wal_seq: Option<u64>,
     /// The command.
     pub command: Command,
@@ -127,8 +130,10 @@ struct PendingResponse {
     outcome: Outcome,
 }
 
-/// Client-facing state: response routing, response aggregation, and name ownership.
-/// One lock, so dispatch order equals completion order equals per-client request order.
+/// Client-facing state: response routing, response aggregation, and name ownership —
+/// plus, on a durable core, the hand-off of completed epochs to the checkpoint thread.
+/// One lock, so dispatch order equals completion order equals per-client request order
+/// (equals the order the checkpoint thread sees).
 struct ClientState {
     /// Live query name → owning client. Written only when an `Install` or `Uninstall`
     /// *completes* (and at submit for `Uninstall`, which can only free a name early),
@@ -139,19 +144,28 @@ struct ClientState {
     /// Where each client's responses go — a per-client channel
     /// ([`ChannelRoute`]) or the reactor's shared queue.
     routes: HashMap<ClientId, Arc<dyn ResponseRoute>>,
+    /// Durable cores only: the open epoch's successful, WAL-logged completions, in
+    /// log order (this lock serialises completions). Sent to the checkpoint thread,
+    /// whole, by the deposit that completes the epoch's `AdvanceTime`.
+    open_epoch: SealedEpoch,
+    /// The channel to the checkpoint thread; `None` on in-memory cores, before
+    /// [`ServerCore::start`], and after [`ServerCore::final_checkpoint`] closed it.
+    sealed_tx: Option<mpsc::Sender<SealedEpoch>>,
 }
 
-/// A queued checkpoint: a consistent tracker snapshot and the id to write it under.
-type CheckpointJob = (StateTracker, u64);
+/// What crosses the channel to the checkpoint thread: one sealed epoch's successful,
+/// WAL-logged completions in log order, the sealing `AdvanceTime` last.
+type SealedEpoch = Vec<Arc<SequencedCommand>>;
 
-/// The durable half of a [`ServerCore`]: the state tracker that follows completions,
-/// the background checkpoint writer it feeds, and the heal probe that retries the
-/// WAL while the core is degraded.
+/// The durable half of a [`ServerCore`]: the checkpoint thread that owns the state
+/// tracker (fed through `ClientState::sealed_tx`) and the heal probe that retries
+/// the WAL while the core is degraded.
 struct DurableState {
     config: DurabilityConfig,
-    tracker: Mutex<StateTracker>,
-    next_checkpoint_id: AtomicU64,
-    checkpoint_tx: Mutex<Option<mpsc::Sender<CheckpointJob>>>,
+    /// The recovered tracker and the next checkpoint id, parked here only until
+    /// [`ServerCore::start`] moves them onto the checkpoint thread's stack. Nothing
+    /// else ever reads or clones the tracker.
+    seed: Mutex<Option<(StateTracker, u64)>>,
     checkpoint_thread: Mutex<Option<JoinHandle<()>>>,
     probe_thread: Mutex<Option<JoinHandle<()>>>,
 }
@@ -199,6 +213,7 @@ pub struct HealthSnapshot {
     /// Consecutive failed WAL flush attempts; zero after any successful flush.
     pub wal_failures: u64,
     /// Consecutive failed checkpoint writes; zero after any successful checkpoint.
+    /// Seals that found the checkpoint thread dead count here too (and never reset).
     pub checkpoint_failures: u64,
     /// Times the core has entered degraded read-only mode.
     pub degraded_transitions: u64,
@@ -273,9 +288,7 @@ impl ServerCore {
         log.next_wal_seq = recovered.next_wal_seq;
         core.durable = Some(DurableState {
             config,
-            tracker: Mutex::new(recovered.tracker),
-            next_checkpoint_id: AtomicU64::new(recovered.next_checkpoint_id),
-            checkpoint_tx: Mutex::new(None),
+            seed: Mutex::new(Some((recovered.tracker, recovered.next_checkpoint_id))),
             checkpoint_thread: Mutex::new(None),
             probe_thread: Mutex::new(None),
         });
@@ -304,6 +317,8 @@ impl ServerCore {
                 owners: HashMap::new(),
                 pending: HashMap::new(),
                 routes: HashMap::new(),
+                open_epoch: Vec::new(),
+                sealed_tx: None,
             }),
             next_client: AtomicU64::new(0),
             durable: None,
@@ -318,56 +333,10 @@ impl ServerCore {
 
     /// Starts the worker pool on a background thread. The thread exits once
     /// [`ServerCore::close`] is called and the log is drained. On a durable core this
-    /// also starts the background checkpoint writer.
+    /// also starts the checkpoint thread and the heal probe.
     pub fn start(self: &Arc<Self>) -> kpg_sync::thread::JoinHandle<()> {
         if let Some(durable) = &self.durable {
-            let (sender, receiver) = mpsc::channel::<CheckpointJob>();
-            *durable
-                .checkpoint_tx
-                .lock()
-                .expect("checkpoint sender poisoned") = Some(sender);
-            // Weak: the writer must not keep a closed core (and its WAL) alive.
-            let weak = Arc::downgrade(self);
-            let dir = durable.config.dir.clone();
-            let retry = durable.config.retry;
-            let thread = kpg_sync::thread::Builder::new()
-                .name("kpg-server-checkpoint".to_string())
-                .spawn(move || {
-                    while let Ok((snapshot, id)) = receiver.recv() {
-                        let Some(core) = weak.upgrade() else { break };
-                        match retry
-                            .run("checkpoint write", || write_checkpoint(&dir, &snapshot, id))
-                        {
-                            Ok(watermark) => {
-                                core.health.checkpoint_failures.store(0, Ordering::Relaxed);
-                                core.prune_wal(watermark);
-                            }
-                            // A failed checkpoint leaves the previous one in force; the
-                            // WAL keeps everything and recovery stays correct. But a disk
-                            // that cannot take checkpoints cannot bound recovery time (or
-                            // likely take WAL writes for long), so degrade: stop
-                            // acknowledging new mutations until the probe sees writes
-                            // succeed again.
-                            Err(error) => {
-                                let failures = core
-                                    .health
-                                    .checkpoint_failures
-                                    .fetch_add(1, Ordering::Relaxed)
-                                    + 1;
-                                eprintln!(
-                                    "kpg_server: checkpoint {id} failed \
-                                     ({failures} consecutive): {error}"
-                                );
-                                core.enter_degraded("checkpointing", &error);
-                            }
-                        }
-                    }
-                })
-                .expect("failed to spawn the checkpoint thread");
-            *durable
-                .checkpoint_thread
-                .lock()
-                .expect("checkpoint thread poisoned") = Some(thread);
+            self.start_checkpointer(durable);
             // The heal probe: while the core is degraded, periodically retry the WAL
             // flush; the first success flips the core back to accepting mutations.
             // Idle (a single flag load per tick) when healthy.
@@ -398,6 +367,109 @@ impl ServerCore {
                 });
             })
             .expect("failed to spawn the server engine thread")
+    }
+
+    /// Spawns the `kpg-server-checkpoint` thread and opens the sealed-epoch channel
+    /// `deposit` feeds it through.
+    fn start_checkpointer(self: &Arc<Self>, durable: &DurableState) {
+        let (tracker, next_id) = durable
+            .seed
+            .lock()
+            .expect("tracker seed poisoned")
+            .take()
+            .expect("a durable core is started once");
+        let (sender, receiver) = mpsc::channel::<SealedEpoch>();
+        self.clients
+            .lock()
+            .expect("client state poisoned")
+            .sealed_tx = Some(sender);
+        // Weak: the writer must not keep a closed core (and its WAL) alive.
+        let weak = Arc::downgrade(self);
+        let config = durable.config.clone();
+        let thread = kpg_sync::thread::Builder::new()
+            .name("kpg-server-checkpoint".to_string())
+            .spawn(move || Self::checkpoint_loop(&weak, &receiver, tracker, next_id, &config))
+            .expect("failed to spawn the checkpoint thread");
+        *durable
+            .checkpoint_thread
+            .lock()
+            .expect("checkpoint thread poisoned") = Some(thread);
+    }
+
+    /// [`ServerCore::start`]'s durable half without the engine and the heal probe:
+    /// the deterministic-schedule tests drive the workers themselves
+    /// ([`ServerCore::model_worker_loop`]) and need only the checkpoint thread.
+    #[cfg(feature = "model")]
+    pub fn model_start_checkpointer(self: &Arc<Self>) {
+        if let Some(durable) = &self.durable {
+            self.start_checkpointer(durable);
+        }
+    }
+
+    /// The checkpoint thread: owns the state tracker, applies sealed epochs to it in
+    /// the order they arrive (log order), and writes checkpoints from it in place.
+    /// When the channel closes with the core still alive — which is
+    /// [`ServerCore::final_checkpoint`] — it writes the shutdown checkpoint too.
+    fn checkpoint_loop(
+        core: &Weak<ServerCore>,
+        sealed: &mpsc::Receiver<SealedEpoch>,
+        mut tracker: StateTracker,
+        mut next_id: u64,
+        config: &DurabilityConfig,
+    ) {
+        let apply = |tracker: &mut StateTracker, epoch: SealedEpoch| {
+            tracker.apply_epoch(epoch.iter().map(|entry| {
+                let wal_seq = entry.wal_seq.expect("only WAL-logged completions cross");
+                (wal_seq, &entry.command)
+            }));
+        };
+        while let Ok(epoch) = sealed.recv() {
+            apply(&mut tracker, epoch);
+            // Epochs that sealed while the last checkpoint was being written are
+            // waiting as commands: catch up before deciding, so the next checkpoint
+            // covers all of them and none is cut from a state already superseded.
+            for epoch in sealed.try_iter() {
+                apply(&mut tracker, epoch);
+            }
+            if !tracker.checkpoint_due(config.checkpoint_every) {
+                continue;
+            }
+            let Some(core) = core.upgrade() else { return };
+            match checkpoint(config, &tracker, &mut next_id, "checkpoint write") {
+                Ok(watermark) => {
+                    tracker.note_checkpoint();
+                    core.health.checkpoint_failures.store(0, Ordering::Relaxed);
+                    core.prune_wal(watermark);
+                }
+                // A failed checkpoint leaves a committed one in force; the WAL keeps
+                // everything and recovery stays correct. The tracker's count stands,
+                // so the very next seal tries again (under a fresh id, as every
+                // attempt does). But a disk that cannot take checkpoints cannot bound
+                // recovery time (or likely take WAL writes for long), so degrade:
+                // stop acknowledging new mutations until the probe sees writes
+                // succeed again.
+                Err(error) => {
+                    let failures = core
+                        .health
+                        .checkpoint_failures
+                        .fetch_add(1, Ordering::Relaxed)
+                        + 1;
+                    eprintln!("kpg_server: {error} ({failures} consecutive)");
+                    core.enter_degraded("checkpointing", &error);
+                }
+            }
+        }
+        // The channel closed. A core that is gone was dropped without a shutdown
+        // checkpoint (as a crash would leave it); one that is alive asked for it.
+        let Some(core) = core.upgrade() else { return };
+        if tracker.checkpoint_stale() {
+            match checkpoint(config, &tracker, &mut next_id, "final checkpoint") {
+                Ok(watermark) => core.prune_wal(watermark),
+                // Not fatal for this shutdown: the WAL was flushed by `close`, so
+                // recovery replays it against the previous checkpoint instead.
+                Err(error) => eprintln!("kpg_server: {error}"),
+            }
+        }
     }
 
     /// Blocks until every worker has consumed the recovery replay (the bootstrap and
@@ -456,7 +528,7 @@ impl ServerCore {
 
     /// Flips the core into degraded read-only mode (idempotent; counts and logs the
     /// transition once).
-    fn enter_degraded(&self, cause: &str, error: &StoreError) {
+    fn enter_degraded(&self, cause: &str, error: &dyn std::fmt::Display) {
         if !self.health.degraded.swap(true, Ordering::SeqCst) {
             self.health
                 .degraded_transitions
@@ -503,19 +575,21 @@ impl ServerCore {
         }
     }
 
-    /// Flushes every outstanding WAL record and writes a final checkpoint. Called by
-    /// the owner after the engine has drained (so the tracker is final); a no-op on
-    /// in-memory cores. Idempotent.
+    /// Has the checkpoint thread write a final checkpoint and waits for it. Called by
+    /// the owner after the engine has drained (so every sealed epoch has been handed
+    /// over); a no-op on in-memory cores. Idempotent.
     pub fn final_checkpoint(&self) {
         let Some(durable) = &self.durable else {
             return;
         };
-        // Stop the background writer first so the final checkpoint cannot race or
-        // be superseded by a queued (older) snapshot.
-        let sender = durable
-            .checkpoint_tx
+        // Closing the channel is the request: the thread applies every epoch still
+        // queued, then — finding the core alive — writes the shutdown checkpoint from
+        // its own tracker if anything was logged since the last one, and exits.
+        let sender = self
+            .clients
             .lock()
-            .expect("checkpoint sender poisoned")
+            .expect("client state poisoned")
+            .sealed_tx
             .take();
         drop(sender);
         let thread = durable
@@ -534,25 +608,6 @@ impl ServerCore {
             .take();
         if let Some(probe) = probe {
             let _ = probe.join();
-        }
-        let tracker = durable.tracker.lock().expect("state tracker poisoned");
-        if tracker.watermark().is_some() {
-            let id = durable.next_checkpoint_id.fetch_add(1, Ordering::Relaxed);
-            // The engine has drained and the background writer is joined, so
-            // holding the tracker lock across the checkpoint write contends with
-            // nothing; taking it keeps the snapshot borrow simple.
-            let _fsync = kpg_sync::blocking::allow_blocking(
-                "final checkpoint writes under the tracker lock after drain",
-            );
-            let result = durable.config.retry.run("final checkpoint", || {
-                write_checkpoint(&durable.config.dir, &tracker, id)
-            });
-            match result {
-                Ok(watermark) => self.prune_wal(watermark),
-                // Not fatal for this shutdown: the WAL was flushed by `close`, so
-                // recovery replays it against the previous checkpoint instead.
-                Err(error) => eprintln!("kpg_server: final checkpoint failed: {error}"),
-            }
         }
     }
 
@@ -945,7 +1000,7 @@ impl ServerCore {
     /// dispatches to the origin client. All of it happens under the client-state
     /// lock, and completions occur in log order (every worker deposits in log order),
     /// so ownership and response order are both log-order consistent.
-    fn deposit(&self, entry: &SequencedCommand, result: Result<PlanResponse, PlanError>) {
+    fn deposit(&self, entry: &Arc<SequencedCommand>, result: Result<PlanResponse, PlanError>) {
         let mut clients = self.clients.lock().expect("client state poisoned");
         let workers = self.workers;
         let pending = clients.pending.entry(entry.seq).or_insert(PendingResponse {
@@ -984,27 +1039,33 @@ impl ServerCore {
             .expect("completed response present");
         let succeeded = !matches!(pending.outcome, Outcome::Failed(_));
         self.apply_ownership(&mut clients, entry, succeeded);
-        // Durable path: fold the completion into the state tracker. Completions occur
-        // in log order (and are serialized by the clients lock we hold), so tracker
-        // state after applying the command with WAL sequence `w` is exactly the
-        // effect of WAL records `<= w` — when an `AdvanceTime` seals an epoch, that
-        // state is a consistent cut and may be cut as a checkpoint. Failed commands
-        // change nothing (and re-fail deterministically if ever replayed).
-        if succeeded {
-            if let (Some(durable), Some(wal_seq)) = (self.durable.as_ref(), entry.wal_seq) {
-                let mut tracker = durable.tracker.lock().expect("state tracker poisoned");
-                let sealed = tracker.apply(&entry.command, wal_seq);
-                if sealed && tracker.checkpoint_due(durable.config.checkpoint_every) {
-                    tracker.note_checkpoint();
-                    let id = durable.next_checkpoint_id.fetch_add(1, Ordering::Relaxed);
-                    let sender = durable
-                        .checkpoint_tx
-                        .lock()
-                        .expect("checkpoint sender poisoned");
-                    if let Some(sender) = sender.as_ref() {
-                        // A full or closed channel only delays the checkpoint.
-                        let _ = sender.send((tracker.clone(), id));
-                    }
+        // Durable path: collect the completion for the checkpoint thread. Completions
+        // occur in log order (and are serialized by the clients lock we hold), so the
+        // open epoch's vector is in log order, and when an `AdvanceTime` completes it
+        // is exactly the WAL records since the previous seal that took effect — the
+        // delta between two consistent cuts. Failed commands change nothing (and
+        // re-fail deterministically if ever replayed), so they are left out.
+        // (Only a durable core assigns WAL sequence numbers: an in-memory one pays
+        // this one `Option` test.)
+        if succeeded && entry.wal_seq.is_some() {
+            clients.open_epoch.push(Arc::clone(entry));
+            if matches!(entry.command, Command::AdvanceTime { .. }) {
+                // The next epoch is probably this one's size: one allocation, not a
+                // doubling series under the lock.
+                let next = Vec::with_capacity(clients.open_epoch.len());
+                let epoch = std::mem::replace(&mut clients.open_epoch, next);
+                let sealed = clients.sealed_tx.as_ref();
+                if sealed.is_some_and(|sealed| sealed.send(epoch).is_err()) {
+                    // The receiver is gone with our sender still open: the checkpoint
+                    // thread died (a panic — it exits cleanly only once the channel
+                    // is closed). Nothing acknowledged is lost, the WAL holds every one
+                    // of these commands, but no checkpoint will ever bound recovery
+                    // or prune the log again. Report it the way a failing checkpoint
+                    // disk is reported, at every seal, so it cannot pass unseen.
+                    self.health
+                        .checkpoint_failures
+                        .fetch_add(1, Ordering::Relaxed);
+                    self.enter_degraded("checkpointing", &"the checkpoint thread has died");
                 }
             }
         }
@@ -1056,5 +1117,71 @@ impl ServerCore {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    /// A checkpoint thread that dies (here: handed an entry no deposit would ever
+    /// send) must not fail silently. Every later seal finds the channel's receiver
+    /// gone, counts a checkpoint failure and degrades, exactly as a disk that cannot
+    /// take checkpoints does — and nothing acknowledged is lost: the WAL has it all.
+    #[test]
+    fn a_dead_checkpoint_thread_shows_in_health() {
+        let dir = std::env::temp_dir().join(format!("kpg-engine-dead-ckpt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut config = DurabilityConfig::new(&dir);
+        config.probe_interval = Duration::from_millis(5);
+        let core = Arc::new(ServerCore::durable(1, false, config.clone()).expect("open"));
+        let engine = core.start();
+        let unlogged = Arc::new(SequencedCommand {
+            seq: 0,
+            origin: None,
+            wal_seq: None,
+            command: Command::AdvanceTime { epoch: 1 },
+        });
+        let sender = core.clients.lock().unwrap().sealed_tx.clone();
+        sender
+            .expect("a started durable core feeds its checkpoint thread")
+            .send(vec![unlogged])
+            .expect("the thread is still alive");
+
+        let (client, responses) = core.register_client();
+        let mut acked = 0u64;
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while core.health().checkpoint_failures == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the dead thread was never noticed"
+            );
+            core.submit(client, acked, Command::AdvanceTime { epoch: acked + 1 });
+            match responses.recv().expect("every command is answered") {
+                (_, Response::Ok) => acked += 1,
+                // Degraded by an earlier seal whose count this loop is about to read.
+                (_, Response::PlanError { code, .. }) => assert_eq!(code, "degraded-read-only"),
+                (_, other) => panic!("unexpected response: {other:?}"),
+            }
+        }
+        assert!(core.health().degraded_transitions >= 1);
+        core.close();
+        engine.join().expect("engine exits");
+        core.final_checkpoint();
+        drop(core);
+
+        let recovered = recover(&config).expect("recover");
+        assert!(recovered.bootstrap.is_empty(), "no checkpoint was ever cut");
+        let sealed: Vec<u64> = recovered
+            .tail
+            .iter()
+            .map(|(_, command)| match command {
+                Command::AdvanceTime { epoch } => *epoch,
+                other => panic!("unexpected WAL record: {other:?}"),
+            })
+            .collect();
+        assert_eq!(sealed, (1..=acked).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

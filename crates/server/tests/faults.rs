@@ -225,15 +225,12 @@ fn checkpoint_failures_degrade_count_and_reset() {
         // the consecutive-failure count.
         drop(guard);
         await_health(&server, "the heal", |health| !health.degraded);
-        let reset = Instant::now() + Duration::from_secs(30);
-        while server.health().checkpoint_failures != 0 {
-            assert!(
-                Instant::now() < reset,
-                "count never reset: {:?}",
-                server.health()
-            );
-            churn(&mut c, 1, &server);
-        }
+        // The failed checkpoint stays due: the very next sealed epoch retries it
+        // (and succeeds), not the one an interval's worth of commands later.
+        churn(&mut c, 1, &server);
+        await_health(&server, "the retry at the next seal", |health| {
+            health.checkpoint_failures == 0
+        });
         rows_before = step_rows(&mut c, "tally");
         assert!(!rows_before.is_empty());
         drop(c);
@@ -245,6 +242,58 @@ fn checkpoint_failures_degrade_count_and_reset() {
         .expect("install over recovered input");
     c.advance(1_000_000).expect("advance");
     assert_eq!(step_rows(&mut c, "check"), rows_before);
+    drop(c);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A checkpoint that fails past its retry budget stays due. With 100 rows held the
+/// cadence asks for a checkpoint only every ~100 logged commands, so a tracker that
+/// counted the failed attempt as done would leave the WAL unprunable for another
+/// state's worth of commands; instead the first epoch sealed after the heal retries.
+#[test]
+fn failed_checkpoint_is_retried_at_the_very_next_seal() {
+    const ROWS: u64 = 100;
+    let dir = temp_dir("ckpt-retry");
+    let server = durable_server(&dir, 2, 1 << 20);
+    let mut c = client(&server);
+    c.create_input("steps", None).expect("create input");
+    for step in 1..=ROWS {
+        c.update("steps", row(step), 1).expect("load");
+    }
+    // The load's own seal is due (a command per row) and commits a checkpoint.
+    c.advance(ROWS).expect("seal the load");
+
+    let guard = FaultPlan::parse("rename@1..=eio")
+        .unwrap()
+        .scoped(&dir)
+        .install();
+    let mut step = ROWS;
+    // One two-command epoch, retried across degraded rejections until it seals.
+    let mut seal_one = |c: &mut Client| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        step += 1;
+        while let Err(error) = c
+            .update("steps", row(step), 1)
+            .and_then(|()| c.advance(step))
+        {
+            assert!(is_degraded_error(&error), "step {step}: {error:?}");
+            assert!(Instant::now() < deadline, "step {step} never sealed");
+            kpg_sync::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.health().checkpoint_failures == 0 {
+        assert!(Instant::now() < deadline, "no checkpoint ever came due");
+        seal_one(&mut c);
+    }
+
+    drop(guard);
+    await_health(&server, "the heal", |health| !health.degraded);
+    seal_one(&mut c);
+    await_health(&server, "the retry at the next seal", |health| {
+        health.checkpoint_failures == 0
+    });
     drop(c);
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);

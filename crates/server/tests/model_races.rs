@@ -1,12 +1,13 @@
-//! Deterministic-schedule exploration of the server's five historical races.
+//! Deterministic-schedule exploration of the server's historical races.
 //!
 //! Each test runs its scenario under `kpg_sync::model::explore`, which serializes the
 //! threads onto one runnable-at-a-time scheduler and explores interleavings — first
 //! exhaustively (small bounds), then with PCT-style randomized priorities. A failing
 //! schedule panics with a replayable decision trace (`KPG_MODEL_REPLAY_TRACE=...`).
 //!
-//! The six scenarios are the races this repo actually shipped fixes for, re-pinned
-//! here as schedule-exhaustive invariants rather than timing-dependent stress tests:
+//! The first six scenarios are the races this repo actually shipped fixes for,
+//! re-pinned here as schedule-exhaustive invariants rather than timing-dependent
+//! stress tests; the seventh pins the hand-off that replaced a shared, locked tracker:
 //!
 //! 1. *Sequencer arbitration*: concurrent same-name installs — exactly one winner,
 //!    and ownership matches the log's arbitration order.
@@ -20,6 +21,10 @@
 //!    depth without deadlocking the wakeup protocol.
 //! 6. *Accept backoff*: a listener muted by a transient accept failure re-arms and
 //!    accepts a connection whose readiness event fired while muted.
+//! 7. *Sealed-epoch hand-off*: the checkpoint thread owns the state tracker and is fed
+//!    sealed epochs over a channel — the last epoch's hand-off racing `close` +
+//!    `final_checkpoint` is never lost, and with two workers depositing the epochs
+//!    still arrive in log order.
 //!
 //! The reactor-side protocols (3, 5, 6) model the `Waker` — a real pipe fd the
 //! scheduler cannot see — as a [`Doorbell`], which has exactly the semantics the
@@ -31,8 +36,8 @@
 
 use std::collections::HashSet;
 
-use kpg_plan::{Command, Plan, PlanError, Response as PlanResponse};
-use kpg_server::ServerCore;
+use kpg_plan::{Command, Plan, PlanError, Response as PlanResponse, Row, Value};
+use kpg_server::{DurabilityConfig, ServerCore};
 use kpg_sync::atomic::{AtomicBool, Ordering};
 use kpg_sync::model::{explore, Config};
 use kpg_sync::{mpsc, thread, Arc, Doorbell, Mutex};
@@ -250,9 +255,9 @@ fn shutdown_vs_accept_closes_every_connection() {
 /// Race 4: group commit vs checkpoint/prune. A protocol model of `engine.rs`'s
 /// durability watermarks: the appender assigns WAL sequence numbers under the log
 /// lock and makes an epoch's records *visible to workers only after* the group-commit
-/// fsync (exactly `ServerCore::append`); the worker applies completions to the
-/// tracker watermark; the checkpointer snapshots the watermark and prunes the WAL
-/// below it. Invariant: no interleaving prunes (or checkpoints past) a record that
+/// fsync (exactly `ServerCore::append_locked`); the worker hands each completed epoch's
+/// watermark to the checkpointer, which checkpoints at it and prunes the WAL below
+/// it. Invariant: no interleaving prunes (or checkpoints past) a record that
 /// is not yet durable — the bug the historical checkpoint/truncation race shipped.
 #[test]
 fn group_commit_watermark_never_prunes_undurable_records() {
@@ -451,6 +456,135 @@ fn accept_backoff_rearms_without_stranding_connections() {
             accepted.len() + queued,
             1,
             "the backoff window lost a connection"
+        );
+    });
+}
+
+/// Race 7's scenario: a durable core on a fresh directory, `workers` stub workers and
+/// the real checkpoint thread, checkpointing at every seal so a write is usually in
+/// flight when the next epoch is handed over. `commands` are submitted, the log is
+/// closed, the workers drain, and `final_checkpoint` asks the thread for the shutdown
+/// checkpoint. Returns what a restart on that directory would replay: the bootstrap
+/// synthesized from the last committed checkpoint, then the WAL tail past it.
+fn recovered_after_shutdown(workers: usize, commands: &[Command]) -> Vec<Command> {
+    use kpg_sync::atomic::AtomicU64;
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "kpg-model-handoff-{}-{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.checkpoint_every = 1;
+
+    let core = Arc::new(ServerCore::durable(workers, false, durability.clone()).expect("open"));
+    core.model_start_checkpointer();
+    let stubs: Vec<_> = (0..workers)
+        .map(|worker| {
+            let core = Arc::clone(&core);
+            thread::spawn(move || {
+                let mut installed = HashSet::new();
+                core.model_worker_loop(worker, |command| stub_execute(&mut installed, command));
+            })
+        })
+        .collect();
+    let (client, _responses) = core.register_client();
+    for (reply, command) in commands.iter().enumerate() {
+        core.submit(client, reply as u64, command.clone());
+    }
+    core.close();
+    for stub in stubs {
+        stub.join().unwrap();
+    }
+    core.final_checkpoint();
+    drop(core);
+
+    let recovered = ServerCore::durable(1, true, durability)
+        .expect("reopen")
+        .command_log();
+    let _ = std::fs::remove_dir_all(&dir);
+    recovered
+}
+
+fn update(name: &str, value: u64) -> Command {
+    Command::Update {
+        name: name.to_string(),
+        row: Row::from(vec![Value::UInt(value)]),
+        diff: 1,
+    }
+}
+
+fn create(name: &str) -> Command {
+    Command::CreateInput {
+        name: name.to_string(),
+        key_arity: None,
+    }
+}
+
+/// Race 7a: the last `AdvanceTime`'s hand-off vs `close` + `final_checkpoint`. The
+/// deposit that seals epoch 2 sends it while the checkpoint thread may be idle, mid
+/// write of epoch 1's checkpoint, or draining; the channel then closes behind it. On
+/// every schedule the shutdown checkpoint covers the whole log: recovery is the
+/// collapsed state at epoch 2 and an empty WAL tail.
+#[test]
+fn last_epoch_handoff_vs_final_checkpoint_is_never_lost() {
+    explore("handoff_vs_final_checkpoint", small_config(), || {
+        let recovered = recovered_after_shutdown(
+            1,
+            &[
+                create("steps"),
+                update("steps", 1),
+                Command::AdvanceTime { epoch: 1 },
+                update("steps", 2),
+                Command::AdvanceTime { epoch: 2 },
+            ],
+        );
+        assert_eq!(
+            recovered,
+            vec![
+                create("steps"),
+                update("steps", 1),
+                update("steps", 2),
+                Command::AdvanceTime { epoch: 2 },
+            ],
+            "the shutdown checkpoint must cover every sealed epoch"
+        );
+    });
+}
+
+/// Race 7b: two workers deposit every command, and whichever deposits last completes
+/// it — so consecutive epochs are sealed (and sent) by different threads. The log
+/// below only collapses to the expected state if the checkpoint thread applies the
+/// epochs in log order: epoch 2 drops and recreates the input epoch 1 filled.
+#[test]
+fn sealed_epochs_cross_in_log_order_with_two_workers() {
+    explore("handoff_log_order", small_config(), || {
+        let recovered = recovered_after_shutdown(
+            2,
+            &[
+                create("steps"),
+                update("steps", 1),
+                Command::AdvanceTime { epoch: 1 },
+                Command::Uninstall {
+                    name: "steps".to_string(),
+                },
+                create("steps"),
+                update("steps", 2),
+                Command::AdvanceTime { epoch: 2 },
+                update("steps", 3),
+                Command::AdvanceTime { epoch: 3 },
+            ],
+        );
+        assert_eq!(
+            recovered,
+            vec![
+                create("steps"),
+                update("steps", 2),
+                update("steps", 3),
+                Command::AdvanceTime { epoch: 3 },
+            ],
+            "epochs must be applied in log order"
         );
     });
 }

@@ -351,6 +351,111 @@ fn sigterm_shuts_down_gracefully_and_preserves_open_updates() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The id of the newest `ckpt-<id>.run` in `dir` (0 if none). Ids start at 1 and every
+/// attempt takes one, so on a disk that never fails this is how many have completed.
+fn checkpoints_completed(dir: &Path) -> u64 {
+    std::fs::read_dir(dir)
+        .expect("read the durable directory")
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name();
+            let id = name.to_str()?.strip_prefix("ckpt-")?.strip_suffix(".run")?;
+            u64::from_str_radix(id, 16).ok()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// Checkpoints are amortised against log growth: with R rows held, one is cut per ~R
+/// logged commands — not one per `checkpoint_every` — so all the checkpoints of a run
+/// together write no more rows than twice the commands it logged. Counted the way
+/// the benchmark counts (run-file ids in the directory of a `kill -9`ed server), and
+/// the restart still recovers the last acknowledged epoch from checkpoint + tail.
+#[test]
+fn checkpoint_cadence_follows_log_growth_not_the_floor() {
+    const ROWS: u64 = 300;
+    const EPOCHS: u64 = 1501;
+    let dir = temp_dir("cadence");
+    let (mut child, addr) = spawn_server_process(&dir, 4);
+    let mut client = Client::connect(addr).expect("connect to child");
+    client.create_input("steps", None).expect("create input");
+    client
+        .install("tally", Plan::source("steps").distinct(), &[])
+        .expect("install tally");
+    for step in 1..=ROWS {
+        client.update("steps", row(&[step]), 1).expect("load");
+    }
+    client.advance(1).expect("seal the load");
+    // Single-update epochs toggling one extra row: the state stays at R or R + 1.
+    for epoch in 2..=EPOCHS + 1 {
+        let diff = if epoch % 2 == 0 { 1 } else { -1 };
+        client.update("steps", row(&[0]), diff).expect("toggle");
+        client.advance(epoch).expect("advance");
+    }
+    drop(client);
+    child.kill().expect("SIGKILL the server");
+    let _ = child.wait();
+
+    let logged = 2 * EPOCHS;
+    let completed = checkpoints_completed(&dir);
+    assert!(
+        (2..=logged / ROWS + 2).contains(&completed),
+        "{completed} checkpoints for {logged} commands logged against {ROWS} rows \
+         (one per {ROWS} commands is the rule; one per 4 would be {})",
+        logged / 4
+    );
+    assert!(completed * (ROWS + 1) <= 2 * logged + 2 * ROWS);
+
+    // EPOCHS is odd, so the last acknowledged epoch inserted the toggled row.
+    let (mut child, addr) = spawn_server_process(&dir, 4);
+    let mut client = Client::connect(addr).expect("connect after restart");
+    let rows = client.query("tally").expect("query recovered tally");
+    let expected: Vec<(Row, isize)> = (0..=ROWS).map(|step| (row(&[step]), 1)).collect();
+    assert_eq!(rows, expected, "the last acknowledged epoch is back");
+    drop(client);
+    child.kill().expect("tear down");
+    let _ = child.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `checkpoint_every` is the floor of the cadence: a state of at most that many rows
+/// is checkpointed every `checkpoint_every` logged commands, exactly as before.
+#[test]
+fn tiny_states_checkpoint_at_the_floor() {
+    let dir = temp_dir("floor");
+    let mut server = durable_server(&dir, 4, 1 << 20);
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let await_checkpoint = |id: u64| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while checkpoints_completed(&dir) != id {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "checkpoint {id} never landed (at {})",
+                checkpoints_completed(&dir)
+            );
+            kpg_sync::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    // Four commands, two rows: the load's seal is the first checkpoint.
+    client.create_input("steps", None).expect("create input");
+    client.update("steps", row(&[1]), 1).expect("update");
+    client.update("steps", row(&[2]), 1).expect("update");
+    client.advance(1).expect("advance");
+    await_checkpoint(1);
+    // Then one per four logged commands (two single-update epochs), never more.
+    for round in 1..=10u64 {
+        for epoch in [2 * round, 2 * round + 1] {
+            let diff = if epoch % 2 == 0 { 1 } else { -1 };
+            client.update("steps", row(&[3]), diff).expect("toggle");
+            client.advance(epoch).expect("advance");
+        }
+        await_checkpoint(1 + round);
+    }
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Drives a [`ServerCore`] directly (no TCP, no client disconnect): runs `commands`,
 /// waits for every acknowledgement, closes the core *without* a final checkpoint —
 /// leaving the directory exactly as a crash after the last group commit would: all

@@ -77,6 +77,12 @@ SCHEMAS = {
     # also carry `ratio_2x` (this size's ms over the previous size's): a linear
     # reduce doubles, so that is the number to watch, not the milliseconds.
     "micro_reduce_bulk": {"keys", "ms"},
+    # `micro --durable-epoch`: the same 100-update epochs on an in-memory and on a
+    # durable core, one record per state size (each double the last). `overhead_us`
+    # is durable minus in-memory; records after the first also carry
+    # `overhead_vs_smallest_x`, which must stay near 1: durability costs O(changes),
+    # so an epoch of fixed size does not notice the state growing.
+    "micro_durable_epoch": {"rows", "memory_us", "durable_us", "overhead_us"},
     # The fault-injection sweep: every point must be answered without panics or
     # invariant violations, and heal latency (fault cleared -> read-write again)
     # is the robustness number being tracked.
