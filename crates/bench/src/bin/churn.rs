@@ -16,22 +16,12 @@
 //! measures what plan compilation, the uniform row representation, and the command
 //! protocol cost relative to the closure baseline.
 //!
-//! With `--durable` (implies `--plan`), worker 0 additionally writes every command to
-//! a real `kpg_store` WAL with the server's group-commit discipline — staged per
-//! epoch, committed and fsynced when the epoch advances — and the run is compared
-//! against an identical in-memory run. Three extra BENCH records come out:
-//! `churn_plan_durable` (the churn numbers plus the steady-state ratio vs memory),
-//! `wal_append` (logged bytes/sec and fsync-batched commit latency), and
-//! `recovery_replay` (commands/sec replaying the finished log into a fresh
-//! [`Manager`]).
-//!
 //! Run with `cargo run --release -p kpg_bench --bin churn -- [--queries 1000]
-//! [--batch 4] [--workers 1] [--nodes 500] [--edges 4000] [--plan] [--durable]`.
+//! [--batch 4] [--workers 1] [--nodes 500] [--edges 4000] [--plan]`.
 //! Emits one-line `BENCH {...}` JSON records for scripts, plus human-readable
 //! summaries.
 
-use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use kpg_bench::{arg_flag, arg_string, arg_usize, bench_record, num, text, LatencyRecorder};
 use kpg_core::prelude::*;
@@ -40,78 +30,7 @@ use kpg_graph::generate;
 use kpg_graph::interactive::{InteractiveSession, QueryIo};
 use kpg_graph::plans::{edge_row, lookup_plan, node_row, two_hop_plan};
 use kpg_plan::{ArrangeKey, Command, KeySpec, Manager, Plan};
-use kpg_store::{Wal, WalBatch};
 use kpg_timestamp::rng::SmallRng;
-use kpg_wire::WireCodec;
-
-/// What the WAL cost during a durable run: logged volume and the per-epoch
-/// group-commit (write + fsync) latency.
-struct WalReport {
-    /// Framed bytes appended (payload + record header).
-    bytes: u64,
-    /// One sample per epoch seal: `commit(batch)` + `sync()`.
-    commits: LatencyRecorder,
-    /// Total wall time inside commit + sync, for the bytes/sec figure.
-    commit_total: Duration,
-}
-
-/// Worker 0's command log during a durable churn run, driven with the server's
-/// discipline: every command staged, the batch committed and fsynced when an
-/// `AdvanceTime` seals the epoch.
-struct DurableLog {
-    wal: Wal,
-    pending: WalBatch,
-    next_seq: u64,
-    report: WalReport,
-}
-
-impl DurableLog {
-    fn open(dir: &PathBuf) -> DurableLog {
-        let (wal, records) = Wal::open(dir, 8 << 20).expect("open the churn WAL");
-        assert!(
-            records.is_empty(),
-            "the churn WAL directory must start empty"
-        );
-        DurableLog {
-            wal,
-            pending: WalBatch::new(),
-            next_seq: 0,
-            report: WalReport {
-                bytes: 0,
-                commits: LatencyRecorder::new(),
-                commit_total: Duration::ZERO,
-            },
-        }
-    }
-
-    fn stage(&mut self, command: &Command) {
-        let body = command.encode();
-        // Framed size: 4-byte length + 4-byte CRC + 8-byte sequence + body.
-        self.report.bytes += body.len() as u64 + 16;
-        self.pending.put(self.next_seq, body);
-        self.next_seq += 1;
-        if matches!(command, Command::AdvanceTime { .. }) {
-            self.seal();
-        }
-    }
-
-    fn seal(&mut self) {
-        let batch = std::mem::take(&mut self.pending);
-        let start = Instant::now();
-        self.wal.commit(&batch).expect("commit the epoch batch");
-        self.wal.sync().expect("fsync the WAL");
-        let elapsed = start.elapsed();
-        self.report.commits.record(elapsed);
-        self.report.commit_total += elapsed;
-    }
-
-    fn finish(mut self) -> WalReport {
-        if !self.pending.is_empty() {
-            self.seal();
-        }
-        self.report
-    }
-}
 
 /// Everything one worker measures during the churn loop.
 struct ChurnStats {
@@ -128,8 +47,6 @@ struct ChurnStats {
     slots_final: usize,
     reader_count_final: usize,
     graph_size_final: usize,
-    /// Worker 0's WAL cost, present only in a `--durable` plan run.
-    wal: Option<WalReport>,
 }
 
 impl ChurnStats {
@@ -148,7 +65,6 @@ impl ChurnStats {
             slots_final: 0,
             reader_count_final: 0,
             graph_size_final: 0,
-            wal: None,
         }
     }
 }
@@ -318,8 +234,6 @@ fn run(
 
 /// The same install → pose → probe → uninstall loop, driven through the runtime-plan
 /// engine: every worker executes an identical command stream against its [`Manager`].
-/// With `wal_dir`, worker 0 also logs every command with the server's group-commit
-/// discipline, so the run measures churn with a real fsync on every epoch seal.
 fn run_plan(
     queries: usize,
     batch: usize,
@@ -327,21 +241,10 @@ fn run_plan(
     nodes: u32,
     edges: usize,
     classes: Classes,
-    wal_dir: Option<PathBuf>,
 ) -> ChurnStats {
     let results = execute(Config::new(workers), move |worker| {
         let mut manager = Manager::new();
-        // One log per run, written by worker 0 — the analogue of the server's single
-        // sequencer-owned WAL in front of every worker.
-        let mut log = if worker.index() == 0 {
-            wal_dir.as_ref().map(DurableLog::open)
-        } else {
-            None
-        };
-        let mut exec = |worker: &mut Worker, manager: &mut Manager, command: Command| {
-            if let Some(log) = log.as_mut() {
-                log.stage(&command);
-            }
+        let exec = |worker: &mut Worker, manager: &mut Manager, command: Command| {
             manager.execute(worker, command).expect("churn command")
         };
 
@@ -485,156 +388,9 @@ fn run_plan(
             .arrangement_name(&shared_key)
             .and_then(|name| manager.catalog().arrangement_size(&name).ok())
             .unwrap_or_default();
-        // Flush whatever the last (uninstall-only) batch staged, as a clean server
-        // shutdown would, and surface the WAL cost.
-        stats.wal = log.take().map(DurableLog::finish);
         stats
     });
     results.into_iter().next().expect("at least one worker")
-}
-
-/// Replays a finished churn WAL into a fresh single-worker [`Manager`], timing the
-/// whole recovery: decode every record, execute every command, settle. Returns the
-/// command count and the elapsed wall time.
-fn replay_wal(dir: &PathBuf) -> (usize, Duration) {
-    let (_wal, records) = Wal::open(dir, 8 << 20).expect("reopen the churn WAL");
-    let commands: Vec<Command> = records
-        .iter()
-        .map(|record| Command::decode(&record.body).expect("decode a logged command"))
-        .collect();
-    let count = commands.len();
-    let mut results = execute(Config::new(1), move |worker: &mut Worker| {
-        let mut manager = Manager::new();
-        let start = Instant::now();
-        for command in commands.clone() {
-            manager.execute(worker, command).expect("replay command");
-        }
-        manager.settle(worker);
-        start.elapsed()
-    });
-    (count, results.remove(0))
-}
-
-/// The `--durable` protocol: run the plan churn in memory, run it again with worker 0
-/// writing a real group-committed WAL, then replay the finished log into a fresh
-/// `Manager`. Emits `churn_plan_durable` (with the steady-state ratio against the
-/// in-memory run — the durability acceptance number), `wal_append`, and
-/// `recovery_replay`.
-fn run_durable(
-    queries: usize,
-    batch: usize,
-    workers: usize,
-    nodes: u32,
-    edges: usize,
-    classes: Classes,
-) {
-    static RUN: kpg_sync::atomic::AtomicU64 = kpg_sync::atomic::AtomicU64::new(0);
-    let wal_dir = std::env::temp_dir().join(format!(
-        "kpg-churn-wal-{}-{}",
-        std::process::id(),
-        RUN.fetch_add(1, kpg_sync::atomic::Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&wal_dir);
-
-    let memory = run_plan(queries, batch, workers, nodes, edges, classes, None);
-    let stats = run_plan(
-        queries,
-        batch,
-        workers,
-        nodes,
-        edges,
-        classes,
-        Some(wal_dir.clone()),
-    );
-    let wal = stats.wal.as_ref().expect("the durable run kept a WAL");
-
-    println!("\n## Durable churn vs in-memory (same flags, same seed)");
-    stats.install.print_summary("install");
-    stats.settle.print_summary("settle");
-    stats.steps_second_half.print_summary("steps-2nd-half");
-    stats.steady.print_summary("steady-idle");
-    memory.steady.print_summary("steady-idle-memory");
-    wal.commits.print_summary("wal-commit+fsync");
-
-    let steady_vs_memory =
-        stats.steady.median().as_nanos() as f64 / memory.steady.median().as_nanos().max(1) as f64;
-    let step_vs_memory = stats.steps_second_half.median().as_nanos() as f64
-        / memory.steps_second_half.median().as_nanos().max(1) as f64;
-    println!(
-        "steady step: durable {} ns vs memory {} ns ({steady_vs_memory:.2}x)",
-        stats.steady.median().as_nanos(),
-        memory.steady.median().as_nanos()
-    );
-    bench_record(
-        "churn_plan_durable",
-        &[
-            ("queries", num(queries)),
-            ("batch", num(batch)),
-            ("workers", num(workers)),
-            ("nodes", num(nodes)),
-            ("edges", num(edges)),
-            ("classes", text(classes.name())),
-            ("install_median_ns", num(stats.install.median().as_nanos())),
-            (
-                "install_p99_ns",
-                num(stats.install.quantile(0.99).as_nanos()),
-            ),
-            ("settle_median_ns", num(stats.settle.median().as_nanos())),
-            (
-                "step_median_ns_first_half",
-                num(stats.steps_first_half.median().as_nanos()),
-            ),
-            (
-                "step_median_ns_second_half",
-                num(stats.steps_second_half.median().as_nanos()),
-            ),
-            (
-                "steady_step_median_ns",
-                num(stats.steady.median().as_nanos()),
-            ),
-            (
-                "memory_steady_step_median_ns",
-                num(memory.steady.median().as_nanos()),
-            ),
-            ("steady_vs_memory_x", num(format!("{steady_vs_memory:.3}"))),
-            ("step_vs_memory_x", num(format!("{step_vs_memory:.3}"))),
-            ("slot_high_water", num(stats.slot_high_water)),
-            (
-                "reader_slots_high_water",
-                num(stats.reader_slots_high_water),
-            ),
-        ],
-    );
-
-    let commit_seconds = wal.commit_total.as_secs_f64();
-    let bytes_per_sec = if commit_seconds > 0.0 {
-        wal.bytes as f64 / commit_seconds
-    } else {
-        0.0
-    };
-    bench_record(
-        "wal_append",
-        &[
-            ("bytes", num(wal.bytes)),
-            ("commits", num(wal.commits.len())),
-            ("bytes_per_sec", num(format!("{bytes_per_sec:.0}"))),
-            ("commit_p50_ns", num(wal.commits.median().as_nanos())),
-            ("commit_p99_ns", num(wal.commits.quantile(0.99).as_nanos())),
-        ],
-    );
-
-    let (commands, elapsed) = replay_wal(&wal_dir);
-    let commands_per_sec = commands as f64 / elapsed.as_secs_f64().max(1e-9);
-    println!("recovery replay: {commands} commands in {elapsed:?} ({commands_per_sec:.0}/s)");
-    bench_record(
-        "recovery_replay",
-        &[
-            ("commands", num(commands)),
-            ("elapsed_ns", num(elapsed.as_nanos())),
-            ("commands_per_sec", num(format!("{commands_per_sec:.0}"))),
-        ],
-    );
-    let _ = std::fs::remove_dir_all(&wal_dir);
 }
 
 fn main() {
@@ -643,30 +399,18 @@ fn main() {
     let workers = arg_usize("--workers", 1);
     let nodes = arg_usize("--nodes", 500) as u32;
     let edges = arg_usize("--edges", 4000);
-    let durable = arg_flag("--durable");
-    // Durability is a property of the command protocol, so it implies plan mode.
-    let plan_mode = arg_flag("--plan") || durable;
+    let plan_mode = arg_flag("--plan");
     let classes = Classes::parse(&arg_string("--classes", "mixed"));
 
-    let mode = if durable {
-        "durable plan"
-    } else if plan_mode {
-        "plan"
-    } else {
-        "closure"
-    };
+    let mode = if plan_mode { "plan" } else { "closure" };
     println!(
         "# Query churn ({mode} mode, {} classes): {queries} queries in bursts of {batch}, \
          {workers} workers, {nodes} nodes / {edges} edges",
         classes.name()
     );
 
-    if durable {
-        run_durable(queries, batch, workers, nodes, edges, classes);
-        return;
-    }
     let stats = if plan_mode {
-        run_plan(queries, batch, workers, nodes, edges, classes, None)
+        run_plan(queries, batch, workers, nodes, edges, classes)
     } else {
         run(queries, batch, workers, nodes, edges, classes)
     };

@@ -19,6 +19,10 @@
 //! out — growing the audited inventory requires editing the allowlist in the same
 //! diff, which is the review hook.
 //!
+//! A third pass does the same for `allow_blocking(`, against
+//! `crates/bench/lint_blocking_allow.txt` (the facade, `crates/server/src/commit.rs`):
+//! a new standing exemption anywhere else — test code included — is an allowlist edit.
+//!
 //! Usage: `cargo run -p kpg_bench --bin lint_sync` from anywhere in the workspace.
 //! Exits 0 on a clean tree, 1 with a `file:line` listing otherwise.
 
@@ -32,17 +36,22 @@ const FORBIDDEN: &[&str] = &["std::sync", "std::thread"];
 
 const ALLOWLIST: &str = "crates/bench/lint_sync_allow.txt";
 const UNSAFE_ALLOWLIST: &str = "crates/bench/lint_unsafe_allow.txt";
+const BLOCKING_ALLOWLIST: &str = "crates/bench/lint_blocking_allow.txt";
 
 fn main() -> ExitCode {
     let root = workspace_root();
     let allow = load_allowlist(&root, ALLOWLIST, &["crates/sync/"]);
     let unsafe_allow = load_allowlist(&root, UNSAFE_ALLOWLIST, &[]);
+    let blocking_allow = load_allowlist(&root, BLOCKING_ALLOWLIST, &["crates/sync/"]);
     let mut files = Vec::new();
     collect_rs_files(&root, &root, &mut files);
     files.sort();
 
     let mut violations = Vec::new();
     let mut unsafe_violations = Vec::new();
+    let mut blocking_violations = Vec::new();
+    let allowed =
+        |allow: &[String], relative: &str| allow.iter().any(|prefix| relative.starts_with(prefix));
     for relative in &files {
         let source = match fs::read_to_string(root.join(relative)) {
             Ok(source) => source,
@@ -51,22 +60,28 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        if !allow.iter().any(|prefix| relative.starts_with(prefix)) {
-            scan(relative, &source, &mut violations);
+        if !allowed(&allow, relative) {
+            scan(FORBIDDEN, relative, &source, &mut violations);
         }
-        if !unsafe_allow
-            .iter()
-            .any(|prefix| relative.starts_with(prefix))
-        {
+        if !allowed(&unsafe_allow, relative) {
             scan_unsafe(relative, &source, &mut unsafe_violations);
+        }
+        if !allowed(&blocking_allow, relative) {
+            scan(
+                &["allow_blocking("],
+                relative,
+                &source,
+                &mut blocking_violations,
+            );
         }
     }
 
-    if violations.is_empty() && unsafe_violations.is_empty() {
+    if violations.is_empty() && unsafe_violations.is_empty() && blocking_violations.is_empty() {
         println!("lint_sync: {} files clean", files.len());
         ExitCode::SUCCESS
     } else {
-        for violation in violations.iter().chain(&unsafe_violations) {
+        let all = violations.iter().chain(&unsafe_violations);
+        for violation in all.chain(&blocking_violations) {
             eprintln!("{violation}");
         }
         if !violations.is_empty() {
@@ -82,6 +97,14 @@ fn main() -> ExitCode {
                  code safe, or extend the audit in {UNSAFE_ALLOWLIST} with a SAFETY \
                  argument in the same change",
                 unsafe_violations.len()
+            );
+        }
+        if !blocking_violations.is_empty() {
+            eprintln!(
+                "lint_sync: {} `allow_blocking` scope(s) outside the audited inventory; \
+                 move the syscall out from under the lock, or extend {BLOCKING_ALLOWLIST} \
+                 in the same change",
+                blocking_violations.len()
             );
         }
         ExitCode::FAILURE
@@ -149,12 +172,12 @@ fn collect_rs_files(root: &Path, dir: &Path, files: &mut Vec<String>) {
     }
 }
 
-/// Appends a `file:line: text` entry for every forbidden token in `source`, ignoring
-/// comments and string literals.
-fn scan(relative: &str, source: &str, violations: &mut Vec<String>) {
+/// Appends a `file:line: text` entry for every line of `source` holding one of
+/// `tokens`, ignoring comments and string literals.
+fn scan(tokens: &[&str], relative: &str, source: &str, violations: &mut Vec<String>) {
     let stripped = strip_comments_and_strings(source);
     for (index, (line, original)) in stripped.lines().zip(source.lines()).enumerate() {
-        if FORBIDDEN.iter().any(|token| line.contains(token)) {
+        if tokens.iter().any(|token| line.contains(token)) {
             violations.push(format!("{relative}:{}: {}", index + 1, original.trim()));
         }
     }
@@ -296,13 +319,13 @@ fn strip_comments_and_strings(source: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{scan, strip_comments_and_strings};
+    use super::{scan, strip_comments_and_strings, FORBIDDEN};
 
     #[test]
     fn flags_injected_std_sync_mutex() {
         let source = "use std::sync::Mutex;\nfn main() { let _ = Mutex::new(0); }\n";
         let mut violations = Vec::new();
-        scan("injected.rs", source, &mut violations);
+        scan(FORBIDDEN, "injected.rs", source, &mut violations);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].starts_with("injected.rs:1:"));
     }
@@ -312,7 +335,7 @@ mod tests {
     fn flags_std_sync_rwlock() {
         let source = "fn main() {\n    let _ = std::sync::RwLock::new(0);\n}\n";
         let mut violations = Vec::new();
-        scan("rwlock.rs", source, &mut violations);
+        scan(FORBIDDEN, "rwlock.rs", source, &mut violations);
         assert_eq!(violations.len(), 1);
         assert!(violations[0].starts_with("rwlock.rs:2:"));
     }
@@ -321,7 +344,7 @@ mod tests {
     fn flags_std_thread_spawn() {
         let source = "fn main() { std::thread::spawn(|| {}); }\n";
         let mut violations = Vec::new();
-        scan("spawned.rs", source, &mut violations);
+        scan(FORBIDDEN, "spawned.rs", source, &mut violations);
         assert_eq!(violations.len(), 1);
     }
 
@@ -335,7 +358,7 @@ mod tests {
             "use kpg_sync::Mutex;\n",
         );
         let mut violations = Vec::new();
-        scan("clean.rs", source, &mut violations);
+        scan(FORBIDDEN, "clean.rs", source, &mut violations);
         assert!(violations.is_empty(), "{violations:?}");
     }
 
@@ -363,10 +386,23 @@ mod tests {
     }
 
     #[test]
+    fn flags_allow_blocking_calls_but_not_prose_or_imports() {
+        let source = concat!(
+            "use kpg_sync::blocking::allow_blocking;\n",
+            "// allow_blocking(\"in prose\") is fine\n",
+            "fn f() { let _scope = allow_blocking(\"a fifth exemption\"); }\n",
+        );
+        let mut violations = Vec::new();
+        scan(&["allow_blocking("], "fifth.rs", source, &mut violations);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("fifth.rs:3:"));
+    }
+
+    #[test]
     fn lifetimes_do_not_open_char_literals() {
         let source = "fn f<'a>(x: &'a str) -> &'a str { x } // std::sync here is prose\n";
         let mut violations = Vec::new();
-        scan("lifetimes.rs", source, &mut violations);
+        scan(FORBIDDEN, "lifetimes.rs", source, &mut violations);
         assert!(violations.is_empty(), "{violations:?}");
     }
 }

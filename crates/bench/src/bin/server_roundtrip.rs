@@ -1,39 +1,28 @@
-//! Measures the cost of the byte boundary: per-command latency through the network
-//! server (wire codec + framing + sequencer + all-worker execution + response
-//! aggregation, full round trip over loopback TCP) against the same command stream
-//! executed directly on an in-process `Manager`.
+//! The fan-in sweep: concurrent-client counts (powers of two up to `--clients`)
+//! against one reactor, each client issuing single-update round trips (strict
+//! send/receive, no pipelining) over loopback TCP.
 //!
 //! ```console
 //! $ cargo run --release -p kpg_bench --bin server_roundtrip -- \
-//!       --updates 2000 --queries 20 --workers 2 [--durable] \
-//!       [--clients 64] [--out BENCH_server_fanout.json]
+//!       --updates 4000 --workers 2 --clients 64 [--durable] \
+//!       [--out BENCH_server_fanout.json]
 //! ```
 //!
-//! With `--durable` the server writes its command log to a WAL in a temp directory
-//! (group-committed, fsynced per epoch), so the wire numbers include the durability
-//! tax an acknowledged command actually pays.
-//!
-//! Emits one `BENCH {"name":"server_roundtrip",...}` line: direct vs wire update
-//! medians, wire p99, query medians, the wire/direct overhead ratio — the number
-//! that tells us when the socket loop (not the dataflow) becomes the bottleneck —
-//! and a `durable` 0/1 marker.
-//!
-//! With `--clients N` it additionally sweeps concurrent-client counts (powers of
-//! two up to `N`) against one reactor, emitting a `BENCH
-//! {"name":"server_fanout",...}` line per point: single-update RTT p50/p99 across
-//! every client plus aggregate throughput — the curve that shows whether the
-//! event-driven fabric holds per-command latency flat as fan-in grows. `--out
-//! FILE` additionally persists the swept records as a JSON array (the repo-root
-//! `BENCH_server_fanout.json` convention, so the perf trajectory survives in git).
+//! Emits one `BENCH {"name":"server_fanout",...}` line per point: single-update RTT
+//! p50/p99 across every client plus aggregate throughput — the curve that shows
+//! whether the event-driven fabric holds per-command latency flat as fan-in grows.
+//! With `--durable` the server writes its command log to a WAL in a temp directory.
+//! `--out FILE` additionally persists the swept records as a JSON array (the
+//! repo-root `BENCH_server_fanout.json` convention, so the perf trajectory survives
+//! in git). The single-connection cost of the byte boundary is the ruler's
+//! `point_rtt` workload and its `ladder.manager_us … ladder.socket_us` rungs.
 
 use std::time::Instant;
 
 use kpg_bench::{
-    arg_flag, arg_string, arg_usize, bench_record, bench_report, num, persist_records,
-    LatencyRecorder,
+    arg_flag, arg_string, arg_usize, bench_report, num, persist_records, LatencyRecorder,
 };
-use kpg_dataflow::{execute, Config, Worker};
-use kpg_plan::{Command, Manager, Plan, ReduceKind, Row};
+use kpg_plan::{Command, Plan, ReduceKind, Row};
 use kpg_server::{serve, Client, DurabilityConfig, ServerConfig};
 
 fn edge(src: u64, dst: u64) -> Row {
@@ -59,62 +48,6 @@ fn update_command(index: u64) -> Command {
         name: "edges".into(),
         row: edge(index % 500, (index * 7) % 500),
         diff: 1,
-    }
-}
-
-struct Measured {
-    update_p50_ns: u128,
-    update_p99_ns: u128,
-    query_p50_ns: u128,
-}
-
-/// Runs the workload through a loopback server, timing each command's full round
-/// trip. With `durable`, the server logs to a WAL in a fresh temp directory, so the
-/// measured latencies include staging every command and fsyncing every epoch.
-fn measure_wire(workers: usize, updates: usize, queries: usize, durable: bool) -> Measured {
-    let wal_dir = durable.then(|| {
-        let dir = std::env::temp_dir().join(format!("kpg-roundtrip-wal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    });
-    let mut server = serve(
-        "127.0.0.1:0",
-        ServerConfig {
-            workers,
-            durability: wal_dir.as_ref().map(DurabilityConfig::new),
-            ..ServerConfig::default()
-        },
-    )
-    .expect("bind the bench server");
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-    for command in commands_setup() {
-        client.send(&command).expect("setup send");
-        client.receive().expect("setup ack");
-    }
-    let mut update_latency = LatencyRecorder::new();
-    let mut query_latency = LatencyRecorder::new();
-    for round in 0..queries.max(1) {
-        for index in 0..(updates / queries.max(1)) as u64 {
-            let command = update_command(round as u64 * 1_000_003 + index);
-            let start = Instant::now();
-            client.send(&command).expect("send update");
-            client.receive().expect("update ack");
-            update_latency.record(start.elapsed());
-        }
-        client.advance(round as u64 + 1).expect("advance");
-        let start = Instant::now();
-        let rows = client.query("degrees").expect("query");
-        query_latency.record(start.elapsed());
-        assert!(!rows.is_empty());
-    }
-    server.shutdown();
-    if let Some(dir) = wal_dir {
-        let _ = std::fs::remove_dir_all(dir);
-    }
-    Measured {
-        update_p50_ns: update_latency.quantile(0.5).as_nanos(),
-        update_p99_ns: update_latency.quantile(0.99).as_nanos(),
-        query_p50_ns: query_latency.quantile(0.5).as_nanos(),
     }
 }
 
@@ -229,100 +162,15 @@ fn measure_fanout(
     records
 }
 
-/// Runs the identical workload directly on one in-process `Manager` per worker —
-/// no codec, no socket, no sequencer. (Same command stream; `Command::Update` shards
-/// itself, so the multi-worker run executes the same log everywhere.)
-fn measure_direct(workers: usize, updates: usize, queries: usize) -> Measured {
-    let mut results = execute(Config::new(workers), move |worker: &mut Worker| {
-        let mut manager = Manager::new();
-        for command in commands_setup() {
-            manager.execute(worker, command).expect("setup");
-        }
-        let mut update_latency = LatencyRecorder::new();
-        let mut query_latency = LatencyRecorder::new();
-        for round in 0..queries.max(1) {
-            for index in 0..(updates / queries.max(1)) as u64 {
-                let command = update_command(round as u64 * 1_000_003 + index);
-                let start = Instant::now();
-                manager.execute(worker, command).expect("update");
-                update_latency.record(start.elapsed());
-            }
-            manager
-                .execute(
-                    worker,
-                    Command::AdvanceTime {
-                        epoch: round as u64 + 1,
-                    },
-                )
-                .expect("advance");
-            let start = Instant::now();
-            manager.settle(worker);
-            let rows = manager
-                .execute(
-                    worker,
-                    Command::Query {
-                        name: "degrees".into(),
-                    },
-                )
-                .expect("query");
-            query_latency.record(start.elapsed());
-            drop(rows);
-        }
-        Measured {
-            update_p50_ns: update_latency.quantile(0.5).as_nanos(),
-            update_p99_ns: update_latency.quantile(0.99).as_nanos(),
-            query_p50_ns: query_latency.quantile(0.5).as_nanos(),
-        }
-    });
-    results.remove(0)
-}
-
 fn main() {
     let workers = arg_usize("--workers", 1);
     let updates = arg_usize("--updates", 2_000);
-    let queries = arg_usize("--queries", 20);
     let durable = arg_flag("--durable");
-    let clients = arg_usize("--clients", 0);
+    let clients = arg_usize("--clients", 8).max(1);
     let out = arg_string("--out", "");
 
-    // Round the workload to whole rounds so the emitted record states exactly what
-    // was measured (and a tiny --updates still updates at least once per round).
-    let rounds = queries.max(1);
-    let per_round = (updates / rounds).max(1);
-    let updates = per_round * rounds;
-
-    let wire = measure_wire(workers, updates, queries, durable);
-    let direct = measure_direct(workers, updates, queries);
-    let overhead = wire.update_p50_ns as f64 / (direct.update_p50_ns.max(1)) as f64;
-
-    println!(
-        "update p50: direct {} ns, wire {} ns ({overhead:.1}x); wire p99 {} ns; query p50: direct {} ns, wire {} ns",
-        direct.update_p50_ns,
-        wire.update_p50_ns,
-        wire.update_p99_ns,
-        direct.query_p50_ns,
-        wire.query_p50_ns,
-    );
-    bench_record(
-        "server_roundtrip",
-        &[
-            ("workers", num(workers)),
-            ("updates", num(updates)),
-            ("queries", num(queries)),
-            ("direct_update_p50_ns", num(direct.update_p50_ns)),
-            ("wire_update_p50_ns", num(wire.update_p50_ns)),
-            ("wire_update_p99_ns", num(wire.update_p99_ns)),
-            ("direct_query_p50_ns", num(direct.query_p50_ns)),
-            ("wire_query_p50_ns", num(wire.query_p50_ns)),
-            ("overhead_x", num(format!("{overhead:.3}"))),
-            ("durable", num(u8::from(durable))),
-        ],
-    );
-
-    if clients > 0 {
-        let records = measure_fanout(workers, clients, updates, durable);
-        if !out.is_empty() {
-            persist_records(&out, &records);
-        }
+    let records = measure_fanout(workers, clients, updates, durable);
+    if !out.is_empty() {
+        persist_records(&out, &records);
     }
 }

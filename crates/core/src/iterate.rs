@@ -7,7 +7,7 @@
 //! mutually recursive collection; `Variable`s can be combined directly for mutual
 //! recursion (as Datalog programs require) or to return intermediate collections.
 
-use kpg_dataflow::{EdgeTransform, Time};
+use kpg_dataflow::EdgeTransform;
 use kpg_trace::{Abelian, Data};
 
 use crate::collection::Collection;
@@ -106,19 +106,4 @@ impl<D: Data, R: Abelian> Collection<D, R> {
         let defined = variable.set(&result);
         defined.leave()
     }
-}
-
-/// Creates `count` mutually recursive variables inside an iteration scope, all initially
-/// empty, seeded from the given source collections.
-///
-/// This is a convenience for Datalog-style mutual recursion: each variable `i` starts as
-/// `sources[i]` and is later `set` to its rule body.
-pub fn mutual_variables<D: Data, R: Abelian>(sources: &[Collection<D, R>]) -> Vec<Variable<D, R>> {
-    sources.iter().map(Variable::new_from).collect()
-}
-
-/// A helper mirroring the paper's observation that timestamps inside nested scopes use an
-/// extra coordinate: returns the round coordinate of `time` at `depth`.
-pub fn round_of(time: &Time, depth: usize) -> u64 {
-    time.coord(depth)
 }

@@ -106,11 +106,6 @@ impl<D: Clone + Send + 'static, R: Clone + Send + 'static> InputHandle<D, R> {
     pub fn close(&mut self) {
         self.shared.borrow_mut().closed = true;
     }
-
-    /// True iff the input has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.shared.borrow().closed
-    }
 }
 
 impl<D: Clone + Send + 'static> InputHandle<D, isize> {

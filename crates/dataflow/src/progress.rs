@@ -18,7 +18,7 @@ use kpg_sync::Mutex;
 
 use kpg_timestamp::{Antichain, Time};
 
-use crate::graph::{DataflowGraph, NodeId};
+use crate::graph::DataflowGraph;
 
 /// The progress state of one dataflow, shared by all workers.
 pub struct DataflowShared {
@@ -283,32 +283,10 @@ pub fn compute_input_frontiers_into(
     }
 }
 
-/// Convenience: the output frontier of a single node given published capabilities.
-pub fn output_frontier(
-    graph: &DataflowGraph,
-    capabilities: &[Vec<Antichain<Time>>],
-    node: NodeId,
-) -> Antichain<Time> {
-    // Recompute inputs and combine with the node's own capabilities.
-    let mut result = Antichain::new();
-    for worker_caps in capabilities.iter() {
-        for time in worker_caps[node.0].elements() {
-            result.insert(*time);
-        }
-    }
-    let inputs = compute_input_frontiers(graph, capabilities);
-    for port in inputs[node.0].iter() {
-        for time in port.elements() {
-            result.insert(*time);
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{EdgeDesc, EdgeTransform};
+    use crate::graph::{EdgeDesc, EdgeTransform, NodeId};
 
     fn linear_graph() -> DataflowGraph {
         // input(0) -> map(1) -> probe(2)

@@ -296,11 +296,6 @@ impl Worker {
         self.shared.dataflow_entries()
     }
 
-    /// True iff the dataflow at `index` has been retired (and its slot not yet reused).
-    pub fn is_retired(&self, index: usize) -> bool {
-        self.dataflows[index].retired
-    }
-
     /// The dataflow index registered under `name`, if any.
     pub fn installed_index(&self, name: &str) -> Option<usize> {
         self.installed.get(name).copied()

@@ -67,34 +67,6 @@ pub fn tc_to(edges: &Collection<Edge>, targets: &Collection<u32>) -> Collection<
     tc_from(&reversed, targets)
 }
 
-/// Top-down same generation `sg(x, ?)`: pairs `(seed, y)` in the same generation as a
-/// seed. Seeding restricts the bottom-up evaluation to the part of the graph the queries
-/// can observe.
-pub fn sg_from(parent: &Collection<Edge>, seeds: &Collection<u32>) -> Collection<Edge> {
-    // Work with (candidate_x, candidate_y) pairs whose first coordinate descends from a
-    // seed's generation; the seed is carried along.
-    // sg_seeded(s, y): y is in the same generation as s.
-    let child_of = parent.map(|(p, c)| (c, p));
-    // Base: the seed's siblings.
-    let base = seeds
-        .map(|s| (s, s))
-        .map(|(s, x)| (x, s))
-        .join_map(&child_of, |_x, s, p| (*p, *s))
-        .join_map(parent, |_p, s, y| (*s, *y))
-        .filter(|(s, y)| s != y);
-    base.iterate(|sg| {
-        let parent = parent.enter();
-        let child_of = child_of.enter();
-        let base = base.enter();
-        // sg(s, py): go up from both sides and back down: sg(s, y) if parents are sg.
-        sg.map(|(s, y)| (y, s))
-            .join_map(&child_of, |_y, s, py| (*py, *s))
-            .join_map(&parent, |_py, s, y2| (*s, *y2))
-            .concat(&base)
-            .distinct()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

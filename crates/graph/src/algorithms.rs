@@ -74,16 +74,6 @@ pub fn connected_components(edges: &Collection<Edge>) -> Collection<(u32, u32)> 
     })
 }
 
-/// Out-degree distribution: produces `(degree, number_of_nodes_with_that_degree)`.
-pub fn degree_distribution(edges: &Collection<Edge>) -> Collection<(isize, isize)> {
-    edges
-        .map(|(src, _)| src)
-        .count()
-        .map(|(_, degree)| degree)
-        .count()
-        .map(|(degree, nodes)| (degree, nodes))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -273,11 +273,6 @@ impl Value {
     pub fn bool(value: bool) -> Value {
         Value::UInt(u64::from(value))
     }
-
-    /// True iff the value is numeric (`Int` or `UInt`).
-    pub fn is_numeric(&self) -> bool {
-        !matches!(self, Value::String(_))
-    }
 }
 
 impl From<i64> for Value {

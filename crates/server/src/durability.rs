@@ -16,26 +16,16 @@
 //! is removed the moment its diff reaches zero.
 //!
 //! **Who owns the tracker.** The `kpg-server-checkpoint` thread, on its own stack —
-//! seeded by [`recover`], never shared, never cloned, behind no lock. The workers only
-//! collect: the deposit that completes a command pushes it onto the open epoch's
-//! vector, and the one that completes an `AdvanceTime` sends that vector down a
-//! channel. **What crosses the channel** is therefore whole sealed epochs of
-//! `Arc<SequencedCommand>`, in log order (completions are serialised in log order by
-//! the lock the deposit already holds), holding only *successful* completions that
-//! carry a `wal_seq` — failures have no effect and re-fail deterministically on
-//! replay; `Query`s and recovery-bootstrap entries were never logged. After the
-//! thread applies an epoch, its tracker is exactly the effect of WAL records up to
-//! that `AdvanceTime`'s sequence number — a consistent cut — and it writes
+//! seeded by [`recover`], never shared, never cloned, behind no lock. The commit path
+//! (`commit.rs`: who starts that thread, what crosses its channel, when it degrades
+//! the core) feeds it whole sealed epochs of *successful*, WAL-logged completions in
+//! log order, so after it applies one its tracker is exactly the effect of WAL records
+//! up to that `AdvanceTime`'s sequence number — a consistent cut — and it writes
 //! checkpoints from that state in place:
 //!
 //! * a sorted-run file of `(input, row, diff)` contents (`ckpt-<id>.run`), and
 //! * a [`Manifest`] naming the epoch, the WAL watermark, the inputs, and the installed
 //!   plans, committed by atomic rename (the manifest *is* the checkpoint).
-//!
-//! Epochs that seal while a checkpoint is being written wait in the channel as the
-//! commands they are (never as state snapshots); the thread drains them all before it
-//! next asks whether a checkpoint is due, so at most one checkpoint is ever in flight
-//! and none is queued.
 //!
 //! **Cadence.** A checkpoint rewrites the whole state, so one is due when the commands
 //! logged since the last *successful* one reach

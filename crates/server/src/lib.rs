@@ -27,11 +27,15 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod aggregate;
 pub mod client;
+mod commit;
 pub mod durability;
 pub mod engine;
 pub mod net;
 pub mod route;
+mod sequencer;
+mod worker;
 
 pub use client::{Client, ClientError};
 pub use durability::DurabilityConfig;

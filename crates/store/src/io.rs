@@ -502,15 +502,6 @@ pub mod faults {
                 .map_or(0, |plan| plan.kind_counts[kind.index()])
         }
 
-        /// Every kind's count, in [`OP_KINDS`] order.
-        pub fn op_counts(&self) -> [(OpKind, u64); OP_KINDS.len()] {
-            let mut counts = [(OpKind::Open, 0); OP_KINDS.len()];
-            for (slot, kind) in counts.iter_mut().zip(OP_KINDS) {
-                *slot = (kind, self.op_count(kind));
-            }
-            counts
-        }
-
         /// Cumulative bytes accepted against the write budget.
         pub fn written(&self) -> u64 {
             lock_registry()

@@ -52,22 +52,6 @@ macro_rules! atomic_common {
             self.inner.compare_exchange(current, new, success, failure)
         }
 
-        /// Like [`Self::compare_exchange`], but allowed to fail spuriously. (The
-        /// facade forwards to the non-weak form: spurious failure is a behavior the
-        /// model cannot reproduce deterministically, and callers must tolerate
-        /// either.)
-        #[inline]
-        pub fn compare_exchange_weak(
-            &self,
-            current: $value,
-            new: $value,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<$value, $value> {
-            crate::model_yield();
-            self.inner.compare_exchange(current, new, success, failure)
-        }
-
         /// Mutable access without synchronization (the `&mut` proves exclusivity).
         #[inline]
         pub fn get_mut(&mut self) -> &mut $value {

@@ -94,15 +94,6 @@ impl<T: PartialOrder> Antichain<T> {
         self.elements.clear();
     }
 
-    /// Replaces the contents with the elements of `other`.
-    pub fn clone_from_ref(&mut self, other: AntichainRef<'_, T>)
-    where
-        T: Clone,
-    {
-        self.elements.clear();
-        self.elements.extend(other.iter().cloned());
-    }
-
     /// True iff `self` and `other` describe the same frontier.
     ///
     /// Antichains are equal as sets; this comparison is insensitive to element order.
@@ -219,13 +210,6 @@ impl<T: PartialOrder + Clone + Hash + Eq + Debug> MutableAntichain<T> {
             counts: HashMap::new(),
             frontier: Vec::new(),
         }
-    }
-
-    /// A mutable antichain seeded with a single occurrence of `element`.
-    pub fn new_bottom(element: T) -> Self {
-        let mut result = Self::new();
-        result.update_iter(std::iter::once((element, 1)));
-        result
     }
 
     /// The current frontier: minimal times with positive count.

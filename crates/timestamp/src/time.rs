@@ -61,13 +61,6 @@ impl Time {
         self.coords
     }
 
-    /// Returns a copy with the coordinate at `depth` replaced by `value`.
-    pub fn with_coord(&self, depth: usize, value: u64) -> Self {
-        let mut coords = self.coords;
-        coords[depth] = value;
-        Time { coords }
-    }
-
     /// Returns a copy with the coordinate at `depth` incremented by `delta`.
     ///
     /// This is the feedback ("next round") operation of an `iterate` scope at the given

@@ -84,11 +84,6 @@ impl<C: Cursor> CursorList<C> {
         result
     }
 
-    /// The number of constituent cursors.
-    pub fn cursor_count(&self) -> usize {
-        self.cursors.len()
-    }
-
     /// Recomputes `min_key`: the cursors positioned at the least key. One pass, comparing
     /// each cursor against the best so far *by index*, so no key is cloned.
     fn minimize_keys(&mut self) {

@@ -42,33 +42,6 @@ SCHEMAS = {
         "slot_high_water",
         "reader_slots_high_water",
     },
-    # Durable plan-mode churn: the plan fields plus the steady-state ratio against
-    # the in-memory run — the durability acceptance number (must stay near 1x).
-    "churn_plan_durable": {
-        "queries",
-        "workers",
-        "install_median_ns",
-        "install_p99_ns",
-        "step_median_ns_first_half",
-        "step_median_ns_second_half",
-        "steady_step_median_ns",
-        "memory_steady_step_median_ns",
-        "steady_vs_memory_x",
-        "step_vs_memory_x",
-        "slot_high_water",
-        "reader_slots_high_water",
-    },
-    # WAL throughput during the durable churn: logged volume and the per-epoch
-    # group-commit (write + fsync) latency.
-    "wal_append": {
-        "bytes",
-        "commits",
-        "bytes_per_sec",
-        "commit_p50_ns",
-        "commit_p99_ns",
-    },
-    # Replaying the finished WAL into a fresh Manager: restart cost.
-    "recovery_replay": {"commands", "elapsed_ns", "commands_per_sec"},
     "micro_latency": {"experiment", "workers", "load", "p50_ns", "p99_ns"},
     "micro_throughput": {"workers", "updates", "records_per_s"},
     "micro_join_install": {"keys", "size", "latency_us"},
@@ -111,18 +84,6 @@ SCHEMAS = {
         "rtt_p50_ns",
         "rtt_p99_ns",
         "throughput_per_s",
-        "durable",
-    },
-    "server_roundtrip": {
-        "workers",
-        "updates",
-        "queries",
-        "direct_update_p50_ns",
-        "wire_update_p50_ns",
-        "wire_update_p99_ns",
-        "direct_query_p50_ns",
-        "wire_query_p50_ns",
-        "overhead_x",
         "durable",
     },
 }
