@@ -5,95 +5,123 @@
 //! shared-arrangement and per-query-arrangement variants are compared on both latency and
 //! the number of updates held across arrangements (the memory proxy for Figure 5c).
 //!
-//! Run with `cargo run --release -p kpg-bench --bin graph_interactive [--nodes 2000]`.
+//! The queries are the plans of [`kpg_graph::plans`], installed and driven through
+//! [`Manager::execute`] exactly as a server would. *Shared*: one input of the edges,
+//! keyed by source, read by all four installs. *Not shared*: one such input per query
+//! class, each fed the same update stream, as systems without inter-query sharing must.
+//!
+//! Run with `cargo run --release -p kpg_bench --bin graph_interactive [--nodes 2000]`.
 
 use kpg_bench::{arg_usize, LatencyRecorder};
 use kpg_core::prelude::*;
-use kpg_dataflow::Time;
 use kpg_graph::generate;
-use kpg_graph::interactive::interactive_queries;
+use kpg_graph::plans::{edge_row, four_path_plan, lookup_plan, node_row, pair_row, two_hop_plan};
+use kpg_plan::{Command, Manager, Plan, Row};
 use kpg_timestamp::rng::SmallRng;
 
+/// A query class's plan over `(edges input, argument input)`.
+type ClassPlan = fn(&str, &str) -> Plan;
+
+/// The four query classes by name. 1-hop is the look-up plan installed a second time,
+/// as a distinct query class.
+const CLASSES: [(&str, ClassPlan); 4] = [
+    ("lookup", lookup_plan),
+    ("1-hop", lookup_plan),
+    ("2-hop", two_hop_plan),
+    ("4-hop", four_path_plan),
+];
+
+/// One run: `rounds` holds the time to bring all four classes up to date after each
+/// round (they are maintained by the same synchronized step, so one sample is every
+/// class's latency for that round); `held` the updates held across edge arrangements.
 struct RunResult {
-    lookup: LatencyRecorder,
-    one_hop: LatencyRecorder,
-    two_hop: LatencyRecorder,
-    four_path: LatencyRecorder,
-    arrangement_size: usize,
+    rounds: LatencyRecorder,
+    held: usize,
+}
+
+fn exec(manager: &mut Manager, worker: &mut Worker, command: Command) {
+    manager
+        .execute(worker, command)
+        .expect("graph_interactive command");
+}
+
+/// Applies `diff` to `row` in every input of `names`.
+fn update(manager: &mut Manager, worker: &mut Worker, names: &[String], row: &Row, diff: isize) {
+    for name in names {
+        let (name, row) = (name.clone(), row.clone());
+        exec(manager, worker, Command::Update { name, row, diff });
+    }
 }
 
 fn run(shared: bool, nodes: u32, edges: usize, rounds: usize, per_round: usize) -> RunResult {
     let results = execute(Config::new(1), move |worker| {
-        let mut queries = worker.dataflow(|builder| interactive_queries(builder, shared));
+        let manager = &mut Manager::new();
+        let classes = CLASSES.iter().map(|(class, _)| class);
+        let args: Vec<String> = classes.clone().map(|c| format!("{c}-args")).collect();
+        // The edge inputs: one read by every class, or one per class.
+        let inputs: Vec<String> = if shared {
+            vec!["edges".to_string()]
+        } else {
+            classes.map(|class| format!("edges-{class}")).collect()
+        };
+        for name in inputs.iter().cloned() {
+            let key_arity = Some(1);
+            exec(manager, worker, Command::CreateInput { name, key_arity });
+        }
+        for (index, (class, plan)) in CLASSES.iter().enumerate() {
+            let install = Command::Install {
+                name: class.to_string(),
+                plan: plan(&inputs[index % inputs.len()], &args[index]),
+                locals: vec![args[index].clone()],
+            };
+            exec(manager, worker, install);
+        }
+
         let graph = generate::evolving(nodes, edges, rounds, per_round, 77);
         for edge in graph.initial.iter() {
-            queries.edges.insert(*edge);
+            update(manager, worker, &inputs, &edge_row(*edge), 1);
         }
-        let mut epoch = 0u64;
-        let probe = queries.probe.clone();
-        epoch += 1;
-        queries.advance_to(epoch);
-        worker.step_while(|| probe.less_than(&Time::from_epoch(epoch)));
+        exec(manager, worker, Command::AdvanceTime { epoch: 1 });
+        manager.settle(worker);
 
         let mut rng = SmallRng::seed_from_u64(13);
-        let mut lookup = LatencyRecorder::new();
-        let mut one_hop = LatencyRecorder::new();
-        let mut two_hop = LatencyRecorder::new();
-        let mut four_path = LatencyRecorder::new();
-
-        for (adds, dels) in graph.rounds.iter() {
+        let mut rounds = LatencyRecorder::new();
+        for ((adds, dels), epoch) in graph.rounds.iter().zip(2u64..) {
             // Half graph changes, half query changes, as in the paper's open-loop mix.
-            for edge in adds {
-                queries.edges.insert(*edge);
+            for (edges, diff) in [(adds, 1), (dels, -1)] {
+                for edge in edges {
+                    update(manager, worker, &inputs, &edge_row(*edge), diff);
+                }
             }
-            for edge in dels {
-                queries.edges.remove(*edge);
+            let arguments = [
+                node_row(rng.gen_range(0..nodes)),
+                node_row(rng.gen_range(0..nodes)),
+                node_row(rng.gen_range(0..nodes)),
+                pair_row((rng.gen_range(0..nodes), rng.gen_range(0..nodes))),
+            ];
+            for (input, argument) in args.chunks(1).zip(&arguments) {
+                update(manager, worker, input, argument, 1);
             }
-            let l = rng.gen_range(0..nodes);
-            let o = rng.gen_range(0..nodes);
-            let t = rng.gen_range(0..nodes);
-            let pair = (rng.gen_range(0..nodes), rng.gen_range(0..nodes));
-            queries.lookup.insert(l);
-            queries.one_hop.insert(o);
-            queries.two_hop.insert(t);
-            queries.four_path.insert(pair);
-            epoch += 1;
-            queries.advance_to(epoch);
-            let target = Time::from_epoch(epoch);
-            // Measure the latency to fully process the round, attributing it to each
-            // query class in turn (they are maintained by the same synchronized step).
-            let elapsed = {
-                let start = std::time::Instant::now();
-                worker.step_while(|| probe.less_than(&target));
-                start.elapsed()
-            };
-            lookup.record(elapsed);
-            one_hop.record(elapsed);
-            two_hop.record(elapsed);
-            four_path.record(elapsed);
+            rounds.time(|| {
+                exec(manager, worker, Command::AdvanceTime { epoch });
+                manager.settle(worker);
+            });
             // Retire the queries so state stays proportional to the graph.
-            queries.lookup.remove(l);
-            queries.one_hop.remove(o);
-            queries.two_hop.remove(t);
-            queries.four_path.remove(pair);
+            for (input, argument) in args.chunks(1).zip(&arguments) {
+                update(manager, worker, input, argument, -1);
+            }
         }
-        (
-            lookup,
-            one_hop,
-            two_hop,
-            four_path,
-            queries.arrangement_size(),
-        )
+        // Query-local argument inputs publish no `plan-source-` arrangement: these are
+        // the arrangements of the edges.
+        let catalog = manager.catalog();
+        let sources = catalog.names().into_iter();
+        let held = sources
+            .filter(|name| name.starts_with("plan-source-"))
+            .map(|name| catalog.arrangement_size(&name).expect("listed name"))
+            .sum();
+        RunResult { rounds, held }
     });
-    let (lookup, one_hop, two_hop, four_path, arrangement_size) =
-        results.into_iter().next().expect("one worker");
-    RunResult {
-        lookup,
-        one_hop,
-        two_hop,
-        four_path,
-        arrangement_size,
-    }
+    results.into_iter().next().expect("one worker")
 }
 
 fn main() {
@@ -106,24 +134,23 @@ fn main() {
 
     println!("\n## Figure 5a: per-class latency CCDF (shared arrangement)");
     let shared = run(true, nodes, edges, rounds, per_round);
-    shared.lookup.print_ccdf("lookup");
-    shared.one_hop.print_ccdf("1-hop");
-    shared.two_hop.print_ccdf("2-hop");
-    shared.four_path.print_ccdf("4-hop");
+    for (class, _) in CLASSES {
+        shared.rounds.print_ccdf(class);
+    }
 
     println!("\n## Figure 5b: query mix, shared vs not shared");
     let not_shared = run(false, nodes, edges, rounds, per_round);
-    shared.lookup.print_summary("shared");
-    not_shared.lookup.print_summary("not-shared");
+    shared.rounds.print_summary("shared");
+    not_shared.rounds.print_summary("not-shared");
 
     println!("\n## Figure 5c: arrangement footprint (updates held, proxy for resident set)");
-    println!("shared\t{} updates", shared.arrangement_size);
-    println!("not shared\t{} updates", not_shared.arrangement_size);
+    println!("shared\t{} updates", shared.held);
+    println!("not shared\t{} updates", not_shared.held);
 
     println!("\n## Table 10: average latency vs concurrent query batch size");
     println!("batch\tlookup avg (ms)");
     for batch in [1usize, 10, 100] {
         let result = run(true, nodes, edges, rounds.min(20), per_round * batch);
-        println!("{batch}\t{:.3}", result.lookup.median().as_secs_f64() * 1e3);
+        println!("{batch}\t{:.3}", result.rounds.median().as_secs_f64() * 1e3);
     }
 }

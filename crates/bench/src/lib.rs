@@ -235,7 +235,7 @@ pub fn arg_string(name: &str, default: &str) -> String {
     default.to_string()
 }
 
-/// True iff the bare flag `name` (e.g. `--plan`) appears on the command line.
+/// True iff the bare flag `name` (e.g. `--reduce-bulk`) appears on the command line.
 pub fn arg_flag(name: &str) -> bool {
     std::env::args().any(|arg| arg == name)
 }

@@ -138,11 +138,21 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
     }
 
     /// Advances this handle's read frontier, permitting compaction up to the meet of all
-    /// reader frontiers.
+    /// reader frontiers. A frontier that is not in advance of the handle's current one is
+    /// ignored: an operator that imports an already-compacted trace reports its *other*
+    /// input's frontier here, which starts at the minimum time, and history the trace
+    /// has given up cannot be asked back.
     pub fn set_logical_compaction(&mut self, frontier: AntichainRef<'_, Time>) {
         let mut boxed = self.boxed.borrow_mut();
-        boxed.reader_sinces[self.slot] = Some(frontier.to_owned());
-        boxed.recompute_compaction();
+        let frontier = frontier.to_owned();
+        let since = &mut boxed.reader_sinces[self.slot];
+        if since
+            .as_ref()
+            .is_some_and(|since| since.dominates(&frontier))
+        {
+            *since = Some(frontier);
+            boxed.recompute_compaction();
+        }
     }
 
     /// A cursor over the union of all batches currently in the trace, whether resident

@@ -292,3 +292,22 @@ fn reader_slots_are_reused_after_drop() {
     );
     assert_eq!(trace.reader_count(), 2, "trace handle + catalog entry");
 }
+
+/// A read handle's frontier only advances. A join imports a catalog arrangement that
+/// has already compacted to epoch 3 and reports its *other* input's frontier — still
+/// the minimum time on its first activation — as what it needs: that must leave the
+/// handle (and so the spine) where it was, not ask for history back.
+#[test]
+fn a_read_frontier_that_would_regress_is_ignored() {
+    let frontier = |epoch: u64| Antichain::from_elem(Time::from_epoch(epoch));
+    let mut trace = TraceAgent::<ValBatch<u32, u32>>::new(MergeEffort::Default);
+    trace.set_logical_compaction(frontier(3).borrow());
+    let mut importer = trace.clone();
+    importer.set_logical_compaction(frontier(0).borrow());
+    assert!(trace.since().same_as(&frontier(3)));
+    // Advancing still works, and the trace follows the slower of its two readers.
+    importer.set_logical_compaction(frontier(5).borrow());
+    assert!(trace.since().same_as(&frontier(3)));
+    trace.set_logical_compaction(frontier(7).borrow());
+    assert!(trace.since().same_as(&frontier(5)));
+}

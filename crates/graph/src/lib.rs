@@ -4,11 +4,10 @@
 //!   LiveJournal/Orkut/Twitter datasets (substitution S3 in DESIGN.md).
 //! * [`algorithms`] — differential implementations of reachability, breadth-first
 //!   distances, single-source shortest paths, and undirected connectivity.
-//! * [`interactive`] — the four interactive query classes of Figure 5 / Table 10
-//!   (point look-up, 1-hop, 2-hop, 4-hop shortest path), built either against a shared
-//!   arrangement of the graph or against per-query private arrangements.
-//! * [`plans`] — the same four query classes expressed as runtime [`kpg_plan::Plan`]
-//!   values, installable from data through a [`kpg_plan::Manager`].
+//! * [`plans`] — the interactive query classes of Figure 5 / Table 10 (point look-up
+//!   and 1-hop, 2-hop, 4-hop shortest path) as runtime [`kpg_plan::Plan`] values,
+//!   installable from data through a [`kpg_plan::Manager`]: the only statement of those
+//!   queries in the library (their closure-built twin is a test oracle under `tests/`).
 //! * [`baseline`] — the paper's "purpose-written single-threaded code" comparators
 //!   (array- and hash-map-based BFS, union-find connectivity).
 
@@ -18,7 +17,6 @@
 pub mod algorithms;
 pub mod baseline;
 pub mod generate;
-pub mod interactive;
 pub mod plans;
 
 /// A directed edge between two node identifiers.

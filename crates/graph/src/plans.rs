@@ -1,11 +1,13 @@
-//! The four interactive query classes of §6.2, *expressed as runtime plans*.
+//! The interactive query classes of §6.2 (Figure 5, Table 10), *expressed as runtime
+//! plans*: [`Plan`] values a [`Manager`](kpg_plan::Manager) installs from data — the
+//! shape a query server receives over the wire — against an arrangement of the edges
+//! that is already maintained and shared.
 //!
-//! [`interactive`](crate::interactive) builds these queries as closures compiled into
-//! the binary; this module states the same queries as [`Plan`] values a
-//! [`Manager`](kpg_plan::Manager) can install from data — the shape a query server
-//! receives over the wire. `crates/graph/tests/plan_equivalence.rs` proves the two
-//! formulations give identical answers at every epoch; `churn --plan` measures the
-//! plan-compilation overhead against the closure baseline.
+//! This is the library's only statement of these queries. Their closure-built twin
+//! lives in `crates/graph/tests/closure_oracle/`, where `plan_equivalence.rs` proves the
+//! two formulations give identical answers at every epoch; what installing, answering
+//! and retiring them costs is the benchmark's `query_churn` workload and `plan.*`
+//! probes.
 //!
 //! Row conventions: edges are `[src, dst]`, node arguments are `[node]`, pair arguments
 //! are `[src, dst]` — all as [`Value::UInt`].
@@ -38,19 +40,11 @@ pub fn row_u32(row: &Row, index: usize) -> u32 {
     }
 }
 
-/// Point look-up: for every argument node, its out-neighbours — `[q, dst]` rows.
-///
-/// The plan-IR rendering of
-/// [`InteractiveSession::install_lookup`](crate::interactive::InteractiveSession::install_lookup).
+/// Point look-up: for every argument node, its out-neighbours — `[q, dst]` rows. The
+/// paper's 1-hop class is this same plan installed under a second name.
 pub fn lookup_plan(edges: &str, args: &str) -> Plan {
     // key [q] ++ left rest [] ++ right rest [dst]  =  [q, dst]
     Plan::source(args).join(Plan::source(edges), vec![(0, 0)])
-}
-
-/// 1-hop: the same dataflow shape as look-up, kept separate to model a distinct query
-/// class (as the closure version does).
-pub fn one_hop_plan(edges: &str, args: &str) -> Plan {
-    lookup_plan(edges, args)
 }
 
 /// 2-hop: for every argument node, the nodes two hops away — `[q, dst]` rows, set
@@ -107,7 +101,6 @@ mod tests {
             ["edges".to_string(), "args".to_string()].into();
         for plan in [
             lookup_plan("edges", "args"),
-            one_hop_plan("edges", "args"),
             two_hop_plan("edges", "args"),
             four_path_plan("edges", "args"),
         ] {

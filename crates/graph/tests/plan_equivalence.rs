@@ -1,6 +1,6 @@
 //! Plan/closure equivalence: the plan-IR formulations of the §6.2 query classes must
 //! give the *same answer at every epoch* as the closure-built `InteractiveSession`
-//! versions.
+//! versions (`closure_oracle/`, which lives only under `tests/`).
 //!
 //! Both formulations are driven with an identical seeded workload (same initial graph,
 //! same per-epoch argument and edge churn, same epochs). The closure side is the
@@ -15,10 +15,12 @@
 //! streams" (each is the other's prefix sums / successive differences). Batching
 //! granularity within an epoch is an implementation detail on either side.
 
+mod closure_oracle;
+
+use closure_oracle::InteractiveSession;
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_graph::generate;
-use kpg_graph::interactive::InteractiveSession;
 use kpg_graph::plans::{
     edge_row, four_path_plan, lookup_plan, node_row, pair_row, row_u32, two_hop_plan,
 };

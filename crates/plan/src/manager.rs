@@ -14,7 +14,7 @@
 //! entries are reference-counted by their dependants but are **retained** when the count
 //! reaches zero (arrangements outlive the queries that prompted them, so the next
 //! arriving query attaches in milliseconds); they are evicted when their underlying
-//! input is removed, or explicitly via [`Manager::evict_unused`].
+//! input is removed.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -581,24 +581,6 @@ impl Manager {
         self.inputs.remove(name);
         worker.uninstall_query(&format!("plan-input-{name}"), &self.catalog);
         Ok(())
-    }
-
-    /// Evicts every memo arrangement with no current dependant, returning how many were
-    /// removed. The cache-trim operation for long sessions; newly arriving plans will
-    /// rebuild (and re-share) what they need.
-    pub fn evict_unused(&mut self, worker: &mut Worker) -> usize {
-        let mut evicted = 0;
-        loop {
-            let victim = self
-                .memo
-                .iter()
-                .find(|(_, entry)| entry.uses == 0)
-                .map(|(key, _)| key.clone());
-            let Some(key) = victim else { break };
-            self.evict(worker, &key);
-            evicted += 1;
-        }
-        evicted
     }
 
     fn evict(&mut self, worker: &mut Worker, key: &ArrangeKey) {

@@ -26,6 +26,11 @@ fn two_hop(edges: &str, args: &str) -> Plan {
         .distinct()
 }
 
+/// The point look-up class: for every argument node, its out-neighbours.
+fn lookup(edges: &str, args: &str) -> Plan {
+    Plan::source(args).join(Plan::source(edges), vec![(0, 0)]) // [q, dst]
+}
+
 /// Union-sums per-worker answer shards into one answer, sorted by row.
 fn merged(shards: impl IntoIterator<Item = Vec<(Row, isize)>>) -> Vec<(Row, isize)> {
     let mut merged: BTreeMap<Row, isize> = BTreeMap::new();
@@ -212,6 +217,187 @@ fn two_plans_share_one_subtree_arrangement() {
         assert_eq!(worker.live_dataflow_count(), live_before - 2);
         assert!(manager.input_names().is_empty());
     });
+}
+
+/// Figure 5c at the `Manager` level: four queries reading one keyed input hold one copy
+/// of the graph; the same four queries each reading a private input fed the same update
+/// stream hold four — and sharing changes what is held, never what is answered.
+#[test]
+fn private_inputs_hold_four_times_the_updates_of_one_shared_input() {
+    let run = |shared: bool| {
+        let results = execute(Config::new(1), move |worker| {
+            let mut manager = Manager::new();
+            let inputs: Vec<String> = if shared {
+                vec!["edges".into()]
+            } else {
+                (0..4).map(|query| format!("edges-{query}")).collect()
+            };
+            for name in &inputs {
+                manager.create_input_keyed(worker, name, Some(1)).unwrap();
+            }
+            for query in 0..4 {
+                let edges = &inputs[query % inputs.len()];
+                let args = format!("args-{query}");
+                let plan = if query < 2 {
+                    lookup(edges, &args)
+                } else {
+                    two_hop(edges, &args)
+                };
+                manager
+                    .install(worker, &format!("q{query}"), plan, vec![args.clone()])
+                    .unwrap();
+                manager.update(&args, row(&[1]), 1).unwrap();
+            }
+            // A small diamond: 1 -> 2 -> 4, 1 -> 3 -> 4, 4 -> 5.
+            for (src, dst) in [(1u64, 2u64), (2, 4), (1, 3), (3, 4), (4, 5)] {
+                for name in &inputs {
+                    manager.update(name, row(&[src, dst]), 1).unwrap();
+                }
+            }
+            manager.advance_to(1).unwrap();
+            manager.settle(worker);
+            let catalog = manager.catalog();
+            let sources: Vec<String> = catalog
+                .names()
+                .into_iter()
+                .filter(|name| name.starts_with("plan-source-"))
+                .collect();
+            let held: usize = sources
+                .iter()
+                .map(|name| catalog.arrangement_size(name).unwrap())
+                .sum();
+            let answers: Vec<_> = (0..4)
+                .map(|query| manager.query(&format!("q{query}")).unwrap())
+                .collect();
+            (sources.len(), held, answers)
+        });
+        results[0].clone()
+    };
+    let (shared_sources, shared_held, shared_answers) = run(true);
+    let (private_sources, private_held, private_answers) = run(false);
+    assert_eq!((shared_sources, private_sources), (1, 4));
+    assert!(
+        shared_held > 0 && private_held >= 4 * shared_held,
+        "{private_held} vs {shared_held}"
+    );
+    assert_eq!(shared_answers, private_answers);
+    // Look-up of 1: direct neighbours 2 and 3; two hops from 1: only 4 (via 2 and via
+    // 3, deduplicated).
+    assert_eq!(
+        shared_answers[0],
+        vec![(row(&[1, 2]), 1), (row(&[1, 3]), 1)]
+    );
+    assert_eq!(shared_answers[2], vec![(row(&[1, 4]), 1)]);
+}
+
+/// The §6.2 loop as the server runs it — install a burst of queries with query-local
+/// arguments, pose, seal, settle, uninstall — 200 queries in bursts of 4. State must be a
+/// function of the queries *live at once*, never of how many ever existed: every
+/// high-water mark stays where the first burst left it, and between bursts nothing but
+/// the inputs and the retained memo arrangements is alive.
+fn assert_churn_is_bounded(workers: usize, key_arity: Option<usize>) {
+    execute(Config::new(workers), move |worker| {
+        let mut manager = Manager::new();
+        let exec = |manager: &mut Manager, worker: &mut Worker, command: Command| {
+            manager.execute(worker, command).unwrap()
+        };
+        let update = |name: &str, values: &[u64]| Command::Update {
+            name: name.into(),
+            row: row(values),
+            diff: 1,
+        };
+        let name = "edges".to_string();
+        exec(
+            &mut manager,
+            worker,
+            Command::CreateInput { name, key_arity },
+        );
+        for i in 0..60u64 {
+            exec(
+                &mut manager,
+                worker,
+                update("edges", &[i % 20, (i * 7 + 1) % 20]),
+            );
+        }
+        exec(&mut manager, worker, Command::AdvanceTime { epoch: 1 });
+        manager.settle(worker);
+
+        // Self-keyed edges are re-arranged by source in a memo dataflow the first
+        // install creates and every later one shares; source-keyed edges are imported
+        // directly and need none.
+        let shared = edges_by_src("edges");
+        let live_idle = worker.live_dataflow_count();
+        let mut readers_idle = manager.arrangement_reader_count(&shared);
+        let mut first_burst = None;
+        let mut rng = SmallRng::seed_from_u64(7);
+        for burst in 0..50u64 {
+            let queries: Vec<(String, String)> = (burst * 4..burst * 4 + 4)
+                .map(|id| (format!("q-{id}"), format!("args-{id}")))
+                .collect();
+            for (index, (name, args)) in queries.iter().enumerate() {
+                let plan = if index % 2 == 0 {
+                    lookup("edges", args)
+                } else {
+                    two_hop("edges", args)
+                };
+                let install = Command::Install {
+                    name: name.clone(),
+                    plan,
+                    locals: vec![args.clone()],
+                };
+                exec(&mut manager, worker, install);
+            }
+            for (_, args) in &queries {
+                let argument = rng.gen_range(0..20u64);
+                exec(&mut manager, worker, update(args, &[argument]));
+            }
+            let addition = [rng.gen_range(0..20u64), rng.gen_range(0..20u64)];
+            exec(&mut manager, worker, update("edges", &addition));
+            let epoch = burst + 2;
+            exec(&mut manager, worker, Command::AdvanceTime { epoch });
+            manager.settle(worker);
+
+            let arrangement = manager.arrangement_name(&shared).unwrap();
+            let marks = (
+                worker.dataflow_count(),
+                manager.catalog().reader_slots(&arrangement).unwrap(),
+                manager.memo_count(),
+            );
+            assert_eq!(marks, *first_burst.get_or_insert(marks), "burst {burst}");
+            // The computation-wide progress registry holds the live dataflows plus, for
+            // each churned slot, at most the one generation a peer has yet to retire.
+            let live = worker.live_dataflow_count();
+            let registered = worker.shared_dataflow_entries();
+            assert!(
+                (live..=live + queries.len()).contains(&registered),
+                "burst {burst}: {registered} registry entries for {live} live dataflows"
+            );
+
+            for (name, _) in queries {
+                let response = exec(&mut manager, worker, Command::Uninstall { name });
+                assert_eq!(response, Response::Uninstalled { existed: true });
+            }
+            assert_eq!(
+                worker.live_dataflow_count(),
+                live_idle + manager.memo_count(),
+                "burst {burst}"
+            );
+            let readers = manager.arrangement_reader_count(&shared).unwrap();
+            assert_eq!(readers, *readers_idle.get_or_insert(readers));
+        }
+    });
+}
+
+#[test]
+fn churn_holds_state_for_live_queries_only_on_one_worker() {
+    assert_churn_is_bounded(1, Some(1));
+    assert_churn_is_bounded(1, None);
+}
+
+#[test]
+fn churn_holds_state_for_live_queries_only_on_two_workers() {
+    assert_churn_is_bounded(2, Some(1));
+    assert_churn_is_bounded(2, None);
 }
 
 #[test]

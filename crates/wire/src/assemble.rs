@@ -1,14 +1,19 @@
-//! Incremental frame assembly: the nonblocking counterpart of
-//! [`read_frame`](crate::read_frame).
+//! Frame assembly: the one framing state machine, with two drivers.
 //!
-//! A readiness-driven reader cannot block until a frame is complete — bytes arrive
-//! in whatever chunks the kernel delivers, cut anywhere: mid-header, mid-payload,
-//! one byte at a time. [`FrameAssembler`] is the state machine that turns that
-//! arbitrary chunking back into the exact frame sequence [`read_frame`] would have
-//! produced: feed every received chunk to [`FrameAssembler::ingest`], pop completed
-//! frames with [`FrameAssembler::next_frame`].
+//! [`FrameAssembler`] turns a byte stream cut anywhere — mid-header, mid-payload, one
+//! byte at a time — back into the frame sequence its writer produced. It owns the
+//! header parse, the frame-limit test and the oversized-frame skip; what differs
+//! between callers is only who brings the bytes:
 //!
-//! The resynchronization properties of the blocking reader carry over unchanged:
+//! * A readiness-driven reader cannot block until a frame is complete, so it feeds
+//!   every chunk the kernel delivers to [`FrameAssembler::ingest`] and pops completed
+//!   frames with [`FrameAssembler::next_frame`].
+//! * The blocking [`read_frame`](crate::read_frame) is a loop over
+//!   `FrameAssembler::fill_from`, which reads from the stream at most what the current
+//!   header, payload or skip still needs — a payload straight into its buffer — so it
+//!   never consumes a byte of the following frame.
+//!
+//! The resynchronization properties hold under both:
 //!
 //! * An announced payload larger than the limit is *discarded as it streams in* —
 //!   counted, never buffered — and surfaces as [`Frame::TooLarge`] once fully
@@ -21,6 +26,7 @@
 //!   the chunk sizes the consumer chooses to ingest.
 
 use std::collections::VecDeque;
+use std::io::{self, Read};
 
 use crate::frame::Frame;
 
@@ -98,17 +104,67 @@ impl FrameAssembler {
         }
     }
 
-    /// Emits the current frame if its final byte has arrived and resets to the
-    /// header state. (Also handles zero-length payloads and zero-length skips,
-    /// which complete without consuming any body bytes.)
+    /// How many more bytes the current header, payload or skip needs — never zero, as
+    /// a frame is emitted (and the next header begun) the moment its last byte arrives.
+    fn needed(&self) -> u64 {
+        match &self.state {
+            State::Header { filled, .. } => (4 - filled) as u64,
+            State::Body { payload, expect } => (expect - payload.len()) as u64,
+            State::Skip { remaining, .. } => *remaining,
+        }
+    }
+
+    /// The blocking driver's step: reads at most [`needed`](Self::needed) bytes, so
+    /// nothing past the current frame is ever consumed, and returns how many it read
+    /// (`0` is end of stream) with the frame they completed, if any. A payload goes
+    /// straight into its buffer (as many `read`s as it takes, stopping early only at end
+    /// of stream) and out again without passing through the queue; header and skipped
+    /// bytes are ingested from a scratch sized for each.
+    pub(crate) fn fill_from(
+        &mut self,
+        reader: &mut impl Read,
+    ) -> io::Result<(usize, Option<Frame>)> {
+        let need = self.needed();
+        let read = match &mut self.state {
+            State::Body { payload, .. } => {
+                let read = reader.by_ref().take(need).read_to_end(payload)?;
+                return Ok((read, self.take_complete()));
+            }
+            State::Header { .. } => self.ingest_from::<4>(reader, need)?,
+            State::Skip { .. } => self.ingest_from::<8192>(reader, need)?,
+        };
+        Ok((read, self.ready.pop_front()))
+    }
+
+    fn ingest_from<const SCRATCH: usize>(
+        &mut self,
+        reader: &mut impl Read,
+        need: u64,
+    ) -> io::Result<usize> {
+        let mut scratch = [0u8; SCRATCH];
+        let read = reader.read(&mut scratch[..need.min(SCRATCH as u64) as usize])?;
+        self.ingest(&scratch[..read]);
+        Ok(read)
+    }
+
+    /// Queues the current frame if its final byte has arrived. (Also handles
+    /// zero-length payloads and zero-length skips, which complete without consuming any
+    /// body bytes.)
     fn finish_if_complete(&mut self) {
+        if let Some(frame) = self.take_complete() {
+            self.ready.push_back(frame);
+        }
+    }
+
+    /// The current frame if its final byte has arrived, resetting to the header state.
+    fn take_complete(&mut self) -> Option<Frame> {
         let done = match &self.state {
-            State::Header { .. } => return,
+            State::Header { .. } => false,
             State::Body { payload, expect } => payload.len() == *expect,
             State::Skip { remaining, .. } => *remaining == 0,
         };
         if !done {
-            return;
+            return None;
         }
         let state = std::mem::replace(
             &mut self.state,
@@ -118,8 +174,8 @@ impl FrameAssembler {
             },
         );
         match state {
-            State::Body { payload, .. } => self.ready.push_back(Frame::Payload(payload)),
-            State::Skip { announced, .. } => self.ready.push_back(Frame::TooLarge(announced)),
+            State::Body { payload, .. } => Some(Frame::Payload(payload)),
+            State::Skip { announced, .. } => Some(Frame::TooLarge(announced)),
             State::Header { .. } => unreachable!("checked above"),
         }
     }

@@ -5,9 +5,11 @@
 //! already positioned at the next length prefix, and an oversized frame is *skipped*
 //! (its bytes read and discarded in bounded chunks, never buffered), so a hostile or
 //! buggy peer cannot force an allocation larger than the configured limit or knock the
-//! stream out of sync.
+//! stream out of sync. The decoding itself lives in [`crate::assemble`].
 
 use std::io::{self, Read, Write};
+
+use crate::assemble::FrameAssembler;
 
 /// One frame read from a stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -31,101 +33,28 @@ pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     writer.flush()
 }
 
-/// Reads one frame, buffering at most `limit` bytes.
+/// Reads one frame, buffering at most `limit` bytes: the blocking driver of
+/// [`FrameAssembler`], reading the header and then exactly the body, never beyond.
 ///
 /// Returns `Ok(None)` on a clean end of stream (EOF at a frame boundary); EOF inside a
 /// frame is an [`io::ErrorKind::UnexpectedEof`] error. A frame announcing a payload
 /// larger than `limit` is discarded in bounded chunks and reported as
 /// [`Frame::TooLarge`], leaving the stream positioned at the next frame.
 pub fn read_frame(reader: &mut impl Read, limit: usize) -> io::Result<Option<Frame>> {
-    let mut header = [0u8; 4];
-    let mut got = 0;
-    while got < header.len() {
-        match reader.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => {
+    let mut assembler = FrameAssembler::new(limit);
+    loop {
+        match assembler.fill_from(reader) {
+            Ok((_, Some(frame))) => return Ok(Some(frame)),
+            Ok((0, None)) if assembler.is_idle() => return Ok(None),
+            Ok((0, None)) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
-                    "stream ended inside a frame header",
+                    "stream ended inside a frame",
                 ))
             }
-            Ok(read) => got += read,
+            Ok(_) => {}
             Err(error) if error.kind() == io::ErrorKind::Interrupted => {}
             Err(error) => return Err(error),
-        }
-    }
-    let length = u64::from(u32::from_be_bytes(header));
-    if length > limit as u64 {
-        // Skip the payload without buffering it: fixed scratch, bounded per read.
-        let copied = io::copy(&mut reader.take(length), &mut io::sink())?;
-        if copied < length {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                "stream ended inside an oversized frame",
-            ));
-        }
-        return Ok(Some(Frame::TooLarge(length)));
-    }
-    let mut payload = vec![0u8; length as usize];
-    reader.read_exact(&mut payload)?;
-    Ok(Some(Frame::Payload(payload)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::io::Cursor;
-
-    #[test]
-    fn frames_round_trip_and_eof_is_clean() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, b"alpha").unwrap();
-        write_frame(&mut stream, b"").unwrap();
-        write_frame(&mut stream, b"beta").unwrap();
-        let mut cursor = Cursor::new(stream);
-        assert_eq!(
-            read_frame(&mut cursor, 64).unwrap(),
-            Some(Frame::Payload(b"alpha".to_vec()))
-        );
-        assert_eq!(
-            read_frame(&mut cursor, 64).unwrap(),
-            Some(Frame::Payload(Vec::new()))
-        );
-        assert_eq!(
-            read_frame(&mut cursor, 64).unwrap(),
-            Some(Frame::Payload(b"beta".to_vec()))
-        );
-        assert_eq!(read_frame(&mut cursor, 64).unwrap(), None);
-    }
-
-    #[test]
-    fn oversized_frames_are_skipped_not_buffered() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, &[7u8; 100]).unwrap();
-        write_frame(&mut stream, b"next").unwrap();
-        let mut cursor = Cursor::new(stream);
-        assert_eq!(
-            read_frame(&mut cursor, 10).unwrap(),
-            Some(Frame::TooLarge(100))
-        );
-        // The stream resynchronized at the following frame.
-        assert_eq!(
-            read_frame(&mut cursor, 10).unwrap(),
-            Some(Frame::Payload(b"next".to_vec()))
-        );
-    }
-
-    #[test]
-    fn truncation_inside_a_frame_is_an_error() {
-        let mut stream = Vec::new();
-        write_frame(&mut stream, b"abcdef").unwrap();
-        for cut in 1..stream.len() {
-            let mut cursor = Cursor::new(&stream[..cut]);
-            let result = read_frame(&mut cursor, 64);
-            assert!(
-                result.is_err(),
-                "truncation at byte {cut} must error, got {result:?}"
-            );
         }
     }
 }

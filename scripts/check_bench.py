@@ -7,8 +7,8 @@ Fails (exit 1) if any `BENCH ` line is not followed by a single valid JSON
 object with a string `name` field, if any required name never appears, or if a
 record of a known name is missing the keys its schema requires — so a refactor
 that silently empties a record (a latency record without its percentiles, a
-churn record without its steady-state step cost) breaks the build instead of
-the perf trajectory. CI pipes each bench smoke run through a file and calls
+fan-out point without its throughput) breaks the build instead of the perf
+trajectory. CI pipes each bench smoke run through a file and calls
 this afterwards.
 """
 
@@ -18,30 +18,6 @@ import sys
 # Per-record required keys, by record name. Names absent from this table are
 # only checked for basic shape (a JSON object with a string `name`).
 SCHEMAS = {
-    "churn": {
-        "queries",
-        "workers",
-        "install_median_ns",
-        "install_p99_ns",
-        "step_median_ns_first_half",
-        "step_median_ns_second_half",
-        "steady_step_median_ns",
-        "slot_high_water",
-        "reader_slots_high_water",
-    },
-    # The plan-mode churn record must stay field-compatible with the closure
-    # baseline so the two stay directly comparable.
-    "churn_plan": {
-        "queries",
-        "workers",
-        "install_median_ns",
-        "install_p99_ns",
-        "step_median_ns_first_half",
-        "step_median_ns_second_half",
-        "steady_step_median_ns",
-        "slot_high_water",
-        "reader_slots_high_water",
-    },
     "micro_latency": {"experiment", "workers", "load", "p50_ns", "p99_ns"},
     "micro_throughput": {"workers", "updates", "records_per_s"},
     "micro_join_install": {"keys", "size", "latency_us"},
