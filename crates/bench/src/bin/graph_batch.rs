@@ -2,62 +2,54 @@
 //!
 //! Three synthetic graphs stand in for LiveJournal, Orkut and Twitter (substitution S3):
 //! a uniform graph, a denser uniform graph, and a skewed graph. For each we report the
-//! time to build the forward index (arrangement), reachability, BFS distances, the
-//! reverse index, and undirected connectivity, for 1..=max workers, alongside the
-//! purpose-written single-threaded baselines (array- and hash-map-based BFS, union-find).
+//! time to build the forward index (create, load and seal the edges arrangement), then
+//! reachability, BFS distances and undirected connectivity — each a cold `Install` +
+//! `Query` of its `kpg_graph::plans` plan against the loaded, shared index — for
+//! 1..=max workers, alongside the purpose-written single-threaded baselines (array- and
+//! hash-map-based BFS, union-find), which every plan's answer is checked against.
 //!
-//! Run with `cargo run --release -p kpg-bench --bin graph_batch [--scale 1.0]`.
+//! Run with `cargo run --release -p kpg_bench --bin graph_batch [--scale 1.0]`.
 
-use kpg_bench::{arg_f64, arg_usize, timed};
-use kpg_core::prelude::*;
-use kpg_dataflow::Time;
-use kpg_graph::algorithms::{bfs_distances, connected_components, reachability};
+use kpg_bench::{
+    arg_f64, arg_usize, check_answer, evaluate, fixed, load, num, replay_steps, seconds, table_row,
+    text, timed, Answer,
+};
+use kpg_graph::plans::{bfs_plan, components_plan, edge_rows, node_row, reach_plan};
 use kpg_graph::{baseline, generate, Edge};
+use kpg_plan::{Plan, Row, Value};
 
-fn run_differential(edges: Vec<Edge>, workers: usize) -> (f64, f64, f64, f64) {
-    // Returns (index seconds, reach seconds, bfs seconds, wcc seconds).
-    let results = execute(Config::new(workers), move |worker| {
-        let edges = edges.clone();
-        let (mut edges_in, mut roots_in, index_probe, reach_probe, bfs_probe, wcc_probe) = worker
-            .dataflow(|builder| {
-                let (edges_in, edge_coll) = new_collection::<Edge, isize>(builder);
-                let (roots_in, roots) = new_collection::<u32, isize>(builder);
-                let index_probe = edge_coll.arrange_by_key().probe();
-                let reach_probe = reachability(&edge_coll, &roots).probe();
-                let bfs_probe = bfs_distances(&edge_coll, &roots).probe();
-                let wcc_probe = connected_components(&edge_coll).probe();
-                (
-                    edges_in,
-                    roots_in,
-                    index_probe,
-                    reach_probe,
-                    bfs_probe,
-                    wcc_probe,
-                )
-            });
-        for (index, edge) in edges.iter().enumerate() {
-            if index % worker.peers() == worker.index() {
-                edges_in.insert(*edge);
-            }
-        }
-        if worker.index() == 0 {
-            roots_in.insert(edges.first().map(|(s, _)| *s).unwrap_or(0));
-        }
-        edges_in.advance_to(1);
-        roots_in.advance_to(1);
-        let target = Time::from_epoch(1);
-        let (_, index_time) = timed(|| worker.step_while(|| index_probe.less_than(&target)));
-        let (_, reach_time) = timed(|| worker.step_while(|| reach_probe.less_than(&target)));
-        let (_, bfs_time) = timed(|| worker.step_while(|| bfs_probe.less_than(&target)));
-        let (_, wcc_time) = timed(|| worker.step_while(|| wcc_probe.less_than(&target)));
-        (
-            index_time.as_secs_f64(),
-            reach_time.as_secs_f64(),
-            bfs_time.as_secs_f64(),
-            wcc_time.as_secs_f64(),
-        )
-    });
-    results[0]
+fn row(values: &[u32]) -> Row {
+    values.iter().map(|&value| Value::from(value)).collect()
+}
+
+/// Loads the graph, then evaluates reach, bfs and wcc cold against it, requiring each of
+/// `expected`. Returns the index, reach, bfs and wcc seconds.
+fn run_plans(
+    edges: &[Edge],
+    root: u32,
+    workers: usize,
+    expected: &[Answer; 3],
+) -> Vec<Option<f64>> {
+    let relations = vec![("edges", edge_rows(edges)), ("roots", vec![node_row(root)])];
+    let mut commands = load(relations);
+    let loaded = commands.len();
+    let names = ["reach", "bfs", "wcc"];
+    let plans = [
+        reach_plan(Plan::source("edges"), "roots"),
+        bfs_plan("edges", "roots"),
+        components_plan("edges"),
+    ];
+    let evaluations = names.iter().zip(plans);
+    commands.extend(evaluations.flat_map(|(name, plan)| evaluate(name, plan, &[])));
+    let steps = replay_steps(workers, commands);
+    let (index, evaluated) = steps.split_at(loaded);
+    let mut times = vec![Some(seconds(index))];
+    for ((evaluated, name), expected) in evaluated.chunks(2).zip(names).zip(expected) {
+        let what = format!("{name} on {workers} workers");
+        check_answer(&what, &evaluated[1], expected);
+        times.push(Some(seconds(evaluated)));
+    }
+    times
 }
 
 fn main() {
@@ -85,31 +77,56 @@ fn main() {
             nodes,
             edges.len()
         );
-        println!("system\tworkers\tindex (s)\treach (s)\tbfs (s)\twcc (s)");
+        println!("graph\tsystem\tworkers\tindex (s)\treach (s)\tbfs (s)\twcc (s)");
+        // A column a system has no figure for reads "-".
+        let print = |system: &str, workers: usize, times: &[Option<f64>]| {
+            let keys = ["index_s", "reach_s", "bfs_s", "wcc_s"];
+            let time = |time: &Option<f64>| time.map_or(text("-"), |time| fixed(time, 3));
+            let mut cells = vec![
+                ("graph", text(name)),
+                ("system", text(system)),
+                ("workers", num(workers)),
+            ];
+            cells.extend(keys.into_iter().zip(times.iter().map(time)));
+            table_row("graph_batch", &cells);
+        };
 
         // Single-threaded baselines.
         let root = edges.first().map(|(s, _)| *s).unwrap_or(0);
-        let (_, reach_array) = timed(|| baseline::bfs_array(nodes, &edges, root));
-        let (_, bfs_array) = timed(|| baseline::bfs_distances_array(nodes, &edges, root));
-        let (_, wcc_uf) = timed(|| baseline::union_find_components(&edges));
-        println!(
-            "single-thread (arrays)\t1\t-\t{:.3}\t{:.3}\t{:.3}",
-            reach_array.as_secs_f64(),
-            bfs_array.as_secs_f64(),
-            wcc_uf.as_secs_f64()
-        );
+        let (mut reached, reach_array) = timed(|| baseline::bfs_array(nodes, &edges, root));
+        let (distances, bfs_array) = timed(|| baseline::bfs_distances_array(nodes, &edges, root));
+        let (components, wcc_uf) = timed(|| baseline::union_find_components(&edges));
+        let [reach, bfs, wcc] = [reach_array, bfs_array, wcc_uf].map(|t| Some(t.as_secs_f64()));
+        print("single-thread (arrays)", 1, &[None, reach, bfs, wcc]);
         let (_, reach_hash) = timed(|| baseline::bfs_hashmap(&edges, root));
-        println!(
-            "single-thread (hash map)\t1\t-\t{:.3}\t{:.3}\t-",
-            reach_hash.as_secs_f64(),
-            reach_hash.as_secs_f64()
+        let reach_hash = Some(reach_hash.as_secs_f64());
+        print(
+            "single-thread (hash map)",
+            1,
+            &[None, reach_hash, None, None],
         );
 
-        // Differential, scaling workers.
+        // What the plans must answer: the baselines' results as rows, in row order.
+        // Union-find links the greater root under the lesser, so a node's representative
+        // is its component's least node — the plan's label.
+        reached.sort_unstable();
+        let mut labels: Vec<(u32, u32)> = components.into_iter().collect();
+        labels.sort_unstable();
+        let hops = |node: &u32| (row(&[*node, root, distances[*node as usize]]), 1);
+        let expected: [Answer; 3] = [
+            reached.iter().map(|node| (node_row(*node), 1)).collect(),
+            reached.iter().map(hops).collect(),
+            labels
+                .iter()
+                .map(|(node, label)| (row(&[*node, *label]), 1))
+                .collect(),
+        ];
+
+        // The plans, scaling workers.
         let mut workers = 1;
         while workers <= max_workers {
-            let (index, reach, bfs, wcc) = run_differential(edges.clone(), workers);
-            println!("shared-arrangements\t{workers}\t{index:.3}\t{reach:.3}\t{bfs:.3}\t{wcc:.3}");
+            let times = run_plans(&edges, root, workers, &expected);
+            print("shared-arrangements", workers, &times);
             workers *= 2;
         }
     }

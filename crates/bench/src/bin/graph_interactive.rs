@@ -5,18 +5,17 @@
 //! shared-arrangement and per-query-arrangement variants are compared on both latency and
 //! the number of updates held across arrangements (the memory proxy for Figure 5c).
 //!
-//! The queries are the plans of [`kpg_graph::plans`], installed and driven through
-//! [`Manager::execute`] exactly as a server would. *Shared*: one input of the edges,
+//! The queries are the plans of [`kpg_graph::plans`], installed and driven as one
+//! `Command` stream through [`kpg_plan::replay`], exactly as a server would. *Shared*: one input of the edges,
 //! keyed by source, read by all four installs. *Not shared*: one such input per query
 //! class, each fed the same update stream, as systems without inter-query sharing must.
 //!
 //! Run with `cargo run --release -p kpg_bench --bin graph_interactive [--nodes 2000]`.
 
 use kpg_bench::{arg_usize, LatencyRecorder};
-use kpg_core::prelude::*;
 use kpg_graph::generate;
 use kpg_graph::plans::{edge_row, four_path_plan, lookup_plan, node_row, pair_row, two_hop_plan};
-use kpg_plan::{Command, Manager, Plan, Row};
+use kpg_plan::{replay, Command, Plan, Row};
 use kpg_timestamp::rng::SmallRng;
 
 /// A query class's plan over `(edges input, argument input)`.
@@ -39,89 +38,92 @@ struct RunResult {
     held: usize,
 }
 
-fn exec(manager: &mut Manager, worker: &mut Worker, command: Command) {
-    manager
-        .execute(worker, command)
-        .expect("graph_interactive command");
-}
-
-/// Applies `diff` to `row` in every input of `names`.
-fn update(manager: &mut Manager, worker: &mut Worker, names: &[String], row: &Row, diff: isize) {
-    for name in names {
-        let (name, row) = (name.clone(), row.clone());
-        exec(manager, worker, Command::Update { name, row, diff });
-    }
+/// `diff` applied to `row` in every input of `names`.
+fn updates(names: &[String], row: &Row, diff: isize) -> Vec<Command> {
+    let update = |name: &String| Command::Update {
+        name: name.clone(),
+        row: row.clone(),
+        diff,
+    };
+    names.iter().map(update).collect()
 }
 
 fn run(shared: bool, nodes: u32, edges: usize, rounds: usize, per_round: usize) -> RunResult {
-    let results = execute(Config::new(1), move |worker| {
-        let manager = &mut Manager::new();
-        let classes = CLASSES.iter().map(|(class, _)| class);
-        let args: Vec<String> = classes.clone().map(|c| format!("{c}-args")).collect();
-        // The edge inputs: one read by every class, or one per class.
-        let inputs: Vec<String> = if shared {
-            vec!["edges".to_string()]
-        } else {
-            classes.map(|class| format!("edges-{class}")).collect()
-        };
-        for name in inputs.iter().cloned() {
-            let key_arity = Some(1);
-            exec(manager, worker, Command::CreateInput { name, key_arity });
-        }
-        for (index, (class, plan)) in CLASSES.iter().enumerate() {
-            let install = Command::Install {
-                name: class.to_string(),
-                plan: plan(&inputs[index % inputs.len()], &args[index]),
-                locals: vec![args[index].clone()],
-            };
-            exec(manager, worker, install);
-        }
+    let classes = CLASSES.iter().map(|(class, _)| class);
+    let args: Vec<String> = classes.clone().map(|c| format!("{c}-args")).collect();
+    // The edge inputs: one read by every class, or one per class.
+    let inputs: Vec<String> = if shared {
+        vec!["edges".to_string()]
+    } else {
+        classes.map(|class| format!("edges-{class}")).collect()
+    };
+    let mut commands: Vec<Command> = inputs
+        .iter()
+        .map(|name| Command::CreateInput {
+            name: name.clone(),
+            key_arity: Some(1),
+        })
+        .collect();
+    for (index, (class, plan)) in CLASSES.iter().enumerate() {
+        commands.push(Command::Install {
+            name: class.to_string(),
+            plan: plan(&inputs[index % inputs.len()], &args[index]),
+            locals: vec![args[index].clone()],
+        });
+    }
 
-        let graph = generate::evolving(nodes, edges, rounds, per_round, 77);
-        for edge in graph.initial.iter() {
-            update(manager, worker, &inputs, &edge_row(*edge), 1);
-        }
-        exec(manager, worker, Command::AdvanceTime { epoch: 1 });
-        manager.settle(worker);
+    let graph = generate::evolving(nodes, edges, rounds, per_round, 77);
+    for edge in graph.initial.iter() {
+        commands.extend(updates(&inputs, &edge_row(*edge), 1));
+    }
+    commands.push(Command::AdvanceTime { epoch: 1 });
 
-        let mut rng = SmallRng::seed_from_u64(13);
-        let mut rounds = LatencyRecorder::new();
-        for ((adds, dels), epoch) in graph.rounds.iter().zip(2u64..) {
-            // Half graph changes, half query changes, as in the paper's open-loop mix.
-            for (edges, diff) in [(adds, 1), (dels, -1)] {
-                for edge in edges {
-                    update(manager, worker, &inputs, &edge_row(*edge), diff);
-                }
-            }
-            let arguments = [
-                node_row(rng.gen_range(0..nodes)),
-                node_row(rng.gen_range(0..nodes)),
-                node_row(rng.gen_range(0..nodes)),
-                pair_row((rng.gen_range(0..nodes), rng.gen_range(0..nodes))),
-            ];
-            for (input, argument) in args.chunks(1).zip(&arguments) {
-                update(manager, worker, input, argument, 1);
-            }
-            rounds.time(|| {
-                exec(manager, worker, Command::AdvanceTime { epoch });
-                manager.settle(worker);
-            });
-            // Retire the queries so state stays proportional to the graph.
-            for (input, argument) in args.chunks(1).zip(&arguments) {
-                update(manager, worker, input, argument, -1);
+    let mut rng = SmallRng::seed_from_u64(13);
+    for ((adds, dels), epoch) in graph.rounds.iter().zip(2u64..) {
+        // Half graph changes, half query changes, as in the paper's open-loop mix.
+        for (edges, diff) in [(adds, 1), (dels, -1)] {
+            for edge in edges {
+                commands.extend(updates(&inputs, &edge_row(*edge), diff));
             }
         }
-        // Query-local argument inputs publish no `plan-source-` arrangement: these are
-        // the arrangements of the edges.
-        let catalog = manager.catalog();
-        let sources = catalog.names().into_iter();
-        let held = sources
-            .filter(|name| name.starts_with("plan-source-"))
-            .map(|name| catalog.arrangement_size(&name).expect("listed name"))
-            .sum();
-        RunResult { rounds, held }
-    });
-    results.into_iter().next().expect("one worker")
+        let arguments = [
+            node_row(rng.gen_range(0..nodes)),
+            node_row(rng.gen_range(0..nodes)),
+            node_row(rng.gen_range(0..nodes)),
+            pair_row((rng.gen_range(0..nodes), rng.gen_range(0..nodes))),
+        ];
+        for (input, argument) in args.chunks(1).zip(&arguments) {
+            commands.extend(updates(input, argument, 1));
+        }
+        commands.push(Command::AdvanceTime { epoch });
+        // Retire the queries so state stays proportional to the graph.
+        for (input, argument) in args.chunks(1).zip(&arguments) {
+            commands.extend(updates(input, argument, -1));
+        }
+    }
+
+    // A round's latency is its `AdvanceTime`: replay settles every standing query
+    // inside it. The first one seals the initial graph and is not a round.
+    let round_ends: Vec<bool> = commands
+        .iter()
+        .map(|command| matches!(command, Command::AdvanceTime { epoch } if *epoch > 1))
+        .collect();
+    let replayed = replay(1, commands);
+    let mut rounds = LatencyRecorder::new();
+    for ((outcome, elapsed), round_end) in replayed.outcomes.iter().zip(round_ends) {
+        outcome.as_ref().expect("graph_interactive command");
+        if round_end {
+            rounds.record(*elapsed);
+        }
+    }
+    // Query-local argument inputs publish no `plan-source-` arrangement: these are
+    // the arrangements of the edges.
+    let sources = replayed.held.iter();
+    let held = sources
+        .filter(|(name, _)| name.starts_with("plan-source-"))
+        .map(|(_, size)| size)
+        .sum();
+    RunResult { rounds, held }
 }
 
 fn main() {

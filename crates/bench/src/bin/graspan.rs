@@ -3,81 +3,84 @@
 //! Three synthetic program graphs stand in for httpd, psql and linux (substitution S4).
 //! For the dataflow (null-propagation) analysis we report the full analysis time and the
 //! median/max latency of retracting null sources from the completed analysis (Table 3's
-//! interactive rows); for the points-to analysis we report the unoptimised, optimised,
-//! and optimised-without-sharing variants (Table 4).
+//! interactive rows); for the points-to analysis we report the unoptimised and the
+//! optimised variant, each evaluated cold on a manager of its own (Table 4).
 //!
-//! Run with `cargo run --release -p kpg-bench --bin graspan [--scale 1.0]`.
+//! Every measurement is a `Command` stream through `kpg_plan::replay` over the plans of
+//! `kpg_graph::plans`: the program graph is loaded and sealed, the analysis installed
+//! cold against the loaded arrangements and read. Null propagation is checked against a
+//! scalar search after the load and after every retraction; the two points-to variants
+//! must agree.
+//!
+//! Run with `cargo run --release -p kpg_bench --bin graspan [--scale 1.0]`.
 
-use kpg_bench::{arg_f64, arg_usize, timed, LatencyRecorder};
-use kpg_core::prelude::*;
-use kpg_dataflow::Time;
-use kpg_datalog::generate::program_graph;
-use kpg_datalog::graspan::{nullness, points_to};
-use kpg_datalog::Edge;
+use kpg_bench::{
+    answer, arg_f64, arg_usize, check_answer, evaluate, fixed, load, num, replay_steps, seconds,
+    table_row, text, Answer, LatencyRecorder, Step,
+};
+use kpg_graph::baseline;
+use kpg_graph::generate::{program_graph, ProgramGraph};
+use kpg_graph::plans::{edge_rows, node_row, nullness_plan, points_to_plan};
+use kpg_plan::Command;
 
-fn dataflow_analysis(variables: u32, seed: u64, retractions: usize) -> (f64, LatencyRecorder) {
-    let results = execute(Config::new(1), move |worker| {
-        let graph = program_graph(variables, seed);
-        let (mut assign_in, mut null_in, probe) = worker.dataflow(|builder| {
-            let (assign_in, assignments) = new_collection::<Edge, isize>(builder);
-            let (null_in, sources) = new_collection::<u32, isize>(builder);
-            let result = nullness(&assignments, &sources);
-            (assign_in, null_in, result.probe())
-        });
-        for edge in graph.assignments.iter() {
-            assign_in.insert(*edge);
-        }
-        for source in graph.null_sources.iter() {
-            null_in.insert(*source);
-        }
-        let mut epoch = 1u64;
-        assign_in.advance_to(epoch);
-        null_in.advance_to(epoch);
-        let (_, full) = timed(|| worker.step_while(|| probe.less_than(&Time::from_epoch(epoch))));
-
-        // Retract null sources one at a time, measuring each correction latency.
-        let mut recorder = LatencyRecorder::new();
-        for source in graph.null_sources.iter().take(retractions) {
-            null_in.remove(*source);
-            epoch += 1;
-            assign_in.advance_to(epoch);
-            null_in.advance_to(epoch);
-            let target = Time::from_epoch(epoch);
-            recorder.time(|| worker.step_while(|| probe.less_than(&target)));
-        }
-        (full.as_secs_f64(), recorder)
-    });
-    results.into_iter().next().expect("one worker")
+/// The variables `sources` can make null, by one scalar search from a virtual variable
+/// that is assigned to every source.
+fn nullness_scalar(graph: &ProgramGraph, variables: u32, sources: &[u32]) -> Answer {
+    let flows = graph.assignments.iter().map(|&(dst, src)| (src, dst));
+    let seeded = sources.iter().map(|&source| (variables, source));
+    let mut null = baseline::bfs_hashmap(&flows.chain(seeded).collect::<Vec<_>>(), variables);
+    null.retain(|&variable| variable != variables);
+    null.sort_unstable();
+    null.into_iter().map(|v| (node_row(v), 1)).collect()
 }
 
-fn points_to_analysis(variables: u32, seed: u64, materialise_alias: bool) -> f64 {
-    let (_, elapsed) = timed(|| {
-        execute(Config::new(1), move |worker| {
-            let graph = program_graph(variables, seed);
-            let (mut a_in, mut o_in, mut d_in, probe) = worker.dataflow(|builder| {
-                let (a_in, assignments) = new_collection::<Edge, isize>(builder);
-                let (o_in, allocations) = new_collection::<Edge, isize>(builder);
-                let (d_in, dereferences) = new_collection::<Edge, isize>(builder);
-                let result =
-                    points_to(&assignments, &allocations, &dereferences, materialise_alias);
-                (a_in, o_in, d_in, result.probe())
-            });
-            for e in graph.assignments.iter() {
-                a_in.insert(*e);
-            }
-            for e in graph.allocations.iter() {
-                o_in.insert(*e);
-            }
-            for e in graph.dereferences.iter() {
-                d_in.insert(*e);
-            }
-            a_in.advance_to(1);
-            o_in.advance_to(1);
-            d_in.advance_to(1);
-            worker.step_while(|| probe.less_than(&Time::from_epoch(1)));
-        })
-    });
-    elapsed.as_secs_f64()
+/// Table 3: returns (full analysis seconds, retraction latencies).
+fn dataflow_analysis(variables: u32, seed: u64, retractions: usize) -> (f64, LatencyRecorder) {
+    let graph = program_graph(variables, seed);
+    let sources = &graph.null_sources;
+    let mut commands = load(vec![
+        ("assign", edge_rows(&graph.assignments)),
+        ("null", sources.iter().map(|s| node_row(*s)).collect()),
+    ]);
+    let loaded = commands.len();
+    commands.extend(evaluate("analysis", nullness_plan("assign", "null"), &[]));
+    // Retract null sources one at a time, first to last, measuring each correction.
+    for (source, epoch) in sources.iter().take(retractions).zip(2u64..) {
+        let retract = Command::Update {
+            name: "null".to_string(),
+            row: node_row(*source),
+            diff: -1,
+        };
+        let read = Command::Query {
+            name: "analysis".to_string(),
+        };
+        commands.extend([retract, Command::AdvanceTime { epoch }, read]);
+    }
+
+    let steps = replay_steps(1, commands);
+    let (full, corrections) = steps[loaded..].split_at(2);
+    let expected = nullness_scalar(&graph, variables, sources);
+    check_answer("nullness", &full[1], &expected);
+    let mut recorder = LatencyRecorder::new();
+    for (correction, retracted) in corrections.chunks(3).zip(1..) {
+        let expected = nullness_scalar(&graph, variables, &sources[retracted..]);
+        check_answer("nullness after a retraction", &correction[2], &expected);
+        recorder.record(correction.iter().map(|(_, elapsed)| *elapsed).sum());
+    }
+    (seconds(full), recorder)
+}
+
+/// Table 4: one variant, cold. Returns its `Install` and `Query` steps.
+fn points_to_analysis(graph: &ProgramGraph, materialise_alias: bool) -> Vec<Step> {
+    let mut commands = load(vec![
+        ("assign", edge_rows(&graph.assignments)),
+        ("alloc", edge_rows(&graph.allocations)),
+        ("deref", edge_rows(&graph.dereferences)),
+    ]);
+    let loaded = commands.len();
+    let plan = points_to_plan("assign", "alloc", "deref", materialise_alias);
+    commands.extend(evaluate("analysis", plan, &[]));
+    replay_steps(1, commands).split_off(loaded)
 }
 
 fn main() {
@@ -89,22 +92,44 @@ fn main() {
         ("linux-like", (4_000.0 * scale) as u32, 13),
     ];
 
+    let millis = |time: std::time::Duration| fixed(time.as_secs_f64() * 1e3, 3);
     println!("# Table 3 analogue: dataflow (null propagation) analysis");
-    println!("graph\tfull analysis (s)\tretraction median (ms)\tretraction max (ms)");
+    println!(
+        "table\tgraph\tvariables\tfull analysis (s)\tretraction median (ms)\tretraction max (ms)"
+    );
     for (name, variables, seed) in inputs {
         let (full, recorder) = dataflow_analysis(variables, seed, retractions);
-        println!(
-            "{name}\t{full:.3}\t{:.3}\t{:.3}",
-            recorder.median().as_secs_f64() * 1e3,
-            recorder.max().as_secs_f64() * 1e3
-        );
+        let cells = [
+            ("table", text("table3")),
+            ("graph", text(name)),
+            ("variables", num(variables)),
+            ("full_analysis_s", fixed(full, 3)),
+            ("retraction_median_ms", millis(recorder.median())),
+            ("retraction_max_ms", millis(recorder.max())),
+        ];
+        table_row("graspan", &cells);
     }
 
     println!("\n# Table 4 analogue: points-to analysis");
-    println!("graph\tunoptimised (s)\toptimised (s)");
+    println!("table\tgraph\tvariables\taliases\tunoptimised (s)\toptimised (s)");
     for (name, variables, seed) in inputs {
-        let unopt = points_to_analysis(variables, seed, true);
-        let opt = points_to_analysis(variables, seed, false);
-        println!("{name}\t{unopt:.3}\t{opt:.3}");
+        let graph = program_graph(variables, seed);
+        let unoptimised = points_to_analysis(&graph, true);
+        let optimised = points_to_analysis(&graph, false);
+        let aliases = answer(&optimised[1]);
+        check_answer(
+            "points-to, unoptimised against optimised",
+            &unoptimised[1],
+            aliases,
+        );
+        let cells = [
+            ("table", text("table4")),
+            ("graph", text(name)),
+            ("variables", num(variables)),
+            ("aliases", num(aliases.len())),
+            ("unoptimised_s", fixed(seconds(&unoptimised), 3)),
+            ("optimised_s", fixed(seconds(&optimised), 3)),
+        ];
+        table_row("graspan", &cells);
     }
 }

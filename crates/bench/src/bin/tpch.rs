@@ -1,4 +1,5 @@
-//! TPC-H-style experiments: Figure 4a/4b/4c and Tables 5 and 6 (E1–E5 in DESIGN.md).
+//! TPC-H-style experiments: Figure 4a/4b/4c and Tables 5 and 6 (E1–E5 in the README's
+//! "Substitutions and experiment index").
 //!
 //! For every implemented query this harness reports:
 //! * absolute streaming throughput for (workers=1, batch=1), (1, big) and (max, big) — Fig 4a;
@@ -7,72 +8,48 @@
 //! * streaming update rates with logical batches — Table 5;
 //! * single-core elapsed time for one-shot batch evaluation — Table 6.
 //!
-//! Run with `cargo run --release -p kpg-bench --bin tpch [--scale 0.5] [--max-workers 2]`.
+//! Each measurement is one `Command` stream through `kpg_plan::replay`: the reference
+//! relations are loaded and the query's plan installed and settled, then `lineitem`
+//! streams in, one `AdvanceTime` per batch. Only the streaming is timed — the stream is
+//! built before any clock starts — and the final answer is checked against
+//! `baseline::evaluate` before a figure is reported.
+//!
+//! Run with `cargo run --release -p kpg_bench --bin tpch [--scale 0.5] [--max-workers 2]`.
 
-use std::time::Instant;
-
-use kpg_bench::{arg_f64, arg_usize};
-use kpg_core::prelude::*;
-use kpg_dataflow::Time;
+use kpg_bench::{
+    arg_f64, arg_usize, check_answer, fixed, num, replay_steps, seconds, table_row, text, timed,
+    Answer, BenchField,
+};
+use kpg_plan::Command;
+use kpg_relational::baseline;
 use kpg_relational::data::{generate, Database};
-use kpg_relational::queries::{build_query, relations, IMPLEMENTED};
+use kpg_relational::plans::{self, IMPLEMENTED};
 
-/// Streams the lineitems of `db` through `query`, `batch` rows at a time, and returns the
-/// achieved throughput in rows per second.
-fn stream_query(query: u32, db: &Database, workers: usize, batch: usize) -> f64 {
-    let db = db.clone_for_workers();
-    let rows = db.lineitems.len();
-    let start = Instant::now();
-    execute(Config::new(workers), move |worker| {
-        let (mut inputs, probe) = worker.dataflow(|builder| {
-            let (inputs, rels) = relations(builder);
-            let result = build_query(query, &rels);
-            (inputs, result.probe())
-        });
-        // Reference data is loaded once, on worker 0.
-        if worker.index() == 0 {
-            for o in db.orders.iter() {
-                inputs.orders.insert(o.clone());
-            }
-            for c in db.customers.iter() {
-                inputs.customer.insert(c.clone());
-            }
-            for s in db.suppliers.iter() {
-                inputs.supplier.insert(s.clone());
-            }
-            for p in db.parts.iter() {
-                inputs.part.insert(p.clone());
-            }
-        }
-        // Lineitems are streamed in physical batches, sharded across workers.
-        let mut epoch = 0u64;
-        for (index, chunk) in db.lineitems.chunks(batch.max(1)).enumerate() {
-            for (offset, l) in chunk.iter().enumerate() {
-                if (index * batch + offset) % worker.peers() == worker.index() {
-                    inputs.lineitem.insert(l.clone());
-                }
-            }
-            epoch += 1;
-            inputs.advance_to(epoch);
-            worker.step_while(|| probe.less_than(&Time::from_epoch(epoch)));
-        }
+/// Streams `db`'s lineitems through `query`, `batch` rows per epoch, requires the answer
+/// to end on `expected`, and returns the seconds the streaming took.
+fn stream(query: u32, db: &Database, expected: &Answer, workers: usize, batch: usize) -> f64 {
+    let name = format!("q{query}");
+    let mut commands = plans::load_reference(db);
+    commands.push(Command::Install {
+        name: name.clone(),
+        plan: plans::query(query),
+        locals: vec![],
     });
-    rows as f64 / start.elapsed().as_secs_f64()
-}
-
-trait CloneForWorkers {
-    fn clone_for_workers(&self) -> Database;
-}
-impl CloneForWorkers for Database {
-    fn clone_for_workers(&self) -> Database {
-        Database {
-            lineitems: self.lineitems.clone(),
-            orders: self.orders.clone(),
-            customers: self.customers.clone(),
-            suppliers: self.suppliers.clone(),
-            parts: self.parts.clone(),
-        }
+    commands.push(Command::AdvanceTime { epoch: 1 });
+    let loaded = commands.len();
+    for (chunk, epoch) in db.lineitems.chunks(batch.max(1)).zip(2u64..) {
+        commands.extend(chunk.iter().map(|l| plans::lineitem_update(l, 1)));
+        commands.push(Command::AdvanceTime { epoch });
     }
+    commands.push(Command::Query { name: name.clone() });
+    let steps = replay_steps(workers, commands);
+    let (read, streamed) = steps[loaded..].split_last().expect("the query");
+    check_answer(
+        &format!("{name}, {workers} workers, batches of {batch}"),
+        read,
+        expected,
+    );
+    seconds(streamed)
 }
 
 fn main() {
@@ -81,57 +58,74 @@ fn main() {
     let db = generate(scale, 1);
     let rows = db.lineitems.len();
     println!("# TPC-H-style workload: scale {scale}, {rows} lineitems, queries {IMPLEMENTED:?}");
-
-    println!("\n## Figure 4a: absolute throughput (rows/s)");
-    println!("query\tw=1,b=1\tw=1,b=big\tw={max_workers},b=big");
+    let expected: Vec<Answer> = IMPLEMENTED
+        .iter()
+        .map(|&q| baseline::evaluate(q, &db))
+        .collect();
+    let queries = || IMPLEMENTED.iter().copied().zip(&expected);
+    let rate = |(query, expected): (u32, &Answer), workers: usize, batch: usize| {
+        rows as f64 / stream(query, &db, expected, workers, batch)
+    };
     let big = (rows / 8).max(1);
-    for &query in IMPLEMENTED {
-        let single = stream_query(query, &db, 1, 1);
-        let batched = stream_query(query, &db, 1, big);
-        let scaled = stream_query(query, &db, max_workers, big);
-        println!("q{query}\t{single:.0}\t{batched:.0}\t{scaled:.0}");
-    }
-
-    println!("\n## Figure 4b: relative throughput vs physical batch size (worker = 1)");
-    println!("query\tb=1\tb=10\tb=100\tb=1000");
-    for &query in IMPLEMENTED {
-        let base = stream_query(query, &db, 1, 1);
-        let rel: Vec<String> = [1usize, 10, 100, 1000]
-            .iter()
-            .map(|&b| format!("{:.1}x", stream_query(query, &db, 1, b) / base))
-            .collect();
-        println!("q{query}\t{}", rel.join("\t"));
-    }
-
-    println!("\n## Figure 4c: relative throughput vs workers (batch = {big})");
-    println!("query\tw=1\tw={max_workers}");
-    for &query in IMPLEMENTED {
-        let base = stream_query(query, &db, 1, big);
-        let scaled = stream_query(query, &db, max_workers, big);
-        println!("q{query}\t1.0x\t{:.1}x", scaled / base);
-    }
-
-    println!(
-        "\n## Table 5: streaming rates with logical batches of {} rows",
-        (rows / 10).max(1)
-    );
-    println!("query\tw=1 rows/s\tw={max_workers} rows/s");
     let logical = (rows / 10).max(1);
-    for &query in IMPLEMENTED {
-        let one = stream_query(query, &db, 1, logical);
-        let many = stream_query(query, &db, max_workers, logical);
-        println!("q{query}\t{one:.0}\t{many:.0}");
-    }
+    // One table: its title, the cells' keys as the header, then per query a row of
+    // `table`, `query` and `measure`'s cells.
+    type Cells = Vec<(&'static str, BenchField)>;
+    let table = |title: String, name: &str, measure: &dyn Fn((u32, &Answer)) -> Cells| {
+        println!("\n## {title}");
+        for (row, query) in queries().enumerate() {
+            let mut cells = vec![("table", text(name)), ("query", num(query.0))];
+            cells.extend(measure(query));
+            if row == 0 {
+                let keys: Vec<&str> = cells.iter().map(|(key, _)| *key).collect();
+                println!("{}", keys.join("\t"));
+            }
+            table_row("tpch", &cells);
+        }
+    };
 
-    println!("\n## Table 6: single-core elapsed time, one-shot batch evaluation");
-    println!("query\tdifferential (ms)\tre-evaluation baseline (ms)");
-    for &query in IMPLEMENTED {
-        let start = Instant::now();
-        let _ = stream_query(query, &db, 1, rows);
-        let differential = start.elapsed().as_secs_f64() * 1e3;
-        let start = Instant::now();
-        let _ = kpg_relational::baseline::evaluate(query, &db);
-        let baseline = start.elapsed().as_secs_f64() * 1e3;
-        println!("q{query}\t{differential:.2}\t{baseline:.2}");
-    }
+    let title = format!("Figure 4a: absolute throughput (rows/s), batch 1 and {big}");
+    table(title, "fig4a", &|query| {
+        vec![
+            ("single_rows_per_s", fixed(rate(query, 1, 1), 0)),
+            ("batched_rows_per_s", fixed(rate(query, 1, big), 0)),
+            ("scaled_rows_per_s", fixed(rate(query, max_workers, big), 0)),
+        ]
+    });
+    let title = "Figure 4b: relative throughput vs physical batch size (worker = 1)";
+    table(title.to_string(), "fig4b", &|query| {
+        let base = rate(query, 1, 1);
+        let relative = |batch: usize| fixed(rate(query, 1, batch) / base, 1);
+        let keys = ["b1_x", "b10_x", "b100_x", "b1000_x"];
+        keys.into_iter()
+            .zip([1, 10, 100, 1000].map(relative))
+            .collect()
+    });
+    let title = format!("Figure 4c: throughput at {max_workers} workers over 1 (batch = {big})");
+    table(title, "fig4c", &|query| {
+        let relative = rate(query, max_workers, big) / rate(query, 1, big);
+        vec![("scaled_x", fixed(relative, 1))]
+    });
+    let title = format!("Table 5: streaming rates (rows/s) with logical batches of {logical} rows");
+    table(title, "table5", &|query| {
+        vec![
+            ("single_rows_per_s", fixed(rate(query, 1, logical), 0)),
+            (
+                "scaled_rows_per_s",
+                fixed(rate(query, max_workers, logical), 0),
+            ),
+        ]
+    });
+    let title = "Table 6: single-core elapsed time (ms), one-shot batch evaluation";
+    table(title.to_string(), "table6", &|(query, expected)| {
+        let differential = stream(query, &db, expected, 1, rows) * 1e3;
+        let (_, reevaluation) = timed(|| baseline::evaluate(query, &db));
+        vec![
+            ("differential_ms", fixed(differential, 2)),
+            (
+                "reevaluation_ms",
+                fixed(reevaluation.as_secs_f64() * 1e3, 2),
+            ),
+        ]
+    });
 }

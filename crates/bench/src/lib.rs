@@ -1,13 +1,102 @@
 //! Shared helpers for the benchmark harness binaries.
 //!
 //! Every binary in this crate regenerates one of the paper's tables or figures (see the
-//! per-experiment index in DESIGN.md). The helpers here keep the binaries small: latency
-//! recording with complementary-CDF reporting (the paper's preferred presentation for the
-//! microbenchmarks), simple wall-clock timing, and command-line scale handling.
+//! experiment index in the README's "Substitutions and experiment index"). The helpers
+//! here keep the binaries small: latency recording with complementary-CDF reporting (the
+//! paper's preferred presentation for the microbenchmarks), simple wall-clock timing,
+//! command-line scale handling, and — for the workload bins, which all run `Command`
+//! streams through [`kpg_plan::replay`] — reading a replay back and checking its answers.
 
 #![forbid(unsafe_code)]
 
 use std::time::{Duration, Instant};
+
+use kpg_graph::plans::load_input;
+use kpg_plan::{Command, Plan, Response, Row};
+
+/// A `Query`'s answer.
+pub type Answer = Vec<(Row, isize)>;
+
+/// One command of a finished replay: what it answered and how long it took.
+pub type Step = (Response, Duration);
+
+/// [`kpg_plan::replay`] for streams in which every command must succeed: panics, naming
+/// the command, on the first that did not.
+pub fn replay_steps(workers: usize, commands: Vec<Command>) -> Vec<Step> {
+    let kinds: Vec<&str> = commands.iter().map(Command::kind).collect();
+    let outcomes = kpg_plan::replay(workers, commands).outcomes.into_iter();
+    let step = |((outcome, elapsed), kind): ((Result<Response, _>, _), _)| match outcome {
+        Ok(response) => (response, elapsed),
+        Err(error) => panic!("a replayed {kind} failed: {error}"),
+    };
+    outcomes.zip(kinds).map(step).collect()
+}
+
+/// The commands that create and load each named relation ([`load_input`]) and seal
+/// epoch 0 — what the batch tables time as building the index.
+pub fn load(relations: Vec<(&str, Vec<Row>)>) -> Vec<Command> {
+    let inputs = relations
+        .into_iter()
+        .map(|(name, rows)| load_input(name, rows));
+    let sealed = Command::AdvanceTime { epoch: 1 };
+    inputs.flatten().chain([sealed]).collect()
+}
+
+/// Installs `plan` as `name`, with the inputs in `locals` private to it, and reads it:
+/// after a [`load`], a cold evaluation against the loaded arrangements.
+pub fn evaluate(name: &str, plan: Plan, locals: &[&str]) -> [Command; 2] {
+    let name = name.to_string();
+    let install = Command::Install {
+        name: name.clone(),
+        plan,
+        locals: locals.iter().map(|local| local.to_string()).collect(),
+    };
+    [install, Command::Query { name }]
+}
+
+/// The total wall time of `steps`, in seconds.
+pub fn seconds(steps: &[Step]) -> f64 {
+    steps.iter().map(|(_, elapsed)| elapsed.as_secs_f64()).sum()
+}
+
+/// The rows a `Query` step answered. Panics on any other step.
+pub fn answer(step: &Step) -> &Answer {
+    match &step.0 {
+        Response::Rows(rows) => rows,
+        other => panic!("expected a query's rows, found {other:?}"),
+    }
+}
+
+/// Exits non-zero unless `step` is a `Query` that answered exactly `expected`: a bench
+/// that times wrong answers measures nothing, so every workload bin checks before it
+/// reports.
+pub fn check_answer(what: &str, step: &Step, expected: &[(Row, isize)]) {
+    let rows = answer(step);
+    if rows != expected {
+        let differs = rows
+            .iter()
+            .zip(expected)
+            .find(|(row, wanted)| row != wanted);
+        let (found, wanted) = (rows.len(), expected.len());
+        eprintln!("WRONG ANSWER for {what}: {found} rows, expected {wanted}; first: {differs:?}");
+        std::process::exit(1);
+    }
+}
+
+/// Prints one table row — the cells' values, tab-separated — and the same cells as the
+/// row's `BENCH` record, so a table and its machine-readable form cannot drift apart.
+pub fn table_row(name: &str, cells: &[(&str, BenchField)]) {
+    let value = |(_, cell): &(&str, BenchField)| match cell {
+        BenchField::Num(value) | BenchField::Text(value) => value.clone(),
+    };
+    println!("{}", cells.iter().map(value).collect::<Vec<_>>().join("\t"));
+    bench_record(name, cells);
+}
+
+/// A numeric [`BenchField`] with `decimals` places.
+pub fn fixed(value: f64, decimals: usize) -> BenchField {
+    BenchField::Num(format!("{value:.decimals$}"))
+}
 
 /// Records latencies and reports them as a complementary CDF, the format of Figures 5
 /// and 6 ("fraction of times with latency greater than").

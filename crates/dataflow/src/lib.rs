@@ -6,8 +6,8 @@
 //! built on top of it.
 //!
 //! The design differs from timely dataflow in one deliberate way (substitution S1 in
-//! `DESIGN.md`): instead of an asynchronous pointstamp protocol, progress advances at
-//! global synchronization points. A [`Worker::step`] runs every operator until the whole
+//! the README's "Substitutions and experiment index"): instead of an asynchronous
+//! pointstamp protocol, progress advances at global synchronization points. A [`Worker::step`] runs every operator until the whole
 //! computation is quiescent, then publishes operator capabilities and recomputes every
 //! input frontier. Frontiers are genuine antichains of partially ordered [`Time`]s, so
 //! operator logic — multiversioned arrangements, `reduce` future-work scheduling,

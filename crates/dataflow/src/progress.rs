@@ -10,8 +10,8 @@
 //! absorb the ever-later times produced by running around a cycle.
 //!
 //! This replaces timely dataflow's asynchronous pointstamp protocol with a synchronous
-//! one (substitution S1 in DESIGN.md); the frontiers operators observe have exactly the
-//! same meaning.
+//! one (substitution S1 in the README's "Substitutions and experiment index"); the
+//! frontiers operators observe have exactly the same meaning.
 
 use kpg_sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use kpg_sync::Mutex;

@@ -126,8 +126,9 @@ struct DataflowInstance {
 ///
 /// All workers execute the same program: they construct identical dataflows, feed their
 /// own shards of the input, and call [`Worker::step`] in lockstep. Steps are globally
-/// synchronized (substitution S1 in DESIGN.md): a step runs every operator until the
-/// whole computation is quiescent, then advances frontiers.
+/// synchronized (substitution S1 in the README's "Substitutions and experiment index"): a
+/// step runs every operator until the whole computation is quiescent, then advances
+/// frontiers.
 pub struct Worker {
     index: usize,
     peers: usize,

@@ -119,6 +119,56 @@ pub fn evolving(
     }
 }
 
+/// A synthetic program graph for the Graspan-style analyses of §6.4 (substitution S4 in
+/// the README's "Substitutions and experiment index").
+///
+/// Variables `0..variables` are connected by `assignments` assignment edges biased toward
+/// nearby variables (mimicking local dataflow), `dereferences` dereference edges, and
+/// `null_sources` variables are seeded as null-assignment sources.
+pub struct ProgramGraph {
+    /// Assignment edges `a := b` as `(a, b)`.
+    pub assignments: Vec<Edge>,
+    /// Dereference edges `a = *b` as `(a, b)`.
+    pub dereferences: Vec<Edge>,
+    /// Allocation sites: `(variable, abstract_object)`.
+    pub allocations: Vec<Edge>,
+    /// Variables assigned `null` somewhere in the program.
+    pub null_sources: Vec<u32>,
+}
+
+/// Generates a synthetic program graph with the given number of variables.
+///
+/// The three paper inputs (httpd, psql, linux) are modelled by calling this with
+/// increasing sizes; see the `graspan` bench harness for the exact parameters.
+pub fn program_graph(variables: u32, seed: u64) -> ProgramGraph {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let assignments = (0..variables as usize * 3)
+        .map(|_| {
+            let a = rng.gen_range(0..variables);
+            // Bias toward nearby variables: local dataflow dominates real programs.
+            let offset = rng.gen_range(0u32..64).min(variables - 1);
+            let b = (a + offset) % variables;
+            (a, b)
+        })
+        .filter(|(a, b)| a != b)
+        .collect();
+    let dereferences = (0..variables as usize / 2)
+        .map(|_| (rng.gen_range(0..variables), rng.gen_range(0..variables)))
+        .collect();
+    let allocations = (0..variables as usize / 4)
+        .map(|i| (rng.gen_range(0..variables), i as u32))
+        .collect();
+    let null_sources = (0..variables / 64)
+        .map(|_| rng.gen_range(0..variables))
+        .collect();
+    ProgramGraph {
+        assignments,
+        dereferences,
+        allocations,
+        null_sources,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,5 +205,14 @@ mod tests {
             assert_eq!(adds.len(), 10);
             assert!(dels.len() <= 10);
         }
+    }
+
+    #[test]
+    fn program_graph_is_deterministic_and_sized() {
+        let a = program_graph(512, 9);
+        let b = program_graph(512, 9);
+        assert_eq!(a.assignments, b.assignments);
+        assert_eq!(a.allocations.len(), 128);
+        assert!(!a.null_sources.is_empty());
     }
 }

@@ -1,20 +1,22 @@
-//! Graph workloads for the shared-arrangements evaluation (paper §6.2, Appendix C).
+//! Graph, Datalog and program-analysis workloads for the shared-arrangements evaluation
+//! (paper §6.2–§6.4, Appendices C and D).
 //!
-//! * [`generate`] — seeded synthetic graph generators standing in for the paper's
-//!   LiveJournal/Orkut/Twitter datasets (substitution S3 in DESIGN.md).
-//! * [`algorithms`] — differential implementations of reachability, breadth-first
-//!   distances, single-source shortest paths, and undirected connectivity.
-//! * [`plans`] — the interactive query classes of Figure 5 / Table 10 (point look-up
-//!   and 1-hop, 2-hop, 4-hop shortest path) as runtime [`kpg_plan::Plan`] values,
-//!   installable from data through a [`kpg_plan::Manager`]: the only statement of those
-//!   queries in the library (their closure-built twin is a test oracle under `tests/`).
+//! * [`generate`] — seeded synthetic generators standing in for the paper's
+//!   LiveJournal/Orkut/Twitter graphs and httpd/psql/linux program graphs (substitutions
+//!   S3 and S4 in the README's "Substitutions and experiment index"), plus the
+//!   tree/grid/gnp inputs of the Datalog benchmarks.
+//! * [`plans`] — every query of those sections as a runtime [`kpg_plan::Plan`] value,
+//!   installable from data through a [`kpg_plan::Manager`]: the interactive classes of
+//!   Figure 5 / Table 10, reachability, breadth-first distances and connectivity,
+//!   transitive closure and same-generation bottom-up and top-down, null propagation and
+//!   points-to. The only statement of those queries in the library.
 //! * [`baseline`] — the paper's "purpose-written single-threaded code" comparators
-//!   (array- and hash-map-based BFS, union-find connectivity).
+//!   (array- and hash-map-based BFS, union-find connectivity), which double as the
+//!   plans' oracles.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod algorithms;
 pub mod baseline;
 pub mod generate;
 pub mod plans;

@@ -20,35 +20,36 @@
 //!   plan-identical subtrees across queries import the *same* trace.
 //! * [`Manager`] — the per-worker engine: named inputs, the plan→trace memo registry,
 //!   and [`Command`] execution (`CreateInput`, `Update`, `AdvanceTime`, `Install`,
-//!   `Uninstall`, `Query`), so a driver loop can run a recorded command stream today and
-//!   a network server can feed the same loop tomorrow.
+//!   `Uninstall`, `Query`) — the loop `kpg_server`'s workers run over a live stream.
+//! * [`replay()`] — the same loop over a *recorded* stream, on any number of workers:
+//!   per command its outcome and wall time, plus the updates every arrangement holds.
+//!   It is how the workload crates' tests, the bench bins and the examples run plans,
+//!   and the oracle a server's answers are compared against.
 //!
-//! ```no_run
-//! use kpg_core::prelude::*;
-//! use kpg_plan::{Command, Manager, Plan, Row, Value};
+//! ```
+//! use kpg_plan::{replay, Command, Plan, ReduceKind, Response, Row, Value};
 //!
-//! execute(Config::new(1), |worker| {
-//!     let mut manager = Manager::new();
-//!     let edges = |src: u32, dst: u32| -> Row { Row::from(vec![src.into(), dst.into()]) };
-//!     manager
-//!         .execute(worker, Command::CreateInput { name: "edges".into(), key_arity: Some(1) })
-//!         .unwrap();
-//!     manager
-//!         .execute(
-//!             worker,
-//!             Command::Update { name: "edges".into(), row: edges(1, 2), diff: 1 },
-//!         )
-//!         .unwrap();
-//!     // Degree count per source node, described as data:
-//!     let plan = Plan::source("edges").reduce(1, kpg_plan::ReduceKind::Count);
-//!     manager
-//!         .execute(worker, Command::Install { name: "degrees".into(), plan, locals: vec![] })
-//!         .unwrap();
-//!     manager.execute(worker, Command::AdvanceTime { epoch: 1 }).unwrap();
-//!     manager.settle(worker);
-//!     let rows = manager.execute(worker, Command::Query { name: "degrees".into() }).unwrap();
-//!     let _ = (rows, Value::UInt(1));
-//! });
+//! let edge = |src: u32, dst: u32| -> Row { Row::from(vec![src.into(), dst.into()]) };
+//! let update = |row| Command::Update { name: "edges".into(), row, diff: 1 };
+//! let replayed = replay(
+//!     2,
+//!     vec![
+//!         Command::CreateInput { name: "edges".into(), key_arity: Some(1) },
+//!         update(edge(1, 2)),
+//!         update(edge(1, 3)),
+//!         // Degree count per source node, described as data:
+//!         Command::Install {
+//!             name: "degrees".into(),
+//!             plan: Plan::source("edges").reduce(1, ReduceKind::Count),
+//!             locals: vec![],
+//!         },
+//!         Command::AdvanceTime { epoch: 1 },
+//!         Command::Query { name: "degrees".into() },
+//!     ],
+//! );
+//! let degrees = Row::from(vec![Value::UInt(1), Value::Int(2)]);
+//! let (answer, _elapsed) = replayed.outcomes.last().unwrap();
+//! assert_eq!(answer, &Ok(Response::Rows(vec![(degrees, 1)])));
 //! ```
 
 #![deny(missing_docs)]
@@ -58,10 +59,12 @@ pub mod expr;
 pub mod manager;
 pub mod plan;
 pub mod render;
+mod replay;
 pub mod value;
 
 pub use expr::{project, Expr};
 pub use manager::{Command, Manager, PlanError, Response};
 pub use plan::{ArrangeKey, KeySpec, Plan, PlanValidity, ReduceKind};
 pub use render::{Renderer, RowBatch, SourceBinding};
+pub use replay::{replay, Replay};
 pub use value::{Row, Value};

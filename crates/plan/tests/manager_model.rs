@@ -8,7 +8,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_plan::{
-    ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, ReduceKind, Response, Row, Value,
+    replay, ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, ReduceKind, Response,
+    Row, Value,
 };
 use kpg_timestamp::rng::SmallRng;
 
@@ -47,88 +48,73 @@ fn edges_by_src(edges: &str) -> ArrangeKey {
     }
 }
 
+/// The answers of `stream`'s queries, replayed on one worker and on two (so
+/// `Command::Update` shards the rows) and required to be the same on both.
+fn replayed_on_one_and_two_workers(stream: &[Command]) -> Vec<Vec<(Row, isize)>> {
+    let run = |workers: usize| -> Vec<Vec<(Row, isize)>> {
+        let outcomes = replay(workers, stream.to_vec()).outcomes.into_iter();
+        let answers = outcomes.filter_map(|(outcome, _)| match outcome.unwrap() {
+            Response::Rows(rows) => Some(rows),
+            _ => None,
+        });
+        answers.collect()
+    };
+    let one = run(1);
+    assert_eq!(one, run(2));
+    one
+}
+
+/// `[CreateInput, Install query.., Update rows.., AdvanceTime, Query query..]` per
+/// epoch of `epochs`, each a list of `(input, row, diff)` changes.
+fn session(
+    inputs: &[&str],
+    queries: Vec<(&str, Plan)>,
+    epochs: &[Vec<(&str, Vec<u64>, isize)>],
+) -> Vec<Command> {
+    let mut stream: Vec<Command> = Vec::new();
+    stream.extend(inputs.iter().map(|name| Command::CreateInput {
+        name: name.to_string(),
+        key_arity: None,
+    }));
+    let names: Vec<String> = queries.iter().map(|(name, _)| name.to_string()).collect();
+    stream.extend(queries.into_iter().map(|(name, plan)| Command::Install {
+        name: name.to_string(),
+        plan,
+        locals: vec![],
+    }));
+    for (changes, epoch) in epochs.iter().zip(1u64..) {
+        stream.extend(changes.iter().map(|(name, values, diff)| Command::Update {
+            name: name.to_string(),
+            row: row(values),
+            diff: *diff,
+        }));
+        stream.push(Command::AdvanceTime { epoch });
+        stream.extend(names.iter().cloned().map(|name| Command::Query { name }));
+    }
+    stream
+}
+
 #[test]
 fn command_loop_end_to_end() {
-    let results = execute(Config::new(1), |worker| {
-        let mut manager = Manager::new();
-        manager
-            .execute(
-                worker,
-                Command::CreateInput {
-                    name: "edges".into(),
-                    key_arity: None,
-                },
-            )
-            .unwrap();
-        for (src, dst) in [(1u64, 2u64), (1, 3), (2, 4), (5, 4)] {
-            manager
-                .execute(
-                    worker,
-                    Command::Update {
-                        name: "edges".into(),
-                        row: row(&[src, dst]),
-                        diff: 1,
-                    },
-                )
-                .unwrap();
-        }
-        // Out-degree per source, described entirely as data.
-        let degrees = Plan::source("edges").reduce(1, ReduceKind::Count);
-        let response = manager
-            .execute(
-                worker,
-                Command::Install {
-                    name: "degrees".into(),
-                    plan: degrees,
-                    locals: vec![],
-                },
-            )
-            .unwrap();
-        assert!(matches!(response, Response::Installed { .. }));
-        manager
-            .execute(worker, Command::AdvanceTime { epoch: 1 })
-            .unwrap();
-        manager.settle(worker);
-        let rows = manager
-            .execute(
-                worker,
-                Command::Query {
-                    name: "degrees".into(),
-                },
-            )
-            .unwrap();
-
-        // Retract an edge: the count corrects incrementally.
-        manager
-            .execute(
-                worker,
-                Command::Update {
-                    name: "edges".into(),
-                    row: row(&[1, 3]),
-                    diff: -1,
-                },
-            )
-            .unwrap();
-        manager
-            .execute(worker, Command::AdvanceTime { epoch: 2 })
-            .unwrap();
-        manager.settle(worker);
-        let corrected = manager.query("degrees").unwrap();
-        (rows, corrected)
-    });
-    let (rows, corrected) = results[0].clone();
-    let expected = |pairs: &[(u64, i64)]| -> Response {
-        Response::Rows(
-            pairs
-                .iter()
-                .map(|&(src, count)| (Row::from(vec![Value::UInt(src), Value::Int(count)]), 1))
-                .collect(),
-        )
+    // Out-degree per source, described entirely as data. The second epoch retracts an
+    // edge: the count corrects incrementally.
+    let degrees = Plan::source("edges").reduce(1, ReduceKind::Count);
+    let edges = [(1, 2), (1, 3), (2, 4), (5, 4)].map(|(src, dst)| ("edges", vec![src, dst], 1));
+    let stream = session(
+        &["edges"],
+        vec![("degrees", degrees)],
+        &[edges.to_vec(), vec![("edges", vec![1, 3], -1)]],
+    );
+    let expected = |counts: &[(u64, i64)]| -> Vec<(Row, isize)> {
+        let row = |&(src, count)| (Row::from(vec![Value::UInt(src), Value::Int(count)]), 1);
+        counts.iter().map(row).collect()
     };
-    assert_eq!(rows, expected(&[(1, 2), (2, 1), (5, 1)]));
     assert_eq!(
-        Response::Rows(corrected),
-        expected(&[(1, 1), (2, 1), (5, 1)])
+        replayed_on_one_and_two_workers(&stream),
+        [
+            expected(&[(1, 2), (2, 1), (5, 1)]),
+            expected(&[(1, 1), (2, 1), (5, 1)])
+        ]
     );
 }
 
@@ -432,146 +418,79 @@ fn input_removal_is_blocked_while_a_query_reads_it() {
 /// internally, so the union of per-worker answers equals the one-worker answers.
 #[test]
 fn identical_command_streams_shard_updates_across_workers() {
-    let stream = || -> Vec<Command> {
-        let mut commands = vec![Command::CreateInput {
-            name: "edges".into(),
-            key_arity: None,
-        }];
-        for i in 0..40u64 {
-            commands.push(Command::Update {
-                name: "edges".into(),
-                row: row(&[i % 10, (i * 7) % 10]),
-                diff: 1,
-            });
-        }
-        commands.push(Command::Install {
-            name: "degrees".into(),
-            plan: Plan::source("edges")
-                .distinct()
-                .reduce(1, ReduceKind::Count),
-            locals: vec![],
-        });
-        commands.push(Command::AdvanceTime { epoch: 1 });
-        commands
-    };
-    let run = |workers: usize| -> Vec<(Row, isize)> {
-        let per_worker = execute(Config::new(workers), move |worker| {
-            let mut manager = Manager::new();
-            for command in stream() {
-                manager.execute(worker, command).unwrap();
-            }
-            manager.settle(worker);
-            manager.query("degrees").unwrap()
-        });
-        merged(per_worker)
-    };
-    let one = run(1);
-    let two = run(2);
-    assert!(!one.is_empty());
-    assert_eq!(one, two);
+    let degrees = Plan::source("edges")
+        .distinct()
+        .reduce(1, ReduceKind::Count);
+    let edges = (0..40u64).map(|i| ("edges", vec![i % 10, (i * 7) % 10], 1));
+    let stream = session(&["edges"], vec![("degrees", degrees)], &[edges.collect()]);
+    assert!(!replayed_on_one_and_two_workers(&stream)[0].is_empty());
 }
 
 /// A fixed point described as data: reachability from a shared root set, with the edge
 /// index imported into the loop from outside it (§5.4 sharing into iterative scopes).
 #[test]
 fn iterate_renders_reachability_from_data() {
-    let results = execute(Config::new(1), |worker| {
-        let mut manager = Manager::new();
-        manager.create_input(worker, "edges").unwrap();
-        manager.create_input(worker, "roots").unwrap();
-        for (src, dst) in [(1u64, 2u64), (2, 3), (3, 4), (5, 6)] {
-            manager.update("edges", row(&[src, dst]), 1).unwrap();
-        }
-        manager.update("roots", row(&[1]), 1).unwrap();
-        let body = Plan::source("roots")
-            .concat(
-                Plan::Recur
-                    .join(Plan::source("edges"), vec![(0, 0)]) // [n, next]
-                    .map(vec![Expr::col(1)]),
-            )
-            .distinct();
-        let reach = Plan::source("roots").iterate(body);
-        manager.install(worker, "reach", reach, vec![]).unwrap();
-        manager.advance_to(1).unwrap();
-        manager.settle(worker);
-        let at_one = manager.query("reach").unwrap();
-
-        // A new edge extends the fixed point incrementally.
-        manager.update("edges", row(&[4, 5]), 1).unwrap();
-        manager.advance_to(2).unwrap();
-        manager.settle(worker);
-        (at_one, manager.query("reach").unwrap())
-    });
-    let (at_one, at_two) = results[0].clone();
+    let step = Plan::Recur
+        .join(Plan::source("edges"), vec![(0, 0)]) // [n, next]
+        .map(vec![Expr::col(1)]);
+    let body = Plan::source("roots").concat(step).distinct();
+    let reach = Plan::source("roots").iterate(body);
+    let edges = [(1, 2), (2, 3), (3, 4), (5, 6)].map(|(src, dst)| ("edges", vec![src, dst], 1));
+    let first = edges.into_iter().chain([("roots", vec![1], 1)]);
+    // A new edge extends the fixed point incrementally.
+    let second = vec![("edges", vec![4, 5], 1)];
+    let stream = session(
+        &["edges", "roots"],
+        vec![("reach", reach)],
+        &[first.collect(), second],
+    );
     let expect =
         |nodes: &[u64]| -> Vec<(Row, isize)> { nodes.iter().map(|&n| (row(&[n]), 1)).collect() };
-    assert_eq!(at_one, expect(&[1, 2, 3, 4]));
-    assert_eq!(at_two, expect(&[1, 2, 3, 4, 5, 6]));
+    assert_eq!(
+        replayed_on_one_and_two_workers(&stream),
+        [expect(&[1, 2, 3, 4]), expect(&[1, 2, 3, 4, 5, 6])]
+    );
 }
 
 /// Expression-heavy plans: filters and projections evaluate the data-described `Expr`
 /// language, including comparisons and arithmetic.
 #[test]
 fn expressions_drive_filter_and_map() {
-    let results = execute(Config::new(1), |worker| {
-        let mut manager = Manager::new();
-        manager.create_input(worker, "pairs").unwrap();
-        for (a, b) in [(1u64, 1u64), (2, 5), (3, 2), (4, 4)] {
-            manager.update("pairs", row(&[a, b]), 1).unwrap();
-        }
-        // Keep rows where the second column exceeds the first; output their sum and
-        // difference.
-        let plan = Plan::source("pairs")
-            .filter(Expr::col(1).gt(Expr::col(0)))
-            .map(vec![
-                Expr::col(0).add(Expr::col(1)),
-                Expr::col(1).sub(Expr::col(0)),
-            ]);
-        manager.install(worker, "arith", plan, vec![]).unwrap();
-        manager.advance_to(1).unwrap();
-        manager.settle(worker);
-        manager.query("arith").unwrap()
-    });
-    assert_eq!(results[0], vec![(row(&[7, 3]), 1)]);
+    // Keep rows where the second column exceeds the first; output their sum and
+    // difference.
+    let plan = Plan::source("pairs")
+        .filter(Expr::col(1).gt(Expr::col(0)))
+        .map(vec![
+            Expr::col(0).add(Expr::col(1)),
+            Expr::col(1).sub(Expr::col(0)),
+        ]);
+    let pairs = [(1, 1), (2, 5), (3, 2), (4, 4)].map(|(a, b)| ("pairs", vec![a, b], 1));
+    let stream = session(&["pairs"], vec![("arith", plan)], &[pairs.to_vec()]);
+    assert_eq!(
+        replayed_on_one_and_two_workers(&stream),
+        [vec![(row(&[7, 3]), 1)]]
+    );
 }
 
 /// Reduce kinds beyond Count: Sum, Min, and Top-1 per group.
 #[test]
 fn reduce_kinds_aggregate_per_group() {
-    let results = execute(Config::new(1), |worker| {
-        let mut manager = Manager::new();
-        manager.create_input(worker, "sales").unwrap();
-        // [region, amount]
-        for (region, amount) in [(1u64, 10u64), (1, 30), (2, 7), (2, 5)] {
-            manager.update("sales", row(&[region, amount]), 1).unwrap();
-        }
-        for (name, kind) in [
-            ("sum", ReduceKind::Sum(1)),
-            ("min", ReduceKind::Min(1)),
-            ("top", ReduceKind::Top(1)),
-        ] {
-            manager
-                .install(worker, name, Plan::source("sales").reduce(1, kind), vec![])
-                .unwrap();
-        }
-        manager.advance_to(1).unwrap();
-        manager.settle(worker);
-        (
-            manager.query("sum").unwrap(),
-            manager.query("min").unwrap(),
-            manager.query("top").unwrap(),
-        )
-    });
-    let (sum, min, top) = results[0].clone();
-    assert_eq!(
-        sum,
-        vec![
-            (Row::from(vec![Value::UInt(1), Value::Int(40)]), 1),
-            (Row::from(vec![Value::UInt(2), Value::Int(12)]), 1),
-        ]
-    );
-    assert_eq!(min, vec![(row(&[1, 10]), 1), (row(&[2, 5]), 1)]);
-    assert_eq!(top, vec![(row(&[1, 30]), 1), (row(&[2, 7]), 1)]);
+    let reduce = |kind| Plan::source("sales").reduce(1, kind);
+    let queries = vec![
+        ("sum", reduce(ReduceKind::Sum(1))),
+        ("min", reduce(ReduceKind::Min(1))),
+        ("top", reduce(ReduceKind::Top(1))),
+    ];
+    // [region, amount]
+    let sales = [(1, 10), (1, 30), (2, 7), (2, 5)].map(|(r, a)| ("sales", vec![r, a], 1));
+    let stream = session(&["sales"], queries, &[sales.to_vec()]);
+    let sum = |region, total| (Row::from(vec![Value::UInt(region), Value::Int(total)]), 1);
+    let expected = [
+        vec![sum(1, 40), sum(2, 12)],
+        vec![(row(&[1, 10]), 1), (row(&[2, 5]), 1)],
+        vec![(row(&[1, 30]), 1), (row(&[2, 7]), 1)],
+    ];
+    assert_eq!(replayed_on_one_and_two_workers(&stream), expected);
 }
 
 /// Prefix-keyed base inputs: a plan joining on the base's key prefix imports the base
@@ -610,6 +529,66 @@ fn prefix_keyed_inputs_serve_joins_without_rearrangement() {
         identity,
         vec![(row(&[1, 2]), 1), (row(&[2, 3]), 1), (row(&[2, 4]), 1),]
     );
+}
+
+/// `Reduce { key_arity: 0 }` is a global aggregate: one row with an empty key — just
+/// the aggregate — that follows insertions and retractions, and no row at all once the
+/// input is empty. TPC-H Q6 is this shape.
+#[test]
+fn reduce_with_an_empty_key_is_one_global_row() {
+    // [region, amount], spread over enough distinct rows that two workers both hold some.
+    let sales: Vec<Vec<u64>> = (0..20).map(|i| vec![i % 3, 10 + i]).collect();
+    let all = |diff: isize| sales.iter().map(move |sale| ("sales", sale.clone(), diff));
+    let bonus = |diff: isize| [("sales", vec![7, 1_000], diff)];
+    let stream = session(
+        &["sales"],
+        vec![
+            ("sum", Plan::source("sales").reduce(0, ReduceKind::Sum(1))),
+            ("count", Plan::source("sales").reduce(0, ReduceKind::Count)),
+        ],
+        &[
+            all(1).collect(),
+            all(-1).take(5).chain(bonus(1)).collect(),
+            all(-1).skip(5).chain(bonus(-1)).collect(),
+        ],
+    );
+    let global = |aggregate: u64| vec![(Row::from(vec![Value::Int(aggregate as i64)]), 1)];
+    let total = |sales: &[Vec<u64>]| sales.iter().map(|sale| sale[1]).sum::<u64>();
+    let expected = vec![
+        global(total(&sales)),
+        global(20),
+        global(total(&sales[5..]) + 1_000),
+        global(16),
+        vec![],
+        vec![],
+    ];
+    assert_eq!(replayed_on_one_and_two_workers(&stream), expected);
+}
+
+/// `Join { keys: vec![] }` is the cross product, `left ++ right` per pair, and is
+/// maintained like any other join.
+#[test]
+fn join_on_no_keys_is_the_cross_product() {
+    let product = Plan::source("left").join(Plan::source("right"), vec![]);
+    let left = (1..=3).map(|l| ("left", vec![l], 1));
+    let right = (10..=13).map(|r| ("right", vec![r, r + 1], 1));
+    let stream = session(
+        &["left", "right"],
+        vec![("product", product)],
+        &[
+            left.chain(right).collect(),
+            vec![("left", vec![2], -1), ("right", vec![20, 21], 1)],
+        ],
+    );
+    let pairs = |left: &[u64], right: &[u64]| -> Vec<(Row, isize)> {
+        let pairs = left.iter().flat_map(|l| right.iter().map(move |r| (l, r)));
+        pairs.map(|(l, r)| (row(&[*l, *r, r + 1]), 1)).collect()
+    };
+    let expected = vec![
+        pairs(&[1, 2, 3], &[10, 11, 12, 13]),
+        pairs(&[1, 3], &[10, 11, 12, 13, 20]),
+    ];
+    assert_eq!(replayed_on_one_and_two_workers(&stream), expected);
 }
 
 /// Query answers only over sealed history: an update at the still-open current epoch

@@ -4,8 +4,18 @@
 //! (cents as `i64`). The generator preserves the schema's key relationships: every
 //! lineitem references an order, every order a customer, every customer a nation, and so
 //! on, so the join structure of the queries is exercised faithfully.
+//!
+//! Every row type has a `row()` encoder: its fields, in declaration order, as the
+//! [`Row`] the plans of [`crate::plans`] read — keys, flags and dates as `UInt`,
+//! quantities and money as `Int`.
 
+use kpg_plan::{Row, Value};
 use kpg_timestamp::rng::SmallRng;
+
+/// A `UInt` field.
+fn uint(value: impl Into<u64>) -> Value {
+    Value::UInt(value.into())
+}
 
 /// A lineitem row (the fact table).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -38,6 +48,27 @@ pub struct Lineitem {
     pub ship_mode: u8,
 }
 
+impl Lineitem {
+    /// The lineitem as a plan row (13 columns, in field order).
+    pub fn row(&self) -> Row {
+        Row::from(vec![
+            uint(self.order),
+            uint(self.part),
+            uint(self.supplier),
+            Value::Int(self.quantity),
+            Value::Int(self.extended_price),
+            Value::Int(self.discount),
+            Value::Int(self.tax),
+            uint(self.return_flag),
+            uint(self.line_status),
+            uint(self.ship_date),
+            uint(self.commit_date),
+            uint(self.receipt_date),
+            uint(self.ship_mode),
+        ])
+    }
+}
+
 /// An orders row.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Order {
@@ -53,6 +84,19 @@ pub struct Order {
     pub total_price: i64,
 }
 
+impl Order {
+    /// The order as a plan row: `[key, customer, order_date, priority, total_price]`.
+    pub fn row(&self) -> Row {
+        Row::from(vec![
+            uint(self.key),
+            uint(self.customer),
+            uint(self.order_date),
+            uint(self.priority),
+            Value::Int(self.total_price),
+        ])
+    }
+}
+
 /// A customer row.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Customer {
@@ -66,6 +110,18 @@ pub struct Customer {
     pub balance: i64,
 }
 
+impl Customer {
+    /// The customer as a plan row: `[key, nation, segment, balance]`.
+    pub fn row(&self) -> Row {
+        Row::from(vec![
+            uint(self.key),
+            uint(self.nation),
+            uint(self.segment),
+            Value::Int(self.balance),
+        ])
+    }
+}
+
 /// A supplier row.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Supplier {
@@ -73,6 +129,13 @@ pub struct Supplier {
     pub key: u32,
     /// The supplier's nation.
     pub nation: u32,
+}
+
+impl Supplier {
+    /// The supplier as a plan row: `[key, nation]`.
+    pub fn row(&self) -> Row {
+        Row::from(vec![uint(self.key), uint(self.nation)])
+    }
 }
 
 /// A part row.
@@ -84,6 +147,29 @@ pub struct Part {
     pub part_type: u16,
     /// Part size.
     pub size: u8,
+}
+
+impl Part {
+    /// The part as a plan row: `[key, part_type, size]`.
+    pub fn row(&self) -> Row {
+        Row::from(vec![uint(self.key), uint(self.part_type), uint(self.size)])
+    }
+}
+
+/// A nation row: TPC-H's fixed nation → region table.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Nation {
+    /// The nation key.
+    pub key: u32,
+    /// The nation's region, [`region_of`] the key.
+    pub region: u32,
+}
+
+impl Nation {
+    /// The nation as a plan row: `[key, region]`.
+    pub fn row(&self) -> Row {
+        Row::from(vec![uint(self.key), uint(self.region)])
+    }
 }
 
 /// The number of nations (as in TPC-H).
@@ -108,6 +194,8 @@ pub struct Database {
     pub suppliers: Vec<Supplier>,
     /// Part rows.
     pub parts: Vec<Part>,
+    /// Nation rows: all [`NATIONS`] of them, at every scale.
+    pub nations: Vec<Nation>,
 }
 
 /// Generates a database where `scale = 1.0` corresponds to roughly 6,000 lineitems
@@ -179,6 +267,12 @@ pub fn generate(scale: f64, seed: u64) -> Database {
         customers,
         suppliers,
         parts,
+        nations: (0..NATIONS)
+            .map(|key| Nation {
+                key,
+                region: region_of(key),
+            })
+            .collect(),
     }
 }
 

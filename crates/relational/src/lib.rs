@@ -3,19 +3,21 @@
 //!
 //! The paper evaluates incremental view maintenance of the 22 TPC-H queries against
 //! DBToaster. dbgen data and DBToaster itself cannot be shipped here (substitution S2 in
-//! DESIGN.md), so this crate provides:
+//! the README's "Substitutions and experiment index"), so this crate provides:
 //!
-//! * [`data`] — schema-compatible row types and a seeded generator with the same key
-//!   relationships and value skew, at laptop scale factors;
-//! * [`queries`] — a representative set of the TPC-H queries expressed as differential
-//!   dataflows over those relations (scan/filter/aggregate, join/aggregate, semijoin,
-//!   group-by shapes), each incrementally maintained as the lineitem/orders streams load;
+//! * [`data`] — schema-compatible row types, each with its plan-row encoder, and a seeded
+//!   generator with the same key relationships and value skew, at laptop scale factors;
+//! * [`plans`] — a representative set of the TPC-H queries as [`kpg_plan::Plan`] values
+//!   over named inputs (scan/filter/aggregate, join/aggregate, semijoin, group-by
+//!   shapes), installed through a `kpg_plan::Manager` like any other runtime query and
+//!   incrementally maintained as the lineitem stream loads;
 //! * [`baseline`] — a re-evaluation engine that recomputes each query from scratch per
-//!   logical batch, the behaviour DBToaster falls back to for complex aggregates.
+//!   logical batch, the behaviour DBToaster falls back to for complex aggregates, and
+//!   the oracle the plans are tested against.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod baseline;
 pub mod data;
-pub mod queries;
+pub mod plans;

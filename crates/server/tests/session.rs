@@ -7,8 +7,7 @@ use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use kpg_dataflow::{execute, Config};
-use kpg_plan::{Command, Manager, Plan, ReduceKind, Response as PlanResponse, Row, Value};
+use kpg_plan::{replay, Command, Plan, ReduceKind, Response as PlanResponse, Row, Value};
 use kpg_server::{serve, Client, ClientError, Server, ServerConfig};
 use kpg_wire::{read_frame, write_frame, Frame, Response, WireCodec};
 
@@ -29,34 +28,10 @@ fn local_server(workers: usize) -> Server {
     .expect("bind a loopback server")
 }
 
-/// Replays `commands` — the server's merged log — on a single fresh `Manager`,
-/// returning the answer of every `Query` in log order.
-fn direct_replay(commands: Vec<Command>) -> Vec<(String, Vec<(Row, isize)>)> {
-    let mut results = execute(Config::new(1), move |worker| {
-        let mut manager = Manager::new();
-        let mut answers = Vec::new();
-        for command in commands.clone() {
-            if let Command::Query { name } = &command {
-                manager.settle(worker);
-                let result = manager.execute(worker, command.clone());
-                if let Ok(PlanResponse::Rows(rows)) = result {
-                    answers.push((name.clone(), rows));
-                }
-            } else {
-                // Failures are part of the replay (arbitration may have let some
-                // commands lose); the manager's state is unchanged by them.
-                let _ = manager.execute(worker, command);
-            }
-        }
-        answers
-    });
-    results.remove(0)
-}
-
 /// Two clients interleaving installs, updates, and queries on a shared input: the
 /// settled answers must equal a single-`Manager` replay of the merged command log.
 #[test]
-fn concurrent_clients_match_a_direct_replay_of_the_merged_log() {
+fn concurrent_clients_match_a_replay_of_the_merged_log() {
     let mut server = local_server(2);
     let addr = server.local_addr();
 
@@ -133,7 +108,17 @@ fn concurrent_clients_match_a_direct_replay_of_the_merged_log() {
     assert!(log
         .iter()
         .any(|command| matches!(command, Command::Uninstall { name } if name == "dst-degrees")));
-    let replayed: HashMap<String, Vec<(Row, isize)>> = direct_replay(log).into_iter().collect();
+    // Failures are part of the replay (arbitration may have let some commands lose);
+    // they leave a manager unchanged.
+    let outcomes = replay(1, log.clone()).outcomes;
+    let replayed: HashMap<String, Vec<(Row, isize)>> = log
+        .into_iter()
+        .zip(outcomes)
+        .filter_map(|(command, (outcome, _))| match (command, outcome) {
+            (Command::Query { name }, Ok(PlanResponse::Rows(rows))) => Some((name, rows)),
+            _ => None,
+        })
+        .collect();
     assert_eq!(replayed.get("degrees"), Some(&degrees));
 
     server.shutdown();

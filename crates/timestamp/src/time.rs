@@ -17,7 +17,8 @@ pub const MAX_DEPTH: usize = 3;
 /// round coordinates at zero, so epoch-only times compare exactly as their epochs do.
 ///
 /// The runtime uses a single concrete timestamp type rather than the per-scope timestamp
-/// types of timely dataflow; this is part of substitution S1 described in `DESIGN.md`.
+/// types of timely dataflow; this is part of substitution S1 (README, "Substitutions and
+/// experiment index").
 /// The generic lattice machinery in this crate (notably [`Product`](crate::Product)) is
 /// still what the trace layer is written against, so alternative timestamp types can be
 /// used with arrangements directly.
@@ -76,7 +77,8 @@ impl Time {
     /// This is the `leave` operation: updates produced inside an `iterate` scope are
     /// re-timestamped to the enclosing scope's time. The epoch-synchronous scheduler only
     /// advances enclosing-scope frontiers after the loop for an epoch has fully quiesced,
-    /// which keeps this re-timestamping sound (see DESIGN.md, substitution S1).
+    /// which keeps this re-timestamping sound (substitution S1 in the README's
+    /// "Substitutions and experiment index").
     pub fn left(&self, depth: usize) -> Self {
         let mut coords = self.coords;
         for c in coords.iter_mut().skip(depth) {

@@ -1,61 +1,55 @@
 //! Incremental view maintenance of a relational query while the fact table streams in,
 //! compared against full re-evaluation (the §6.1 scenario in miniature).
 //!
+//! The view is TPC-H Q3 as a `Plan`, installed over the loaded reference relations; the
+//! whole session is one `Command` stream through `kpg_plan::replay`, the loop a
+//! `kpg_server` worker runs.
+//!
 //! Run with `cargo run --release --example incremental_analytics`.
 
-use shared_arrangements::prelude::*;
-use shared_arrangements::relational::baseline;
+use shared_arrangements::plan::{replay, Command, Response};
 use shared_arrangements::relational::data::generate;
-use shared_arrangements::relational::queries::{build_query, relations};
+use shared_arrangements::relational::{baseline, plans};
 
 fn main() {
-    let db = generate(0.5, 7);
+    let mut db = generate(0.5, 7);
     let batches = 10usize;
     let query = 3u32;
 
-    execute(Config::new(1), move |worker| {
-        let db = generate(0.5, 7);
-        // Install the standing query under a name, so a longer-lived session could
-        // retire it with `worker.uninstall(...)` once it stops being useful.
-        let (mut inputs, probe, results) = worker.install("tpch-view", |builder| {
-            let (inputs, rels) = relations(builder);
-            let result = build_query(query, &rels);
-            (inputs, result.probe(), result.capture())
-        });
-
-        // Reference relations load up front.
-        for o in db.orders.iter() {
-            inputs.orders.insert(o.clone());
-        }
-        for c in db.customers.iter() {
-            inputs.customer.insert(c.clone());
-        }
-        for s in db.suppliers.iter() {
-            inputs.supplier.insert(s.clone());
-        }
-        for p in db.parts.iter() {
-            inputs.part.insert(p.clone());
-        }
-
-        // Lineitems stream in batches; the query output is maintained after each batch.
-        let chunk = db.lineitems.len() / batches + 1;
-        for (round, lines) in db.lineitems.chunks(chunk).enumerate() {
-            for line in lines {
-                inputs.lineitem.insert(line.clone());
-            }
-            inputs.advance_to(round as u64 + 1);
-            worker.step_while(|| probe.less_than(&Time::from_epoch(round as u64 + 1)));
-            println!(
-                "after batch {round}: {} output updates so far",
-                results.borrow().len()
-            );
-        }
+    // Reference relations load up front; the standing query is installed over them.
+    let mut commands = plans::load_reference(&db);
+    commands.push(Command::Install {
+        name: "tpch-view".into(),
+        plan: plans::query(query),
+        locals: vec![],
     });
 
-    // The differential result after the last batch matches full re-evaluation.
-    let reference = baseline::evaluate(query, &db);
-    println!(
-        "full re-evaluation of q{query} produces {} groups (see tests for the equivalence check)",
-        reference.len()
-    );
+    // Lineitems stream in batches; the view is read after each batch is sealed, and
+    // re-evaluated from scratch over exactly the lineitems streamed so far.
+    let lineitems = std::mem::take(&mut db.lineitems);
+    let mut reevaluated = Vec::new();
+    let chunk = lineitems.len() / batches + 1;
+    for (lines, epoch) in lineitems.chunks(chunk).zip(1u64..) {
+        commands.extend(lines.iter().map(|line| plans::lineitem_update(line, 1)));
+        commands.push(Command::AdvanceTime { epoch });
+        commands.push(Command::Query {
+            name: "tpch-view".into(),
+        });
+        db.lineitems.extend(lines.iter().cloned());
+        reevaluated.push(baseline::evaluate(query, &db));
+    }
+
+    let outcomes = replay(1, commands).outcomes.into_iter();
+    let views = outcomes.filter_map(|(outcome, elapsed)| match outcome {
+        Ok(Response::Rows(rows)) => Some((rows, elapsed)),
+        Ok(_) => None,
+        Err(error) => panic!("session command failed: {error}"),
+    });
+    for (round, ((view, elapsed), reference)) in views.zip(reevaluated).enumerate() {
+        assert_eq!(view, reference, "q{query} after batch {round}");
+        println!(
+            "after batch {round}: {} groups, equal to full re-evaluation (read in {elapsed:?})",
+            view.len()
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! The paper's interactive scenario over a *real socket*: a client installs §6.2
 //! query classes against a running network server, poses updates, reads settled
-//! answers, and retires queries — then the same command stream is replayed on an
-//! in-process `Manager` to confirm the wire boundary changed nothing: byte-identical
+//! answers, and retires queries — then the same command stream is replayed in process
+//! (`kpg_plan::replay`) to confirm the wire boundary changed nothing: byte-identical
 //! settled results either way.
 //!
 //! This is `examples/plan_session.rs` with TCP in the middle: frames carry
@@ -10,8 +10,7 @@
 //!
 //! Run with `cargo run --release --example remote_session`.
 
-use shared_arrangements::plan::{Command, Expr, Manager, Plan, ReduceKind, Row};
-use shared_arrangements::prelude::*;
+use shared_arrangements::plan::{replay, Command, Expr, Plan, ReduceKind, Response, Row};
 use shared_arrangements::server::{serve, Client, ServerConfig};
 
 fn edge(src: u32, dst: u32) -> Row {
@@ -58,25 +57,6 @@ fn session_commands() -> Vec<Command> {
     });
     commands.push(Command::AdvanceTime { epoch: 1 });
     commands
-}
-
-/// A settled, consolidated query answer.
-type Answer = Vec<(Row, isize)>;
-
-/// Runs the command stream on an in-process `Manager` (no network), returning the two
-/// settled query answers.
-fn in_process_baseline() -> (Answer, Answer) {
-    let mut results = execute(Config::new(1), |worker| {
-        let mut manager = Manager::new();
-        for command in session_commands() {
-            manager.execute(worker, command).expect("session command");
-        }
-        manager.settle(worker);
-        let degrees = manager.query("degrees").expect("degrees");
-        let two_hops = manager.query("two-hop").expect("two-hop");
-        (degrees, two_hops)
-    });
-    results.remove(0)
 }
 
 fn main() {
@@ -129,12 +109,14 @@ fn main() {
 
     // The byte boundary must be invisible: the same command stream on an in-process
     // Manager returns the same settled answers, row for row.
-    let (local_degrees, local_two_hops) = in_process_baseline();
-    assert_eq!(degrees, local_degrees, "degrees diverge across the socket");
-    assert_eq!(
-        two_hops, local_two_hops,
-        "two-hop diverges across the socket"
-    );
+    let mut local = session_commands();
+    local.extend(["degrees", "two-hop"].map(|name| Command::Query { name: name.into() }));
+    let mut local = replay(1, local).outcomes;
+    for (name, answer) in [("two-hop", &two_hops), ("degrees", &degrees)] {
+        let (in_process, _) = local.pop().expect("one outcome per command");
+        let diverges = format!("{name} diverges across the socket");
+        assert_eq!(in_process, Ok(Response::Rows(answer.clone())), "{diverges}");
+    }
     println!("socket answers == in-process answers (both queries)");
 
     // Retire a query through the same protocol, then confirm the retirement is

@@ -47,6 +47,14 @@ SCHEMAS = {
         "heal_p50_ns",
         "heal_p99_ns",
     },
+    # The workload bins (`tpch`, `datalog`, `graspan`, `graph_batch`): one record per
+    # table row, emitted only after every answer behind the row matched its scalar
+    # baseline. The required keys identify the row; which measurements accompany them
+    # depends on the table.
+    "tpch": {"table", "query"},
+    "datalog": {"table", "program", "graph"},
+    "graspan": {"table", "graph", "variables"},
+    "graph_batch": {"graph", "system", "workers"},
     # Per-command cost of the network boundary (codec + framing + sequencer +
     # all-worker execution, full loopback round trip) vs direct Manager::execute.
     # One point of the multi-client fan-out curve: N concurrent connections

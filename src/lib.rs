@@ -19,8 +19,12 @@
 //! * [`wire`], [`server`] — the network boundary: the length-prefixed binary codec
 //!   for `Command`/`Row`/`Response` and the multi-client TCP query server that
 //!   sequences client streams into the managers (see `examples/remote_session.rs`).
-//! * [`relational`], [`graph`], [`datalog`] — the workloads used by the paper's
-//!   evaluation (TPC-H-like analytics, graph processing, Datalog / program analysis).
+//! * [`relational`], [`graph`] — the workloads of the paper's evaluation (TPC-H-like
+//!   analytics; interactive and batch graph queries, Datalog and program analysis), each
+//!   stated once, as `plan::Plan` values in a `plans` module, beside a seeded generator
+//!   and the scalar baseline that is its oracle. [`plan::replay()`] runs a `Command`
+//!   stream over them the way a server worker does (see
+//!   `examples/incremental_analytics.rs`).
 //!
 //! ## The query-session API
 //!
@@ -73,7 +77,6 @@
 
 pub use kpg_core as core;
 pub use kpg_dataflow as dataflow;
-pub use kpg_datalog as datalog;
 pub use kpg_graph as graph;
 pub use kpg_plan as plan;
 pub use kpg_relational as relational;
