@@ -12,7 +12,9 @@
 //! scalar search after the load and after every retraction; the two points-to variants
 //! must agree.
 //!
-//! Run with `cargo run --release -p kpg_bench --bin graspan [--scale 1.0]`.
+//! Run with `cargo run --release -p kpg_bench --bin graspan [--scale 0.1]` (the
+//! default, about a minute, and the largest practical size: at `--scale 1.0` the
+//! unoptimised points-to row materialises every alias pair and is OOM-killed at 16 GB).
 
 use kpg_bench::{
     answer, arg_f64, arg_usize, check_answer, evaluate, fixed, load, num, replay_steps, seconds,
@@ -84,7 +86,7 @@ fn points_to_analysis(graph: &ProgramGraph, materialise_alias: bool) -> Vec<Step
 }
 
 fn main() {
-    let scale = arg_f64("--scale", 1.0);
+    let scale = arg_f64("--scale", 0.1);
     let retractions = arg_usize("--retractions", 50);
     let inputs = [
         ("httpd-like", (800.0 * scale) as u32, 11u64),

@@ -28,6 +28,16 @@
 //! (durable median minus in-memory median) is what durability costs an epoch, and
 //! `overhead_vs_smallest_x` must stay near 1: the epoch is the same size at every
 //! point, so a durable path that costs O(changes) does not notice the state growing.
+//!
+//! `--spine-merge [--rows 10000] [--out BENCH_micro_spine_merge.json]` prices spine
+//! maintenance against the state held (ROADMAP item 2(a)'s first family): the same
+//! 100-update epoch inserted into a `Row`-keyed spine holding `rows`, 2x, 4x and 8x
+//! rows. One `micro_spine_merge` record per size: `per_epoch_us` is the mean
+//! `Spine::insert` (merges are amortised, so the mean is the cost), `vs_smallest_x`
+//! its ratio to the first size's — amortised merging makes it grow with the layer
+//! count, i.e. logarithmically, never with the rows — and `ns_per_fuel_unit` what the
+//! merge kernel charges for one unit of fuel, measured on one two-batch merge of that
+//! many rows worked in insert-sized slices.
 
 use kpg_bench::{
     arg_flag, arg_string, arg_usize, bench_record, bench_report, num, persist_records, text, timed,
@@ -39,6 +49,9 @@ use kpg_plan::{Command, Plan, Row, Value};
 use kpg_server::{DurabilityConfig, ServerCore};
 use kpg_sync::Arc;
 use kpg_timestamp::rng::SmallRng;
+use kpg_timestamp::{Antichain, AntichainRef};
+use kpg_trace::ord_batch::OrdValBuilder;
+use kpg_trace::{Batch, BatchReader, Builder, Merger, Spine};
 use kpg_wire::Response;
 
 /// Drives an arrangement of `keys` 64-bit identifiers with `updates_per_round` changes
@@ -339,6 +352,112 @@ fn durable_epoch(base_rows: u64, out: &str) {
     }
 }
 
+/// The batch of an `edges`-like arrangement keyed by its first column: what the server's
+/// spines hold.
+type RowBatch = ValBatch<Row, Row>;
+
+/// A batch over `[lower, upper)` of the edges `ids` name (`src = id % sources`), each
+/// with `diff(id)` at epoch `lower`.
+fn row_batch(
+    ids: impl Iterator<Item = u64>,
+    sources: u64,
+    diff: impl Fn(u64) -> isize,
+    (lower, upper): (u64, u64),
+) -> RowBatch {
+    let mut builder = OrdValBuilder::default();
+    for id in ids {
+        let key = Row::from(vec![Value::UInt(id % sources)]);
+        let val = Row::from(vec![Value::UInt(id)]);
+        builder.push(key, val, Time::from_epoch(lower), diff(id));
+    }
+    let frontier = |epoch| Antichain::from_elem(Time::from_epoch(epoch));
+    builder.done(frontier(lower), frontier(upper), frontier(0))
+}
+
+/// Timed epochs per `--spine-merge` point (after as many untimed ones).
+const SPINE_EPOCHS: u64 = 400;
+
+/// Mean µs of inserting a 100-update epoch (50 fresh rows, the 50 oldest retracted,
+/// compaction following the epochs) into a default-effort spine holding `rows` rows.
+fn spine_epoch_us(rows: u64) -> f64 {
+    let sources = (rows / 4).max(1);
+    let mut spine = Spine::new(MergeEffort::Default);
+    spine.insert(row_batch(0..rows, sources, |_| 1, (0, 1)));
+    let mut total = std::time::Duration::ZERO;
+    for epoch in 1..=2 * SPINE_EPOCHS {
+        let first = (epoch - 1) * 50;
+        let ids = (first..first + 50).chain(rows + first..rows + first + 50);
+        let diff = |id| if id < rows + first { -1 } else { 1 };
+        let batch = row_batch(ids, sources, diff, (epoch, epoch + 1));
+        spine.set_logical_compaction(AntichainRef::new(&[Time::from_epoch(epoch)]));
+        let (_, elapsed) = timed(|| spine.insert(batch));
+        if epoch > SPINE_EPOCHS {
+            total += elapsed;
+        }
+    }
+    assert_eq!(spine.inserted() as u64, rows + 200 * SPINE_EPOCHS);
+    total.as_secs_f64() * 1e6 / SPINE_EPOCHS as f64
+}
+
+/// What one unit of merge fuel costs, in ns: two abutting batches of `rows / 2` rows
+/// over the same sources, merged in insert-sized slices. Median of five merges.
+fn fuel_unit_ns(rows: u64) -> f64 {
+    let sources = (rows / 4).max(1);
+    let older = row_batch((0..rows).step_by(2), sources, |_| 1, (0, 1));
+    let newer = row_batch((1..rows).step_by(2), sources, |_| 1, (1, 2));
+    // What a 100-update insert offers each in-progress merge.
+    let slice = MergeEffort::Default.fuel_for(100);
+    let mut runs: Vec<f64> = (0..5)
+        .map(|_| {
+            let mut spent = 0isize;
+            let (merged, elapsed) = timed(|| {
+                let since = [Time::from_epoch(1)];
+                let mut merger = older.begin_merge(&newer, AntichainRef::new(&since));
+                while !merger.is_complete() {
+                    let mut fuel = slice;
+                    merger.work(&older, &newer, &mut fuel);
+                    spent += slice - fuel;
+                }
+                merger.done(&older, &newer)
+            });
+            assert_eq!(merged.len() as u64, rows);
+            elapsed.as_secs_f64() * 1e9 / spent as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    runs[2]
+}
+
+/// The `--spine-merge` experiment: four doublings from `base_rows`, one
+/// `micro_spine_merge` record each, optionally persisted to `out`.
+fn spine_merge(base_rows: u64, out: &str) {
+    println!("# Spine merge: a 100-update epoch into a Row-keyed spine, by rows held");
+    println!("rows\tper epoch us\tns per fuel unit\tvs smallest");
+    let mut records = Vec::new();
+    let mut smallest: Option<f64> = None;
+    for doubling in 0..4 {
+        let rows = base_rows << doubling;
+        let per_epoch_us = spine_epoch_us(rows);
+        let fuel_ns = fuel_unit_ns(rows);
+        let ratio = per_epoch_us / *smallest.get_or_insert(per_epoch_us);
+        println!("{rows}\t{per_epoch_us:.1}\t{fuel_ns:.1}\t{ratio:.2}");
+        let report = bench_report(
+            "micro_spine_merge",
+            &[
+                ("rows", num(rows)),
+                ("per_epoch_us", num(format!("{per_epoch_us:.1}"))),
+                ("ns_per_fuel_unit", num(format!("{fuel_ns:.1}"))),
+                ("vs_smallest_x", num(format!("{ratio:.3}"))),
+            ],
+        );
+        println!("BENCH {}", report.render());
+        records.push(report.render());
+    }
+    if !out.is_empty() {
+        persist_records(out, &records);
+    }
+}
+
 /// Emits the `micro_latency` BENCH line for one step-latency experiment.
 fn emit_latency(label: &str, workers: usize, load: usize, recorder: &LatencyRecorder) {
     bench_record(
@@ -361,6 +480,10 @@ fn main() {
     }
     if arg_flag("--durable-epoch") {
         durable_epoch(arg_usize("--rows", 10_000) as u64, &arg_string("--out", ""));
+        return;
+    }
+    if arg_flag("--spine-merge") {
+        spine_merge(arg_usize("--rows", 10_000) as u64, &arg_string("--out", ""));
         return;
     }
     let keys = arg_usize("--keys", 50_000) as u64;

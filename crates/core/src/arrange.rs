@@ -185,6 +185,13 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
         self.boxed.borrow().spine.in_memory_len()
     }
 
+    /// Spends up to `fuel` units of work on the trace's in-progress merges (see
+    /// [`Spine::exert`]): what a worker with nothing else to do gives the trace.
+    /// Returns true iff a merge is still in progress.
+    pub fn exert(&self, fuel: &mut isize) -> bool {
+        self.boxed.borrow_mut().spine.exert(fuel)
+    }
+
     /// Applies `logic` to every batch currently in the trace, oldest first.
     pub fn map_batches(&self, logic: impl FnMut(&B)) {
         self.boxed.borrow().spine.map_batches(logic);
@@ -400,9 +407,12 @@ where
     fn work(&mut self, output: &mut OutputContext<'_>) -> bool {
         // Mint a batch whenever the input frontier has moved past our last batch's upper.
         if self.input_frontier.same_as(&self.upper) {
-            // Still, contribute idle effort to in-progress merges (amortized maintenance).
+            // Still, contribute idle effort to in-progress merges (amortized maintenance):
+            // what an introduced batch of 64 updates would offer one of them.
             if let Some(trace) = self.trace.upgrade() {
-                trace.borrow_mut().spine.exert(64);
+                let spine = &mut trace.borrow_mut().spine;
+                let mut fuel = spine.effort().fuel_for(64);
+                spine.exert(&mut fuel);
             }
             return false;
         }

@@ -87,6 +87,9 @@ pub trait AnyTrace {
     fn reader_slots(&self) -> usize;
     /// Advances this handle's read frontier, permitting compaction.
     fn advance_since(&mut self, frontier: AntichainRef<'_, Time>);
+    /// Spends up to `fuel` units of work on the trace's in-progress merges; true iff a
+    /// merge is still in progress.
+    fn exert(&self, fuel: &mut isize) -> bool;
 }
 
 impl<B: Batch<Time = Time> + 'static> AnyTrace for TraceAgent<B> {
@@ -113,6 +116,9 @@ impl<B: Batch<Time = Time> + 'static> AnyTrace for TraceAgent<B> {
     }
     fn advance_since(&mut self, frontier: AntichainRef<'_, Time>) {
         self.set_logical_compaction(frontier);
+    }
+    fn exert(&self, fuel: &mut isize) -> bool {
+        TraceAgent::exert(self, fuel)
     }
 }
 
@@ -370,6 +376,21 @@ impl Catalog {
         for entry in inner.entries.values_mut() {
             entry.trace.advance_since(frontier);
         }
+    }
+
+    /// Spends up to `fuel` units of merge work across the published traces — one
+    /// budget for all of them, decremented by the work done — so merges that inserts
+    /// left half-finished complete while the worker has nothing else to do. Returns
+    /// true iff some trace still has a merge in progress; when none has, the call is a
+    /// scan of layer tags. Purely local: no other worker is involved, and merge timing
+    /// never decides an answer.
+    pub fn exert_all(&self, fuel: &mut isize) -> bool {
+        let inner = self.inner.borrow();
+        let mut merging = false;
+        for entry in inner.entries.values() {
+            merging |= entry.trace.exert(fuel);
+        }
+        merging
     }
 
     fn with_entry<T>(

@@ -251,6 +251,15 @@ struct InstalledPlan {
     sources: BTreeSet<String>,
 }
 
+/// The merge work one [`Manager::idle_turn`] may do, in merge fuel units (source updates
+/// read). A worker looks for a sequenced command between turns, so this bounds how long
+/// a command that arrives mid-turn waits. Sized by measurement on the benchmark's
+/// `epoch_stream` server: a turn takes ≈ 30 µs at the median and ≈ 47 µs at p90 (≈ 80 ns
+/// a unit on `Row`s out of cache; 26 ns in cache, `BENCH_micro_spine_merge.json`). What
+/// no fuel bounds is a turn in which a merge *completes*: it drops the merge's sources,
+/// 0.1–0.3 ms at p99 — work the next insert would otherwise have done inline.
+const IDLE_TURN_FUEL: isize = 384;
+
 /// The per-worker runtime-plan engine. See the module docs for the protocol.
 pub struct Manager {
     catalog: Catalog,
@@ -710,6 +719,18 @@ impl Manager {
     pub fn settle(&self, worker: &mut Worker) {
         let target = Time::from_epoch(self.epoch);
         worker.step_while(|| self.behind(&target));
+    }
+
+    /// One bounded turn of trace maintenance for a worker with nothing else to do: at
+    /// most [`IDLE_TURN_FUEL`] units of merge work across every arrangement the manager
+    /// holds (inputs, memoized sub-plans, results — all of them are catalog entries).
+    /// Returns true iff a merge is still in progress, i.e. another turn would find
+    /// work; with nothing merging the turn is a scan of layer tags. Local to this
+    /// worker, and invisible in every answer: a merge changes how a trace is laid out,
+    /// never what it accumulates to.
+    pub fn idle_turn(&self) -> bool {
+        let mut fuel = IDLE_TURN_FUEL;
+        self.catalog.exert_all(&mut fuel)
     }
 
     /// The current epoch.

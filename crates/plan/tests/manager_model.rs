@@ -973,6 +973,146 @@ fn install_after_load_answers_as_install_before_load() {
 /// manager's reserved "plan-memo-…" names live in the worker's shared dataflow
 /// namespace, so a user query named like the next memo dataflow makes the query's own
 /// install fail after its memo was ensured — and must leave no memo state behind.
+/// One seeded stream: edge churn under two standing queries, a third installed and
+/// retired mid-stream, every live query asked every epoch.
+fn idle_turn_stream() -> Vec<Command> {
+    const NODES: u64 = 300;
+    let update = |name: &str, values: &[u64], diff: isize| Command::Update {
+        name: name.to_string(),
+        row: row(values),
+        diff,
+    };
+    let install = |name: &str, plan: Plan, locals: &[&str]| Command::Install {
+        name: name.to_string(),
+        plan,
+        locals: locals.iter().map(|local| local.to_string()).collect(),
+    };
+    let mut stream = vec![
+        Command::CreateInput {
+            name: "edges".to_string(),
+            key_arity: Some(1),
+        },
+        install(
+            "degrees",
+            Plan::source("edges").reduce(1, ReduceKind::Count),
+            &[],
+        ),
+        install("hop", two_hop("edges", "hop-args"), &["hop-args"]),
+        update("hop-args", &[0], 1),
+        update("hop-args", &[7], 1),
+    ];
+    let mut rng = SmallRng::seed_from_u64(0x1D7E);
+    let mut live: Vec<(u64, u64)> = Vec::new();
+    for epoch in 1..=160u64 {
+        // A few thousand arrivals early, then size-stable churn in epochs small enough
+        // that their inserts leave the larger merges unfinished (an insert of n offers
+        // a merge 4n + 64 units) and compaction has history to cancel.
+        let arrivals = if epoch <= 10 { 400 } else { 30 };
+        for _ in 0..arrivals {
+            let edge = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+            live.push(edge);
+            stream.push(update("edges", &[edge.0, edge.1], 1));
+        }
+        for _ in 0..if epoch <= 10 { 0 } else { 30 } {
+            let edge = live.swap_remove(rng.gen_range(0..live.len()));
+            stream.push(update("edges", &[edge.0, edge.1], -1));
+        }
+        match epoch {
+            60 => {
+                stream.push(install(
+                    "late",
+                    lookup("edges", "late-args"),
+                    &["late-args"],
+                ));
+                stream.push(update("late-args", &[3], 1));
+            }
+            100 => stream.push(Command::Uninstall {
+                name: "late".to_string(),
+            }),
+            _ => {}
+        }
+        stream.push(Command::AdvanceTime { epoch });
+        let asked = ["degrees", "hop", "late"];
+        let standing = if (60..100).contains(&epoch) { 3 } else { 2 };
+        stream.extend(asked[..standing].iter().map(|name| Command::Query {
+            name: name.to_string(),
+        }));
+    }
+    stream
+}
+
+/// Runs `stream` on `workers` workers the way a server worker does (settle ahead of a
+/// `Query`), taking `Manager::idle_turn`s between commands at random — per worker, from
+/// its own seed, as real workers idle on their own — when `idle_seed` is given. Returns,
+/// per worker, every query's answer shard in stream order and every catalog
+/// arrangement's `(name, len)` once the stream has ended and merges have drained.
+#[allow(clippy::type_complexity)]
+fn run_with_idle_turns(
+    workers: usize,
+    stream: &[Command],
+    idle_seed: Option<u64>,
+) -> Vec<(Vec<Vec<(Row, isize)>>, Vec<(String, usize)>)> {
+    let stream = stream.to_vec();
+    execute(Config::new(workers), move |worker| {
+        let mut manager = Manager::new();
+        let mut rng = idle_seed.map(|seed| SmallRng::seed_from_u64(seed + worker.index() as u64));
+        let mut answers = Vec::new();
+        let mut busy_turns = 0;
+        for command in &stream {
+            if let Some(rng) = rng.as_mut() {
+                for _ in 0..rng.gen_range(0..4u8) {
+                    busy_turns += usize::from(manager.idle_turn());
+                }
+            }
+            if matches!(command, Command::Query { .. }) {
+                manager.settle(worker);
+            }
+            if let Response::Rows(rows) = manager.execute(worker, command.clone()).unwrap() {
+                answers.push(rows);
+            }
+        }
+        // The comparison is only worth making if turns found merges to work on.
+        assert!(rng.is_none() || busy_turns >= 10, "{busy_turns} busy turns");
+        let mut turns = 0;
+        while manager.idle_turn() {
+            turns += 1;
+            assert!(
+                turns < 100_000,
+                "idle turns must drain the merges in flight"
+            );
+        }
+        let catalog = manager.catalog();
+        let held = catalog.names().into_iter().map(|name| {
+            let len = catalog.arrangement_size(&name).unwrap();
+            (name, len)
+        });
+        (answers, held.collect())
+    })
+}
+
+/// Merge timing never decides an answer: the same stream answers identically at every
+/// epoch whether workers never take an idle turn or take them at random points between
+/// commands, on one worker and on two — and once the merges in flight have drained,
+/// every arrangement holds the same number of updates either way.
+#[test]
+fn idle_turns_change_no_answer_and_no_arrangement_size() {
+    let stream = idle_turn_stream();
+    for workers in [1, 2] {
+        let never = run_with_idle_turns(workers, &stream, None);
+        for seed in [1, 2] {
+            let idled = run_with_idle_turns(workers, &stream, Some(seed));
+            for (index, (never, idled)) in never.iter().zip(&idled).enumerate() {
+                assert_eq!(never.0.len(), 2 * 160 + 40);
+                assert_eq!(
+                    never.0, idled.0,
+                    "{workers} workers, worker {index}: answers"
+                );
+                assert_eq!(never.1, idled.1, "{workers} workers, worker {index}: sizes");
+            }
+        }
+    }
+}
+
 #[test]
 fn failed_install_rolls_back_created_memos() {
     execute(Config::new(1), |worker| {

@@ -6,7 +6,8 @@
 //! closes — always holding `log`, so WAL order is log order; it cannot call
 //! `aggregate`. **Is called** by `aggregate` through an [`Appender`] (`clients` is
 //! held outside it: `clients → log`, never the reverse), by `worker` through
-//! [`Sequencer::next_command`], and by the core for `close` and the replay wait.
+//! [`Sequencer::try_next`] and [`Sequencer::next_command`], and by the core for `close`
+//! and the replay wait.
 //!
 //! The append order *is* the arbitration order for every name conflict. By default
 //! the log prunes the prefix every worker has consumed (a long-lived server holds
@@ -208,51 +209,57 @@ impl Sequencer {
         self.lock().entries.len()
     }
 
-    /// The log entry at position `from`, blocking until it exists; records that
-    /// `worker` has consumed everything below `from` (and prunes what everyone has).
-    /// `None` once the log is closed and drained. (`#[inline]`, like `push` and the
-    /// aggregator's `deliver`: out of line they cost ~1 % server CPU on `point_rtt`.)
+    /// The log entry at position `from` if it has been sequenced, without blocking;
+    /// records that `worker` has consumed everything below `from` (and prunes what
+    /// everyone has). (`#[inline]`, like `push` and the aggregator's `deliver`: out of
+    /// line they cost ~1 % server CPU on `point_rtt`.)
     #[inline]
-    pub(crate) fn next_command(&self, worker: usize, from: u64) -> Option<Arc<SequencedCommand>> {
-        {
-            let mut log = self.lock();
-            log.cursors[worker] = from;
-            // Only `await_replayed` ever waits on `consumed`, and only during
-            // startup recovery — skip the notify syscall on every later command.
-            if log.replay_waiters > 0 {
-                self.consumed.notify_all();
-            }
-            log.prune();
-            // Fast path: during a drained batch the next entry is already
-            // sequenced — return it under the lock we hold instead of paying a
-            // second acquisition (and an epoch load) per command.
-            if let Some(entry) = log.get(from) {
-                return Some(Arc::clone(entry));
-            }
-            if log.closed {
-                return None;
-            }
+    pub(crate) fn try_next(&self, worker: usize, from: u64) -> Peek {
+        let mut log = self.lock();
+        log.cursors[worker] = from;
+        // Only `await_replayed` ever waits on `consumed`, and only during
+        // startup recovery — skip the notify syscall on every later command.
+        if log.replay_waiters > 0 {
+            self.consumed.notify_all();
         }
-        // The doorbell discipline (model-checked in kpg_sync): snapshot the
-        // epoch, check the log, park only if nothing rang since the snapshot. A
-        // ring between the check and the park advances the epoch past `seen`, so
-        // `wait` returns immediately — no lost wakeup. Unlike the condvar this
-        // replaces, waiting holds no lock, so a batch append never contends with
-        // parked workers.
-        loop {
-            let seen = self.grown.epoch();
-            {
-                let log = self.lock();
-                if let Some(entry) = log.get(from) {
-                    return Some(Arc::clone(entry));
-                }
-                if log.closed {
-                    return None;
-                }
-            }
-            self.grown.wait(seen);
+        log.prune();
+        match log.get(from) {
+            Some(entry) => Peek::Ready(Arc::clone(entry)),
+            None if log.closed => Peek::Closed,
+            None => Peek::Empty,
         }
     }
+
+    /// The log entry at position `from`, parking until it exists — the only place a
+    /// worker parks. `None` once the log is closed and drained.
+    ///
+    /// The doorbell discipline (model-checked in kpg_sync): snapshot the epoch, check
+    /// the log, park only if nothing rang since the snapshot. A ring between the check
+    /// and the park advances the epoch past `seen`, so `wait` returns immediately — no
+    /// lost wakeup, however long ago (and however many [`Sequencer::try_next`] peeks
+    /// ago) the caller last looked: the snapshot is taken here, ahead of this call's
+    /// own check. Waiting holds no lock, so a batch append never contends with parked
+    /// workers.
+    pub(crate) fn next_command(&self, worker: usize, from: u64) -> Option<Arc<SequencedCommand>> {
+        loop {
+            let seen = self.grown.epoch();
+            match self.try_next(worker, from) {
+                Peek::Ready(entry) => return Some(entry),
+                Peek::Closed => return None,
+                Peek::Empty => self.grown.wait(seen),
+            }
+        }
+    }
+}
+
+/// What [`Sequencer::try_next`] found at a log position.
+pub(crate) enum Peek {
+    /// The entry there.
+    Ready(Arc<SequencedCommand>),
+    /// Nothing yet: the worker is ahead of the log.
+    Empty,
+    /// Nothing, ever: the log is closed and drained.
+    Closed,
 }
 
 #[cfg(test)]

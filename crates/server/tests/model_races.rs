@@ -25,6 +25,10 @@
 //!    sealed epochs over a channel — the last epoch's hand-off racing `close` +
 //!    `final_checkpoint` is never lost, and with two workers depositing the epochs
 //!    still arrive in log order.
+//! 8. *Idle turns*: a worker that finds the log empty does bounded turns of trace
+//!    maintenance before it parks — a command appended during a turn is consumed with
+//!    no further turn and no park, a ring between the worker's peek and its park is
+//!    never lost, and `close` during a turn ends the loop though maintenance remains.
 //!
 //! The reactor-side protocols (3, 5, 6) model the `Waker` — a real pipe fd the
 //! scheduler cannot see — as a [`Doorbell`], which has exactly the semantics the
@@ -586,6 +590,110 @@ fn sealed_epochs_cross_in_log_order_with_two_workers() {
             ],
             "epochs must be applied in log order"
         );
+    });
+}
+
+/// An idle turn for [`ServerCore::model_worker_loop_with_idle`]: reports maintenance
+/// left for its first `turns` calls, and fails if a second turn begins while `event` —
+/// something the worker must yield to — holds. Every call is a scheduling point (it
+/// loads the event's flags), so the explorer places the event before, inside and after
+/// a turn.
+fn idle_turns(turns: usize, event: impl Fn() -> bool, what: &'static str) -> impl FnMut() -> bool {
+    let mut taken = 0;
+    let mut begun_during_event = 0;
+    move || {
+        if event() {
+            begun_during_event += 1;
+            assert!(
+                begun_during_event <= 1,
+                "{what}: the log is looked at between idle turns, so at most one turn \
+                 (the one the look raced) may begin afterwards"
+            );
+        }
+        taken += 1;
+        taken <= turns
+    }
+}
+
+/// One client submits one command to a worker whose idle turns report maintenance left
+/// for the first `turns`; the command must be answered in every interleaving (a lost
+/// wakeup would leave `recv` waiting forever, which the explorer reports as a
+/// deadlock), and once it is appended no second idle turn may begin before it is
+/// executed — so the worker neither keeps maintaining nor parks past it.
+fn one_command_against_idle_turns(name: &str, turns: usize) {
+    explore(name, small_config(), move || {
+        let core = Arc::new(ServerCore::new(1));
+        let (client, responses) = core.register_client();
+        let appended = Arc::new(AtomicBool::new(false));
+        let executed = Arc::new(AtomicBool::new(false));
+
+        let worker = {
+            let core = Arc::clone(&core);
+            let (appended, executed) = (Arc::clone(&appended), Arc::clone(&executed));
+            thread::spawn(move || {
+                let mut installed = HashSet::new();
+                let waiting =
+                    || appended.load(Ordering::SeqCst) && !executed.load(Ordering::SeqCst);
+                core.model_worker_loop_with_idle(
+                    0,
+                    |command| {
+                        executed.store(true, Ordering::SeqCst);
+                        stub_execute(&mut installed, command)
+                    },
+                    idle_turns(turns, waiting, "appended command"),
+                );
+            })
+        };
+        let submitter = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || {
+                core.submit(client, 0, install("q"));
+                appended.store(true, Ordering::SeqCst);
+            })
+        };
+        submitter.join().unwrap();
+        let (_, response) = responses.recv().expect("the command is answered");
+        assert!(matches!(response, Response::Ok), "{response:?}");
+        core.close();
+        worker.join().unwrap();
+    });
+}
+
+/// Race 8a: a command appended while the worker is maintaining traces is consumed by
+/// the look between turns — no further turn, no park — in every interleaving of the
+/// append with the turns.
+#[test]
+fn command_appended_during_an_idle_turn_is_consumed_without_a_park() {
+    one_command_against_idle_turns("append_vs_idle_turn", 3);
+}
+
+/// Race 8b: with nothing to maintain, the worker peeks, takes its (empty) idle turn and
+/// parks in `next_command`, which snapshots the doorbell before its own look at the
+/// log — an append whose ring lands anywhere between the peek and the park is seen.
+#[test]
+fn ring_between_the_peek_and_the_park_is_never_lost() {
+    one_command_against_idle_turns("ring_vs_peek_then_park", 0);
+}
+
+/// Race 8c: `close` while the worker is maintaining traces ends the loop at the next
+/// look, though turns remain; a worker that kept maintaining a closed log to the end
+/// would hold shutdown hostage to the largest merge in flight.
+#[test]
+fn close_during_an_idle_turn_exits_the_loop() {
+    explore("close_vs_idle_turn", small_config(), || {
+        let core = Arc::new(ServerCore::new(1));
+        let closed = Arc::new(AtomicBool::new(false));
+        let worker = {
+            let core = Arc::clone(&core);
+            let closed = Arc::clone(&closed);
+            let idle = idle_turns(4, move || closed.load(Ordering::SeqCst), "closed log");
+            thread::spawn(move || {
+                core.model_worker_loop_with_idle(0, |_| Ok(PlanResponse::Done), idle);
+            })
+        };
+        core.close();
+        closed.store(true, Ordering::SeqCst);
+        worker.join().unwrap();
     });
 }
 

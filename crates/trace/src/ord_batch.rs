@@ -9,6 +9,15 @@
 //! e.g. `distinct`'s inputs and outputs) are the same batch at `V = ()`, named
 //! [`OrdKeyBatch`]: `Vec<()>` allocates nothing, so the value layer costs one `val_offs`
 //! word per key and nothing else.
+//!
+//! Batches come from two places, and both fill the columns in one pass without cloning
+//! what they do not keep: [`OrdValBuilder::done`] moves its consolidated buffer in, and
+//! [`OrdValMerger`] — fuelled by the spine per insert and per idle turn, see
+//! [`crate::spine`] — clones a key or a value out of its sources once, and only if some
+//! of its history survives compaction.
+
+use std::cmp::Ordering;
+use std::ops::Range;
 
 use kpg_sync::Arc;
 
@@ -43,6 +52,11 @@ impl<K, V, T, R> OrdValStorage<K, V, T, R> {
             val_offs: vec![0],
             updates: Vec::new(),
         }
+    }
+
+    /// The `(time, diff)` history of the value at `val_idx`.
+    fn history(&self, val_idx: usize) -> &[(T, R)] {
+        &self.updates[self.val_offs[val_idx]..self.val_offs[val_idx + 1]]
     }
 }
 
@@ -204,8 +218,8 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Builder for OrdValB
         self.consolidate_buffer();
 
         let mut storage = OrdValStorage::empty();
-        for (key, val, time, diff) in self.buffer.iter() {
-            push_update(&mut storage, key, val, time.clone(), diff.clone());
+        for (key, val, time, diff) in self.buffer.drain(..) {
+            push_update(&mut storage, key, val, time, diff);
         }
         seal(&mut storage);
         OrdValBatch {
@@ -216,36 +230,37 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Builder for OrdValB
 }
 
 /// Appends one consolidated update to storage under construction, opening new key/value
-/// groups as needed. Requires updates to arrive in `(key, val, time)` order.
+/// groups as needed; a key or value that repeats the open group's is dropped, one that
+/// opens a group moves in. Requires updates to arrive in `(key, val, time)` order.
 fn push_update<K: Data, V: Data, T: Timestamp, R: Semigroup>(
     storage: &mut OrdValStorage<K, V, T, R>,
-    key: &K,
-    val: &V,
+    key: K,
+    val: V,
     time: T,
     diff: R,
 ) {
-    let new_key = storage.keys.last() != Some(key);
+    let new_key = storage.keys.last() != Some(&key);
     if new_key {
         // Seal the previous key's value range.
         if !storage.keys.is_empty() {
             storage.key_offs.push(storage.vals.len());
         }
-        storage.keys.push(key.clone());
+        storage.keys.push(key);
     }
     // Within a key, updates arrive sorted by value, so an equal trailing value means the
     // same (key, val) group; an equal trailing value under a *different* key is covered by
     // `new_key`.
-    let new_val = new_key || storage.vals.last() != Some(val);
+    let new_val = new_key || storage.vals.last() != Some(&val);
     if new_val {
         if !storage.vals.is_empty() {
             storage.val_offs.push(storage.updates.len());
         }
-        storage.vals.push(val.clone());
+        storage.vals.push(val);
     }
     storage.updates.push((time, diff));
 }
 
-/// Seals the trailing offset vectors once all updates have been pushed.
+/// Seals the trailing offset vectors once all updates have been [`push_update`]d.
 fn seal<K, V, T, R>(storage: &mut OrdValStorage<K, V, T, R>) {
     if !storage.vals.is_empty() {
         storage.val_offs.push(storage.updates.len());
@@ -258,13 +273,24 @@ fn seal<K, V, T, R>(storage: &mut OrdValStorage<K, V, T, R>) {
 }
 
 /// A fuel-based, resumable merger of two [`OrdValBatch`]es.
+///
+/// One fuel unit is one source update read (at least one per key, so runs of cancelled
+/// keys still end). What a unit costs is a comparison or two, one clone of the value and
+/// one of the key *if they survive*, and a push: the result's columns are reserved once
+/// from the sources' lengths, a one-update history — the common case — is advanced to
+/// `since` and pushed directly, longer ones are compacted in one scratch buffer the
+/// merger owns, and the loop that walks a key's values closes the groups it opens.
 pub struct OrdValMerger<K, V, T, R> {
     key1: usize,
     key2: usize,
+    /// The merged columns. Offsets are closed as each value and key group ends, so the
+    /// storage is well-formed between any two keys and needs no sealing.
     result: OrdValStorage<K, V, T, R>,
     since: Antichain<T>,
     description: Description<T>,
     complete: bool,
+    /// Scratch for the histories that need consolidating (more than one update).
+    history: Vec<(T, R)>,
 }
 
 impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValMerger<K, V, T, R> {
@@ -276,34 +302,82 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValMerger<K, V, 
         let description = batch1
             .description()
             .merged_with(batch2.description(), since.clone());
+        let (storage1, storage2) = (batch1.storage(), batch2.storage());
+        let keys = storage1.keys.len() + storage2.keys.len();
+        let vals = storage1.vals.len() + storage2.vals.len();
+        let mut result = OrdValStorage {
+            keys: Vec::with_capacity(keys),
+            key_offs: Vec::with_capacity(keys + 1),
+            vals: Vec::with_capacity(vals),
+            val_offs: Vec::with_capacity(vals + 1),
+            updates: Vec::with_capacity(storage1.updates.len() + storage2.updates.len()),
+        };
+        result.key_offs.push(0);
+        result.val_offs.push(0);
         OrdValMerger {
             key1: 0,
             key2: 0,
-            result: OrdValStorage::empty(),
+            result,
             since,
             description,
             complete: false,
+            history: Vec::new(),
         }
+    }
+
+    /// Appends the history of one value — `first` then `second`, advanced to `since`
+    /// and consolidated — and, if any of it survives, `val` and its closed offset.
+    /// Returns the work performed (source updates read).
+    fn push_val(&mut self, val: &V, first: &[(T, R)], second: &[(T, R)]) -> usize {
+        let since = self.since.borrow();
+        let updates = &mut self.result.updates;
+        let before = updates.len();
+        match (first, second) {
+            ([(time, diff)], []) => {
+                if !diff.is_zero() {
+                    let mut time = time.clone();
+                    if !since.is_empty() {
+                        time.advance_by(since);
+                    }
+                    updates.push((time, diff.clone()));
+                }
+            }
+            _ => {
+                self.history.extend_from_slice(first);
+                self.history.extend_from_slice(second);
+                compact_history(&mut self.history, since);
+                updates.append(&mut self.history);
+            }
+        }
+        if updates.len() > before {
+            self.result.vals.push(val.clone());
+            self.result.val_offs.push(updates.len());
+        }
+        first.len() + second.len()
+    }
+
+    /// Closes the key group opened at value index `vals_before`, if any value survived.
+    fn close_key(&mut self, key: &K, vals_before: usize) {
+        if self.result.vals.len() > vals_before {
+            self.result.keys.push(key.clone());
+            self.result.key_offs.push(self.result.vals.len());
+        }
+    }
+
+    /// Copies the values `vals` of `source` (one key's, or the rest of one), compacting
+    /// their times to `self.since`. Returns the work performed.
+    fn copy_vals(&mut self, source: &OrdValStorage<K, V, T, R>, vals: Range<usize>) -> usize {
+        vals.map(|val_idx| self.push_val(&source.vals[val_idx], source.history(val_idx), &[]))
+            .sum()
     }
 
     /// Copies the key at `key_idx` of `source`, compacting its times to `self.since`.
     /// Returns the amount of work performed (updates touched).
     fn copy_key(&mut self, source: &OrdValStorage<K, V, T, R>, key_idx: usize) -> usize {
-        let mut work = 0;
-        let key = &source.keys[key_idx];
-        let val_lo = source.key_offs[key_idx];
-        let val_hi = source.key_offs[key_idx + 1];
-        for val_idx in val_lo..val_hi {
-            let val = &source.vals[val_idx];
-            let upd_lo = source.val_offs[val_idx];
-            let upd_hi = source.val_offs[val_idx + 1];
-            let mut history: Vec<(T, R)> = source.updates[upd_lo..upd_hi].to_vec();
-            work += history.len();
-            compact_history(&mut history, self.since.borrow());
-            for (time, diff) in history {
-                push_update(&mut self.result, key, val, time, diff);
-            }
-        }
+        let vals_before = self.result.vals.len();
+        let vals = source.key_offs[key_idx]..source.key_offs[key_idx + 1];
+        let work = self.copy_vals(source, vals);
+        self.close_key(&source.keys[key_idx], vals_before);
         work
     }
 
@@ -313,59 +387,30 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValMerger<K, V, 
         source1: &OrdValStorage<K, V, T, R>,
         source2: &OrdValStorage<K, V, T, R>,
     ) -> usize {
+        let vals_before = self.result.vals.len();
         let mut work = 0;
-        let key = source1.keys[self.key1].clone();
         let (mut v1, v1_hi) = (source1.key_offs[self.key1], source1.key_offs[self.key1 + 1]);
         let (mut v2, v2_hi) = (source2.key_offs[self.key2], source2.key_offs[self.key2 + 1]);
-        while v1 < v1_hi || v2 < v2_hi {
-            let take_from = if v1 >= v1_hi {
-                2
-            } else if v2 >= v2_hi {
-                1
-            } else {
-                match source1.vals[v1].cmp(&source2.vals[v2]) {
-                    std::cmp::Ordering::Less => 1,
-                    std::cmp::Ordering::Greater => 2,
-                    std::cmp::Ordering::Equal => 0,
-                }
-            };
-            let mut history: Vec<(T, R)> = Vec::new();
-            let val = match take_from {
-                1 => {
-                    let val = source1.vals[v1].clone();
-                    history.extend_from_slice(
-                        &source1.updates[source1.val_offs[v1]..source1.val_offs[v1 + 1]],
-                    );
+        while v1 < v1_hi && v2 < v2_hi {
+            let (val1, val2) = (&source1.vals[v1], &source2.vals[v2]);
+            work += match val1.cmp(val2) {
+                Ordering::Less => {
                     v1 += 1;
-                    val
+                    self.push_val(val1, source1.history(v1 - 1), &[])
                 }
-                2 => {
-                    let val = source2.vals[v2].clone();
-                    history.extend_from_slice(
-                        &source2.updates[source2.val_offs[v2]..source2.val_offs[v2 + 1]],
-                    );
+                Ordering::Greater => {
                     v2 += 1;
-                    val
+                    self.push_val(val2, source2.history(v2 - 1), &[])
                 }
-                _ => {
-                    let val = source1.vals[v1].clone();
-                    history.extend_from_slice(
-                        &source1.updates[source1.val_offs[v1]..source1.val_offs[v1 + 1]],
-                    );
-                    history.extend_from_slice(
-                        &source2.updates[source2.val_offs[v2]..source2.val_offs[v2 + 1]],
-                    );
+                Ordering::Equal => {
                     v1 += 1;
                     v2 += 1;
-                    val
+                    self.push_val(val1, source1.history(v1 - 1), source2.history(v2 - 1))
                 }
             };
-            work += history.len();
-            compact_history(&mut history, self.since.borrow());
-            for (time, diff) in history {
-                push_update(&mut self.result, &key, &val, time, diff);
-            }
         }
+        work += self.copy_vals(source1, v1..v1_hi) + self.copy_vals(source2, v2..v2_hi);
+        self.close_key(&source1.keys[self.key1], vals_before);
         work
     }
 }
@@ -414,17 +459,17 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Merger<OrdValBatch<
                     w
                 }
                 (true, true) => match storage1.keys[self.key1].cmp(&storage2.keys[self.key2]) {
-                    std::cmp::Ordering::Less => {
+                    Ordering::Less => {
                         let w = self.copy_key(storage1, self.key1);
                         self.key1 += 1;
                         w
                     }
-                    std::cmp::Ordering::Greater => {
+                    Ordering::Greater => {
                         let w = self.copy_key(storage2, self.key2);
                         self.key2 += 1;
                         w
                     }
-                    std::cmp::Ordering::Equal => {
+                    Ordering::Equal => {
                         let w = self.merge_key(storage1, storage2);
                         self.key1 += 1;
                         self.key2 += 1;
@@ -442,12 +487,13 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Merger<OrdValBatch<
     }
 
     fn done(
-        mut self,
+        self,
         _source1: &OrdValBatch<K, V, T, R>,
         _source2: &OrdValBatch<K, V, T, R>,
     ) -> OrdValBatch<K, V, T, R> {
         assert!(self.complete, "merge extracted before completion");
-        seal(&mut self.result);
+        debug_assert_eq!(self.result.key_offs.len(), self.result.keys.len() + 1);
+        debug_assert_eq!(self.result.val_offs.len(), self.result.vals.len() + 1);
         OrdValBatch {
             storage: Arc::new(self.result),
             description: self.description,
@@ -505,9 +551,7 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Cursor for OrdValCu
     }
     fn map_times(&mut self, mut logic: impl FnMut(&T, &R)) {
         if self.val_valid() {
-            let lo = self.storage.val_offs[self.val_pos];
-            let hi = self.storage.val_offs[self.val_pos + 1];
-            for (time, diff) in &self.storage.updates[lo..hi] {
+            for (time, diff) in self.storage.history(self.val_pos) {
                 logic(time, diff);
             }
         }

@@ -7,6 +7,29 @@
 //! is never blocked on one large merge (the "Amortized trace maintenance" paragraph and
 //! the Fig. 6e microbenchmark).
 //!
+//! **Who fuels a merge, and when.** Two callers, one loop ([`Spine::insert`] and
+//! [`Spine::exert`] both end in the same private `maintain`):
+//!
+//! * *Per insert.* Introducing a batch of `n` updates offers every in-progress merge
+//!   `4n + 64` units ([`MergeEffort::Default`]; the paper's charging argument needs 2n).
+//!   This alone completes every merge before its result is next needed, but it is paid
+//!   inline, ahead of whatever query is waiting for the batch.
+//! * *Per idle turn.* A caller with nothing else to do hands [`Spine::exert`] a fuel
+//!   budget — one budget across all layers, newest merge first — and learns whether a
+//!   merge is still in progress. The server's workers do this before they park, for
+//!   up to a tenth of the time they spend waiting (`Manager::idle_turn` →
+//!   `Catalog::exert_all` → here), so with a few milliseconds between epochs most
+//!   merges finish in the slack and the next insert finds nothing to fuel; an arrange
+//!   operator scheduled with no batch to mint does the same with a small constant. A
+//!   merge that completes early is also one batch fewer for every cursor to seek and
+//!   frees its two sources sooner.
+//!
+//! A fuel unit is one source update read by the merger; what it costs is the merger's
+//! business (see [`crate::ord_batch::OrdValMerger`]: about 30 ns on `Row` keys in cache,
+//! `BENCH_micro_spine_merge.json`). What no fuel accounts for is *dropping* a completed
+//! merge's sources: a refcount decrement per key and value, 1.2–1.5 ms in one call for a
+//! 33k-tuple `Row` batch whose last reader is the spine.
+//!
 //! The spine also tracks the *logical compaction frontier* (`since`): the lower bound of
 //! all reader frontiers. Merges advance update times to this frontier and consolidate
 //! updates that become indistinguishable, the analogue of MVCC vacuuming.
@@ -38,7 +61,8 @@ pub enum MergeEffort {
 }
 
 impl MergeEffort {
-    fn fuel_for(&self, batch_len: usize) -> isize {
+    /// The fuel an introduced batch of `batch_len` updates offers each in-progress merge.
+    pub fn fuel_for(&self, batch_len: usize) -> isize {
         match self {
             MergeEffort::Eager => isize::MAX,
             MergeEffort::Default => (4 * batch_len + 64) as isize,
@@ -225,39 +249,61 @@ impl<B: Batch> Spine<B> {
         );
         self.upper = batch.description().upper().clone();
         self.inserted += batch.len();
-        let fuel_basis = batch.len();
+        let per_merge = self.effort.fuel_for(batch.len());
         self.layers.push(Layer::Single(batch));
-        self.maintain(fuel_basis);
+        let mut unbounded = isize::MAX;
+        self.maintain(per_merge, &mut unbounded);
     }
 
-    /// Applies additional merge effort, as if a batch of `effort_basis` updates had been
-    /// introduced. Useful for making progress on merges while otherwise idle.
-    pub fn exert(&mut self, effort_basis: usize) {
-        self.maintain(effort_basis);
+    /// Spends up to `fuel` units of merge work on in-progress merges while otherwise
+    /// idle, newest (smallest) merge first — the one nearest completion, and each
+    /// completion is one batch fewer for every cursor to seek. `fuel` is one budget
+    /// shared by all layers and is decremented by the work done, so a caller can bound
+    /// a turn across many spines. Returns true iff a merge is still in progress; with
+    /// none in progress the call is a scan of the layer tags.
+    pub fn exert(&mut self, fuel: &mut isize) -> bool {
+        if self.merging() {
+            self.maintain(isize::MAX, fuel);
+        }
+        self.merging()
+    }
+
+    fn merging(&self) -> bool {
+        self.layers
+            .iter()
+            .any(|layer| matches!(layer, Layer::Merging(..)))
     }
 
     /// Starts eligible merges and fuels in-progress ones, looping while completions make
-    /// further merges eligible. This single path serves every effort level: `Eager` fuel
-    /// is unbounded, so the loop drives all merges (including transitively enabled ones)
-    /// to completion; bounded efforts stop as soon as a fuel application completes
-    /// nothing, leaving the remainder for later introductions.
-    fn maintain(&mut self, effort_basis: usize) {
+    /// further merges eligible. This single path serves every caller: each in-progress
+    /// merge is offered `per_merge` units, the offers together at most `budget`, which
+    /// is left decremented by the work done. An insert bounds the former (by its effort
+    /// level: `Eager` is unbounded, so the loop drives all merges, including
+    /// transitively enabled ones, to completion), an idle turn the latter; the loop
+    /// stops as soon as a fuel application completes nothing or the budget is spent,
+    /// always after a last look for merges to start.
+    fn maintain(&mut self, per_merge: isize, budget: &mut isize) {
         loop {
             self.consider_merges();
-            if !self.apply_fuel(effort_basis) {
+            if *budget <= 0 || !self.apply_fuel(per_merge, budget) {
                 break;
             }
         }
     }
 
-    /// Gives every in-progress merge its share of fuel; installs completed merges.
-    /// Returns true iff at least one merge completed.
-    fn apply_fuel(&mut self, batch_len: usize) -> bool {
+    /// Offers every in-progress merge its fuel, newest first; installs completed
+    /// merges. Returns true iff at least one merge completed.
+    fn apply_fuel(&mut self, per_merge: isize, budget: &mut isize) -> bool {
         let mut completed = false;
-        for layer in self.layers.iter_mut() {
+        for layer in self.layers.iter_mut().rev() {
+            if *budget <= 0 {
+                break;
+            }
             if let Layer::Merging(a, b, merger) = layer {
-                let mut fuel = self.effort.fuel_for(batch_len);
+                let offered = per_merge.min(*budget);
+                let mut fuel = offered;
                 merger.work(a, b, &mut fuel);
+                *budget -= offered - fuel;
                 if merger.is_complete() {
                     // Move the merge out by value (no placeholder batch allocation) and
                     // install the merged result.
@@ -412,13 +458,16 @@ mod tests {
     fn spine_amortized_merging_eventually_settles() {
         let mut spine = Spine::new(MergeEffort::Lazy);
         for epoch in 0..128u64 {
-            spine.insert(batch(epoch, epoch + 1, vec![(epoch % 8, 0, epoch, 1)]));
+            let updates = (0..32).map(|val| (epoch % 8, val, epoch, 1)).collect();
+            spine.insert(batch(epoch, epoch + 1, updates));
         }
-        // Drive outstanding merges to completion with idle effort.
-        for _ in 0..64 {
-            spine.exert(1024);
+        // Drive outstanding merges to completion with idle effort, a slice at a time.
+        let mut turns = 0;
+        while spine.exert(&mut 16) {
+            turns += 1;
         }
-        assert_eq!(spine.len(), 128);
+        assert!(turns > 1, "lazy merging should leave idle work");
+        assert_eq!(spine.len(), 128 * 32);
         assert!(
             spine.layer_count() <= 12,
             "expected merges to settle, got {} layers",
@@ -437,9 +486,8 @@ mod tests {
         spine.insert(batch(2, 3, vec![(3, 30, 2, 1)]));
         spine.insert(batch(3, 4, vec![(4, 40, 3, 1)]));
         spine.insert(batch(4, 5, vec![(5, 50, 4, 1)]));
-        for _ in 0..16 {
-            spine.exert(1024);
-        }
+        let mut fuel = isize::MAX;
+        assert!(!spine.exert(&mut fuel));
         // After compaction to time 2, the +1/-1 history of (1,10) cancels entirely.
         let mut cursor = spine.cursor();
         cursor.seek_key(&1);
@@ -476,9 +524,8 @@ mod tests {
                 vec![(epoch % 8, epoch, epoch, 1), (100 + epoch, 7, epoch, 1)],
             ));
         }
-        for _ in 0..64 {
-            spine.exert(1024);
-        }
+        let mut fuel = isize::MAX;
+        assert!(!spine.exert(&mut fuel));
         let mut expected = cursor_to_updates(&mut spine.cursor());
         expected.sort();
 

@@ -190,9 +190,8 @@ fn spine_is_compact<V: ModelVal>() {
         let epochs = random_epochs::<V>(&mut rng, (1, 40), 6, 4, 2);
         let (mut spine, updates) = build_spine(&epochs, MergeEffort::Default, None);
         assert!(spine.len() <= updates.len(), "case {case}");
-        for _ in 0..32 {
-            spine.exert(1 << 12);
-        }
+        let mut fuel = isize::MAX;
+        assert!(!spine.exert(&mut fuel), "case {case}");
         let non_empty = updates.len().max(2);
         let bound = 4 * (non_empty as f64).log2().ceil() as usize + 4;
         assert!(

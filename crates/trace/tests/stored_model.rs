@@ -68,7 +68,7 @@ fn over_budget_spine_matches_scalar_reference() {
             let before = spine.in_memory_len();
             let path = dir.join(format!("spill-{spill_count:04}.run"));
             if !spine.spill_oldest(&path).unwrap() {
-                spine.exert(4096);
+                spine.exert(&mut (1 << 14));
                 if spine.in_memory_len() >= before && !spine.spill_oldest(&path).unwrap() {
                     break;
                 }

@@ -32,6 +32,12 @@ SCHEMAS = {
     # `overhead_vs_smallest_x`, which must stay near 1: durability costs O(changes),
     # so an epoch of fixed size does not notice the state growing.
     "micro_durable_epoch": {"rows", "memory_us", "durable_us", "overhead_us"},
+    # `micro --spine-merge`: the same 100-update epoch inserted into a `Row`-keyed spine,
+    # one record per rows held (each double the last). `per_epoch_us` is the mean
+    # `Spine::insert`; `vs_smallest_x` (its ratio to the first size's) may grow with the
+    # layer count — logarithmically — but never with the rows; `ns_per_fuel_unit` is
+    # what the merge kernel charges per unit of fuel on a two-batch merge of that size.
+    "micro_spine_merge": {"rows", "per_epoch_us", "ns_per_fuel_unit", "vs_smallest_x"},
     # The fault-injection sweep: every point must be answered without panics or
     # invariant violations, and heal latency (fault cleared -> read-write again)
     # is the robustness number being tracked.
