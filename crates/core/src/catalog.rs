@@ -6,7 +6,7 @@
 //! This module is that capability's public API:
 //!
 //! * [`Catalog`] — a per-worker registry of named, type-erased arrangements. Producers
-//!   [`publish`](Catalog::publish) an arrangement's trace under a name; consumers
+//!   [`publish`](Catalog::publish_if_absent) an arrangement's trace under a name; consumers
 //!   [`lookup`](Catalog::lookup) it by name (recovering the concrete batch type) and
 //!   [`import`](Catalog::import) it into their own dataflow. The erasure layer
 //!   ([`AnyTrace`]) lets one catalog hold `OrdKeyBatch` and `OrdValBatch` traces of any
@@ -217,23 +217,13 @@ impl Catalog {
         }
     }
 
-    /// Publishes an arrangement's trace under `name`, replacing any previous entry
+    /// Publishes a trace handle under `name`, replacing any previous entry
     /// (last-writer-wins arbitration). Returns true iff a previous entry was displaced.
     ///
-    /// The catalog registers its own read handle on the trace (cloned from the
-    /// arrangement's), so the published entry remains live and importable independent of
-    /// the handle it was published from. Use [`Catalog::publish_if_absent`] when a name
-    /// collision should be an error instead of an overwrite.
-    pub fn publish<B: Batch<Time = Time> + 'static>(
-        &self,
-        name: &str,
-        arranged: &Arranged<B>,
-    ) -> bool {
-        self.publish_trace(name, &arranged.trace)
-    }
-
-    /// Publishes a trace handle under `name`, replacing any previous entry. Returns true
-    /// iff a previous entry was displaced. See [`Catalog::publish`].
+    /// The catalog registers its own read handle on the trace (cloned from the one
+    /// given), so the published entry remains live and importable independent of the
+    /// handle it was published from. Use [`Catalog::publish_trace_if_absent`] when a
+    /// name collision should be an error instead of an overwrite.
     pub fn publish_trace<B: Batch<Time = Time> + 'static>(
         &self,
         name: &str,
@@ -309,12 +299,6 @@ impl Catalog {
         builder: &mut DataflowBuilder,
     ) -> Result<Arranged<B>, CatalogError> {
         Ok(self.lookup::<B>(name)?.import(builder))
-    }
-
-    /// Removes the entry under `name`, dropping the catalog's read handle on it.
-    /// Returns false if no such entry exists.
-    pub fn unpublish(&self, name: &str) -> bool {
-        self.inner.borrow_mut().entries.remove(name).is_some()
     }
 
     /// True iff an arrangement is published under `name`.
@@ -558,12 +542,10 @@ mod tests {
                 .unwrap_err(),
             CatalogError::NameTaken("edges".to_string())
         );
-        assert!(catalog.unpublish("edges"));
-        catalog.publish_trace_if_absent("edges", &trace).unwrap();
     }
 
     /// The publish-race arbitration (ROADMAP: "arbitration for publish races"): plain
-    /// `publish` is last-writer-wins and reports the displacement, while
+    /// `publish_trace` is last-writer-wins and reports the displacement, while
     /// `publish_if_absent` is first-writer-wins and reports the refusal — so both racers
     /// always agree on which trace a name resolves to.
     #[test]

@@ -5,7 +5,7 @@
 //!
 //! * [`Collection`] — a time-varying multiset of records, manipulated with functional
 //!   operators (`map`, `filter`, `concat`, `negate`, `join`, `reduce`, `iterate`, ...).
-//! * [`arrange`](crate::arrange) — the **arrange** operator (paper §4): it exchanges,
+//! * [`arrange`] — the **arrange** operator (paper §4): it exchanges,
 //!   batches, and indexes a collection's updates, producing an [`Arranged`] stream of
 //!   shared immutable batches plus a shared, compactly maintained multiversioned index
 //!   (the *trace*). Arrangements are the unit of sharing: many operators, in the same or

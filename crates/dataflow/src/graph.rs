@@ -1,6 +1,6 @@
 //! Dataflow graph structure: nodes, edges, and timestamp transforms along edges.
 
-use kpg_timestamp::{Antichain, Time};
+use kpg_timestamp::Time;
 
 /// Identifies a node (operator) within a dataflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -40,11 +40,6 @@ impl EdgeTransform {
             EdgeTransform::Feedback { depth } => time.advanced(*depth, 1),
             EdgeTransform::Leave { depth } => time.left(*depth),
         }
-    }
-
-    /// Applies the transform to a frontier.
-    pub fn apply_frontier(&self, frontier: &Antichain<Time>) -> Antichain<Time> {
-        Antichain::from_iter(frontier.elements().iter().map(|t| self.apply(t)))
     }
 }
 
@@ -106,15 +101,6 @@ impl DataflowGraph {
             .filter(move |(_, e)| e.from == node)
             .map(|(i, e)| (EdgeId(i), e))
     }
-
-    /// The edges arriving at `node`.
-    pub fn edges_to(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &EdgeDesc)> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.to == node)
-            .map(|(i, e)| (EdgeId(i), e))
-    }
 }
 
 #[cfg(test)]
@@ -133,15 +119,6 @@ mod tests {
             EdgeTransform::Leave { depth: 1 }.apply(&t),
             Time::from_coords([3, 0, 0])
         );
-    }
-
-    #[test]
-    fn transforms_map_frontiers() {
-        let frontier =
-            Antichain::from_iter([Time::from_coords([1, 4, 0]), Time::from_coords([2, 0, 0])]);
-        let left = EdgeTransform::Leave { depth: 1 }.apply_frontier(&frontier);
-        // Both elements collapse to epoch-only times; (1,0,0) dominates (2,0,0).
-        assert_eq!(left.elements(), &[Time::from_coords([1, 0, 0])]);
     }
 
     #[test]
@@ -166,7 +143,6 @@ mod tests {
             ],
         };
         assert_eq!(graph.edges_from(NodeId(1)).count(), 1);
-        assert_eq!(graph.edges_to(NodeId(2)).count(), 1);
-        assert_eq!(graph.edges_to(NodeId(0)).count(), 0);
+        assert_eq!(graph.edges_from(NodeId(2)).count(), 0);
     }
 }

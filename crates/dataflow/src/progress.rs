@@ -83,15 +83,10 @@ impl DataflowShared {
     ///
     /// A publication identical to the worker's previous one leaves the version counter
     /// untouched, so every worker can recognize the steady state and skip frontier
-    /// recomputation entirely.
-    pub fn publish(&self, worker: usize, mut capabilities: Vec<Antichain<Time>>) {
-        self.publish_swap(worker, &mut capabilities);
-    }
-
-    /// As [`DataflowShared::publish`], but *swaps* the capabilities in on change, handing
-    /// the previous row (and its allocations) back to the caller for reuse. The worker's
-    /// once-per-step capability sweep threads one scratch vector through this, so steady
-    /// state publishes nothing and allocates nothing.
+    /// recomputation entirely. A changed one is *swapped* in, handing the previous row
+    /// (and its allocations) back to the caller for reuse: the worker's once-per-step
+    /// capability sweep threads one scratch vector through this, so steady state
+    /// publishes nothing and allocates nothing.
     pub fn publish_swap(&self, worker: usize, capabilities: &mut Vec<Antichain<Time>>) {
         let mut caps = self.capabilities.lock().expect("capability lock poisoned");
         // Set-semantics comparison (`same_as`, not derived `==`): an antichain rebuilt
@@ -155,15 +150,7 @@ impl DataflowShared {
     }
 
     /// Computes the frontier of every node input port from the currently published
-    /// capabilities. The result is indexed as `result[node][port]`.
-    pub fn input_frontiers(&self) -> Vec<Vec<Antichain<Time>>> {
-        let mut result = Vec::new();
-        let mut scratch = FrontierScratch::default();
-        self.input_frontiers_into(&mut result, &mut scratch);
-        result
-    }
-
-    /// As [`DataflowShared::input_frontiers`], but fills caller-owned buffers so the
+    /// capabilities into `into` (indexed `[node][port]`): caller-owned buffers, so the
     /// per-step frontier recomputation reuses its working memory.
     pub fn input_frontiers_into(
         &self,
@@ -193,19 +180,9 @@ pub struct FrontierScratch {
     times: Vec<Time>,
 }
 
-/// Combines per-worker capabilities and propagates them to per-port input frontiers.
-pub fn compute_input_frontiers(
-    graph: &DataflowGraph,
-    capabilities: &[Vec<Antichain<Time>>],
-) -> Vec<Vec<Antichain<Time>>> {
-    let mut result = Vec::new();
-    let mut scratch = FrontierScratch::default();
-    compute_input_frontiers_into(graph, capabilities, &mut result, &mut scratch);
-    result
-}
-
-/// As [`compute_input_frontiers`], but fills `into` (indexed `[node][port]`) and reuses
-/// `scratch`, clearing antichains in place rather than reallocating them.
+/// Combines per-worker capabilities and propagates them to per-port input frontiers:
+/// fills `into` (indexed `[node][port]`) and reuses `scratch`, clearing antichains in
+/// place rather than reallocating them.
 pub fn compute_input_frontiers_into(
     graph: &DataflowGraph,
     capabilities: &[Vec<Antichain<Time>>],
@@ -287,6 +264,23 @@ pub fn compute_input_frontiers_into(
 mod tests {
     use super::*;
     use crate::graph::{EdgeDesc, EdgeTransform, NodeId};
+
+    /// The form the worker runs, on fresh buffers.
+    fn compute_input_frontiers(
+        graph: &DataflowGraph,
+        capabilities: &[Vec<Antichain<Time>>],
+    ) -> Vec<Vec<Antichain<Time>>> {
+        let mut into = Vec::new();
+        let scratch = &mut FrontierScratch::default();
+        compute_input_frontiers_into(graph, capabilities, &mut into, scratch);
+        into
+    }
+
+    fn input_frontiers(shared: &DataflowShared) -> Vec<Vec<Antichain<Time>>> {
+        let mut into = Vec::new();
+        shared.input_frontiers_into(&mut into, &mut FrontierScratch::default());
+        into
+    }
 
     fn linear_graph() -> DataflowGraph {
         // input(0) -> map(1) -> probe(2)
@@ -451,7 +445,7 @@ mod tests {
         assert!(!shared.retire(0));
         // One worker still live: the graph must remain consultable.
         assert!(shared.graph.lock().unwrap().is_some());
-        assert!(!shared.input_frontiers().is_empty());
+        assert!(!input_frontiers(&shared).is_empty());
         assert!(shared.retire(1));
         // Last worker retired: graph and capability table are released.
         assert!(shared.graph.lock().unwrap().is_none());
@@ -466,7 +460,7 @@ mod tests {
         assert!(!shared.retire(0));
         shared.install(linear_graph(), 2);
         assert!(shared.graph.lock().unwrap().is_some());
-        assert!(!shared.input_frontiers().is_empty());
+        assert!(!input_frontiers(&shared).is_empty());
         // The premature retire was still counted; the second worker's retire completes
         // the install-time quota of two and frees the state.
         assert!(shared.retire(1));
@@ -479,25 +473,16 @@ mod tests {
         shared.install(linear_graph(), 2);
         shared.install(linear_graph(), 2);
         // Before publication every node holds the minimum capability.
-        let inputs = shared.input_frontiers();
+        let inputs = input_frontiers(&shared);
         assert_eq!(inputs[2][0].elements(), &[Time::minimum()]);
-        shared.publish(
-            0,
-            vec![
-                Antichain::from_elem(Time::from_epoch(2)),
-                Antichain::new(),
-                Antichain::new(),
-            ],
-        );
-        shared.publish(
-            1,
-            vec![
-                Antichain::from_elem(Time::from_epoch(2)),
-                Antichain::new(),
-                Antichain::new(),
-            ],
-        );
-        let inputs = shared.input_frontiers();
+        for worker in [0, 1] {
+            let at_two = Antichain::from_elem(Time::from_epoch(2));
+            shared.publish_swap(
+                worker,
+                &mut vec![at_two, Antichain::new(), Antichain::new()],
+            );
+        }
+        let inputs = input_frontiers(&shared);
         assert_eq!(inputs[2][0].elements(), &[Time::from_epoch(2)]);
     }
 }

@@ -279,6 +279,14 @@ impl Worker {
         self.live_slots.len()
     }
 
+    /// The number of operators in the currently live dataflows. Test support, like the
+    /// counts around it: what tells a dataflow that built an operator nothing reads
+    /// from one that did not.
+    pub fn live_operator_count(&self) -> usize {
+        let live = self.live_slots.iter();
+        live.map(|&slot| self.dataflows[slot].graph.nodes).sum()
+    }
+
     /// The generation of the current (or most recent) occupant of slot `index`: how many
     /// times the slot has been reused.
     pub fn dataflow_generation(&self, index: usize) -> u64 {

@@ -112,6 +112,24 @@ fn churn_reuses_slots_and_bounds_state() {
     }
 }
 
+/// The live operator count is a function of the dataflows live now: it rises by a
+/// dataflow's operators at its install and falls back at its uninstall, however many
+/// came and went in between.
+#[test]
+fn live_operators_are_those_of_the_live_dataflows() {
+    execute(Config::new(1), |worker| {
+        assert_eq!(worker.live_operator_count(), 0);
+        let _resident = worker.install("resident", input_to_sink);
+        assert_eq!(worker.live_operator_count(), 2, "an input and a sink");
+        churn_cycles(worker, 10);
+        assert_eq!(worker.live_operator_count(), 2);
+        let _second = worker.install("second", input_to_sink);
+        assert_eq!(worker.live_operator_count(), 4);
+        assert!(worker.uninstall("resident"));
+        assert_eq!(worker.live_operator_count(), 2);
+    });
+}
+
 #[test]
 fn stale_generation_messages_are_discarded_on_two_workers() {
     let observations = execute(Config::new(2), |worker| {

@@ -71,8 +71,8 @@ fn stable_version_implies_stable_capabilities() {
         let publisher = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
-                shared.publish(0, caps_at(1));
-                shared.publish(0, caps_at(2));
+                shared.publish_swap(0, &mut caps_at(1));
+                shared.publish_swap(0, &mut caps_at(2));
                 shared.retire(0);
             })
         };
@@ -110,14 +110,14 @@ fn version_moves_exactly_with_content() {
     explore("version_tracks_content", small_config(), || {
         let shared = Arc::new(DataflowShared::new());
         shared.install(tiny_graph(), 1);
-        shared.publish(0, caps_at(1));
+        shared.publish_swap(0, &mut caps_at(1));
         let settled = shared.version();
 
         let republisher = {
             let shared = Arc::clone(&shared);
             thread::spawn(move || {
                 // Identical content: must not bump.
-                shared.publish(0, caps_at(1));
+                shared.publish_swap(0, &mut caps_at(1));
             })
         };
         let observer = {
@@ -133,7 +133,7 @@ fn version_moves_exactly_with_content() {
         assert_eq!(shared.version(), settled);
 
         // An actual change must bump it, in every interleaving.
-        shared.publish(0, caps_at(2));
+        shared.publish_swap(0, &mut caps_at(2));
         assert!(
             shared.version() > settled,
             "a content change must move the version"

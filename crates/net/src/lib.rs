@@ -3,7 +3,7 @@
 //!
 //! The crate has exactly three layers, from bottom to top:
 //!
-//! * [`sys`] (private) — the platform selector: epoll on Linux, kqueue on the
+//! * `sys` (private) — the platform selector: epoll on Linux, kqueue on the
 //!   BSDs and macOS, reached through hand-written `extern "C"` declarations.
 //!   This module is the workspace's **third sanctioned unsafe site** (after the
 //!   server binary's signal-handler registration and the recovery test's

@@ -1,7 +1,7 @@
 //! The safe readiness surface: [`Poller`], [`Interest`], [`Event`], and the
 //! cross-thread [`Waker`].
 //!
-//! Everything here is safe Rust; the platform syscalls live in [`crate::sys`]. The
+//! Everything here is safe Rust; the platform syscalls live in `crate::sys`. The
 //! poller is level-triggered on both backends: an fd with unconsumed readiness is
 //! reported again on the next wait, so a consumer that processes only part of what
 //! is available stays correct (if not maximally efficient) — the property the

@@ -18,9 +18,11 @@
 //!   the existing [`Catalog`](kpg_core::Catalog) / `install_query` lifecycle. Sub-trees
 //!   reading only shared state are imported from memoized shared arrangements;
 //!   plan-identical subtrees across queries import the *same* trace.
-//! * [`Manager`] — the per-worker engine: named inputs, the plan→trace memo registry,
-//!   and [`Command`] execution (`CreateInput`, `Update`, `AdvanceTime`, `Install`,
-//!   `Uninstall`, `Query`) — the loop `kpg_server`'s workers run over a live stream.
+//! * [`Manager`] — the per-worker engine: named inputs, one registry of maintained
+//!   arrangements (input bases and memoized sub-plans, by plan and key), and
+//!   [`Command`] execution (`CreateInput`, `Update`, `AdvanceTime`, `Install`,
+//!   `Uninstall`, `Query` — which settles first) — the loop `kpg_server`'s workers run
+//!   over a live stream.
 //! * [`replay()`] — the same loop over a *recorded* stream, on any number of workers:
 //!   per command its outcome and wall time, plus the updates every arrangement holds.
 //!   It is how the workload crates' tests, the bench bins and the examples run plans,

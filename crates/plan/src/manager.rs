@@ -1,20 +1,27 @@
-//! The per-worker [`Manager`]: named inputs, a plan→trace registry, and the command
-//! loop that installs dataflows from data.
+//! The per-worker [`Manager`]: named inputs, one registry of maintained arrangements,
+//! and the command loop that installs dataflows from data.
 //!
 //! This is the engine a server loop drives: every worker constructs one `Manager` and
 //! executes the *same* [`Command`] stream against it (exactly as closure-built dataflows
 //! must be installed identically on every worker). Commands are plain data, so the
-//! stream can come from a recorded log today and a network socket tomorrow.
+//! stream can come from a recorded log or a network socket.
 //!
-//! **Sub-plan memoization.** Installing a plan first ensures an arrangement exists for
-//! every `(sub-plan, key)` pair the render pass will import, installing small "memo"
-//! dataflows for the missing ones and publishing their traces in the manager's catalog.
-//! Plan-identical subtrees therefore *share one arrangement across queries* — the
-//! paper's inter-query sharing applied between queries that arrive at runtime. Memo
-//! entries are reference-counted by their dependants but are **retained** when the count
-//! reaches zero (arrangements outlive the queries that prompted them, so the next
-//! arriving query attaches in milliseconds); they are evicted when their underlying
-//! input is removed.
+//! **One kind of maintained state.** An input's base, a memoized sub-plan and a query's
+//! answer are each a dataflow that renders a plan and publishes it as a catalog
+//! arrangement: one `Maintained` record, built only by `Manager::maintain` (which first
+//! ensures, the same way, an arrangement for every `(sub-plan, key)` pair the render
+//! pass will import) and dropped only by `Manager::retire`. Bases and memos share one
+//! registry keyed by [`ArrangeKey`] — a base is the entry for `Source(name)` keyed as
+//! the input was created — so plan-identical subtrees *share one arrangement across
+//! queries*: the paper's inter-query sharing applied between queries that arrive at
+//! runtime. Registry entries are reference-counted by their dependants but **retained**
+//! when the count reaches zero (arrangements outlive the queries that prompted them, so
+//! the next arriving query attaches in milliseconds); they are evicted when their
+//! underlying input is removed. A query's answer goes with its `Uninstall`.
+//!
+//! **Settling.** An answer is deterministic only when read from a settled manager. The
+//! rule lives here — [`Manager::execute`] settles ahead of a [`Command::Query`] — so a
+//! driver (`kpg_server`'s worker loop, [`replay`](crate::replay())) only executes.
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -78,13 +85,13 @@ pub enum Command {
     },
     /// Reads the named query's current accumulated output: consolidated rows with
     /// multiplicities, over everything sealed, i.e. every time *strictly before* the
-    /// current epoch — exactly the times [`Manager::settle`] seals, so a settled
-    /// query's answer is deterministic. The answer is the whole content of the query's
-    /// result arrangement, read without a time filter: nothing at or after the current
-    /// epoch can be in it (operators seal only below the input frontier, which the
-    /// inputs hold at the current epoch), and compaction moves sealed times *up to* the
-    /// current epoch, so filtering by time would drop sealed updates. To observe an
-    /// `Update`, advance time past its epoch and settle first; updates at the
+    /// current epoch — exactly the times [`Manager::settle`] seals, and executing the
+    /// command settles first, so the answer is deterministic. It is the whole content
+    /// of the query's result arrangement, read without a time filter: nothing at or
+    /// after the current epoch can be in it (operators seal only below the input
+    /// frontier, which the inputs hold at the current epoch), and compaction moves
+    /// sealed times *up to* the current epoch, so filtering by time would drop sealed
+    /// updates. To observe an `Update`, advance time past its epoch; updates at the
     /// still-open current epoch are never reported.
     Query {
         /// The query name.
@@ -216,39 +223,39 @@ impl From<CatalogError> for PlanError {
     }
 }
 
-struct InputEntry {
+struct Input {
     handle: InputHandle<Row, isize>,
-    /// The published base arrangement (None for query-local inputs, which are not
-    /// importable by other queries). Always keyed by a prefix `Columns(0..k)` or
-    /// `SelfRow`, so the original row is reconstructible as key ++ rest.
-    base: Option<SourceBinding>,
-    /// The base dataflow's probe (None for query-local inputs).
-    probe: Option<ProbeHandle>,
-    /// The owning query, for query-local inputs.
-    owner: Option<String>,
+    owner: Owner,
 }
 
-struct MemoEntry {
-    arrangement: String,
+/// Whose dataflow holds an input's operator.
+enum Owner {
+    /// A shared input's base arrangement, by its key in the registry.
+    Base(ArrangeKey),
+    /// The installed query an input is local to: only its uninstall removes the input.
+    Query(String),
+}
+
+/// One maintained arrangement — an input's base, a memoized sub-plan or a query's
+/// answer: a dataflow that renders a plan and publishes it, arranged, in the catalog.
+struct Maintained {
     dataflow: String,
+    /// The arrangement's catalog name and keying. Bases and answers are keyed by a
+    /// prefix `Columns(0..k)` or `SelfRow`, so they read back as rows.
+    binding: SourceBinding,
     probe: ProbeHandle,
-    /// Direct dependants: installed queries plus memo entries rendered on top of this
-    /// one. Zero means cached-but-unused (retained until eviction).
+    /// The registry entries the rendering imports.
+    requirements: Vec<ArrangeKey>,
+    /// Every input name the plan mentions (for input-removal blocking and eviction).
+    sources: BTreeSet<String>,
+    /// The inputs whose operators the dataflow holds: a query's locals, a base's own.
+    inputs: Vec<String>,
+    /// Direct dependants: queries and registry entries with this one among their
+    /// requirements. Zero means cached-but-unused (retained until eviction).
     uses: usize,
-    /// The memo keys this entry's own rendering imports.
-    requirements: Vec<ArrangeKey>,
-    /// Every source name the memoized sub-plan mentions (for input-removal eviction).
-    sources: BTreeSet<String>,
-}
-
-struct InstalledPlan {
-    probe: ProbeHandle,
-    /// The published result arrangement: the query's answer, maintained and compacted
-    /// like every other catalog entry, unpublished with the query's dataflow.
-    result: SourceBinding,
-    requirements: Vec<ArrangeKey>,
-    locals: Vec<String>,
-    sources: BTreeSet<String>,
+    /// Its place in the order this manager built things: whatever reads an arrangement,
+    /// by key or as rows, is younger than it — and the order is every worker's.
+    born: u64,
 }
 
 /// The merge work one [`Manager::idle_turn`] may do, in merge fuel units (source updates
@@ -264,10 +271,14 @@ const IDLE_TURN_FUEL: isize = 384;
 pub struct Manager {
     catalog: Catalog,
     epoch: u64,
+    /// Memos numbered so far (`plan-memo-N`), and arrangements of any kind built so far.
     counter: u64,
-    inputs: HashMap<String, InputEntry>,
-    memo: HashMap<ArrangeKey, MemoEntry>,
-    installed: HashMap<String, InstalledPlan>,
+    births: u64,
+    inputs: HashMap<String, Input>,
+    /// Input bases and memoized sub-plans alike, by what they arrange and how.
+    shared: HashMap<ArrangeKey, Maintained>,
+    /// The installed queries' answers, by query name.
+    installed: HashMap<String, Maintained>,
 }
 
 impl Default for Manager {
@@ -283,8 +294,9 @@ impl Manager {
             catalog: Catalog::new(),
             epoch: 0,
             counter: 0,
+            births: 0,
             inputs: HashMap::new(),
-            memo: HashMap::new(),
+            shared: HashMap::new(),
             installed: HashMap::new(),
         }
     }
@@ -303,11 +315,10 @@ impl Manager {
             Command::Update { name, row, diff } => {
                 // Identical command streams on every worker: the update is introduced
                 // only by the worker the row hashes to.
-                if !self.inputs.contains_key(&name) {
-                    return Err(PlanError::UnknownInput(name));
-                }
+                let input = self.inputs.get_mut(&name);
+                let input = input.ok_or(PlanError::UnknownInput(name))?;
                 if shard_of(&row, worker.peers()) == worker.index() {
-                    self.update(&name, row, diff)?;
+                    input.handle.update(row, diff);
                 }
                 Ok(Response::Done)
             }
@@ -323,7 +334,11 @@ impl Manager {
                 let existed = self.uninstall(worker, &name)?;
                 Ok(Response::Uninstalled { existed })
             }
-            Command::Query { name } => Ok(Response::Rows(self.query(&name)?)),
+            // An answer is read from a settled manager; this is where the rule lives.
+            Command::Query { name } => {
+                self.settle(worker);
+                Ok(Response::Rows(self.query(&name)?))
+            }
         }
     }
 
@@ -348,38 +363,24 @@ impl Manager {
         if self.inputs.contains_key(name) {
             return Err(PlanError::DuplicateInput(name.to_string()));
         }
-        let keys = match key_arity {
-            None => KeySpec::SelfRow,
-            Some(arity) => KeySpec::Columns((0..arity).collect()),
-        };
-        let base = SourceBinding {
-            arrangement: format!("plan-source-{name}"),
-            keys,
-        };
-        let dataflow = format!("plan-input-{name}");
-        let catalog = self.catalog.clone();
-        let handle = worker
-            .install_query(&dataflow, &catalog, |builder, catalog| {
-                // The base is the input itself, rendered as a source local to this
-                // dataflow and arranged by the requested key.
-                let (handle, rows) = new_collection::<Row, isize>(builder);
-                let locals = HashMap::from([(name.to_string(), rows)]);
-                let renderer = Renderer::new(HashMap::new(), HashMap::new(), locals);
-                let probe = publish(&renderer, builder, catalog, &Plan::source(name), &base);
-                (handle, probe)
-            })
-            .map_err(PlanError::Catalog)?;
-        let (mut input, probe) = handle.result;
-        input.advance_to(self.epoch);
-        self.inputs.insert(
-            name.to_string(),
-            InputEntry {
-                handle: input,
-                base: Some(base),
-                probe: Some(probe),
-                owner: None,
+        // The base is the input itself — a source local to its own dataflow — arranged
+        // by the requested key, and registered as exactly that.
+        let key = ArrangeKey {
+            plan: Plan::source(name),
+            keys: match key_arity {
+                None => KeySpec::SelfRow,
+                Some(arity) => KeySpec::Columns((0..arity).collect()),
             },
-        );
+        };
+        let names = (format!("plan-input-{name}"), format!("plan-source-{name}"));
+        let locals = BTreeSet::from([name.to_string()]);
+        let created = &mut Vec::new();
+        let (base, mut handles) =
+            self.maintain(worker, |_| names, &key.plan, &key.keys, &locals, created)?;
+        let (handle, owner) = (handles.remove(0), Owner::Base(key.clone()));
+        let input = Input { handle, owner };
+        self.inputs.insert(name.to_string(), input);
+        self.shared.insert(key, base);
         Ok(())
     }
 
@@ -415,6 +416,7 @@ impl Manager {
 
     /// Installs `plan` as a standing query. Returns the number of dataflows constructed:
     /// 1 for the query itself plus one per memo arrangement that did not already exist.
+    #[allow(clippy::needless_pass_by_value)] // the signature callers outside the crate use
     pub fn install(
         &mut self,
         worker: &mut Worker,
@@ -424,318 +426,252 @@ impl Manager {
     ) -> Result<usize, PlanError> {
         // Check the worker's dataflow namespace too (it also holds the manager's
         // "plan-input-…"/"plan-memo-…" dataflows): name failures are detected before
-        // any memo dataflow is ensured, and later failures roll the ensured ones back,
-        // so a failed command leaves no state either way.
+        // any memo dataflow is ensured, and later failures evict the ensured ones, so a
+        // failed command leaves no state either way.
         if self.installed.contains_key(name) || worker.installed_index(name).is_some() {
             return Err(PlanError::DuplicateQuery(name.to_string()));
         }
-        let locals_set: BTreeSet<String> = locals.iter().cloned().collect();
-        for local in &locals_set {
-            if self.inputs.contains_key(local) {
-                return Err(PlanError::DuplicateInput(local.clone()));
-            }
+        // One input operator per name, however often the command repeats it.
+        let locals: BTreeSet<String> = locals.into_iter().collect();
+        if let Some(local) = locals.iter().find(|local| self.inputs.contains_key(*local)) {
+            return Err(PlanError::DuplicateInput(local.clone()));
         }
-        let mut known: BTreeSet<String> = self
-            .inputs
-            .iter()
-            .filter(|(_, entry)| entry.owner.is_none())
-            .map(|(name, _)| name.clone())
-            .collect();
-        known.extend(locals_set.iter().cloned());
+        let shared = self.inputs.iter();
+        let shared = shared.filter(|(_, input)| matches!(input.owner, Owner::Base(_)));
+        let mut known: BTreeSet<String> = shared.map(|(name, _)| name.clone()).collect();
+        known.extend(locals.iter().cloned());
         plan.validate(&known).map_err(PlanError::Invalid)?;
-        let mut sources = BTreeSet::new();
-        plan.sources(&mut sources);
-
-        // Ensure every arrangement the render pass will import exists (installing memo
-        // dataflows for the missing ones), then install the query itself. A failure in
-        // either part rolls back the memo dataflows this install created, so a failed
-        // command still leaves no state.
-        let mut requirements = Vec::new();
-        plan.arrangement_requirements(&locals_set, &mut requirements);
-        let mut new_dataflows = 1;
-        let mut arrangements = HashMap::new();
-        let mut created = Vec::new();
-        for requirement in &requirements {
-            match self.ensure_arranged(worker, requirement, &mut created) {
-                Ok((installs, arrangement)) => {
-                    new_dataflows += installs;
-                    arrangements.insert(requirement.clone(), arrangement);
-                }
-                Err(error) => {
-                    self.roll_back_created(worker, &created);
-                    return Err(error);
-                }
-            }
-        }
 
         // The answer is the plan's root as an arrangement: a reduce's own output keyed
         // by its grouping columns, anything else by whole rows.
-        let result = SourceBinding {
-            arrangement: format!("plan-result-{name}"),
-            keys: match &plan {
-                Plan::Reduce { key_arity, .. } => KeySpec::Columns((0..*key_arity).collect()),
-                _ => KeySpec::SelfRow,
-            },
+        let keys = match &plan {
+            Plan::Reduce { key_arity, .. } => KeySpec::Columns((0..*key_arity).collect()),
+            _ => KeySpec::SelfRow,
         };
-        let catalog = self.catalog.clone();
-        let sources_map = self.source_arrangements();
-        let (local_names, binding) = (&locals, &result);
-        let handle = match worker.install_query(name, &catalog, move |builder, catalog| {
-            let mut local_map = HashMap::new();
-            let mut handles = Vec::new();
-            for local in local_names {
-                let (handle, collection) = new_collection::<Row, isize>(builder);
-                handles.push((local.clone(), handle));
-                local_map.insert(local.clone(), collection);
-            }
-            let renderer = Renderer::new(arrangements, sources_map, local_map);
-            (
-                handles,
-                publish(&renderer, builder, catalog, &plan, binding),
-            )
-        }) {
-            Ok(handle) => handle,
-            Err(error) => {
-                self.roll_back_created(worker, &created);
-                return Err(PlanError::Catalog(error));
-            }
-        };
-        for requirement in &requirements {
-            if let Some(entry) = self.memo.get_mut(requirement) {
-                entry.uses += 1;
-            }
+        let names = (name.to_string(), format!("plan-result-{name}"));
+        let created = &mut Vec::new();
+        let (result, handles) = self.maintain(worker, |_| names, &plan, &keys, &locals, created)?;
+        for (local, handle) in locals.into_iter().zip(handles) {
+            let owner = Owner::Query(name.to_string());
+            self.inputs.insert(local, Input { handle, owner });
         }
-        let (handles, probe) = handle.result;
-        for (local, mut input) in handles {
-            input.advance_to(self.epoch);
-            self.inputs.insert(
-                local,
-                InputEntry {
-                    handle: input,
-                    base: None,
-                    probe: None,
-                    owner: Some(name.to_string()),
-                },
-            );
-        }
-        self.installed.insert(
-            name.to_string(),
-            InstalledPlan {
-                probe,
-                result,
-                requirements,
-                locals,
-                sources,
-            },
-        );
-        Ok(new_dataflows)
+        self.installed.insert(name.to_string(), result);
+        Ok(1 + created.len())
     }
 
     /// Retires the named query, or removes the named shared input. Returns false if
     /// nothing by that name exists.
     pub fn uninstall(&mut self, worker: &mut Worker, name: &str) -> Result<bool, PlanError> {
         if let Some(query) = self.installed.remove(name) {
-            for requirement in &query.requirements {
-                if let Some(entry) = self.memo.get_mut(requirement) {
-                    entry.uses -= 1;
-                }
-            }
-            for local in &query.locals {
-                self.inputs.remove(local);
-            }
-            let removed = worker.uninstall_query(name, &self.catalog);
-            debug_assert!(removed, "installed query had no dataflow");
+            self.retire(worker, query);
             return Ok(true);
         }
-        match self.inputs.get(name) {
-            None => Ok(false),
-            Some(entry) => match &entry.owner {
-                Some(owner) => Err(PlanError::InputInUse {
-                    input: name.to_string(),
-                    user: owner.clone(),
-                }),
-                None => {
-                    self.remove_input(worker, name)?;
-                    Ok(true)
-                }
-            },
+        let Some(input) = self.inputs.get(name) else {
+            return Ok(false);
+        };
+        // An input stays while a query reads it: the query it is local to (only that
+        // query's uninstall removes it), or any whose plan mentions a shared one.
+        let mut queries = self.installed.iter();
+        let user = match &input.owner {
+            Owner::Query(user) => Some(user),
+            Owner::Base(_) => queries
+                .find(|(_, answer)| answer.sources.contains(name))
+                .map(|(query, _)| query),
+        };
+        if let Some(user) = user {
+            return Err(PlanError::InputInUse {
+                input: name.to_string(),
+                user: user.clone(),
+            });
         }
-    }
-
-    fn remove_input(&mut self, worker: &mut Worker, name: &str) -> Result<(), PlanError> {
-        for (query, installed) in self.installed.iter() {
-            if installed.sources.contains(name) {
-                return Err(PlanError::InputInUse {
-                    input: name.to_string(),
-                    user: query.clone(),
-                });
-            }
-        }
-        // Evict memo arrangements built on the departing input, leaves first. With no
-        // live query on the input, every such entry's dependants also mention the input,
-        // so the loop drains them all.
-        loop {
-            let victim = self
-                .memo
-                .iter()
-                .find(|(_, entry)| entry.sources.contains(name) && entry.uses == 0)
-                .map(|(key, _)| key.clone());
-            let Some(key) = victim else { break };
+        // Evict every shared arrangement built on the departing input — its base, which
+        // holds the input operator, among them. With no live query on the input, every
+        // dependant of one mentions the input too, so youngest first retires each before
+        // what it reads and the base last. The order must not be the map's: workers
+        // whose retirements differ hand the next installs different dataflow slots.
+        let doomed = self.shared.iter();
+        let doomed = doomed.filter(|(_, entry)| entry.sources.contains(name));
+        let mut doomed: Vec<_> = doomed
+            .map(|(key, entry)| (entry.born, key.clone()))
+            .collect();
+        doomed.sort_unstable_by_key(|(born, _)| std::cmp::Reverse(*born));
+        for (_, key) in doomed {
             self.evict(worker, &key);
         }
-        debug_assert!(
-            !self.memo.values().any(|entry| entry.sources.contains(name)),
-            "memo entries on a removed input survived eviction"
-        );
-        self.inputs.remove(name);
-        worker.uninstall_query(&format!("plan-input-{name}"), &self.catalog);
-        Ok(())
+        Ok(true)
     }
 
     fn evict(&mut self, worker: &mut Worker, key: &ArrangeKey) {
-        let entry = self.memo.remove(key).expect("evicting a present entry");
-        debug_assert_eq!(entry.uses, 0, "evicting a memo entry that is in use");
-        for requirement in &entry.requirements {
-            if let Some(dependency) = self.memo.get_mut(requirement) {
-                dependency.uses -= 1;
-            }
-        }
-        worker.uninstall_query(&entry.dataflow, &self.catalog);
+        let entry = self.shared.remove(key).expect("evicting a present entry");
+        debug_assert_eq!(entry.uses, 0, "evicting an arrangement in use");
+        self.retire(worker, entry);
     }
 
-    /// Ensures an arrangement for `key` exists, installing (recursively) the memo
-    /// dataflows needed. Returns `(dataflows installed, catalog arrangement name)`.
-    /// Every memo entry this call creates is appended to `created` (dependencies before
-    /// dependants), so a caller whose later steps fail can roll them back.
-    fn ensure_arranged(
+    /// Drops a maintained arrangement its registry no longer lists: releases what it
+    /// imported, forgets the inputs its dataflow held, and uninstalls the dataflow,
+    /// which unpublishes the arrangement. Callers decide *when*.
+    fn retire(&mut self, worker: &mut Worker, entry: Maintained) {
+        for requirement in entry.requirements {
+            let imported = self.shared.get_mut(&requirement);
+            imported.expect("outlives its dependants").uses -= 1;
+        }
+        for input in entry.inputs {
+            self.inputs.remove(&input);
+        }
+        let removed = worker.uninstall_query(&entry.dataflow, &self.catalog);
+        debug_assert!(removed, "a maintained arrangement had no dataflow");
+    }
+
+    /// The catalog name of the shared arrangement for `key`, memoized now if nothing
+    /// maintains it yet. An input's base is found like any other entry, so a source
+    /// keyed the way its base is keyed is never re-arranged.
+    fn ensure(
         &mut self,
         worker: &mut Worker,
         key: &ArrangeKey,
         created: &mut Vec<ArrangeKey>,
-    ) -> Result<(usize, String), PlanError> {
-        // A source keyed the way its base arrangement is keyed *is* the base
-        // arrangement; only other keyings need a memoized re-arrangement.
-        if let Plan::Source(source) = &key.plan {
-            let base = self
-                .inputs
-                .get(source)
-                .and_then(|entry| entry.base.as_ref())
-                .ok_or_else(|| PlanError::UnknownInput(source.clone()))?;
-            if base.keys == key.keys {
-                return Ok((0, base.arrangement.clone()));
-            }
+    ) -> Result<String, PlanError> {
+        if let Some(entry) = self.shared.get(key) {
+            return Ok(entry.binding.arrangement.clone());
         }
-        if let Some(entry) = self.memo.get(key) {
-            return Ok((0, entry.arrangement.clone()));
-        }
-
-        let no_locals = BTreeSet::new();
-        let mut requirements = Vec::new();
-        key.plan
-            .arrangement_requirements(&no_locals, &mut requirements);
-        let mut installs = 0;
-        let mut arrangements = HashMap::new();
-        for requirement in &requirements {
-            let (nested, arrangement) = self.ensure_arranged(worker, requirement, created)?;
-            installs += nested;
-            arrangements.insert(requirement.clone(), arrangement);
-        }
-
-        self.counter += 1;
-        let dataflow = format!("plan-memo-{}", self.counter);
-        let published = SourceBinding {
-            arrangement: format!("plan-arr-{}", self.counter),
-            keys: key.keys.clone(),
+        // Numbered when `maintain` asks: after the memo's own requirements have theirs.
+        let numbered = |manager: &mut Manager| {
+            manager.counter += 1;
+            let number = manager.counter;
+            (format!("plan-memo-{number}"), format!("plan-arr-{number}"))
         };
-        let catalog = self.catalog.clone();
-        let sources_map = self.source_arrangements();
-        let handle = worker
-            .install_query(&dataflow, &catalog, |builder, catalog| {
-                let renderer = Renderer::new(arrangements, sources_map, HashMap::new());
-                publish(&renderer, builder, catalog, &key.plan, &published)
-            })
-            .map_err(PlanError::Catalog)?;
-        for requirement in &requirements {
-            if let Some(entry) = self.memo.get_mut(requirement) {
-                entry.uses += 1;
-            }
-        }
-        let mut sources = BTreeSet::new();
-        key.plan.sources(&mut sources);
-        self.memo.insert(
-            key.clone(),
-            MemoEntry {
-                arrangement: published.arrangement.clone(),
-                dataflow,
-                probe: handle.result,
-                uses: 0,
-                requirements,
-                sources,
-            },
-        );
+        let no_locals = BTreeSet::new();
+        let (memo, _) =
+            self.maintain(worker, numbered, &key.plan, &key.keys, &no_locals, created)?;
+        let arrangement = memo.binding.arrangement.clone();
+        self.shared.insert(key.clone(), memo);
         created.push(key.clone());
-        Ok((installs + 1, published.arrangement))
+        Ok(arrangement)
     }
 
-    /// Undoes a partially completed install: evicts the memo entries it `created`,
-    /// newest first, so each dependant releases its dependencies before they go.
-    fn roll_back_created(&mut self, worker: &mut Worker, created: &[ArrangeKey]) {
-        for key in created.iter().rev() {
-            self.evict(worker, key);
+    /// Builds one maintained arrangement: ensures every shared arrangement `plan`'s
+    /// rendering imports (appending each one it had to memoize to `created`,
+    /// dependencies before dependants), then asks `names` what to call the dataflow and
+    /// its catalog entry and installs the dataflow, which holds an input per name in
+    /// `locals`, renders `plan` and publishes it keyed by `keys`. Returns the record,
+    /// for the caller to register under the name or key it chose, and the locals'
+    /// handles in `locals` order. On any failure it evicts exactly what it appended to
+    /// `created`, so a failed command leaves no state.
+    fn maintain(
+        &mut self,
+        worker: &mut Worker,
+        names: impl FnOnce(&mut Manager) -> (String, String),
+        plan: &Plan,
+        keys: &KeySpec,
+        locals: &BTreeSet<String>,
+        created: &mut Vec<ArrangeKey>,
+    ) -> Result<(Maintained, Vec<InputHandle<Row, isize>>), PlanError> {
+        let mark = created.len();
+        let mut requirements = Vec::new();
+        plan.arrangement_requirements(locals, &mut requirements);
+        let mut sources = BTreeSet::new();
+        plan.sources(&mut sources);
+        let ensured: Result<HashMap<ArrangeKey, String>, PlanError> = requirements
+            .iter()
+            .map(|key| Ok((key.clone(), self.ensure(worker, key, created)?)))
+            .collect();
+        let built = ensured.and_then(|arrangements| {
+            let (dataflow, arrangement) = names(self);
+            let keys = keys.clone();
+            let binding = SourceBinding { arrangement, keys };
+            // A shared source read as rows is read from its base.
+            let bases = sources
+                .iter()
+                .filter_map(|name| match &self.inputs.get(name)?.owner {
+                    Owner::Base(key) => Some((name.clone(), self.shared[key].binding.clone())),
+                    Owner::Query(_) => None,
+                });
+            let bases = bases.collect();
+            let built = worker.install_query(&dataflow, &self.catalog, |builder, catalog| {
+                let (handles, collections): (Vec<_>, HashMap<_, _>) = locals
+                    .iter()
+                    .map(|local| {
+                        let (handle, rows) = new_collection::<Row, isize>(builder);
+                        (handle, (local.clone(), rows))
+                    })
+                    .unzip();
+                let renderer = Renderer::new(catalog, arrangements, bases, collections);
+                (handles, renderer.publish(builder, plan, &binding))
+            })?;
+            Ok((dataflow, binding, built.result))
+        });
+        let (dataflow, binding, (mut handles, probe)) = match built {
+            Ok(built) => built,
+            Err(error) => {
+                // Newest first, so each dependant releases its dependencies before they go.
+                for key in created.split_off(mark).iter().rev() {
+                    self.evict(worker, key);
+                }
+                return Err(error);
+            }
+        };
+        for requirement in &requirements {
+            let imported = self.shared.get_mut(requirement);
+            imported.expect("just ensured").uses += 1;
         }
+        for handle in &mut handles {
+            handle.advance_to(self.epoch);
+        }
+        self.births += 1;
+        let maintained = Maintained {
+            dataflow,
+            binding,
+            probe,
+            requirements,
+            sources,
+            inputs: locals.iter().cloned().collect(),
+            uses: 0,
+            born: self.births,
+        };
+        Ok((maintained, handles))
     }
 
-    /// The named query's consolidated output: every `(row, multiplicity)` accumulated
-    /// over everything sealed, i.e. every time *strictly before* the current epoch,
-    /// sorted by row. That bound is exactly what [`Manager::settle`] waits for
-    /// ([`Manager::behind`] at the current epoch), so a settled query's answer is
-    /// deterministic; updates introduced at the still-open current epoch become visible
-    /// after the next [`Manager::advance_to`] seals it. The read is one pass over the
-    /// query's result arrangement with no time filter (see [`Command::Query`] for why
-    /// none is needed, or correct), through a handle looked up and dropped per call.
+    /// The named query's consolidated output — see [`Command::Query`] for what it
+    /// covers — sorted by row: one pass over the query's result arrangement, through a
+    /// handle looked up and dropped per call. Deterministic on a settled manager only:
+    /// [`Manager::execute`] settles first itself, a direct caller calls
+    /// [`Manager::settle`].
     pub fn query(&self, name: &str) -> Result<Vec<(Row, isize)>, PlanError> {
-        let installed = self
+        let answer = self
             .installed
             .get(name)
             .ok_or_else(|| PlanError::UnknownQuery(name.to_string()))?;
-        Ok(installed.result.read(&self.catalog)?)
+        Ok(answer.binding.read(&self.catalog)?)
     }
 
-    /// True iff any managed dataflow (input, memo, or query) has not yet caught up to
-    /// `time`.
+    /// True iff any maintained arrangement (base, memo, or answer) has not yet caught
+    /// up to `time`.
     pub fn behind(&self, time: &Time) -> bool {
-        self.inputs
-            .values()
-            .filter_map(|entry| entry.probe.as_ref())
-            .chain(self.memo.values().map(|entry| &entry.probe))
-            .chain(self.installed.values().map(|entry| &entry.probe))
-            .any(|probe| probe.less_than(time))
+        let maintained = self.shared.values().chain(self.installed.values());
+        maintained
+            .into_iter()
+            .any(|entry| entry.probe.less_than(time))
     }
 
     /// Steps `worker` until everything managed is current at the manager's epoch:
     /// everything sealed, i.e. every time strictly before the current epoch, is then in
     /// the arrangements and nothing later is — which is why [`Manager::query`] can read
-    /// a result arrangement whole.
+    /// a result arrangement whole. Idempotent: a settled manager steps nothing.
     pub fn settle(&self, worker: &mut Worker) {
         let target = Time::from_epoch(self.epoch);
         worker.step_while(|| self.behind(&target));
     }
 
     /// One bounded turn of trace maintenance for a worker with nothing else to do: at
-    /// most [`IDLE_TURN_FUEL`] units of merge work across every arrangement the manager
-    /// holds (inputs, memoized sub-plans, results — all of them are catalog entries).
-    /// Returns true iff a merge is still in progress, i.e. another turn would find
-    /// work; with nothing merging the turn is a scan of layer tags. Local to this
+    /// most `IDLE_TURN_FUEL` (384) units of merge work across every arrangement the
+    /// manager maintains (bases, memoized sub-plans, answers — all of them are catalog
+    /// entries). Returns true iff a merge is still in progress, i.e. another turn would
+    /// find work; with nothing merging the turn is a scan of layer tags. Local to this
     /// worker, and invisible in every answer: a merge changes how a trace is laid out,
     /// never what it accumulates to.
     pub fn idle_turn(&self) -> bool {
         let mut fuel = IDLE_TURN_FUEL;
         self.catalog.exert_all(&mut fuel)
-    }
-
-    /// The current epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// The manager's catalog (for introspection: reader counts, arrangement sizes).
@@ -762,33 +698,25 @@ impl Manager {
         names
     }
 
-    /// The number of memoized sub-plan arrangements currently held.
+    /// The number of memoized sub-plan arrangements currently held: the shared
+    /// arrangements that are no input's base (a base's dataflow holds its input).
     pub fn memo_count(&self) -> usize {
-        self.memo.len()
+        let memos = self.shared.values().filter(|entry| entry.inputs.is_empty());
+        memos.count()
     }
 
-    /// The catalog name of the arrangement serving `key`, if one exists (the base
-    /// arrangement for sources keyed the way their base is, a memo arrangement
-    /// otherwise).
+    /// The catalog name of the shared arrangement serving `key`, if one exists: an
+    /// input's base for a source keyed the way the base is, a memo arrangement
+    /// otherwise.
     pub fn arrangement_name(&self, key: &ArrangeKey) -> Option<String> {
-        if let Plan::Source(source) = &key.plan {
-            if let Some(base) = self
-                .inputs
-                .get(source)
-                .and_then(|entry| entry.base.as_ref())
-            {
-                if base.keys == key.keys {
-                    return Some(base.arrangement.clone());
-                }
-            }
-        }
-        self.memo.get(key).map(|entry| entry.arrangement.clone())
+        let entry = self.shared.get(key)?;
+        Some(entry.binding.arrangement.clone())
     }
 
     /// The catalog name of the arrangement holding the named query's answer.
     pub fn result_name(&self, query: &str) -> Option<String> {
-        let installed = self.installed.get(query)?;
-        Some(installed.result.arrangement.clone())
+        let answer = self.installed.get(query)?;
+        Some(answer.binding.arrangement.clone())
     }
 
     /// The number of live read handles on the arrangement serving `key` — the sharing
@@ -799,44 +727,11 @@ impl Manager {
         self.catalog.reader_count(&name).ok()
     }
 
-    /// The number of current dependants of the memo arrangement for `key` (0 =
+    /// The number of current dependants of the shared arrangement for `key`: the
+    /// queries and memo arrangements that import it by that key (0 =
     /// retained-but-unused).
     pub fn memo_uses(&self, key: &ArrangeKey) -> Option<usize> {
-        self.memo.get(key).map(|entry| entry.uses)
-    }
-
-    fn source_arrangements(&self) -> HashMap<String, SourceBinding> {
-        self.inputs
-            .iter()
-            .filter_map(|(name, entry)| Some((name.clone(), entry.base.clone()?)))
-            .collect()
-    }
-}
-
-/// Renders `plan` arranged the way `binding.keys` says and publishes the arrangement
-/// under `binding.arrangement`, owned by the dataflow under construction (uninstalling
-/// it unpublishes the entry). Every kind of plan state — input bases, memoized
-/// sub-plans, query results — enters the catalog here. Returns the arrangement's probe.
-fn publish(
-    renderer: &Renderer,
-    builder: &mut DataflowBuilder,
-    catalog: &Catalog,
-    plan: &Plan,
-    binding: &SourceBinding,
-) -> ProbeHandle {
-    let fresh = "plan arrangement names are never reused while published";
-    let name = &binding.arrangement;
-    match &binding.keys {
-        KeySpec::Columns(columns) => {
-            let arranged = renderer.render_arranged(builder, catalog, plan, columns);
-            catalog.publish_if_absent(name, &arranged).expect(fresh);
-            arranged.probe()
-        }
-        KeySpec::SelfRow => {
-            let arranged = renderer.render_arranged_self(builder, catalog, plan);
-            catalog.publish_if_absent(name, &arranged).expect(fresh);
-            arranged.probe()
-        }
+        self.shared.get(key).map(|entry| entry.uses)
     }
 }
 

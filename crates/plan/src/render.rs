@@ -7,6 +7,8 @@
 //! **imported** (one shared arrangement, any number of reading queries — the paper's
 //! economy applied between runtime queries); sub-trees bound to the loop variable or to
 //! a query-local input are rendered inline, arranged privately within this dataflow.
+//! Reading an arrangement back as rows ([`SourceBinding::read`]) applies no time filter
+//! and settles nothing: `Manager::execute` settles ahead of a `Query`, nowhere else.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -156,119 +158,219 @@ const ROOT: Scope<'static> = Scope {
 /// panics if the plan was not validated or a required arrangement was not pre-installed,
 /// both of which the manager guarantees.
 pub struct Renderer {
+    /// The catalog the shared arrangements are imported from.
+    catalog: Catalog,
     /// Catalog names of the memoized sub-plan arrangements this plan imports.
     pub arrangements: HashMap<ArrangeKey, String>,
     /// Base-arrangement bindings of the global inputs, by input name.
     pub sources: HashMap<String, SourceBinding>,
     /// Query-local input collections, created inside the dataflow being built.
-    pub locals: HashMap<String, Collection<Row>>,
-    /// Arrangements already imported into this dataflow, per catalog name and loop
-    /// depth: a plan that reads the same shared arrangement at several operator sites
-    /// (a 2-hop query joins the edge index twice) pays one import operator, not one per
-    /// site. Column-keyed and self-keyed arrangements have distinct batch types, so
-    /// they cache separately.
-    imported: RefCell<HashMap<(String, usize), Arranged<RowBatch>>>,
-    imported_self: RefCell<HashMap<(String, usize), Arranged<RowKeyBatch>>>,
+    locals: HashMap<String, Collection<Row>>,
+    /// The names of `locals` (kept in step by construction): a sub-tree mentioning one
+    /// renders inline.
+    local_names: BTreeSet<String>,
+    /// Arrangements already imported into this dataflow: a plan that reads the same
+    /// shared arrangement at several operator sites (a 2-hop query joins the edge index
+    /// twice) pays one import operator, not one per site. Column-keyed and self-keyed
+    /// arrangements have distinct batch types, so they cache separately.
+    imported: Imports<RowBatch>,
+    imported_self: Imports<RowKeyBatch>,
+}
+
+/// One batch type's import cache, per catalog name and loop depth.
+type Imports<B> = RefCell<HashMap<(String, usize), Arranged<B>>>;
+
+/// The two batch types plan arrangements come in, and the only things that differ
+/// between them where an arrangement is imported or rendered. Each names its own form of
+/// key, so neither can be asked for the other's keying.
+trait PlanBatch: Batch<Key = Row, Time = Time, Diff = isize> + 'static {
+    /// The form a keying of this batch type takes: the key columns, or nothing.
+    type Keys: ?Sized;
+    /// `keys` as the [`KeySpec`] shared arrangements are registered under.
+    fn spec(keys: &Self::Keys) -> KeySpec;
+    /// The renderer's cache of imports of this batch type.
+    fn imports(renderer: &Renderer) -> &Imports<Self>;
+    /// Arranges `plan` by `keys` inside the dataflow under construction: the published
+    /// roots' entry point, and the path for loop-bound / query-local sub-trees.
+    fn arrange_inline(
+        renderer: &Renderer,
+        builder: &mut DataflowBuilder,
+        plan: &Plan,
+        keys: &Self::Keys,
+        scope: &Scope<'_>,
+    ) -> Arranged<Self>;
+}
+
+/// `KeySpec::Columns`: rows keyed by the listed columns.
+impl PlanBatch for RowBatch {
+    type Keys = [usize];
+    fn spec(columns: &[usize]) -> KeySpec {
+        KeySpec::Columns(columns.to_vec())
+    }
+    fn imports(renderer: &Renderer) -> &Imports<Self> {
+        &renderer.imported
+    }
+    /// Fusions: a join — bare or under a pure column projection — that feeds an
+    /// arrangement emits `(key, rest)` pairs straight from the join logic, so the
+    /// intermediate concatenated row, the projection operator, and the re-splitting map
+    /// are never materialized. Multi-stage plans (2-hop, path queries) spend most of
+    /// their per-update work in exactly this shape.
+    fn arrange_inline(
+        renderer: &Renderer,
+        builder: &mut DataflowBuilder,
+        plan: &Plan,
+        columns: &[usize],
+        scope: &Scope<'_>,
+    ) -> Arranged<Self> {
+        match plan {
+            Plan::Join {
+                left,
+                right,
+                keys: join_keys,
+            } => return renderer.join_pairs(builder, left, right, join_keys, scope, None, columns),
+            Plan::Map { input, exprs } => {
+                if let Plan::Join {
+                    left,
+                    right,
+                    keys: join_keys,
+                } = input.as_ref()
+                {
+                    if let Some(projection) = column_indices(exprs) {
+                        return renderer.join_pairs(
+                            builder,
+                            left,
+                            right,
+                            join_keys,
+                            scope,
+                            Some(&projection),
+                            columns,
+                        );
+                    }
+                }
+            }
+            // A reduce keyed by its own grouping columns *is* its output arrangement
+            // (§5.3.2 "Output arrangements"): no second copy, no arrange operator.
+            Plan::Reduce {
+                input,
+                key_arity,
+                kind,
+            } if columns.iter().copied().eq(0..*key_arity) => {
+                return renderer.reduced(builder, input, *key_arity, kind, scope)
+            }
+            _ => {}
+        }
+        let collection = renderer.collection(builder, plan, scope);
+        let keys = Self::spec(columns);
+        collection
+            .map(move |row| keys.split(row))
+            .arrange_by_key_named("PlanArrange", MergeEffort::Default)
+    }
+}
+
+/// `KeySpec::SelfRow`: rows keyed by themselves, which leaves nothing to say.
+impl PlanBatch for RowKeyBatch {
+    type Keys = ();
+    fn spec(_: &()) -> KeySpec {
+        KeySpec::SelfRow
+    }
+    fn imports(renderer: &Renderer) -> &Imports<Self> {
+        &renderer.imported_self
+    }
+    /// The join/projection fusions live in [`Renderer::collection`], so a `Distinct`
+    /// over a (projected) join still materializes only the final row per match.
+    fn arrange_inline(
+        renderer: &Renderer,
+        builder: &mut DataflowBuilder,
+        plan: &Plan,
+        _: &(),
+        scope: &Scope<'_>,
+    ) -> Arranged<Self> {
+        // A distinct, whose output is keyed by whole rows, is likewise its own
+        // arrangement.
+        if let Plan::Distinct(input) = plan {
+            return renderer.distinct(builder, input, scope);
+        }
+        let collection = renderer.collection(builder, plan, scope);
+        collection.arrange_by_self_named("PlanArrangeSelf", MergeEffort::Default)
+    }
 }
 
 impl Renderer {
     /// A renderer over the given snapshots, with an empty import cache.
     pub fn new(
+        catalog: &Catalog,
         arrangements: HashMap<ArrangeKey, String>,
         sources: HashMap<String, SourceBinding>,
         locals: HashMap<String, Collection<Row>>,
     ) -> Self {
         Renderer {
+            catalog: catalog.clone(),
             arrangements,
             sources,
+            local_names: locals.keys().cloned().collect(),
             locals,
             imported: RefCell::new(HashMap::new()),
             imported_self: RefCell::new(HashMap::new()),
         }
     }
 
-    /// Imports the named column-keyed catalog arrangement at `depth`, reusing a
-    /// previous import of the same name at the same depth.
-    fn import(
+    /// Imports the named catalog arrangement at `depth`, reusing a previous import of
+    /// the same name at the same depth.
+    fn import<B: PlanBatch>(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         name: &str,
         depth: usize,
-    ) -> Arranged<RowBatch> {
+    ) -> Arranged<B> {
         let key = (name.to_string(), depth);
-        if let Some(imported) = self.imported.borrow().get(&key) {
+        if let Some(imported) = B::imports(self).borrow().get(&key) {
             return imported.clone();
         }
-        let mut imported = catalog
-            .import::<RowBatch>(name, builder)
+        let mut imported = self
+            .catalog
+            .import::<B>(name, builder)
             .expect("arrangement published before plan install");
         for _ in 0..depth {
             imported = imported.enter();
         }
-        self.imported.borrow_mut().insert(key, imported.clone());
+        B::imports(self).borrow_mut().insert(key, imported.clone());
         imported
     }
 
-    /// Imports the named self-keyed catalog arrangement at `depth`, with the same
-    /// per-dataflow reuse as [`Renderer::import`].
-    fn import_self(
+    /// Renders `plan` arranged the way `binding.keys` says and publishes the arrangement
+    /// under `binding.arrangement`, owned by the dataflow under construction (uninstalling
+    /// it unpublishes the entry). Every kind of plan state — input bases, memoized
+    /// sub-plans, query results — enters the catalog here, and here is where a
+    /// [`KeySpec`] picks the batch type. Returns the arrangement's probe.
+    pub fn publish(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
-        name: &str,
-        depth: usize,
-    ) -> Arranged<RowKeyBatch> {
-        let key = (name.to_string(), depth);
-        if let Some(imported) = self.imported_self.borrow().get(&key) {
-            return imported.clone();
-        }
-        let mut imported = catalog
-            .import::<RowKeyBatch>(name, builder)
-            .expect("arrangement published before plan install");
-        for _ in 0..depth {
-            imported = imported.enter();
-        }
-        self.imported_self
-            .borrow_mut()
-            .insert(key, imported.clone());
-        imported
-    }
-}
-
-impl Renderer {
-    /// Compiles `plan` into a column-keyed arrangement in `builder`'s dataflow — the
-    /// entry point for state published as `KeySpec::Columns`, with the same operator
-    /// fusions the inline paths get.
-    pub fn render_arranged(
-        &self,
-        builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         plan: &Plan,
-        columns: &[usize],
-    ) -> Arranged<RowBatch> {
-        self.arrange_inline(builder, catalog, plan, columns, &ROOT)
-    }
-
-    /// Compiles `plan` into a self-keyed arrangement in `builder`'s dataflow — the
-    /// entry point for state published as `KeySpec::SelfRow`.
-    pub fn render_arranged_self(
-        &self,
-        builder: &mut DataflowBuilder,
-        catalog: &Catalog,
-        plan: &Plan,
-    ) -> Arranged<RowKeyBatch> {
-        self.arrange_self_inline(builder, catalog, plan, &ROOT)
-    }
-
-    fn local_names(&self) -> BTreeSet<String> {
-        self.locals.keys().cloned().collect()
+        binding: &SourceBinding,
+    ) -> ProbeHandle {
+        let fresh = "plan arrangement names are never reused while published";
+        let name = &binding.arrangement;
+        match &binding.keys {
+            KeySpec::Columns(columns) => {
+                let arranged = RowBatch::arrange_inline(self, builder, plan, columns, &ROOT);
+                self.catalog
+                    .publish_if_absent(name, &arranged)
+                    .expect(fresh);
+                arranged.probe()
+            }
+            KeySpec::SelfRow => {
+                let arranged = RowKeyBatch::arrange_inline(self, builder, plan, &(), &ROOT);
+                self.catalog
+                    .publish_if_absent(name, &arranged)
+                    .expect(fresh);
+                arranged.probe()
+            }
+        }
     }
 
     fn collection(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         plan: &Plan,
         scope: &Scope<'_>,
     ) -> Collection<Row> {
@@ -281,18 +383,17 @@ impl Renderer {
                     }
                     local
                 } else {
-                    let binding = self
+                    let base = self
                         .sources
                         .get(name)
-                        .unwrap_or_else(|| panic!("source {name:?} was not validated"))
-                        .clone();
-                    match binding.keys {
+                        .unwrap_or_else(|| panic!("source {name:?} was not validated"));
+                    match base.keys {
                         KeySpec::SelfRow => self
-                            .import_self(builder, catalog, &binding.arrangement, scope.depth)
+                            .import::<RowKeyBatch>(builder, &base.arrangement, scope.depth)
                             .as_collection(|key, _| key.clone()),
                         // Prefix-keyed bases: the original row is key ++ rest.
                         KeySpec::Columns(_) => self
-                            .import(builder, catalog, &binding.arrangement, scope.depth)
+                            .import::<RowBatch>(builder, &base.arrangement, scope.depth)
                             .as_collection(|key, rest| concat_rows(key, rest, &[])),
                     }
                 }
@@ -306,8 +407,7 @@ impl Renderer {
                 // straight from the join logic, materializing only the projected row.
                 if let Plan::Join { left, right, keys } = input.as_ref() {
                     if let Some(columns) = column_indices(exprs) {
-                        let (left, right) =
-                            self.join_sides(builder, catalog, left, right, keys, scope);
+                        let (left, right) = self.join_sides(builder, left, right, keys, scope);
                         return left.join_core(&right, move |k: &Row, l: &Row, r: &Row| {
                             whole_segment(&columns, k, l, r).unwrap_or_else(|| {
                                 columns
@@ -318,25 +418,25 @@ impl Renderer {
                         });
                     }
                 }
-                let input = self.collection(builder, catalog, input, scope);
+                let input = self.collection(builder, input, scope);
                 let exprs = exprs.clone();
                 input.map(move |row| project(&exprs, &row))
             }
             Plan::Filter { input, predicate } => {
-                let input = self.collection(builder, catalog, input, scope);
+                let input = self.collection(builder, input, scope);
                 let predicate = predicate.clone();
                 input.filter(move |row| predicate.test(row))
             }
-            Plan::Negate(input) => self.collection(builder, catalog, input, scope).negate(),
+            Plan::Negate(input) => self.collection(builder, input, scope).negate(),
             Plan::Concat(plans) => {
                 let mut rendered = plans
                     .iter()
-                    .map(|plan| self.collection(builder, catalog, plan, scope));
+                    .map(|plan| self.collection(builder, plan, scope));
                 let first = rendered.next().expect("Concat of at least one plan");
                 first.concatenate(rendered.collect::<Vec<_>>())
             }
             Plan::Join { left, right, keys } => {
-                let (left, right) = self.join_sides(builder, catalog, left, right, keys, scope);
+                let (left, right) = self.join_sides(builder, left, right, keys, scope);
                 left.join_core(&right, |key: &Row, left_rest: &Row, right_rest: &Row| {
                     concat_rows(key, left_rest, right_rest)
                 })
@@ -346,19 +446,19 @@ impl Renderer {
                 key_arity,
                 kind,
             } => self
-                .reduced(builder, catalog, input, *key_arity, kind, scope)
+                .reduced(builder, input, *key_arity, kind, scope)
                 .as_collection(|key, val| concat_rows(key, val, &[])),
             Plan::Distinct(input) => self
-                .distinct(builder, catalog, input, scope)
+                .distinct(builder, input, scope)
                 .as_collection(|key, _| key.clone()),
             Plan::Iterate { seed, body } => {
-                let seed = self.collection(builder, catalog, seed, scope);
+                let seed = self.collection(builder, seed, scope);
                 seed.iterate(|variable| {
                     let inner = Scope {
                         recur: Some(variable),
                         depth: scope.depth + 1,
                     };
-                    self.collection(builder, catalog, body, &inner)
+                    self.collection(builder, body, &inner)
                 })
             }
         }
@@ -370,19 +470,13 @@ impl Renderer {
     fn reduced(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         input: &Plan,
         key_arity: usize,
         kind: &ReduceKind,
         scope: &Scope<'_>,
     ) -> Arranged<RowBatch> {
-        let arranged = self.arranged(
-            builder,
-            catalog,
-            input,
-            &(0..key_arity).collect::<Vec<usize>>(),
-            scope,
-        );
+        let columns: Vec<usize> = (0..key_arity).collect();
+        let arranged = self.arranged::<RowBatch>(builder, input, &columns, scope);
         match kind.clone() {
             ReduceKind::Count => arranged.reduce_core(
                 "PlanCount",
@@ -451,11 +545,10 @@ impl Renderer {
     fn distinct(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         input: &Plan,
         scope: &Scope<'_>,
     ) -> Arranged<RowKeyBatch> {
-        self.arranged_self(builder, catalog, input, scope)
+        self.arranged::<RowKeyBatch>(builder, input, &(), scope)
             .reduce_core(
                 "PlanDistinct",
                 |_key, input, output: &mut Vec<((), isize)>| {
@@ -466,157 +559,44 @@ impl Renderer {
             )
     }
 
-    /// An arranged rendering of `plan` keyed by `columns`: imported from the memoized
-    /// shared arrangement when the sub-tree reads only shared state, arranged privately
-    /// inline when it is bound to the loop variable or a query-local input.
-    fn arranged(
+    /// An arranged rendering of `plan` keyed by `keys`: imported from the shared
+    /// arrangement registered for exactly that when the sub-tree reads only shared
+    /// state, arranged privately inline when it is bound to the loop variable or a
+    /// query-local input.
+    fn arranged<B: PlanBatch>(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         plan: &Plan,
-        columns: &[usize],
+        keys: &B::Keys,
         scope: &Scope<'_>,
-    ) -> Arranged<RowBatch> {
-        if plan.is_inline(&self.local_names()) {
-            self.arrange_inline(builder, catalog, plan, columns, scope)
-        } else {
-            let key = ArrangeKey {
-                plan: plan.clone(),
-                keys: KeySpec::Columns(columns.to_vec()),
-            };
-            let name = self
-                .arrangements
-                .get(&key)
-                .unwrap_or_else(|| panic!("arrangement for {key:?} was not pre-installed"))
-                .clone();
-            self.import(builder, catalog, &name, scope.depth)
+    ) -> Arranged<B> {
+        if plan.is_inline(&self.local_names) {
+            return B::arrange_inline(self, builder, plan, keys, scope);
         }
-    }
-
-    /// A self-keyed arranged rendering of `plan` (the `Distinct` input shape):
-    /// imported when shared, arranged inline when loop-bound or query-local.
-    fn arranged_self(
-        &self,
-        builder: &mut DataflowBuilder,
-        catalog: &Catalog,
-        plan: &Plan,
-        scope: &Scope<'_>,
-    ) -> Arranged<RowKeyBatch> {
-        if plan.is_inline(&self.local_names()) {
-            self.arrange_self_inline(builder, catalog, plan, scope)
-        } else {
-            let key = ArrangeKey {
-                plan: plan.clone(),
-                keys: KeySpec::SelfRow,
-            };
-            let name = self
-                .arrangements
-                .get(&key)
-                .unwrap_or_else(|| panic!("arrangement for {key:?} was not pre-installed"))
-                .clone();
-            self.import_self(builder, catalog, &name, scope.depth)
-        }
-    }
-
-    /// Arranges `plan` keyed by `columns` inside the dataflow under construction (the
-    /// published roots' entry point, and the path for loop-bound / query-local
-    /// sub-trees).
-    ///
-    /// Fusions: a join — bare or under a pure column projection — that feeds an
-    /// arrangement emits `(key, rest)` pairs straight from the join logic, so the
-    /// intermediate concatenated row, the projection operator, and the re-splitting map
-    /// are never materialized. Multi-stage plans (2-hop, path queries) spend most of
-    /// their per-update work in exactly this shape.
-    fn arrange_inline(
-        &self,
-        builder: &mut DataflowBuilder,
-        catalog: &Catalog,
-        plan: &Plan,
-        columns: &[usize],
-        scope: &Scope<'_>,
-    ) -> Arranged<RowBatch> {
-        match plan {
-            Plan::Join {
-                left,
-                right,
-                keys: join_keys,
-            } => {
-                return self.join_pairs(
-                    builder, catalog, left, right, join_keys, scope, None, columns,
-                )
-            }
-            Plan::Map { input, exprs } => {
-                if let Plan::Join {
-                    left,
-                    right,
-                    keys: join_keys,
-                } = input.as_ref()
-                {
-                    if let Some(projection) = column_indices(exprs) {
-                        return self.join_pairs(
-                            builder,
-                            catalog,
-                            left,
-                            right,
-                            join_keys,
-                            scope,
-                            Some(&projection),
-                            columns,
-                        );
-                    }
-                }
-            }
-            // A reduce keyed by its own grouping columns *is* its output arrangement
-            // (§5.3.2 "Output arrangements"): no second copy, no arrange operator.
-            Plan::Reduce {
-                input,
-                key_arity,
-                kind,
-            } if columns.iter().copied().eq(0..*key_arity) => {
-                return self.reduced(builder, catalog, input, *key_arity, kind, scope)
-            }
-            _ => {}
-        }
-        let collection = self.collection(builder, catalog, plan, scope);
-        let keys = KeySpec::Columns(columns.to_vec());
-        collection
-            .map(move |row| keys.split(row))
-            .arrange_by_key_named("PlanArrange", MergeEffort::Default)
-    }
-
-    /// Arranges `plan` by its whole rows inside the dataflow under construction. The
-    /// join/projection fusions live in [`Renderer::collection`], so a `Distinct` over a
-    /// (projected) join still materializes only the final row per match.
-    fn arrange_self_inline(
-        &self,
-        builder: &mut DataflowBuilder,
-        catalog: &Catalog,
-        plan: &Plan,
-        scope: &Scope<'_>,
-    ) -> Arranged<RowKeyBatch> {
-        // A distinct, whose output is keyed by whole rows, is likewise its own
-        // arrangement.
-        if let Plan::Distinct(input) = plan {
-            return self.distinct(builder, catalog, input, scope);
-        }
-        self.collection(builder, catalog, plan, scope)
-            .arrange_by_self_named("PlanArrangeSelf", MergeEffort::Default)
+        let key = ArrangeKey {
+            plan: plan.clone(),
+            keys: B::spec(keys),
+        };
+        let name = self
+            .arrangements
+            .get(&key)
+            .unwrap_or_else(|| panic!("arrangement for {key:?} was not pre-installed"));
+        self.import(builder, name, scope.depth)
     }
 
     /// The two arranged sides of a join.
     fn join_sides(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         left: &Plan,
         right: &Plan,
         join_keys: &[(usize, usize)],
         scope: &Scope<'_>,
     ) -> (Arranged<RowBatch>, Arranged<RowBatch>) {
-        let left_columns: Vec<usize> = join_keys.iter().map(|&(l, _)| l).collect();
-        let right_columns: Vec<usize> = join_keys.iter().map(|&(_, r)| r).collect();
-        let left = self.arranged(builder, catalog, left, &left_columns, scope);
-        let right = self.arranged(builder, catalog, right, &right_columns, scope);
+        let left_keys: Vec<usize> = join_keys.iter().map(|&(l, _)| l).collect();
+        let right_keys: Vec<usize> = join_keys.iter().map(|&(_, r)| r).collect();
+        let left = self.arranged::<RowBatch>(builder, left, &left_keys, scope);
+        let right = self.arranged::<RowBatch>(builder, right, &right_keys, scope);
         (left, right)
     }
 
@@ -627,7 +607,6 @@ impl Renderer {
     fn join_pairs(
         &self,
         builder: &mut DataflowBuilder,
-        catalog: &Catalog,
         left: &Plan,
         right: &Plan,
         join_keys: &[(usize, usize)],
@@ -635,7 +614,7 @@ impl Renderer {
         projection: Option<&[usize]>,
         columns: &[usize],
     ) -> Arranged<RowBatch> {
-        let (left, right) = self.join_sides(builder, catalog, left, right, join_keys, scope);
+        let (left, right) = self.join_sides(builder, left, right, join_keys, scope);
         // The key picks (and, under a projection, the rest picks too) are constants of
         // the operator: resolve them into virtual-row index lists once, outside the
         // per-match closure. Only the projection-less rest picks depend on per-record
@@ -690,15 +669,14 @@ mod tests {
         worker.install(dataflow, |builder| {
             let (_input, rows) = new_collection::<Row, isize>(builder);
             let locals = HashMap::from([("rows".to_string(), rows)]);
-            let renderer = Renderer::new(HashMap::new(), HashMap::new(), locals);
-            let catalog = Catalog::new();
+            let renderer = Renderer::new(&Catalog::new(), HashMap::new(), HashMap::new(), locals);
             let node = match keys {
-                KeySpec::Columns(columns) => renderer
-                    .render_arranged(builder, &catalog, plan, columns)
-                    .node(),
-                KeySpec::SelfRow => renderer
-                    .render_arranged_self(builder, &catalog, plan)
-                    .node(),
+                KeySpec::Columns(columns) => {
+                    RowBatch::arrange_inline(&renderer, builder, plan, columns, &ROOT).node()
+                }
+                KeySpec::SelfRow => {
+                    RowKeyBatch::arrange_inline(&renderer, builder, plan, &(), &ROOT).node()
+                }
             };
             node.0
         })

@@ -21,11 +21,12 @@ pub struct Replay {
 }
 
 /// Runs `commands` on `workers` workers, each executing the whole stream against a
-/// [`Manager`] of its own exactly as a server worker does (updates shard themselves),
-/// and settles after every `AdvanceTime` and ahead of every `Query` — so an epoch's
-/// time is the time to bring every standing query up to date with it, and a `Query`
-/// issued after an `Install` pays for the install catching up. Failed commands are part
-/// of a replay: they are reported, and leave the managers unchanged.
+/// [`Manager`] of its own exactly as a server worker does (updates shard themselves;
+/// [`Manager::execute`] settles ahead of a `Query`, so one issued after an `Install`
+/// pays for the install catching up). `replay` adds only a settle after every
+/// `AdvanceTime` — where the time is booked, not a correctness rule: an epoch's time is
+/// then the time to bring every standing query up to date with it. Failed commands are
+/// part of a replay: they are reported, and leave the managers unchanged.
 pub fn replay(workers: usize, commands: Vec<Command>) -> Replay {
     let mut per_worker = execute(Config::new(workers), move |worker| {
         let mut manager = Manager::new();
@@ -33,9 +34,6 @@ pub fn replay(workers: usize, commands: Vec<Command>) -> Replay {
             .iter()
             .map(|command| {
                 let start = Instant::now();
-                if matches!(command, Command::Query { .. }) {
-                    manager.settle(worker);
-                }
                 let outcome = manager.execute(worker, command.clone());
                 if matches!(command, Command::AdvanceTime { .. }) {
                     manager.settle(worker);

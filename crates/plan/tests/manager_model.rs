@@ -531,6 +531,166 @@ fn prefix_keyed_inputs_serve_joins_without_rearrangement() {
     );
 }
 
+/// An input's base is an entry of the same registry as the memoized sub-plans, under
+/// `Source(name)` keyed as the input was created: a plan that imports the input by that
+/// key is counted among the base's dependants, one keyed otherwise gets a memo beside
+/// it, and removing the input evicts both.
+#[test]
+fn an_inputs_base_is_a_registry_entry() {
+    execute(Config::new(1), |worker| {
+        let mut manager = Manager::new();
+        manager
+            .create_input_keyed(worker, "edges", Some(1))
+            .unwrap();
+        let base = edges_by_src("edges");
+        let name = manager.arrangement_name(&base);
+        assert_eq!(name.as_deref(), Some("plan-source-edges"));
+        assert_eq!(
+            (manager.memo_uses(&base), manager.memo_count()),
+            (Some(0), 0)
+        );
+
+        let args = vec!["args".to_string()];
+        manager
+            .install(worker, "q", two_hop("edges", "args"), args)
+            .unwrap();
+        assert_eq!(
+            (manager.memo_uses(&base), manager.memo_count()),
+            (Some(1), 0)
+        );
+
+        // Keyed by destination, the same source is a memo of its own.
+        let by_dst = ArrangeKey {
+            plan: Plan::source("edges"),
+            keys: KeySpec::Columns(vec![1]),
+        };
+        let into = Plan::source("edges").join(Plan::source("edges"), vec![(1, 0)]);
+        let installs = manager.install(worker, "paths", into, vec![]).unwrap();
+        assert_eq!(installs, 2, "the query and the re-keyed memo");
+        assert_eq!(manager.memo_uses(&base), Some(2));
+        assert_eq!(
+            (manager.memo_uses(&by_dst), manager.memo_count()),
+            (Some(1), 1)
+        );
+
+        for query in ["q", "paths"] {
+            assert!(manager.uninstall(worker, query).unwrap());
+        }
+        assert_eq!(
+            (manager.memo_uses(&base), manager.memo_uses(&by_dst)),
+            (Some(0), Some(0))
+        );
+        assert!(manager.uninstall(worker, "edges").unwrap());
+        assert_eq!(
+            (manager.arrangement_name(&base), manager.memo_count()),
+            (None, 0)
+        );
+        assert!(manager.catalog().names().is_empty() && worker.installed().is_empty());
+    });
+}
+
+/// Removing an input retires everything built on it in one order on every worker. The
+/// registry is a hash map whose iteration order each worker thread draws for itself, a
+/// memo that reads a base as rows holds no count on it, and a worker hands a retired
+/// dataflow's slot — which is how remote messages are addressed — to its next install,
+/// last retired first: so workers that retired in different orders would disagree on
+/// where the next dataflows live, and their progress would never meet.
+///
+/// Three-edge paths need a memo (two-edge paths, by end) built on a memo (`edges`, by
+/// destination) built on the base, and dependencies take the lower `plan-arr-N`.
+#[test]
+fn input_removal_retires_in_one_order_on_every_worker() {
+    let by_dst = || ArrangeKey {
+        plan: Plan::source("edges"),
+        keys: KeySpec::Columns(vec![1]),
+    };
+    let two_edges = || Plan::source("edges").join(Plan::source("edges"), vec![(1, 0)]); // [mid, src, dst]
+    let by_end = move || ArrangeKey {
+        plan: two_edges(),
+        keys: KeySpec::Columns(vec![2]),
+    };
+    let three_edges = move || two_edges().join(Plan::source("edges"), vec![(2, 0)]); // [c, b, a, d]
+    let create = |name: &str, key_arity| Command::CreateInput {
+        name: name.to_string(),
+        key_arity,
+    };
+    let uninstall = |name: &str| Command::Uninstall {
+        name: name.to_string(),
+    };
+    let install_paths = move || Command::Install {
+        name: "paths".into(),
+        plan: three_edges(),
+        locals: vec![],
+    };
+    fn run(manager: &mut Manager, worker: &mut Worker, command: Command) -> Response {
+        manager.execute(worker, command).unwrap()
+    }
+
+    // The slots the three inputs created after each removal land in: no settling here,
+    // so a disagreement is reported rather than waited on forever.
+    let slots = execute(Config::new(2), move |worker| {
+        let mut slots = Vec::new();
+        for _ in 0..12 {
+            // A manager per round, for a registry hashed afresh.
+            let manager = &mut Manager::new();
+            run(manager, worker, create("edges", Some(1)));
+            let installed = run(manager, worker, install_paths());
+            assert_eq!(installed, Response::Installed { new_dataflows: 3 });
+            for name in ["paths", "edges"] {
+                run(manager, worker, uninstall(name));
+            }
+            for next in ["next-0", "next-1", "next-2"] {
+                run(manager, worker, create(next, None));
+            }
+            for next in ["next-0", "next-1", "next-2"] {
+                slots.push(worker.installed_index(&format!("plan-input-{next}")));
+                run(manager, worker, uninstall(next));
+            }
+            assert_eq!((manager.memo_count(), worker.live_dataflow_count()), (0, 0));
+        }
+        slots
+    });
+    assert_eq!(slots[0], slots[1]);
+
+    // And the input comes back: re-created, re-read, answered.
+    let answers = execute(Config::new(2), move |worker| {
+        let manager = &mut Manager::new();
+        let mut answers = Vec::new();
+        for epoch in 1..=2 {
+            run(manager, worker, create("edges", Some(1)));
+            run(manager, worker, install_paths());
+            for edge in [[1, 2], [2, 3], [3, 4], [2, 5]] {
+                let (name, row) = ("edges".to_string(), row(&edge));
+                run(manager, worker, Command::Update { name, row, diff: 1 });
+            }
+            run(manager, worker, Command::AdvanceTime { epoch });
+            let name = "paths".to_string();
+            let Response::Rows(rows) = run(manager, worker, Command::Query { name }) else {
+                panic!("a query answers with rows");
+            };
+            answers.push(rows);
+            for name in ["paths", "edges"] {
+                run(manager, worker, uninstall(name));
+            }
+        }
+        answers
+    });
+    for round in 0..2 {
+        let answer = merged(answers.iter().map(|shards| shards[round].clone()));
+        assert_eq!(answer, [(row(&[3, 2, 1, 4]), 1)], "1 → 2 → 3 → 4");
+    }
+
+    // Numbering: a memo's own requirements are numbered before it.
+    execute(Config::new(1), move |worker| {
+        let mut manager = Manager::new();
+        manager.execute(worker, create("edges", Some(1))).unwrap();
+        manager.execute(worker, install_paths()).unwrap();
+        let name = |key| manager.arrangement_name(&key);
+        assert_eq!(name(by_dst()).as_deref(), Some("plan-arr-1"));
+        assert_eq!(name(by_end()).as_deref(), Some("plan-arr-2"));
+    });
+}
+
 /// `Reduce { key_arity: 0 }` is a global aggregate: one row with an empty key — just
 /// the aggregate — that follows insertions and retractions, and no row at all once the
 /// input is empty. TPC-H Q6 is this shape.
@@ -969,10 +1129,6 @@ fn install_after_load_answers_as_install_before_load() {
     }
 }
 
-/// An install that fails *after* memo dataflows were created rolls them back. The
-/// manager's reserved "plan-memo-…" names live in the worker's shared dataflow
-/// namespace, so a user query named like the next memo dataflow makes the query's own
-/// install fail after its memo was ensured — and must leave no memo state behind.
 /// One seeded stream: edge churn under two standing queries, a third installed and
 /// retired mid-stream, every live query asked every epoch.
 fn idle_turn_stream() -> Vec<Command> {
@@ -1041,8 +1197,8 @@ fn idle_turn_stream() -> Vec<Command> {
     stream
 }
 
-/// Runs `stream` on `workers` workers the way a server worker does (settle ahead of a
-/// `Query`), taking `Manager::idle_turn`s between commands at random — per worker, from
+/// Runs `stream` on `workers` workers the way a server worker does (`execute` alone,
+/// which settles ahead of a `Query`), taking `Manager::idle_turn`s between commands at random — per worker, from
 /// its own seed, as real workers idle on their own — when `idle_seed` is given. Returns,
 /// per worker, every query's answer shard in stream order and every catalog
 /// arrangement's `(name, len)` once the stream has ended and merges have drained.
@@ -1063,9 +1219,6 @@ fn run_with_idle_turns(
                 for _ in 0..rng.gen_range(0..4u8) {
                     busy_turns += usize::from(manager.idle_turn());
                 }
-            }
-            if matches!(command, Command::Query { .. }) {
-                manager.settle(worker);
             }
             if let Response::Rows(rows) = manager.execute(worker, command.clone()).unwrap() {
                 answers.push(rows);
@@ -1113,6 +1266,10 @@ fn idle_turns_change_no_answer_and_no_arrangement_size() {
     }
 }
 
+/// An install that fails *after* memo dataflows were created rolls them back. The
+/// manager's reserved "plan-memo-…" names live in the worker's shared dataflow
+/// namespace, so a user query named like the next memo dataflow makes the query's own
+/// install fail after its memo was ensured — and must leave no memo state behind.
 #[test]
 fn failed_install_rolls_back_created_memos() {
     execute(Config::new(1), |worker| {
@@ -1137,6 +1294,144 @@ fn failed_install_rolls_back_created_memos() {
         assert!(manager.uninstall(worker, "q").unwrap());
         assert!(manager.uninstall(worker, "edges").unwrap());
     });
+}
+
+/// Failure atomicity, one table over the three kinds of maintained arrangement. Every
+/// dataflow the manager builds lives in the worker's one dataflow namespace, so a query
+/// squatting on the name the manager will pick next makes the build fail at a chosen
+/// point: an input's base (`plan-input-x`), the *second* memo an install needs (after
+/// the first was created and a retained one was about to gain a dependant), and the
+/// query's own dataflow (after its memo was created). Each failed command must leave
+/// the catalog, the worker's dataflows, the inputs, the memo count and every surviving
+/// memo's dependants exactly as they were — and the manager usable: with the squatter
+/// gone (or the name no longer next) the same command succeeds.
+#[test]
+fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
+    let create = |name: &str| Command::CreateInput {
+        name: name.to_string(),
+        key_arity: None,
+    };
+    let install = |name: &str, plan: Plan, locals: &[&str]| Command::Install {
+        name: name.to_string(),
+        plan,
+        locals: locals.iter().map(|local| local.to_string()).collect(),
+    };
+    // Imports `edges` by source (memo 1, retained by the standing query), then needs
+    // `left` and `right` re-keyed too: memos 2 and 3, in that order.
+    let three_stage = || {
+        lookup("edges", "probe-args")
+            .join(Plan::source("left"), vec![(1, 0)])
+            .join(Plan::source("right"), vec![(2, 0)])
+    };
+    let one_stage = || lookup("edges", "probe-args").join(Plan::source("left"), vec![(1, 0)]);
+    let cases = [
+        ("base", Some("plan-input-x"), create("x")),
+        (
+            "second memo",
+            Some("plan-memo-3"),
+            install("probe", three_stage(), &["probe-args"]),
+        ),
+        (
+            "query",
+            None,
+            install("plan-memo-2", one_stage(), &["probe-args"]),
+        ),
+    ];
+    for (kind, squatter, command) in cases {
+        execute(Config::new(1), move |worker| {
+            let mut manager = Manager::new();
+            let run = |manager: &mut Manager, worker: &mut Worker, command: Command| {
+                manager.execute(worker, command)
+            };
+            for input in ["edges", "left", "right"] {
+                run(&mut manager, worker, create(input)).unwrap();
+            }
+            let standing = install("standing", two_hop("edges", "args"), &["args"]);
+            run(&mut manager, worker, standing).unwrap();
+            if let Some(name) = squatter {
+                let squat = install(name, Plan::source("edges"), &[]);
+                run(&mut manager, worker, squat).unwrap();
+            }
+            let memos = ["edges", "left", "right"].map(edges_by_src);
+            let state = |manager: &Manager, worker: &Worker| {
+                (
+                    manager.catalog().names(),
+                    worker.installed(),
+                    manager.input_names(),
+                    manager.memo_count(),
+                    memos.clone().map(|key| manager.memo_uses(&key)),
+                )
+            };
+            let before = state(&manager, worker);
+            assert_eq!(before.4, [Some(1), None, None], "{kind}");
+
+            let failed = run(&mut manager, worker, command.clone());
+            assert!(
+                matches!(failed, Err(PlanError::Catalog(_))),
+                "{kind}: {failed:?}"
+            );
+            assert_eq!(state(&manager, worker), before, "{kind}");
+
+            if let Some(name) = squatter {
+                let name = name.to_string();
+                run(&mut manager, worker, Command::Uninstall { name }).unwrap();
+            }
+            run(&mut manager, worker, command.clone()).unwrap();
+        });
+    }
+}
+
+/// `Install { locals }` may repeat a name — validation and the wire decoder both accept
+/// it, reading the list as a set — and the query then holds one input operator for it,
+/// exactly as if it had been named once.
+#[test]
+fn a_repeated_local_is_one_input() {
+    execute(Config::new(1), |worker| {
+        let mut manager = Manager::new();
+        manager
+            .create_input_keyed(worker, "edges", Some(1))
+            .unwrap();
+        let mut operators_with = |locals: &[&str]| {
+            let locals = locals.iter().map(|local| local.to_string()).collect();
+            manager
+                .install(worker, "q", lookup("edges", "a"), locals)
+                .unwrap();
+            assert_eq!(manager.input_names(), ["a", "edges"]);
+            let operators = worker.live_operator_count();
+            assert!(manager.uninstall(worker, "q").unwrap());
+            operators
+        };
+        assert_eq!(operators_with(&["a", "a"]), operators_with(&["a"]));
+    });
+}
+
+/// Settling is `execute`'s business: the seeded stream run through `execute` alone
+/// answers, per worker and at every epoch, exactly as the same stream with every
+/// `Query` done by hand as `settle` then `query` — on one worker and on two.
+#[test]
+fn execute_alone_answers_as_settle_then_query() {
+    let stream = idle_turn_stream();
+    for workers in [1, 2] {
+        let executed = run_with_idle_turns(workers, &stream, None);
+        let stream = stream.clone();
+        let by_hand = execute(Config::new(workers), move |worker| {
+            let mut manager = Manager::new();
+            let mut answers = Vec::new();
+            for command in &stream {
+                if let Command::Query { name } = command {
+                    manager.settle(worker);
+                    answers.push(manager.query(name).unwrap());
+                } else {
+                    manager.execute(worker, command.clone()).unwrap();
+                }
+            }
+            answers
+        });
+        for (index, (executed, by_hand)) in executed.iter().zip(&by_hand).enumerate() {
+            assert_eq!(by_hand.len(), 2 * 160 + 40);
+            assert_eq!(&executed.0, by_hand, "{workers} workers, worker {index}");
+        }
+    }
 }
 
 /// Install-time validation rejects malformed plans and name misuse without touching

@@ -9,14 +9,14 @@
 //! replaying the log reproduces the server's state exactly.
 //!
 //! Replaying from the beginning of time would make restart cost proportional to
-//! history, so the server checkpoints. A [`StateTracker`] maintains the collapsed
+//! history, so the server checkpoints. A `StateTracker` maintains the collapsed
 //! state a log prefix denotes: live inputs, installed plans, and the contents of every
 //! input with history folded to a single epoch. Everything it does per epoch costs
 //! O(epoch), never O(state): an update is folded through its map entry and the entry
 //! is removed the moment its diff reaches zero.
 //!
 //! **Who owns the tracker.** The `kpg-server-checkpoint` thread, on its own stack —
-//! seeded by [`recover`], never shared, never cloned, behind no lock. The commit path
+//! seeded by `recover`, never shared, never cloned, behind no lock. The commit path
 //! (`commit.rs`: who starts that thread, what crosses its channel, when it degrades
 //! the core) feeds it whole sealed epochs of *successful*, WAL-logged completions in
 //! log order, so after it applies one its tracker is exactly the effect of WAL records
@@ -36,7 +36,7 @@
 //! longer than the state, i.e. ≤ 2× the state. [`DurabilityConfig::checkpoint_every`]
 //! is the floor, not the period. A checkpoint that fails past its retry budget leaves
 //! the count standing, so it is retried at the very next seal — under a fresh id, as
-//! every attempt is (see [`checkpoint`]): a run file a manifest may already name is
+//! every attempt is (see `checkpoint`): a run file a manifest may already name is
 //! never rewritten.
 //!
 //! WAL segments entirely below the committed watermark are then pruned. Recovery loads

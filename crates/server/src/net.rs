@@ -31,7 +31,7 @@
 //!   pinned as model tests in `tests/model_races.rs`.
 //!
 //! Wire-level failures behave as before: an undecodable or oversized frame is
-//! answered with [`Response::WireError`](kpg_wire::Response::WireError) in
+//! answered with [`Response::WireError`] in
 //! request order and the stream resumes at the next frame. EOF (or any socket
 //! error) disconnects the client, which uninstalls the queries it owned and
 //! nothing else.

@@ -1,5 +1,6 @@
-//! The worker loop: the log consumed in order, one step per command, every result
-//! deposited — and, while the log has nothing for it, bounded turns of trace
+//! The worker loop: the log consumed in order, one [`Manager::execute`] per command
+//! (which settles ahead of a `Query` itself — the loop knows no command by name), every
+//! result deposited — and, while the log has nothing for it, bounded turns of trace
 //! maintenance until none is left or the wait's allowance is spent ([`Slack`]), then a
 //! park.
 //!
@@ -86,17 +87,7 @@ impl ServerCore {
         let slack = Slack::default();
         let step = |command: &Command| {
             slack.command_arrived();
-            let mut manager = manager.borrow_mut();
-            // Settle before reading: Manager::query answers over everything sealed,
-            // i.e. every time strictly before the current epoch, which is exactly what
-            // settle brings into the query's result arrangement — so the answer is
-            // deterministic (and equal to a single-manager replay). The read applies no
-            // time filter: a settled arrangement holds nothing later, and compaction
-            // moves sealed times up to the current epoch.
-            if matches!(command, Command::Query { .. }) {
-                manager.settle(worker);
-            }
-            manager.execute(worker, command.clone())
+            manager.borrow_mut().execute(worker, command.clone())
         };
         // The wait between commands goes to the merges inserts left half-finished
         // (paper §4.2: the slack absorbs what per-batch fuel did not): a merge that

@@ -4,7 +4,7 @@
 //! In normal builds the functions here are `#[inline]` passthroughs — the only
 //! additions over raw `std::fs` are the blocking annotations the sync facade wants
 //! around fsyncs. Under `--features faults` the same seam becomes a deterministic
-//! fault injector: a [`faults::FaultPlan`] — installed programmatically by tests or
+//! fault injector: a `faults::FaultPlan` — installed programmatically by tests or
 //! from the `KPG_FAULT_PLAN` environment variable, mirroring the `KPG_MODEL_*`
 //! replay knobs — decides per operation whether to fail the Nth fsync, short-write
 //! K bytes, report `ENOSPC` after a cumulative write budget, fail a rename, or

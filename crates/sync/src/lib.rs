@@ -12,7 +12,7 @@
 //!   panics when a blocking syscall (fsync, socket IO) runs while a tracked lock is
 //!   held, unless the site opted in via [`blocking::allow_blocking`].
 //! * **`model` feature** — operations performed by a thread inside
-//!   [`model::explore`] route through an in-tree deterministic scheduler: exactly one
+//!   `model::explore` route through an in-tree deterministic scheduler: exactly one
 //!   runnable thread at a time, scheduling decisions taken by a seeded PCT-style
 //!   strategy or exhaustive small-bound enumeration, every blocking operation visible
 //!   to the scheduler (so real deadlocks are *detected*, not hung on), and every

@@ -1,9 +1,6 @@
 //! Antichains (frontiers) of partially ordered times.
 
 use crate::order::PartialOrder;
-use std::collections::HashMap;
-use std::fmt::Debug;
-use std::hash::Hash;
 
 /// A set of mutually incomparable elements, used as a *frontier*.
 ///
@@ -192,84 +189,6 @@ impl<'a, T> IntoIterator for AntichainRef<'a, T> {
     }
 }
 
-/// A multiset of times whose minimal elements form a frontier.
-///
-/// Each time carries a count of outstanding "capabilities"; the frontier is the antichain
-/// of minimal times with positive net count. This is how trace handles and operators
-/// summarise the read frontiers of many concurrent readers (paper §4.3).
-#[derive(Clone, Debug, Default)]
-pub struct MutableAntichain<T: Hash + Eq> {
-    counts: HashMap<T, i64>,
-    frontier: Vec<T>,
-}
-
-impl<T: PartialOrder + Clone + Hash + Eq + Debug> MutableAntichain<T> {
-    /// An empty mutable antichain.
-    pub fn new() -> Self {
-        MutableAntichain {
-            counts: HashMap::new(),
-            frontier: Vec::new(),
-        }
-    }
-
-    /// The current frontier: minimal times with positive count.
-    pub fn frontier(&self) -> AntichainRef<'_, T> {
-        AntichainRef::new(&self.frontier)
-    }
-
-    /// True iff some frontier element is less than or equal to `time`.
-    pub fn less_equal(&self, time: &T) -> bool {
-        self.frontier().less_equal(time)
-    }
-
-    /// True iff some frontier element is strictly less than `time`.
-    pub fn less_than(&self, time: &T) -> bool {
-        self.frontier().less_than(time)
-    }
-
-    /// True iff no times have positive count.
-    pub fn is_empty(&self) -> bool {
-        self.frontier.is_empty()
-    }
-
-    /// Applies a batch of `(time, count_delta)` updates and returns the frontier changes
-    /// as `(time, delta)` pairs: `-1` for removed frontier elements, `+1` for added ones.
-    pub fn update_iter(&mut self, updates: impl IntoIterator<Item = (T, i64)>) -> Vec<(T, i64)> {
-        let old_frontier = self.frontier.clone();
-        for (time, delta) in updates {
-            let entry = self.counts.entry(time).or_insert(0);
-            *entry += delta;
-            debug_assert!(*entry >= 0, "negative capability count");
-        }
-        self.counts.retain(|_, count| *count != 0);
-        self.rebuild();
-
-        let mut changes = Vec::new();
-        for time in old_frontier.iter() {
-            if !self.frontier.contains(time) {
-                changes.push((time.clone(), -1));
-            }
-        }
-        for time in self.frontier.iter() {
-            if !old_frontier.contains(time) {
-                changes.push((time.clone(), 1));
-            }
-        }
-        changes
-    }
-
-    fn rebuild(&mut self) {
-        self.frontier.clear();
-        for time in self.counts.keys() {
-            if !self.counts.keys().any(|other| other.less_than(time))
-                && !self.frontier.contains(time)
-            {
-                self.frontier.push(time.clone());
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,34 +241,5 @@ mod tests {
         let empty = Antichain::<u64>::new();
         assert!(lower.dominates(&empty));
         assert!(!empty.dominates(&lower));
-    }
-
-    #[test]
-    fn mutable_antichain_tracks_counts() {
-        let mut ma = MutableAntichain::new();
-        let changes = ma.update_iter([(3u64, 1), (5u64, 1)]);
-        assert_eq!(ma.frontier().elements(), &[3]);
-        assert!(changes.contains(&(3, 1)));
-
-        let changes = ma.update_iter([(3u64, -1)]);
-        assert_eq!(ma.frontier().elements(), &[5]);
-        assert!(changes.contains(&(3, -1)));
-        assert!(changes.contains(&(5, 1)));
-
-        let _ = ma.update_iter([(5u64, -1)]);
-        assert!(ma.is_empty());
-    }
-
-    #[test]
-    fn mutable_antichain_partial_order_frontier() {
-        let mut ma = MutableAntichain::new();
-        ma.update_iter([
-            (Product::new(0u64, 2u64), 1),
-            (Product::new(1u64, 0u64), 1),
-            (Product::new(1u64, 3u64), 1),
-        ]);
-        let mut frontier: Vec<_> = ma.frontier().iter().copied().collect();
-        frontier.sort();
-        assert_eq!(frontier, vec![Product::new(0, 2), Product::new(1, 0)]);
     }
 }

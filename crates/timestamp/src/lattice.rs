@@ -92,12 +92,6 @@ impl Lattice for () {
     fn meet(&self, _other: &Self) -> Self {}
 }
 
-/// Returns the pointwise meet of all elements, or `None` for an empty iterator.
-pub fn meet_all<'a, T: Lattice + Clone + 'a>(mut times: impl Iterator<Item = &'a T>) -> Option<T> {
-    let first = times.next()?.clone();
-    Some(times.fold(first, |acc, t| acc.meet(t)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,12 +130,5 @@ mod tests {
         let mut t = 3u64;
         t.advance_by(frontier.borrow());
         assert_eq!(t, 3);
-    }
-
-    #[test]
-    fn meet_all_folds() {
-        let times = [5u64, 3, 9];
-        assert_eq!(meet_all(times.iter()), Some(3));
-        assert_eq!(meet_all(std::iter::empty::<&u64>()), None);
     }
 }

@@ -8,8 +8,8 @@
 //!   greatest-lower-bound (`meet`) operations required of every timestamp type.
 //! * [`Timestamp`] — the bundle of traits the runtime requires, plus a `minimum()`.
 //! * [`Product`] — the product lattice used for iteration rounds inside `iterate` scopes.
-//! * [`Antichain`] and [`MutableAntichain`] — frontiers: sets of mutually incomparable
-//!   times describing "which times may still arrive".
+//! * [`Antichain`] — frontiers: sets of mutually incomparable times describing "which
+//!   times may still arrive".
 //! * [`Lattice::advance_by`] — the compaction function `rep_F(t) = ⨅_{f∈F} (t ⨆ f)` from
 //!   Appendix A of the paper, with its correctness and optimality theorems re-proved as
 //!   property tests in this crate's test suite.
@@ -29,7 +29,7 @@ pub mod product;
 pub mod rng;
 pub mod time;
 
-pub use antichain::{Antichain, AntichainRef, MutableAntichain};
+pub use antichain::{Antichain, AntichainRef};
 pub use lattice::Lattice;
 pub use order::{PartialOrder, TotalOrder};
 pub use product::Product;

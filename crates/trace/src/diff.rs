@@ -66,57 +66,6 @@ macro_rules! implement_diff_integer {
 
 implement_diff_integer!(i8, i16, i32, i64, i128, isize,);
 
-/// A pair of differences, combined coordinate-wise.
-///
-/// Useful when maintaining two aggregates at once (for example a sum and a count), the
-/// standard trick for maintaining averages incrementally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct DiffPair<A, B> {
-    /// The first difference.
-    pub first: A,
-    /// The second difference.
-    pub second: B,
-}
-
-impl<A, B> DiffPair<A, B> {
-    /// Creates a pair of differences.
-    pub fn new(first: A, second: B) -> Self {
-        DiffPair { first, second }
-    }
-}
-
-impl<A: Semigroup, B: Semigroup> Semigroup for DiffPair<A, B> {
-    fn plus_equals(&mut self, rhs: &Self) {
-        self.first.plus_equals(&rhs.first);
-        self.second.plus_equals(&rhs.second);
-    }
-    fn is_zero(&self) -> bool {
-        self.first.is_zero() && self.second.is_zero()
-    }
-}
-
-impl<A: Monoid, B: Monoid> Monoid for DiffPair<A, B> {
-    fn zero() -> Self {
-        DiffPair::new(A::zero(), B::zero())
-    }
-}
-
-impl<A: Abelian, B: Abelian> Abelian for DiffPair<A, B> {
-    fn negate(&mut self) {
-        self.first.negate();
-        self.second.negate();
-    }
-}
-
-impl<A: Multiply<isize, Output = A>, B: Multiply<isize, Output = B>> Multiply<isize>
-    for DiffPair<A, B>
-{
-    type Output = DiffPair<A, B>;
-    fn multiply(&self, rhs: &isize) -> Self::Output {
-        DiffPair::new(self.first.multiply(rhs), self.second.multiply(rhs))
-    }
-}
-
 impl Multiply<i64> for isize {
     type Output = isize;
     fn multiply(&self, rhs: &i64) -> isize {
@@ -142,19 +91,5 @@ mod tests {
         assert!(a.is_zero());
         assert_eq!((-4isize).negated(), 4);
         assert_eq!(3isize.multiply(&5isize), 15);
-    }
-
-    #[test]
-    fn diff_pair_is_coordinate_wise() {
-        let mut p = DiffPair::new(2isize, -1isize);
-        p.plus_equals(&DiffPair::new(-2, 1));
-        assert!(p.is_zero());
-        let mut q = DiffPair::new(1isize, 2isize);
-        q.negate();
-        assert_eq!(q, DiffPair::new(-1, -2));
-        assert_eq!(
-            DiffPair::new(2isize, 3isize).multiply(&2isize),
-            DiffPair::new(4, 6)
-        );
     }
 }

@@ -4,27 +4,27 @@
 //! that define a collection at any time `t` by accumulating the diffs of updates whose
 //! times are `<= t`. This crate commits to the paper's representation of a trace as an
 //! append-only logical list of **immutable indexed batches**, physically maintained by an
-//! LSM-like [`Spine`](spine::Spine) that merges batches of comparable size with a
+//! LSM-like [`Spine`] that merges batches of comparable size with a
 //! configurable, *amortized* amount of effort per introduced batch (§4.2).
 //!
 //! The pieces:
 //!
-//! * [`Description`](description::Description) — the `lower`/`upper`/`since` frontiers
+//! * [`Description`] — the `lower`/`upper`/`since` frontiers
 //!   that make a batch self-describing.
-//! * [`OrdValBatch`](ord_batch::OrdValBatch) — the one batch implementation: immutable,
+//! * [`OrdValBatch`] — the one batch implementation: immutable,
 //!   indexed by key, then value, each value carrying its `(time, diff)` history.
-//!   [`OrdKeyBatch`](ord_batch::OrdKeyBatch), for collections whose records are just
+//!   [`OrdKeyBatch`], for collections whose records are just
 //!   keys, is an alias for it at `V = ()`.
 //! * [`consolidation`] — the one sort/coalesce/drop-zero kernel that builders, merge-time
 //!   compaction and the public `consolidate*` functions all call.
-//! * [`Cursor`](cursor::Cursor) and [`CursorList`](cursor::CursorList) — navigation over
+//! * [`Cursor`] and [`CursorList`] — navigation over
 //!   one batch or the union of many.
-//! * [`Spine`](spine::Spine) — the amortized-merging trace, with logical compaction
+//! * [`Spine`] — the amortized-merging trace, with logical compaction
 //!   driven by reader frontiers (MVCC-style "vacuuming", §4.2 "Consolidation").
-//! * [`StoredLayer`](stored::StoredLayer) — a sealed layer spilled to a `kpg_store`
-//!   sorted-run file and read back through a streaming [`StoredCursor`](stored::StoredCursor),
+//! * [`StoredLayer`] — a sealed layer spilled to a `kpg_store`
+//!   sorted-run file and read back through a streaming [`StoredCursor`],
 //!   so a trace larger than its memory budget still answers through the same cursors.
-//! * [`Semigroup`]/[`Abelian`](diff::Abelian)/[`Multiply`](diff::Multiply) — the algebra
+//! * [`Semigroup`]/[`Abelian`]/[`Multiply`] — the algebra
 //!   required of the `diff` component.
 
 #![deny(missing_docs)]
