@@ -425,7 +425,8 @@ impl<R> QueryHandle<R> {
         &self.name
     }
 
-    /// The index of the query's dataflow within the worker.
+    /// The index of the query's dataflow: the ordinal of its construction, the same on
+    /// every worker and never reused.
     pub fn dataflow_index(&self) -> usize {
         self.dataflow
     }
@@ -471,8 +472,6 @@ impl QueryLifecycle for Worker {
         catalog.begin_install(name);
         let result = self.install(name, |builder| logic(builder, catalog));
         catalog.end_install();
-        // Resolve the slot after the install: retired slots are reused, so the index is
-        // not simply the pre-install dataflow count.
         let dataflow = self
             .installed_index(name)
             .expect("the query was just installed");

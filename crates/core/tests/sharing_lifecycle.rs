@@ -181,9 +181,10 @@ fn uninstall_releases_readers_and_preserves_survivors() {
 }
 
 /// Query churn end to end: many install/uninstall cycles against a published
-/// arrangement reuse dataflow slots (the slot table stays at its peak-live size),
-/// leave the catalog's reader table at its pre-churn size, and return the reader
-/// count to its baseline — on one worker and on two.
+/// arrangement leave the worker holding only what is live (the graph dataflow, plus the
+/// one query of the cycle while it runs) and the progress registry likewise, leave the
+/// catalog's reader table at its pre-churn size, and return the reader count to its
+/// baseline — on one worker and on two.
 #[test]
 fn query_churn_keeps_slots_and_reader_tables_bounded() {
     for workers in [1usize, 2] {
@@ -208,7 +209,7 @@ fn query_churn_keeps_slots_and_reader_tables_bounded() {
             worker.step_while(|| graph_probe.less_than(&edges.time()));
 
             let baseline_readers = catalog.reader_count("edges").unwrap();
-            let mut slot_high = 0usize;
+            let mut live_high = 0usize;
             let mut reader_slots_after_first = 0usize;
             let mut epoch = 1u64;
             for cycle in 0..cycles {
@@ -225,22 +226,25 @@ fn query_churn_keeps_slots_and_reader_tables_bounded() {
                 edges.advance_to(epoch);
                 let probe = query.result.clone();
                 worker.step_while(|| probe.less_than(&edges.time()));
-                slot_high = slot_high.max(worker.dataflow_count());
+                live_high = live_high.max(worker.live_dataflow_count());
                 if cycle == 0 {
                     reader_slots_after_first = catalog.reader_slots("edges").unwrap();
                 }
                 assert!(worker.uninstall_query(&name, &catalog));
             }
 
-            let final_slots = worker.dataflow_count();
+            // The registry is computation-wide: a step is where every worker is known
+            // to have retired the last query.
+            worker.step();
+            let final_registered = worker.shared_dataflow_entries();
             let final_live = worker.live_dataflow_count();
             let final_readers = catalog.reader_count("edges").unwrap();
             let final_reader_slots = catalog.reader_slots("edges").unwrap();
             (
                 baseline_readers,
-                slot_high,
+                live_high,
                 reader_slots_after_first,
-                final_slots,
+                final_registered,
                 final_live,
                 final_readers,
                 final_reader_slots,
@@ -248,18 +252,18 @@ fn query_churn_keeps_slots_and_reader_tables_bounded() {
         });
         for (
             baseline_readers,
-            slot_high,
+            live_high,
             reader_slots_after_first,
-            final_slots,
+            final_registered,
             final_live,
             final_readers,
             final_reader_slots,
         ) in observations
         {
-            // The graph dataflow plus exactly one reused query slot.
-            assert_eq!(slot_high, 2, "workers = {workers}");
-            assert_eq!(final_slots, 2, "workers = {workers}");
+            // The graph dataflow plus the one query of the cycle, then the graph alone.
+            assert_eq!(live_high, 2, "workers = {workers}");
             assert_eq!(final_live, 1, "workers = {workers}");
+            assert_eq!(final_registered, 1, "workers = {workers}");
             // Departed queries release their readers: the count returns to baseline and
             // the reader table never grows past its first-cycle high-water mark.
             assert_eq!(final_readers, baseline_readers, "workers = {workers}");

@@ -14,16 +14,14 @@ use crate::operator::BundleBox;
 
 /// A message sent between workers: a payload destined for an edge of a dataflow.
 ///
-/// Dataflow slots are reused after uninstall, so the address is the pair
-/// `(dataflow, generation)`: a message whose generation is older than the slot's current
-/// occupant is acknowledged and discarded by the receiver instead of being delivered to
-/// the wrong dataflow, and a message for a generation (or slot) the receiver has not yet
-/// constructed is buffered until it has.
+/// The address is the dataflow's ordinal: every worker constructs the same dataflows in
+/// the same order, and an ordinal is never handed out twice, so it names one dataflow on
+/// every worker for the whole computation. A receiver that has retired the dataflow
+/// acknowledges and discards the message; one that has not constructed it yet buffers the
+/// message until it has.
 pub struct RemoteMessage {
-    /// The index of the dataflow slot within the worker.
+    /// The ordinal of the dataflow the message is addressed to.
     pub dataflow: usize,
-    /// The generation of the slot's occupant the message is addressed to.
-    pub generation: u64,
     /// The edge (channel) within the dataflow the payload travels along.
     pub edge: usize,
     /// The type-erased payload.
@@ -106,7 +104,6 @@ mod tests {
             1,
             RemoteMessage {
                 dataflow: 0,
-                generation: 0,
                 edge: 3,
                 payload: Box::new(vec![1u64]),
             },

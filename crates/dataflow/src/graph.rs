@@ -71,28 +71,6 @@ pub struct DataflowGraph {
 }
 
 impl DataflowGraph {
-    /// Removes every node and channel from the graph, returning how many nodes were
-    /// retired.
-    ///
-    /// This is the structural half of uninstalling a dataflow: after `clear`, the graph
-    /// routes no payloads and schedules no operators, so the worker can drop the
-    /// operators' state (releasing, in particular, any trace handles they hold) while
-    /// the dataflow's index remains valid for late-arriving messages, which are
-    /// discarded.
-    pub fn clear(&mut self) -> usize {
-        let retired = self.nodes;
-        self.nodes = 0;
-        self.names.clear();
-        self.input_ports.clear();
-        self.edges.clear();
-        retired
-    }
-
-    /// True iff the graph holds no nodes (either never populated, or retired).
-    pub fn is_empty(&self) -> bool {
-        self.nodes == 0
-    }
-
     /// The edges leaving `node`.
     pub fn edges_from(&self, node: NodeId) -> impl Iterator<Item = (EdgeId, &EdgeDesc)> {
         self.edges

@@ -83,12 +83,9 @@ pub trait Operator: 'static {
     fn capabilities(&self, into: &mut Antichain<Time>);
 }
 
-/// A single emission: an edge, a destination, and a payload, stamped with the
-/// `(slot, generation)` of the dataflow that produced it so stale deliveries can be
-/// recognized and discarded.
+/// A single emission: an edge of the dataflow whose operator produced it, a destination,
+/// and a payload.
 pub(crate) struct Emission {
-    pub dataflow: usize,
-    pub generation: u64,
     pub edge: EdgeId,
     pub worker: Option<usize>,
     pub payload: BundleBox,
@@ -102,7 +99,6 @@ pub struct OutputContext<'a> {
     pub(crate) worker_index: usize,
     pub(crate) peers: usize,
     pub(crate) dataflow: usize,
-    pub(crate) generation: u64,
     pub(crate) node_outputs: &'a [EdgeId],
     pub(crate) emissions: &'a mut Vec<Emission>,
     pub(crate) fabric: &'a Fabric,
@@ -154,8 +150,6 @@ impl<'a> OutputContext<'a> {
     fn push(&mut self, edge: EdgeId, destination: Option<usize>, payload: BundleBox) {
         match destination {
             None => self.emissions.push(Emission {
-                dataflow: self.dataflow,
-                generation: self.generation,
                 edge,
                 worker: None,
                 payload,
@@ -167,7 +161,6 @@ impl<'a> OutputContext<'a> {
                     worker,
                     RemoteMessage {
                         dataflow: self.dataflow,
-                        generation: self.generation,
                         edge: edge.0,
                         payload,
                     },
@@ -195,7 +188,6 @@ pub fn drive_operator_work(
         worker_index,
         peers,
         dataflow: 0,
-        generation: 0,
         node_outputs: &outputs,
         emissions: &mut emissions,
         fabric: &fabric,

@@ -121,8 +121,8 @@ impl DataflowShared {
     /// observed before any install (possible only through direct use of this type)
     /// leaves the state in place rather than freeing it under live peers.
     ///
-    /// Each worker must call this at most once per dataflow (the worker's `retired` flag
-    /// guarantees it).
+    /// Each worker must call this at most once per dataflow (it does: retiring removes
+    /// the worker's instance, and the ordinal is never constructed again).
     pub fn retire(&self, worker: usize) -> bool {
         {
             let mut caps = self.capabilities.lock().expect("capability lock poisoned");

@@ -4,7 +4,7 @@ use kpg_sync::atomic::{AtomicBool, Ordering};
 use kpg_sync::mpsc::Receiver;
 use kpg_sync::{Arc, Barrier, Mutex};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::rc::Rc;
 
 use kpg_timestamp::{Antichain, Time};
@@ -36,57 +36,37 @@ impl Default for Config {
     }
 }
 
-/// The live generations of one dataflow slot: `(generation, progress state)` pairs.
-type SlotGenerations = Vec<(u64, Arc<DataflowShared>)>;
-
 /// State shared by all workers of one computation.
 pub(crate) struct Shared {
     pub workers: usize,
     pub barrier: Barrier,
     pub work_flags: Vec<AtomicBool>,
-    /// Per slot, the progress state of every generation with at least one live worker
-    /// instance. Entries are created by the first worker to install a generation and
+    /// The progress state of every dataflow with at least one live worker instance, by
+    /// ordinal. An entry is created by the first worker to construct the dataflow and
     /// removed by the last worker to retire it, so the registry holds O(live dataflows)
-    /// state regardless of how many generations have churned through a slot. Several
-    /// generations of one slot can coexist briefly when workers run ahead of each other
-    /// between synchronization points.
-    pub dataflows: Mutex<Vec<SlotGenerations>>,
+    /// state however many dataflows have come and gone.
+    pub dataflows: Mutex<HashMap<usize, Arc<DataflowShared>>>,
     pub fabric: Arc<Fabric>,
 }
 
 impl Shared {
-    /// The shared progress state for `(slot, generation)`, created on first request.
-    fn dataflow_shared(&self, slot: usize, generation: u64) -> Arc<DataflowShared> {
+    /// The shared progress state of dataflow `ordinal`, created on first request.
+    fn dataflow_shared(&self, ordinal: usize) -> Arc<DataflowShared> {
         let mut dataflows = self.dataflows.lock().expect("dataflow registry poisoned");
-        while dataflows.len() <= slot {
-            dataflows.push(Vec::new());
-        }
-        let entries = &mut dataflows[slot];
-        if let Some((_, shared)) = entries.iter().find(|(gen, _)| *gen == generation) {
-            return Arc::clone(shared);
-        }
-        let shared = Arc::new(DataflowShared::new());
-        entries.push((generation, Arc::clone(&shared)));
-        shared
+        Arc::clone(dataflows.entry(ordinal).or_default())
     }
 
-    /// Removes the registry entry for `(slot, generation)` once its `DataflowShared`
+    /// Removes the registry entry of dataflow `ordinal` once its `DataflowShared`
     /// reports that every installed worker has retired.
-    fn release_dataflow(&self, slot: usize, generation: u64) {
+    fn release_dataflow(&self, ordinal: usize) {
         let mut dataflows = self.dataflows.lock().expect("dataflow registry poisoned");
-        if let Some(entries) = dataflows.get_mut(slot) {
-            entries.retain(|(gen, _)| *gen != generation);
-        }
+        dataflows.remove(&ordinal);
     }
 
-    /// The total number of live `(slot, generation)` progress entries.
+    /// The number of live progress entries.
     fn dataflow_entries(&self) -> usize {
-        self.dataflows
-            .lock()
-            .expect("dataflow registry poisoned")
-            .iter()
-            .map(|entries| entries.len())
-            .sum()
+        let dataflows = self.dataflows.lock().expect("dataflow registry poisoned");
+        dataflows.len()
     }
 }
 
@@ -94,9 +74,8 @@ impl Shared {
 /// bookkeeping.
 struct DataflowInstance {
     shared: Arc<DataflowShared>,
-    /// Which occupancy of the slot this instance is. Bumped each time the slot is
-    /// reused; messages stamped with an earlier generation are discarded.
-    generation: u64,
+    /// The name it was installed under, if it was installed by name.
+    name: Option<String>,
     graph: DataflowGraph,
     operators: Vec<Box<dyn Operator>>,
     node_outputs: Vec<Vec<EdgeId>>,
@@ -115,11 +94,6 @@ struct DataflowInstance {
     /// Reusable result and working buffers for frontier recomputation.
     frontier_buffer: Vec<Vec<Antichain<Time>>>,
     frontier_scratch: FrontierScratch,
-    /// True once the dataflow has been uninstalled: its operators are dropped, its graph
-    /// is cleared, and any message still addressed to it is discarded. The slot itself
-    /// goes onto the worker's free list and is reused (under a bumped generation) by the
-    /// next install, so churn leaves the slot table at O(peak live dataflows).
-    retired: bool,
 }
 
 /// A single worker thread's handle onto the computation.
@@ -134,17 +108,17 @@ pub struct Worker {
     peers: usize,
     shared: Arc<Shared>,
     inbox: Receiver<RemoteMessage>,
-    dataflows: Vec<DataflowInstance>,
-    /// Slots whose occupant has been retired, available for reuse. All workers run the
-    /// same program, so their free lists evolve identically and every worker assigns the
-    /// same `(slot, generation)` to the same install.
-    free_slots: Vec<usize>,
-    /// The live (constructed, not retired) slots in installation order. Scheduling,
-    /// dirty-flag sweeps, and frontier advancement iterate this list, so per-step cost
-    /// is O(live dataflows) rather than O(ever-installed).
-    live_slots: Vec<usize>,
-    /// Remote messages addressed to a slot or generation this worker has not yet
-    /// constructed; re-examined once per scheduling round.
+    /// The live (constructed, not retired) dataflows by ordinal: the position of a
+    /// dataflow's construction among all this worker ever constructed. Every worker
+    /// constructs the same dataflows in the same order, so an ordinal names the same
+    /// dataflow on every worker whatever each has retired since, and it is never handed
+    /// out twice. Ordinal order is installation order; scheduling, dirty-flag sweeps and
+    /// frontier advancement iterate the map, so per-step cost is O(live dataflows).
+    dataflows: BTreeMap<usize, DataflowInstance>,
+    /// The ordinal the next dataflow constructed takes.
+    next_ordinal: usize,
+    /// Remote messages addressed to an ordinal this worker has not yet constructed;
+    /// re-examined once per scheduling round.
     pending: Vec<RemoteMessage>,
     installed: HashMap<String, usize>,
 }
@@ -161,9 +135,8 @@ impl Worker {
             peers,
             shared,
             inbox,
-            dataflows: Vec::new(),
-            free_slots: Vec::new(),
-            live_slots: Vec::new(),
+            dataflows: BTreeMap::new(),
+            next_ordinal: 0,
             pending: Vec::new(),
             installed: HashMap::new(),
         }
@@ -184,20 +157,21 @@ impl Worker {
     ///
     /// Every worker must construct the same dataflows in the same order.
     pub fn dataflow<R>(&mut self, logic: impl FnOnce(&mut DataflowBuilder) -> R) -> R {
-        self.build_dataflow(logic).1
+        self.build_dataflow(None, logic)
     }
 
-    /// Constructs a dataflow in the next available slot (reusing a retired slot under a
-    /// bumped generation when one is free) and returns `(slot, result)`.
-    fn build_dataflow<R>(&mut self, logic: impl FnOnce(&mut DataflowBuilder) -> R) -> (usize, R) {
-        let (slot, generation) = match self.free_slots.pop() {
-            Some(slot) => (slot, self.dataflows[slot].generation + 1),
-            None => (self.dataflows.len(), 0),
-        };
+    /// Constructs a dataflow under the next ordinal.
+    fn build_dataflow<R>(
+        &mut self,
+        name: Option<&str>,
+        logic: impl FnOnce(&mut DataflowBuilder) -> R,
+    ) -> R {
+        let ordinal = self.next_ordinal;
+        self.next_ordinal += 1;
         let mut builder = DataflowBuilder {
             worker_index: self.index,
             peers: self.peers,
-            dataflow_index: slot,
+            dataflow_index: ordinal,
             inner: Rc::new(RefCell::new(BuilderInner::default())),
         };
         let result = logic(&mut builder);
@@ -212,7 +186,7 @@ impl Worker {
         };
         let operators = std::mem::take(&mut inner.operators);
         drop(inner);
-        let shared = self.shared.dataflow_shared(slot, generation);
+        let shared = self.shared.dataflow_shared(ordinal);
         shared.install(graph.clone(), self.peers);
 
         let node_outputs = (0..graph.nodes)
@@ -228,7 +202,7 @@ impl Worker {
 
         let instance = DataflowInstance {
             shared,
-            generation,
+            name: name.map(str::to_string),
             graph,
             operators,
             node_outputs,
@@ -239,16 +213,12 @@ impl Worker {
             capability_scratch: Vec::new(),
             frontier_buffer: Vec::new(),
             frontier_scratch: FrontierScratch::default(),
-            retired: false,
         };
-        if slot == self.dataflows.len() {
-            self.dataflows.push(instance);
-        } else {
-            // Reuse: the retired occupant's residual state is replaced wholesale.
-            self.dataflows[slot] = instance;
+        self.dataflows.insert(ordinal, instance);
+        if let Some(name) = name {
+            self.installed.insert(name.to_string(), ordinal);
         }
-        self.live_slots.push(slot);
-        (slot, result)
+        result
     }
 
     /// Constructs a new dataflow registered under `name`, so that it can later be
@@ -261,51 +231,35 @@ impl Worker {
             !self.installed.contains_key(name),
             "a dataflow named {name:?} is already installed"
         );
-        let (slot, result) = self.build_dataflow(logic);
-        self.installed.insert(name.to_string(), slot);
-        result
-    }
-
-    /// The number of dataflow slots this worker has ever allocated (the slot-table
-    /// high-water mark). Retired slots are reused by later installs, so under
-    /// install/uninstall churn this is bounded by the peak number of *concurrently*
-    /// live dataflows, not by the total ever installed.
-    pub fn dataflow_count(&self) -> usize {
-        self.dataflows.len()
+        self.build_dataflow(Some(name), logic)
     }
 
     /// The number of currently live (constructed and not retired) dataflows.
     pub fn live_dataflow_count(&self) -> usize {
-        self.live_slots.len()
+        self.dataflows.len()
     }
 
     /// The number of operators in the currently live dataflows. Test support, like the
     /// counts around it: what tells a dataflow that built an operator nothing reads
     /// from one that did not.
     pub fn live_operator_count(&self) -> usize {
-        let live = self.live_slots.iter();
-        live.map(|&slot| self.dataflows[slot].graph.nodes).sum()
+        let live = self.dataflows.values();
+        live.map(|instance| instance.graph.nodes).sum()
     }
 
-    /// The generation of the current (or most recent) occupant of slot `index`: how many
-    /// times the slot has been reused.
-    pub fn dataflow_generation(&self, index: usize) -> u64 {
-        self.dataflows[index].generation
-    }
-
-    /// The number of remote messages buffered because they address a slot or generation
-    /// this worker has not yet constructed.
+    /// The number of remote messages buffered because they address an ordinal this
+    /// worker has not yet constructed.
     pub fn pending_remote_count(&self) -> usize {
         self.pending.len()
     }
 
-    /// The number of live `(slot, generation)` entries in the computation-wide progress
-    /// registry. Like the slot table, this is O(live dataflows) under churn.
+    /// The number of live entries in the computation-wide progress registry. Like the
+    /// worker's own map, this is O(live dataflows) under churn.
     pub fn shared_dataflow_entries(&self) -> usize {
         self.shared.dataflow_entries()
     }
 
-    /// The dataflow index registered under `name`, if any.
+    /// The dataflow index (its ordinal) registered under `name`, if any.
     pub fn installed_index(&self, name: &str) -> Option<usize> {
         self.installed.get(name).copied()
     }
@@ -313,113 +267,69 @@ impl Worker {
     /// The names of all currently installed (and not yet uninstalled) dataflows, in
     /// installation order.
     pub fn installed(&self) -> Vec<String> {
-        let mut names: Vec<(usize, &String)> = self
-            .installed
-            .iter()
-            .map(|(name, &index)| (index, name))
-            .collect();
-        names.sort_unstable();
-        names.into_iter().map(|(_, name)| name.clone()).collect()
+        let live = self.dataflows.values();
+        live.filter_map(|instance| instance.name.clone()).collect()
     }
 
     /// Uninstalls the dataflow registered under `name`, retiring it from the scheduler.
     /// Returns false if no such dataflow is installed.
     ///
-    /// Every worker must uninstall the same dataflows at the same point in the program,
-    /// mirroring the construction discipline of [`Worker::dataflow`].
+    /// Every worker must uninstall the same dataflows between the same two steps; in
+    /// which order among themselves is each worker's own business, since no address
+    /// depends on it.
     pub fn uninstall(&mut self, name: &str) -> bool {
         match self.installed.remove(name) {
-            Some(index) => {
-                self.drop_dataflow(index);
+            Some(ordinal) => {
+                self.drop_dataflow(ordinal);
                 true
             }
             None => false,
         }
     }
 
-    /// Retires the dataflow at `index`: drops its operators (releasing any state they
-    /// hold, notably trace handles and their read frontiers), removes its nodes and
-    /// channels from the graph, discards queued and late-arriving messages, and
-    /// withdraws this worker's capabilities so the dataflow's frontiers empty out.
+    /// Retires dataflow `ordinal`: removes its instance, which drops its operators with
+    /// its graph and queued messages, and withdraws this worker's capabilities so the
+    /// dataflow's frontiers empty out. Dropping the operators is what releases their
+    /// resources: trace agents held by import and arrange operators unregister their
+    /// read frontiers, letting shared spines compact past this dataflow's reads.
     ///
-    /// The slot goes onto the free list and is reused — under a bumped generation — by
-    /// the next dataflow constructed, so churn does not grow the slot table. In-flight
-    /// messages stamped with the retired generation are acknowledged and discarded when
-    /// they arrive. Handles obtained from the dataflow (inputs, probes, captures) remain
-    /// safe to hold but stop observing anything new.
-    pub fn drop_dataflow(&mut self, index: usize) {
-        let instance = &mut self.dataflows[index];
-        if instance.retired {
-            return;
-        }
-        // Keep the name registry consistent when called directly (not via `uninstall`):
-        // a retired dataflow must not stay listed, nor block its name from reuse.
-        self.installed.retain(|_, &mut i| i != index);
-        let instance = &mut self.dataflows[index];
-        instance.retired = true;
-        // Dropping the operators is what releases their resources: trace agents held by
-        // import and arrange operators unregister their read frontiers, letting shared
-        // spines compact past this dataflow's reads.
-        instance.operators.clear();
-        instance.queues.clear();
-        instance.node_outputs.clear();
-        instance.dirty.clear();
-        instance.last_frontiers.clear();
-        instance.graph.clear();
-        let generation = instance.generation;
+    /// The ordinal is never used again, so a message still in flight to it, or buffered
+    /// for it in `pending`, is discarded by `route_remote` when it is next looked at.
+    /// Handles obtained from the dataflow (inputs, probes, captures) remain safe to hold
+    /// but stop observing anything new.
+    fn drop_dataflow(&mut self, ordinal: usize) {
+        let instance = self.dataflows.remove(&ordinal);
+        let instance = instance.expect("a named dataflow is live");
         if instance.shared.retire(self.index) {
-            // Every installed worker has retired this generation: remove its entry from
-            // the computation-wide registry so shared progress state stays O(live).
-            self.shared.release_dataflow(index, generation);
+            // Every installed worker has retired it: remove its entry from the
+            // computation-wide registry so shared progress state stays O(live).
+            self.shared.release_dataflow(ordinal);
         }
-        self.live_slots.retain(|&slot| slot != index);
-        self.free_slots.push(index);
-        // Messages buffered for this generation (possible only if it was never fully
-        // constructed here before retiring) are now stale; drop them.
-        self.pending
-            .retain(|message| message.dataflow != index || message.generation > generation);
     }
 
-    /// Routes a received (already acknowledged) remote message: enqueues it for the
-    /// current occupant of its slot, discards it if it is addressed to an earlier
-    /// generation, or buffers it if this worker has not yet constructed the addressed
-    /// slot or generation. Returns true unless the message was buffered.
+    /// Routes a received (already acknowledged) remote message by the one number it is
+    /// addressed with: enqueues it if that dataflow is live here; discards it if the
+    /// ordinal is below the next one to construct, i.e. the dataflow was constructed and
+    /// has since retired; buffers it otherwise, until this worker's own construction
+    /// catches up. Returns true unless the message was buffered.
     fn route_remote(&mut self, message: RemoteMessage) -> bool {
-        match self.dataflows.get_mut(message.dataflow) {
-            None => {
-                // A slot this worker has not allocated yet: hold the message until the
-                // worker's own construction catches up.
-                self.pending.push(message);
-                false
-            }
-            Some(instance) => {
-                if message.generation < instance.generation
-                    || (message.generation == instance.generation && instance.retired)
-                {
-                    // Addressed to a prior (or already retired) occupant of the slot:
-                    // acknowledged by the caller, discarded here.
-                    true
-                } else if message.generation > instance.generation {
-                    // Addressed to a future occupant this worker has not installed yet.
-                    self.pending.push(message);
-                    false
-                } else {
-                    let edge = &instance.graph.edges[message.edge];
-                    instance.queues[edge.to.0].push_back((edge.port, message.payload));
-                    instance.dirty[edge.to.0] = true;
-                    true
-                }
-            }
+        if let Some(instance) = self.dataflows.get_mut(&message.dataflow) {
+            let edge = &instance.graph.edges[message.edge];
+            instance.queues[edge.to.0].push_back((edge.port, message.payload));
+            instance.dirty[edge.to.0] = true;
+        } else if message.dataflow >= self.next_ordinal {
+            self.pending.push(message);
+            return false;
         }
+        true
     }
 
     /// Runs operators locally until no more progress can be made without coordination.
     fn do_local_work(&mut self) -> bool {
         let mut did_anything = false;
         let mut emissions: Vec<Emission> = Vec::new();
-        // Retry messages buffered for a slot or generation that had not been constructed
-        // when they arrived; construction only happens between steps, so once per call
-        // suffices.
+        // Retry messages buffered for an ordinal that had not been constructed when they
+        // arrived; construction only happens between steps, so once per call suffices.
         if !self.pending.is_empty() {
             let pending = std::mem::take(&mut self.pending);
             for message in pending {
@@ -432,7 +342,7 @@ impl Worker {
             let mut progress = false;
 
             // Drain the remote inbox into local queues, acknowledging the whole sweep
-            // with one batched decrement. Messages addressed to a retired generation are
+            // with one batched decrement. Messages addressed to a retired dataflow are
             // acknowledged (so in-flight accounting stays exact) and discarded; messages
             // ahead of this worker's construction are buffered. Acking after routing is
             // safe: the count can only be transiently over-stated, which delays
@@ -445,11 +355,8 @@ impl Worker {
             }
             self.shared.fabric.acknowledge_n(received);
 
-            // Deliver queued payloads and run dirty operators, visiting live slots only.
-            for position in 0..self.live_slots.len() {
-                let slot = self.live_slots[position];
-                let instance = &mut self.dataflows[slot];
-                let generation = instance.generation;
+            // Deliver queued payloads and run dirty operators, in installation order.
+            for (&ordinal, instance) in self.dataflows.iter_mut() {
                 let DataflowInstance {
                     graph,
                     operators,
@@ -469,8 +376,7 @@ impl Worker {
                         let mut context = OutputContext {
                             worker_index: self.index,
                             peers: self.peers,
-                            dataflow: slot,
-                            generation,
+                            dataflow: ordinal,
                             node_outputs: &node_outputs[node],
                             emissions: &mut emissions,
                             fabric: &self.shared.fabric,
@@ -479,15 +385,10 @@ impl Worker {
                             progress = true;
                         }
                     }
-                    // Deliver local emissions produced by this operator. Operators cannot
-                    // retire dataflows mid-work, so the stamps always match; the check
-                    // mirrors the remote path and keeps stale deliveries impossible if
-                    // local delivery is ever deferred.
+                    // Deliver the local emissions this operator produced, before any
+                    // other operator runs: they are for edges of this very dataflow.
                     for emission in emissions.drain(..) {
                         debug_assert!(emission.worker.is_none());
-                        if emission.dataflow != slot || emission.generation != generation {
-                            continue;
-                        }
                         let edge: &EdgeDesc = &graph.edges[emission.edge.0];
                         queues[edge.to.0].push_back((edge.port, emission.payload));
                         dirty[edge.to.0] = true;
@@ -533,8 +434,7 @@ impl Worker {
         // withdrew their capabilities when they were dropped. The sweep reuses one
         // scratch row per dataflow (operators insert into caller-owned antichains), so
         // an idle step publishes nothing and allocates nothing.
-        for &slot in self.live_slots.iter() {
-            let instance = &mut self.dataflows[slot];
+        for instance in self.dataflows.values_mut() {
             let scratch = &mut instance.capability_scratch;
             scratch.resize_with(instance.operators.len(), Antichain::new);
             for (operator, capability) in instance.operators.iter().zip(scratch.iter_mut()) {
@@ -551,9 +451,7 @@ impl Worker {
         // the ones already delivered. Every worker sees the same version sequence at the
         // same step, so the skip decisions are identical across workers.
         let mut changed_any = false;
-        for position in 0..self.live_slots.len() {
-            let slot = self.live_slots[position];
-            let instance = &mut self.dataflows[slot];
+        for instance in self.dataflows.values_mut() {
             let version = instance.shared.version();
             if version == instance.last_progress_version {
                 continue;
@@ -595,10 +493,8 @@ impl Worker {
         // their user-supplied buffers, arrangements make progress on amortized merges.
         // Only live dataflows are swept, so step cost tracks the live count, not the
         // total ever installed.
-        for &slot in self.live_slots.iter() {
-            for flag in self.dataflows[slot].dirty.iter_mut() {
-                *flag = true;
-            }
+        for instance in self.dataflows.values_mut() {
+            instance.dirty.fill(true);
         }
         let worked = self.quiesce();
         let advanced = self.advance_frontiers();
@@ -615,24 +511,16 @@ impl Worker {
         }
     }
 
-    /// Test support: sends a raw, explicitly stamped message to `target`'s inbox through
-    /// the fabric, exactly as an exchange operator would. Lets tests exercise the
-    /// stale-generation and out-of-range delivery paths, which cannot arise through the
-    /// lockstep stepping discipline.
+    /// Test support: sends a raw, explicitly addressed message to `target`'s inbox
+    /// through the fabric, exactly as an exchange operator would. Lets tests exercise the
+    /// retired-ordinal and not-yet-constructed delivery paths, which cannot arise through
+    /// the lockstep stepping discipline.
     #[doc(hidden)]
-    pub fn inject_remote(
-        &self,
-        target: usize,
-        dataflow: usize,
-        generation: u64,
-        edge: usize,
-        payload: BundleBox,
-    ) {
+    pub fn inject_remote(&self, target: usize, dataflow: usize, edge: usize, payload: BundleBox) {
         self.shared.fabric.send(
             target,
             RemoteMessage {
                 dataflow,
-                generation,
                 edge,
                 payload,
             },
@@ -686,7 +574,8 @@ impl DataflowBuilder {
         self.peers
     }
 
-    /// The index of this dataflow within the computation.
+    /// The index of this dataflow within the computation: its ordinal, the same on every
+    /// worker and never reused.
     pub fn dataflow_index(&self) -> usize {
         self.dataflow_index
     }
@@ -722,23 +611,12 @@ impl DataflowBuilder {
 
     /// Connects `from`'s output to input `port` of `to`, using `from`'s output transform.
     pub fn connect(&mut self, from: NodeId, to: NodeId, port: usize) {
-        let transform = self.inner.borrow().output_transforms[from.0];
-        self.connect_with(from, to, port, transform);
-    }
-
-    /// Connects `from`'s output to input `port` of `to`, with an explicit transform.
-    pub fn connect_with(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        port: usize,
-        transform: EdgeTransform,
-    ) {
         let mut inner = self.inner.borrow_mut();
         assert!(
             !inner.sealed,
             "dataflow extended after construction finished"
         );
+        let transform = inner.output_transforms[from.0];
         inner.edges.push(EdgeDesc {
             from,
             to,
@@ -764,7 +642,7 @@ where
         workers,
         barrier: Barrier::new(workers),
         work_flags: (0..workers).map(|_| AtomicBool::new(false)).collect(),
-        dataflows: Mutex::new(Vec::new()),
+        dataflows: Mutex::new(HashMap::new()),
         fabric,
     });
     let logic = Arc::new(logic);

@@ -11,7 +11,7 @@
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 
-use kpg_wire::{Frame, FrameAssembler};
+use kpg_wire::{append_frame, Frame, FrameAssembler};
 
 /// What one [`FrameStream::fill`] pass learned about the stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -102,18 +102,16 @@ impl<S: Read + Write> FrameStream<S> {
         self.assembler.is_idle()
     }
 
-    /// Queues one outgoing frame (4-byte big-endian length prefix + payload).
-    /// Nothing is written until [`FrameStream::flush`] — callers coalesce several
-    /// responses per flush.
+    /// Queues one outgoing frame. Nothing is written until [`FrameStream::flush`] —
+    /// callers coalesce several responses per flush.
     ///
     /// # Panics
     ///
     /// If `payload` exceeds `u32::MAX` bytes (unrepresentable in the header).
     pub fn queue_frame(&mut self, payload: &[u8]) {
-        let length = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
-        self.out.extend_from_slice(&length.to_be_bytes());
-        self.out.extend_from_slice(payload);
-        self.out_frames.push_back(4 + payload.len());
+        let before = self.out.len();
+        append_frame(&mut self.out, payload);
+        self.out_frames.push_back(self.out.len() - before);
     }
 
     /// Bytes queued and not yet accepted by the socket.

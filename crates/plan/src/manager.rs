@@ -23,7 +23,7 @@
 //! rule lives here — [`Manager::execute`] settles ahead of a [`Command::Query`] — so a
 //! driver (`kpg_server`'s worker loop, [`replay`](crate::replay())) only executes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -253,9 +253,6 @@ struct Maintained {
     /// Direct dependants: queries and registry entries with this one among their
     /// requirements. Zero means cached-but-unused (retained until eviction).
     uses: usize,
-    /// Its place in the order this manager built things: whatever reads an arrangement,
-    /// by key or as rows, is younger than it — and the order is every worker's.
-    born: u64,
 }
 
 /// The merge work one [`Manager::idle_turn`] may do, in merge fuel units (source updates
@@ -271,14 +268,15 @@ const IDLE_TURN_FUEL: isize = 384;
 pub struct Manager {
     catalog: Catalog,
     epoch: u64,
-    /// Memos numbered so far (`plan-memo-N`), and arrangements of any kind built so far.
+    /// Memos numbered so far (`plan-memo-N`).
     counter: u64,
-    births: u64,
     inputs: HashMap<String, Input>,
-    /// Input bases and memoized sub-plans alike, by what they arrange and how.
+    /// Input bases and memoized sub-plans alike, by what they arrange and how. Looked
+    /// up, never acted on in iteration order: each worker thread hashes it for itself.
     shared: HashMap<ArrangeKey, Maintained>,
-    /// The installed queries' answers, by query name.
-    installed: HashMap<String, Maintained>,
+    /// The installed queries' answers, by query name — ordered, so that whichever one a
+    /// command singles out (the `user` of an `InputInUse`) is the same on every worker.
+    installed: BTreeMap<String, Maintained>,
 }
 
 impl Default for Manager {
@@ -294,10 +292,9 @@ impl Manager {
             catalog: Catalog::new(),
             epoch: 0,
             counter: 0,
-            births: 0,
             inputs: HashMap::new(),
             shared: HashMap::new(),
-            installed: HashMap::new(),
+            installed: BTreeMap::new(),
         }
     }
 
@@ -486,15 +483,15 @@ impl Manager {
         }
         // Evict every shared arrangement built on the departing input — its base, which
         // holds the input operator, among them. With no live query on the input, every
-        // dependant of one mentions the input too, so youngest first retires each before
-        // what it reads and the base last. The order must not be the map's: workers
-        // whose retirements differ hand the next installs different dataflow slots.
+        // dependant of one mentions the input too, and whatever reads an arrangement, by
+        // key or as rows, was built after it: so youngest dataflow first, for each to
+        // release its imports before what it reads is retired, the base last.
         let doomed = self.shared.iter();
         let doomed = doomed.filter(|(_, entry)| entry.sources.contains(name));
         let mut doomed: Vec<_> = doomed
-            .map(|(key, entry)| (entry.born, key.clone()))
+            .map(|(key, entry)| (worker.installed_index(&entry.dataflow), key.clone()))
             .collect();
-        doomed.sort_unstable_by_key(|(born, _)| std::cmp::Reverse(*born));
+        doomed.sort_unstable_by_key(|(ordinal, _)| std::cmp::Reverse(*ordinal));
         for (_, key) in doomed {
             self.evict(worker, &key);
         }
@@ -617,7 +614,6 @@ impl Manager {
         for handle in &mut handles {
             handle.advance_to(self.epoch);
         }
-        self.births += 1;
         let maintained = Maintained {
             dataflow,
             binding,
@@ -626,7 +622,6 @@ impl Manager {
             sources,
             inputs: locals.iter().cloned().collect(),
             uses: 0,
-            born: self.births,
         };
         Ok((maintained, handles))
     }
@@ -686,9 +681,7 @@ impl Manager {
 
     /// The names of the installed queries, sorted.
     pub fn installed_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.installed.keys().cloned().collect();
-        names.sort_unstable();
-        names
+        self.installed.keys().cloned().collect()
     }
 
     /// The names of the live inputs (shared and query-local), sorted.

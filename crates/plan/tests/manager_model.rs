@@ -196,7 +196,7 @@ fn two_plans_share_one_subtree_arrangement() {
         assert!(manager.uninstall(worker, "q3").unwrap());
 
         // Removing the input evicts the memo entries built on it and retires their
-        // dataflows; only the slot table remembers they existed.
+        // dataflows; nothing remembers they existed.
         let live_before = worker.live_dataflow_count();
         assert!(manager.uninstall(worker, "edges").unwrap());
         assert_eq!(manager.memo_count(), 0);
@@ -345,13 +345,13 @@ fn assert_churn_is_bounded(workers: usize, key_arity: Option<usize>) {
 
             let arrangement = manager.arrangement_name(&shared).unwrap();
             let marks = (
-                worker.dataflow_count(),
+                worker.live_dataflow_count(),
                 manager.catalog().reader_slots(&arrangement).unwrap(),
                 manager.memo_count(),
             );
             assert_eq!(marks, *first_burst.get_or_insert(marks), "burst {burst}");
-            // The computation-wide progress registry holds the live dataflows plus, for
-            // each churned slot, at most the one generation a peer has yet to retire.
+            // The computation-wide progress registry holds the live dataflows plus at most
+            // the next burst's queries, which a peer running ahead may have constructed.
             let live = worker.live_dataflow_count();
             let registered = worker.shared_dataflow_entries();
             assert!(
@@ -412,6 +412,36 @@ fn input_removal_is_blocked_while_a_query_reads_it() {
         assert!(manager.uninstall(worker, "q").unwrap());
         assert!(manager.uninstall(worker, "edges").unwrap());
     });
+}
+
+/// Which reader an `InputInUse` names is part of what a client sees, and the aggregator
+/// keeps the first worker's deposit: every worker must name the same one. A manager per
+/// round, so that an order drawn from a freshly hashed map would show.
+#[test]
+fn a_blocked_input_removal_names_one_user_on_every_worker() {
+    let users = execute(Config::new(2), |worker| {
+        let mut users = Vec::new();
+        for _ in 0..12 {
+            let mut manager = Manager::new();
+            manager.create_input(worker, "edges").unwrap();
+            for (query, args) in [("q-b", "args-b"), ("q-a", "args-a")] {
+                let plan = two_hop("edges", args);
+                manager
+                    .install(worker, query, plan, vec![args.into()])
+                    .unwrap();
+            }
+            let Err(PlanError::InputInUse { user, .. }) = manager.uninstall(worker, "edges") else {
+                panic!("two queries read the input");
+            };
+            users.push(user);
+            for name in ["q-a", "q-b", "edges"] {
+                assert!(manager.uninstall(worker, name).unwrap());
+            }
+        }
+        users
+    });
+    assert_eq!(users[0], users[1]);
+    assert_eq!(users[0], vec!["q-a"; 12], "the first reader by name");
 }
 
 /// One command stream, replayed identically on two workers: `Command::Update` shards
@@ -589,12 +619,13 @@ fn an_inputs_base_is_a_registry_entry() {
     });
 }
 
-/// Removing an input retires everything built on it in one order on every worker. The
-/// registry is a hash map whose iteration order each worker thread draws for itself, a
-/// memo that reads a base as rows holds no count on it, and a worker hands a retired
-/// dataflow's slot — which is how remote messages are addressed — to its next install,
-/// last retired first: so workers that retired in different orders would disagree on
-/// where the next dataflows live, and their progress would never meet.
+/// Removing an input retires everything built on it youngest first, and the next
+/// installs are addressed alike on every worker. The registry is a hash map whose
+/// iteration order each worker thread draws for itself, and a memo that reads a base as
+/// rows holds no count on it: the order is picked, by dataflow ordinal, so that each
+/// dependant releases its imports before what it reads is retired. Where the next
+/// dataflows live — how remote messages are addressed — is their ordinal, which no
+/// retirement order changes (`kpg_dataflow`'s `churn.rs` pins that on its own).
 ///
 /// Three-edge paths need a memo (two-edge paths, by end) built on a memo (`edges`, by
 /// destination) built on the base, and dependencies take the lower `plan-arr-N`.

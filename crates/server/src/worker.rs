@@ -94,8 +94,22 @@ impl ServerCore {
         // completes here needs no inline fuel at the next insert, is one batch fewer
         // for every cursor to seek, and frees its sources sooner. A tenth of the wait
         // (`Slack`); what that leaves undone, the next insert fuels inline as before.
+        //
+        // A worker with turns left does not sleep, and saved-up allowance is up to 250
+        // turns back to back (a deep merge's first waits). In about one server process
+        // in three on the ruler's two cores, something the epoch needs — the reactor,
+        // with the answer just deposited or the next request — is runnable on this
+        // worker's core and sat behind the whole run: the answer left 6–8 ms after its
+        // deposit though no step was slow, and `epoch_stream`'s slowest-tenth mean read
+        // 4.0–4.7 ms for that process against 1.5–2.0 (now 2.2–2.5 against 1.5–1.8).
+        // So a turn that leaves more to do ends by offering the core; with nobody
+        // waiting for it that is one short syscall per ≈ 35 µs turn.
         self.run(index, step, || {
-            slack.admits_turn() && manager.borrow().idle_turn()
+            let more = slack.admits_turn() && manager.borrow().idle_turn();
+            if more {
+                kpg_sync::thread::yield_now();
+            }
+            more
         });
     }
 

@@ -30,6 +30,19 @@ use std::io::{self, Read};
 
 use crate::frame::Frame;
 
+/// Appends one frame to `out`: the payload's length as a big-endian `u32`, then the
+/// payload — the layout [`FrameAssembler::ingest`] parses, written by every sender.
+///
+/// # Panics
+///
+/// If `payload` exceeds `u32::MAX` bytes (unrepresentable in the frame header).
+pub fn append_frame(out: &mut Vec<u8>, payload: &[u8]) {
+    let length = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
+    out.reserve(4 + payload.len());
+    out.extend_from_slice(&length.to_be_bytes());
+    out.extend_from_slice(payload);
+}
+
 /// Where the assembler is inside the byte stream.
 enum State {
     /// Collecting the 4-byte big-endian length prefix.

@@ -9,7 +9,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::assemble::FrameAssembler;
+use crate::assemble::{append_frame, FrameAssembler};
 
 /// One frame read from a stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -21,15 +21,16 @@ pub enum Frame {
     TooLarge(u64),
 }
 
-/// Writes one frame: the payload's length as a big-endian `u32`, then the payload.
+/// Writes one frame (see [`append_frame`]) with a single `write_all`, so that a socket
+/// with `TCP_NODELAY` set sends it as one segment and wakes its reader once, then flushes.
 ///
 /// # Panics
 ///
 /// If `payload` exceeds `u32::MAX` bytes (unrepresentable in the frame header).
 pub fn write_frame(writer: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let length = u32::try_from(payload.len()).expect("frame payload exceeds u32::MAX bytes");
-    writer.write_all(&length.to_be_bytes())?;
-    writer.write_all(payload)?;
+    let mut frame = Vec::new();
+    append_frame(&mut frame, payload);
+    writer.write_all(&frame)?;
     writer.flush()
 }
 

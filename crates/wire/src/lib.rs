@@ -28,7 +28,7 @@ pub mod assemble;
 pub mod codec;
 pub mod frame;
 
-pub use assemble::FrameAssembler;
+pub use assemble::{append_frame, FrameAssembler};
 pub use codec::{
     Reader, Response, WireCodec, WireError, DEFAULT_FRAME_LIMIT, MAX_COLUMN, MAX_DEPTH, VERSION,
 };

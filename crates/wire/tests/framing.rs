@@ -196,6 +196,32 @@ fn seeded_random_chunkings_yield_the_frames_written() {
     }
 }
 
+/// What `write_frame` hands its writer: the 4-byte big-endian length then the payload,
+/// in one `write` (one segment on a `TCP_NODELAY` socket, one wake-up for its reader).
+#[test]
+fn write_frame_writes_header_and_payload_at_once() {
+    struct Writes(Vec<Vec<u8>>);
+    impl io::Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+    for payload in [&b""[..], b"alpha", &[7u8; 300]] {
+        let mut expected = (payload.len() as u32).to_be_bytes().to_vec();
+        expected.extend_from_slice(payload);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, payload).unwrap();
+        assert_eq!(wire, expected);
+        let mut writes = Writes(Vec::new());
+        write_frame(&mut writes, payload).unwrap();
+        assert_eq!(writes.0, vec![expected]);
+    }
+}
+
 #[test]
 fn zero_length_payloads_and_clean_eof() {
     let mut script = Script::new(64);
