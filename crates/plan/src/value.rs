@@ -8,8 +8,6 @@
 use kpg_sync::{Arc, OnceLock};
 use std::fmt;
 
-use kpg_trace::StoreData;
-
 /// A single field of a [`Row`].
 ///
 /// The ordering (derived, variant order then payload) drives the sorted batch layout of
@@ -312,54 +310,6 @@ impl fmt::Display for Value {
             Value::UInt(value) => write!(f, "{value}"),
             Value::String(value) => write!(f, "{value:?}"),
         }
-    }
-}
-
-impl StoreData for Value {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        match self {
-            Value::Int(value) => {
-                bytes.push(0);
-                value.store(bytes);
-            }
-            Value::UInt(value) => {
-                bytes.push(1);
-                value.store(bytes);
-            }
-            Value::String(value) => {
-                bytes.push(2);
-                value.store(bytes);
-            }
-        }
-    }
-
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        match u8::load(bytes, pos)? {
-            0 => Some(Value::Int(i64::load(bytes, pos)?)),
-            1 => Some(Value::UInt(u64::load(bytes, pos)?)),
-            2 => Some(Value::String(String::load(bytes, pos)?)),
-            _ => None,
-        }
-    }
-}
-
-impl StoreData for Row {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        (self.fields().len() as u64).store(bytes);
-        for field in self.fields() {
-            field.store(bytes);
-        }
-    }
-
-    // The prefix/exact fields are derived, so only the field list is encoded;
-    // `Row::from` recomputes them on load.
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        let count = usize::load(bytes, pos)?;
-        let mut fields = Vec::with_capacity(count.min(bytes.len().saturating_sub(*pos)));
-        for _ in 0..count {
-            fields.push(Value::load(bytes, pos)?);
-        }
-        Some(Row::from(fields))
     }
 }
 

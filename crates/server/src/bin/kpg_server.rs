@@ -12,19 +12,57 @@
 //! and SIGINT/SIGTERM trigger a graceful shutdown: drain the engine, flush the WAL,
 //! write a final checkpoint, exit 0.
 
+use std::collections::BTreeMap;
+
 use kpg_server::{serve, DurabilityConfig, ServerConfig};
 use kpg_wire::DEFAULT_FRAME_LIMIT;
 
-fn arg(name: &str, default: &str) -> String {
-    let mut args = std::env::args();
-    while let Some(current) = args.next() {
-        if current == name {
-            if let Some(value) = args.next() {
-                return value;
-            }
+const USAGE: &str = "usage: kpg_server [--addr HOST:PORT] [--workers N] [--frame-limit BYTES] \
+     [--durable-dir DIR [--checkpoint-every COMMANDS] [--segment-bytes BYTES]]";
+
+const FLAGS: [&str; 6] = [
+    "--addr",
+    "--workers",
+    "--frame-limit",
+    "--durable-dir",
+    "--checkpoint-every",
+    "--segment-bytes",
+];
+
+/// Says what is wrong with the command line and exits non-zero. A server that guessed
+/// instead — ignoring a mistyped `--durable_dir` — would serve in memory and lose
+/// everything on exit without a word.
+fn usage_error(problem: &str) -> ! {
+    eprintln!("kpg_server: {problem}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The command line as `flag -> value`: every argument must be one of [`FLAGS`]
+/// followed by its value, each at most once.
+fn parse_args(mut args: impl Iterator<Item = String>) -> BTreeMap<String, String> {
+    let mut given = BTreeMap::new();
+    while let Some(flag) = args.next() {
+        if !FLAGS.contains(&flag.as_str()) {
+            usage_error(&format!("unknown argument {flag:?}"));
+        }
+        let Some(value) = args.next() else {
+            usage_error(&format!("{flag} needs a value"));
+        };
+        if given.insert(flag.clone(), value).is_some() {
+            usage_error(&format!("{flag} given twice"));
         }
     }
-    default.to_string()
+    given
+}
+
+/// The value given for `flag`, parsed, or `default` if it was not given.
+fn arg<T: std::str::FromStr>(given: &BTreeMap<String, String>, flag: &str, default: T) -> T {
+    match given.get(flag) {
+        None => default,
+        Some(value) => value
+            .parse()
+            .unwrap_or_else(|_| usage_error(&format!("{flag}: cannot read {value:?}"))),
+    }
 }
 
 /// Set by the signal handler; polled by the main loop. Signal-handler-safe: a relaxed
@@ -61,24 +99,16 @@ fn install_signal_handlers() {
 fn install_signal_handlers() {}
 
 fn main() {
-    let addr = arg("--addr", "127.0.0.1:6464");
-    let workers: usize = arg("--workers", "1").parse().expect("--workers: a number");
-    let frame_limit: usize = arg("--frame-limit", &DEFAULT_FRAME_LIMIT.to_string())
-        .parse()
-        .expect("--frame-limit: bytes");
-    let durable_dir = arg("--durable-dir", "");
-    let durability = if durable_dir.is_empty() {
-        None
-    } else {
-        let mut config = DurabilityConfig::new(&durable_dir);
-        config.checkpoint_every = arg("--checkpoint-every", &config.checkpoint_every.to_string())
-            .parse()
-            .expect("--checkpoint-every: a command count");
-        config.segment_bytes = arg("--segment-bytes", &config.segment_bytes.to_string())
-            .parse()
-            .expect("--segment-bytes: bytes");
-        Some(config)
-    };
+    let given = parse_args(std::env::args().skip(1));
+    let addr = arg(&given, "--addr", "127.0.0.1:6464".to_string());
+    let workers: usize = arg(&given, "--workers", 1);
+    let frame_limit: usize = arg(&given, "--frame-limit", DEFAULT_FRAME_LIMIT);
+    let durability = given.get("--durable-dir").map(|dir| {
+        let mut config = DurabilityConfig::new(dir);
+        config.checkpoint_every = arg(&given, "--checkpoint-every", config.checkpoint_every);
+        config.segment_bytes = arg(&given, "--segment-bytes", config.segment_bytes);
+        config
+    });
     let durable = durability.is_some();
 
     install_signal_handlers();

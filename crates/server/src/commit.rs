@@ -15,7 +15,10 @@
 //! type with no WAL — it stages nothing, assigns no WAL sequence number (so nothing
 //! enters its [`Seals`]), spawns no thread and reports all-zero health. No other
 //! module names the WAL, the tracker or the configuration. Checkpoints and recovery
-//! themselves are [`crate::durability`]'s.
+//! themselves are [`crate::durability`]'s: a checkpoint is one `ckpt-<id>.run` of
+//! wire-encoded commands committed by rename, and all this file knows of it is the id
+//! counter it carries from recovery (one above the newest committed file) to the
+//! checkpoint thread, which only ever raises it.
 
 use kpg_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use kpg_sync::blocking::allow_blocking;

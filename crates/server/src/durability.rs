@@ -21,11 +21,17 @@
 //! the core) feeds it whole sealed epochs of *successful*, WAL-logged completions in
 //! log order, so after it applies one its tracker is exactly the effect of WAL records
 //! up to that `AdvanceTime`'s sequence number — a consistent cut — and it writes
-//! checkpoints from that state in place:
+//! checkpoints from that state in place.
 //!
-//! * a sorted-run file of `(input, row, diff)` contents (`ckpt-<id>.run`), and
-//! * a [`Manifest`] naming the epoch, the WAL watermark, the inputs, and the installed
-//!   plans, committed by atomic rename (the manifest *is* the checkpoint).
+//! **A checkpoint is the log's prefix, compacted**: one `ckpt-<id>.run` file (a
+//! `kpg_store::run` file — block CRCs, footer validated at open) whose first entry is
+//! a header (the sealed epoch, the WAL watermark) and whose every other entry is a
+//! wire-encoded [`Command`], exactly what a WAL record's body is — create the inputs,
+//! install the plans, feed the sealed contents back as updates, advance to the sealed
+//! epoch. It is written under `ckpt-<id>.tmp`, fsynced, renamed, and the directory
+//! fsynced ([`RunWriter::commit`]); the rename is the commit point, and the newest
+//! `ckpt-*.run` in the directory *is* the checkpoint. No second file names it, so
+//! there is no pair of files to keep consistent.
 //!
 //! **Cadence.** A checkpoint rewrites the whole state, so one is due when the commands
 //! logged since the last *successful* one reach
@@ -35,16 +41,17 @@
 //! floor for tiny states), and recovery is at most one state load plus a WAL tail no
 //! longer than the state, i.e. ≤ 2× the state. [`DurabilityConfig::checkpoint_every`]
 //! is the floor, not the period. A checkpoint that fails past its retry budget leaves
-//! the count standing, so it is retried at the very next seal — under a fresh id, as
-//! every attempt is (see `checkpoint`): a run file a manifest may already name is
-//! never rewritten.
+//! the count standing, so it is retried at the very next seal — under a fresh, higher
+//! id, as every attempt is (see `checkpoint`): ids only rise, so "newest" is well
+//! defined whatever an earlier attempt left behind.
 //!
-//! WAL segments entirely below the committed watermark are then pruned. Recovery loads
-//! the manifest (if any), synthesizes a *bootstrap* command prefix — create the inputs,
-//! install the plans, feed the sealed contents back as updates, advance to the sealed
-//! epoch — and replays the WAL tail past the watermark on top. A crash on either side
-//! of the prune (manifest committed, segments not yet deleted) recovers identically:
-//! the watermark makes the extra prefix inert.
+//! Superseded checkpoints and WAL segments entirely below the committed watermark are
+//! then removed. Recovery opens the newest checkpoint (if any), decodes its entries
+//! into the *bootstrap* command prefix, folds them through `StateTracker::apply` —
+//! the fold live epochs go through — to seed the tracker, and replays the WAL tail
+//! past the watermark on top. A crash on either side of the prune (checkpoint
+//! committed, segments not yet deleted) recovers identically: the watermark makes the
+//! extra prefix inert.
 //!
 //! Recovered queries are owned by no client (their owners are gone); they persist
 //! until explicitly uninstalled. `Query` commands are never logged — they read state
@@ -56,16 +63,15 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use kpg_plan::{Command, Row};
-use kpg_store::bytes::{get_bytes, get_u64, put_bytes, put_u64};
+use kpg_store::bytes::{get_u64, put_u64};
 use kpg_store::run::DEFAULT_BLOCK_BYTES;
-use kpg_store::{Manifest, RunReader, RunWriter, StoreError, Wal};
-use kpg_trace::StoreData;
+use kpg_store::{RunReader, RunWriter, StoreError, Wal};
 use kpg_wire::WireCodec;
 
 /// Where and how a server persists its command log and checkpoints.
 #[derive(Clone, Debug)]
 pub struct DurabilityConfig {
-    /// The directory holding WAL segments, run files, and the manifest.
+    /// The directory holding WAL segments and the checkpoint file.
     pub dir: PathBuf,
     /// WAL segments rotate once they exceed this size.
     pub segment_bytes: u64,
@@ -247,59 +253,47 @@ impl StateTracker {
     pub(crate) fn note_checkpoint(&mut self) {
         self.since_checkpoint = 0;
     }
-
-    /// The command prefix that rebuilds this state through an ordinary manager:
-    /// inputs, then installs (completion order preserves dependencies), then the
-    /// sealed contents as updates (locals exist by then), then the epoch seal.
-    pub(crate) fn bootstrap_commands(&self) -> Vec<Command> {
-        let mut commands = Vec::new();
-        for (name, key_arity) in &self.inputs {
-            commands.push(Command::CreateInput {
-                name: name.clone(),
-                key_arity: *key_arity,
-            });
-        }
-        for install in &self.installs {
-            let command =
-                Command::decode(&install.encoded).expect("tracker-held install bytes decode");
-            commands.push(command);
-        }
-        for (name, contents) in &self.sealed {
-            for (row, diff) in contents {
-                commands.push(Command::Update {
-                    name: name.clone(),
-                    row: row.clone(),
-                    diff: *diff,
-                });
-            }
-        }
-        if self.epoch > 0 {
-            commands.push(Command::AdvanceTime { epoch: self.epoch });
-        }
-        commands
-    }
 }
 
-const TAG_CHECKPOINT: &str = "ckpt";
-const TAG_INPUT: &str = "input";
-const TAG_INSTALL: &str = "install";
-const TAG_RUN: &str = "run";
+/// What a durable directory of the previous layout holds; refused, never misread.
+const OLD_LAYOUT_MARKER: &str = "MANIFEST";
 
 fn run_file_name(id: u64) -> String {
     format!("ckpt-{id:016x}.run")
+}
+
+/// The name an attempt is written under until its rename commits it.
+fn temp_file_name(id: u64) -> String {
+    format!("ckpt-{id:016x}.tmp")
+}
+
+/// Every `ckpt-*` file in `dir`: its path, and its id if it is a committed
+/// `ckpt-<id>.run` (`None` for anything else — an attempt's temporary file).
+fn checkpoint_files(dir: &Path) -> io::Result<Vec<(PathBuf, Option<u64>)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(rest) = name.to_str().and_then(|name| name.strip_prefix("ckpt-")) else {
+            continue;
+        };
+        let id = rest
+            .strip_suffix(".run")
+            .and_then(|id| u64::from_str_radix(id, 16).ok());
+        files.push((entry.path(), id));
+    }
+    Ok(files)
 }
 
 /// Writes a checkpoint of `tracker` within the configured retry budget and returns the
 /// committed watermark so the caller can prune the WAL.
 ///
 /// Every *attempt* takes a fresh id from `next_id`, successful or not.
-/// [`Manifest::commit`] can fail after its rename (the directory fsync), so a failed
-/// attempt may have left a manifest in force that names the attempt's run file.
-/// Rewriting that file — from a tracker that has since applied more epochs, or torn by
-/// a crash mid-rewrite — would put newer contents under the old manifest's watermark,
-/// and recovery would replay the WAL tail on top of a state that already includes it.
-/// So a run file a manifest may name is never written twice; the orphans failed
-/// attempts leave are swept by the next commit.
+/// [`RunWriter::commit`] can fail after its rename (the directory fsync), so a failed
+/// attempt may have left its file in place — a complete, self-consistent checkpoint
+/// recovery may pick. The next attempt, cut from a tracker that may have applied more
+/// epochs since, takes a higher id: the newest file is always the newest state, and no
+/// attempt ever writes to a name recovery could be reading.
 pub(crate) fn checkpoint(
     config: &DurabilityConfig,
     tracker: &StateTracker,
@@ -314,156 +308,62 @@ pub(crate) fn checkpoint(
 }
 
 /// One attempt at a checkpoint of `tracker` (which always stands at an epoch seal)
-/// into `dir` under `checkpoint_id`: the contents run file, then the manifest commit,
-/// then removal of superseded run files.
+/// into `dir` under `id`: the header, then the command prefix that rebuilds the state
+/// through an ordinary manager — inputs, then installs (completion order preserves
+/// dependencies), then the sealed contents as updates (locals exist by then), then the
+/// epoch seal — streamed by reference, committed by rename; then removal of every
+/// other checkpoint file.
 ///
 /// Panics are avoided throughout: any I/O failure leaves a committed checkpoint in
-/// force — the previous one, or this one if only the directory fsync after the
-/// manifest rename failed.
-fn write_checkpoint(dir: &Path, tracker: &StateTracker, checkpoint_id: u64) -> io::Result<u64> {
+/// force — the previous one, or this one if only the directory fsync after the rename
+/// failed.
+fn write_checkpoint(dir: &Path, tracker: &StateTracker, id: u64) -> io::Result<u64> {
     let watermark = tracker
         .watermark
         .expect("checkpoints are cut only at epoch seals");
-    let run_name = run_file_name(checkpoint_id);
-    let mut writer = RunWriter::create(dir.join(&run_name), DEFAULT_BLOCK_BYTES)?;
+    let mut writer = RunWriter::create(dir.join(temp_file_name(id)), DEFAULT_BLOCK_BYTES)?;
+    // Entries are not keyed: a block may be cut before any of them.
     let mut entry = Vec::new();
-    for (name, contents) in &tracker.sealed {
-        let mut key_boundary = true;
-        for (row, diff) in contents {
-            entry.clear();
-            // A `StoreData` tuple is the concatenation of its fields: this is the
-            // `(String, Row, i64)` entry recovery loads, encoded by reference.
-            name.store(&mut entry);
-            row.store(&mut entry);
-            (*diff as i64).store(&mut entry);
-            writer.push(&entry, key_boundary)?;
-            key_boundary = false;
-        }
-    }
-    writer.finish()?;
-
-    let mut records = Vec::new();
-    let mut id_payload = Vec::new();
-    put_u64(&mut id_payload, checkpoint_id);
-    records.push((TAG_CHECKPOINT.to_string(), id_payload));
+    put_u64(&mut entry, tracker.epoch);
+    put_u64(&mut entry, watermark);
+    writer.push(&entry, true)?;
     for (name, key_arity) in &tracker.inputs {
-        let mut payload = Vec::new();
-        put_bytes(&mut payload, name.as_bytes());
-        match key_arity {
-            None => payload.push(0),
-            Some(arity) => {
-                payload.push(1);
-                put_u64(&mut payload, *arity as u64);
-            }
-        }
-        records.push((TAG_INPUT.to_string(), payload));
+        let create = Command::CreateInput {
+            name: name.clone(),
+            key_arity: *key_arity,
+        };
+        writer.push(&create.encode(), true)?;
     }
     for install in &tracker.installs {
-        records.push((TAG_INSTALL.to_string(), install.encoded.clone()));
+        writer.push(&install.encoded, true)?;
     }
-    let mut run_payload = Vec::new();
-    put_bytes(&mut run_payload, run_name.as_bytes());
-    records.push((TAG_RUN.to_string(), run_payload));
-
-    let manifest = Manifest {
+    for (name, contents) in &tracker.sealed {
+        for (row, diff) in contents {
+            entry.clear();
+            entry.push(kpg_wire::VERSION);
+            kpg_wire::encode_update_body(&mut entry, name, row, *diff);
+            writer.push(&entry, true)?;
+        }
+    }
+    let seal = Command::AdvanceTime {
         epoch: tracker.epoch,
-        wal_watermark: watermark,
-        records,
     };
-    manifest.commit(dir)?;
+    writer.push(&seal.encode(), true)?;
+    let committed = dir.join(run_file_name(id));
+    writer.commit(&committed)?;
 
-    // The new manifest is committed; superseded run files are garbage. Removal
-    // failures are harmless (they are re-collected by the next checkpoint).
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for dir_entry in entries.flatten() {
-            let name = dir_entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("ckpt-") && name.ends_with(".run") && name != run_name {
-                let _ = std::fs::remove_file(dir_entry.path());
-            }
+    // Superseded checkpoints and the temporary files failed attempts left are
+    // garbage. Removal failures are harmless: recovery picks the newest file, and the
+    // next checkpoint sweeps again.
+    for (path, _) in checkpoint_files(dir).unwrap_or_default() {
+        if path != committed {
+            let _ = kpg_store::io::remove_file(path);
         }
     }
     Ok(watermark)
 }
 
-/// Rebuilds a [`StateTracker`] from a committed manifest and its run file.
-fn tracker_from_manifest(dir: &Path, manifest: &Manifest) -> io::Result<(StateTracker, u64)> {
-    let corrupt = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-    let mut tracker = StateTracker {
-        epoch: manifest.epoch,
-        watermark: Some(manifest.wal_watermark),
-        ..StateTracker::default()
-    };
-    let mut checkpoint_id = 0u64;
-    let mut run_name = None;
-    for (tag, payload) in &manifest.records {
-        match tag.as_str() {
-            TAG_CHECKPOINT => {
-                let mut pos = 0;
-                checkpoint_id =
-                    get_u64(payload, &mut pos).ok_or_else(|| corrupt("manifest ckpt id"))?;
-            }
-            TAG_INPUT => {
-                let mut pos = 0;
-                let name = get_bytes(payload, &mut pos)
-                    .and_then(|bytes| String::from_utf8(bytes).ok())
-                    .ok_or_else(|| corrupt("manifest input name"))?;
-                let key_arity = match payload.get(pos) {
-                    Some(0) => None,
-                    Some(1) => {
-                        pos += 1;
-                        Some(
-                            get_u64(payload, &mut pos).ok_or_else(|| corrupt("input arity"))?
-                                as usize,
-                        )
-                    }
-                    _ => return Err(corrupt("manifest input arity tag")),
-                };
-                tracker.inputs.insert(name, key_arity);
-            }
-            TAG_INSTALL => {
-                let command =
-                    Command::decode(payload).map_err(|_| corrupt("manifest install command"))?;
-                let Command::Install { name, locals, .. } = &command else {
-                    return Err(corrupt("manifest install is not an Install"));
-                };
-                tracker.installs.push(InstallRecord {
-                    name: name.clone(),
-                    locals: locals.clone(),
-                    encoded: payload.clone(),
-                });
-            }
-            TAG_RUN => {
-                let mut pos = 0;
-                let name = get_bytes(payload, &mut pos)
-                    .and_then(|bytes| String::from_utf8(bytes).ok())
-                    .ok_or_else(|| corrupt("manifest run name"))?;
-                run_name = Some(name);
-            }
-            _ => {} // Unknown tags: forward compatibility, ignore.
-        }
-    }
-    if let Some(run_name) = run_name {
-        let mut reader = RunReader::open(dir.join(run_name))?;
-        for block in 0..reader.block_count() {
-            for entry in reader.read_block(block)? {
-                let mut pos = 0;
-                let (name, row, diff) = <(String, Row, i64)>::load(&entry, &mut pos)
-                    .filter(|_| pos == entry.len())
-                    .ok_or_else(|| corrupt("checkpoint run entry"))?;
-                tracker
-                    .sealed
-                    .entry(name)
-                    .or_default()
-                    .insert(row, diff as isize);
-            }
-        }
-    }
-    tracker.rows = tracker.sealed.values().map(|c| c.len() as u64).sum();
-    Ok((tracker, checkpoint_id))
-}
-
-/// Everything recovery hands the sequencer: the synthesized bootstrap prefix, the WAL
+/// Everything recovery hands the sequencer: the checkpointed bootstrap prefix, the WAL
 /// tail to replay on top, the open WAL, and the tracker seed the checkpoint thread
 /// continues the story from.
 pub(crate) struct Recovered {
@@ -477,27 +377,88 @@ pub(crate) struct Recovered {
     pub next_wal_seq: u64,
     /// The tracker, seeded with the checkpointed state.
     pub tracker: StateTracker,
-    /// The next checkpoint id to assign.
+    /// The next checkpoint id to assign: above every committed one, so ids only rise.
     pub next_checkpoint_id: u64,
 }
 
-/// Opens (or creates) the durable directory: loads the manifest, opens the WAL with
-/// torn-tail repair, and splits recovered records at the watermark.
+/// Loads the checkpoint at `path`: its commands in order, and the tracker they fold to.
+/// Any entry that does not decode, and a fold that does not end at the header's
+/// `(epoch, watermark)`, is corruption — block CRCs and the footer were already checked
+/// by the reader, so the file is whole and still wrong.
+fn load_checkpoint(path: &Path) -> io::Result<(Vec<Command>, StateTracker)> {
+    let corrupt = |what: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {what}", path.display()),
+        )
+    };
+    let mut reader = RunReader::open(path)?;
+    // `(epoch, watermark)`, once the first entry has been read.
+    let mut header = None;
+    let mut bootstrap = Vec::new();
+    let mut tracker = StateTracker::default();
+    for block in 0..reader.block_count() {
+        for entry in reader.read_block(block)? {
+            let Some((_, watermark)) = header else {
+                let mut pos = 0;
+                let fields = get_u64(&entry, &mut pos).zip(get_u64(&entry, &mut pos));
+                header = Some(fields.ok_or_else(|| corrupt("checkpoint header".into()))?);
+                continue;
+            };
+            let command = Command::decode(&entry)
+                .map_err(|error| corrupt(format!("checkpoint entry undecodable: {error}")))?;
+            // Every command of the prefix is reflected by the one watermark; only the
+            // sealing `AdvanceTime` records it.
+            tracker.apply(&command, watermark);
+            bootstrap.push(command);
+        }
+    }
+    let sealed_at = tracker.watermark.map(|mark| (tracker.epoch, mark));
+    if header.is_none() || header != sealed_at {
+        return Err(corrupt(
+            "checkpoint does not end at the epoch seal its header names".into(),
+        ));
+    }
+    tracker.note_checkpoint();
+    Ok((bootstrap, tracker))
+}
+
+/// Opens (or creates) the durable directory: loads the newest checkpoint, opens the
+/// WAL with torn-tail repair, and splits recovered records at the watermark.
 ///
 /// Records at or below the watermark are already reflected in the checkpoint and are
-/// skipped — this is what makes a crash *between* manifest commit and WAL pruning
-/// indistinguishable from one after it.
+/// skipped — this is what makes a crash *between* checkpoint commit and WAL pruning
+/// indistinguishable from one after it. The newest `ckpt-*.run` is the checkpoint and
+/// damage to it is an error, never a reason to fall back to an older one (whose WAL
+/// tail may already be pruned); a leftover `ckpt-*.tmp` was never committed and is
+/// removed.
 pub(crate) fn recover(config: &DurabilityConfig) -> io::Result<Recovered> {
     std::fs::create_dir_all(&config.dir)?;
-    let manifest = Manifest::load(&config.dir)?;
-    let (tracker, checkpoint_id) = match &manifest {
-        Some(manifest) => {
-            let (tracker, id) = tracker_from_manifest(&config.dir, manifest)?;
-            (tracker, id)
+    let old_layout = config.dir.join(OLD_LAYOUT_MARKER);
+    if old_layout.exists() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!(
+                "{}: this directory was written by an older on-disk layout, which this \
+                 server does not read; start from an empty directory",
+                old_layout.display()
+            ),
+        ));
+    }
+    let mut committed = Vec::new();
+    for (path, id) in checkpoint_files(&config.dir)? {
+        match id {
+            Some(id) => committed.push((id, path)),
+            None => drop(kpg_store::io::remove_file(path)),
         }
-        None => (StateTracker::default(), 0),
+    }
+    let (bootstrap, tracker, next_checkpoint_id) = match committed.into_iter().max() {
+        Some((id, path)) => {
+            let (bootstrap, tracker) = load_checkpoint(&path)?;
+            (bootstrap, tracker, id + 1)
+        }
+        None => (Vec::new(), StateTracker::default(), 1),
     };
-    let bootstrap = tracker.bootstrap_commands();
     let (wal, records) = Wal::open(&config.dir, config.segment_bytes)?;
     let watermark = tracker.watermark();
     let mut tail = Vec::new();
@@ -522,7 +483,7 @@ pub(crate) fn recover(config: &DurabilityConfig) -> io::Result<Recovered> {
         wal,
         next_wal_seq,
         tracker,
-        next_checkpoint_id: checkpoint_id + 1,
+        next_checkpoint_id,
     })
 }
 
@@ -564,6 +525,45 @@ mod tests {
         }
     }
 
+    /// The command prefix a checkpoint of `tracker` must hold, built the obvious way —
+    /// one owned `Command` per row, which the writer itself must not do: inputs, then
+    /// installs, then the sealed contents as updates, then the epoch seal.
+    fn bootstrap_commands(tracker: &StateTracker) -> Vec<Command> {
+        let mut commands = Vec::new();
+        for (name, key_arity) in &tracker.inputs {
+            commands.push(create(name, *key_arity));
+        }
+        for install in &tracker.installs {
+            commands.push(Command::decode(&install.encoded).expect("install bytes decode"));
+        }
+        for (name, contents) in &tracker.sealed {
+            for (row, diff) in contents {
+                commands.push(Command::Update {
+                    name: name.clone(),
+                    row: row.clone(),
+                    diff: *diff,
+                });
+            }
+        }
+        if tracker.watermark.is_some() {
+            commands.push(Command::AdvanceTime {
+                epoch: tracker.epoch,
+            });
+        }
+        commands
+    }
+
+    /// Every `ckpt-*` file name in `dir`, sorted.
+    fn checkpoint_file_names(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = checkpoint_files(dir)
+            .unwrap()
+            .into_iter()
+            .map(|(path, _)| path.file_name().unwrap().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     /// Applies `commands` (which must end with an `AdvanceTime`) as one sealed epoch
     /// whose WAL sequence numbers run from `first_seq`.
     fn seal(tracker: &mut StateTracker, first_seq: u64, commands: &[Command]) {
@@ -596,7 +596,7 @@ mod tests {
         assert_eq!(tracker.epoch, 2);
         assert_eq!(tracker.rows, 1);
 
-        let bootstrap = tracker.bootstrap_commands();
+        let bootstrap = bootstrap_commands(&tracker);
         assert_eq!(bootstrap.len(), 3); // create, one surviving update, advance
         assert!(matches!(&bootstrap[0], Command::CreateInput { name, .. } if name == "edges"));
         assert!(
@@ -661,48 +661,12 @@ mod tests {
         assert!(tracker.checkpoint_due(4));
     }
 
+    /// The checkpoint is the bootstrap prefix in the WAL's own vocabulary: after the
+    /// header, each entry is `Command::encode()` of the next bootstrap command, byte
+    /// for byte — so recovery needs no decoder of its own, and the by-reference
+    /// `Update` encoder the writer streams with cannot drift from the wire codec.
     #[test]
-    fn checkpoint_round_trips_through_manifest_and_run() {
-        let dir = temp_dir("roundtrip");
-        let mut tracker = StateTracker::default();
-        seal(
-            &mut tracker,
-            3,
-            &[
-                create("edges", Some(1)),
-                update("edges", vec![1, 2], 1),
-                update("edges", vec![2, 3], 1),
-                update("edges", vec![3, 1], 1),
-                Command::AdvanceTime { epoch: 1 },
-            ],
-        );
-
-        let watermark = write_checkpoint(&dir, &tracker, 3).unwrap();
-        assert_eq!(watermark, 7);
-
-        let manifest = Manifest::load(&dir).unwrap().unwrap();
-        let (recovered, checkpoint_id) = tracker_from_manifest(&dir, &manifest).unwrap();
-        assert_eq!(checkpoint_id, 3);
-        assert_eq!(recovered.epoch, 1);
-        assert_eq!(recovered.watermark(), Some(7));
-        assert_eq!(recovered.sealed, tracker.sealed);
-        assert_eq!(recovered.rows, tracker.rows);
-        assert_eq!(recovered.inputs, tracker.inputs);
-
-        // A second checkpoint removes the superseded run file.
-        assert!(dir.join(run_file_name(3)).exists());
-        write_checkpoint(&dir, &tracker, 4).unwrap();
-        assert!(!dir.join(run_file_name(3)).exists());
-        assert!(dir.join(run_file_name(4)).exists());
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// The on-disk format did not move: run entries written field by field are the
-    /// bytes the `(String, Row, i64)` tuple encoding produced, so a directory written
-    /// the old way loads to the same tracker and one written now recovers unchanged.
-    #[test]
-    fn run_entries_are_the_tuple_encoding_byte_for_byte() {
+    fn checkpoint_entries_are_the_bootstrap_commands_wire_encoded_byte_for_byte() {
         let mut tracker = StateTracker::default();
         seal(
             &mut tracker,
@@ -719,45 +683,37 @@ mod tests {
                 update("edges", vec![2, 3], 3),
                 update("names", vec![7], 2),
                 update("arg", vec![1, 1], 1),
+                Command::Update {
+                    name: "names".into(),
+                    row: Row::from(vec![Value::Int(-4), Value::String("x".into())]),
+                    diff: -2,
+                },
                 Command::AdvanceTime { epoch: 4 },
             ],
         );
-        let new_dir = temp_dir("format-new");
-        write_checkpoint(&new_dir, &tracker, 5).unwrap();
+        let dir = temp_dir("format");
+        write_checkpoint(&dir, &tracker, 5).unwrap();
 
-        // The parent's encoder: one owned tuple per row.
-        let old_dir = temp_dir("format-old");
-        let mut writer =
-            RunWriter::create(old_dir.join(run_file_name(5)), DEFAULT_BLOCK_BYTES).unwrap();
-        let mut entry = Vec::new();
-        for (name, contents) in &tracker.sealed {
-            let mut key_boundary = true;
-            for (row, diff) in contents {
-                entry.clear();
-                (name.clone(), row.clone(), *diff as i64).store(&mut entry);
-                writer.push(&entry, key_boundary).unwrap();
-                key_boundary = false;
-            }
-        }
-        writer.finish().unwrap();
+        let mut entries = RunReader::open(dir.join(run_file_name(5)))
+            .unwrap()
+            .read_all()
+            .unwrap();
+        let mut header = Vec::new();
+        put_u64(&mut header, 4); // the sealed epoch
+        put_u64(&mut header, 8); // the WAL sequence of its `AdvanceTime`
+        assert_eq!(entries.remove(0), header);
+        let expected = bootstrap_commands(&tracker);
+        assert_eq!(expected.len(), 9);
         assert_eq!(
-            std::fs::read(old_dir.join(run_file_name(5))).unwrap(),
-            std::fs::read(new_dir.join(run_file_name(5))).unwrap(),
-            "run files are byte-identical"
+            entries,
+            expected.iter().map(Command::encode).collect::<Vec<_>>()
         );
-        let manifest = Manifest::load(&new_dir).unwrap().unwrap();
-        let (from_old, id) = tracker_from_manifest(&old_dir, &manifest).unwrap();
-        assert_eq!(id, 5);
-        assert_eq!(from_old.bootstrap_commands(), tracker.bootstrap_commands());
-        assert_eq!(from_old.rows, tracker.rows);
 
-        let recovered = recover(&DurabilityConfig::new(&new_dir)).unwrap();
-        assert_eq!(recovered.bootstrap, tracker.bootstrap_commands());
+        let recovered = recover(&DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(recovered.bootstrap, expected);
         assert_eq!(recovered.next_checkpoint_id, 6);
         assert!(recovered.tail.is_empty());
-        for dir in [old_dir, new_dir] {
-            std::fs::remove_dir_all(dir).unwrap();
-        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -899,7 +855,9 @@ mod tests {
     /// as whole sealed epochs of successful completions — the way the checkpoint
     /// thread receives them. Which commands succeed is decided by a live `Manager`,
     /// exactly as on the server; failures consume a WAL sequence number and are
-    /// never handed over.
+    /// never handed over. Every tracker along the way is also checkpointed and
+    /// recovered: what comes back is the same prefix, the same tracker, and answers
+    /// as the original stream does.
     #[test]
     fn tracker_matches_a_naive_fold_and_bootstraps_the_same_answers() {
         const EPOCHS: u64 = 220;
@@ -975,6 +933,8 @@ mod tests {
         })
         .remove(0);
 
+        let dir = temp_dir("oracle");
+        let config = DurabilityConfig::new(&dir);
         let mut tracker = StateTracker::default();
         let mut log: Vec<Command> = Vec::new();
         let (mut cancelled, mut emptied, mut dropped_locals) = (0, 0, 0);
@@ -1014,58 +974,164 @@ mod tests {
                 .filter(|(_, c)| matches!(c, Command::Uninstall { name } if QUERIES.contains(&name.as_str())))
                 .count();
 
+            write_checkpoint(&dir, &tracker, epoch).expect("checkpoint");
+            let recovered = recover(&config).expect("recover");
+            assert_eq!(
+                recovered.bootstrap,
+                bootstrap_commands(&tracker),
+                "epoch {epoch}: the checkpoint holds the bootstrap prefix"
+            );
+            assert_eq!(
+                bootstrap_commands(&recovered.tracker),
+                recovered.bootstrap,
+                "epoch {epoch}: the recovered tracker folds to the same state"
+            );
+            assert_eq!(recovered.tracker.rows, tracker.rows);
+            assert_eq!(recovered.tracker.watermark(), tracker.watermark());
+            assert_eq!(recovered.tracker.since_checkpoint, 0);
+            assert_eq!(recovered.next_checkpoint_id, epoch + 1);
+            // Each commit swept the checkpoint it superseded.
+            assert_eq!(checkpoint_file_names(&dir), vec![run_file_name(epoch)]);
+
             let globals: Vec<String> = globals.into_keys().collect();
             let queries: Vec<String> = queries.into_keys().collect();
             assert_eq!(
-                answers(
-                    tracker.bootstrap_commands(),
-                    globals.clone(),
-                    queries.clone(),
-                    epoch
-                ),
+                answers(recovered.bootstrap, globals.clone(), queries.clone(), epoch),
                 answers(log.clone(), globals, queries, epoch),
                 "epoch {epoch}: the bootstrap answers as the original stream does"
             );
         }
         // The stream really went where the test claims it does.
         assert!(cancelled > 20 && emptied > 5 && dropped_locals > 5);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A checkpoint torn at any stage — the run-file write, the manifest temp-file
-    /// write (torn or out of space), its fsync, or the final rename — returns an
-    /// error and leaves the previous manifest in force; the identical retry then
-    /// commits cleanly (the injector counters reset with each plan).
+    /// A tracker one sealed epoch in: an input, a row, watermark 2.
+    fn one_epoch_tracker() -> StateTracker {
+        let mut tracker = StateTracker::default();
+        let commands = [
+            create("edges", None),
+            update("edges", vec![1, 2], 1),
+            Command::AdvanceTime { epoch: 1 },
+        ];
+        seal(&mut tracker, 0, &commands);
+        tracker
+    }
+
+    /// Seals `epoch` (the next one) with one new row: WAL sequences `2 * epoch - 1`
+    /// and `2 * epoch`, the latter the new watermark.
+    fn seal_one_more(tracker: &mut StateTracker, epoch: u64) {
+        let commands = [
+            update("edges", vec![epoch, epoch + 1], 1),
+            Command::AdvanceTime { epoch },
+        ];
+        seal(tracker, 2 * epoch - 1, &commands);
+    }
+
+    fn recover_error(dir: &Path) -> io::Error {
+        match recover(&DurabilityConfig::new(dir)) {
+            Ok(_) => panic!("recovery of {} must fail", dir.display()),
+            Err(error) => error,
+        }
+    }
+
+    /// A directory of the earlier two-file layout (it has a `MANIFEST`) is refused by
+    /// name — not read as this layout, and not treated as empty (which would serve an
+    /// empty state over someone's data and start pruning their WAL).
+    #[test]
+    fn a_directory_of_the_old_layout_is_refused() {
+        let dir = temp_dir("old-layout");
+        std::fs::write(dir.join("MANIFEST"), b"KPGMAN01 whatever it said").unwrap();
+        write_checkpoint(&dir, &one_epoch_tracker(), 1).unwrap();
+        let error = recover_error(&dir);
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let message = error.to_string();
+        assert!(
+            message.contains(&dir.join("MANIFEST").display().to_string())
+                && message.contains("start from an empty directory"),
+            "{message}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A crash before the rename leaves only `ckpt-<id>.tmp`: never committed, so never
+    /// read — whatever its id and however complete it looks — and removed.
+    #[test]
+    fn a_leftover_temp_file_is_ignored_and_removed() {
+        let dir = temp_dir("leftover-tmp");
+        let tracker = one_epoch_tracker();
+        write_checkpoint(&dir, &tracker, 1).unwrap();
+        // One torn attempt, and one that was complete but for its rename.
+        std::fs::write(dir.join(temp_file_name(2)), b"KPGRUN01 torn").unwrap();
+        std::fs::copy(dir.join(run_file_name(1)), dir.join(temp_file_name(9))).unwrap();
+
+        let recovered = recover(&DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(recovered.bootstrap, bootstrap_commands(&tracker));
+        assert_eq!(recovered.next_checkpoint_id, 2, "a temp file holds no id");
+        assert_eq!(checkpoint_file_names(&dir), vec![run_file_name(1)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The newest `ckpt-*.run` is the checkpoint. If it fails its footer or a block
+    /// CRC, that is disk corruption of committed data: an error, never a reason to
+    /// fall back to an older file — the WAL below the newest watermark may be pruned,
+    /// so the older state could not be caught up.
+    #[test]
+    fn a_damaged_newest_checkpoint_is_an_error_not_a_fallback() {
+        let dir = temp_dir("damaged-newest");
+        let mut tracker = one_epoch_tracker();
+        write_checkpoint(&dir, &tracker, 1).unwrap();
+        let older = std::fs::read(dir.join(run_file_name(1))).unwrap();
+        seal_one_more(&mut tracker, 2);
+        write_checkpoint(&dir, &tracker, 2).unwrap();
+        // The sweep of the older file "failed": it is still there, and intact.
+        std::fs::write(dir.join(run_file_name(1)), &older).unwrap();
+        let newest = dir.join(run_file_name(2));
+        let pristine = std::fs::read(&newest).unwrap();
+
+        let mut flipped = pristine.clone();
+        flipped[12 + 8 + 4] ^= 0x10; // inside the first block's payload
+        let truncated = &pristine[..pristine.len() - 3]; // the footer's magic is cut
+        for (damage, bytes) in [("block", &flipped[..]), ("footer", truncated)] {
+            std::fs::write(&newest, bytes).unwrap();
+            let error = recover_error(&dir);
+            assert_eq!(
+                error.kind(),
+                io::ErrorKind::InvalidData,
+                "{damage}: {error}"
+            );
+            assert!(
+                error.to_string().contains(&run_file_name(2)),
+                "{damage}: the error names the damaged file: {error}"
+            );
+        }
+        std::fs::write(&newest, &pristine).unwrap();
+        let recovered = recover(&DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(recovered.tracker.watermark(), Some(4));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checkpoint torn at any stage — the temp-file write (torn or out of space),
+    /// its fsync, or the rename that commits it — returns an error and leaves the
+    /// previous checkpoint in force, byte for byte; the identical retry then commits
+    /// cleanly (the injector counters reset with each plan). A failure *after* the
+    /// commit — the sweep of the superseded file — fails nothing: recovery picks the
+    /// newest file, and the next checkpoint sweeps the rest.
     #[cfg(feature = "faults")]
     #[test]
-    fn torn_checkpoint_leaves_previous_manifest_in_force() {
+    fn torn_checkpoint_leaves_previous_checkpoint_in_force() {
         use kpg_store::io::faults::FaultPlan;
         let dir = temp_dir("torn-ckpt");
-        let mut tracker = StateTracker::default();
-        seal(
-            &mut tracker,
-            0,
-            &[
-                create("edges", None),
-                update("edges", vec![1, 2], 1),
-                Command::AdvanceTime { epoch: 1 },
-            ],
-        );
+        let mut tracker = one_epoch_tracker();
         write_checkpoint(&dir, &tracker, 1).unwrap();
-        let committed = Manifest::load(&dir).unwrap().unwrap();
+        let committed = std::fs::read(dir.join(run_file_name(1))).unwrap();
 
-        seal(
-            &mut tracker,
-            3,
-            &[
-                update("edges", vec![2, 3], 1),
-                Command::AdvanceTime { epoch: 2 },
-            ],
-        );
+        seal_one_more(&mut tracker, 2);
         for plan in [
-            "write@1=short:5",  // the run file tears mid-write
+            "write@1=short:5",  // the temp file tears mid-write
             "write@1..=enospc", // the disk fills
-            "fsync@1=eio",      // the run file cannot be made durable
-            "rename@1=eio",     // the manifest commit point itself fails
+            "fsync@1=eio",      // the temp file cannot be made durable
+            "rename@1=eio",     // the commit point itself fails
         ] {
             let guard = FaultPlan::parse(plan).unwrap().scoped(&dir).install();
             assert!(
@@ -1074,9 +1140,9 @@ mod tests {
             );
             drop(guard);
             assert_eq!(
-                Manifest::load(&dir).unwrap().unwrap(),
+                std::fs::read(dir.join(run_file_name(1))).unwrap(),
                 committed,
-                "{plan}: the previous manifest must stay in force"
+                "{plan}: the previous checkpoint must stay in force"
             );
             let recovered = recover(&DurabilityConfig::new(&dir)).unwrap();
             assert_eq!(
@@ -1085,69 +1151,62 @@ mod tests {
                 "{plan}: recovery must see the old checkpoint"
             );
         }
-        // The identical retry, with the disk healthy again, commits.
-        write_checkpoint(&dir, &tracker, 2).unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap().unwrap().epoch, 2);
+        // The identical retry commits, though the sweep behind it fails.
+        let guard = FaultPlan::parse("remove@1=eio")
+            .unwrap()
+            .scoped(&dir)
+            .install();
+        assert_eq!(write_checkpoint(&dir, &tracker, 2).unwrap(), 4);
+        drop(guard);
+        assert_eq!(
+            checkpoint_file_names(&dir),
+            vec![run_file_name(1), run_file_name(2)],
+            "the superseded file could not be removed"
+        );
+        let recovered = recover(&DurabilityConfig::new(&dir)).unwrap();
+        assert_eq!(recovered.tracker.watermark(), Some(4), "newest wins");
+        assert_eq!(recovered.next_checkpoint_id, 3);
+        // The disk healthy again, the next checkpoint sweeps both.
+        write_checkpoint(&dir, &tracker, 3).unwrap();
+        assert_eq!(checkpoint_file_names(&dir), vec![run_file_name(3)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `Manifest::commit` can fail *after* its rename (the directory fsync), leaving a
-    /// manifest in force that names the failed attempt's run file. The retry — cut
-    /// from a tracker that has meanwhile applied another epoch, and itself failing —
-    /// must not touch that file: recovery has to find the contents the manifest's
-    /// watermark denotes, or the WAL tail is replayed onto a state that includes it.
+    /// [`RunWriter::commit`] can fail *after* its rename (the directory fsync): the
+    /// caller is told the attempt failed, yet its file is in place and is what a
+    /// crash would recover. The retry — cut from a tracker that has meanwhile applied
+    /// another epoch, and itself failing — must not touch that file: recovery has to
+    /// find contents and watermark that belong together, or the WAL tail is replayed
+    /// onto a state that already includes it. With one file per checkpoint and ids
+    /// that only rise there is no way to write that bug; this pins it.
     #[cfg(feature = "faults")]
     #[test]
-    fn a_failed_attempt_never_rewrites_a_run_file_a_manifest_may_name() {
+    fn a_failed_attempt_never_touches_a_checkpoint_recovery_may_pick() {
         use kpg_store::io::faults::FaultPlan;
         let dir = temp_dir("fresh-ids");
         let mut config = DurabilityConfig::new(&dir);
         config.retry = kpg_store::RetryPolicy::none();
         let mut next_id = 1;
-        let mut tracker = StateTracker::default();
-        seal(
-            &mut tracker,
-            0,
-            &[
-                create("edges", None),
-                update("edges", vec![1, 2], 1),
-                Command::AdvanceTime { epoch: 1 },
-            ],
-        );
+        let mut tracker = one_epoch_tracker();
         checkpoint(&config, &tracker, &mut next_id, "test").unwrap();
 
-        seal(
-            &mut tracker,
-            3,
-            &[
-                update("edges", vec![2, 3], 1),
-                Command::AdvanceTime { epoch: 2 },
-            ],
-        );
-        let at_epoch_2 = tracker.bootstrap_commands();
-        // Run file fsync, manifest temp fsync, rename, then the directory fsync fails.
-        let guard = FaultPlan::parse("fsync@3=eio")
+        seal_one_more(&mut tracker, 2);
+        let at_epoch_2 = bootstrap_commands(&tracker);
+        // Temp file fsync, rename, then the directory fsync fails.
+        let guard = FaultPlan::parse("fsync@2=eio")
             .unwrap()
             .scoped(&dir)
             .install();
         assert!(checkpoint(&config, &tracker, &mut next_id, "test").is_err());
         drop(guard);
-        let named = Manifest::load(&dir).unwrap().unwrap();
-        assert_eq!(named.epoch, 2, "the rename had already happened");
+        let in_place = std::fs::read(dir.join(run_file_name(2))).expect("the rename happened");
         assert!(
             tracker.checkpoint_stale(),
             "yet the caller was told it failed"
         );
 
         // Another epoch seals; the retry fails at its own commit point.
-        seal(
-            &mut tracker,
-            5,
-            &[
-                update("edges", vec![3, 4], 1),
-                Command::AdvanceTime { epoch: 3 },
-            ],
-        );
+        seal_one_more(&mut tracker, 3);
         let guard = FaultPlan::parse("rename@1=eio")
             .unwrap()
             .scoped(&dir)
@@ -1155,24 +1214,25 @@ mod tests {
         assert!(checkpoint(&config, &tracker, &mut next_id, "test").is_err());
         drop(guard);
         assert_eq!(next_id, 4, "every attempt took its own id");
+        assert_eq!(
+            std::fs::read(dir.join(run_file_name(2))).unwrap(),
+            in_place,
+            "the file the first attempt left was never touched"
+        );
 
-        // A crash here recovers epoch 2's manifest with epoch 2's contents.
+        // A crash here recovers epoch 2's watermark with epoch 2's contents.
         let recovered = recover(&config).unwrap();
         assert_eq!(recovered.tracker.watermark(), Some(4));
         assert_eq!(recovered.bootstrap, at_epoch_2);
-        // The new process may reuse the orphan's id: no manifest names it.
+        // The new process may reuse the failed retry's id: nothing was committed
+        // under it, and its temp file is gone.
         assert_eq!(recovered.next_checkpoint_id, 3);
 
         // The disk healthy again, the next attempt commits and sweeps the rest.
         checkpoint(&config, &tracker, &mut next_id, "test").unwrap();
-        assert_eq!(Manifest::load(&dir).unwrap().unwrap().epoch, 3);
-        let runs: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|entry| entry.file_name().to_string_lossy().into_owned())
-            .filter(|name| name.ends_with(".run"))
-            .collect();
-        assert_eq!(runs, vec![run_file_name(4)]);
+        assert_eq!(checkpoint_file_names(&dir), vec![run_file_name(4)]);
+        let recovered = recover(&config).unwrap();
+        assert_eq!(recovered.bootstrap, bootstrap_commands(&tracker));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1185,17 +1245,9 @@ mod tests {
         let dir = temp_dir("fresh-ids-retry");
         let config = DurabilityConfig::new(&dir);
         let mut next_id = 7;
-        let mut tracker = StateTracker::default();
-        seal(
-            &mut tracker,
-            0,
-            &[
-                create("edges", None),
-                update("edges", vec![1, 2], 1),
-                Command::AdvanceTime { epoch: 1 },
-            ],
-        );
-        let guard = FaultPlan::parse("fsync@3=eio")
+        let tracker = one_epoch_tracker();
+        // The first attempt's directory fsync fails, after its rename.
+        let guard = FaultPlan::parse("fsync@2=eio")
             .unwrap()
             .scoped(&dir)
             .install();
@@ -1206,9 +1258,13 @@ mod tests {
         drop(guard);
         assert_eq!(next_id, 9);
         let recovered = recover(&config).unwrap();
-        assert_eq!(recovered.next_checkpoint_id, 9, "the manifest names id 8");
-        assert_eq!(recovered.bootstrap, tracker.bootstrap_commands());
-        assert!(!dir.join(run_file_name(7)).exists(), "the orphan was swept");
+        assert_eq!(recovered.next_checkpoint_id, 9, "id 8 committed");
+        assert_eq!(recovered.bootstrap, bootstrap_commands(&tracker));
+        assert_eq!(
+            checkpoint_file_names(&dir),
+            vec![run_file_name(8)],
+            "the first attempt's file was swept"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -184,7 +184,7 @@ fn checkpoint_failures_degrade_count_and_reset() {
         c.install("tally", Plan::source("steps").distinct(), &[])
             .expect("install tally");
 
-        // Every manifest rename fails: checkpoints cannot commit, the WAL is fine.
+        // Every checkpoint rename fails: checkpoints cannot commit, the WAL is fine.
         let guard = FaultPlan::parse("rename@1..=eio")
             .unwrap()
             .scoped(&dir)
@@ -299,9 +299,10 @@ fn failed_checkpoint_is_retried_at_the_very_next_seal() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Failed WAL pruning must never degrade the server or lose state: the segments a
-/// checkpoint could not remove are made inert by the manifest watermark, so a
-/// restart recovers identically.
+/// Failed removal must never degrade the server or lose state: the segments a
+/// checkpoint could not prune are made inert by its watermark, and of the superseded
+/// checkpoint files it could not sweep recovery picks the newest, so a restart
+/// recovers identically.
 #[test]
 fn prune_failures_leave_recovery_intact() {
     let dir = temp_dir("prune-fail");

@@ -6,7 +6,7 @@
 //!
 //! * clean shutdown / restart (in-process, through [`serve`]),
 //! * `kill -9` mid-churn (a real child process, SIGKILL racing the epoch loop),
-//! * the checkpoint/WAL-truncation race (manifest committed, stale segments live),
+//! * the checkpoint/WAL-truncation race (checkpoint committed, stale segments live),
 //! * torn WAL tails (the segment cut or bit-flipped at byte granularity).
 //!
 //! One consequence of the ownership model shows up throughout: a client that
@@ -137,7 +137,8 @@ fn clean_shutdown_restart_answers_identically() {
 }
 
 /// Spawns the standalone `kpg_server` binary on an ephemeral port with `dir` as its
-/// durable directory and returns the child plus the address it printed.
+/// durable directory and returns the child plus the address it printed. Passes every
+/// flag the binary has (the last three at their defaults), so each must stay accepted.
 fn spawn_server_process(dir: &Path, checkpoint_every: u64) -> (Child, std::net::SocketAddr) {
     let mut child = ProcessCommand::new(env!("CARGO_BIN_EXE_kpg_server"))
         .args([
@@ -148,6 +149,8 @@ fn spawn_server_process(dir: &Path, checkpoint_every: u64) -> (Child, std::net::
             "--checkpoint-every",
             &checkpoint_every.to_string(),
         ])
+        .args(["--workers", "1", "--segment-bytes", "8388608"])
+        .args(["--frame-limit", "1048576"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn kpg_server");
@@ -163,6 +166,32 @@ fn spawn_server_process(dir: &Path, checkpoint_every: u64) -> (Child, std::net::
         .parse()
         .expect("parse the listening address");
     (child, addr)
+}
+
+/// The binary refuses a command line it does not fully understand — a mistyped
+/// `--durable_dir` must not quietly serve in memory — with a usage line and a non-zero
+/// exit, before binding anything.
+#[test]
+fn the_binary_rejects_what_it_does_not_understand() {
+    for (args, problem) in [
+        (&["--durable_dir", "/var/lib/kpg"][..], "unknown argument"),
+        (&["--addr", "127.0.0.1:0", "serve"][..], "unknown argument"),
+        (&["--workers", "2", "--durable-dir"][..], "needs a value"),
+        (&["--workers", "1", "--workers", "2"][..], "given twice"),
+        (&["--workers", "two"][..], "cannot read"),
+    ] {
+        let output = ProcessCommand::new(env!("CARGO_BIN_EXE_kpg_server"))
+            .args(args)
+            .output()
+            .expect("run kpg_server");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "{args:?} must not be served");
+        assert!(
+            stderr.contains(problem) && stderr.contains("usage: kpg_server"),
+            "{args:?}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{args:?}: nothing was bound");
+    }
 }
 
 /// Runs one step of the step-tagged churn protocol: epoch `k` appends row `[k]` and
@@ -332,8 +361,10 @@ fn sigterm_shuts_down_gracefully_and_preserves_open_updates() {
         "graceful shutdown exits cleanly: {status:?}"
     );
     assert!(
-        dir.join(kpg_store::MANIFEST_NAME).exists(),
-        "the final checkpoint committed a manifest"
+        checkpoint_files(&dir)
+            .iter()
+            .any(|name| name.ends_with(".run")),
+        "the final checkpoint was committed"
     );
 
     let (mut child, addr) = spawn_server_process(&dir, 1_000_000);
@@ -459,7 +490,7 @@ fn tiny_states_checkpoint_at_the_floor() {
 /// Drives a [`ServerCore`] directly (no TCP, no client disconnect): runs `commands`,
 /// waits for every acknowledgement, closes the core *without* a final checkpoint —
 /// leaving the directory exactly as a crash after the last group commit would: all
-/// WAL segments, no manifest, and the installs never uninstalled.
+/// WAL segments, no checkpoint, and the installs never uninstalled.
 fn run_core_without_checkpoint(dir: &Path, segment_bytes: u64, commands: &[Command]) {
     let mut durability = DurabilityConfig::new(dir);
     durability.checkpoint_every = u64::MAX;
@@ -524,6 +555,16 @@ fn step_commands(epochs: u64) -> Vec<Command> {
     commands
 }
 
+/// The names of the `ckpt-*` files in `dir`.
+fn checkpoint_files(dir: &Path) -> Vec<String> {
+    std::fs::read_dir(dir)
+        .expect("read the durable dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("ckpt-"))
+        .collect()
+}
+
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).expect("create copy target");
     for entry in std::fs::read_dir(from).expect("read source dir") {
@@ -532,10 +573,10 @@ fn copy_dir(from: &Path, to: &Path) {
     }
 }
 
-/// The checkpoint/WAL-truncation race: a crash *between* the manifest rename and the
-/// segment deletion leaves both the new checkpoint and the stale segments on disk.
+/// The checkpoint/WAL-truncation race: a crash *between* the checkpoint's rename and
+/// the segment deletion leaves both the new checkpoint and the stale segments on disk.
 /// Recovery from that state, from the WAL alone, and from the pruned state must all
-/// answer identically — and a leftover manifest temp file must be ignored.
+/// answer identically — and a leftover checkpoint temp file must be ignored.
 #[test]
 fn checkpoint_truncation_race_recovers_from_either_state() {
     // Tiny segments: the 26-command log spans many, so pruning genuinely deletes.
@@ -548,8 +589,8 @@ fn checkpoint_truncation_race_recovers_from_either_state() {
     assert_step_prefix(&reference, 12, 12);
 
     // Produce the checkpointed state in a copy: recover + clean shutdown writes the
-    // manifest and prunes — then graft the manifest and run files back next to the
-    // *unpruned* segments, reconstructing the mid-race layout.
+    // checkpoint and prunes — then graft the checkpoint (it is one file) back next to
+    // the *unpruned* segments, reconstructing the mid-race layout.
     let pruned = temp_dir("race-pruned");
     copy_dir(&wal_only, &pruned);
     let segments_before = std::fs::read_dir(&pruned)
@@ -579,18 +620,15 @@ fn checkpoint_truncation_race_recovers_from_either_state() {
 
     let mid_race = temp_dir("race-mid");
     copy_dir(&wal_only, &mid_race);
-    for entry in std::fs::read_dir(&pruned).expect("read pruned dir") {
-        let entry = entry.expect("dir entry");
-        let name = entry.file_name();
-        let name_str = name.to_string_lossy().into_owned();
-        if name_str == kpg_store::MANIFEST_NAME || name_str.ends_with(".run") {
-            std::fs::copy(entry.path(), mid_race.join(&name)).expect("graft checkpoint");
-        }
-    }
+    let checkpoint = match &checkpoint_files(&pruned)[..] {
+        [only] => only.clone(),
+        files => panic!("a clean shutdown leaves exactly one checkpoint file: {files:?}"),
+    };
+    std::fs::copy(pruned.join(&checkpoint), mid_race.join(&checkpoint)).expect("graft");
     assert_eq!(
         recover_and_query(&mid_race).expect("recover mid-race"),
         reference,
-        "manifest + stale segments recover identically"
+        "checkpoint + stale segments recover identically"
     );
     assert_eq!(
         recover_and_query(&pruned).expect("recover post-prune"),
@@ -601,15 +639,13 @@ fn checkpoint_truncation_race_recovers_from_either_state() {
     // A crash *before* the rename leaves only a temp file: it must be ignored.
     let pre_rename = temp_dir("race-tmp");
     copy_dir(&wal_only, &pre_rename);
-    std::fs::write(
-        pre_rename.join(format!("{}.tmp", kpg_store::MANIFEST_NAME)),
-        b"half-written manifest bytes",
-    )
-    .expect("plant a temp manifest");
+    let temp = checkpoint.replace(".run", ".tmp");
+    std::fs::write(pre_rename.join(&temp), b"half-written checkpoint bytes")
+        .expect("plant a temp checkpoint");
     assert_eq!(
         recover_and_query(&pre_rename).expect("recover past the temp file"),
         reference,
-        "an uncommitted manifest temp file is inert"
+        "an uncommitted checkpoint temp file is inert"
     );
 
     for dir in [&wal_only, &reference_dir, &pruned, &mid_race, &pre_rename] {

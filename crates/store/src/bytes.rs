@@ -1,4 +1,4 @@
-//! Little-endian primitive framing shared by the WAL, run, and manifest formats.
+//! Little-endian primitive framing shared by the WAL and run formats.
 //!
 //! Readers are *total*: they return `None` on truncation instead of panicking, which
 //! is what lets recovery code treat any undecodable suffix as a torn tail.

@@ -1,7 +1,7 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`), in tree.
 //!
-//! Every durable frame this crate writes — WAL records, run-file blocks and indices,
-//! the manifest — carries a CRC32 of its payload, so torn or bit-flipped tails are
+//! Every durable frame this crate writes — WAL records, run-file blocks and indices —
+//! carries a CRC32 of its payload, so torn or bit-flipped tails are
 //! *detected* and recovery can truncate to the longest valid prefix instead of
 //! replaying garbage. The table is computed at compile time; no dependency, no
 //! runtime initialization.

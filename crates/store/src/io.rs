@@ -32,7 +32,7 @@ pub enum OpKind {
     Write,
     /// `fsync`/`fdatasync` of a file or directory.
     Fsync,
-    /// Renaming a file (the manifest commit point).
+    /// Renaming a file (a run's commit point).
     Rename,
     /// Removing a file (WAL pruning, superseded checkpoint cleanup).
     Remove,
@@ -200,7 +200,8 @@ pub fn read(path: impl AsRef<Path>) -> io::Result<Vec<u8>> {
     fs::read(path)
 }
 
-/// Renames `from` to `to` (the manifest's atomic commit point).
+/// Renames `from` to `to` — the atomic commit point of
+/// [`RunWriter::commit`](crate::RunWriter::commit).
 #[inline]
 pub fn rename(from: impl AsRef<Path>, to: impl AsRef<Path>) -> io::Result<()> {
     check(OpKind::Rename, from.as_ref())?;

@@ -1,7 +1,7 @@
 //! Durable storage primitives for the query server and the trace spine.
 //!
 //! The paper's interactive service keeps every arrangement in memory and forgets
-//! everything on exit. This crate supplies the three on-disk building blocks that fix
+//! everything on exit. This crate supplies the two on-disk building blocks that fix
 //! that, in the memtable/SSTable/WAL discipline of classic LSM designs (the spine is
 //! already an in-memory LSM):
 //!
@@ -9,20 +9,18 @@
 //!   prefix and a CRC32, appended via a `SchemaBatch`-style last-writes [`WalBatch`]
 //!   and recovered with a *torn-tail-tolerant* total decoder that truncates at the
 //!   first corrupt record. The server appends its wire-encoded command log here.
-//! * [`run`] — immutable **sorted-run files**: CRC-framed blocks of sorted entries
-//!   whose boundaries align with key boundaries, plus a sparse first-entry index, so
-//!   a reader can binary-search to a block and stream from there. Checkpoints and
-//!   spilled spine layers share this format.
-//! * [`manifest`] — the **checkpoint manifest**, committed by temp-file + rename so
-//!   the rename is the commit point: recovery that finds a manifest trusts it and
-//!   replays only the WAL records past its watermark; a crash between manifest write
-//!   and WAL pruning recovers identically from either state.
+//! * [`run`] — immutable **run files**: CRC-framed blocks of entries in the caller's
+//!   order, whose boundaries align with key boundaries, plus a sparse first-entry
+//!   index, so a reader of a sorted run can binary-search to a block and stream from
+//!   there. Spilled spine layers are sorted runs; a checkpoint is a run of wire-encoded
+//!   commands — the log's prefix, compacted — committed by [`RunWriter::commit`]
+//!   (temporary name, fsync, rename, directory fsync: the rename is the commit point).
 //!
 //! The crate is dependency-free and byte-oriented: callers bring their own encodings
 //! (the server uses the wire codec, the trace uses `StoreData`), this crate owns
 //! framing, checksums, segmentation, and atomic commit.
 //!
-//! Two cross-cutting modules harden all three against a disk that fails rather than
+//! Two cross-cutting modules harden both against a disk that fails rather than
 //! merely crashes: every file operation routes through the [`io`] seam (a zero-cost
 //! passthrough normally; a deterministic, plan-driven fault injector under
 //! `--features faults`), and failures are classified and retried through
@@ -35,13 +33,11 @@ pub mod bytes;
 pub mod crc;
 pub mod error;
 pub mod io;
-pub mod manifest;
 pub mod run;
 pub mod wal;
 
 pub use crc::crc32;
 pub use error::{classify, FaultClass, RetryPolicy, StoreError};
 pub use io::OpKind;
-pub use manifest::{Manifest, MANIFEST_NAME};
 pub use run::{RunMeta, RunReader, RunWriter};
 pub use wal::{Wal, WalBatch};

@@ -1,8 +1,9 @@
-//! Immutable sorted-run files: CRC-framed blocks of sorted entries with a sparse
-//! first-entry index.
+//! Immutable run files: CRC-framed blocks of entries in the caller's order, with a
+//! sparse first-entry index.
 //!
-//! A run file is how sealed state leaves memory — a checkpointed input's contents, or
-//! a cold spine layer spilled by the trace. The layout (SSTable-style):
+//! A run file is how sealed state leaves memory — a checkpoint (the server's command
+//! log, compacted), or a cold spine layer spilled by the trace. The layout
+//! (SSTable-style):
 //!
 //! ```text
 //! header:  b"KPGRUN01" ++ u32 version
@@ -13,13 +14,19 @@
 //! footer:  u64 index offset ++ u64 total entries ++ u32 crc32(index) ++ b"KPGRUN01"
 //! ```
 //!
-//! Entries are opaque, sorted byte strings supplied by the caller. The caller marks
-//! *key boundaries* as it pushes; a block is only ever cut at a key boundary, so a
-//! key's entries never span blocks and a reader holding the sparse index (each
-//! block's first entry) can binary-search to the one block that can contain a key and
-//! stream from there. Blocks and the index carry CRCs; [`RunReader::open`] validates
-//! the footer and index eagerly and each block on read, so a damaged run is detected,
-//! not misread.
+//! Entries are opaque byte strings, stored and read back in the order the caller
+//! pushed them. The caller marks *key boundaries* as it pushes; a block is only ever
+//! cut at a key boundary, so a key's entries never span blocks — and when the caller's
+//! order is sorted (the trace's spilled layers), a reader holding the sparse index
+//! (each block's first entry) can binary-search to the one block that can contain a
+//! key and stream from there. Blocks and the index carry CRCs; [`RunReader::open`]
+//! validates the footer and index eagerly and each block on read, so a damaged run is
+//! detected, not misread.
+//!
+//! A run that *replaces* another as the thing recovery trusts is written under a
+//! temporary name and committed by [`RunWriter::commit`]: fsync, rename, directory
+//! fsync. The rename is the commit point — before it the old run is in force and the
+//! new one is ignorable garbage, after it the new one is complete by construction.
 
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -50,8 +57,8 @@ pub struct RunMeta {
     pub first_entries: Vec<Vec<u8>>,
 }
 
-/// Streams sorted entries into a run file. Entries must be pushed in their final
-/// (sorted) order; the writer only frames and indexes them.
+/// Streams entries into a run file. Entries must be pushed in their final order; the
+/// writer only frames and indexes them.
 pub struct RunWriter {
     file: BufWriter<crate::io::File>,
     offset: u64,
@@ -148,6 +155,20 @@ impl RunWriter {
             entries: self.total,
             first_entries: self.index.into_iter().map(|entry| entry.first).collect(),
         })
+    }
+
+    /// [`RunWriter::finish`], then the atomic commit: renames the finished (fsynced)
+    /// file to `to` and fsyncs `to`'s directory. An error before the rename leaves `to`
+    /// untouched; an error after it (the directory fsync) leaves the new run in place
+    /// under a name a crash may or may not keep — either way a complete file.
+    pub fn commit(self, to: impl AsRef<Path>) -> io::Result<RunMeta> {
+        let to = to.as_ref();
+        let from = self.file.get_ref().path().to_path_buf();
+        let meta = self.finish()?;
+        crate::io::rename(from, to)?;
+        let dir = to.parent().filter(|dir| !dir.as_os_str().is_empty());
+        crate::io::sync_dir(dir.unwrap_or(Path::new(".")))?;
+        Ok(meta)
     }
 }
 
@@ -301,15 +322,16 @@ mod tests {
 
     #[test]
     fn round_trips_with_small_blocks() {
-        let path = temp_file("roundtrip");
-        let mut writer = RunWriter::create(&path, 32).unwrap();
+        let (temp, path) = (temp_file("roundtrip-tmp"), temp_file("roundtrip"));
+        let mut writer = RunWriter::create(&temp, 32).unwrap();
         let entries: Vec<Vec<u8>> = (0..100u32)
             .map(|key| format!("key-{key:04}").into_bytes())
             .collect();
         for entry in &entries {
             writer.push(entry, true).unwrap();
         }
-        let meta = writer.finish().unwrap();
+        let meta = writer.commit(&path).unwrap();
+        assert!(!temp.exists(), "commit renamed the finished run into place");
         assert_eq!(meta.entries, 100);
         assert!(meta.first_entries.len() > 1, "expected multiple blocks");
         let mut reader = RunReader::open(&path).unwrap();

@@ -1,19 +1,19 @@
 //! Deterministic fault-injection tests for the storage layer (`--features faults`).
 //!
 //! Each test installs a [`FaultPlan`] scoped to its own temp directory (so parallel
-//! tests never observe each other's faults) and drives a WAL, run file, or manifest
-//! through the injected failure, asserting the layer's documented contract: errors
-//! are returned (never panics), retry after [`Wal::repair`] is idempotent, and a
-//! torn manifest commit leaves the previous manifest in force.
+//! tests never observe each other's faults) and drives a WAL or a run file through
+//! the injected failure, asserting the layer's documented contract: errors are
+//! returned (never panics), retry after [`Wal::repair`] is idempotent, and a torn
+//! run commit leaves the previous run in force.
 
 #![cfg(feature = "faults")]
 
 use std::io::ErrorKind;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use kpg_store::io::faults::{FaultEffect, FaultPlan};
 use kpg_store::io::OpKind;
-use kpg_store::{classify, FaultClass, Manifest, RunReader, RunWriter, Wal, WalBatch};
+use kpg_store::{classify, FaultClass, RunReader, RunWriter, Wal, WalBatch};
 
 fn temp_dir(tag: &str) -> PathBuf {
     use kpg_sync::atomic::{AtomicU64, Ordering};
@@ -246,74 +246,69 @@ fn run_reader_surfaces_injected_read_errors() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The manifest rename is the commit point: failing it must leave the previous
-/// manifest in force and the next commit must succeed cleanly.
+/// Writes `entries` to `dir/next.tmp` and commits them as `dir/live.run`.
+fn commit_run(dir: &Path, entries: &[&[u8]]) -> std::io::Result<()> {
+    let mut writer = RunWriter::create(dir.join("next.tmp"), 32)?;
+    for entry in entries {
+        writer.push(entry, true)?;
+    }
+    writer.commit(dir.join("live.run")).map(drop)
+}
+
+fn live_run(dir: &Path) -> Vec<Vec<u8>> {
+    RunReader::open(dir.join("live.run"))
+        .and_then(|mut reader| reader.read_all())
+        .expect("the committed run reads back")
+}
+
+/// The rename is the commit point: failing it must leave the previous run in force
+/// and the next commit must succeed cleanly.
 #[test]
-fn manifest_rename_failure_leaves_previous_manifest_in_force() {
-    let dir = temp_dir("manifest-rename");
-    let old = Manifest {
-        epoch: 1,
-        wal_watermark: 10,
-        records: vec![("input".to_string(), b"edges".to_vec())],
-    };
-    old.commit(&dir).unwrap();
-    let mut new = old.clone();
-    new.epoch = 2;
+fn run_commit_rename_failure_leaves_previous_run_in_force() {
+    let dir = temp_dir("commit-rename");
+    commit_run(&dir, &[b"old"]).unwrap();
     let guard = FaultPlan::parse("rename@1=eio")
         .unwrap()
         .scoped(&dir)
         .install();
-    assert!(new.commit(&dir).is_err());
+    assert!(commit_run(&dir, &[b"new"]).is_err());
     drop(guard);
-    assert_eq!(Manifest::load(&dir).unwrap(), Some(old));
-    new.commit(&dir).unwrap();
-    assert_eq!(Manifest::load(&dir).unwrap().unwrap().epoch, 2);
+    assert_eq!(live_run(&dir), vec![b"old".to_vec()]);
+    commit_run(&dir, &[b"new"]).unwrap();
+    assert_eq!(live_run(&dir), vec![b"new".to_vec()]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A torn (short) write of the manifest temp file never reaches the rename, so the
-/// previous manifest stays in force and the torn temp is ignored by `load`.
+/// A torn (short) write of the temp file never reaches the rename, so the previous
+/// run stays in force, byte for byte.
 #[test]
-fn manifest_short_write_is_not_a_commit() {
-    let dir = temp_dir("manifest-short");
-    let old = Manifest {
-        epoch: 5,
-        wal_watermark: 50,
-        records: vec![],
-    };
-    old.commit(&dir).unwrap();
-    let mut new = old.clone();
-    new.epoch = 6;
+fn run_commit_short_write_is_not_a_commit() {
+    let dir = temp_dir("commit-short");
+    commit_run(&dir, &[b"old"]).unwrap();
+    let committed = std::fs::read(dir.join("live.run")).unwrap();
     let guard = FaultPlan::parse("write@1=short:4")
         .unwrap()
         .scoped(&dir)
         .install();
-    assert!(new.commit(&dir).is_err());
+    assert!(commit_run(&dir, &[b"new"]).is_err());
     drop(guard);
-    assert_eq!(Manifest::load(&dir).unwrap(), Some(old));
+    assert_eq!(std::fs::read(dir.join("live.run")).unwrap(), committed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// ENOSPC while writing the manifest body is fatal and not a commit.
+/// ENOSPC while writing the temp file is fatal and not a commit.
 #[test]
-fn manifest_enospc_is_fatal_and_not_a_commit() {
-    let dir = temp_dir("manifest-enospc");
-    let old = Manifest {
-        epoch: 3,
-        wal_watermark: 30,
-        records: vec![],
-    };
-    old.commit(&dir).unwrap();
-    let mut new = old.clone();
-    new.epoch = 4;
+fn run_commit_enospc_is_fatal_and_not_a_commit() {
+    let dir = temp_dir("commit-enospc");
+    commit_run(&dir, &[b"old"]).unwrap();
     let guard = FaultPlan::parse("write@1..=enospc")
         .unwrap()
         .scoped(&dir)
         .install();
-    let error = new.commit(&dir).unwrap_err();
+    let error = commit_run(&dir, &[b"new"]).unwrap_err();
     assert_eq!(classify(&error), FaultClass::Fatal);
     drop(guard);
-    assert_eq!(Manifest::load(&dir).unwrap(), Some(old));
+    assert_eq!(live_run(&dir), vec![b"old".to_vec()]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

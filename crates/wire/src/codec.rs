@@ -614,6 +614,18 @@ fn decode_plan_unguarded(reader: &mut Reader<'_>) -> Result<Plan, WireError> {
     }
 }
 
+/// Appends the body of a [`Command::Update`] — tag, input name, row, diff — to `out`
+/// from borrowed parts: the one place that layout is written. A caller that streams
+/// updates it holds by reference (the server's checkpoint writer) pushes [`VERSION`]
+/// and calls this, and gets `Command::Update { .. }.encode()` without building one.
+#[inline]
+pub fn encode_update_body(out: &mut Vec<u8>, name: &str, row: &Row, diff: isize) {
+    out.push(1);
+    put_string(out, name);
+    row.encode_body(out);
+    put_i64(out, diff as i64);
+}
+
 impl WireCodec for Command {
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
@@ -628,12 +640,7 @@ impl WireCodec for Command {
                     }
                 }
             }
-            Command::Update { name, row, diff } => {
-                out.push(1);
-                put_string(out, name);
-                row.encode_body(out);
-                put_i64(out, *diff as i64);
-            }
+            Command::Update { name, row, diff } => encode_update_body(out, name, row, *diff),
             Command::AdvanceTime { epoch } => {
                 out.push(2);
                 put_u64(out, *epoch);

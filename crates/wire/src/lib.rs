@@ -30,6 +30,7 @@ pub mod frame;
 
 pub use assemble::{append_frame, FrameAssembler};
 pub use codec::{
-    Reader, Response, WireCodec, WireError, DEFAULT_FRAME_LIMIT, MAX_COLUMN, MAX_DEPTH, VERSION,
+    encode_update_body, Reader, Response, WireCodec, WireError, DEFAULT_FRAME_LIMIT, MAX_COLUMN,
+    MAX_DEPTH, VERSION,
 };
 pub use frame::{read_frame, write_frame, Frame};
