@@ -23,7 +23,6 @@ use kpg_dataflow::operator::{downcast_payload, BundleBox, Operator, OutputContex
 use kpg_dataflow::{DataflowBuilder, NodeId, ProbeHandle, Time};
 use kpg_timestamp::{Antichain, AntichainRef};
 use kpg_trace::cursor::CursorList;
-use kpg_trace::stored::{LayerCursor, StoreData};
 use kpg_trace::{
     Batch, Builder, Cursor, Data, MergeEffort, OrdKeyBatch, OrdValBatch, Semigroup, Spine,
 };
@@ -155,34 +154,10 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
         }
     }
 
-    /// A cursor over the union of all batches currently in the trace, whether resident
-    /// in memory or spilled to sorted-run files.
-    pub fn cursor(&self) -> CursorList<LayerCursor<B>> {
+    /// A cursor over the union of all batches currently in the trace: one batch
+    /// cursor per batch, merged by a [`CursorList`] (see [`Spine::cursor`]).
+    pub fn cursor(&self) -> CursorList<B::Cursor> {
         self.boxed.borrow().spine.cursor()
-    }
-
-    /// Spills the trace's oldest settled in-memory layer to a sorted-run file at
-    /// `path`, freeing its memory while keeping it readable through [`TraceAgent::cursor`].
-    /// Returns `Ok(false)` when no layer is currently eligible (see
-    /// [`Spine::spill_oldest`]).
-    pub fn spill_oldest(&self, path: &std::path::Path) -> std::io::Result<bool>
-    where
-        B::Key: StoreData,
-        B::Val: StoreData,
-        B::Time: StoreData,
-        B::Diff: StoreData,
-    {
-        self.boxed.borrow_mut().spine.spill_oldest(path)
-    }
-
-    /// The number of trace layers currently spilled to sorted-run files.
-    pub fn stored_layer_count(&self) -> usize {
-        self.boxed.borrow().spine.stored_layer_count()
-    }
-
-    /// The number of updates held by in-memory layers only.
-    pub fn in_memory_len(&self) -> usize {
-        self.boxed.borrow().spine.in_memory_len()
     }
 
     /// Spends up to `fuel` units of work on the trace's in-progress merges (see

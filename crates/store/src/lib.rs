@@ -1,4 +1,4 @@
-//! Durable storage primitives for the query server and the trace spine.
+//! Durable storage primitives for the query server and the trace's batch codec.
 //!
 //! The paper's interactive service keeps every arrangement in memory and forgets
 //! everything on exit. This crate supplies the two on-disk building blocks that fix
@@ -10,11 +10,10 @@
 //!   and recovered with a *torn-tail-tolerant* total decoder that truncates at the
 //!   first corrupt record. The server appends its wire-encoded command log here.
 //! * [`run`] — immutable **run files**: CRC-framed blocks of entries in the caller's
-//!   order, whose boundaries align with key boundaries, plus a sparse first-entry
-//!   index, so a reader of a sorted run can binary-search to a block and stream from
-//!   there. Spilled spine layers are sorted runs; a checkpoint is a run of wire-encoded
-//!   commands — the log's prefix, compacted — committed by [`RunWriter::commit`]
-//!   (temporary name, fsync, rename, directory fsync: the rename is the commit point).
+//!   order, whose boundaries align with key boundaries. A checkpoint is a run of
+//!   wire-encoded commands — the log's prefix, compacted — committed by
+//!   [`RunWriter::commit`] (temporary name, fsync, rename, directory fsync: the rename
+//!   is the commit point); the trace's batch codec writes a batch as a sorted run.
 //!
 //! The crate is dependency-free and byte-oriented: callers bring their own encodings
 //! (the server uses the wire codec, the trace uses `StoreData`), this crate owns

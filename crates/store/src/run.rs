@@ -1,27 +1,21 @@
-//! Immutable run files: CRC-framed blocks of entries in the caller's order, with a
-//! sparse first-entry index.
+//! Immutable run files: CRC-framed blocks of entries in the caller's order.
 //!
 //! A run file is how sealed state leaves memory — a checkpoint (the server's command
-//! log, compacted), or a cold spine layer spilled by the trace. The layout
-//! (SSTable-style):
+//! log, compacted), or a batch written by the trace's codec. The layout (SSTable-style):
 //!
 //! ```text
 //! header:  b"KPGRUN01" ++ u32 version
 //! blocks:  [u32 LE block length][u32 LE crc32(block)][entries]*
 //!          where entries = ([u32 LE entry length][entry bytes])*
-//! index:   u32 count ++ per block { u64 offset, u32 length, u32 entries,
-//!                                   u32 first-entry length, first-entry bytes }
+//! index:   u32 count ++ per block { u64 offset, u32 length, u32 entries }
 //! footer:  u64 index offset ++ u64 total entries ++ u32 crc32(index) ++ b"KPGRUN01"
 //! ```
 //!
 //! Entries are opaque byte strings, stored and read back in the order the caller
 //! pushed them. The caller marks *key boundaries* as it pushes; a block is only ever
-//! cut at a key boundary, so a key's entries never span blocks — and when the caller's
-//! order is sorted (the trace's spilled layers), a reader holding the sparse index
-//! (each block's first entry) can binary-search to the one block that can contain a
-//! key and stream from there. Blocks and the index carry CRCs; [`RunReader::open`]
-//! validates the footer and index eagerly and each block on read, so a damaged run is
-//! detected, not misread.
+//! cut at a key boundary, so a key's entries never span blocks. Blocks and the index
+//! carry CRCs; [`RunReader::open`] validates the footer and index eagerly and each
+//! block on read, so a damaged run is detected, not misread.
 //!
 //! A run that *replaces* another as the thing recovery trusts is written under a
 //! temporary name and committed by [`RunWriter::commit`]: fsync, rename, directory
@@ -35,7 +29,7 @@ use crate::bytes::{get_bytes, get_u32, get_u64, put_u32, put_u64};
 use crate::crc::crc32;
 
 const MAGIC: &[u8; 8] = b"KPGRUN01";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 const FOOTER_LEN: u64 = 8 + 8 + 4 + 8;
 
 /// The default block payload size writers aim for before cutting at the next key
@@ -46,15 +40,12 @@ struct IndexEntry {
     offset: u64,
     length: u32,
     entries: u32,
-    first: Vec<u8>,
 }
 
 /// What a finished run contains, returned by [`RunWriter::finish`].
 pub struct RunMeta {
     /// Total entries written.
     pub entries: u64,
-    /// Each block's first entry, in order (the sparse index).
-    pub first_entries: Vec<Vec<u8>>,
 }
 
 /// Streams entries into a run file. Entries must be pushed in their final order; the
@@ -64,7 +55,6 @@ pub struct RunWriter {
     offset: u64,
     block: Vec<u8>,
     block_entries: u32,
-    block_first: Option<Vec<u8>>,
     index: Vec<IndexEntry>,
     block_bytes: usize,
     total: u64,
@@ -84,22 +74,18 @@ impl RunWriter {
             offset: MAGIC.len() as u64 + 4,
             block: Vec::new(),
             block_entries: 0,
-            block_first: None,
             index: Vec::new(),
             block_bytes: block_bytes.max(1),
             total: 0,
         })
     }
 
-    /// Appends one entry. `key_boundary` marks that this entry starts a new key; the
-    /// current block is flushed first if it is over budget (so a key's entries never
-    /// span blocks — the first entry pushed must have it set).
+    /// Appends one entry. `key_boundary` says a block may be cut only before this
+    /// entry: the current block is flushed first if it is over budget, so the entries
+    /// between two boundaries never span blocks.
     pub fn push(&mut self, entry: &[u8], key_boundary: bool) -> io::Result<()> {
         if key_boundary && self.block.len() >= self.block_bytes {
             self.flush_block()?;
-        }
-        if self.block_first.is_none() {
-            self.block_first = Some(entry.to_vec());
         }
         put_u32(&mut self.block, entry.len() as u32);
         self.block.extend_from_slice(entry);
@@ -121,7 +107,6 @@ impl RunWriter {
             offset: self.offset,
             length: self.block.len() as u32,
             entries: self.block_entries,
-            first: self.block_first.take().unwrap_or_default(),
         });
         self.offset += header.len() as u64 + self.block.len() as u64;
         self.block.clear();
@@ -139,8 +124,6 @@ impl RunWriter {
             put_u64(&mut index, entry.offset);
             put_u32(&mut index, entry.length);
             put_u32(&mut index, entry.entries);
-            put_u32(&mut index, entry.first.len() as u32);
-            index.extend_from_slice(&entry.first);
         }
         self.file.write_all(&index)?;
         let mut footer = Vec::new();
@@ -153,7 +136,6 @@ impl RunWriter {
         self.file.get_ref().sync_all()?;
         Ok(RunMeta {
             entries: self.total,
-            first_entries: self.index.into_iter().map(|entry| entry.first).collect(),
         })
     }
 
@@ -232,12 +214,10 @@ impl RunReader {
             let length = get_u32(&index, &mut pos).ok_or_else(|| corrupt("index truncated"))?;
             let block_entries =
                 get_u32(&index, &mut pos).ok_or_else(|| corrupt("index truncated"))?;
-            let first = get_bytes(&index, &mut pos).ok_or_else(|| corrupt("index truncated"))?;
             blocks.push(IndexEntry {
                 offset,
                 length,
                 entries: block_entries,
-                first,
             });
         }
         Ok(RunReader {
@@ -256,11 +236,6 @@ impl RunReader {
     /// The total number of entries across all blocks.
     pub fn entries(&self) -> u64 {
         self.entries
-    }
-
-    /// The first entry of block `index` (the sparse index key).
-    pub fn first_entry(&self, index: usize) -> &[u8] {
-        &self.blocks[index].first
     }
 
     /// Reads and CRC-checks block `index`, returning its entries in order.
@@ -333,13 +308,9 @@ mod tests {
         let meta = writer.commit(&path).unwrap();
         assert!(!temp.exists(), "commit renamed the finished run into place");
         assert_eq!(meta.entries, 100);
-        assert!(meta.first_entries.len() > 1, "expected multiple blocks");
         let mut reader = RunReader::open(&path).unwrap();
         assert_eq!(reader.entries(), 100);
-        assert_eq!(reader.block_count(), meta.first_entries.len());
-        for (index, first) in meta.first_entries.iter().enumerate() {
-            assert_eq!(reader.first_entry(index), &first[..]);
-        }
+        assert!(reader.block_count() > 1, "expected multiple blocks");
         assert_eq!(reader.read_all().unwrap(), entries);
         std::fs::remove_file(&path).unwrap();
     }
@@ -355,12 +326,14 @@ mod tests {
                 writer.push(&bytes, entry == 0).unwrap();
             }
         }
-        let meta = writer.finish().unwrap();
+        writer.finish().unwrap();
+        let mut reader = RunReader::open(&path).unwrap();
+        assert!(reader.block_count() > 1, "expected multiple blocks");
         // Every block must start at a key boundary (entry suffix "/0").
-        for first in &meta.first_entries {
+        for index in 0..reader.block_count() {
+            let first = &reader.read_block(index).unwrap()[0];
             assert!(first.ends_with(b"/0"), "block split a key: {first:?}");
         }
-        let mut reader = RunReader::open(&path).unwrap();
         assert_eq!(reader.read_all().unwrap().len(), 50);
         std::fs::remove_file(&path).unwrap();
     }
@@ -400,6 +373,46 @@ mod tests {
         let mut reader = RunReader::open(&path).unwrap();
         assert_eq!(reader.block_count(), 0);
         assert!(reader.read_all().unwrap().is_empty());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn version_one_runs_are_refused() {
+        // A complete version-1 run, built by hand: one block of one entry, and an
+        // index that still carries each block's first entry.
+        let entry = b"key";
+        let mut block = Vec::new();
+        put_u32(&mut block, entry.len() as u32);
+        block.extend_from_slice(entry);
+        let mut bytes = MAGIC.to_vec();
+        put_u32(&mut bytes, 1);
+        let block_offset = bytes.len() as u64;
+        put_u32(&mut bytes, block.len() as u32);
+        put_u32(&mut bytes, crc32(&block));
+        bytes.extend_from_slice(&block);
+        let index_offset = bytes.len() as u64;
+        let mut index = Vec::new();
+        put_u32(&mut index, 1);
+        put_u64(&mut index, block_offset);
+        put_u32(&mut index, block.len() as u32);
+        put_u32(&mut index, 1);
+        put_u32(&mut index, entry.len() as u32);
+        index.extend_from_slice(entry);
+        bytes.extend_from_slice(&index);
+        put_u64(&mut bytes, index_offset);
+        put_u64(&mut bytes, 1);
+        put_u32(&mut bytes, crc32(&index));
+        bytes.extend_from_slice(MAGIC);
+
+        let path = temp_file("version-one");
+        std::fs::write(&path, &bytes).unwrap();
+        let error = RunReader::open(&path)
+            .err()
+            .expect("a version-1 run opened");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let message = error.to_string();
+        assert!(message.contains(&path.display().to_string()), "{message}");
+        assert!(message.contains("unsupported version"), "{message}");
         std::fs::remove_file(&path).unwrap();
     }
 }

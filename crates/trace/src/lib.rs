@@ -21,9 +21,7 @@
 //!   one batch or the union of many.
 //! * [`Spine`] — the amortized-merging trace, with logical compaction
 //!   driven by reader frontiers (MVCC-style "vacuuming", §4.2 "Consolidation").
-//! * [`StoredLayer`] — a sealed layer spilled to a `kpg_store`
-//!   sorted-run file and read back through a streaming [`StoredCursor`],
-//!   so a trace larger than its memory budget still answers through the same cursors.
+//! * [`stored`] — the batch ⇄ `kpg_store` run-file codec ([`spill_batch`], [`StoreData`]).
 //! * [`Semigroup`]/[`Abelian`]/[`Multiply`] — the algebra
 //!   required of the `diff` component.
 
@@ -44,7 +42,7 @@ pub use description::Description;
 pub use diff::{Abelian, Multiply, Semigroup};
 pub use ord_batch::{OrdKeyBatch, OrdValBatch};
 pub use spine::{MergeEffort, Spine};
-pub use stored::{spill_batch, LayerCursor, StoreData, StoredCursor, StoredLayer};
+pub use stored::{spill_batch, StoreData, StoredLayer};
 
 use kpg_timestamp::{Antichain, AntichainRef, Lattice, Timestamp};
 

@@ -1,13 +1,9 @@
-//! Spilled spine layers: sealed batches evicted to sorted-run files.
+//! The batch ⇄ run-file codec: a sealed batch written to a `kpg_store` sorted-run file
+//! ([`spill_batch`]) and read back into memory ([`StoredLayer::materialize`]).
 //!
-//! The LSM discipline of the [`Spine`](crate::spine::Spine) keeps every layer in
-//! memory. When an arrangement outgrows its budget, the spine can *spill* its oldest
-//! settled layer to an immutable sorted-run file (written by `kpg_store`) and keep only
-//! a [`StoredLayer`] handle: the batch's description, its sparse first-key index, and a
-//! decoder. The read path then streams the file block by block through a
-//! [`StoredCursor`] that merges with in-memory layers inside the ordinary
-//! [`CursorList`](crate::cursor::CursorList) — operators never learn whether a layer
-//! lives in memory or on disk.
+//! Every layer of a [`Spine`](crate::spine::Spine) lives in memory; no spine or operator
+//! code calls this module. It is the building block a future spill reuses, and that
+//! spill must arrive together with the policy that triggers it.
 //!
 //! Serialization goes through [`StoreData`], a small total codec: `store` appends a
 //! self-delimiting encoding, `load` reads it back or returns `None` on truncation or
@@ -15,27 +11,22 @@
 //! diff`, so entries of a sorted batch are themselves sorted byte strings grouped by
 //! key, exactly what the run format's key-boundary blocks expect.
 
-use kpg_sync::Arc;
 use std::io;
 use std::path::{Path, PathBuf};
 
 use kpg_store::run::DEFAULT_BLOCK_BYTES;
 use kpg_store::{RunReader, RunWriter};
-use kpg_timestamp::time::MAX_DEPTH;
-use kpg_timestamp::Time;
 
 use crate::cursor::Cursor;
 use crate::description::Description;
-use crate::{Batch, BatchReader, Builder};
+use crate::{Batch, Builder};
 
-/// A total, self-delimiting byte codec for data spilled to sorted-run files.
+/// A total, self-delimiting byte codec for data written to sorted-run files.
 ///
 /// `load` must consume exactly the bytes `store` produced and reject truncation with
-/// `None` (never panic): spilled files are re-verified by CRC, but the decoder is the
-/// last line of defense and also what recovery-oriented tests drive byte by byte.
-/// Implementations must be *order-agnostic* only in the sense that encoding is
-/// deterministic; the spine spills already-sorted batches, so no order on the encoded
-/// bytes themselves is required.
+/// `None` (never panic): run files are re-verified by CRC, but the decoder is the last
+/// line of defense and also what tests drive byte by byte. Encoding is deterministic;
+/// no order on the encoded bytes themselves is required.
 pub trait StoreData: Sized {
     /// Appends a self-delimiting encoding of `self`.
     fn store(&self, bytes: &mut Vec<u8>);
@@ -59,16 +50,7 @@ macro_rules! store_le_int {
     )*};
 }
 
-store_le_int!(u8, u16, u32, u64, i8, i16, i32, i64);
-
-impl StoreData for usize {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        (*self as u64).store(bytes);
-    }
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        usize::try_from(u64::load(bytes, pos)?).ok()
-    }
-}
+store_le_int!(u64, i64);
 
 impl StoreData for isize {
     fn store(&self, bytes: &mut Vec<u8>) {
@@ -79,100 +61,8 @@ impl StoreData for isize {
     }
 }
 
-impl StoreData for bool {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        bytes.push(*self as u8);
-    }
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        match u8::load(bytes, pos)? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl StoreData for () {
-    fn store(&self, _bytes: &mut Vec<u8>) {}
-    fn load(_bytes: &[u8], _pos: &mut usize) -> Option<Self> {
-        Some(())
-    }
-}
-
-impl StoreData for String {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        (self.len() as u64).store(bytes);
-        bytes.extend_from_slice(self.as_bytes());
-    }
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        let length = usize::load(bytes, pos)?;
-        let slice = bytes.get(*pos..pos.checked_add(length)?)?;
-        *pos += length;
-        String::from_utf8(slice.to_vec()).ok()
-    }
-}
-
-impl<T: StoreData> StoreData for Vec<T> {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        (self.len() as u64).store(bytes);
-        for item in self {
-            item.store(bytes);
-        }
-    }
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        let count = usize::load(bytes, pos)?;
-        // An adversarial count cannot allocate past the bytes that must back it.
-        let mut items = Vec::with_capacity(count.min(bytes.len().saturating_sub(*pos)));
-        for _ in 0..count {
-            items.push(T::load(bytes, pos)?);
-        }
-        Some(items)
-    }
-}
-
-macro_rules! store_tuple {
-    ($($name:ident)+) => {
-        #[allow(non_snake_case)]
-        impl<$($name: StoreData),+> StoreData for ($($name,)+) {
-            fn store(&self, bytes: &mut Vec<u8>) {
-                let ($($name,)+) = self;
-                $($name.store(bytes);)+
-            }
-            fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-                $(let $name = $name::load(bytes, pos)?;)+
-                Some(($($name,)+))
-            }
-        }
-    };
-}
-
-store_tuple!(A B);
-store_tuple!(A B C);
-store_tuple!(A B C D);
-
-impl StoreData for Time {
-    fn store(&self, bytes: &mut Vec<u8>) {
-        for coord in self.coords() {
-            coord.store(bytes);
-        }
-    }
-    fn load(bytes: &[u8], pos: &mut usize) -> Option<Self> {
-        let mut coords = [0u64; MAX_DEPTH];
-        for coord in coords.iter_mut() {
-            *coord = u64::load(bytes, pos)?;
-        }
-        Some(Time::from_coords(coords))
-    }
-}
-
-/// One run-file entry decoded back into an update tuple.
-type Entry<B> = (
-    <B as BatchReader>::Key,
-    <B as BatchReader>::Val,
-    <B as BatchReader>::Time,
-    <B as BatchReader>::Diff,
-);
-
+/// Decodes one run-file entry back into an update tuple; `None` unless the entry is
+/// exactly one encoded `(key, val, time, diff)`.
 fn decode_entry<K, V, T, R>(bytes: &[u8]) -> Option<(K, V, T, R)>
 where
     K: StoreData,
@@ -188,45 +78,17 @@ where
     (pos == bytes.len()).then_some((key, val, time, diff))
 }
 
-/// A sealed spine layer whose updates live in a sorted-run file on disk.
-///
-/// The handle retains only the batch's description, update count, sparse first-key
-/// index (one decoded key per block), and a monomorphized entry decoder captured when
-/// the layer was spilled — which is how spine code bounded only by `B: Batch` can read
-/// a layer whose encoding required [`StoreData`].
+/// A batch written to a sorted-run file: the file, the batch's description and its
+/// update count — everything [`StoredLayer::materialize`] needs to rebuild it.
 pub struct StoredLayer<B: Batch> {
     path: PathBuf,
     description: Description<B::Time>,
     len: usize,
-    index: Arc<Vec<B::Key>>,
-    decode: fn(&[u8]) -> Option<Entry<B>>,
-}
-
-impl<B: Batch> Clone for StoredLayer<B> {
-    fn clone(&self) -> Self {
-        StoredLayer {
-            path: self.path.clone(),
-            description: self.description.clone(),
-            len: self.len,
-            index: Arc::clone(&self.index),
-            decode: self.decode,
-        }
-    }
-}
-
-impl<B: Batch> std::fmt::Debug for StoredLayer<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StoredLayer")
-            .field("path", &self.path)
-            .field("len", &self.len)
-            .field("blocks", &self.index.len())
-            .finish()
-    }
 }
 
 /// Writes `batch`'s updates to a sorted-run file at `path` and returns the layer
 /// handle. Entries are emitted in cursor order (key, then value, then time), with
-/// block boundaries only between keys.
+/// block boundaries only between keys. If a write fails, the partial file is removed.
 pub fn spill_batch<B>(batch: &B, path: &Path) -> io::Result<StoredLayer<B>>
 where
     B: Batch,
@@ -235,7 +97,28 @@ where
     B::Time: StoreData,
     B::Diff: StoreData,
 {
-    let mut writer = RunWriter::create(path, DEFAULT_BLOCK_BYTES)?;
+    let writer = RunWriter::create(path, DEFAULT_BLOCK_BYTES)?;
+    let len = write_entries(batch, writer).inspect_err(|_| {
+        // Best effort: the write error is the one worth reporting.
+        let _ = kpg_store::io::remove_file(path);
+    })?;
+    Ok(StoredLayer {
+        path: path.to_path_buf(),
+        description: batch.description().clone(),
+        len,
+    })
+}
+
+/// Pushes every update of `batch` into `writer`, finishes the run, and returns the
+/// number of entries written.
+fn write_entries<B>(batch: &B, mut writer: RunWriter) -> io::Result<usize>
+where
+    B: Batch,
+    B::Key: StoreData,
+    B::Val: StoreData,
+    B::Time: StoreData,
+    B::Diff: StoreData,
+{
     let mut cursor = batch.cursor();
     let mut entry = Vec::new();
     let mut len = 0usize;
@@ -259,39 +142,22 @@ where
         }
         cursor.step_key();
     }
-    let meta = writer.finish()?;
-    let decode = decode_entry::<B::Key, B::Val, B::Time, B::Diff>;
-    let mut index = Vec::with_capacity(meta.first_entries.len());
-    for first in &meta.first_entries {
-        let (key, ..) = decode(first).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "spilled first entry undecodable",
-            )
-        })?;
-        index.push(key);
-    }
-    Ok(StoredLayer {
-        path: path.to_path_buf(),
-        description: batch.description().clone(),
-        len,
-        index: Arc::new(index),
-        decode,
-    })
+    writer.finish()?;
+    Ok(len)
 }
 
 impl<B: Batch> StoredLayer<B> {
-    /// The number of updates in the spilled layer.
+    /// The number of updates in the stored batch.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True iff the spilled layer holds no updates.
+    /// True iff the stored batch holds no updates.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    /// The spilled batch's description.
+    /// The stored batch's description.
     pub fn description(&self) -> &Description<B::Time> {
         &self.description
     }
@@ -301,361 +167,185 @@ impl<B: Batch> StoredLayer<B> {
         &self.path
     }
 
-    /// A streaming cursor over the spilled updates.
+    /// Reads the whole run back into an in-memory batch.
     ///
-    /// Panics if the run file has been removed or damaged since the spill: a spilled
-    /// layer is part of the trace's working state, exactly like memory it replaced.
-    pub fn cursor(&self) -> StoredCursor<B> {
-        StoredCursor::new(self)
-    }
-
-    /// Reads the whole layer back into an in-memory batch (used when a consumer needs
-    /// an owned batch, e.g. when a new reader imports the trace's initial history).
-    pub fn materialize(&self) -> B {
-        let mut reader = RunReader::open(&self.path).expect("spilled run opens");
+    /// A missing, truncated or damaged file is an error, never a panic: the run's own
+    /// checks (footer, index and block CRCs) report what they find, and an entry that
+    /// does not decode is `InvalidData` naming the file.
+    pub fn materialize(&self) -> io::Result<B>
+    where
+        B::Key: StoreData,
+        B::Val: StoreData,
+        B::Time: StoreData,
+        B::Diff: StoreData,
+    {
+        let mut reader = RunReader::open(&self.path)?;
         let mut builder = B::Builder::with_capacity(self.len);
         for block in 0..reader.block_count() {
-            let entries = reader.read_block(block).expect("spilled run block reads");
-            for entry in &entries {
-                let (key, val, time, diff) = (self.decode)(entry).expect("spilled entry decodes");
+            for entry in reader.read_block(block)? {
+                let (key, val, time, diff) = decode_entry(&entry).ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("{}: undecodable entry", self.path.display()),
+                    )
+                })?;
                 builder.push(key, val, time, diff);
             }
         }
-        builder.done(
+        Ok(builder.done(
             self.description.lower().clone(),
             self.description.upper().clone(),
             self.description.since().clone(),
-        )
-    }
-}
-
-/// One run-file block decoded into the two-level (key, value, history) layout cursors
-/// navigate. Offsets mirror `OrdValStorage`: `key_offs` brackets each key's values,
-/// `val_offs` brackets each value's updates.
-struct DecodedBlock<B: Batch> {
-    keys: Vec<B::Key>,
-    key_offs: Vec<usize>,
-    vals: Vec<B::Val>,
-    val_offs: Vec<usize>,
-    updates: Vec<(B::Time, B::Diff)>,
-}
-
-impl<B: Batch> DecodedBlock<B> {
-    fn empty() -> Self {
-        DecodedBlock {
-            keys: Vec::new(),
-            key_offs: vec![0],
-            vals: Vec::new(),
-            val_offs: vec![0],
-            updates: Vec::new(),
-        }
-    }
-
-    fn build(entries: &[Vec<u8>], decode: fn(&[u8]) -> Option<Entry<B>>) -> Self {
-        let mut block = DecodedBlock::empty();
-        for entry in entries {
-            let (key, val, time, diff) = decode(entry).expect("spilled entry decodes");
-            let new_key = block.keys.last() != Some(&key);
-            if new_key {
-                if !block.keys.is_empty() {
-                    block.key_offs.push(block.vals.len());
-                }
-                block.keys.push(key);
-            }
-            if new_key || block.vals.last() != Some(&val) {
-                if !block.vals.is_empty() {
-                    block.val_offs.push(block.updates.len());
-                }
-                block.vals.push(val);
-            }
-            block.updates.push((time, diff));
-        }
-        if !block.keys.is_empty() {
-            block.key_offs.push(block.vals.len());
-            block.val_offs.push(block.updates.len());
-        }
-        block
-    }
-}
-
-/// A forward-only cursor streaming a [`StoredLayer`]'s run file one block at a time.
-///
-/// Navigation mirrors `OrdValCursor` (seeks only move forward; `partition_point` within
-/// the loaded block), with the sparse first-key index used to jump over whole blocks on
-/// `seek_key`. At most one decoded block is resident per cursor.
-pub struct StoredCursor<B: Batch> {
-    reader: RunReader,
-    index: Arc<Vec<B::Key>>,
-    decode: fn(&[u8]) -> Option<Entry<B>>,
-    /// Index of the decoded block; `reader.block_count()` once exhausted.
-    block_index: usize,
-    block: DecodedBlock<B>,
-    key_pos: usize,
-    val_pos: usize,
-}
-
-impl<B: Batch> StoredCursor<B> {
-    fn new(layer: &StoredLayer<B>) -> Self {
-        let reader = RunReader::open(&layer.path).expect("spilled run opens");
-        let mut cursor = StoredCursor {
-            reader,
-            index: Arc::clone(&layer.index),
-            decode: layer.decode,
-            block_index: 0,
-            block: DecodedBlock::empty(),
-            key_pos: 0,
-            val_pos: 0,
-        };
-        cursor.load_block(0);
-        cursor.reset_vals();
-        cursor
-    }
-
-    /// Decodes block `index` into residence; past-the-end leaves the cursor exhausted.
-    fn load_block(&mut self, index: usize) {
-        self.block_index = index.min(self.reader.block_count());
-        if self.block_index == self.reader.block_count() {
-            self.block = DecodedBlock::empty();
-        } else {
-            let entries = self
-                .reader
-                .read_block(self.block_index)
-                .expect("spilled run block reads");
-            self.block = DecodedBlock::build(&entries, self.decode);
-        }
-        self.key_pos = 0;
-        self.val_pos = 0;
-    }
-
-    /// Restores the invariant that a non-exhausted cursor points at a key: if the
-    /// current block is spent, advances to the next one.
-    fn settle(&mut self) {
-        while self.key_pos >= self.block.keys.len() && self.block_index < self.reader.block_count()
-        {
-            let next = self.block_index + 1;
-            self.load_block(next);
-        }
-    }
-
-    fn reset_vals(&mut self) {
-        if self.key_valid() {
-            self.val_pos = self.block.key_offs[self.key_pos];
-        }
-    }
-
-    fn val_bounds(&self) -> (usize, usize) {
-        (
-            self.block.key_offs[self.key_pos],
-            self.block.key_offs[self.key_pos + 1],
-        )
-    }
-}
-
-impl<B: Batch> Cursor for StoredCursor<B> {
-    type Key = B::Key;
-    type Val = B::Val;
-    type Time = B::Time;
-    type Diff = B::Diff;
-
-    fn key_valid(&self) -> bool {
-        self.key_pos < self.block.keys.len()
-    }
-
-    fn val_valid(&self) -> bool {
-        self.key_valid() && self.val_pos < self.val_bounds().1
-    }
-
-    fn key(&self) -> &Self::Key {
-        &self.block.keys[self.key_pos]
-    }
-
-    fn val(&self) -> &Self::Val {
-        &self.block.vals[self.val_pos]
-    }
-
-    fn map_times(&mut self, mut logic: impl FnMut(&Self::Time, &Self::Diff)) {
-        if self.val_valid() {
-            let lower = self.block.val_offs[self.val_pos];
-            let upper = self.block.val_offs[self.val_pos + 1];
-            for (time, diff) in &self.block.updates[lower..upper] {
-                logic(time, diff);
-            }
-        }
-    }
-
-    fn step_key(&mut self) {
-        if self.key_valid() {
-            self.key_pos += 1;
-            self.settle();
-            self.reset_vals();
-        }
-    }
-
-    fn seek_key(&mut self, key: &Self::Key) {
-        if !self.key_valid() {
-            return;
-        }
-        // Jump to the last block whose first key is `<= key`; blocks are cut at key
-        // boundaries, so no earlier block can contain `key`. Seeks only move forward.
-        let candidate = self.index.partition_point(|first| first <= key);
-        let target = candidate.saturating_sub(1);
-        if target > self.block_index {
-            self.load_block(target);
-        }
-        let remaining = &self.block.keys[self.key_pos..];
-        self.key_pos += remaining.partition_point(|k| k < key);
-        self.settle();
-        self.reset_vals();
-    }
-
-    fn step_val(&mut self) {
-        if self.val_valid() {
-            self.val_pos += 1;
-        }
-    }
-
-    fn seek_val(&mut self, val: &Self::Val) {
-        if self.val_valid() {
-            let (_, upper) = self.val_bounds();
-            let remaining = &self.block.vals[self.val_pos..upper];
-            self.val_pos += remaining.partition_point(|v| v < val);
-        }
-    }
-
-    fn rewind_keys(&mut self) {
-        self.load_block(0);
-        self.reset_vals();
-    }
-
-    fn rewind_vals(&mut self) {
-        self.reset_vals();
-    }
-}
-
-/// A cursor over one spine layer, in memory or spilled.
-///
-/// [`Spine::cursor`](crate::spine::Spine::cursor) returns a
-/// [`CursorList`](crate::cursor::CursorList) of these, so downstream operators navigate
-/// mixed in-memory/on-disk traces through one type.
-pub enum LayerCursor<B: Batch> {
-    /// A cursor over an in-memory batch.
-    Mem(B::Cursor),
-    /// A cursor streaming a spilled layer's run file. Boxed: the stored cursor
-    /// carries a resident block and seek scratch, far larger than a memory cursor.
-    Stored(Box<StoredCursor<B>>),
-}
-
-impl<B: Batch> Cursor for LayerCursor<B> {
-    type Key = B::Key;
-    type Val = B::Val;
-    type Time = B::Time;
-    type Diff = B::Diff;
-
-    fn key_valid(&self) -> bool {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.key_valid(),
-            LayerCursor::Stored(cursor) => cursor.key_valid(),
-        }
-    }
-
-    fn val_valid(&self) -> bool {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.val_valid(),
-            LayerCursor::Stored(cursor) => cursor.val_valid(),
-        }
-    }
-
-    fn key(&self) -> &Self::Key {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.key(),
-            LayerCursor::Stored(cursor) => cursor.key(),
-        }
-    }
-
-    fn val(&self) -> &Self::Val {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.val(),
-            LayerCursor::Stored(cursor) => cursor.val(),
-        }
-    }
-
-    fn map_times(&mut self, logic: impl FnMut(&Self::Time, &Self::Diff)) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.map_times(logic),
-            LayerCursor::Stored(cursor) => cursor.map_times(logic),
-        }
-    }
-
-    fn step_key(&mut self) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.step_key(),
-            LayerCursor::Stored(cursor) => cursor.step_key(),
-        }
-    }
-
-    fn seek_key(&mut self, key: &Self::Key) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.seek_key(key),
-            LayerCursor::Stored(cursor) => cursor.seek_key(key),
-        }
-    }
-
-    fn step_val(&mut self) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.step_val(),
-            LayerCursor::Stored(cursor) => cursor.step_val(),
-        }
-    }
-
-    fn seek_val(&mut self, val: &Self::Val) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.seek_val(val),
-            LayerCursor::Stored(cursor) => cursor.seek_val(val),
-        }
-    }
-
-    fn rewind_keys(&mut self) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.rewind_keys(),
-            LayerCursor::Stored(cursor) => cursor.rewind_keys(),
-        }
-    }
-
-    fn rewind_vals(&mut self) {
-        match self {
-            LayerCursor::Mem(cursor) => cursor.rewind_vals(),
-            LayerCursor::Stored(cursor) => cursor.rewind_vals(),
-        }
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::cursor_to_updates;
+    use crate::ord_batch::{OrdValBatch, OrdValBuilder};
+    use crate::BatchReader;
+    use kpg_timestamp::rng::SmallRng;
+    use kpg_timestamp::Antichain;
+
+    type TestBatch = OrdValBatch<u64, u64, u64, isize>;
+
+    fn temp_run_dir(tag: &str) -> PathBuf {
+        use kpg_sync::atomic::{AtomicU64, Ordering};
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("kpg-stored-{tag}-{}-{unique}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// A seeded batch of 600 keys, three values per key and three times per value:
+    /// 5 400 entries of 36 bytes, about six blocks at the default block size.
+    fn seeded_batch(seed: u64) -> TestBatch {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut builder = OrdValBuilder::with_capacity(600 * 3 * 3);
+        for key in 0..600u64 {
+            for slot in 0..3u64 {
+                let val = slot * 1_000 + rng.gen_range(0..1_000u64);
+                for time in 0..3u64 {
+                    let diff =
+                        rng.gen_range(1..4isize) * if rng.gen_range(0..2u32) == 0 { 1 } else { -1 };
+                    builder.push(key * 17, val, time, diff);
+                }
+            }
+        }
+        builder.done(
+            Antichain::from_elem(0),
+            Antichain::from_elem(3),
+            Antichain::from_elem(0),
+        )
+    }
+
+    #[test]
+    fn spilled_batch_materializes_to_the_same_batch() {
+        let batch = seeded_batch(0x5EED_5711);
+        let dir = temp_run_dir("round-trip");
+        let path = dir.join("layer.run");
+        let stored = spill_batch(&batch, &path).unwrap();
+        assert!(
+            RunReader::open(&path).unwrap().block_count() >= 3,
+            "the batch must span several blocks"
+        );
+        assert_eq!(stored.len(), batch.len());
+        assert_eq!(stored.description(), batch.description());
+        assert_eq!(stored.path(), path);
+
+        let restored = stored.materialize().unwrap();
+        assert_eq!(restored.len(), batch.len());
+        assert_eq!(restored.description(), batch.description());
+        assert_eq!(
+            cursor_to_updates(&mut restored.cursor()),
+            cursor_to_updates(&mut batch.cursor())
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn spilling_into_a_missing_directory_is_an_error() {
+        let dir = temp_run_dir("missing");
+        let path = dir.join("absent").join("layer.run");
+        let Err(error) = spill_batch(&seeded_batch(1), &path) else {
+            panic!("spilled into a directory that does not exist");
+        };
+        assert_eq!(error.kind(), io::ErrorKind::NotFound);
+        assert!(!path.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_truncated_run_does_not_materialize() {
+        let dir = temp_run_dir("truncated");
+        let path = dir.join("layer.run");
+        let stored = spill_batch(&seeded_batch(2), &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let error = stored
+            .materialize()
+            .expect_err("a truncated run materialized");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_flipped_block_byte_does_not_materialize() {
+        let dir = temp_run_dir("flipped");
+        let path = dir.join("layer.run");
+        let stored = spill_batch(&seeded_batch(3), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Past the 12-byte header and the first block's 8-byte frame: entry payload.
+        bytes[64] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        let error = stored
+            .materialize()
+            .expect_err("a damaged run materialized");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        assert!(error.to_string().contains("checksum"), "{error}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_undecodable_entry_is_invalid_data_naming_the_file() {
+        let dir = temp_run_dir("undecodable");
+        let path = dir.join("layer.run");
+        let mut writer = RunWriter::create(&path, DEFAULT_BLOCK_BYTES).unwrap();
+        writer.push(b"not an update", true).unwrap();
+        writer.finish().unwrap();
+        let stored: StoredLayer<TestBatch> = StoredLayer {
+            path: path.clone(),
+            description: Description::new(
+                Antichain::from_elem(0),
+                Antichain::from_elem(1),
+                Antichain::from_elem(0),
+            ),
+            len: 1,
+        };
+        let error = stored.materialize().expect_err("garbage materialized");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let message = error.to_string();
+        assert!(message.contains(&path.display().to_string()), "{message}");
+        assert!(message.contains("undecodable"), "{message}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     #[test]
     fn primitives_round_trip_and_reject_truncation() {
         let mut bytes = Vec::new();
         42u64.store(&mut bytes);
         (-7i64).store(&mut bytes);
-        "hello".to_string().store(&mut bytes);
-        vec![1u32, 2, 3].store(&mut bytes);
-        (4u8, true, ()).store(&mut bytes);
-        Time::from_coords([1, 2, 3]).store(&mut bytes);
+        (-9isize).store(&mut bytes);
 
         let mut pos = 0;
         assert_eq!(u64::load(&bytes, &mut pos), Some(42));
         assert_eq!(i64::load(&bytes, &mut pos), Some(-7));
-        assert_eq!(String::load(&bytes, &mut pos), Some("hello".to_string()));
-        assert_eq!(Vec::<u32>::load(&bytes, &mut pos), Some(vec![1, 2, 3]));
-        assert_eq!(
-            <(u8, bool, ())>::load(&bytes, &mut pos),
-            Some((4, true, ()))
-        );
-        assert_eq!(
-            Time::load(&bytes, &mut pos),
-            Some(Time::from_coords([1, 2, 3]))
-        );
+        assert_eq!(isize::load(&bytes, &mut pos), Some(-9));
         assert_eq!(pos, bytes.len());
 
         for cut in 0..bytes.len() {
@@ -664,23 +354,9 @@ mod tests {
             let full = (
                 u64::load(short, &mut pos),
                 i64::load(short, &mut pos),
-                String::load(short, &mut pos),
-                Vec::<u32>::load(short, &mut pos),
-                <(u8, bool, ())>::load(short, &mut pos),
-                Time::load(short, &mut pos),
+                isize::load(short, &mut pos),
             );
-            assert!(full.5.is_none(), "truncation at {cut} decoded fully");
+            assert!(full.2.is_none(), "truncation at {cut} decoded fully");
         }
-    }
-
-    #[test]
-    fn adversarial_lengths_do_not_overallocate() {
-        // A Vec claiming u64::MAX elements backed by no bytes must fail cleanly.
-        let mut bytes = Vec::new();
-        u64::MAX.store(&mut bytes);
-        let mut pos = 0;
-        assert_eq!(Vec::<u64>::load(&bytes, &mut pos), None);
-        let mut pos = 0;
-        assert_eq!(String::load(&bytes, &mut pos), None);
     }
 }
