@@ -12,6 +12,7 @@
 
 use kpg_sync::atomic::{AtomicU64, Ordering};
 use kpg_sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use kpg_plan::{Command, PlanError, Response as PlanResponse, Row};
@@ -28,8 +29,10 @@ use crate::sequencer::Appender;
 /// `Err` for the deterministic failure (identical on every worker; first kept).
 struct Pending {
     remaining: usize,
-    outcome: Result<Option<BTreeMap<Row, isize>>, PlanError>,
+    outcome: Outcome,
 }
+
+type Outcome = Result<Option<BTreeMap<Row, isize>>, PlanError>;
 
 #[derive(Default)]
 struct ClientState {
@@ -52,6 +55,22 @@ impl ClientState {
         if let Some(route) = self.routes.get(&client) {
             route.deliver(client, reply, response);
         }
+    }
+}
+
+/// Folds one worker's result into a command's outcome so far (see [`Pending`]).
+fn merge(outcome: &mut Outcome, result: Result<PlanResponse, PlanError>) {
+    match (result, outcome) {
+        (Err(error), outcome @ Ok(_)) => *outcome = Err(error),
+        // Each worker holds one shard of the query's output; the answer is the union
+        // with multiplicities summed.
+        (Ok(PlanResponse::Rows(rows)), Ok(merged)) => {
+            let merged = merged.get_or_insert_with(BTreeMap::new);
+            for (row, diff) in rows {
+                *merged.entry(row).or_insert(0) += diff;
+            }
+        }
+        _ => {}
     }
 }
 
@@ -223,34 +242,39 @@ impl ServerCore {
     /// completion's ownership effect, notes the completion for the commit path, and
     /// answers the origin client. All of it happens under the lock, and every worker
     /// deposits in log order, so ownership and responses are log-order consistent.
+    /// With more than one worker the first deposit inserts the command's [`Pending`]
+    /// and the last removes it; a single worker's deposit is the last at once and
+    /// never touches `pending`.
     pub(crate) fn deposit(
         &self,
         entry: &Arc<SequencedCommand>,
         result: Result<PlanResponse, PlanError>,
     ) {
         let mut clients = self.aggregate.lock();
-        let pending = clients.pending.entry(entry.seq).or_insert(Pending {
-            remaining: self.workers,
-            outcome: Ok(None),
-        });
-        match (result, &mut pending.outcome) {
-            (Err(error), outcome @ Ok(_)) => *outcome = Err(error),
-            // Each worker holds one shard of the query's output; the answer is the
-            // union with multiplicities summed.
-            (Ok(PlanResponse::Rows(rows)), Ok(merged)) => {
-                let merged = merged.get_or_insert_with(BTreeMap::new);
-                for (row, diff) in rows {
-                    *merged.entry(row).or_insert(0) += diff;
+        let mut outcome = Ok(None);
+        if self.workers == 1 {
+            merge(&mut outcome, result);
+        } else {
+            match clients.pending.entry(entry.seq) {
+                Entry::Vacant(vacant) => {
+                    merge(&mut outcome, result);
+                    vacant.insert(Pending {
+                        remaining: self.workers - 1,
+                        outcome,
+                    });
+                    return;
+                }
+                Entry::Occupied(mut occupied) => {
+                    let pending = occupied.get_mut();
+                    merge(&mut pending.outcome, result);
+                    pending.remaining -= 1;
+                    if pending.remaining > 0 {
+                        return;
+                    }
+                    outcome = occupied.remove().outcome;
                 }
             }
-            _ => {}
         }
-        pending.remaining -= 1;
-        if pending.remaining > 0 {
-            return;
-        }
-        let done = clients.pending.remove(&entry.seq);
-        let outcome = done.expect("completed response present").outcome;
         if outcome.is_ok() {
             self.apply_ownership(&mut clients, entry);
             clients.seals.completed(entry, &self.commit);

@@ -19,12 +19,17 @@
 //! `aggregate` and `worker`, above everything, implement their share of
 //! [`ServerCore`]'s methods in place. Each module's docs say what it owns, what it
 //! may call, and which lock it holds when it does.
+//!
+//! [`ServerCore::start`] runs every dataflow worker on the doorbell loop. The socket
+//! server starts the same engine with worker 0's loop swapped for its reactor
+//! (`start_with`), so a command read from a socket is executed, deposited and
+//! written back by the thread that read it; workers 1..N-1 are unchanged.
 
 use kpg_sync::thread::JoinHandle;
-use kpg_sync::Arc;
+use kpg_sync::{Arc, Mutex};
 use std::io;
 
-use kpg_dataflow::{execute, Config};
+use kpg_dataflow::{execute, Config, Worker};
 use kpg_plan::Command;
 
 use crate::aggregate::Aggregate;
@@ -129,13 +134,33 @@ impl ServerCore {
     /// [`ServerCore::close`] is called and the log is drained. On a durable core this
     /// also starts the checkpoint thread and the heal probe.
     pub fn start(self: &Arc<Self>) -> JoinHandle<()> {
+        let core = Arc::clone(self);
+        self.start_with(move |worker| core.worker_loop(worker))
+    }
+
+    /// [`ServerCore::start`] with worker 0's service swapped for `first`: the socket
+    /// server runs its reactor there (`net.rs`). Workers 1..N-1 run
+    /// [`ServerCore::worker_loop`]. `first` must consume the log to its close like any
+    /// worker, or the others wait at the next barrier for a peer that has left.
+    pub(crate) fn start_with(
+        self: &Arc<Self>,
+        first: impl FnOnce(&mut Worker) + Send + 'static,
+    ) -> JoinHandle<()> {
         self.commit.start();
         let core = Arc::clone(self);
+        let first = Mutex::new(Some(first));
         kpg_sync::thread::Builder::new()
             .name("kpg-server-engine".to_string())
             .spawn(move || {
                 execute(Config::new(core.workers), move |worker| {
-                    core.worker_loop(worker);
+                    let first = match worker.index() {
+                        0 => first.lock().expect("worker 0's service poisoned").take(),
+                        _ => None,
+                    };
+                    match first {
+                        Some(first) => first(worker),
+                        None => core.worker_loop(worker),
+                    }
                 });
             })
             .expect("failed to spawn the server engine thread")

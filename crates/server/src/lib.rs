@@ -41,7 +41,7 @@ pub use client::{Client, ClientError};
 pub use durability::DurabilityConfig;
 pub use engine::{ClientId, HealthSnapshot, SequencedCommand, ServerCore};
 pub use net::{serve, Server, ServerConfig};
-pub use route::{ChannelRoute, ResponseRoute};
+pub use route::{ChannelRoute, QueueRoute, ResponseRoute};
 
 /// The deepest a client should pipeline: the server stops reading a connection's
 /// frames once this many of its commands are unanswered (backpressure), so a client

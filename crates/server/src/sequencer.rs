@@ -6,8 +6,8 @@
 //! closes — always holding `log`, so WAL order is log order; it cannot call
 //! `aggregate`. **Is called** by `aggregate` through an [`Appender`] (`clients` is
 //! held outside it: `clients → log`, never the reverse), by `worker` through
-//! [`Sequencer::try_next`] and [`Sequencer::next_command`], and by the core for `close`
-//! and the replay wait.
+//! [`Sequencer::try_next`] and [`Sequencer::park`], and by the core for `close` and
+//! the replay wait.
 //!
 //! The append order *is* the arbitration order for every name conflict. By default
 //! the log prunes the prefix every worker has consumed (a long-lived server holds
@@ -79,7 +79,7 @@ impl LogState {
 pub(crate) struct Sequencer {
     log: Mutex<LogState>,
     /// Rung once per [`Appender`] that sequenced anything, to wake workers parked in
-    /// [`Sequencer::next_command`]. A doorbell, not a condvar: ringing is one atomic
+    /// [`Sequencer::park`]. A doorbell, not a condvar: ringing is one atomic
     /// (no lock, no syscall) when no worker is parked, and its snapshot/check/wait
     /// protocol is model-checked in `kpg_sync`'s `model_doorbell` tests.
     grown: Doorbell,
@@ -230,25 +230,19 @@ impl Sequencer {
         }
     }
 
-    /// The log entry at position `from`, parking until it exists — the only place a
-    /// worker parks. `None` once the log is closed and drained.
-    ///
-    /// The doorbell discipline (model-checked in kpg_sync): snapshot the epoch, check
-    /// the log, park only if nothing rang since the snapshot. A ring between the check
-    /// and the park advances the epoch past `seen`, so `wait` returns immediately — no
-    /// lost wakeup, however long ago (and however many [`Sequencer::try_next`] peeks
-    /// ago) the caller last looked: the snapshot is taken here, ahead of this call's
-    /// own check. Waiting holds no lock, so a batch append never contends with parked
-    /// workers.
-    pub(crate) fn next_command(&self, worker: usize, from: u64) -> Option<Arc<SequencedCommand>> {
-        loop {
-            let seen = self.grown.epoch();
-            match self.try_next(worker, from) {
-                Peek::Ready(entry) => return Some(entry),
-                Peek::Closed => return None,
-                Peek::Empty => self.grown.wait(seen),
-            }
-        }
+    /// The doorbell's epoch. A worker snapshots it *before* it looks at the log and
+    /// hands it to [`Sequencer::park`].
+    pub(crate) fn epoch(&self) -> u64 {
+        self.grown.epoch()
+    }
+
+    /// Parks until something is sequenced (or the log closes) after `seen` was
+    /// snapshotted — the only place a worker parks. A ring between the caller's look
+    /// and this call has already advanced the epoch past `seen`, so it returns at once:
+    /// no lost wakeup. Waiting holds no lock, so a batch append never contends with
+    /// parked workers.
+    pub(crate) fn park(&self, seen: u64) {
+        self.grown.wait(seen);
     }
 }
 
@@ -304,8 +298,11 @@ mod tests {
 
         // What was sequenced before the close still drains, then the log ends.
         for from in 0..3 {
-            assert_eq!(sequencer.next_command(0, from).expect("drains").seq, from);
+            let Peek::Ready(entry) = sequencer.try_next(0, from) else {
+                panic!("entry {from} drains after the close");
+            };
+            assert_eq!(entry.seq, from);
         }
-        assert!(sequencer.next_command(0, 3).is_none());
+        assert!(matches!(sequencer.try_next(0, 3), Peek::Closed));
     }
 }

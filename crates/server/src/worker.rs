@@ -1,15 +1,20 @@
-//! The worker loop: the log consumed in order, one [`Manager::execute`] per command
-//! (which settles ahead of a `Query` itself — the loop knows no command by name), every
+//! The worker: the log consumed in order, one [`Manager::execute`] per command (which
+//! settles ahead of a `Query` itself — nothing here knows a command by name), every
 //! result deposited — and, while the log has nothing for it, bounded turns of trace
 //! maintenance until none is left or the wait's allowance is spent ([`Slack`]), then a
-//! park.
+//! wait.
+//!
+//! There is one way to consume the log, [`ServerCore::consume`]: try the next entry,
+//! execute it, deposit the result, until the log is dry. Two loops call it and differ
+//! only in how they wait. [`ServerCore::run`] parks on the sequencer's doorbell; it is
+//! every worker of an in-process core and workers 1..N-1 of a socket server. Worker 0
+//! of a socket server is the reactor (`net.rs`): it consumes right after each
+//! `submit_batch` on the thread that read the commands, and waits in `epoll_wait`.
 //!
 //! **Owns** no lock and holds none across a step or an idle turn. **Calls**
 //! [`Sequencer::try_next`](crate::sequencer::Sequencer::try_next) and
-//! [`Sequencer::next_command`](crate::sequencer::Sequencer::next_command) (their only
-//! caller) and [`ServerCore::deposit`], each of which takes and releases its own lock.
-//! There is one loop; only what a step and an idle turn *do* differs between the two
-//! entry points.
+//! [`Sequencer::park`](crate::sequencer::Sequencer::park) (their only caller) and
+//! [`ServerCore::deposit`], each of which takes and releases its own lock.
 
 use std::cell::Cell;
 use std::time::{Duration, Instant};
@@ -76,41 +81,80 @@ impl Slack {
     }
 }
 
+/// What a worker does with the log: execute a command it took, or spend a moment of
+/// a wait on maintenance.
+pub(crate) trait Execute {
+    /// Executes one command.
+    fn execute(&mut self, command: &Command) -> Result<PlanResponse, PlanError>;
+
+    /// One bounded turn of whatever can be done without a command, if the wait's
+    /// allowance covers it; whether to look at the log again before waiting.
+    fn idle_turn(&mut self) -> bool;
+}
+
+/// A dataflow worker's side of the log: its private [`Manager`] and its [`Slack`].
+pub(crate) struct Executor<'w> {
+    worker: &'w mut Worker,
+    manager: Manager,
+    slack: Slack,
+}
+
+impl<'w> Executor<'w> {
+    pub(crate) fn new(worker: &'w mut Worker) -> Self {
+        Executor {
+            worker,
+            manager: Manager::new(),
+            slack: Slack::default(),
+        }
+    }
+}
+
+impl Execute for Executor<'_> {
+    fn execute(&mut self, command: &Command) -> Result<PlanResponse, PlanError> {
+        self.slack.command_arrived();
+        self.manager.execute(self.worker, command.clone())
+    }
+
+    /// The wait between commands goes to the merges inserts left half-finished (paper
+    /// §4.2: the slack absorbs what per-batch fuel did not): a merge that completes here
+    /// needs no inline fuel at the next insert, is one batch fewer for every cursor to
+    /// seek, and frees its sources sooner. A tenth of the wait (`Slack`); what that
+    /// leaves undone, the next insert fuels inline as before.
+    fn idle_turn(&mut self) -> bool {
+        self.slack.admits_turn() && self.manager.idle_turn()
+    }
+}
+
+/// The model tests' executor: the dataflow (and with it any maintenance) stubbed by
+/// two closures.
+#[cfg(feature = "model")]
+struct Stub<F, I> {
+    step: F,
+    idle: I,
+}
+
+#[cfg(feature = "model")]
+impl<F, I> Execute for Stub<F, I>
+where
+    F: FnMut(&Command) -> Result<PlanResponse, PlanError>,
+    I: FnMut() -> bool,
+{
+    fn execute(&mut self, command: &Command) -> Result<PlanResponse, PlanError> {
+        (self.step)(command)
+    }
+
+    fn idle_turn(&mut self) -> bool {
+        (self.idle)()
+    }
+}
+
 impl ServerCore {
     /// One worker's service loop: a private [`Manager`] fed the shared log in order.
     /// Runs until the core is closed. Exposed so embedders (and the arbitration tests)
     /// can drive the engine through [`kpg_dataflow::execute`] themselves.
     pub fn worker_loop(&self, worker: &mut Worker) {
         let index = worker.index();
-        // Both halves of the loop use the manager, one at a time.
-        let manager = std::cell::RefCell::new(Manager::new());
-        let slack = Slack::default();
-        let step = |command: &Command| {
-            slack.command_arrived();
-            manager.borrow_mut().execute(worker, command.clone())
-        };
-        // The wait between commands goes to the merges inserts left half-finished
-        // (paper §4.2: the slack absorbs what per-batch fuel did not): a merge that
-        // completes here needs no inline fuel at the next insert, is one batch fewer
-        // for every cursor to seek, and frees its sources sooner. A tenth of the wait
-        // (`Slack`); what that leaves undone, the next insert fuels inline as before.
-        //
-        // A worker with turns left does not sleep, and saved-up allowance is up to 250
-        // turns back to back (a deep merge's first waits). In about one server process
-        // in three on the ruler's two cores, something the epoch needs — the reactor,
-        // with the answer just deposited or the next request — is runnable on this
-        // worker's core and sat behind the whole run: the answer left 6–8 ms after its
-        // deposit though no step was slow, and `epoch_stream`'s slowest-tenth mean read
-        // 4.0–4.7 ms for that process against 1.5–2.0 (now 2.2–2.5 against 1.5–1.8).
-        // So a turn that leaves more to do ends by offering the core; with nobody
-        // waiting for it that is one short syscall per ≈ 35 µs turn.
-        self.run(index, step, || {
-            let more = slack.admits_turn() && manager.borrow().idle_turn();
-            if more {
-                kpg_sync::thread::yield_now();
-            }
-            more
-        });
+        self.run(index, 0, &mut Executor::new(worker));
     }
 
     /// [`ServerCore::worker_loop`] with the dataflow swapped out: consumes the log in
@@ -123,7 +167,7 @@ impl ServerCore {
     where
         F: FnMut(&Command) -> Result<PlanResponse, PlanError>,
     {
-        self.run(worker, step, || false);
+        self.model_worker_loop_with_idle(worker, step, || false);
     }
 
     /// [`ServerCore::model_worker_loop`] with the idle turn stubbed too: `idle` is
@@ -135,33 +179,75 @@ impl ServerCore {
         F: FnMut(&Command) -> Result<PlanResponse, PlanError>,
         I: FnMut() -> bool,
     {
-        self.run(worker, step, idle);
+        self.run(worker, 0, &mut Stub { step, idle });
     }
 
-    /// The loop. `idle` does one bounded turn of whatever can be done without a command
-    /// and returns whether to look for another; the log is peeked again between turns,
-    /// and the worker parks (in `next_command`, which takes its own doorbell snapshot
-    /// before its own look at the log) the moment `idle` says no.
-    fn run(
+    /// [`ServerCore::consume`] with a stubbed `step`, for a test thread that waits its
+    /// own way between calls, as the reactor does: executes and deposits everything
+    /// sequenced from `*next` on. Returns `false` once the log is closed and drained.
+    #[cfg(feature = "model")]
+    pub fn model_consume<F>(&self, worker: usize, next: &mut u64, step: F) -> bool
+    where
+        F: FnMut(&Command) -> Result<PlanResponse, PlanError>,
+    {
+        let mut stub = Stub {
+            step,
+            idle: || false,
+        };
+        self.consume(worker, next, &mut stub)
+    }
+
+    /// The one way to consume the log: executes and deposits, in log order, every
+    /// command sequenced from `*next` on, and records that `index` has consumed
+    /// everything below the new `*next`. Returns `false` once the log is closed and
+    /// drained, `true` when it is merely dry.
+    pub(crate) fn consume(
         &self,
         index: usize,
-        mut step: impl FnMut(&Command) -> Result<PlanResponse, PlanError>,
-        mut idle: impl FnMut() -> bool,
-    ) {
-        let mut next = 0u64;
+        next: &mut u64,
+        executor: &mut impl Execute,
+    ) -> bool {
         loop {
-            let entry = match self.sequencer.try_next(index, next) {
+            let entry = match self.sequencer.try_next(index, *next) {
                 Peek::Ready(entry) => entry,
-                Peek::Closed => return,
-                Peek::Empty if idle() => continue,
-                Peek::Empty => match self.sequencer.next_command(index, next) {
-                    Some(entry) => entry,
-                    None => return,
-                },
+                Peek::Empty => return true,
+                Peek::Closed => return false,
             };
-            next = entry.seq + 1;
-            let result = step(&entry.command);
+            *next = entry.seq + 1;
+            let result = executor.execute(&entry.command);
             self.deposit(&entry, result);
+        }
+    }
+
+    /// The doorbell-waiting loop, from log position `next` until the log closes:
+    /// consume, then idle turns with a look at the log after each, then park.
+    ///
+    /// The doorbell discipline (model-checked in kpg_sync): snapshot the epoch, look at
+    /// the log, park only if nothing rang since the snapshot. Each pass snapshots ahead
+    /// of its own look, so a ring anywhere between the look and the park — the idle turn
+    /// that found no work left included — advances the epoch past `seen` and the park
+    /// returns at once.
+    ///
+    /// A worker with turns left does not sleep, and saved-up allowance is up to 250
+    /// turns back to back (a deep merge's first waits). In about one server process in
+    /// three on the ruler's two cores, something the epoch needs — the reactor, with
+    /// the answer just deposited or the next request — was runnable on this worker's
+    /// core and sat behind the whole run: the answer left 6–8 ms after its deposit
+    /// though no step was slow, and `epoch_stream`'s slowest-tenth mean read 4.0–4.7 ms
+    /// for that process against 1.5–2.0 (2.2–2.5 against 1.5–1.8 with the yield). So a
+    /// turn that leaves more to do ends by offering the core; with nobody waiting for
+    /// it that is one short syscall per ≈ 35 µs turn.
+    pub(crate) fn run(&self, index: usize, mut next: u64, executor: &mut impl Execute) {
+        loop {
+            let seen = self.sequencer.epoch();
+            if !self.consume(index, &mut next, executor) {
+                return;
+            }
+            if executor.idle_turn() {
+                kpg_sync::thread::yield_now();
+            } else {
+                self.sequencer.park(seen);
+            }
         }
     }
 }

@@ -432,7 +432,7 @@ fn consumed_log_entries_are_pruned() {
             .expect("every command is acknowledged");
     }
     // After the last response, every worker has deposited everything; its next
-    // next_command call records the final cursor and prunes. Poll briefly.
+    // look at the log records the final cursor and prunes. Poll briefly.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while core.retained_log_len() > 0 {
         assert!(

@@ -1,20 +1,45 @@
 //! Connection fan-out: the event-driven fabric's structural promise is that the
 //! thread count is a function of the worker count, never the connection count —
-//! one reactor thread multiplexes every socket. These tests pin that by counting
-//! the process's kernel tasks (`/proc/self/task`) while holding idle
-//! connections open: opening 10× more sockets must add exactly zero threads.
+//! worker 0's thread is the reactor that multiplexes every socket. These tests pin
+//! that by counting the process's kernel tasks (`/proc/self/task`): serving adds
+//! exactly the workers and the engine thread that joins them, and opening 10× more
+//! sockets adds exactly zero threads.
 //!
-//! The fast test holds ~128 idle connections; the `#[ignore]`d slow-lane test
+//! The fast tests hold ~128 idle connections; the `#[ignore]`d slow-lane test
 //! holds 1000+ (bounded by the fd rlimit — client and server share this
 //! process, so each connection costs two descriptors) and additionally proves
-//! the held connections still work afterwards. Linux-only: thread counting
-//! reads procfs.
+//! the held connections still work afterwards. The tests count threads one at a
+//! time (`SERIAL`), so one test's server never shows up in another's census.
+//! Linux-only: thread counting reads procfs.
 
 #![cfg(target_os = "linux")]
 
 use std::net::TcpStream;
 
 use kpg_server::{serve, Client, ServerConfig};
+use kpg_sync::{Mutex, MutexGuard};
+
+/// Held by every test for its whole run.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// One round trip: `CreateInput` is answered only once every worker has executed it,
+/// so afterwards the engine and all its workers are running.
+fn round_trip(addr: std::net::SocketAddr, input: &str) {
+    let mut client = Client::connect(addr).expect("connect active client");
+    client
+        .send(&kpg_plan::Command::CreateInput {
+            name: input.into(),
+            key_arity: None,
+        })
+        .expect("send");
+    client.receive().expect("ack");
+}
 
 /// Number of kernel tasks (threads) in this process right now.
 fn thread_count() -> usize {
@@ -52,8 +77,36 @@ fn settle() {
     kpg_sync::thread::sleep(std::time::Duration::from_millis(200));
 }
 
+/// A server is its workers plus the engine thread that joins them: worker 0 is the
+/// reactor, so there is no reactor thread of its own.
+#[test]
+fn serving_adds_the_workers_and_one_engine_thread() {
+    let _serial = serial();
+    for workers in [1, 2] {
+        let before = thread_count();
+        let mut server = serve(
+            "127.0.0.1:0",
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("bind fanout server");
+        round_trip(server.local_addr(), "edges");
+        let serving = thread_count();
+        assert_eq!(
+            serving - before,
+            workers + 1,
+            "serving with {workers} worker(s) added {} threads",
+            serving - before
+        );
+        server.shutdown();
+    }
+}
+
 #[test]
 fn thread_count_does_not_scale_with_connections() {
+    let _serial = serial();
     let mut server = serve(
         "127.0.0.1:0",
         ServerConfig {
@@ -79,26 +132,19 @@ fn thread_count_does_not_scale_with_connections() {
 
     // The idle connections are live sessions, not just accepted sockets: one of
     // them can run a command while the rest stay parked in the reactor.
-    let mut client = Client::connect(addr).expect("connect active client");
-    client
-        .send(&kpg_plan::Command::CreateInput {
-            name: "edges".into(),
-            key_arity: None,
-        })
-        .expect("send");
-    client.receive().expect("ack");
+    round_trip(addr, "edges");
 
     drop(first);
     drop(rest);
     server.shutdown();
 }
 
-/// Slow lane: a thousand-plus idle connections through at most two poller
-/// threads (reactor + engine-side plumbing — in practice exactly one reactor).
-/// Sized to the fd rlimit: each held connection is two descriptors here.
+/// Slow lane: a thousand-plus idle connections through one poller, on worker 0's
+/// thread. Sized to the fd rlimit: each held connection is two descriptors here.
 #[test]
 #[ignore = "1k+ idle connections; run in the slow CI lane"]
 fn thousand_idle_connections_two_reactor_threads() {
+    let _serial = serial();
     // Leave generous headroom for workers, WAL-less engine plumbing, and the
     // test harness itself.
     let target = (fd_limit().saturating_sub(128) / 2).min(10_000);
@@ -130,11 +176,10 @@ fn thousand_idle_connections_two_reactor_threads() {
         "holding {target} connections changed the thread count ({baseline} -> {loaded})"
     );
 
-    // The structural claim: the socket fabric is at most two threads (in
-    // practice exactly one reactor; the engine sequencer is the other
-    // non-worker server thread). The absolute census is 2 workers + reactor +
-    // engine + the libtest harness — anything above 8 total means something is
-    // spawning per connection.
+    // The structural claim: the socket fabric adds no thread at all (worker 0 is
+    // the reactor). The absolute census is 2 workers + the engine thread + the
+    // libtest harness — anything above 8 total means something is spawning per
+    // connection.
     assert!(
         loaded <= 8,
         "{loaded} threads while holding {target} idle connections: \
@@ -142,14 +187,7 @@ fn thousand_idle_connections_two_reactor_threads() {
     );
 
     // And the server still serves through the crowd.
-    let mut client = Client::connect(addr).expect("connect active client");
-    client
-        .send(&kpg_plan::Command::CreateInput {
-            name: "edges".into(),
-            key_arity: None,
-        })
-        .expect("send");
-    client.receive().expect("ack");
+    round_trip(addr, "edges");
 
     drop(first);
     drop(rest);

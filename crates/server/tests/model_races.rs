@@ -18,7 +18,9 @@
 //! 4. *Group commit vs checkpoint/prune*: the WAL watermark protocol — a checkpoint
 //!    never prunes records that are not yet durable.
 //! 5. *Pipeline-depth backpressure*: read-interest suppression bounds in-flight
-//!    depth without deadlocking the wakeup protocol.
+//!    depth without deadlocking the wakeup protocol. 5b runs it with the reactor as
+//!    worker 0, on the real consume path and response queue: the reactor's own
+//!    deposits are flushed without a wake, and another worker's always wake it.
 //! 6. *Accept backoff*: a listener muted by a transient accept failure re-arms and
 //!    accepts a connection whose readiness event fired while muted.
 //! 7. *Sealed-epoch hand-off*: the checkpoint thread owns the state tracker and is fed
@@ -38,11 +40,12 @@
 
 #![cfg(feature = "model")]
 
+use std::cell::Cell;
 use std::collections::HashSet;
 
 use kpg_plan::{Command, Plan, PlanError, Response as PlanResponse, Row, Value};
-use kpg_server::{DurabilityConfig, ServerCore};
-use kpg_sync::atomic::{AtomicBool, Ordering};
+use kpg_server::{DurabilityConfig, QueueRoute, ResponseRoute, ServerCore};
+use kpg_sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use kpg_sync::model::{explore, Config};
 use kpg_sync::{mpsc, thread, Arc, Doorbell, Mutex};
 use kpg_wire::Response;
@@ -396,6 +399,96 @@ fn pipeline_backpressure_bounds_in_flight_and_drains() {
     });
 }
 
+thread_local! {
+    /// Set on the thread that plays the reactor in race 5b.
+    static ON_REACTOR: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Off-thread wakes and wake-less flushes seen across race 5b's schedules.
+static OFF_THREAD_WAKES: AtomicU64 = AtomicU64::new(0);
+static WAKELESS_FLUSHES: AtomicU64 = AtomicU64::new(0);
+
+/// Race 5b: race 5 with the reactor as worker 0, as `serve` runs it. The reactor
+/// thread submits up to the depth bound, then executes and deposits through the real
+/// `ServerCore::consume` (`model_consume`) and drains the real [`QueueRoute`]; a stub
+/// worker 1 consumes the same log. Whichever worker deposits a command last completes
+/// it. Invariants, on every schedule: every response reaches the "socket" in request
+/// order; a deposit made on the reactor thread never rings the waker (the wake asserts
+/// it), so the reactor flushes it on its own next pass; and one made by worker 1 rings
+/// it, or the reactor would wait forever for a response already queued — a deadlock
+/// the explorer reports. Across the exploration, both workers must have been last at
+/// least once.
+#[test]
+fn reactor_resident_worker_zero_flushes_every_response() {
+    explore("reactor_as_worker_zero", small_config(), || {
+        const LIMIT: u64 = 2;
+        const REQUESTS: u64 = 3;
+        let core = Arc::new(ServerCore::new(2));
+        let waker = Arc::new(Doorbell::new());
+        let route = {
+            let waker = Arc::clone(&waker);
+            Arc::new(QueueRoute::new(move || {
+                assert!(
+                    !ON_REACTOR.with(Cell::get),
+                    "a deposit on the reactor thread rang the reactor's own waker"
+                );
+                OFF_THREAD_WAKES.fetch_add(1, Ordering::SeqCst);
+                waker.ring();
+            }))
+        };
+        let client = core.register_client_routed(Arc::clone(&route) as Arc<dyn ResponseRoute>);
+        let stub = {
+            let core = Arc::clone(&core);
+            thread::spawn(move || {
+                let mut installed = HashSet::new();
+                core.model_worker_loop(1, |command| stub_execute(&mut installed, command));
+            })
+        };
+
+        ON_REACTOR.with(|on| on.set(true));
+        let _drainer = route.drain_here();
+        let mut installed = HashSet::new();
+        let (mut next, mut submitted, mut answered) = (0u64, 0u64, 0u64);
+        loop {
+            let seen = waker.epoch();
+            core.model_consume(0, &mut next, |command| {
+                stub_execute(&mut installed, command)
+            });
+            let flushed = route.take();
+            if !flushed.is_empty() && waker.epoch() == seen {
+                WAKELESS_FLUSHES.fetch_add(1, Ordering::SeqCst);
+            }
+            for (to, reply, response) in flushed {
+                assert_eq!((to, reply), (client, answered), "responses leave in order");
+                assert!(matches!(response, Response::Ok), "{response:?}");
+                answered += 1;
+            }
+            if answered == REQUESTS {
+                break;
+            }
+            let batch: Vec<_> = (submitted..REQUESTS.min(answered + LIMIT))
+                .map(|reply| (client, reply, update("edges", reply)))
+                .collect();
+            if !batch.is_empty() {
+                submitted += batch.len() as u64;
+                core.submit_batch(batch);
+                continue;
+            }
+            waker.wait(seen);
+        }
+        core.close();
+        stub.join().unwrap();
+    });
+    assert!(
+        OFF_THREAD_WAKES.load(Ordering::SeqCst) > 0,
+        "no schedule had worker 1 deposit last"
+    );
+    assert!(
+        WAKELESS_FLUSHES.load(Ordering::SeqCst) > 0,
+        "no schedule had the reactor deposit last"
+    );
+}
+
 /// Race 6: accept backoff, reactor-style. A transient accept failure mutes the
 /// listener's readiness interest — so a connection arriving during the backoff
 /// produces *no* event — and a wait timeout re-arms it. Invariant: the muted
@@ -471,7 +564,6 @@ fn accept_backoff_rearms_without_stranding_connections() {
 /// checkpoint. Returns what a restart on that directory would replay: the bootstrap
 /// synthesized from the last committed checkpoint, then the WAL tail past it.
 fn recovered_after_shutdown(workers: usize, commands: &[Command]) -> Vec<Command> {
-    use kpg_sync::atomic::AtomicU64;
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "kpg-model-handoff-{}-{}",
@@ -667,9 +759,9 @@ fn command_appended_during_an_idle_turn_is_consumed_without_a_park() {
     one_command_against_idle_turns("append_vs_idle_turn", 3);
 }
 
-/// Race 8b: with nothing to maintain, the worker peeks, takes its (empty) idle turn and
-/// parks in `next_command`, which snapshots the doorbell before its own look at the
-/// log — an append whose ring lands anywhere between the peek and the park is seen.
+/// Race 8b: with nothing to maintain, the worker looks, takes its (empty) idle turn and
+/// parks on the doorbell snapshot it took before that look — an append whose ring lands
+/// anywhere between the look and the park is seen.
 #[test]
 fn ring_between_the_peek_and_the_park_is_never_lost() {
     one_command_against_idle_turns("ring_vs_peek_then_park", 0);

@@ -32,7 +32,18 @@ fn local_server(workers: usize) -> Server {
 /// settled answers must equal a single-`Manager` replay of the merged command log.
 #[test]
 fn concurrent_clients_match_a_replay_of_the_merged_log() {
-    let mut server = local_server(2);
+    concurrent_clients_match_a_replay(2);
+}
+
+/// The same with one worker, which is the reactor: every command runs on the thread
+/// that read it.
+#[test]
+fn concurrent_clients_match_a_replay_of_the_merged_log_on_one_worker() {
+    concurrent_clients_match_a_replay(1);
+}
+
+fn concurrent_clients_match_a_replay(workers: usize) {
+    let mut server = local_server(workers);
     let addr = server.local_addr();
 
     let mut setup = Client::connect(addr).expect("connect setup client");
@@ -268,6 +279,83 @@ fn deep_pipelining_hits_backpressure_not_unbounded_buffering() {
             &[],
         )
         .expect("install");
+    server.shutdown();
+}
+
+/// One pipelined write holding a `Query` every few commands. The reactor stops reading
+/// the connection after each query (its answer leaves before the commands behind it
+/// run) and resumes from the bytes already in its assembler, which no readiness event
+/// will announce again. Every frame must be answered, in order, and every answer must
+/// equal a single-`Manager` replay of the log.
+#[test]
+fn pipelined_queries_are_each_answered_in_order() {
+    let mut server = local_server(1);
+    // A frame left stranded in the assembler fails the test instead of hanging it.
+    let mut client = Client::connect(server.local_addr())
+        .and_then(|client| client.with_request_timeout(Some(Duration::from_secs(10))))
+        .expect("connect");
+    client.create_input("edges", Some(1)).expect("create input");
+    client
+        .install(
+            "degrees",
+            Plan::source("edges").reduce(1, ReduceKind::Count),
+            &[],
+        )
+        .expect("install");
+
+    let mut commands = Vec::new();
+    for index in 0..60u64 {
+        commands.push(Command::Update {
+            name: "edges".to_string(),
+            row: row(&[index % 7, index]),
+            diff: 1,
+        });
+        if index % 6 == 5 {
+            commands.push(Command::AdvanceTime {
+                epoch: index / 6 + 1,
+            });
+            commands.push(Command::Query {
+                name: "degrees".to_string(),
+            });
+        }
+    }
+    for command in &commands {
+        client.send(command).expect("pipelined send");
+    }
+    let answers: Vec<Response> = commands
+        .iter()
+        .map(|_| client.receive().expect("every frame is answered"))
+        .collect();
+
+    let log = server.core().command_log();
+    let replayed = replay(1, log.clone()).outcomes;
+    let expected: Vec<Vec<(Row, isize)>> = log
+        .into_iter()
+        .zip(replayed)
+        .filter_map(|(command, (outcome, _))| match (command, outcome) {
+            (Command::Query { .. }, Ok(PlanResponse::Rows(mut rows))) => {
+                rows.sort();
+                Some(rows)
+            }
+            _ => None,
+        })
+        .collect();
+    let mut queried = Vec::new();
+    for (command, answer) in commands.iter().zip(answers) {
+        match (command, answer) {
+            (Command::Query { .. }, Response::QueryResults { rows, diffs }) => {
+                let mut rows: Vec<(Row, isize)> = rows
+                    .into_iter()
+                    .zip(diffs.into_iter().map(|diff| diff as isize))
+                    .collect();
+                rows.sort();
+                queried.push(rows);
+            }
+            (_, answer) => assert_eq!(answer, Response::Ok, "in order: {command:?}"),
+        }
+    }
+    assert_eq!(queried.len(), 10);
+    assert_eq!(queried, expected);
     server.shutdown();
 }
 

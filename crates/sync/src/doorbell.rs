@@ -86,21 +86,9 @@ impl Doorbell {
         if self.rings.load(Ordering::SeqCst) != seen {
             return;
         }
-        // Brief spin before parking: a sequencer that is about to ring usually
-        // does so within a microsecond, and dodging the park/unpark syscall pair
-        // is worth ~10µs of round-trip latency. Bounded; skipped under the model
-        // scheduler (where spinning is livelock), under Miri (where it is just
-        // slow), and on a single hardware thread (where the ringer cannot run
-        // until we yield the CPU, so spinning only delays it).
         #[cfg(not(any(feature = "model", miri)))]
-        for _ in 0..spin_budget() {
-            if self.rings.load(Ordering::Relaxed) != seen {
-                // Confirm with the ordering the protocol argument relies on.
-                if self.rings.load(Ordering::SeqCst) != seen {
-                    return;
-                }
-            }
-            std::hint::spin_loop();
+        if self.spin(seen) {
+            return;
         }
         if self.rings.load(Ordering::SeqCst) != seen {
             return;
@@ -115,6 +103,50 @@ impl Doorbell {
         }
         drop(guard);
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// The brief spin before parking: a sequencer that is about to ring usually
+    /// does so within a microsecond, and dodging the park/unpark syscall pair is
+    /// worth ~10µs of round-trip latency. Bounded; skipped under the model
+    /// scheduler (where spinning is livelock), under Miri (where it is just slow),
+    /// and on a single hardware thread (where the ringer cannot run until we yield
+    /// the CPU, so spinning only delays it). Returns whether the epoch moved.
+    #[cfg(not(any(feature = "model", miri)))]
+    fn spin(&self, seen: u64) -> bool {
+        for _ in 0..spin_budget() {
+            if self.rings.load(Ordering::Relaxed) != seen {
+                // Confirm with the ordering the protocol argument relies on.
+                if self.rings.load(Ordering::SeqCst) != seen {
+                    return true;
+                }
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
+
+    /// How long [`Doorbell::wait`] spins before it parks when nothing rings: the
+    /// spin itself, timed once per process (the fastest of three, so a preempted
+    /// measurement does not stick; 55–61 µs on a 2-vCPU Xeon VM). Zero wherever the
+    /// doorbell does not spin. A thread that waits some other way — the server's
+    /// reactor, in `epoll_wait` — polls for this long before it blocks, so every
+    /// waiter gives its producer the same window.
+    pub fn spin_window() -> Duration {
+        #[cfg(not(any(feature = "model", miri)))]
+        {
+            static WINDOW: std::sync::OnceLock<Duration> = std::sync::OnceLock::new();
+            *WINDOW.get_or_init(|| {
+                let idle = Doorbell::new();
+                let timed = || {
+                    let start = std::time::Instant::now();
+                    idle.spin(0);
+                    start.elapsed()
+                };
+                (0..3).map(|_| timed()).min().unwrap_or_default()
+            })
+        }
+        #[cfg(any(feature = "model", miri))]
+        Duration::ZERO
     }
 
     /// Like [`Doorbell::wait`] but gives up after `timeout`. Returns `true` if
@@ -178,6 +210,13 @@ mod tests {
         bell.ring();
         bell.wait(seen); // must not hang
         assert_eq!(bell.epoch(), seen + 1);
+    }
+
+    #[test]
+    fn the_spin_window_is_measured_once_and_bounded() {
+        let window = Doorbell::spin_window();
+        assert_eq!(Doorbell::spin_window(), window, "timed once per process");
+        assert!(window < Duration::from_millis(50), "{window:?}");
     }
 
     #[test]
