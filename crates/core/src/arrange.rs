@@ -154,10 +154,14 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
         }
     }
 
-    /// A cursor over the union of all batches currently in the trace: one batch
-    /// cursor per batch, merged by a [`CursorList`] (see [`Spine::cursor`]).
-    pub fn cursor(&self) -> CursorList<B::Cursor> {
-        self.boxed.borrow().spine.cursor()
+    /// Applies `logic` to a cursor over the union of all batches currently in the
+    /// trace: one batch cursor per batch, merged by a [`CursorList`] (see
+    /// [`Spine::cursor`]). The cursor borrows the batches under the trace's borrow,
+    /// which ends when `logic` returns, so no cursor outlives the read that opened it
+    /// or pins a batch the trace has since merged away.
+    pub fn read<T>(&self, logic: impl for<'b> FnOnce(CursorList<B::Cursor<'b>>) -> T) -> T {
+        let boxed = self.boxed.borrow();
+        logic(boxed.spine.cursor())
     }
 
     /// Spends up to `fuel` units of work on the trace's in-progress merges (see

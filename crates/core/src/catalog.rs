@@ -48,7 +48,7 @@
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -177,7 +177,9 @@ struct CatalogEntry {
 
 #[derive(Default)]
 struct CatalogInner {
-    entries: HashMap<String, CatalogEntry>,
+    /// By name: every walk (`exert_all`, `advance_all`) visits entries in name order,
+    /// the same on every worker and in every process.
+    entries: BTreeMap<String, CatalogEntry>,
     /// The name of the query currently being installed, if an `install_query` closure is
     /// on the stack; publishes made inside it are tagged as owned by that query.
     installing: Option<String>,
@@ -308,9 +310,7 @@ impl Catalog {
 
     /// The published names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.borrow().entries.keys().cloned().collect();
-        names.sort_unstable();
-        names
+        self.inner.borrow().entries.keys().cloned().collect()
     }
 
     /// The number of published arrangements.
@@ -366,8 +366,9 @@ impl Catalog {
     /// budget for all of them, decremented by the work done — so merges that inserts
     /// left half-finished complete while the worker has nothing else to do. Returns
     /// true iff some trace still has a merge in progress; when none has, the call is a
-    /// scan of layer tags. Purely local: no other worker is involved, and merge timing
-    /// never decides an answer.
+    /// scan of layer tags. Traces are fuelled in name order, so a budget that runs out
+    /// stops at the same trace in every process. Purely local: no other worker is
+    /// involved, and merge timing never decides an answer.
     pub fn exert_all(&self, fuel: &mut isize) -> bool {
         let inner = self.inner.borrow();
         let mut merging = false;
@@ -492,7 +493,52 @@ impl QueryLifecycle for Worker {
 mod tests {
     use super::*;
     use crate::arrange::{KeyBatch, ValBatch};
-    use kpg_trace::MergeEffort;
+    use kpg_trace::{Builder, MergeEffort};
+
+    /// A trace with one merge in progress: two abutting batches of 100 updates under
+    /// lazy effort, which fuels the merge only partly as the second one arrives.
+    fn merging_trace() -> TraceAgent<ValBatch<u32, u32>> {
+        let trace = TraceAgent::new(MergeEffort::Lazy);
+        for epoch in 0..2 {
+            let mut builder = <ValBatch<u32, u32> as Batch>::Builder::with_capacity(100);
+            for key in 0..100 {
+                builder.push(key, epoch as u32, Time::from_epoch(epoch), 1);
+            }
+            trace.insert_batch(builder.done(
+                Antichain::from_elem(Time::from_epoch(epoch)),
+                Antichain::from_elem(Time::from_epoch(epoch + 1)),
+                Antichain::from_elem(Time::minimum()),
+            ));
+        }
+        trace
+    }
+
+    /// Two catalogs holding the same sixteen merging traces, published in opposite
+    /// orders, given a budget that completes one merge: both complete the same one,
+    /// the first by name.
+    #[test]
+    fn exert_all_fuels_traces_in_name_order() {
+        let mut fuel = isize::MAX;
+        assert!(!merging_trace().exert(&mut fuel));
+        let one_merge = isize::MAX - fuel;
+        let names: Vec<String> = (0..16).map(|index| format!("trace-{index:02}")).collect();
+        let completed = |order: &mut dyn Iterator<Item = &String>| {
+            let catalog = Catalog::new();
+            for name in order {
+                catalog.publish_trace(name, &merging_trace());
+            }
+            let mut fuel = one_merge;
+            assert!(catalog.exert_all(&mut fuel));
+            let lookup = |name: &String| catalog.lookup::<ValBatch<u32, u32>>(name).unwrap();
+            let done = |name: &&String| lookup(name).batch_count() == 1;
+            names.iter().filter(done).cloned().collect::<Vec<_>>()
+        };
+        assert_eq!(completed(&mut names.iter()), vec!["trace-00".to_string()]);
+        assert_eq!(
+            completed(&mut names.iter().rev()),
+            vec!["trace-00".to_string()]
+        );
+    }
 
     #[test]
     fn publish_lookup_roundtrip() {

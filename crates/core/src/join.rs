@@ -4,7 +4,9 @@
 //! navigating the *other* input's shared trace with alternating seeks, producing output
 //! changes `(logic(k, v1, v2), t1 ∨ t2, r1 · r2)`. It never builds its own index: both
 //! indices are the shared arrangements, which is exactly the economy the paper's
-//! motivating example relies on.
+//! motivating example relies on. Nor does it copy from them: a trace is read through a
+//! scoped [`TraceAgent::read`], and keys, values and histories are borrowed from the
+//! batches in place, so the join clones only what `logic` builds.
 
 use std::marker::PhantomData;
 
@@ -23,49 +25,32 @@ use crate::Diff;
 ///
 /// Work is at most linear in the smaller of the two cursors thanks to alternating seeks:
 /// whichever cursor holds the smaller key seeks forward to the other's key rather than
-/// scanning (paper §5.3.1, "Alternating seeks").
-///
-/// `history1` and `history2` are caller-owned scratch for the per-value `(time, diff)`
-/// histories: the inner loops clear and refill them rather than allocating, so a caller
-/// that threads the same vectors through repeated invocations (as [`JoinOperator`] does)
-/// performs no history allocations in steady state.
-pub(crate) fn join_cursors<C1, C2>(
+/// scanning (paper §5.3.1, "Alternating seeks"). Keys, values and histories are read in
+/// place: a cursor's key borrows its batch, not the cursor, so it can be the other
+/// cursor's seek target, and the two histories are walked by nested `map_times`.
+pub(crate) fn join_cursors<'a, 'b, C1, C2>(
     mut cursor1: C1,
     mut cursor2: C2,
-    history1: &mut Vec<(Time, C1::Diff)>,
-    history2: &mut Vec<(Time, C2::Diff)>,
     mut emit: impl FnMut(&C1::Key, &C1::Val, &C2::Val, &Time, &C1::Diff, &Time, &C2::Diff),
 ) where
-    C1: Cursor<Time = Time>,
-    C2: Cursor<Key = C1::Key, Time = Time>,
+    C1: Cursor<'a, Time = Time>,
+    C2: Cursor<'b, Key = C1::Key, Time = Time>,
 {
     while cursor1.key_valid() && cursor2.key_valid() {
         match cursor1.key().cmp(cursor2.key()) {
-            std::cmp::Ordering::Less => {
-                let target = cursor2.key().clone();
-                cursor1.seek_key(&target);
-            }
-            std::cmp::Ordering::Greater => {
-                let target = cursor1.key().clone();
-                cursor2.seek_key(&target);
-            }
+            std::cmp::Ordering::Less => cursor1.seek_key(cursor2.key()),
+            std::cmp::Ordering::Greater => cursor2.seek_key(cursor1.key()),
             std::cmp::Ordering::Equal => {
-                let key = cursor1.key().clone();
+                let key = cursor1.key();
                 cursor1.rewind_vals();
                 while cursor1.val_valid() {
-                    let val1 = cursor1.val().clone();
-                    history1.clear();
-                    cursor1.map_times(|t, r| history1.push((*t, r.clone())));
+                    let val1 = cursor1.val();
                     cursor2.rewind_vals();
                     while cursor2.val_valid() {
-                        let val2 = cursor2.val().clone();
-                        history2.clear();
-                        cursor2.map_times(|t, r| history2.push((*t, r.clone())));
-                        for (t1, r1) in history1.iter() {
-                            for (t2, r2) in history2.iter() {
-                                emit(&key, &val1, &val2, t1, r1, t2, r2);
-                            }
-                        }
+                        let val2 = cursor2.val();
+                        cursor1.map_times(|t1, r1| {
+                            cursor2.map_times(|t2, r2| emit(key, val1, val2, t1, r1, t2, r2));
+                        });
                         cursor2.step_val();
                     }
                     cursor1.step_val();
@@ -94,11 +79,8 @@ where
     queue2: Vec<B2>,
     frontier1: Antichain<Time>,
     frontier2: Antichain<Time>,
-    /// Reusable scratch for the per-value histories walked by [`join_cursors`] and for
-    /// the staged output updates; capacities persist across `work` calls so the join
-    /// inner loops allocate nothing in steady state.
-    history1: Vec<(Time, B1::Diff)>,
-    history2: Vec<(Time, B2::Diff)>,
+    /// Reusable scratch for the staged output updates; its capacity persists across
+    /// `work` calls.
     results: UpdateVec<D, <B1::Diff as Multiply<B2::Diff>>::Output>,
     _marker: PhantomData<D>,
 }
@@ -131,14 +113,12 @@ where
         let new1 = std::mem::take(&mut self.queue1);
         let new2 = std::mem::take(&mut self.queue2);
 
-        // Borrow the scratch buffers and the logic closure as disjoint fields so the
+        // Borrow the scratch buffer and the logic closure as disjoint fields so the
         // emit closures below can capture them while the traces stay borrowed.
         let Self {
             logic,
             trace1,
             trace2,
-            history1,
-            history2,
             results,
             ..
         } = self;
@@ -147,29 +127,21 @@ where
         // New batches from input 1 joined against the full shared trace of input 2.
         if let Some(trace2) = trace2.as_ref() {
             for batch in new1.iter() {
-                join_cursors(
-                    batch.cursor(),
-                    trace2.cursor(),
-                    history1,
-                    history2,
-                    |k, v1, v2, t1, r1, t2, r2| {
+                trace2.read(|cursor2| {
+                    join_cursors(batch.cursor(), cursor2, |k, v1, v2, t1, r1, t2, r2| {
                         results.push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
-                    },
-                );
+                    });
+                });
             }
         }
         // New batches from input 2 joined against the full shared trace of input 1.
         if let Some(trace1) = trace1.as_ref() {
             for batch in new2.iter() {
-                join_cursors(
-                    trace1.cursor(),
-                    batch.cursor(),
-                    history1,
-                    history2,
-                    |k, v1, v2, t1, r1, t2, r2| {
+                trace1.read(|cursor1| {
+                    join_cursors(cursor1, batch.cursor(), |k, v1, v2, t1, r1, t2, r2| {
                         results.push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
-                    },
-                );
+                    });
+                });
             }
         }
         // Both traces already contain the concurrently arrived batches, so the
@@ -179,8 +151,6 @@ where
                 join_cursors(
                     batch1.cursor(),
                     batch2.cursor(),
-                    history1,
-                    history2,
                     |k, v1, v2, t1, r1, t2, r2| {
                         let mut diff = r1.multiply(r2);
                         diff.negate();
@@ -270,8 +240,6 @@ impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
             queue2: Vec::new(),
             frontier1: Antichain::from_elem(Time::minimum()),
             frontier2: Antichain::from_elem(Time::minimum()),
-            history1: Vec::new(),
-            history2: Vec::new(),
             results: Vec::new(),
             _marker: PhantomData,
         };
@@ -355,43 +323,22 @@ mod tests {
         )
     }
 
-    /// The join inner loops must reuse caller-owned history scratch: repeated
-    /// invocations with the same vectors perform identical work and never regrow them.
+    /// Every matching key pairs every value of one side with every value of the
+    /// other, and every time of one history with every time of the other; a cursor
+    /// pair is a read, so joining the same batches again emits the same matches.
     #[test]
-    fn join_cursors_scratch_capacity_is_stable() {
+    fn join_cursors_emits_every_time_pair() {
         let batch1 = batch(64, 3);
         let batch2 = batch(48, 4);
-        let mut history1: Vec<(Time, Diff)> = Vec::new();
-        let mut history2: Vec<(Time, Diff)> = Vec::new();
-
-        let mut baseline = 0usize;
-        join_cursors(
-            batch1.cursor(),
-            batch2.cursor(),
-            &mut history1,
-            &mut history2,
-            |_, _, _, _, _, _, _| baseline += 1,
-        );
-        // 48 shared keys × (3 × 4) value pairs × (2 × 2) time pairs.
-        assert_eq!(baseline, 48 * 12 * 4);
-        let capacities = (history1.capacity(), history2.capacity());
-        assert!(capacities.0 > 0 && capacities.1 > 0);
-
-        for round in 0..10 {
+        let matches = || {
             let mut matches = 0usize;
-            join_cursors(
-                batch1.cursor(),
-                batch2.cursor(),
-                &mut history1,
-                &mut history2,
-                |_, _, _, _, _, _, _| matches += 1,
-            );
-            assert_eq!(matches, baseline);
-            assert_eq!(
-                (history1.capacity(), history2.capacity()),
-                capacities,
-                "round {round}: history scratch regrew"
-            );
-        }
+            join_cursors(batch1.cursor(), batch2.cursor(), |_, _, _, _, _, _, _| {
+                matches += 1;
+            });
+            matches
+        };
+        // 48 shared keys × (3 × 4) value pairs × (2 × 2) time pairs.
+        assert_eq!(matches(), 48 * 12 * 4);
+        assert_eq!(matches(), matches());
     }
 }

@@ -20,27 +20,25 @@
 //! whole invocation is **one ordered pass** over the two traces, as `join`'s alternating
 //! seeks are (§5.3.1):
 //!
-//! * **One cursor pair.** The first complete pair opens one cursor over the input trace
-//!   and one over the output trace; an invocation with nothing complete opens none.
-//!   While keys ascend (the pairs of one time) both cursors only `seek_key` forward; they
-//!   `rewind_keys` exactly when the next pair's key does not exceed the previous pair's,
-//!   which can only happen when the time changed. A bulk evaluation of n keys at one time
-//!   is therefore one merged forward walk, not n probes from the root.
-//! * **Cursors live for one invocation.** They are dropped before the output batch is
-//!   minted and never stored on the operator: a cursor holds a reference to every batch
-//!   it was opened over, and the input trace is *shared* — a retained cursor would pin
-//!   batches other readers have long since allowed to be merged and compacted away.
+//! * **One read of each trace.** An invocation with a complete pair reads the input
+//!   and the output trace through one cursor each; one with none opens neither. Within a time, keys ascend, so both cursors only
+//!   `seek_key` forward; they `rewind_keys` when the time changes. A bulk evaluation of
+//!   n keys at one time is therefore one merged forward walk, not n probes from the
+//!   root. The reads end before the output batch is minted.
+//! * **Rows are read in place.** The logic receives each value as a borrow of the input
+//!   batch that holds it, and the output totals are folded by reference. A key or value
+//!   is cloned only into a staged correction or a recorded `(time, key)` pair (and a
+//!   key once more into the by-key index below, when that is built).
 //! * **Corrections of earlier times are found by key.** What the invocation has produced
 //!   so far is not yet in the output trace, so a pair must add it to what the output
 //!   cursor reports. Each `(time, key)` is evaluated once, so only corrections staged at
 //!   *earlier* times can concern a pair: when the walk moves to a new time the
-//!   corrections staged since the last such move are threaded onto a per-key chain
-//!   (`Staged`), and a pair follows its own key's chain only. An invocation that
-//!   evaluates a single time — a bulk load, a steady-state epoch — never builds the index.
+//!   corrections staged at the last one are threaded onto a per-key chain (`Staged`),
+//!   and a pair follows its own key's chain only. An invocation that evaluates a single
+//!   time — a bulk load, a steady-state epoch — never builds the index.
 
 use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
-use std::ops::Bound;
 
 use kpg_dataflow::operator::{downcast_payload, BundleBox, Operator, OutputContext};
 use kpg_dataflow::Time;
@@ -51,6 +49,9 @@ use crate::arrange::{Arranged, KeyBatch, TraceAgent, ValBatch};
 use crate::collection::Collection;
 use crate::Diff;
 
+/// One staged output correction: `(key, val, time, diff)`.
+type Correction<K, V2, R2> = (K, V2, Time, R2);
+
 /// The output corrections produced so far by one `work` invocation, in evaluation order,
 /// with a by-key index over those staged at times earlier than the one under evaluation.
 ///
@@ -59,8 +60,8 @@ use crate::Diff;
 /// so a lookup visits one key's corrections and nothing else, and staging allocates per
 /// invocation (amortised table and vector growth, capacity retained), never per key.
 struct Staged<K, V2, R2> {
-    updates: Vec<(K, V2, Time, R2)>,
-    /// One entry per indexed correction (`prev.len() <= updates.len()`).
+    updates: Vec<Correction<K, V2, R2>>,
+    /// One entry per indexed correction (`prev.len() == updates.len()`).
     prev: Vec<usize>,
     last: HashMap<K, usize>,
 }
@@ -79,8 +80,10 @@ impl<K, V2, R2> Default for Staged<K, V2, R2> {
 }
 
 impl<K: Data, V2, R2> Staged<K, V2, R2> {
-    /// Threads every correction staged since the last call onto its key's chain.
-    fn index_staged(&mut self) {
+    /// Moves `fresh` — the corrections of the time just evaluated — in, threading each
+    /// onto its key's chain.
+    fn index(&mut self, fresh: &mut Vec<Correction<K, V2, R2>>) {
+        self.updates.append(fresh);
         for (index, (key, ..)) in self.updates.iter().enumerate().skip(self.prev.len()) {
             let previous = match self.last.get_mut(key) {
                 Some(last) => std::mem::replace(last, index),
@@ -94,7 +97,7 @@ impl<K: Data, V2, R2> Staged<K, V2, R2> {
     }
 
     /// Applies `logic` to every indexed correction for `key`, most recent first.
-    fn for_each_indexed(&self, key: &K, mut logic: impl FnMut(&V2, &Time, &R2)) {
+    fn for_each_indexed<'a>(&'a self, key: &K, mut logic: impl FnMut(&'a V2, &Time, &R2)) {
         let mut next = self.last.get(key).copied().unwrap_or(NO_PREVIOUS);
         while next != NO_PREVIOUS {
             let (_, val, time, diff) = &self.updates[next];
@@ -103,9 +106,13 @@ impl<K: Data, V2, R2> Staged<K, V2, R2> {
         }
     }
 
-    /// Empties the staging area into `logic`, retaining every capacity.
-    fn drain_into(&mut self, mut logic: impl FnMut(K, V2, Time, R2)) {
-        for (key, val, time, diff) in self.updates.drain(..) {
+    /// Empties the staging area and `fresh` into `logic`, retaining every capacity.
+    fn drain_into(
+        &mut self,
+        fresh: &mut Vec<Correction<K, V2, R2>>,
+        mut logic: impl FnMut(K, V2, Time, R2),
+    ) {
+        for (key, val, time, diff) in self.updates.drain(..).chain(fresh.drain(..)) {
             logic(key, val, time, diff);
         }
         self.prev.clear();
@@ -113,34 +120,31 @@ impl<K: Data, V2, R2> Staged<K, V2, R2> {
     }
 }
 
-/// Reusable scratch for one [`ReduceOperator`], threaded through
-/// `accumulate_input` / `accumulate_output` so the per-`(key, time)` evaluation loop
-/// allocates nothing in steady state: every vector is cleared and refilled in place,
-/// and `staged` is drained (capacity retained) into the output batch builder.
-struct ReduceScratch<K, V1, R1, V2, R2> {
+/// Reusable scratch for one [`ReduceOperator`]: every vector is cleared and refilled in
+/// place, and the staged corrections are drained (capacity retained) into the output
+/// batch builder. What borrows a trace's rows — a key's input values, its output totals
+/// — lives only for the read that lends them.
+struct ReduceScratch<K, V2, R2> {
     /// The distinct times of one key of an arriving batch.
     arrived_times: Vec<Time>,
-    /// The accumulated input values for the key under evaluation.
-    values: Vec<(V1, R1)>,
     /// The times in the key's input history not `<=` the time under evaluation
     /// (future-work scheduling).
     history_times: Vec<Time>,
-    /// The previously produced output accumulated at the time under evaluation.
-    totals: Vec<(V2, R2)>,
-    /// The output corrections staged during the current `work` invocation.
+    /// The output corrections staged at earlier times of the current `work` invocation.
     staged: Staged<K, V2, R2>,
+    /// The output corrections staged at the time under evaluation.
+    fresh: Vec<Correction<K, V2, R2>>,
     /// The user logic's desired output for the key under evaluation.
     desired: Vec<(V2, R2)>,
 }
 
-impl<K, V1, R1, V2, R2> Default for ReduceScratch<K, V1, R1, V2, R2> {
+impl<K, V2, R2> Default for ReduceScratch<K, V2, R2> {
     fn default() -> Self {
         ReduceScratch {
             arrived_times: Vec::new(),
-            values: Vec::new(),
             history_times: Vec::new(),
-            totals: Vec::new(),
             staged: Staged::default(),
+            fresh: Vec::new(),
             desired: Vec::new(),
         }
     }
@@ -153,7 +157,7 @@ where
     B1: Batch<Time = Time>,
     V2: Data,
     R2: Abelian,
-    L: FnMut(&B1::Key, &[(B1::Val, B1::Diff)], &mut Vec<(V2, R2)>),
+    L: FnMut(&B1::Key, &[(&B1::Val, B1::Diff)], &mut Vec<(V2, R2)>),
 {
     name: &'static str,
     logic: L,
@@ -163,19 +167,19 @@ where
     pending: BTreeSet<(Time, B1::Key)>,
     input_frontier: Antichain<Time>,
     output_upper: Antichain<Time>,
-    scratch: ReduceScratch<B1::Key, B1::Val, B1::Diff, V2, R2>,
+    scratch: ReduceScratch<B1::Key, V2, R2>,
     _marker: PhantomData<(V2, R2)>,
 }
 
-/// Accumulates the input collection for `key` at `time` into `values` (each value with
-/// its net multiplicity) and `history_times` (the distinct times in the key's history
-/// that are not `<= time`, for future-work scheduling). Both vectors are cleared first.
-/// `cursor` must have been sought to `key`.
-fn accumulate_input<C: Cursor<Time = Time>>(
+/// Accumulates the input collection for `key` at `time` into `values` (each value, as
+/// a borrow of its batch, with its net multiplicity) and `history_times` (the distinct
+/// times in the key's history that are not `<= time`, for future-work scheduling). Both
+/// vectors are cleared first. `cursor` must have been sought to `key`.
+fn accumulate_input<'b, C: Cursor<'b, Time = Time>>(
     cursor: &mut C,
     key: &C::Key,
     time: &Time,
-    values: &mut Vec<(C::Val, C::Diff)>,
+    values: &mut Vec<(&'b C::Val, C::Diff)>,
     history_times: &mut Vec<Time>,
 ) {
     values.clear();
@@ -193,10 +197,8 @@ fn accumulate_input<C: Cursor<Time = Time>>(
                     history_times.push(*t);
                 }
             });
-            if let Some(sum) = sum {
-                if !sum.is_zero() {
-                    values.push((cursor.val().clone(), sum));
-                }
+            if let Some(sum) = sum.filter(|sum| !sum.is_zero()) {
+                values.push((cursor.val(), sum));
             }
             cursor.step_val();
         }
@@ -206,29 +208,30 @@ fn accumulate_input<C: Cursor<Time = Time>>(
 }
 
 /// Accumulates the previously produced output for `key` at `time` into `totals`
-/// (cleared first): what the output trace holds, plus the corrections staged at earlier
-/// times of the current invocation. `cursor` must have been sought to `key`.
-fn accumulate_output<C: Cursor<Time = Time>>(
+/// (cleared first), sorted by value: what the output trace holds, plus the corrections
+/// staged at earlier times of the current invocation, each value folded by reference.
+/// `cursor` must have been sought to `key`.
+fn accumulate_output<'a, 'b: 'a, C: Cursor<'b, Time = Time>>(
     cursor: &mut C,
     key: &C::Key,
     time: &Time,
-    staged: &Staged<C::Key, C::Val, C::Diff>,
-    totals: &mut Vec<(C::Val, C::Diff)>,
+    staged: &'a Staged<C::Key, C::Val, C::Diff>,
+    totals: &mut Vec<(&'a C::Val, C::Diff)>,
 ) {
     totals.clear();
-    let add = |totals: &mut Vec<(C::Val, C::Diff)>, val: &C::Val, diff: &C::Diff| {
-        if let Some(entry) = totals.iter_mut().find(|(v, _)| v == val) {
+    let mut add = |val: &'a C::Val, diff: &C::Diff| {
+        if let Some(entry) = totals.iter_mut().find(|(v, _)| *v == val) {
             entry.1.plus_equals(diff);
         } else {
-            totals.push((val.clone(), diff.clone()));
+            totals.push((val, diff.clone()));
         }
     };
     if cursor.key_valid() && cursor.key() == key {
         while cursor.val_valid() {
-            let val = cursor.val().clone();
+            let val = cursor.val();
             cursor.map_times(|t, r| {
                 if t.less_equal(time) {
-                    add(totals, &val, r);
+                    add(val, r);
                 }
             });
             cursor.step_val();
@@ -236,11 +239,39 @@ fn accumulate_output<C: Cursor<Time = Time>>(
     }
     staged.for_each_indexed(key, |v, t, r| {
         if t.less_equal(time) {
-            add(totals, v, r);
+            add(v, r);
         }
     });
     totals.retain(|(_, r)| !r.is_zero());
-    totals.sort_by(|a, b| a.0.cmp(&b.0));
+    totals.sort_by(|a, b| a.0.cmp(b.0));
+}
+
+/// Stages into `fresh` the difference between `desired` (sorted by value, drained) and
+/// `current` (sorted by value) for `key` at `time`. A desired value moves into its
+/// correction; a current one is cloned into the retraction that cancels it.
+fn stage_corrections<K: Data, V2: Data, R2: Abelian>(
+    key: &K,
+    time: Time,
+    desired: &mut Vec<(V2, R2)>,
+    current: &[(&V2, R2)],
+    fresh: &mut Vec<Correction<K, V2, R2>>,
+) {
+    let mut current = current.iter().peekable();
+    for (val, want) in desired.drain(..) {
+        while let Some((have_val, have)) = current.next_if(|(v, _)| **v < val) {
+            fresh.push((key.clone(), (*have_val).clone(), time, have.negated()));
+        }
+        let mut delta = want;
+        if let Some((_, have)) = current.next_if(|(v, _)| **v == val) {
+            delta.plus_equals(&have.negated());
+        }
+        if !delta.is_zero() {
+            fresh.push((key.clone(), val, time, delta));
+        }
+    }
+    for (have_val, have) in current {
+        fresh.push((key.clone(), (*have_val).clone(), time, have.negated()));
+    }
 }
 
 impl<B1, V2, R2, L> Operator for ReduceOperator<B1, V2, R2, L>
@@ -248,7 +279,7 @@ where
     B1: Batch<Time = Time> + 'static,
     V2: Data,
     R2: Abelian,
-    L: FnMut(&B1::Key, &[(B1::Val, B1::Diff)], &mut Vec<(V2, R2)>) + 'static,
+    L: FnMut(&B1::Key, &[(&B1::Val, B1::Diff)], &mut Vec<(V2, R2)>) + 'static,
 {
     fn name(&self) -> &str {
         self.name
@@ -284,110 +315,76 @@ where
         }
 
         // Evaluate, in ascending `(time, key)` order, every pending pair whose time is
-        // now complete (see the module docs for why one cursor pair and one forward walk
-        // suffice). Pairs the walk passes over are incomplete and stay so for the whole
-        // invocation, and future work lands after the pair that schedules it, so the
-        // search for the next pair resumes from the previous one.
-        let scratch = &mut self.scratch;
-        debug_assert!(scratch.staged.updates.is_empty());
-        let mut cursors = None;
-        let mut previous: Option<(Time, B1::Key)> = None;
-        loop {
-            let resume = previous.as_ref().map_or(Bound::Unbounded, Bound::Excluded);
-            let next = self
-                .pending
-                .range((resume, Bound::Unbounded))
-                .find(|(time, _)| !self.input_frontier.less_equal(time))
-                .cloned();
-            let Some(next) = next else { break };
-            self.pending.remove(&next);
-            let (time, key) = &next;
+        // now complete (see the module docs for why one read of each trace and one
+        // forward walk per time suffice). Future work lands at a strictly later time:
+        // among the complete pairs if the frontier has passed it too, else pending.
+        let Self {
+            logic,
+            input_trace,
+            output_trace,
+            pending,
+            input_frontier,
+            scratch,
+            ..
+        } = self;
+        let ReduceScratch {
+            history_times,
+            staged,
+            fresh,
+            desired,
+            ..
+        } = scratch;
+        debug_assert!(staged.updates.is_empty() && fresh.is_empty());
+        let mut complete: BTreeSet<_> = pending
+            .extract_if(.., |(time, _)| !input_frontier.less_equal(time))
+            .collect();
+        if !complete.is_empty() {
+            input_trace.read(|mut input| {
+                output_trace.read(|mut produced| {
+                    let mut values = Vec::new();
+                    while let Some(&(time, _)) = complete.first() {
+                        staged.index(fresh);
+                        input.rewind_keys();
+                        produced.rewind_keys();
+                        let mut totals = Vec::new();
+                        while complete.first().is_some_and(|(next, _)| *next == time) {
+                            let (_, key) = complete.pop_first().expect("a first pair");
+                            input.seek_key(&key);
+                            produced.seek_key(&key);
+                            accumulate_input(&mut input, &key, &time, &mut values, history_times);
+                            accumulate_output(&mut produced, &key, &time, staged, &mut totals);
+                            desired.clear();
+                            if !values.is_empty() {
+                                logic(&key, &values, desired);
+                            }
+                            desired.sort_by(|a, b| a.0.cmp(&b.0));
+                            stage_corrections(&key, time, desired, &totals, fresh);
 
-            let (input, produced) = cursors
-                .get_or_insert_with(|| (self.input_trace.cursor(), self.output_trace.cursor()));
-            if let Some((previous_time, previous_key)) = &previous {
-                if key <= previous_key {
-                    input.rewind_keys();
-                    produced.rewind_keys();
-                }
-                if time != previous_time {
-                    scratch.staged.index_staged();
-                }
-            }
-            input.seek_key(key);
-            produced.seek_key(key);
-            accumulate_input(
-                input,
-                key,
-                time,
-                &mut scratch.values,
-                &mut scratch.history_times,
-            );
-            accumulate_output(produced, key, time, &scratch.staged, &mut scratch.totals);
-
-            scratch.desired.clear();
-            if !scratch.values.is_empty() {
-                (self.logic)(key, &scratch.values, &mut scratch.desired);
-            }
-            scratch.desired.sort_by(|a, b| a.0.cmp(&b.0));
-
-            // Emit the difference between the desired and current outputs at this time.
-            let desired = &scratch.desired;
-            let current = &scratch.totals;
-            let staged = &mut scratch.staged.updates;
-            let mut d = 0;
-            let mut c = 0;
-            while d < desired.len() || c < current.len() {
-                let order = match (desired.get(d), current.get(c)) {
-                    (Some(want), Some(have)) => want.0.cmp(&have.0),
-                    (Some(_), None) => std::cmp::Ordering::Less,
-                    (None, Some(_)) => std::cmp::Ordering::Greater,
-                    (None, None) => unreachable!(),
-                };
-                match order {
-                    std::cmp::Ordering::Less => {
-                        let (val, diff) = &desired[d];
-                        staged.push((key.clone(), val.clone(), *time, diff.clone()));
-                        d += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        let (val, diff) = &current[c];
-                        staged.push((key.clone(), val.clone(), *time, diff.negated()));
-                        c += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        let (val, want) = &desired[d];
-                        let have = &current[c].1;
-                        let mut delta = want.clone();
-                        delta.plus_equals(&have.negated());
-                        if !delta.is_zero() {
-                            staged.push((key.clone(), val.clone(), *time, delta));
+                            // Future work: the output may also change at joins of this time
+                            // with other times in the key's history, even if no input
+                            // arrives then (paper §5.3.2).
+                            for other in history_times.iter() {
+                                let pair = (other.join(&time), key.clone());
+                                if input_frontier.less_equal(&pair.0) {
+                                    pending.insert(pair);
+                                } else {
+                                    complete.insert(pair);
+                                }
+                            }
                         }
-                        d += 1;
-                        c += 1;
                     }
-                }
-            }
-
-            // Future work: the output may also change at joins of this time with other
-            // times in the key's history, even if no input arrives then (paper §5.3.2).
-            for other in scratch.history_times.iter() {
-                self.pending.insert((other.join(time), key.clone()));
-            }
-            previous = Some(next);
+                });
+            });
         }
-        // The cursors reference batches of the (shared) input trace: release them before
-        // anything below lets that trace merge or compact.
-        drop(cursors);
 
         // Mint the output batch (possibly empty) so the output arrangement's upper tracks
-        // the input frontier. Draining `staged` retains its capacity for the next call.
+        // the input frontier. Draining the corrections retains their capacity.
         let mut builder = <ValBatch<B1::Key, V2, R2> as Batch>::Builder::with_capacity(
-            scratch.staged.updates.len(),
+            staged.updates.len() + fresh.len(),
         );
-        scratch
-            .staged
-            .drain_into(|key, val, time, diff| builder.push(key, val, time, diff));
+        staged.drain_into(fresh, |key, val, time, diff| {
+            builder.push(key, val, time, diff);
+        });
         let since = self.output_trace.since();
         let batch = builder.done(
             self.output_upper.clone(),
@@ -433,7 +430,7 @@ impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
     where
         V2: Data,
         R2: Abelian,
-        L: FnMut(&B1::Key, &[(B1::Val, B1::Diff)], &mut Vec<(V2, R2)>) + 'static,
+        L: FnMut(&B1::Key, &[(&B1::Val, B1::Diff)], &mut Vec<(V2, R2)>) + 'static,
     {
         let mut builder = self.builder.clone();
         let output_trace = TraceAgent::<ValBatch<B1::Key, V2, R2>>::new(MergeEffort::Default);
@@ -466,7 +463,7 @@ impl<K: Data, V: Data, R: Semigroup> Collection<(K, V), R> {
     where
         V2: Data,
         R2: Abelian,
-        L: FnMut(&K, &[(V, R)], &mut Vec<(V2, R2)>) + 'static,
+        L: FnMut(&K, &[(&V, R)], &mut Vec<(V2, R2)>) + 'static,
     {
         self.arrange_by_key()
             .reduce_core("Reduce", logic)
@@ -477,7 +474,7 @@ impl<K: Data, V: Data, R: Semigroup> Collection<(K, V), R> {
     pub fn max_by_key(&self) -> Collection<(K, V), Diff> {
         self.reduce(|_key, input, output| {
             if let Some((val, _)) = input.last() {
-                output.push((val.clone(), 1));
+                output.push(((*val).clone(), 1));
             }
         })
     }
@@ -486,7 +483,7 @@ impl<K: Data, V: Data, R: Semigroup> Collection<(K, V), R> {
     pub fn min_by_key(&self) -> Collection<(K, V), Diff> {
         self.reduce(|_key, input, output| {
             if let Some((val, _)) = input.first() {
-                output.push((val.clone(), 1));
+                output.push(((*val).clone(), 1));
             }
         })
     }

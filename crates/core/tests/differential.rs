@@ -554,7 +554,7 @@ fn four_reductions(pairs: &Collection<(u32, u32), isize>) -> Collection<Tagged, 
         .reduce_core(
             "ThreeLeast",
             |_key, input, output: &mut Vec<(u32, isize)>| {
-                output.extend(input.iter().take(3).copied());
+                output.extend(input.iter().take(3).map(|(val, diff)| (**val, *diff)));
             },
         )
         .as_collection(|key, val| ("three-least", *key, *val as i64));

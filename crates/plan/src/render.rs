@@ -110,20 +110,21 @@ impl SourceBinding {
             trace: &TraceAgent<B>,
             row: impl Fn(&Row, &B::Val) -> Row,
         ) -> Vec<(Row, isize)> {
-            let mut rows = Vec::new();
-            let mut cursor = trace.cursor();
-            while cursor.key_valid() {
-                while cursor.val_valid() {
-                    let mut total = 0;
-                    cursor.map_times(|_, diff| total += diff);
-                    if total != 0 {
-                        rows.push((row(cursor.key(), cursor.val()), total));
+            trace.read(|mut cursor| {
+                let mut rows = Vec::new();
+                while cursor.key_valid() {
+                    while cursor.val_valid() {
+                        let mut total = 0;
+                        cursor.map_times(|_, diff| total += diff);
+                        if total != 0 {
+                            rows.push((row(cursor.key(), cursor.val()), total));
+                        }
+                        cursor.step_val();
                     }
-                    cursor.step_val();
+                    cursor.step_key();
                 }
-                cursor.step_key();
-            }
-            rows
+                rows
+            })
         }
         Ok(match self.keys {
             KeySpec::SelfRow => rows(
@@ -515,10 +516,10 @@ impl Renderer {
                         let min = input
                             .iter()
                             .filter(|(_, diff)| *diff > 0)
-                            .map(|(val, _)| val[index].clone())
+                            .map(|(val, _)| &val[index])
                             .min();
                         if let Some(min) = min {
-                            output.push((Row::from(vec![min]), 1));
+                            output.push((Row::from(vec![min.clone()]), 1));
                         }
                     },
                 )
@@ -531,9 +532,9 @@ impl Renderer {
                         let best = input
                             .iter()
                             .filter(|(_, diff)| *diff > 0)
-                            .max_by_key(|(val, _)| (val[index].clone(), val.clone()));
+                            .max_by_key(|(val, _)| (&val[index], *val));
                         if let Some((best, _)) = best {
-                            output.push((best.clone(), 1));
+                            output.push(((*best).clone(), 1));
                         }
                     },
                 )

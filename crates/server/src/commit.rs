@@ -55,8 +55,6 @@ struct WalState {
     /// Commands logged since the last epoch fsync.
     pending: WalBatch,
     next_seq: u64,
-    /// Set by the shutdown flush; the heal probe exits when it sees it.
-    closed: bool,
     /// The recovered tracker, the next checkpoint id and the sealed-epoch receiver,
     /// parked here only until [`Commit::start_checkpointer`] moves them onto the
     /// checkpoint thread's stack. Nothing else ever reads or clones the tracker.
@@ -83,6 +81,9 @@ impl WalState {
 struct Durable {
     config: DurabilityConfig,
     wal: Mutex<WalState>,
+    /// Set by the shutdown flush, under the `wal` lock; the heal probe exits when it
+    /// sees it. An atomic, so a probe tick on a healthy core takes no lock.
+    closed: AtomicBool,
 }
 
 impl Durable {
@@ -166,10 +167,10 @@ impl Commit {
                 wal: recovered.wal,
                 pending: WalBatch::new(),
                 next_seq: recovered.next_wal_seq,
-                closed: false,
                 seed: Some((recovered.tracker, recovered.next_checkpoint_id, sealed)),
                 running: Vec::new(),
             }),
+            closed: AtomicBool::new(false),
         };
         let commit = Commit {
             durable: Some(durable),
@@ -287,7 +288,7 @@ impl Commit {
                 state.pending.len()
             );
         }
-        state.closed = true;
+        durable.closed.store(true, Ordering::SeqCst);
     }
 
     /// Starts the checkpoint thread and the heal probe; nothing on an in-memory core.
@@ -416,12 +417,20 @@ impl Commit {
     /// when empty, so success demonstrates a writable disk) and, if it succeeds, resume
     /// accepting mutations. `false` once the WAL closed.
     fn heal_tick(&self) -> bool {
-        let mut state = self.wal();
-        if state.closed {
+        let durable = self.durable.as_ref().expect("threads imply durable");
+        // Both checks before the lock: a healthy core's tick never waits on a
+        // sequencer staging under it.
+        if durable.closed.load(Ordering::SeqCst) {
             return false;
         }
         if !self.is_degraded() {
             return true;
+        }
+        let mut state = durable.wal();
+        // Again under the lock, which the shutdown flush holds as it closes: no probe
+        // flush may follow the final one.
+        if durable.closed.load(Ordering::SeqCst) {
+            return false;
         }
         let _fsync = allow_blocking("the heal probe retries the WAL flush under the WAL lock");
         // Single attempt per tick: the probe *is* the retry loop, and backing off
@@ -502,6 +511,31 @@ mod tests {
         assert!(!h.degraded, "{h:?}");
         let counted = h.wal_failures + h.checkpoint_failures + h.degraded_transitions + h.heals;
         assert_eq!(counted, 0, "{h:?}");
+    }
+
+    /// The heal probe of a healthy core is lock-free: its tick returns while another
+    /// thread holds the WAL lock, as a sequencer staging a slow fsync would.
+    #[test]
+    fn a_healthy_probe_tick_takes_no_lock() {
+        let dir = std::env::temp_dir().join(format!("kpg-commit-probe-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (commit, _seals, _) = Commit::durable(DurabilityConfig::new(&dir)).expect("open");
+        let held = commit.wal();
+        let probe = {
+            let commit = Arc::clone(&commit);
+            kpg_sync::thread::spawn(move || commit.heal_tick())
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !probe.is_finished() && Instant::now() < deadline {
+            kpg_sync::thread::sleep(Duration::from_millis(1));
+        }
+        let finished = probe.is_finished();
+        drop(held);
+        assert!(finished, "the tick waited for the WAL lock");
+        assert!(probe.join().expect("the probe thread"), "the WAL is open");
+        commit.flush_for_shutdown();
+        assert!(!commit.heal_tick(), "a closed WAL ends the probe");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checkpoint thread that dies (here: handed an entry no completion would ever

@@ -1,4 +1,12 @@
 //! Cursors: navigation over one batch, or the union of several.
+//!
+//! A cursor is a position in storage it does not own: `Cursor<'b>` is offsets plus a
+//! borrow of batch storage that lives for `'b`, so [`Cursor::key`] and [`Cursor::val`]
+//! hand out `&'b` references that outlive the call — and the cursor's next step — but
+//! never the batch. An operator can seek one cursor with another's key, or gather a
+//! key's values, without cloning a row. A trace's cursor is a [`CursorList`] over its
+//! batches' cursors, opened by a scoped read (`TraceAgent::read` in `kpg_core`), so no
+//! cursor outlives the read that opened it.
 
 use std::cmp::Ordering;
 
@@ -6,13 +14,14 @@ use crate::diff::Semigroup;
 use crate::Data;
 use kpg_timestamp::{Lattice, Timestamp};
 
-/// A cursor over an ordered collection of `(key, val, time, diff)` updates.
+/// A cursor over an ordered collection of `(key, val, time, diff)` updates held in
+/// storage borrowed for `'b`.
 ///
 /// Cursors expose the two-level (key, then value) structure of indexed batches, and the
 /// `(time, diff)` history of each value. Operators navigate cursors with *alternating
 /// seeks* (paper §5.3.1): when two cursors' keys differ, the one with the smaller key
 /// seeks forward to the larger, ensuring work at most linear in the smaller input.
-pub trait Cursor {
+pub trait Cursor<'b> {
     /// The key component of updates.
     type Key: Data;
     /// The value component of updates.
@@ -26,12 +35,12 @@ pub trait Cursor {
     fn key_valid(&self) -> bool;
     /// True iff the cursor is positioned at a value of the current key.
     fn val_valid(&self) -> bool;
-    /// The current key; panics if `!key_valid()`.
-    fn key(&self) -> &Self::Key;
-    /// The current value; panics if `!val_valid()`.
-    fn val(&self) -> &Self::Val;
+    /// The current key, borrowed from the batch; panics if `!key_valid()`.
+    fn key(&self) -> &'b Self::Key;
+    /// The current value, borrowed from the batch; panics if `!val_valid()`.
+    fn val(&self) -> &'b Self::Val;
     /// Applies `logic` to every `(time, diff)` of the current `(key, val)` pair.
-    fn map_times(&mut self, logic: impl FnMut(&Self::Time, &Self::Diff));
+    fn map_times(&self, logic: impl FnMut(&Self::Time, &Self::Diff));
     /// Advances the cursor to the next key.
     fn step_key(&mut self);
     /// Advances the cursor to the first key `>= key`, if any.
@@ -47,7 +56,7 @@ pub trait Cursor {
 
     /// Accumulates the diffs of the current `(key, val)` pair at times `<= upto`,
     /// returning `None` when the accumulation is zero (or there are no updates).
-    fn accumulate_until(&mut self, upto: &Self::Time) -> Option<Self::Diff> {
+    fn accumulate_until(&self, upto: &Self::Time) -> Option<Self::Diff> {
         use kpg_timestamp::PartialOrder;
         let mut sum: Option<Self::Diff> = None;
         self.map_times(|t, r| {
@@ -66,13 +75,13 @@ pub trait Cursor {
 ///
 /// The merged cursor presents each key once, with the values (and their histories) merged
 /// across all constituent cursors.
-pub struct CursorList<C: Cursor> {
+pub struct CursorList<C> {
     cursors: Vec<C>,
     min_key: Vec<usize>,
     min_val: Vec<usize>,
 }
 
-impl<C: Cursor> CursorList<C> {
+impl<'b, C: Cursor<'b>> CursorList<C> {
     /// Creates a merged cursor from a list of cursors.
     pub fn new(cursors: Vec<C>) -> Self {
         let mut result = CursorList {
@@ -132,7 +141,7 @@ impl<C: Cursor> CursorList<C> {
     }
 }
 
-impl<C: Cursor> Cursor for CursorList<C> {
+impl<'b, C: Cursor<'b>> Cursor<'b> for CursorList<C> {
     type Key = C::Key;
     type Val = C::Val;
     type Time = C::Time;
@@ -144,13 +153,13 @@ impl<C: Cursor> Cursor for CursorList<C> {
     fn val_valid(&self) -> bool {
         !self.min_val.is_empty()
     }
-    fn key(&self) -> &Self::Key {
+    fn key(&self) -> &'b Self::Key {
         self.cursors[self.min_key[0]].key()
     }
-    fn val(&self) -> &Self::Val {
+    fn val(&self) -> &'b Self::Val {
         self.cursors[self.min_val[0]].val()
     }
-    fn map_times(&mut self, mut logic: impl FnMut(&Self::Time, &Self::Diff)) {
+    fn map_times(&self, mut logic: impl FnMut(&Self::Time, &Self::Diff)) {
         for &index in self.min_val.iter() {
             self.cursors[index].map_times(&mut logic);
         }
@@ -198,13 +207,14 @@ impl<C: Cursor> Cursor for CursorList<C> {
 /// Intended for tests and small collections; production operators should navigate the
 /// cursor directly.
 #[allow(clippy::type_complexity)]
-pub fn cursor_to_updates<C: Cursor>(cursor: &mut C) -> Vec<(C::Key, C::Val, C::Time, C::Diff)> {
+pub fn cursor_to_updates<'b, C: Cursor<'b>>(
+    cursor: &mut C,
+) -> Vec<(C::Key, C::Val, C::Time, C::Diff)> {
     let mut output = Vec::new();
     cursor.rewind_keys();
     while cursor.key_valid() {
         while cursor.val_valid() {
-            let key = cursor.key().clone();
-            let val = cursor.val().clone();
+            let (key, val) = (cursor.key(), cursor.val());
             cursor.map_times(|t, r| output.push((key.clone(), val.clone(), t.clone(), r.clone())));
             cursor.step_val();
         }

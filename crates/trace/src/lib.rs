@@ -18,7 +18,7 @@
 //! * [`consolidation`] — the one sort/coalesce/drop-zero kernel that builders, merge-time
 //!   compaction and the public `consolidate*` functions all call.
 //! * [`Cursor`] and [`CursorList`] — navigation over
-//!   one batch or the union of many.
+//!   one batch or the union of many, handing out keys and values borrowed from the batch.
 //! * [`Spine`] — the amortized-merging trace, with logical compaction
 //!   driven by reader frontiers (MVCC-style "vacuuming", §4.2 "Consolidation").
 //! * [`stored`] — the batch ⇄ `kpg_store` run-file codec ([`spill_batch`], [`StoreData`]).
@@ -66,11 +66,17 @@ pub trait BatchReader: Clone + Send + 'static {
     type Time: Timestamp + Lattice;
     /// The difference component of updates.
     type Diff: Semigroup;
-    /// The cursor type navigating this batch.
-    type Cursor: Cursor<Key = Self::Key, Val = Self::Val, Time = Self::Time, Diff = Self::Diff>;
+    /// The cursor type navigating this batch, borrowing it for `'b`.
+    type Cursor<'b>: Cursor<
+        'b,
+        Key = Self::Key,
+        Val = Self::Val,
+        Time = Self::Time,
+        Diff = Self::Diff,
+    >;
 
     /// A cursor positioned at the first key of the batch.
-    fn cursor(&self) -> Self::Cursor;
+    fn cursor(&self) -> Self::Cursor<'_>;
     /// The number of updates in the batch.
     fn len(&self) -> usize;
     /// True iff the batch contains no updates.

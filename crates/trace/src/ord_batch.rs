@@ -105,10 +105,14 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> BatchReader
     type Val = V;
     type Time = T;
     type Diff = R;
-    type Cursor = OrdValCursor<K, V, T, R>;
+    type Cursor<'b> = OrdValCursor<'b, K, V, T, R>;
 
-    fn cursor(&self) -> Self::Cursor {
-        OrdValCursor::new(Arc::clone(&self.storage))
+    fn cursor(&self) -> Self::Cursor<'_> {
+        OrdValCursor {
+            storage: &self.storage,
+            key_pos: 0,
+            val_pos: 0,
+        }
     }
     fn len(&self) -> usize {
         self.storage.updates.len()
@@ -501,22 +505,14 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Merger<OrdValBatch<
     }
 }
 
-/// A cursor over an [`OrdValBatch`].
-pub struct OrdValCursor<K, V, T, R> {
-    storage: Arc<OrdValStorage<K, V, T, R>>,
+/// A cursor over an [`OrdValBatch`]: two offsets into storage borrowed for `'b`.
+pub struct OrdValCursor<'b, K, V, T, R> {
+    storage: &'b OrdValStorage<K, V, T, R>,
     key_pos: usize,
     val_pos: usize,
 }
 
-impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValCursor<K, V, T, R> {
-    fn new(storage: Arc<OrdValStorage<K, V, T, R>>) -> Self {
-        OrdValCursor {
-            storage,
-            key_pos: 0,
-            val_pos: 0,
-        }
-    }
-
+impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValCursor<'_, K, V, T, R> {
     fn val_bounds(&self) -> (usize, usize) {
         (
             self.storage.key_offs[self.key_pos],
@@ -531,7 +527,9 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> OrdValCursor<K, V, 
     }
 }
 
-impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Cursor for OrdValCursor<K, V, T, R> {
+impl<'b, K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Cursor<'b>
+    for OrdValCursor<'b, K, V, T, R>
+{
     type Key = K;
     type Val = V;
     type Time = T;
@@ -543,13 +541,13 @@ impl<K: Data, V: Data, T: Timestamp + Lattice, R: Semigroup> Cursor for OrdValCu
     fn val_valid(&self) -> bool {
         self.key_valid() && self.val_pos < self.val_bounds().1
     }
-    fn key(&self) -> &K {
+    fn key(&self) -> &'b K {
         &self.storage.keys[self.key_pos]
     }
-    fn val(&self) -> &V {
+    fn val(&self) -> &'b V {
         &self.storage.vals[self.val_pos]
     }
-    fn map_times(&mut self, mut logic: impl FnMut(&T, &R)) {
+    fn map_times(&self, mut logic: impl FnMut(&T, &R)) {
         if self.val_valid() {
             for (time, diff) in self.storage.history(self.val_pos) {
                 logic(time, diff);

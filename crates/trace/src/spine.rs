@@ -161,7 +161,7 @@ impl<B: Batch> Spine<B> {
 
     /// Applies `logic` to every batch, oldest first (a merging layer's two sources in
     /// order).
-    pub fn map_batches(&self, mut logic: impl FnMut(&B)) {
+    pub fn map_batches<'a>(&'a self, mut logic: impl FnMut(&'a B)) {
         for layer in self.layers.iter() {
             match layer {
                 Layer::Single(batch) => logic(batch),
@@ -176,7 +176,7 @@ impl<B: Batch> Spine<B> {
 
     /// A cursor over the union of all batches in the spine: one batch cursor per
     /// batch, merged by a [`CursorList`].
-    pub fn cursor(&self) -> CursorList<B::Cursor> {
+    pub fn cursor(&self) -> CursorList<B::Cursor<'_>> {
         let mut cursors = Vec::with_capacity(self.layers.len() + 1);
         self.map_batches(|batch| cursors.push(batch.cursor()));
         CursorList::new(cursors)
