@@ -386,13 +386,6 @@ where
     fn work(&mut self, output: &mut OutputContext<'_>) -> bool {
         // Mint a batch whenever the input frontier has moved past our last batch's upper.
         if self.input_frontier.same_as(&self.upper) {
-            // Still, contribute idle effort to in-progress merges (amortized maintenance):
-            // what an introduced batch of 64 updates would offer one of them.
-            if let Some(trace) = self.trace.upgrade() {
-                let spine = &mut trace.borrow_mut().spine;
-                let mut fuel = spine.effort().fuel_for(64);
-                spine.exert(&mut fuel);
-            }
             return false;
         }
         let lower = self.upper.clone();

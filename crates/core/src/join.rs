@@ -123,13 +123,25 @@ where
             ..
         } = self;
         debug_assert!(results.is_empty());
+        // Emissions can outnumber the distinct outputs by far (a key with n values on
+        // each side emits n² pairs), so `results` is consolidated whenever it reaches
+        // `limit`, which then at least doubles what survived: amortised O(n log n), and
+        // `results` never holds more than max(64k, 2 × distinct outputs) updates.
+        let mut limit = 1 << 16;
+        let mut push = |update| {
+            results.push(update);
+            if results.len() >= limit {
+                kpg_trace::consolidate_updates(results);
+                limit = limit.max(2 * results.len());
+            }
+        };
 
         // New batches from input 1 joined against the full shared trace of input 2.
         if let Some(trace2) = trace2.as_ref() {
             for batch in new1.iter() {
                 trace2.read(|cursor2| {
                     join_cursors(batch.cursor(), cursor2, |k, v1, v2, t1, r1, t2, r2| {
-                        results.push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
+                        push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
                     });
                 });
             }
@@ -139,7 +151,7 @@ where
             for batch in new2.iter() {
                 trace1.read(|cursor1| {
                     join_cursors(cursor1, batch.cursor(), |k, v1, v2, t1, r1, t2, r2| {
-                        results.push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
+                        push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
                     });
                 });
             }
@@ -154,7 +166,7 @@ where
                     |k, v1, v2, t1, r1, t2, r2| {
                         let mut diff = r1.multiply(r2);
                         diff.negate();
-                        results.push((logic(k, v1, v2), t1.join(t2), diff));
+                        push((logic(k, v1, v2), t1.join(t2), diff));
                     },
                 );
             }

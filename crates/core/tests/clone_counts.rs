@@ -3,7 +3,8 @@
 //! Keys and values here count their clones on the cloning thread, per kind, so a test
 //! can pin how many an operator makes. A cursor's key and value borrow the batch, so
 //! `join_core` needs no clone to seek, match or emit, and `reduce` clones a key or value
-//! only into a staged correction or a recorded `(time, key)` pair.
+//! only into a staged correction or a recorded `(time, key)` pair. A join's output
+//! counts the values alive at once, so a test can pin what the join buffers.
 
 use std::cell::Cell;
 
@@ -146,6 +147,81 @@ fn reduce_clones_only_corrections_and_pending_pairs() {
             clones(KEY) <= staged + pending_pairs,
             "{} key clones for {staged} corrections and {pending_pairs} pending pairs",
             clones(KEY)
+        );
+    });
+}
+
+thread_local! {
+    /// `Live` values alive on this thread, and the most there have been at once.
+    static LIVE: [Cell<usize>; 2] = const { [Cell::new(0), Cell::new(0)] };
+}
+
+/// A datum that counts the values of its type alive on this thread.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct Live(u32);
+
+impl Live {
+    fn new(value: u32) -> Self {
+        LIVE.with(|[live, peak]| {
+            live.set(live.get() + 1);
+            peak.set(peak.get().max(live.get()));
+        });
+        Live(value)
+    }
+}
+
+impl Clone for Live {
+    fn clone(&self) -> Self {
+        Live::new(self.0)
+    }
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        LIVE.with(|[live, _]| live.set(live.get() - 1));
+    }
+}
+
+/// The most `Live` values alive at once since the last call.
+fn take_peak_live() -> usize {
+    LIVE.with(|[live, peak]| peak.replace(live.get()))
+}
+
+/// A self-join of one batch in which every key holds 64 values emits 64² pairs per key
+/// three times over (the batch against each trace, less the batch against itself), all
+/// to the key's one output: 12 288 emissions per distinct output. The join buffers at
+/// most max(64k, 2 × distinct outputs) of them at once, whatever the emissions number.
+#[test]
+fn join_buffers_at_most_twice_its_distinct_outputs() {
+    const KEYS: u32 = 64;
+    const VALS: u32 = 64;
+    execute(Config::new(1), |worker| {
+        let (mut input, probe, joined) = worker.dataflow(|builder| {
+            let (input, pairs) = new_collection::<(u32, u32), isize>(builder);
+            let pairs = pairs.arrange_by_key();
+            let joined = pairs.join_core(&pairs, |key, _, _| Live::new(*key));
+            (input, joined.probe(), joined.capture())
+        });
+        for key in 0..KEYS {
+            for val in 0..VALS {
+                input.insert((key, val));
+            }
+        }
+        input.advance_to(1);
+        take_peak_live();
+        settle(worker, &probe, 1);
+        let peak = take_peak_live();
+        let output = joined.borrow().len();
+        assert_eq!(output, KEYS as usize);
+        let multiplicity = isize::try_from(VALS * VALS).unwrap();
+        assert!(joined
+            .borrow()
+            .iter()
+            .all(|(_, _, diff)| *diff == multiplicity));
+        let bound = (1 << 16).max(2 * output) + output;
+        assert!(
+            peak <= bound,
+            "the join held {peak} outputs at once for {output} distinct (bound {bound})"
         );
     });
 }

@@ -315,3 +315,48 @@ fn a_read_frontier_that_would_regress_is_ignored() {
     trace.set_logical_compaction(frontier(7).borrow());
     assert!(trace.since().same_as(&frontier(5)));
 }
+
+/// Merge work has two sources of fuel, the insert that owes it and the idle worker: a
+/// step that mints no batch spends none. Epoch sizes 1000, 400, 100 and 100 leave the
+/// last insert's 464 units (4 × 100 + 64) short of the 400 + 200 merge it cascades
+/// into, and no number of empty steps may finish it; the idle worker's fuel, through
+/// the catalog, does.
+#[test]
+fn a_step_spends_no_merge_fuel_an_insert_did_not_owe() {
+    execute(Config::new(1), |worker| {
+        let catalog = Catalog::new();
+        let (mut edges, probe, trace) = worker.dataflow(|builder| {
+            let (input, edges) = new_collection::<(u32, u32), isize>(builder);
+            let arranged = edges.arrange_by_key();
+            catalog.publish_if_absent("edges", &arranged).unwrap();
+            (input, arranged.probe(), arranged.trace)
+        });
+        let mut next = 0u32;
+        for (epoch, size) in [(1u64, 1000u32), (2, 400), (3, 100), (4, 100)] {
+            for _ in 0..size {
+                edges.insert((next, next));
+                next += 1;
+            }
+            edges.advance_to(epoch);
+            worker.step_while(|| probe.less_than(&edges.time()));
+        }
+        assert!(
+            trace.exert(&mut 0),
+            "the last insert left a merge in progress"
+        );
+        for _ in 0..16 {
+            worker.step();
+        }
+        assert!(
+            trace.exert(&mut 0),
+            "steps with nothing to mint finished a merge no insert paid for"
+        );
+        let mut turns = 0;
+        while catalog.exert_all(&mut 384) {
+            turns += 1;
+            assert!(turns <= 16, "idle turns did not drain the merges");
+        }
+        assert!(!trace.exert(&mut 0));
+        assert_eq!((trace.batch_count(), trace.len()), (1, 1600));
+    });
+}

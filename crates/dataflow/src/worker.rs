@@ -490,9 +490,8 @@ impl Worker {
     /// All workers must call `step` in lockstep (they do, if they run the same program).
     pub fn step(&mut self) -> bool {
         // Give every operator a chance to run, even without fresh input: sources drain
-        // their user-supplied buffers, arrangements make progress on amortized merges.
-        // Only live dataflows are swept, so step cost tracks the live count, not the
-        // total ever installed.
+        // their user-supplied buffers. Only live dataflows are swept, so step cost
+        // tracks the live count, not the total ever installed.
         for instance in self.dataflows.values_mut() {
             instance.dirty.fill(true);
         }

@@ -256,12 +256,14 @@ struct Maintained {
 }
 
 /// The merge work one [`Manager::idle_turn`] may do, in merge fuel units (source updates
-/// read). A worker looks for a sequenced command between turns, so this bounds how long
-/// a command that arrives mid-turn waits. Sized by measurement on the benchmark's
-/// `epoch_stream` server: a turn takes ≈ 30 µs at the median and ≈ 47 µs at p90 (≈ 80 ns
-/// a unit on `Row`s out of cache; 26 ns in cache, `BENCH_micro_spine_merge.json`). What
-/// no fuel bounds is a turn in which a merge *completes*: it drops the merge's sources,
-/// 0.1–0.3 ms at p99 — work the next insert would otherwise have done inline.
+/// read). A worker takes turns whenever the log is dry and a merge is in progress, and
+/// looks for a sequenced command between them, so this bounds how long a command that
+/// arrives mid-turn waits; nothing bounds how many turns a wait holds. Sized by
+/// measurement on the benchmark's `epoch_stream` server: a turn takes ≈ 30 µs at the
+/// median and ≈ 47 µs at p90 (≈ 80 ns a unit on `Row`s out of cache; 26 ns in cache,
+/// `BENCH_micro_spine_merge.json`). What no fuel bounds is a turn in which a merge
+/// *completes*: it drops the merge's sources, 0.1–0.3 ms at p99 — work the next insert
+/// would otherwise have done inline.
 const IDLE_TURN_FUEL: isize = 384;
 
 /// The per-worker runtime-plan engine. See the module docs for the protocol.

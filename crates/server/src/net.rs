@@ -26,10 +26,10 @@
 //!   that answer is written before the commands queued behind it run; the rest
 //!   waits in the assembler for the next pass.
 //! * **Wait** — only a pass that read nothing waits, and it waits the way a worker
-//!   does: a zero-timeout look at the sockets, then, while the worker's `Slack`
-//!   allows, an idle turn of trace maintenance before each further look (the look
-//!   is where a worker yields the core); then zero-timeout looks for as long as a
-//!   parked worker's doorbell spins ([`Doorbell::spin_window`]); then a blocking
+//!   does: a zero-timeout look at the sockets, then, while a merge is in progress,
+//!   an idle turn of trace maintenance before each further look (the look is where
+//!   a worker yields the core); then zero-timeout looks for as long as a parked
+//!   worker's doorbell spins ([`Doorbell::spin_window`]); then a blocking
 //!   `epoll_wait`.
 //! * **Backpressure** — a connection with [`PIPELINE_DEPTH`] submitted-but-
 //!   unflushed commands stops being *read*: its read interest is muted, leaving
@@ -380,10 +380,10 @@ impl Reactor {
 
     /// Waits for readiness the way a worker waits for the log. Each round starts with
     /// a zero-timeout look at the sockets, as a worker's starts with a look at the log.
-    /// A round that finds nothing takes an idle turn while the worker's `Slack` allows
-    /// and maintenance remains (so the look after a turn is where a worker offers its
-    /// core); after that, rounds only look, for as long as a parked worker's doorbell
-    /// spins. Then a blocking wait, bounded by an accept backoff.
+    /// A round that finds nothing takes an idle turn while a merge is in progress (so
+    /// the look after a turn is where a worker offers its core); once nothing is
+    /// merging, rounds only look, for as long as a parked worker's doorbell spins. Then
+    /// a blocking wait, bounded by an accept backoff.
     fn wait(&self, events: &mut Vec<Event>, executor: &mut impl Execute, spin_window: Duration) {
         let mut spin_until = None;
         loop {

@@ -17,12 +17,14 @@
 #![cfg(feature = "faults")]
 
 use kpg_sync::atomic::{AtomicU64, Ordering};
+use std::ops::RangeInclusive;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use kpg_plan::{Plan, Row, Value};
 use kpg_server::{serve, Client, ClientError, DurabilityConfig, Server, ServerConfig};
 use kpg_store::io::faults::FaultPlan;
+use kpg_store::io::OpKind;
 
 fn temp_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -346,16 +348,30 @@ fn prune_failures_leave_recovery_intact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One scripted churn run against the fault point `spec`, returning
-/// `(updates_acked, max_acked_advance, sent)`. Every command must be *answered*
-/// (`Ok` or the degraded rejection) — anything else panics the test.
-fn churn_under_fault(dir: &Path, spec: &str, steps: u64) -> (Vec<u64>, u64, u64) {
-    let server = durable_server(dir, u64::MAX, 1 << 20);
+/// One scripted churn run against an `eio` fault on `kind`'s operations from
+/// `occurrence` on (`..` for a permanent fault, empty for that one operation),
+/// returning `(updates_acked, max_acked_advance, sent)`. Every command must be
+/// *answered* (`Ok` or the degraded rejection) — anything else panics the test — and
+/// the run must reach the fault point, or it tested nothing. Only a checkpoint renames
+/// and removes files, so a run faulting those cuts one every two logged commands.
+fn churn_under_fault(
+    dir: &Path,
+    kind: OpKind,
+    occurrence: u64,
+    range: &str,
+    steps: u64,
+) -> (Vec<u64>, u64, u64) {
+    let checkpoint_every = match kind {
+        OpKind::Rename | OpKind::Remove => 2,
+        _ => u64::MAX,
+    };
+    let server = durable_server(dir, checkpoint_every, 1 << 20);
     let mut c = client(&server);
     c.create_input("steps", None).expect("create input");
     c.install("tally", Plan::source("steps").distinct(), &[])
         .expect("install tally");
-    let guard = FaultPlan::parse(spec).unwrap().scoped(dir).install();
+    let spec = format!("{kind}@{occurrence}{range}=eio");
+    let guard = FaultPlan::parse(&spec).unwrap().scoped(dir).install();
     let mut updates_acked = Vec::new();
     let mut max_acked_advance = 0u64;
     for step in 1..=steps {
@@ -368,6 +384,16 @@ fn churn_under_fault(dir: &Path, spec: &str, steps: u64) -> (Vec<u64>, u64, u64)
             Err(error) => assert!(is_degraded_error(&error), "advance {step}: {error:?}"),
         }
     }
+    // A checkpoint's operations run on its own thread: give them time to arrive.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while guard.op_count(kind) < occurrence && Instant::now() < deadline {
+        kpg_sync::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        guard.op_count(kind) >= occurrence,
+        "{spec}: the run saw {} {kind} operations, so the fault never fired",
+        guard.op_count(kind)
+    );
     drop(guard);
     // If the run degraded the server, it must heal now that the fault is gone.
     await_health(&server, "the heal", |health| !health.degraded);
@@ -412,11 +438,12 @@ fn assert_recovers_acked_prefix(dir: &Path, updates_acked: &[u64], max_acked_adv
 /// acknowledges, nothing degrades permanently, and a restart recovers everything.
 #[test]
 fn transient_fault_sweep_is_absorbed_by_retries() {
-    for kind in ["write", "fsync", "rename", "remove"] {
+    for kind in [OpKind::Write, OpKind::Fsync, OpKind::Rename, OpKind::Remove] {
         for occurrence in 1..=2u64 {
             let spec = format!("{kind}@{occurrence}=eio");
             let dir = temp_dir(&format!("sweep-{kind}-{occurrence}"));
-            let (updates_acked, max_acked_advance, steps) = churn_under_fault(&dir, &spec, 6);
+            let (updates_acked, max_acked_advance, steps) =
+                churn_under_fault(&dir, kind, occurrence, "", 6);
             // A single transient fault sits inside the 3-attempt budget: every
             // step must have been acknowledged.
             assert_eq!(
@@ -431,20 +458,31 @@ fn transient_fault_sweep_is_absorbed_by_retries() {
     }
 }
 
-/// The long sweep (slow lane): permanent faults switched on at each successive
-/// occurrence of the write and fsync paths. Whatever the fault point, the server
-/// answers everything, degrades instead of panicking, heals when the fault clears,
-/// and recovers the acknowledged prefix on restart.
-#[test]
-#[ignore]
-fn permanent_fault_point_sweep_recovers_acked_prefix() {
-    for kind in ["write", "fsync"] {
-        for occurrence in 1..=12u64 {
-            let spec = format!("{kind}@{occurrence}..=eio");
+/// Permanent faults switched on at each of `occurrences` of the write and fsync
+/// paths. Whatever the fault point, the server answers everything, degrades instead
+/// of panicking, heals when the fault clears, and recovers the acknowledged prefix on
+/// restart.
+fn permanent_fault_sweep(occurrences: RangeInclusive<u64>) {
+    for kind in [OpKind::Write, OpKind::Fsync] {
+        for occurrence in occurrences.clone() {
             let dir = temp_dir(&format!("perm-{kind}-{occurrence}"));
-            let (updates_acked, max_acked_advance, _) = churn_under_fault(&dir, &spec, 8);
+            let (updates_acked, max_acked_advance, _) =
+                churn_under_fault(&dir, kind, occurrence, "..", 16);
             assert_recovers_acked_prefix(&dir, &updates_acked, max_acked_advance);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// The permanent sweep's first two fault points, in the default faults lane.
+#[test]
+fn permanent_faults_at_the_first_points_recover_acked_prefix() {
+    permanent_fault_sweep(1..=2);
+}
+
+/// The long sweep (slow lane): twelve fault points per path.
+#[test]
+#[ignore]
+fn permanent_fault_point_sweep_recovers_acked_prefix() {
+    permanent_fault_sweep(1..=12);
 }

@@ -4,13 +4,12 @@
 //! In normal builds the functions here are `#[inline]` passthroughs — the only
 //! additions over raw `std::fs` are the blocking annotations the sync facade wants
 //! around fsyncs. Under `--features faults` the same seam becomes a deterministic
-//! fault injector: a `faults::FaultPlan` — installed programmatically by tests or
-//! from the `KPG_FAULT_PLAN` environment variable, mirroring the `KPG_MODEL_*`
-//! replay knobs — decides per operation whether to fail the Nth fsync, short-write
-//! K bytes, report `ENOSPC` after a cumulative write budget, fail a rename, or
-//! error a read. Plans count operations deterministically, can be scoped to a path
-//! prefix (so parallel tests never see each other's faults), and can trace every
-//! decision to stderr so any failure is replayable from its printed plan.
+//! fault injector: a `faults::FaultPlan`, parsed from a plan string and installed
+//! by the test that wants it, decides per operation whether to fail the Nth fsync,
+//! short-write K bytes, report `ENOSPC` after a cumulative write budget, fail a
+//! rename, or error a read. Plans count operations deterministically, can be scoped
+//! to a path prefix (so parallel tests never see each other's faults), and can trace
+//! every decision to stderr so any failure is replayable from its printed plan.
 //!
 //! Instrumented operations: open, read, write (including `set_len`), fsync
 //! (`sync_data`/`sync_all`/directory sync), rename, and file removal. Directory
@@ -266,9 +265,8 @@ fn check(_kind: OpKind, _path: &Path) -> io::Result<()> {
 ///
 /// Plans installed via [`FaultPlan::install`] are active until their [`FaultGuard`]
 /// drops; multiple plans may be active (each counts independently; the first
-/// injecting plan wins). `KPG_FAULT_PLAN` installs a process-wide plan at first use,
-/// `KPG_FAULT_SCOPE` confines it to a path prefix, and `KPG_FAULT_TRACE=1` turns on
-/// decision tracing (with or without a plan), each line shaped like
+/// injecting plan wins). `FaultPlan::scoped` confines a plan to a path prefix, and
+/// `FaultPlan::traced` turns on decision tracing, each line shaped like
 /// `[kpg-fault] fsync#3 /path/wal-0.log -> eio`.
 #[cfg(feature = "faults")]
 pub mod faults {
@@ -536,41 +534,13 @@ pub mod faults {
         static REGISTRY: OnceLock<Mutex<Registry>> = OnceLock::new();
         REGISTRY
             .get_or_init(|| {
-                let mut plans = Vec::new();
-                if let Some(mut plan) = plan_from_env() {
-                    if let Ok(scope) = std::env::var("KPG_FAULT_SCOPE") {
-                        if !scope.is_empty() {
-                            plan.scope = Some(PathBuf::from(scope));
-                        }
-                    }
-                    plans.push(ActivePlan {
-                        id: 0,
-                        kind_counts: [0; OP_KINDS.len()],
-                        spec_counts: vec![0; plan.specs.len()],
-                        written: 0,
-                        plan,
-                    });
-                }
-                Mutex::new(Registry { plans, next_id: 1 })
+                Mutex::new(Registry {
+                    plans: Vec::new(),
+                    next_id: 0,
+                })
             })
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn plan_from_env() -> Option<FaultPlan> {
-        let text = std::env::var("KPG_FAULT_PLAN").unwrap_or_default();
-        let trace = std::env::var("KPG_FAULT_TRACE").is_ok_and(|value| value != "0");
-        if text.trim().is_empty() {
-            // Trace-only mode still installs a plan so every operation is logged.
-            return trace.then(|| FaultPlan::new().traced());
-        }
-        match FaultPlan::parse(&text) {
-            Ok(mut plan) => {
-                plan.trace |= trace;
-                Some(plan)
-            }
-            Err(message) => panic!("KPG_FAULT_PLAN: {message}"),
-        }
     }
 
     /// The verdict for one write call.

@@ -7,22 +7,24 @@
 //! is never blocked on one large merge (the "Amortized trace maintenance" paragraph and
 //! the Fig. 6e microbenchmark).
 //!
-//! **Who fuels a merge, and when.** Two callers, one loop ([`Spine::insert`] and
+//! **Who fuels a merge, and when.** Two sources, one loop ([`Spine::insert`] and
 //! [`Spine::exert`] both end in the same private `maintain`):
 //!
-//! * *Per insert.* Introducing a batch of `n` updates offers every in-progress merge
-//!   `4n + 64` units ([`MergeEffort::Default`]; the paper's charging argument needs 2n).
-//!   This alone completes every merge before its result is next needed, but it is paid
-//!   inline, ahead of whatever query is waiting for the batch.
-//! * *Per idle turn.* A caller with nothing else to do hands [`Spine::exert`] a fuel
+//! * *The insert that owes it.* Introducing a batch of `n` updates offers every
+//!   in-progress merge `4n + 64` units ([`MergeEffort::Default`]; the paper's charging
+//!   argument needs 2n). This alone completes every merge before its result is next
+//!   needed, but it is paid inline, ahead of whatever query is waiting for the batch.
+//! * *The idle worker.* A caller with nothing else to do hands [`Spine::exert`] a fuel
 //!   budget — one budget across all layers, newest merge first — and learns whether a
-//!   merge is still in progress. The server's workers do this before they park, for
-//!   up to a tenth of the time they spend waiting (`Manager::idle_turn` →
+//!   merge is still in progress. The server's workers do this whenever the log is dry
+//!   and a merge is in progress, one bounded turn at a time (`Manager::idle_turn` →
 //!   `Catalog::exert_all` → here), so with a few milliseconds between epochs most
-//!   merges finish in the slack and the next insert finds nothing to fuel; an arrange
-//!   operator scheduled with no batch to mint does the same with a small constant. A
-//!   merge that completes early is also one batch fewer for every cursor to seek and
-//!   frees its two sources sooner.
+//!   merges finish between them and the next insert finds nothing to fuel. A merge
+//!   that completes early is also one batch fewer for every cursor to seek and frees
+//!   its two sources sooner.
+//!
+//! Nothing else fuels a merge: a dataflow step that mints no batch spends nothing, so
+//! merge work never lands on a query's settle unless an insert owed it.
 //!
 //! A fuel unit is one source update read by the merger; what it costs is the merger's
 //! business (see [`crate::ord_batch::OrdValMerger`]: about 30 ns on `Row` keys in cache,

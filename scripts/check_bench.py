@@ -38,21 +38,6 @@ SCHEMAS = {
     # layer count — logarithmically — but never with the rows; `ns_per_fuel_unit` is
     # what the merge kernel charges per unit of fuel on a two-batch merge of that size.
     "micro_spine_merge": {"rows", "per_epoch_us", "ns_per_fuel_unit", "vs_smallest_x"},
-    # The fault-injection sweep: every point must be answered without panics or
-    # invariant violations, and heal latency (fault cleared -> read-write again)
-    # is the robustness number being tracked.
-    "chaos_sweep": {
-        "seed",
-        "steps",
-        "fault_points",
-        "exercised",
-        "panics",
-        "violations",
-        "degraded_transitions",
-        "heals",
-        "heal_p50_ns",
-        "heal_p99_ns",
-    },
     # The workload bins (`tpch`, `datalog`, `graspan`, `graph_batch`): one record per
     # table row, emitted only after every answer behind the row matched its scalar
     # baseline. The required keys identify the row; which measurements accompany them
