@@ -12,9 +12,12 @@
 //! scalar search after the load and after every retraction; the two points-to variants
 //! must agree.
 //!
-//! Run with `cargo run --release -p kpg_bench --bin graspan [--scale 0.1]` (the
-//! default, about a minute, and the largest practical size: at `--scale 1.0` the
-//! unoptimised points-to row materialises every alias pair and is OOM-killed at 16 GB).
+//! Each Table 4 row also reports `peak_rss_mb`, the process's own peak resident set
+//! (`VmHWM`) read after the row: the peak so far, and the rows run smallest first.
+//!
+//! Run with `cargo run --release -p kpg_bench --bin graspan [--scale 0.2]` (the
+//! default, a few minutes; `BENCH_graspan_scale.json` holds the Table 4 rows at
+//! `--scale` 0.05, 0.1 and 0.2).
 
 use kpg_bench::{
     answer, arg_f64, arg_usize, check_answer, evaluate, fixed, load, num, replay_steps, seconds,
@@ -85,8 +88,27 @@ fn points_to_analysis(graph: &ProgramGraph, materialise_alias: bool) -> Vec<Step
     replay_steps(1, commands).split_off(loaded)
 }
 
+/// The peak resident set of this process so far, in MB (`VmHWM`); 0 where
+/// `/proc/self/status` does not report it.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|value| {
+            value
+                .trim()
+                .trim_end_matches("kB")
+                .trim()
+                .parse::<f64>()
+                .ok()
+        })
+        .unwrap_or(0.0);
+    kb / 1024.0
+}
+
 fn main() {
-    let scale = arg_f64("--scale", 0.1);
+    let scale = arg_f64("--scale", 0.2);
     let retractions = arg_usize("--retractions", 50);
     let inputs = [
         ("httpd-like", (800.0 * scale) as u32, 11u64),
@@ -113,7 +135,7 @@ fn main() {
     }
 
     println!("\n# Table 4 analogue: points-to analysis");
-    println!("table\tgraph\tvariables\taliases\tunoptimised (s)\toptimised (s)");
+    println!("table\tgraph\tvariables\taliases\tunoptimised (s)\toptimised (s)\tpeak RSS (MB)");
     for (name, variables, seed) in inputs {
         let graph = program_graph(variables, seed);
         let unoptimised = points_to_analysis(&graph, true);
@@ -131,6 +153,7 @@ fn main() {
             ("aliases", num(aliases.len())),
             ("unoptimised_s", fixed(seconds(&unoptimised), 3)),
             ("optimised_s", fixed(seconds(&optimised), 3)),
+            ("peak_rss_mb", fixed(peak_rss_mb(), 1)),
         ];
         table_row("graspan", &cells);
     }

@@ -36,10 +36,21 @@ pub type ValBatch<K, V, R = Diff> = OrdValBatch<K, V, Time, R>;
 /// The batch type used by key-only arrangements (`arrange_by_self`, `distinct`, `count`).
 pub type KeyBatch<K, R = Diff> = OrdKeyBatch<K, Time, R>;
 
+/// What one registered reader asks of the trace.
+#[derive(Clone)]
+struct Reader {
+    /// The logical read frontier: accumulations must stay correct at times in advance
+    /// of it.
+    since: Antichain<Time>,
+    /// The physical hold: the trace keeps a batch boundary here, so the reader can read
+    /// through it. Empty until the reader sets one (it then holds nothing).
+    hold: Antichain<Time>,
+}
+
 /// The shared interior of an arrangement: the spine plus its readers.
 pub struct TraceBox<B: Batch<Time = Time>> {
     spine: Spine<B>,
-    reader_sinces: Vec<Option<Antichain<Time>>>,
+    readers: Vec<Option<Reader>>,
     free_slots: Vec<usize>,
     queues: Vec<Weak<RefCell<VecDeque<B>>>>,
 }
@@ -48,7 +59,7 @@ impl<B: Batch<Time = Time>> TraceBox<B> {
     fn new(effort: MergeEffort) -> Self {
         TraceBox {
             spine: Spine::new(effort),
-            reader_sinces: Vec::new(),
+            readers: Vec::new(),
             free_slots: Vec::new(),
             queues: Vec::new(),
         }
@@ -65,41 +76,44 @@ impl<B: Batch<Time = Time>> TraceBox<B> {
         self.spine.insert(batch);
     }
 
-    fn register_reader(&mut self, since: Antichain<Time>) -> usize {
+    fn register_reader(&mut self, reader: Reader) -> usize {
         // Reuse the slot of a departed reader if one is free, so that long-lived workers
         // cycling through many short-lived handles don't grow the table unboundedly.
         match self.free_slots.pop() {
             Some(slot) => {
-                debug_assert!(self.reader_sinces[slot].is_none());
-                self.reader_sinces[slot] = Some(since);
+                debug_assert!(self.readers[slot].is_none());
+                self.readers[slot] = Some(reader);
                 slot
             }
             None => {
-                self.reader_sinces.push(Some(since));
-                self.reader_sinces.len() - 1
+                self.readers.push(Some(reader));
+                self.readers.len() - 1
             }
         }
     }
 
     /// Clears a departed reader's slot, frees it for reuse, and lets the spine compact
-    /// past the frontier the reader was pinning.
+    /// past the frontiers the reader was pinning.
     fn deregister_reader(&mut self, slot: usize) {
-        self.reader_sinces[slot] = None;
+        let reader = self.readers[slot].take().expect("a registered reader");
         self.free_slots.push(slot);
         self.recompute_compaction();
+        if !reader.hold.is_empty() {
+            self.recompute_physical_compaction();
+        }
     }
 
     /// The number of currently registered readers.
     fn reader_count(&self) -> usize {
-        self.reader_sinces.iter().flatten().count()
+        self.readers.iter().flatten().count()
     }
 
     fn recompute_compaction(&mut self) {
         let mut lower_bound = Antichain::new();
         let mut any = false;
-        for since in self.reader_sinces.iter().flatten() {
+        for reader in self.readers.iter().flatten() {
             any = true;
-            for time in since.elements() {
+            for time in reader.since.elements() {
                 lower_bound.insert(*time);
             }
         }
@@ -108,14 +122,30 @@ impl<B: Batch<Time = Time>> TraceBox<B> {
             self.spine.set_logical_compaction(lower_bound.borrow());
         }
     }
+
+    /// Hands the spine the meet of every reader's hold: empty, so no limit on merging,
+    /// when no reader holds anything.
+    fn recompute_physical_compaction(&mut self) {
+        let meet = Antichain::from_iter(
+            self.readers
+                .iter()
+                .flatten()
+                .flat_map(|reader| reader.hold.elements().iter().copied()),
+        );
+        self.spine.set_physical_compaction(meet.borrow());
+    }
 }
 
 /// A read handle onto a shared trace (paper §4.3).
 ///
-/// Each handle carries its own read frontier (`since`): the trace only guarantees correct
-/// accumulations at times in advance of it. Advancing the frontier — or dropping the
-/// handle — gives the trace permission to consolidate history. Handles are cheap to
-/// clone; clones start with the same read frontier.
+/// Each handle carries two frontiers. Its read frontier (`since`,
+/// [`TraceAgent::set_logical_compaction`]) is where the trace must keep accumulations
+/// correct: advancing it — or dropping the handle — lets the trace consolidate history.
+/// Its hold ([`TraceAgent::set_physical_compaction`]) is a batch boundary the trace must
+/// keep, so that [`TraceAgent::read_through`] can lend exactly the batches before it; a
+/// handle holds nothing until it sets one, so only a reader that reads through a hold
+/// (a join) ever restrains merging. Handles are cheap to clone; clones start with the
+/// same read frontier and the same hold.
 pub struct TraceAgent<B: Batch<Time = Time>> {
     boxed: Rc<RefCell<TraceBox<B>>>,
     slot: usize,
@@ -125,7 +155,10 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
     /// Creates a fresh, empty trace with the given merge effort.
     pub fn new(effort: MergeEffort) -> Self {
         let mut boxed = TraceBox::new(effort);
-        let slot = boxed.register_reader(Antichain::from_elem(Time::minimum()));
+        let slot = boxed.register_reader(Reader {
+            since: Antichain::from_elem(Time::minimum()),
+            hold: Antichain::new(),
+        });
         TraceAgent {
             boxed: Rc::new(RefCell::new(boxed)),
             slot,
@@ -144,13 +177,27 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
     pub fn set_logical_compaction(&mut self, frontier: AntichainRef<'_, Time>) {
         let mut boxed = self.boxed.borrow_mut();
         let frontier = frontier.to_owned();
-        let since = &mut boxed.reader_sinces[self.slot];
-        if since
-            .as_ref()
-            .is_some_and(|since| since.dominates(&frontier))
-        {
-            *since = Some(frontier);
+        let reader = boxed.readers[self.slot]
+            .as_mut()
+            .expect("a live handle's reader");
+        if reader.since.dominates(&frontier) {
+            reader.since = frontier;
             boxed.recompute_compaction();
+        }
+    }
+
+    /// Moves this handle's hold to `frontier`, which must be a batch boundary of the
+    /// trace: the upper of the batches the reader has acknowledged. The trace merges no
+    /// batch across the meet of all holds, so [`TraceAgent::read_through`] at this hold
+    /// stays exact however the trace merges meanwhile. The empty frontier holds nothing.
+    pub fn set_physical_compaction(&mut self, frontier: AntichainRef<'_, Time>) {
+        let mut boxed = self.boxed.borrow_mut();
+        let reader = boxed.readers[self.slot]
+            .as_mut()
+            .expect("a live handle's reader");
+        if reader.hold.elements() != frontier.elements() {
+            reader.hold = frontier.to_owned();
+            boxed.recompute_physical_compaction();
         }
     }
 
@@ -162,6 +209,20 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
     pub fn read<T>(&self, logic: impl for<'b> FnOnce(CursorList<B::Cursor<'b>>) -> T) -> T {
         let boxed = self.boxed.borrow();
         logic(boxed.spine.cursor())
+    }
+
+    /// Like [`TraceAgent::read`], but over exactly the batches whose upper is at or
+    /// before `frontier` (see [`Spine::cursor_through`]): what a reader that has
+    /// acknowledged the trace up to `frontier` may see. `frontier` must be a batch
+    /// boundary the trace keeps — this handle's hold, or any boundary at or past the
+    /// meet of the holds.
+    pub fn read_through<T>(
+        &self,
+        frontier: AntichainRef<'_, Time>,
+        logic: impl for<'b> FnOnce(CursorList<B::Cursor<'b>>) -> T,
+    ) -> T {
+        let boxed = self.boxed.borrow();
+        logic(boxed.spine.cursor_through(frontier))
     }
 
     /// Spends up to `fuel` units of work on the trace's in-progress merges (see
@@ -210,7 +271,7 @@ impl<B: Batch<Time = Time>> TraceAgent<B> {
     ///
     /// Exposed so tests can check that reader churn does not grow the table unboundedly.
     pub fn reader_slot_capacity(&self) -> usize {
-        self.boxed.borrow().reader_sinces.len()
+        self.boxed.borrow().readers.len()
     }
 
     /// Inserts a batch into the trace directly.
@@ -270,10 +331,10 @@ impl<B: Batch<Time = Time>> Clone for TraceAgent<B> {
     fn clone(&self) -> Self {
         let slot = {
             let mut boxed = self.boxed.borrow_mut();
-            let since = boxed.reader_sinces[self.slot]
+            let reader = boxed.readers[self.slot]
                 .clone()
-                .unwrap_or_else(|| Antichain::from_elem(Time::minimum()));
-            boxed.register_reader(since)
+                .expect("a live handle's reader");
+            boxed.register_reader(reader)
         };
         TraceAgent {
             boxed: Rc::clone(&self.boxed),

@@ -5,15 +5,27 @@
 //! changes `(logic(k, v1, v2), t1 ∨ t2, r1 · r2)`. It never builds its own index: both
 //! indices are the shared arrangements, which is exactly the economy the paper's
 //! motivating example relies on. Nor does it copy from them: a trace is read through a
-//! scoped [`TraceAgent::read`], and keys, values and histories are borrowed from the
-//! batches in place, so the join clones only what `logic` builds.
+//! scoped [`TraceAgent::read_through`], and keys, values and histories are borrowed from
+//! the batches in place, so the join clones only what `logic` builds.
+//!
+//! **Each pair is made once.** The operator keeps, per input, the upper of the batches it
+//! has processed (its *acknowledged* upper), and reads the other input's trace only
+//! through that input's acknowledged upper, never its newest batches. A `work` call joins
+//! the queued batches of input 1 against trace 2 through input 2's acknowledged upper and
+//! then acknowledges them, and only then joins the queued batches of input 2 against
+//! trace 1 through input 1's — now advanced — acknowledged upper. A pair of batches is
+//! therefore met exactly once, by whichever of the two was processed later, so there is
+//! nothing to subtract, and a self-join (both inputs one arrangement) is no special case.
+//! The trace handles hold each acknowledged upper as a batch boundary
+//! ([`TraceAgent::set_physical_compaction`]), so the traces' merges never blur what was
+//! acknowledged from what was not.
 
 use std::marker::PhantomData;
 
 use kpg_dataflow::operator::{downcast_payload, BundleBox, Operator, OutputContext};
 use kpg_dataflow::Time;
 use kpg_timestamp::{Antichain, Lattice};
-use kpg_trace::{Abelian, Batch, Cursor, Data, Multiply, Semigroup};
+use kpg_trace::{Batch, Cursor, Data, Multiply, Semigroup};
 
 use crate::arrange::{Arranged, KeyBatch, TraceAgent, ValBatch};
 use crate::collection::Collection;
@@ -63,7 +75,8 @@ pub(crate) fn join_cursors<'a, 'b, C1, C2>(
 }
 
 /// The join operator shell: port 0 carries batches of the first arrangement, port 1
-/// batches of the second. Both shared traces are read through [`TraceAgent`] handles.
+/// batches of the second. Both shared traces are read through [`TraceAgent`] handles,
+/// each only through the upper its own input's batches have been acknowledged to.
 struct JoinOperator<B1, B2, D, L>
 where
     B1: Batch<Time = Time>,
@@ -77,8 +90,10 @@ where
     trace2: Option<TraceAgent<B2>>,
     queue1: Vec<B1>,
     queue2: Vec<B2>,
-    frontier1: Antichain<Time>,
-    frontier2: Antichain<Time>,
+    /// The upper of the input-1 batches processed so far; empty once input 1 is done.
+    acknowledged1: Antichain<Time>,
+    /// The upper of the input-2 batches processed so far; empty once input 2 is done.
+    acknowledged2: Antichain<Time>,
     /// Reusable scratch for the staged output updates; its capacity persists across
     /// `work` calls.
     results: UpdateVec<D, <B1::Diff as Multiply<B2::Diff>>::Output>,
@@ -91,7 +106,7 @@ where
     B2: Batch<Time = Time, Key = B1::Key> + 'static,
     D: Data,
     B1::Diff: Multiply<B2::Diff>,
-    <B1::Diff as Multiply<B2::Diff>>::Output: Semigroup + Abelian,
+    <B1::Diff as Multiply<B2::Diff>>::Output: Semigroup,
     L: FnMut(&B1::Key, &B1::Val, &B2::Val) -> D + 'static,
 {
     fn name(&self) -> &str {
@@ -110,8 +125,6 @@ where
         if self.queue1.is_empty() && self.queue2.is_empty() {
             return false;
         }
-        let new1 = std::mem::take(&mut self.queue1);
-        let new2 = std::mem::take(&mut self.queue2);
 
         // Borrow the scratch buffer and the logic closure as disjoint fields so the
         // emit closures below can capture them while the traces stay borrowed.
@@ -119,6 +132,10 @@ where
             logic,
             trace1,
             trace2,
+            queue1,
+            queue2,
+            acknowledged1,
+            acknowledged2,
             results,
             ..
         } = self;
@@ -136,45 +153,42 @@ where
             }
         };
 
-        // New batches from input 1 joined against the full shared trace of input 2.
-        if let Some(trace2) = trace2.as_ref() {
-            for batch in new1.iter() {
-                trace2.read(|cursor2| {
+        // New batches of input 1 against what input 2 has acknowledged; then they are
+        // acknowledged. The whole queue is drained before the acknowledged upper moves,
+        // so it only ever lands on the upper of the last batch received.
+        if let Some(last) = queue1.last() {
+            let trace2 = trace2
+                .as_ref()
+                .expect("input 1 is live, so trace 2 is held");
+            for batch in queue1.iter() {
+                trace2.read_through(acknowledged2.borrow(), |cursor2| {
                     join_cursors(batch.cursor(), cursor2, |k, v1, v2, t1, r1, t2, r2| {
                         push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
                     });
                 });
             }
+            *acknowledged1 = last.description().upper().clone();
+            queue1.clear();
         }
-        // New batches from input 2 joined against the full shared trace of input 1.
-        if let Some(trace1) = trace1.as_ref() {
-            for batch in new2.iter() {
-                trace1.read(|cursor1| {
+        // New batches of input 2 against what input 1 has acknowledged, including the
+        // batches just processed: each new1 × new2 pair is made here, and only here.
+        if let Some(last) = queue2.last() {
+            let trace1 = trace1
+                .as_ref()
+                .expect("input 2 is live, so trace 1 is held");
+            for batch in queue2.iter() {
+                trace1.read_through(acknowledged1.borrow(), |cursor1| {
                     join_cursors(cursor1, batch.cursor(), |k, v1, v2, t1, r1, t2, r2| {
                         push((logic(k, v1, v2), t1.join(t2), r1.multiply(r2)));
                     });
                 });
             }
-        }
-        // Both traces already contain the concurrently arrived batches, so the
-        // new1 × new2 combinations were produced twice; subtract one copy.
-        for batch1 in new1.iter() {
-            for batch2 in new2.iter() {
-                join_cursors(
-                    batch1.cursor(),
-                    batch2.cursor(),
-                    |k, v1, v2, t1, r1, t2, r2| {
-                        let mut diff = r1.multiply(r2);
-                        diff.negate();
-                        push((logic(k, v1, v2), t1.join(t2), diff));
-                    },
-                );
-            }
+            *acknowledged2 = last.description().upper().clone();
+            queue2.clear();
         }
 
         kpg_trace::consolidate_updates(results);
-        let produced = !results.is_empty();
-        if produced {
+        if !results.is_empty() {
             // Drain into an exactly-sized payload; the scratch keeps its capacity
             // (`mem::take`, clippy's preference, would surrender it every call).
             #[allow(clippy::drain_collect)]
@@ -182,32 +196,30 @@ where
             output.send(Box::new(payload));
         }
 
-        // Let the traces compact up to the opposing input's frontier, and release a trace
-        // entirely once the opposing input can no longer change (paper: "Trace
-        // capabilities").
-        if let Some(trace1) = self.trace1.as_mut() {
-            trace1.set_logical_compaction(self.frontier2.borrow());
+        // Each trace is read only by the other input's future batches, all at times in
+        // advance of that input's acknowledged upper, and only through its own input's
+        // acknowledged upper: so it may compact logically to the former and must keep a
+        // batch boundary at the latter. Once the other input is done (its acknowledged
+        // upper is empty), the trace is released entirely (paper: "Trace capabilities").
+        if let Some(trace1) = trace1.as_mut() {
+            trace1.set_logical_compaction(acknowledged2.borrow());
+            trace1.set_physical_compaction(acknowledged1.borrow());
         }
-        if let Some(trace2) = self.trace2.as_mut() {
-            trace2.set_logical_compaction(self.frontier1.borrow());
+        if let Some(trace2) = trace2.as_mut() {
+            trace2.set_logical_compaction(acknowledged1.borrow());
+            trace2.set_physical_compaction(acknowledged2.borrow());
         }
-        if self.frontier2.is_empty() && self.queue2.is_empty() {
-            self.trace1 = None;
+        if acknowledged2.is_empty() {
+            *trace1 = None;
         }
-        if self.frontier1.is_empty() && self.queue1.is_empty() {
-            self.trace2 = None;
+        if acknowledged1.is_empty() {
+            *trace2 = None;
         }
 
-        produced || !new1.is_empty() || !new2.is_empty()
+        true
     }
 
-    fn set_frontier(&mut self, port: usize, frontier: &Antichain<Time>) {
-        match port {
-            0 => self.frontier1 = frontier.clone(),
-            1 => self.frontier2 = frontier.clone(),
-            _ => unreachable!(),
-        }
-    }
+    fn set_frontier(&mut self, _port: usize, _frontier: &Antichain<Time>) {}
 
     fn capabilities(&self, into: &mut Antichain<Time>) {
         // Queued batches are processed (and their outputs emitted) before the next
@@ -240,7 +252,7 @@ impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
         B2: Batch<Time = Time, Key = B1::Key> + 'static,
         D: Data,
         B1::Diff: Multiply<B2::Diff>,
-        <B1::Diff as Multiply<B2::Diff>>::Output: Semigroup + Abelian,
+        <B1::Diff as Multiply<B2::Diff>>::Output: Semigroup,
         L: FnMut(&B1::Key, &B1::Val, &B2::Val) -> D + 'static,
     {
         let mut builder = self.builder.clone();
@@ -250,8 +262,8 @@ impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
             trace2: Some(other.trace.clone()),
             queue1: Vec::new(),
             queue2: Vec::new(),
-            frontier1: Antichain::from_elem(Time::minimum()),
-            frontier2: Antichain::from_elem(Time::minimum()),
+            acknowledged1: Antichain::from_elem(Time::minimum()),
+            acknowledged2: Antichain::from_elem(Time::minimum()),
             results: Vec::new(),
             _marker: PhantomData,
         };
@@ -270,7 +282,7 @@ impl<K: Data, V: Data, R: Semigroup> Collection<(K, V), R> {
     ) -> Collection<(K, (V, V2)), <R as Multiply<R2>>::Output>
     where
         R: Multiply<R2>,
-        <R as Multiply<R2>>::Output: Semigroup + Abelian,
+        <R as Multiply<R2>>::Output: Semigroup,
     {
         self.join_map(other, |k, v1, v2| (k.clone(), (v1.clone(), v2.clone())))
     }
@@ -283,7 +295,7 @@ impl<K: Data, V: Data, R: Semigroup> Collection<(K, V), R> {
     ) -> Collection<D, <R as Multiply<R2>>::Output>
     where
         R: Multiply<R2>,
-        <R as Multiply<R2>>::Output: Semigroup + Abelian,
+        <R as Multiply<R2>>::Output: Semigroup,
     {
         let arranged1: Arranged<ValBatch<K, V, R>> = self.arrange_by_key();
         let arranged2: Arranged<ValBatch<K, V2, R2>> = other.arrange_by_key();
@@ -297,7 +309,7 @@ impl<K: Data, V: Data, R: Semigroup> Collection<(K, V), R> {
     ) -> Collection<(K, V), <R as Multiply<R2>>::Output>
     where
         R: Multiply<R2>,
-        <R as Multiply<R2>>::Output: Semigroup + Abelian,
+        <R as Multiply<R2>>::Output: Semigroup,
     {
         let arranged1: Arranged<ValBatch<K, V, R>> = self.arrange_by_key();
         let arranged2: Arranged<KeyBatch<K, R2>> = other.arrange_by_self();

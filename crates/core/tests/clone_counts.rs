@@ -44,8 +44,8 @@ fn settle(worker: &mut Worker, probe: &ProbeHandle, epoch: u64) {
 
 type Pair = (Counted<KEY>, Counted<VAL>);
 
-/// Both sides of a join change in every epoch, so each epoch joins new batches against
-/// the other side's trace and against each other; the logic reads the three fields
+/// Both sides of a join change in every epoch, so each epoch joins each side's new
+/// batch against what the other side has acknowledged; the logic reads the three fields
 /// without cloning. Each epoch's batch is under half the size of the one before, so no
 /// spine starts a merge (a merge clones what survives it) and every clone counted would
 /// be the join's: there are none.
@@ -152,6 +152,73 @@ fn reduce_clones_only_corrections_and_pending_pairs() {
 }
 
 thread_local! {
+    /// Calls of the join logic on this thread, per join.
+    static CALLS: [Cell<usize>; 2] = const { [Cell::new(0), Cell::new(0)] };
+}
+
+fn call(join: usize) {
+    CALLS.with(|calls| calls[join].set(calls[join].get() + 1));
+}
+
+fn calls(join: usize) -> usize {
+    CALLS.with(|calls| calls[join].get())
+}
+
+/// Two-sided epochs: n values of one key arrive on both inputs of a join at once, and on
+/// the one input of a self-join, so each `work` call has new batches on both ports. The
+/// logic runs once per pair of matching values: n² in the first epoch, and in the second
+/// the 3n² pairs it adds to the n² already made, never a pair twice plus a copy to
+/// subtract.
+#[test]
+fn join_logic_runs_once_per_pair() {
+    const N: u32 = 24;
+    const PAIRS: usize = (N * N) as usize;
+    execute(Config::new(1), |worker| {
+        let (mut left, mut right, probe, joined, self_joined) = worker.dataflow(|builder| {
+            let (left_in, left) = new_collection::<(u32, u32), isize>(builder);
+            let (right_in, right) = new_collection::<(u32, u32), isize>(builder);
+            let (left, right) = (left.arrange_by_key(), right.arrange_by_key());
+            let joined = left.join_core(&right, |_, v1, v2| {
+                call(0);
+                (*v1, *v2)
+            });
+            let self_joined = left.join_core(&left, |_, v1, v2| {
+                call(1);
+                (*v1, *v2)
+            });
+            let probe = joined.concat(&self_joined).probe();
+            (
+                left_in,
+                right_in,
+                probe,
+                joined.capture(),
+                self_joined.capture(),
+            )
+        });
+        for (epoch, expected) in [(0u32, PAIRS), (1, 4 * PAIRS)] {
+            for val in 0..N {
+                left.insert((7, N * epoch + val));
+                right.insert((7, 1000 + N * epoch + val));
+            }
+            let next = u64::from(epoch) + 1;
+            left.advance_to(next);
+            right.advance_to(next);
+            settle(worker, &probe, next);
+            assert_eq!(
+                (calls(0), calls(1)),
+                (expected, expected),
+                "epoch {epoch}: join and self-join logic calls"
+            );
+        }
+        for output in [&joined, &self_joined] {
+            let pairs: isize = output.borrow().iter().map(|(_, _, diff)| diff).sum();
+            assert_eq!(pairs, 4 * PAIRS as isize);
+            assert!(output.borrow().iter().all(|(_, _, diff)| *diff == 1));
+        }
+    });
+}
+
+thread_local! {
     /// `Live` values alive on this thread, and the most there have been at once.
     static LIVE: [Cell<usize>; 2] = const { [Cell::new(0), Cell::new(0)] };
 }
@@ -187,10 +254,10 @@ fn take_peak_live() -> usize {
     LIVE.with(|[live, peak]| peak.replace(live.get()))
 }
 
-/// A self-join of one batch in which every key holds 64 values emits 64² pairs per key
-/// three times over (the batch against each trace, less the batch against itself), all
-/// to the key's one output: 12 288 emissions per distinct output. The join buffers at
-/// most max(64k, 2 × distinct outputs) of them at once, whatever the emissions number.
+/// A self-join of one batch in which every key holds 64 values emits 64² pairs per key,
+/// all to the key's one output: 4 096 emissions per distinct output, 262 144 in all. The
+/// join buffers at most max(64k, 2 × distinct outputs) of them at once, whatever the
+/// emissions number.
 #[test]
 fn join_buffers_at_most_twice_its_distinct_outputs() {
     const KEYS: u32 = 64;

@@ -360,3 +360,97 @@ fn a_step_spends_no_merge_fuel_an_insert_did_not_owe() {
         assert_eq!((trace.batch_count(), trace.len()), (1, 1600));
     });
 }
+
+/// A query imports a trace while one of its merges is in progress, and joins it with
+/// itself and with a collection of its own. The import replays the merging layer's two
+/// sources as two batches in one `work` call, and the join acknowledges only the end of
+/// its drained queue, never the boundary between them, so the merge may complete while
+/// the join holds the trace. Both joins equal a nested-loop join at every epoch, the
+/// merge included.
+#[test]
+fn a_join_over_a_trace_imported_mid_merge_pairs_like_a_nested_loop() {
+    execute(Config::new(1), |worker| {
+        let catalog = Catalog::new();
+        let (mut edges, graph_probe, trace) = worker.install("graph", {
+            let catalog = catalog.clone();
+            move |builder| {
+                let (input, edges) = new_collection::<(u32, u32), isize>(builder);
+                let arranged = edges.arrange_by_key();
+                catalog.publish_if_absent("edges", &arranged).unwrap();
+                (input, arranged.probe(), arranged.trace)
+            }
+        });
+        let mut all_edges = Vec::new();
+        let insert_edges = |edges: &mut InputHandle<(u32, u32), isize>,
+                            all_edges: &mut Vec<(u32, u32)>,
+                            count: u32| {
+            for _ in 0..count {
+                let next = all_edges.len() as u32;
+                edges.insert((next % 40, next));
+                all_edges.push((next % 40, next));
+            }
+        };
+        // As in `a_step_spends_no_merge_fuel_an_insert_did_not_owe`: the last insert
+        // leaves a 400 + 200 merge in progress.
+        for (epoch, size) in [(1u64, 1000u32), (2, 400), (3, 100), (4, 100)] {
+            insert_edges(&mut edges, &mut all_edges, size);
+            edges.advance_to(epoch);
+            worker.step_while(|| graph_probe.less_than(&edges.time()));
+        }
+        assert!(trace.exert(&mut 0), "no merge in progress at the import");
+
+        let query = worker
+            .install_query("pairs", &catalog, |builder, catalog| {
+                let imported = catalog
+                    .import::<ValBatch<u32, u32>>("edges", builder)
+                    .unwrap();
+                let (probes_in, probes) = new_collection::<(u32, u32), isize>(builder);
+                let probes = probes.arrange_by_key();
+                let self_joined = imported.join_core(&imported, |k, v1, v2| (*k, *v1, *v2));
+                let probed = imported.join_core(&probes, |k, v, w| (*k, *v, *w));
+                let probe = self_joined.concat(&probed).probe();
+                (probes_in, probe, self_joined.capture(), probed.capture())
+            })
+            .unwrap();
+        let (mut probes, probe, self_joined, probed) = query.result;
+        let mut all_probes = Vec::new();
+        let mut epoch = 4u64;
+        let check = |epoch: u64, all_edges: &[(u32, u32)], all_probes: &[(u32, u32)]| {
+            let nested = |left: &[(u32, u32)], right: &[(u32, u32)]| {
+                let mut pairs = BTreeMap::new();
+                for (k1, v) in left {
+                    for (k2, w) in right {
+                        if k1 == k2 {
+                            *pairs.entry((*k1, *v, *w)).or_insert(0) += 1;
+                        }
+                    }
+                }
+                pairs
+            };
+            assert_eq!(
+                accumulate(&self_joined.borrow(), epoch),
+                nested(all_edges, all_edges),
+                "self-join at epoch {epoch}"
+            );
+            assert_eq!(
+                accumulate(&probed.borrow(), epoch),
+                nested(all_edges, all_probes),
+                "probe join at epoch {epoch}"
+            );
+        };
+        for (round, size) in [(0u32, 100u32), (1, 50), (2, 50)] {
+            for key in 0..10 {
+                probes.insert((key * 4, round));
+                all_probes.push((key * 4, round));
+            }
+            probes.advance_to(epoch + 1);
+            insert_edges(&mut edges, &mut all_edges, size);
+            epoch += 1;
+            edges.advance_to(epoch);
+            worker.step_while(|| probe.less_than(&edges.time()));
+            check(epoch - 1, &all_edges, &all_probes);
+            // Finish whatever the inserts left merging, under the join's holds.
+            while catalog.exert_all(&mut 384) {}
+        }
+    });
+}

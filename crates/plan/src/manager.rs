@@ -272,7 +272,9 @@ pub struct Manager {
     epoch: u64,
     /// Memos numbered so far (`plan-memo-N`).
     counter: u64,
-    inputs: HashMap<String, Input>,
+    /// Every live input, by name — ordered, so that walking them (`advance_to`) visits
+    /// them in the same order on every worker.
+    inputs: BTreeMap<String, Input>,
     /// Input bases and memoized sub-plans alike, by what they arrange and how. Looked
     /// up, never acted on in iteration order: each worker thread hashes it for itself.
     shared: HashMap<ArrangeKey, Maintained>,
@@ -294,7 +296,7 @@ impl Manager {
             catalog: Catalog::new(),
             epoch: 0,
             counter: 0,
-            inputs: HashMap::new(),
+            inputs: BTreeMap::new(),
             shared: HashMap::new(),
             installed: BTreeMap::new(),
         }
@@ -688,9 +690,7 @@ impl Manager {
 
     /// The names of the live inputs (shared and query-local), sorted.
     pub fn input_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inputs.keys().cloned().collect();
-        names.sort_unstable();
-        names
+        self.inputs.keys().cloned().collect()
     }
 
     /// The number of memoized sub-plan arrangements currently held: the shared

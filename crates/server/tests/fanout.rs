@@ -1,9 +1,11 @@
 //! Connection fan-out: the event-driven fabric's structural promise is that the
 //! thread count is a function of the worker count, never the connection count —
 //! worker 0's thread is the reactor that multiplexes every socket. These tests pin
-//! that by counting the process's kernel tasks (`/proc/self/task`): serving adds
+//! that by counting the server's kernel tasks (`/proc/self/task`): serving adds
 //! exactly the workers and the engine thread that joins them, and opening 10× more
-//! sockets adds exactly zero threads.
+//! sockets adds exactly zero threads. Every thread the server spawns is named
+//! `kpg-…` (`kpg-worker-N`, `kpg-server-engine`), so the census counts those and
+//! nothing else: the test harness's own threads start and stop as they please.
 //!
 //! The fast tests hold ~128 idle connections; the `#[ignore]`d slow-lane test
 //! holds 1000+ (bounded by the fd rlimit — client and server share this
@@ -41,10 +43,13 @@ fn round_trip(addr: std::net::SocketAddr, input: &str) {
     client.receive().expect("ack");
 }
 
-/// Number of kernel tasks (threads) in this process right now.
+/// Number of the server's kernel tasks (threads) in this process right now: those
+/// whose name (`comm`, truncated to 15 bytes) starts with `kpg-`.
 fn thread_count() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("read /proc/self/task")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .filter(|comm| comm.starts_with("kpg-"))
         .count()
 }
 
@@ -177,9 +182,8 @@ fn thousand_idle_connections_two_reactor_threads() {
     );
 
     // The structural claim: the socket fabric adds no thread at all (worker 0 is
-    // the reactor). The absolute census is 2 workers + the engine thread + the
-    // libtest harness — anything above 8 total means something is spawning per
-    // connection.
+    // the reactor). The census is 2 workers + the engine thread — anything above 8
+    // means something is spawning per connection.
     assert!(
         loaded <= 8,
         "{loaded} threads while holding {target} idle connections: \

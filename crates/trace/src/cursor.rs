@@ -5,8 +5,8 @@
 //! hand out `&'b` references that outlive the call — and the cursor's next step — but
 //! never the batch. An operator can seek one cursor with another's key, or gather a
 //! key's values, without cloning a row. A trace's cursor is a [`CursorList`] over its
-//! batches' cursors, opened by a scoped read (`TraceAgent::read` in `kpg_core`), so no
-//! cursor outlives the read that opened it.
+//! batches' cursors, opened by a scoped read (`TraceAgent::read` or `read_through` in
+//! `kpg_core`), so no cursor outlives the read that opened it.
 
 use std::cmp::Ordering;
 

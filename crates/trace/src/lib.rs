@@ -20,7 +20,8 @@
 //! * [`Cursor`] and [`CursorList`] — navigation over
 //!   one batch or the union of many, handing out keys and values borrowed from the batch.
 //! * [`Spine`] — the amortized-merging trace, with logical compaction
-//!   driven by reader frontiers (MVCC-style "vacuuming", §4.2 "Consolidation").
+//!   driven by reader frontiers (MVCC-style "vacuuming", §4.2 "Consolidation") and
+//!   physical compaction held back at the batch boundaries its readers read through.
 //! * [`stored`] — the batch ⇄ `kpg_store` run-file codec ([`spill_batch`], [`StoreData`]).
 //! * [`Semigroup`]/[`Abelian`]/[`Multiply`] — the algebra
 //!   required of the `diff` component.

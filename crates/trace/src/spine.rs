@@ -35,6 +35,18 @@
 //! The spine also tracks the *logical compaction frontier* (`since`): the lower bound of
 //! all reader frontiers. Merges advance update times to this frontier and consolidate
 //! updates that become indistinguishable, the analogue of MVCC vacuuming.
+//!
+//! **Who may merge what.** Beside `since`, the spine keeps one *physical compaction
+//! frontier*: the meet of the holds its readers have set
+//! ([`Spine::set_physical_compaction`]; a join holds each input's trace at the upper of
+//! the batches it has acknowledged). A merge starts only when its newer batch's upper is
+//! at or before that frontier, so no merge crosses a held boundary, and
+//! [`Spine::cursor_through`] can lend, for any hold at or past the meet, exactly the
+//! batches a reader has acknowledged: a prefix of the layers that ends at the hold.
+//! Boundaries past the meet all stay unmerged, so one frontier serves every reader. A
+//! spine that no reader holds has an empty frontier and merges as if there were none.
+//! When the frontier moves, the merges it now allows are started, not fuelled: the next
+//! insert or idle turn pays for them.
 
 use crate::cursor::CursorList;
 use crate::{Batch, Merger};
@@ -95,6 +107,9 @@ pub struct Spine<B: Batch> {
     /// Layers ordered from oldest (largest) to newest (smallest).
     layers: Vec<Layer<B>>,
     since: Antichain<B::Time>,
+    /// The physical compaction frontier: no merge makes a batch whose upper is past it.
+    /// Empty when no reader holds the spine.
+    physical: Antichain<B::Time>,
     upper: Antichain<B::Time>,
     effort: MergeEffort,
     /// Count of updates ever introduced, for reporting.
@@ -107,6 +122,7 @@ impl<B: Batch> Spine<B> {
         Spine {
             layers: Vec::new(),
             since: Antichain::from_elem(B::Time::minimum()),
+            physical: Antichain::new(),
             upper: Antichain::from_elem(B::Time::minimum()),
             effort,
             inserted: 0,
@@ -182,6 +198,40 @@ impl<B: Batch> Spine<B> {
         let mut cursors = Vec::with_capacity(self.layers.len() + 1);
         self.map_batches(|batch| cursors.push(batch.cursor()));
         CursorList::new(cursors)
+    }
+
+    /// A cursor over exactly the batches whose upper is at or before `frontier`: the
+    /// batches a reader holding `frontier` has acknowledged. They are a prefix of the
+    /// layers (a merging layer counts as its two sources), and `frontier` must be a batch
+    /// boundary — the spine's lower, an upper the spine has absorbed, never one a merge
+    /// has since crossed — which the physical frontier guarantees for every hold at or
+    /// past it.
+    pub fn cursor_through(&self, frontier: AntichainRef<'_, B::Time>) -> CursorList<B::Cursor<'_>> {
+        let mut cursors = Vec::with_capacity(self.layers.len() + 1);
+        let mut last_upper = None;
+        self.map_batches(|batch| {
+            let upper = batch.description().upper();
+            if frontier.iter().all(|time| upper.less_equal(time)) {
+                cursors.push(batch.cursor());
+                last_upper = Some(upper);
+            }
+        });
+        debug_assert!(
+            match last_upper {
+                Some(upper) => upper.same_as(&frontier.to_owned()),
+                None => frontier.elements() == [B::Time::minimum()],
+            },
+            "read through {frontier:?} ends at {last_upper:?}, not at a batch boundary",
+        );
+        CursorList::new(cursors)
+    }
+
+    /// Sets the physical compaction frontier: the meet of every reader's hold, or the
+    /// empty frontier when no reader holds the spine. Starts (without fuelling) the merges
+    /// the new frontier allows.
+    pub fn set_physical_compaction(&mut self, frontier: AntichainRef<'_, B::Time>) {
+        self.physical = frontier.to_owned();
+        self.consider_merges();
     }
 
     /// Advances the logical compaction frontier.
@@ -283,8 +333,9 @@ impl<B: Batch> Spine<B> {
     ///
     /// Scans newest to oldest; a merge is started when the older neighbour is at most
     /// twice the size of the newer layer, which keeps the number of layers logarithmic in
-    /// the number of distinct updates. Merges only *start* here; all completion goes
-    /// through [`Spine::apply_fuel`].
+    /// the number of distinct updates, and the newer layer's upper is at or before the
+    /// physical frontier, so no held boundary is merged away. Merges only *start* here;
+    /// all completion goes through [`Spine::apply_fuel`].
     fn consider_merges(&mut self) {
         let mut changed = true;
         while changed {
@@ -294,7 +345,10 @@ impl<B: Batch> Spine<B> {
                 index -= 1;
                 let older = index - 1;
                 let start_merge = match (&self.layers[older], &self.layers[index]) {
-                    (Layer::Single(a), Layer::Single(b)) => a.len() <= 2 * b.len().max(1),
+                    (Layer::Single(a), Layer::Single(b)) => {
+                        a.len() <= 2 * b.len().max(1)
+                            && b.description().upper().dominates(&self.physical)
+                    }
                     _ => false,
                 };
                 if start_merge {

@@ -12,7 +12,7 @@ use kpg_timestamp::rng::SmallRng;
 use kpg_timestamp::{Antichain, AntichainRef, PartialOrder};
 use kpg_trace::cursor::Cursor;
 use kpg_trace::ord_batch::{OrdValBatch, OrdValBuilder};
-use kpg_trace::{Builder, Data, MergeEffort, Spine};
+use kpg_trace::{BatchReader, Builder, Data, MergeEffort, Spine};
 use std::collections::BTreeMap;
 
 type Key = u8;
@@ -67,8 +67,15 @@ fn spine_accumulate<V: ModelVal>(
     spine: &Spine<OrdValBatch<Key, V, TimeT, isize>>,
     upto: TimeT,
 ) -> BTreeMap<(Key, V), isize> {
+    cursor_accumulate(spine.cursor(), upto)
+}
+
+/// Accumulate `cursor` at `time` for every (key, val).
+fn cursor_accumulate<'a, V: ModelVal>(
+    mut cursor: impl Cursor<'a, Key = Key, Val = V, Time = TimeT, Diff = isize>,
+    upto: TimeT,
+) -> BTreeMap<(Key, V), isize> {
     let mut result = BTreeMap::new();
-    let mut cursor = spine.cursor();
     while cursor.key_valid() {
         while cursor.val_valid() {
             let key = *cursor.key();
@@ -114,6 +121,22 @@ fn random_epochs<V: ModelVal>(
         .collect()
 }
 
+/// The batch `[time, time + 1)` holding `changes` at `time`.
+fn batch<V: ModelVal>(
+    time: TimeT,
+    changes: &[(Key, V, isize)],
+) -> OrdValBatch<Key, V, TimeT, isize> {
+    let mut builder = OrdValBuilder::with_capacity(changes.len());
+    for (k, v, r) in changes {
+        builder.push(*k, *v, time, *r);
+    }
+    builder.done(
+        Antichain::from_elem(time),
+        Antichain::from_elem(time + 1),
+        Antichain::from_elem(0),
+    )
+}
+
 #[allow(clippy::type_complexity)]
 fn build_spine<V: ModelVal>(
     epochs: &[Vec<(Key, V, isize)>],
@@ -127,17 +150,8 @@ fn build_spine<V: ModelVal>(
     let mut all_updates = Vec::new();
     for (epoch, changes) in epochs.iter().enumerate() {
         let time = epoch as TimeT;
-        let mut builder = OrdValBuilder::with_capacity(changes.len());
-        for (k, v, r) in changes {
-            builder.push(*k, *v, time, *r);
-            all_updates.push((*k, *v, time, *r));
-        }
-        let batch = builder.done(
-            Antichain::from_elem(time),
-            Antichain::from_elem(time + 1),
-            Antichain::from_elem(0),
-        );
-        spine.insert(batch);
+        all_updates.extend(changes.iter().map(|(k, v, r)| (*k, *v, time, *r)));
+        spine.insert(batch(time, changes));
         if let Some(since) = compaction {
             if time >= since {
                 spine.set_logical_compaction(AntichainRef::new(&[since]));
@@ -192,13 +206,133 @@ fn spine_is_compact<V: ModelVal>() {
         assert!(spine.len() <= updates.len(), "case {case}");
         let mut fuel = isize::MAX;
         assert!(!spine.exert(&mut fuel), "case {case}");
-        let non_empty = updates.len().max(2);
-        let bound = 4 * (non_empty as f64).log2().ceil() as usize + 4;
         assert!(
-            spine.layer_count() <= bound,
+            spine.layer_count() <= layer_bound(updates.len()),
             "case {case}: {} layers for {} updates",
             spine.layer_count(),
             updates.len()
+        );
+    }
+}
+
+/// The logarithmic layer-count bound for a spine fed `updates` updates.
+fn layer_bound(updates: usize) -> usize {
+    4 * (updates.max(2) as f64).log2().ceil() as usize + 4
+}
+
+/// The uppers of the spine's batches, oldest first: its batch boundaries.
+fn boundaries<V: ModelVal>(spine: &Spine<OrdValBatch<Key, V, TimeT, isize>>) -> Vec<TimeT> {
+    let mut uppers = Vec::new();
+    spine.map_batches(|batch| uppers.extend_from_slice(batch.description().upper().elements()));
+    uppers
+}
+
+/// Readers hold random boundaries while epochs arrive, merges are fuelled and the
+/// logical frontier advances. No merge crosses the meet of the holds, or anything past
+/// it, so a read through any boundary at or past the meet lends exactly the updates
+/// before that boundary and accumulates like the naive model of those updates.
+fn held_boundaries_survive_merging<V: ModelVal>() {
+    for case in 0..cases() {
+        let mut rng = SmallRng::seed_from_u64(0xD001 + case);
+        let epochs = random_epochs::<V>(&mut rng, (2, 24), 8, 8, 4);
+        let effort =
+            [MergeEffort::Eager, MergeEffort::Default, MergeEffort::Lazy][(case % 3) as usize];
+        let meet = rng.gen_range(0..epochs.len() as TimeT);
+        let since = rng.gen_range(0..=meet);
+        let mut spine = Spine::new(effort);
+        spine.set_physical_compaction(AntichainRef::new(&[meet]));
+        let mut updates = Vec::new();
+        for (epoch, changes) in epochs.iter().enumerate() {
+            let time = epoch as TimeT;
+            updates.extend(changes.iter().map(|(k, v, r)| (*k, *v, time, *r)));
+            spine.insert(batch(time, changes));
+            if time >= since {
+                spine.set_logical_compaction(AntichainRef::new(&[since]));
+            }
+            spine.exert(&mut rng.gen_range(0isize..64));
+            let held: Vec<TimeT> = boundaries(&spine)
+                .into_iter()
+                .filter(|upper| *upper >= meet)
+                .collect();
+            let expected: Vec<TimeT> = (meet.max(1)..=time + 1).collect();
+            assert_eq!(
+                held, expected,
+                "case {case}: a merge crossed a held boundary"
+            );
+        }
+        let end = epochs.len() as TimeT;
+        for through in meet..=end {
+            let before: Vec<_> = updates
+                .iter()
+                .filter(|update| update.2 < through)
+                .copied()
+                .collect();
+            let probe = since + rng.gen_range(0u64..8);
+            assert_eq!(
+                cursor_accumulate(spine.cursor_through(AntichainRef::new(&[through])), probe),
+                naive_accumulate(&before, probe),
+                "case {case} (effort {effort:?}, meet {meet}, through {through}, probe {probe})"
+            );
+        }
+    }
+}
+
+/// A hold defers merges; releasing it starts them, and idle fuel settles the spine
+/// within the bound of an unheld one.
+fn releasing_a_hold_lets_deferred_merges_run<V: ModelVal>() {
+    for case in 0..cases() {
+        let mut rng = SmallRng::seed_from_u64(0xE001 + case);
+        let epochs = random_epochs::<V>(&mut rng, (24, 40), 6, 4, 2);
+        let mut spine = Spine::new(MergeEffort::Default);
+        spine.set_physical_compaction(AntichainRef::new(&[1]));
+        let mut inserted = 0;
+        for (epoch, changes) in epochs.iter().enumerate() {
+            inserted += changes.len();
+            spine.insert(batch(epoch as TimeT, changes));
+        }
+        assert!(!spine.exert(&mut { isize::MAX }), "case {case}");
+        assert_eq!(
+            spine.batch_count(),
+            epochs.len(),
+            "case {case}: a batch past the hold was merged"
+        );
+        spine.set_physical_compaction(AntichainRef::new(&[]));
+        assert!(
+            spine.exert(&mut 0),
+            "case {case}: releasing the hold started no merge"
+        );
+        assert!(!spine.exert(&mut { isize::MAX }), "case {case}");
+        assert!(
+            spine.layer_count() <= layer_bound(inserted),
+            "case {case}: {} layers for {inserted} updates",
+            spine.layer_count()
+        );
+    }
+}
+
+/// A reader that advances its hold to the newest upper after every epoch, as a join
+/// acknowledging each batch does, costs at most one layer over an unheld spine.
+fn a_hold_that_follows_the_inserts_keeps_few_layers<V: ModelVal>() {
+    for case in 0..cases() {
+        let mut rng = SmallRng::seed_from_u64(0xF001 + case);
+        let epochs = random_epochs::<V>(&mut rng, (1, 40), 6, 4, 2);
+        let mut spine = Spine::new(MergeEffort::Default);
+        let mut inserted = 0;
+        for (epoch, changes) in epochs.iter().enumerate() {
+            inserted += changes.len();
+            spine.insert(batch(epoch as TimeT, changes));
+            spine.set_physical_compaction(AntichainRef::new(&[epoch as TimeT + 1]));
+            assert!(
+                spine.layer_count() <= layer_bound(inserted) + 1,
+                "case {case}, epoch {epoch}: {} layers for {inserted} updates",
+                spine.layer_count()
+            );
+        }
+        assert!(!spine.exert(&mut { isize::MAX }), "case {case}");
+        assert!(
+            spine.layer_count() <= layer_bound(inserted) + 1,
+            "case {case}: {} layers for {inserted} updates",
+            spine.layer_count()
         );
     }
 }
@@ -223,4 +357,12 @@ at_both_value_types! {
         val_spine_compaction_preserves_accumulations_beyond_since,
         key_spine_compaction_preserves_accumulations_beyond_since;
     spine_is_compact => val_spine_is_compact, key_spine_is_compact;
+    held_boundaries_survive_merging =>
+        val_held_boundaries_survive_merging, key_held_boundaries_survive_merging;
+    releasing_a_hold_lets_deferred_merges_run =>
+        val_releasing_a_hold_lets_deferred_merges_run,
+        key_releasing_a_hold_lets_deferred_merges_run;
+    a_hold_that_follows_the_inserts_keeps_few_layers =>
+        val_a_hold_that_follows_the_inserts_keeps_few_layers,
+        key_a_hold_that_follows_the_inserts_keeps_few_layers;
 }
