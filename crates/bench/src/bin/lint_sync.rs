@@ -23,6 +23,10 @@
 //! `crates/bench/lint_blocking_allow.txt` (the facade, `crates/server/src/commit.rs`):
 //! a new standing exemption anywhere else — test code included — is an allowlist edit.
 //!
+//! A fourth pass refuses `DefaultHasher` and `RandomState` in every file, with no
+//! allowlist: std's hashers are seeded per process, so anything they decide differs from
+//! one run to the next. Which worker holds a row is decided by `route_hash` alone.
+//!
 //! Usage: `cargo run -p kpg_bench --bin lint_sync` from anywhere in the workspace.
 //! Exits 0 on a clean tree, 1 with a `file:line` listing otherwise.
 
@@ -33,6 +37,9 @@ use std::process::ExitCode;
 /// Substrings that indicate a facade bypass. Matched against comment- and
 /// string-stripped source, so prose mentioning `std::sync` is fine.
 const FORBIDDEN: &[&str] = &["std::sync", "std::thread"];
+
+/// std's per-process-seeded hashers, refused everywhere.
+const SEEDED_HASHERS: &[&str] = &["DefaultHasher", "RandomState"];
 
 const ALLOWLIST: &str = "crates/bench/lint_sync_allow.txt";
 const UNSAFE_ALLOWLIST: &str = "crates/bench/lint_unsafe_allow.txt";
@@ -50,6 +57,7 @@ fn main() -> ExitCode {
     let mut violations = Vec::new();
     let mut unsafe_violations = Vec::new();
     let mut blocking_violations = Vec::new();
+    let mut hasher_violations = Vec::new();
     let allowed =
         |allow: &[String], relative: &str| allow.iter().any(|prefix| relative.starts_with(prefix));
     for relative in &files {
@@ -74,14 +82,20 @@ fn main() -> ExitCode {
                 &mut blocking_violations,
             );
         }
+        scan(SEEDED_HASHERS, relative, &source, &mut hasher_violations);
     }
 
-    if violations.is_empty() && unsafe_violations.is_empty() && blocking_violations.is_empty() {
+    let passes = [
+        &violations,
+        &unsafe_violations,
+        &blocking_violations,
+        &hasher_violations,
+    ];
+    if passes.iter().all(|pass| pass.is_empty()) {
         println!("lint_sync: {} files clean", files.len());
         ExitCode::SUCCESS
     } else {
-        let all = violations.iter().chain(&unsafe_violations);
-        for violation in all.chain(&blocking_violations) {
+        for violation in passes.into_iter().flatten() {
             eprintln!("{violation}");
         }
         if !violations.is_empty() {
@@ -105,6 +119,13 @@ fn main() -> ExitCode {
                  move the syscall out from under the lock, or extend {BLOCKING_ALLOWLIST} \
                  in the same change",
                 blocking_violations.len()
+            );
+        }
+        if !hasher_violations.is_empty() {
+            eprintln!(
+                "lint_sync: {} use(s) of a per-process-seeded std hasher; hash with a fixed \
+                 seed (`kpg_core::operators::route_hash` places rows), there is no allowlist",
+                hasher_violations.len()
             );
         }
         ExitCode::FAILURE
@@ -319,7 +340,7 @@ fn strip_comments_and_strings(source: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{scan, strip_comments_and_strings, FORBIDDEN};
+    use super::{scan, strip_comments_and_strings, FORBIDDEN, SEEDED_HASHERS};
 
     #[test]
     fn flags_injected_std_sync_mutex() {
@@ -396,6 +417,21 @@ mod tests {
         scan(&["allow_blocking("], "fifth.rs", source, &mut violations);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].starts_with("fifth.rs:3:"));
+    }
+
+    #[test]
+    fn flags_seeded_hashers_but_not_prose() {
+        let source = concat!(
+            "use std::collections::hash_map::DefaultHasher;\n",
+            "// a DefaultHasher in prose is fine\n",
+            "let state = std::hash::RandomState::new();\n",
+            "let map: HashMap<u64, u64> = HashMap::new();\n",
+        );
+        let mut violations = Vec::new();
+        scan(SEEDED_HASHERS, "seeded.rs", source, &mut violations);
+        assert_eq!(violations.len(), 2, "{violations:?}");
+        assert!(violations[0].starts_with("seeded.rs:1:"));
+        assert!(violations[1].starts_with("seeded.rs:3:"));
     }
 
     #[test]

@@ -644,8 +644,9 @@ impl<K: Data, R: Semigroup> Collection<K, R> {
 }
 
 impl<D: Data, R: Semigroup> Collection<D, R> {
-    /// The general arrangement constructor: exchange by `route`, split records into
-    /// `(key, val)` with `split`, and maintain the resulting trace.
+    /// The general arrangement constructor: exchange by `route` (when there is another
+    /// worker to send to), split records into `(key, val)` with `split`, and maintain
+    /// the resulting trace.
     pub fn arrange_core<B>(
         &self,
         name: &'static str,
@@ -657,9 +658,14 @@ impl<D: Data, R: Semigroup> Collection<D, R> {
         B: Batch<Time = Time, Diff = R> + 'static,
     {
         let mut builder = self.builder.clone();
-        // Exchange: move each record to the worker that owns its key.
-        let exchange = builder.add_operator(Box::new(Exchange::<D, R, _>::new(route)), 1);
-        builder.connect(self.node, exchange, 0);
+        // Exchange: move each record to the worker that owns its key; a lone worker
+        // owns every key, so it arranges its input as it is.
+        let mut records = self.node;
+        if builder.peers() > 1 {
+            let exchange = builder.add_operator(Box::new(Exchange::<D, R, _>::new(route)), 1);
+            builder.connect(records, exchange, 0);
+            records = exchange;
+        }
         // Arrange: batch and index the records, sharing the trace.
         let agent = TraceAgent::<B>::new(effort);
         let operator = ArrangeOperator::<D, B, _> {
@@ -673,7 +679,7 @@ impl<D: Data, R: Semigroup> Collection<D, R> {
             _marker: PhantomData,
         };
         let arrange = builder.add_operator(Box::new(operator), 1);
-        builder.connect(exchange, arrange, 0);
+        builder.connect(records, arrange, 0);
         Arranged {
             builder,
             node: arrange,

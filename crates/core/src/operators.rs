@@ -136,14 +136,15 @@ impl<D: Data, R: Semigroup> Operator for Concat<D, R> {
 /// into a staging buffer), and the routing pass scatters them into *persistent*
 /// per-worker buckets whose capacity is retained across flushes. Each flush allocates
 /// only the exactly-sized payloads actually sent; in steady state the buckets themselves
-/// never reallocate. With one worker no routing happens at all: payloads are forwarded
-/// verbatim, however many of them arrived.
+/// never reallocate. With one worker every record is already home, so
+/// [`Collection::arrange_core`](crate::collection::Collection::arrange_core) builds no
+/// exchange at all.
 pub struct Exchange<D, R, H>
 where
     H: FnMut(&D) -> u64,
 {
     route: H,
-    /// Received payloads, awaiting routing (or verbatim forwarding when `peers == 1`).
+    /// Received payloads, awaiting routing.
     pending: Vec<UpdateVec<D, R>>,
     /// Per-destination scratch buffers, drained (capacity retained) at each flush.
     buckets: Vec<UpdateVec<D, R>>,
@@ -182,17 +183,6 @@ impl<D: Data, R: Semigroup, H: FnMut(&D) -> u64 + 'static> Operator for Exchange
             return false;
         }
         let peers = output.peers();
-        if peers == 1 {
-            // Single-worker fast path: every record is already home, so skip the routing
-            // closure and forward each received payload as-is — whether the flush holds
-            // one payload or many.
-            for buffer in self.pending.drain(..) {
-                if !buffer.is_empty() {
-                    output.send_to_worker(0, Box::new(buffer));
-                }
-            }
-            return true;
-        }
         if self.buckets.len() < peers {
             self.buckets.resize_with(peers, Vec::new);
         }

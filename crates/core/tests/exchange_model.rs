@@ -2,7 +2,7 @@
 //! pooled-bucket exchange and the amortized batch builder must produce batches that are
 //! *byte-identical* — same keys, key offsets, values, value offsets, update histories,
 //! and descriptions — to a reference scalar path (shard by routing hash, then
-//! sort-then-coalesce), on both 1 and 2 workers.
+//! sort-then-coalesce), on 1 worker (where the arrangement builds no exchange) and on 2.
 
 use kpg_sync::{Arc, Mutex};
 
@@ -281,37 +281,4 @@ fn exchange_buckets_retain_capacity_across_flushes() {
             ),
         }
     }
-}
-
-/// With one worker the routing closure is skipped entirely: payloads are forwarded
-/// verbatim (however many arrived in the flush) and no buckets are ever materialized.
-#[test]
-fn exchange_single_worker_forwards_payloads_verbatim() {
-    use kpg_core::operators::{Exchange, UpdateVec};
-    use kpg_dataflow::operator::drive_operator_work;
-
-    let mut exchange = Exchange::<u64, isize, _>::new(|_: &u64| {
-        panic!("routing closure invoked on the single-worker fast path");
-    });
-    let first: UpdateVec<u64, isize> = vec![(1, Time::minimum(), 1), (2, Time::minimum(), 1)];
-    let second: UpdateVec<u64, isize> = vec![(3, Time::minimum(), -1)];
-    exchange.recv(0, Box::new(first.clone()));
-    exchange.recv(0, Box::new(second.clone()));
-    let (did_work, sent) = drive_operator_work(&mut exchange, 0, 1);
-    assert!(did_work);
-    let forwarded: Vec<UpdateVec<u64, isize>> = sent
-        .into_iter()
-        .map(|(destination, payload)| {
-            assert_eq!(destination, None, "single worker delivers locally");
-            *payload
-                .into_any()
-                .downcast::<UpdateVec<u64, isize>>()
-                .expect("exchange emits update buffers")
-        })
-        .collect();
-    assert_eq!(forwarded, vec![first, second], "payloads forwarded as-is");
-    assert!(
-        exchange.bucket_capacities().is_empty(),
-        "no buckets materialized without routing"
-    );
 }

@@ -16,9 +16,9 @@ use crate::operator::BundleBox;
 ///
 /// The address is the dataflow's ordinal: every worker constructs the same dataflows in
 /// the same order, and an ordinal is never handed out twice, so it names one dataflow on
-/// every worker for the whole computation. A receiver that has retired the dataflow
-/// acknowledges and discards the message; one that has not constructed it yet buffers the
-/// message until it has.
+/// every worker for the whole computation. Workers construct and retire dataflows only
+/// between steps, and a step ends with every inbox empty, so the receiver always holds
+/// the addressed dataflow; one that does not panics.
 pub struct RemoteMessage {
     /// The ordinal of the dataflow the message is addressed to.
     pub dataflow: usize,

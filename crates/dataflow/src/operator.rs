@@ -83,11 +83,10 @@ pub trait Operator: 'static {
     fn capabilities(&self, into: &mut Antichain<Time>);
 }
 
-/// A single emission: an edge of the dataflow whose operator produced it, a destination,
-/// and a payload.
+/// A single local emission: an edge of the dataflow whose operator produced it, and a
+/// payload. Emissions for another worker go straight to the fabric instead.
 pub(crate) struct Emission {
     pub edge: EdgeId,
-    pub worker: Option<usize>,
     pub payload: BundleBox,
 }
 
@@ -149,11 +148,7 @@ impl<'a> OutputContext<'a> {
 
     fn push(&mut self, edge: EdgeId, destination: Option<usize>, payload: BundleBox) {
         match destination {
-            None => self.emissions.push(Emission {
-                edge,
-                worker: None,
-                payload,
-            }),
+            None => self.emissions.push(Emission { edge, payload }),
             Some(worker) => {
                 // Remote messages go straight to the fabric; local ones are queued for
                 // in-order delivery by the worker loop.

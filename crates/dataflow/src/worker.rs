@@ -117,9 +117,6 @@ pub struct Worker {
     dataflows: BTreeMap<usize, DataflowInstance>,
     /// The ordinal the next dataflow constructed takes.
     next_ordinal: usize,
-    /// Remote messages addressed to an ordinal this worker has not yet constructed;
-    /// re-examined once per scheduling round.
-    pending: Vec<RemoteMessage>,
     installed: HashMap<String, usize>,
 }
 
@@ -137,7 +134,6 @@ impl Worker {
             inbox,
             dataflows: BTreeMap::new(),
             next_ordinal: 0,
-            pending: Vec::new(),
             installed: HashMap::new(),
         }
     }
@@ -247,12 +243,6 @@ impl Worker {
         live.map(|instance| instance.graph.nodes).sum()
     }
 
-    /// The number of remote messages buffered because they address an ordinal this
-    /// worker has not yet constructed.
-    pub fn pending_remote_count(&self) -> usize {
-        self.pending.len()
-    }
-
     /// The number of live entries in the computation-wide progress registry. Like the
     /// worker's own map, this is O(live dataflows) under churn.
     pub fn shared_dataflow_entries(&self) -> usize {
@@ -293,10 +283,10 @@ impl Worker {
     /// resources: trace agents held by import and arrange operators unregister their
     /// read frontiers, letting shared spines compact past this dataflow's reads.
     ///
-    /// The ordinal is never used again, so a message still in flight to it, or buffered
-    /// for it in `pending`, is discarded by `route_remote` when it is next looked at.
-    /// Handles obtained from the dataflow (inputs, probes, captures) remain safe to hold
-    /// but stop observing anything new.
+    /// Retirement happens between steps, when every inbox is empty, and the ordinal is
+    /// never used again, so no message can address it afterwards. Handles obtained from
+    /// the dataflow (inputs, probes, captures) remain safe to hold but stop observing
+    /// anything new.
     fn drop_dataflow(&mut self, ordinal: usize) {
         let instance = self.dataflows.remove(&ordinal);
         let instance = instance.expect("a named dataflow is live");
@@ -307,46 +297,36 @@ impl Worker {
         }
     }
 
-    /// Routes a received (already acknowledged) remote message by the one number it is
-    /// addressed with: enqueues it if that dataflow is live here; discards it if the
-    /// ordinal is below the next one to construct, i.e. the dataflow was constructed and
-    /// has since retired; buffers it otherwise, until this worker's own construction
-    /// catches up. Returns true unless the message was buffered.
-    fn route_remote(&mut self, message: RemoteMessage) -> bool {
-        if let Some(instance) = self.dataflows.get_mut(&message.dataflow) {
-            let edge = &instance.graph.edges[message.edge];
-            instance.queues[edge.to.0].push_back((edge.port, message.payload));
-            instance.dirty[edge.to.0] = true;
-        } else if message.dataflow >= self.next_ordinal {
-            self.pending.push(message);
-            return false;
-        }
-        true
+    /// Enqueues a received remote message at the live dataflow its ordinal names.
+    ///
+    /// Workers construct and retire dataflows only between steps, in the same order, and
+    /// a step ends only once every inbox is empty; so the dataflow a message was sent
+    /// from is live on every worker until the step that carries the message is over. A
+    /// message that finds no live dataflow means the workers left lockstep, and the
+    /// worker panics with the ordinal and its own index.
+    fn route_remote(&mut self, message: RemoteMessage) {
+        let Some(instance) = self.dataflows.get_mut(&message.dataflow) else {
+            panic!(
+                "worker {} received a message for dataflow {}, which is not live here",
+                self.index, message.dataflow
+            );
+        };
+        let edge = &instance.graph.edges[message.edge];
+        instance.queues[edge.to.0].push_back((edge.port, message.payload));
+        instance.dirty[edge.to.0] = true;
     }
 
     /// Runs operators locally until no more progress can be made without coordination.
     fn do_local_work(&mut self) -> bool {
         let mut did_anything = false;
         let mut emissions: Vec<Emission> = Vec::new();
-        // Retry messages buffered for an ordinal that had not been constructed when they
-        // arrived; construction only happens between steps, so once per call suffices.
-        if !self.pending.is_empty() {
-            let pending = std::mem::take(&mut self.pending);
-            for message in pending {
-                if self.route_remote(message) {
-                    did_anything = true;
-                }
-            }
-        }
         loop {
             let mut progress = false;
 
-            // Drain the remote inbox into local queues, acknowledging the whole sweep
-            // with one batched decrement. Messages addressed to a retired dataflow are
-            // acknowledged (so in-flight accounting stays exact) and discarded; messages
-            // ahead of this worker's construction are buffered. Acking after routing is
-            // safe: the count can only be transiently over-stated, which delays
-            // quiescence detection but never falsely declares it.
+            // Drain the remote inbox into the local queues of the dataflows the messages
+            // address, acknowledging the whole sweep with one batched decrement. Acking
+            // after routing is safe: the count can only be transiently over-stated,
+            // which delays quiescence detection but never falsely declares it.
             let mut received = 0usize;
             while let Ok(message) = self.inbox.try_recv() {
                 received += 1;
@@ -388,7 +368,6 @@ impl Worker {
                     // Deliver the local emissions this operator produced, before any
                     // other operator runs: they are for edges of this very dataflow.
                     for emission in emissions.drain(..) {
-                        debug_assert!(emission.worker.is_none());
                         let edge: &EdgeDesc = &graph.edges[emission.edge.0];
                         queues[edge.to.0].push_back((edge.port, emission.payload));
                         dirty[edge.to.0] = true;
@@ -511,9 +490,9 @@ impl Worker {
     }
 
     /// Test support: sends a raw, explicitly addressed message to `target`'s inbox
-    /// through the fabric, exactly as an exchange operator would. Lets tests exercise the
-    /// retired-ordinal and not-yet-constructed delivery paths, which cannot arise through
-    /// the lockstep stepping discipline.
+    /// through the fabric, exactly as an exchange operator would. Lets a test address an
+    /// ordinal that is not live at the target, which the lockstep stepping discipline
+    /// never does, and see the target panic.
     #[doc(hidden)]
     pub fn inject_remote(&self, target: usize, dataflow: usize, edge: usize, payload: BundleBox) {
         self.shared.fabric.send(

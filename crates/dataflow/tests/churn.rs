@@ -1,10 +1,10 @@
 //! Install/uninstall churn at the runtime layer: a dataflow's address is the ordinal of
 //! its construction, never reused and the same on every worker whatever order each
-//! retired in; scheduling state stays O(live dataflows); messages addressed to a retired
-//! ordinal are discarded — while messages ahead of a worker's own construction are
-//! buffered until it catches up.
+//! retired in; scheduling state stays O(live dataflows); and a message is delivered to
+//! the live dataflow its ordinal names, or its worker panics.
 
 use std::cell::RefCell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use kpg_dataflow::{
@@ -205,103 +205,32 @@ fn retire_order_does_not_change_the_next_address() {
             worker.installed_index("c"),
             received,
             probe.less_than(&Time::from_epoch(1)),
-            worker.pending_remote_count(),
         )
     });
     assert_eq!(observations[0].0, observations[1].0, "one address for `c`");
     assert_eq!(observations[0].1, vec![10, 20], "even keys to worker 0");
     assert_eq!(observations[1].1, vec![11, 21], "odd keys to worker 1");
-    for (_, _, behind, pending) in observations {
+    for (_, _, behind) in observations {
         assert!(!behind, "the probe passes epoch 1");
-        assert_eq!(pending, 0);
     }
 }
 
+/// Installs and uninstalls happen only between steps, and a step ends only once every
+/// inbox is empty, so a message always finds the dataflow it addresses. One that does
+/// not is a broken lockstep: the worker panics, naming the ordinal and itself. One
+/// worker, so no peer is left waiting at a barrier.
 #[test]
-fn messages_for_a_retired_ordinal_are_discarded_on_two_workers() {
-    let observations = execute(Config::new(2), |worker| {
-        // Ordinal 0: fed once, then retired.
-        let (mut victim_in, victim_log) = worker.install("victim", input_to_sink);
-        victim_in.insert(1);
-        victim_in.advance_to(1);
-        for _ in 0..3 {
-            worker.step();
-        }
-        assert!(worker.uninstall("victim"));
-
-        // The dataflow installed after it is ordinal 1.
-        let (_fresh_in, fresh_log) = worker.install("fresh", input_to_sink);
-        assert_eq!(worker.installed_index("fresh"), Some(1));
-
-        // Every worker forges, to every inbox: a message for the retired ordinal whose
-        // payload would fail the sink's downcast if it were ever delivered, and a
-        // message for the live one that must be delivered.
-        for target in 0..worker.peers() {
-            worker.inject_remote(target, 0, 0, Box::new("poison".to_string()));
-            let valid: Updates = vec![(7, Time::minimum(), 1)];
-            worker.inject_remote(target, 1, 0, Box::new(valid));
-        }
-        // A single step drains the fabric: quiescence waits for in-flight messages.
-        worker.step();
-
-        let victim = victim_log.borrow().clone();
-        let fresh = fresh_log.borrow().clone();
-        let pending = worker.pending_remote_count();
-        (victim, fresh, pending)
+#[should_panic(expected = "worker 0 received a message for dataflow 1, which is not live here")]
+fn a_message_for_an_ordinal_not_built_here_panics() {
+    let messages = execute(Config::new(1), |worker| {
+        let _a = worker.install("a", input_to_sink);
+        let early: Updates = vec![(42, Time::minimum(), 1)];
+        worker.inject_remote(0, 1, 0, Box::new(early));
+        let stepped = catch_unwind(AssertUnwindSafe(|| worker.step()));
+        let payload = stepped.expect_err("no dataflow 1 is live to take the message");
+        let message = payload.downcast_ref::<String>();
+        message.cloned().unwrap_or_default()
     });
-    for (victim, fresh, pending) in observations {
-        // The retired dataflow saw only its own input; the forged message vanished.
-        assert_eq!(victim, vec![1]);
-        // The live dataflow received exactly the two messages addressed to it.
-        assert_eq!(fresh, vec![7, 7]);
-        assert_eq!(pending, 0);
-    }
-}
-
-/// A message for an ordinal this worker has not constructed yet waits in `pending`: it
-/// is never delivered to an earlier dataflow, live or since retired, and is delivered
-/// exactly once when the addressed dataflow is constructed.
-#[test]
-fn out_of_range_messages_are_buffered_until_construction() {
-    for retire_earlier in [false, true] {
-        let observations = execute(Config::new(1), move |worker| {
-            // Address ordinal 1 before any dataflow exists: out of range, must not panic.
-            let early: Updates = vec![(42, Time::minimum(), 1)];
-            worker.inject_remote(0, 1, 0, Box::new(early));
-            worker.step();
-            let buffered_before_any = worker.pending_remote_count();
-
-            // Ordinal 0 is not the addressee, while it lives or after it retired.
-            let (_in_a, log_a) = worker.install("a", input_to_sink);
-            worker.step();
-            let buffered_beside_a = worker.pending_remote_count();
-            if retire_earlier {
-                assert!(worker.uninstall("a"));
-                worker.step();
-            }
-
-            // Ordinal 1 is: constructing it releases the message, once.
-            let (_in_b, log_b) = worker.install("b", input_to_sink);
-            assert_eq!(worker.installed_index("b"), Some(1));
-            worker.step();
-            worker.step();
-
-            let pending_after = worker.pending_remote_count();
-            let a_saw = log_a.borrow().clone();
-            let b_saw = log_b.borrow().clone();
-            (
-                (buffered_before_any, buffered_beside_a, pending_after),
-                a_saw,
-                b_saw,
-            )
-        });
-        let (pending, log_a, log_b) = observations.into_iter().next().unwrap();
-        assert_eq!(
-            pending,
-            (1, 1, 0),
-            "held, not dropped, until construction releases it (retire_earlier = {retire_earlier})"
-        );
-        assert!(log_a.is_empty(), "an earlier dataflow must not see it");
-        assert_eq!(log_b, vec![42], "the addressed dataflow receives it once");
-    }
+    // Raised again on the test thread, where `expected` reads the worker's message.
+    panic!("{}", messages[0]);
 }

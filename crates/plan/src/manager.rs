@@ -25,7 +25,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
@@ -37,9 +36,10 @@ use crate::value::Row;
 
 /// One instruction of the runtime query protocol.
 ///
-/// All workers must execute identical command streams; [`Command::Update`] is sharded
-/// internally (by a deterministic row hash), so replaying one log on every worker
-/// introduces each update exactly once.
+/// All workers must execute identical command streams. Worker 0 alone introduces a
+/// [`Command::Update`], and the input's base arrangement exchanges each row to the
+/// worker that owns its key, so replaying one log on every worker introduces each
+/// update exactly once.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
     /// Creates a named, globally shared input collection (with a published base
@@ -314,11 +314,11 @@ impl Manager {
                 Ok(Response::Done)
             }
             Command::Update { name, row, diff } => {
-                // Identical command streams on every worker: the update is introduced
-                // only by the worker the row hashes to.
+                // Every worker runs this command; worker 0 introduces the update, and
+                // the exchange in front of each arrangement places the row.
                 let input = self.inputs.get_mut(&name);
                 let input = input.ok_or(PlanError::UnknownInput(name))?;
-                if shard_of(&row, worker.peers()) == worker.index() {
+                if worker.index() == 0 {
                     input.handle.update(row, diff);
                 }
                 Ok(Response::Done)
@@ -386,8 +386,8 @@ impl Manager {
     }
 
     /// Introduces one update to a named input at the current epoch. Unlike
-    /// [`Command::Update`], this applies unconditionally: callers that use it directly
-    /// are responsible for sharding updates across workers.
+    /// [`Command::Update`], this applies on whichever worker calls it: a caller that
+    /// runs it on every worker introduces the update once per worker.
     pub fn update(&mut self, name: &str, row: Row, diff: isize) -> Result<(), PlanError> {
         let entry = self
             .inputs
@@ -728,11 +728,4 @@ impl Manager {
     pub fn memo_uses(&self, key: &ArrangeKey) -> Option<usize> {
         self.shared.get(key).map(|entry| entry.uses)
     }
-}
-
-/// Deterministic update sharding: the worker index that introduces `row`.
-fn shard_of(row: &Row, peers: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    row.hash(&mut hasher);
-    (hasher.finish() % peers.max(1) as u64) as usize
 }

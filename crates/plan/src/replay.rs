@@ -21,8 +21,8 @@ pub struct Replay {
 }
 
 /// Runs `commands` on `workers` workers, each executing the whole stream against a
-/// [`Manager`] of its own exactly as a server worker does (updates shard themselves;
-/// [`Manager::execute`] settles ahead of a `Query`, so one issued after an `Install`
+/// [`Manager`] of its own exactly as a server worker does (worker 0 introduces every
+/// update and the exchanges place it; [`Manager::execute`] settles ahead of a `Query`, so one issued after an `Install`
 /// pays for the install catching up). `replay` adds only a settle after every
 /// `AdvanceTime` — where the time is booked, not a correctness rule: an epoch's time is
 /// then the time to bring every standing query up to date with it. Failed commands are

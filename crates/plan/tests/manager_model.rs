@@ -5,11 +5,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use kpg_core::operators::route_hash;
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_plan::{
     replay, ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, ReduceKind, Response,
-    Row, Value,
+    Row, SourceBinding, Value,
 };
 use kpg_timestamp::rng::SmallRng;
 
@@ -48,8 +49,8 @@ fn edges_by_src(edges: &str) -> ArrangeKey {
     }
 }
 
-/// The answers of `stream`'s queries, replayed on one worker and on two (so
-/// `Command::Update` shards the rows) and required to be the same on both.
+/// The answers of `stream`'s queries, replayed on one worker and on two (so the
+/// exchanges shard the rows) and required to be the same on both.
 fn replayed_on_one_and_two_workers(stream: &[Command]) -> Vec<Vec<(Row, isize)>> {
     let run = |workers: usize| -> Vec<Vec<(Row, isize)>> {
         let outcomes = replay(workers, stream.to_vec()).outcomes.into_iter();
@@ -444,8 +445,9 @@ fn a_blocked_input_removal_names_one_user_on_every_worker() {
     assert_eq!(users[0], vec!["q-a"; 12], "the first reader by name");
 }
 
-/// One command stream, replayed identically on two workers: `Command::Update` shards
-/// internally, so the union of per-worker answers equals the one-worker answers.
+/// One command stream, replayed identically on two workers: worker 0 introduces every
+/// `Command::Update` and the exchanges shard the rows, so the union of per-worker
+/// answers equals the one-worker answers.
 #[test]
 fn identical_command_streams_shard_updates_across_workers() {
     let degrees = Plan::source("edges")
@@ -454,6 +456,58 @@ fn identical_command_streams_shard_updates_across_workers() {
     let edges = (0..40u64).map(|i| ("edges", vec![i % 10, (i * 7) % 10], 1));
     let stream = session(&["edges"], vec![("degrees", degrees)], &[edges.collect()]);
     assert!(!replayed_on_one_and_two_workers(&stream)[0].is_empty());
+}
+
+/// Where a row lives is decided by one rule: worker 0 introduces every `Update`, and
+/// the base arrangement's exchange keeps each row at worker `route_hash(key) % peers`.
+/// After a seeded stream of upserts and retractions, each worker's base holds only the
+/// rows whose key it owns, and the two bases together hold the stream's net contents.
+#[test]
+fn base_rows_live_at_the_worker_their_key_hashes_to() {
+    let mut rng = SmallRng::seed_from_u64(0x0057_ba5e);
+    let mut stream = vec![Command::CreateInput {
+        name: "edges".into(),
+        key_arity: Some(1),
+    }];
+    let mut net: BTreeMap<Row, isize> = BTreeMap::new();
+    for epoch in 1..=8u64 {
+        for _ in 0..50 {
+            let edge = row(&[rng.gen_range(0..32u64), rng.gen_range(0..8u64)]);
+            let diff = if rng.gen_range(0..4u32) == 0 { -1 } else { 1 };
+            *net.entry(edge.clone()).or_insert(0) += diff;
+            stream.push(Command::Update {
+                name: "edges".into(),
+                row: edge,
+                diff,
+            });
+        }
+        stream.push(Command::AdvanceTime { epoch });
+    }
+    net.retain(|_, diff| *diff != 0);
+
+    let held = execute(Config::new(2), move |worker| {
+        let mut manager = Manager::new();
+        for command in &stream {
+            manager.execute(worker, command.clone()).unwrap();
+        }
+        manager.settle(worker);
+        let base = SourceBinding {
+            arrangement: manager.arrangement_name(&edges_by_src("edges")).unwrap(),
+            keys: KeySpec::Columns(vec![0]),
+        };
+        base.read(manager.catalog()).unwrap()
+    });
+    let mut together = BTreeMap::new();
+    for (worker, rows) in held.into_iter().enumerate() {
+        assert!(!rows.is_empty(), "worker {worker} owns some of 32 keys");
+        for (edge, diff) in rows {
+            let key: Row = edge[..1].iter().cloned().collect();
+            let owner = (route_hash(&key) % 2) as usize;
+            assert_eq!(owner, worker, "{edge:?} is held by worker {worker}");
+            *together.entry(edge).or_insert(0) += diff;
+        }
+    }
+    assert_eq!(together, net);
 }
 
 /// A fixed point described as data: reachability from a shared root set, with the edge
