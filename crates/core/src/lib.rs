@@ -12,8 +12,9 @@
 //!   different dataflows, read one arrangement through [`TraceAgent`] handles.
 //! * Batch-oriented operator shells (paper §5): [`join_core`](Arranged::join_core) with
 //!   alternating seeks, [`reduce_core`](Arranged::reduce_core) with per-`(key, time)`
-//!   future-work scheduling and a shared output arrangement, and the `distinct`, `count`,
-//!   `threshold`, `semijoin`, and `antijoin` shells built on them.
+//!   future-work scheduling and a shared output arrangement,
+//!   [`count_total`](Arranged::count_total) for Counts in the streaming scope, and the
+//!   `distinct`, `count`, `threshold`, `semijoin`, and `antijoin` shells built on them.
 //! * [`iterate`](Collection::iterate) / [`Variable`] — fixed-point iteration with
 //!   product-ordered timestamps (paper §5.4).
 //!

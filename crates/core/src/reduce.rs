@@ -36,6 +36,20 @@
 //!   corrections staged at the last one are threaded onto a per-key chain (`Staged`),
 //!   and a pair follows its own key's chain only. An invocation that evaluates a single
 //!   time — a bulk load, a steady-state epoch — never builds the index.
+//!
+//! # Counts in the streaming scope
+//!
+//! Re-forming a key's whole input is what partially ordered times demand: the output at
+//! `t` depends on every input time `<= t`, and two such times may have a join that
+//! neither input nor output mentions. Outside an `iterate` the times are epochs, totally
+//! ordered, and a Count needs none of it: its previous answer for a key *is* the key's
+//! count so far, so the answer at each new time is that count plus the time's delta. The
+//! operator [`count_total`](Arranged::count_total) (differential dataflow's
+//! `count_total`) reads the arriving batches and its own output only — one seek per
+//! changed key into its output trace, none into the input trace, on which it registers
+//! no reader — and schedules no future work. Every Count in the streaming scope
+//! (`Collection::count` and the plan's `ReduceKind::Count` at depth 0) renders to it; a
+//! Count inside an `iterate`, and every other reduction, renders to `reduce_core`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
@@ -43,6 +57,8 @@ use std::marker::PhantomData;
 use kpg_dataflow::operator::{downcast_payload, BundleBox, Operator, OutputContext};
 use kpg_dataflow::Time;
 use kpg_timestamp::{Antichain, Lattice, PartialOrder};
+use kpg_trace::consolidation::consolidate;
+use kpg_trace::cursor::CursorList;
 use kpg_trace::{Abelian, Batch, Builder, Cursor, Data, MergeEffort, Semigroup};
 
 use crate::arrange::{Arranged, KeyBatch, TraceAgent, ValBatch};
@@ -419,7 +435,178 @@ where
     }
 }
 
+/// The Count of the streaming scope (see the module docs): each key's count is its
+/// previous count, read from the output trace, plus the deltas of the arriving batches.
+/// `encode` renders a count as the output value and `decode` reads it back.
+struct CountTotalOperator<B1, V2, E, D>
+where
+    B1: Batch<Time = Time>,
+    V2: Data,
+{
+    name: &'static str,
+    encode: E,
+    decode: D,
+    output_trace: TraceAgent<ValBatch<B1::Key, V2, Diff>>,
+    queue: Vec<B1>,
+    input_frontier: Antichain<Time>,
+    output_upper: Antichain<Time>,
+    /// One key's `(time, diff)`s across the batches being counted (capacity retained).
+    deltas: Vec<(Time, B1::Diff)>,
+}
+
+impl<B1, V2, E, D> Operator for CountTotalOperator<B1, V2, E, D>
+where
+    B1: Batch<Time = Time> + 'static,
+    V2: Data,
+    E: Fn(&B1::Diff) -> V2 + 'static,
+    D: Fn(&V2) -> B1::Diff + 'static,
+{
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn recv(&mut self, _port: usize, payload: BundleBox) {
+        self.queue.push(downcast_payload::<B1>(payload, self.name));
+    }
+
+    fn work(&mut self, output: &mut OutputContext<'_>) -> bool {
+        if self.input_frontier.same_as(&self.output_upper) {
+            return false;
+        }
+        let Self {
+            encode,
+            decode,
+            output_trace,
+            queue,
+            input_frontier,
+            deltas,
+            ..
+        } = self;
+        // A batch is counted once the frontier has passed its upper; the rest stay
+        // queued. The frontier is computed at quiescence, so a batch it has not passed
+        // holds no time it has passed either (its updates were all still upstream).
+        let ready: Vec<B1> = queue
+            .extract_if(.., |batch| {
+                batch.description().upper().dominates(input_frontier)
+            })
+            .collect();
+        let mut builder = <ValBatch<B1::Key, V2, Diff> as Batch>::Builder::default();
+        if !ready.is_empty() {
+            let mut input = CursorList::new(ready.iter().map(|batch| batch.cursor()).collect());
+            output_trace.read(|mut produced| {
+                while input.key_valid() {
+                    let key = input.key();
+                    while input.val_valid() {
+                        input.map_times(|time, diff| deltas.push((*time, diff.clone())));
+                        input.step_val();
+                    }
+                    consolidate(deltas);
+                    if !deltas.is_empty() {
+                        // Keys ascend, so the output cursor only seeks forward.
+                        produced.seek_key(key);
+                        let mut held = previous_count(&mut produced, key, &*decode);
+                        for (time, delta) in deltas.drain(..) {
+                            let count = match held.take() {
+                                Some((mut count, val)) => {
+                                    builder.push(key.clone(), val, time, -1);
+                                    count.plus_equals(&delta);
+                                    count
+                                }
+                                None => delta,
+                            };
+                            if !count.is_zero() {
+                                let val = encode(&count);
+                                builder.push(key.clone(), val.clone(), time, 1);
+                                held = Some((count, val));
+                            }
+                        }
+                    }
+                    input.step_key();
+                }
+            });
+        }
+
+        let since = output_trace.since();
+        let batch = builder.done(self.output_upper.clone(), input_frontier.clone(), since);
+        self.output_upper = input_frontier.clone();
+        output_trace.insert_batch(batch.clone());
+        output.send(Box::new(batch));
+        output_trace.set_logical_compaction(input_frontier.borrow());
+        true
+    }
+
+    fn set_frontier(&mut self, _port: usize, frontier: &Antichain<Time>) {
+        self.input_frontier = frontier.clone();
+    }
+
+    fn capabilities(&self, into: &mut Antichain<Time>) {
+        for batch in self.queue.iter() {
+            for time in batch.description().lower().elements() {
+                into.insert(*time);
+            }
+        }
+    }
+}
+
+/// The count `produced` holds for `key`, with the value that says it: the value whose
+/// accumulated multiplicity is one (every other value of the key has accumulated to
+/// zero), or `None` if the count is zero. `produced` must have been sought to `key`.
+fn previous_count<'b, C, R>(
+    produced: &mut C,
+    key: &C::Key,
+    decode: impl Fn(&C::Val) -> R,
+) -> Option<(R, C::Val)>
+where
+    C: Cursor<'b, Time = Time, Diff = Diff>,
+{
+    if !produced.key_valid() || produced.key() != key {
+        return None;
+    }
+    let mut held = None;
+    while produced.val_valid() {
+        let mut multiplicity = 0;
+        produced.map_times(|_, diff| multiplicity += diff);
+        debug_assert!(matches!(multiplicity, 0 | 1), "a count is held once");
+        if multiplicity == 1 {
+            debug_assert!(held.is_none(), "a key holds one count");
+            let val = produced.val();
+            held = Some((decode(val), val.clone()));
+        }
+        produced.step_val();
+    }
+    held
+}
+
 impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
+    /// The Count of the streaming scope: each key's total multiplicity, as the single
+    /// output value `encode(count)` (none where the count is zero), maintained as an
+    /// arrangement from the batch stream and the output trace alone (see the module
+    /// docs). `decode` must invert `encode`. The times must be totally ordered, so the
+    /// arrangement must not be inside an `iterate`; there, use `reduce_core`.
+    pub fn count_total<V2: Data>(
+        &self,
+        name: &'static str,
+        encode: impl Fn(&B1::Diff) -> V2 + 'static,
+        decode: impl Fn(&V2) -> B1::Diff + 'static,
+    ) -> Arranged<ValBatch<B1::Key, V2, Diff>> {
+        assert_eq!(
+            self.depth, 0,
+            "count_total needs the streaming scope's times"
+        );
+        let output_trace = TraceAgent::<ValBatch<B1::Key, V2, Diff>>::new(MergeEffort::Default);
+        let operator = CountTotalOperator::<B1, V2, _, _> {
+            name,
+            encode,
+            decode,
+            output_trace: output_trace.clone(),
+            queue: Vec::new(),
+            input_frontier: Antichain::from_elem(Time::minimum()),
+            output_upper: Antichain::from_elem(Time::minimum()),
+            deltas: Vec::new(),
+        };
+        self.attach(Box::new(operator), output_trace)
+    }
+
     /// The general reduction: applies `logic` to each key's accumulated input whenever it
     /// might change, maintaining (and sharing) the output as an arrangement.
     pub fn reduce_core<V2, R2, L>(
@@ -432,7 +619,6 @@ impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
         R2: Abelian,
         L: FnMut(&B1::Key, &[(&B1::Val, B1::Diff)], &mut Vec<(V2, R2)>) + 'static,
     {
-        let mut builder = self.builder.clone();
         let output_trace = TraceAgent::<ValBatch<B1::Key, V2, R2>>::new(MergeEffort::Default);
         let operator = ReduceOperator::<B1, V2, R2, L> {
             name,
@@ -446,13 +632,24 @@ impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
             scratch: ReduceScratch::default(),
             _marker: PhantomData,
         };
-        let node = builder.add_operator(Box::new(operator), 1);
+        self.attach(Box::new(operator), output_trace)
+    }
+
+    /// Attaches `operator` to this arrangement's batch stream. The operator maintains
+    /// `trace`, which is the returned arrangement's trace.
+    fn attach<B2: Batch<Time = Time>>(
+        &self,
+        operator: Box<dyn Operator>,
+        trace: TraceAgent<B2>,
+    ) -> Arranged<B2> {
+        let mut builder = self.builder.clone();
+        let node = builder.add_operator(operator, 1);
         builder.connect(self.node, node, 0);
         Arranged {
             builder,
             node,
             depth: self.depth,
-            trace: output_trace,
+            trace,
         }
     }
 }
@@ -521,16 +718,21 @@ impl<K: Data, R: Semigroup> Collection<K, R> {
             .as_collection(|key, _| key.clone())
     }
 
-    /// Counts the occurrences of each record, producing `(record, count)` pairs.
+    /// Counts the occurrences of each record, producing `(record, count)` pairs: by
+    /// [`count_total`](Arranged::count_total) in the streaming scope, by `reduce_core`
+    /// inside an `iterate`.
     pub fn count(&self) -> Collection<(K, R), Diff>
     where
         R: Abelian + Data,
     {
         let arranged: Arranged<KeyBatch<K, R>> = self.arrange_by_self();
-        arranged
-            .reduce_core("Count", |_key, input, output: &mut Vec<(R, Diff)>| {
+        let counted = if arranged.depth == 0 {
+            arranged.count_total("Count", R::clone, R::clone)
+        } else {
+            arranged.reduce_core("Count", |_key, input, output: &mut Vec<(R, Diff)>| {
                 output.push((input[0].1.clone(), 1));
             })
-            .as_collection(|key, count| (key.clone(), count.clone()))
+        };
+        counted.as_collection(|key, count| (key.clone(), count.clone()))
     }
 }

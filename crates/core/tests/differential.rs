@@ -721,6 +721,202 @@ fn a_backlog_of_epochs_iterates_to_the_same_answers_as_epoch_by_epoch() {
 }
 
 // ---------------------------------------------------------------------------------
+// A Count in the streaming scope reads only its own answer.
+//
+// `count` renders to `count_total` outside an `iterate`: a key's new count is its held
+// count plus the batch's delta. It must agree with the general `reduce_core` count and
+// with a scalar count at every epoch, whether epochs arrive one by one or as one batch
+// spanning many (what a WAL replay hands it).
+// ---------------------------------------------------------------------------------
+
+/// A seeded stream of signed updates on a few recurring keys: diffs in `-2..=2`, so
+/// counts go negative as readily as positive, plus fixed scenarios — key 100 is
+/// inserted, retracted to zero and inserted again; key 101 is only ever retracted, so
+/// its count is net negative; key 102 gains and loses a record within one epoch. Also
+/// returns each key's count after every epoch.
+#[allow(clippy::type_complexity)]
+fn seeded_signed_keys(seed: u64, epochs: usize) -> (Vec<Epoch<u32>>, Vec<BTreeMap<u32, isize>>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut counts: BTreeMap<u32, isize> = BTreeMap::new();
+    let mut stream = Vec::new();
+    let mut states = Vec::new();
+    for epoch in 0..epochs {
+        let mut updates: Epoch<u32> = (0..rng.gen_range(2..8usize))
+            .map(|_| (rng.gen_range(0..6u32), rng.gen_range(-2..=2isize)))
+            .filter(|(_, diff)| *diff != 0)
+            .collect();
+        match epoch % 4 {
+            0 => updates.push((100, 1)),
+            1 => updates.extend([(101, -1), (102, 1), (102, -1)]),
+            2 => updates.push((100, -1)),
+            _ => {}
+        }
+        for &(key, diff) in &updates {
+            *counts.entry(key).or_insert(0) += diff;
+        }
+        counts.retain(|_, count| *count != 0);
+        stream.push(updates);
+        states.push(counts.clone());
+    }
+    (stream, states)
+}
+
+#[test]
+fn count_total_matches_reduce_core_and_a_scalar_count() {
+    const EPOCHS: usize = 40;
+    let (stream, states) = seeded_signed_keys(0x5eed_0058, EPOCHS);
+    assert!(states
+        .iter()
+        .any(|counts| counts.values().any(|count| *count < 0)));
+    assert!(states.iter().any(|counts| !counts.contains_key(&100)));
+    assert!(states.iter().any(|counts| counts.get(&101) < Some(&-5)));
+    for workers in [1, 2] {
+        let run = |feed: Feed| {
+            let stream = stream.clone();
+            execute(Config::new(workers), move |worker| {
+                let (mut input, probe, captured) = worker.dataflow(|builder| {
+                    let (input, keys) = new_collection::<u32, isize>(builder);
+                    let total = keys.count().map(|(key, count)| ("total", key, count));
+                    let general = keys
+                        .arrange_by_self()
+                        .reduce_core(
+                            "GeneralCount",
+                            |_key, input, output: &mut Vec<(isize, isize)>| {
+                                output.push((input[0].1, 1));
+                            },
+                        )
+                        .as_collection(|key, count| ("general", *key, *count));
+                    let both = total.concat(&general);
+                    (input, both.probe(), both.capture())
+                });
+                feed_stream(worker, &mut input, &stream, feed, |sealed| {
+                    probe.less_than(&Time::from_epoch(sealed))
+                });
+                let result = captured.borrow().clone();
+                result
+            })
+        };
+        for feed in [Feed::EpochByEpoch, Feed::Backlog] {
+            let captured = run(feed);
+            for (index, counts) in states.iter().enumerate() {
+                let expected: BTreeMap<_, _> = counts
+                    .iter()
+                    .flat_map(|(&key, &count)| {
+                        [(("general", key, count), 1), (("total", key, count), 1)]
+                    })
+                    .collect();
+                assert_eq!(
+                    accumulate(&captured, epoch(index as u64)),
+                    expected,
+                    "{feed:?}, {workers} workers, epoch {index}"
+                );
+            }
+        }
+    }
+}
+
+/// A Count inside `iterate` keeps the general reduction (its times are partially
+/// ordered): bootstrap percolation, where a node joins once two of its in-neighbours
+/// have, from a fixed root set, while edges come and go. The scalar side repeats the
+/// same rule to its fixed point.
+#[test]
+fn a_count_inside_iterate_reaches_the_scalar_fixed_point() {
+    let stream: Vec<Epoch<(u32, u32)>> = vec![
+        vec![
+            ((1, 3), 1),
+            ((2, 3), 1),
+            ((3, 4), 1),
+            ((1, 4), 1),
+            ((4, 5), 1),
+        ],
+        vec![((2, 5), 1), ((5, 6), 1), ((4, 6), 1)],
+        vec![((2, 3), -1)],
+        vec![((2, 4), 1), ((1, 3), -1)],
+        vec![((2, 3), 1), ((1, 3), 1), ((6, 7), 1), ((5, 7), 1)],
+    ];
+    let roots = [1u32, 2];
+    let mut live: BTreeMap<(u32, u32), isize> = BTreeMap::new();
+    let mut expected = Vec::new();
+    for updates in stream.iter() {
+        for &(edge, diff) in updates {
+            *live.entry(edge).or_insert(0) += diff;
+        }
+        live.retain(|_, count| *count != 0);
+        let mut active: std::collections::BTreeSet<u32> = roots.into_iter().collect();
+        loop {
+            let mut preds: BTreeMap<u32, usize> = BTreeMap::new();
+            for &(_, dst) in live.keys().filter(|(src, _)| active.contains(src)) {
+                *preds.entry(dst).or_insert(0) += 1;
+            }
+            let next: std::collections::BTreeSet<u32> = roots
+                .into_iter()
+                .chain(
+                    preds
+                        .into_iter()
+                        .filter(|(_, n)| *n >= 2)
+                        .map(|(node, _)| node),
+                )
+                .collect();
+            if next == active {
+                break;
+            }
+            active = next;
+        }
+        expected.push(
+            active
+                .into_iter()
+                .map(|node| (node, 1))
+                .collect::<BTreeMap<u32, isize>>(),
+        );
+    }
+    assert!(
+        expected[1].contains_key(&6),
+        "node 6 joins through two joined nodes"
+    );
+    assert!(
+        !expected[2].contains_key(&3),
+        "a retraction deactivates node 3"
+    );
+
+    for workers in [1, 2] {
+        for feed in [Feed::EpochByEpoch, Feed::Backlog] {
+            let stream = stream.clone();
+            let captured = execute(Config::new(workers), move |worker| {
+                let (mut edges_in, probe, captured) = worker.dataflow(|builder| {
+                    let (edges_in, edges) = new_collection::<(u32, u32), isize>(builder);
+                    let roots = collection_from(builder, roots.map(|root| (root, 1isize)));
+                    let active = roots.iterate(|active| {
+                        let edges = edges.enter();
+                        let roots = roots.enter();
+                        active
+                            .map(|node| (node, ()))
+                            .join_map(&edges, |_node, (), next| *next)
+                            .count()
+                            .filter(|(_, preds)| *preds >= 2)
+                            .map(|(node, _)| node)
+                            .concat(&roots)
+                            .distinct()
+                    });
+                    (edges_in, active.probe(), active.capture())
+                });
+                feed_stream(worker, &mut edges_in, &stream, feed, |sealed| {
+                    probe.less_than(&Time::from_epoch(sealed))
+                });
+                let result = captured.borrow().clone();
+                result
+            });
+            for (index, expected) in expected.iter().enumerate() {
+                assert_eq!(
+                    &accumulate(&captured, epoch(index as u64)),
+                    expected,
+                    "{feed:?}, {workers} workers, epoch {index}"
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------------
 // Linearity, as a count rather than a timing.
 // ---------------------------------------------------------------------------------
 
@@ -758,14 +954,33 @@ impl Ord for CountedKey {
     }
 }
 
-/// The key comparisons a bulk `count` makes: `keys` keys, four records each, loaded in
+/// How a bulk count is computed: by `count` (`count_total`, in the streaming scope) or
+/// by the general `reduce_core`.
+#[derive(Clone, Copy, Debug)]
+enum Counter {
+    Total,
+    General,
+}
+
+/// The key comparisons a bulk count makes: `keys` keys, four records each, loaded in
 /// one epoch and settled by one `step_while` (so every key is evaluated in one `work`).
-fn bulk_count_comparisons(keys: u64) -> u64 {
+fn bulk_count_comparisons(keys: u64, counter: Counter) -> u64 {
     execute(Config::new(1), move |worker| {
         COMPARISONS.with(|count| count.set(0));
         let (mut input, probe, captured) = worker.dataflow(|builder| {
             let (input, records) = new_collection::<CountedKey, isize>(builder);
-            let counts = records.count();
+            let counts = match counter {
+                Counter::Total => records.count(),
+                Counter::General => records
+                    .arrange_by_self()
+                    .reduce_core(
+                        "GeneralCount",
+                        |_key, input, output: &mut Vec<(isize, isize)>| {
+                            output.push((input[0].1, 1));
+                        },
+                    )
+                    .as_collection(|key, count| (key.clone(), *count)),
+            };
             (input, counts.probe(), counts.capture())
         });
         // Scattered, not ascending, so the arrangement's sort does its real work.
@@ -789,16 +1004,19 @@ fn bulk_count_comparisons(keys: u64) -> u64 {
 
 /// Doubling the keys of a bulk reduction roughly doubles its comparisons (sorting and
 /// seeking are n log n; nothing is n²). A `reduce` that scans everything it has staged
-/// once per key, or seeks from the root of the trace once per key, quadruples them.
+/// once per key, or seeks from the root of the trace once per key, quadruples them; so
+/// does a `count_total` whose output seeks restart from the root.
 #[test]
 fn bulk_reduce_comparisons_grow_linearly_with_keys() {
     const KEYS: u64 = 2_000;
-    let small = bulk_count_comparisons(KEYS);
-    let large = bulk_count_comparisons(2 * KEYS);
-    assert!(
-        large as f64 <= 2.3 * small as f64,
-        "{KEYS} keys: {small} comparisons; {} keys: {large} ({:.2}x)",
-        2 * KEYS,
-        large as f64 / small as f64
-    );
+    for counter in [Counter::Total, Counter::General] {
+        let small = bulk_count_comparisons(KEYS, counter);
+        let large = bulk_count_comparisons(2 * KEYS, counter);
+        assert!(
+            large as f64 <= 2.3 * small as f64,
+            "{counter:?}: {KEYS} keys: {small} comparisons; {} keys: {large} ({:.2}x)",
+            2 * KEYS,
+            large as f64 / small as f64
+        );
+    }
 }

@@ -117,7 +117,8 @@ pub struct Worker {
     dataflows: BTreeMap<usize, DataflowInstance>,
     /// The ordinal the next dataflow constructed takes.
     next_ordinal: usize,
-    installed: HashMap<String, usize>,
+    /// The ordinal of each dataflow installed by name.
+    installed: BTreeMap<String, usize>,
 }
 
 impl Worker {
@@ -134,7 +135,7 @@ impl Worker {
             inbox,
             dataflows: BTreeMap::new(),
             next_ordinal: 0,
-            installed: HashMap::new(),
+            installed: BTreeMap::new(),
         }
     }
 

@@ -589,7 +589,7 @@ impl Manager {
                 });
             let bases = bases.collect();
             let built = worker.install_query(&dataflow, &self.catalog, |builder, catalog| {
-                let (handles, collections): (Vec<_>, HashMap<_, _>) = locals
+                let (handles, collections): (Vec<_>, BTreeMap<_, _>) = locals
                     .iter()
                     .map(|local| {
                         let (handle, rows) = new_collection::<Row, isize>(builder);

@@ -11,7 +11,7 @@
 //! and settles nothing: `Manager::execute` settles ahead of a `Query`, nowhere else.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use kpg_core::arrange::{KeyBatch, ValBatch};
 use kpg_core::prelude::*;
@@ -164,9 +164,9 @@ pub struct Renderer {
     /// Catalog names of the memoized sub-plan arrangements this plan imports.
     pub arrangements: HashMap<ArrangeKey, String>,
     /// Base-arrangement bindings of the global inputs, by input name.
-    pub sources: HashMap<String, SourceBinding>,
+    pub sources: BTreeMap<String, SourceBinding>,
     /// Query-local input collections, created inside the dataflow being built.
-    locals: HashMap<String, Collection<Row>>,
+    locals: BTreeMap<String, Collection<Row>>,
     /// The names of `locals` (kept in step by construction): a sub-tree mentioning one
     /// renders inline.
     local_names: BTreeSet<String>,
@@ -301,8 +301,8 @@ impl Renderer {
     pub fn new(
         catalog: &Catalog,
         arrangements: HashMap<ArrangeKey, String>,
-        sources: HashMap<String, SourceBinding>,
-        locals: HashMap<String, Collection<Row>>,
+        sources: BTreeMap<String, SourceBinding>,
+        locals: BTreeMap<String, Collection<Row>>,
     ) -> Self {
         Renderer {
             catalog: catalog.clone(),
@@ -479,6 +479,15 @@ impl Renderer {
         let columns: Vec<usize> = (0..key_arity).collect();
         let arranged = self.arranged::<RowBatch>(builder, input, &columns, scope);
         match kind.clone() {
+            // In the streaming scope times are totally ordered, so a key's new count is
+            // its held count plus the batch's delta: `count_total` reads its own output
+            // and never the shared input trace (`kpg_core::reduce`, "Counts in the
+            // streaming scope"). Inside an `Iterate` the general reduction re-forms it.
+            ReduceKind::Count if scope.depth == 0 => arranged.count_total(
+                "PlanCount",
+                |count: &isize| Row::from(vec![Value::Int(*count as i64)]),
+                |row: &Row| row[0].as_i64() as isize,
+            ),
             ReduceKind::Count => arranged.reduce_core(
                 "PlanCount",
                 |_key, input, output: &mut Vec<(Row, isize)>| {
@@ -669,8 +678,8 @@ mod tests {
     fn root_node(worker: &mut Worker, dataflow: &str, plan: &Plan, keys: &KeySpec) -> usize {
         worker.install(dataflow, |builder| {
             let (_input, rows) = new_collection::<Row, isize>(builder);
-            let locals = HashMap::from([("rows".to_string(), rows)]);
-            let renderer = Renderer::new(&Catalog::new(), HashMap::new(), HashMap::new(), locals);
+            let locals = BTreeMap::from([("rows".to_string(), rows)]);
+            let renderer = Renderer::new(&Catalog::new(), HashMap::new(), BTreeMap::new(), locals);
             let node = match keys {
                 KeySpec::Columns(columns) => {
                     RowBatch::arrange_inline(&renderer, builder, plan, columns, &ROOT).node()

@@ -536,6 +536,94 @@ fn iterate_renders_reachability_from_data() {
     );
 }
 
+/// A Count inside an `Iterate` keeps the general reduction (its times are partially
+/// ordered): bootstrap percolation described as data, where a node joins once two of
+/// its in-neighbours have, from a shared root set, while edges come and go.
+#[test]
+fn a_count_inside_iterate_renders_from_data() {
+    let joined = Plan::Recur
+        .join(Plan::source("edges"), vec![(0, 0)]) // [n, next]
+        .map(vec![Expr::col(1)]) // [next]
+        .reduce(1, ReduceKind::Count) // [next, joined in-neighbours]
+        .filter(Expr::col(1).ge(Expr::lit(2i64)))
+        .map(vec![Expr::col(0)]);
+    let body = Plan::source("roots").concat(joined).distinct();
+    let active = Plan::source("roots").iterate(body);
+    let edges = [(1, 3), (2, 3), (3, 4), (1, 4), (4, 5)];
+    let first = edges
+        .map(|(src, dst)| ("edges", vec![src, dst], 1))
+        .into_iter()
+        .chain([("roots", vec![1], 1), ("roots", vec![2], 1)]);
+    let stream = session(
+        &["edges", "roots"],
+        vec![("active", active)],
+        &[
+            first.collect(),
+            // Node 5 gains its second joined in-neighbour.
+            vec![("edges", vec![2, 5], 1)],
+            // Node 3 loses one, and everything downstream of it follows.
+            vec![("edges", vec![2, 3], -1)],
+        ],
+    );
+    let expect =
+        |nodes: &[u64]| -> Vec<(Row, isize)> { nodes.iter().map(|&n| (row(&[n]), 1)).collect() };
+    assert_eq!(
+        replayed_on_one_and_two_workers(&stream),
+        [
+            expect(&[1, 2, 3, 4]),
+            expect(&[1, 2, 3, 4, 5]),
+            expect(&[1, 2])
+        ]
+    );
+}
+
+/// A standing Count reads only its own answer: installing `degrees` over the `edges`
+/// base, keyed by source as `degrees` groups, registers one reader on the base (its
+/// import), where a Sum over the same grouping, which re-forms each changed key's input
+/// from the base trace, registers two. Uninstalling each gives its readers back.
+#[test]
+fn a_count_registers_no_reader_on_the_input_it_counts() {
+    for workers in [1, 2] {
+        let shards = execute(Config::new(workers), |worker| {
+            let mut manager = Manager::new();
+            manager
+                .create_input_keyed(worker, "edges", Some(1))
+                .unwrap();
+            let base = edges_by_src("edges");
+            let readers = |manager: &Manager| manager.arrangement_reader_count(&base).unwrap();
+            let idle = readers(&manager);
+            let degrees = Plan::source("edges").reduce(1, ReduceKind::Count);
+            manager.install(worker, "degrees", degrees, vec![]).unwrap();
+            assert_eq!(readers(&manager), idle + 1, "the import alone");
+            let sums = Plan::source("edges").reduce(1, ReduceKind::Sum(1));
+            manager.install(worker, "sums", sums, vec![]).unwrap();
+            assert_eq!(
+                readers(&manager),
+                idle + 3,
+                "plus an import and an input handle"
+            );
+
+            // Worker 0 introduces every update; the exchange places each row.
+            if worker.index() == 0 {
+                for (src, dst) in [(1, 2), (1, 3), (2, 4)] {
+                    manager.update("edges", row(&[src, dst]), 1).unwrap();
+                }
+            }
+            manager.advance_to(1).unwrap();
+            manager.settle(worker);
+            let answer = manager.query("degrees").unwrap();
+
+            assert!(manager.uninstall(worker, "sums").unwrap());
+            assert_eq!(readers(&manager), idle + 1);
+            assert!(manager.uninstall(worker, "degrees").unwrap());
+            assert_eq!(readers(&manager), idle);
+            answer
+        });
+        let degree = |src: u64, n: i64| (Row::from(vec![Value::UInt(src), Value::Int(n)]), 1);
+        assert_eq!(merged(shards), vec![degree(1, 2), degree(2, 1)]);
+    }
+}
+
 /// Expression-heavy plans: filters and projections evaluate the data-described `Expr`
 /// language, including comparisons and arithmetic.
 #[test]

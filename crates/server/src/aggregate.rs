@@ -39,7 +39,7 @@ struct ClientState {
     /// Live query name → owning client. Written only when an `Install` or `Uninstall`
     /// *completes* (and at submit for `Uninstall`, which can only free a name early),
     /// so the map never credits a failed install.
-    owners: HashMap<String, ClientId>,
+    owners: BTreeMap<String, ClientId>,
     pending: HashMap<u64, Pending>,
     /// Where each client's responses go — a per-client channel ([`ChannelRoute`]) or
     /// the reactor's shared queue.
@@ -161,15 +161,15 @@ impl ServerCore {
     /// under the same lock that sequences live submissions, so a racing `Install` of a
     /// just-freed name cannot slip in between; an install of this client still in
     /// flight is retired by the deposit that completes it (the route is already gone).
+    /// The cleanup retires the owned queries in name order, the owners map's order.
     pub fn disconnect(&self, client: ClientId) {
         let mut clients = self.aggregate.lock();
         clients.routes.remove(&client);
         let owned = clients.owners.iter().filter(|(_, owner)| **owner == client);
-        let mut owned: Vec<String> = owned.map(|(name, _)| name.clone()).collect();
+        let owned: Vec<String> = owned.map(|(name, _)| name.clone()).collect();
         if owned.is_empty() {
             return;
         }
-        owned.sort_unstable();
         let mut log = self.sequencer.appender();
         for name in owned {
             clients.owners.remove(&name);
