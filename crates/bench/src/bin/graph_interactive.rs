@@ -16,7 +16,7 @@
 use kpg_bench::{arg_usize, LatencyRecorder};
 use kpg_graph::generate;
 use kpg_graph::plans::{edge_row, four_path_plan, lookup_plan, node_row, pair_row, two_hop_plan};
-use kpg_plan::{replay, Command, Plan, Row};
+use kpg_plan::{replay, ArrangeKey, Command, KeySpec, Plan, Row};
 use kpg_timestamp::rng::SmallRng;
 
 /// A query class's plan over `(edges input, argument input)`.
@@ -117,11 +117,18 @@ fn run(shared: bool, nodes: u32, edges: usize, rounds: usize, per_round: usize) 
             rounds.record(*elapsed);
         }
     }
-    // Query-local argument inputs publish no `plan-source-` arrangement: these are
-    // the arrangements of the edges.
-    let sources = replayed.held.iter();
-    let held = sources
-        .filter(|(name, _)| name.starts_with("plan-source-"))
+    // The edge inputs' bases: each is its input keyed by source, as created above.
+    // (Query-local argument inputs have no registry entry.)
+    let bases: Vec<ArrangeKey> = inputs
+        .iter()
+        .map(|name| ArrangeKey {
+            plan: Plan::source(name),
+            keys: KeySpec::Columns(vec![0]),
+        })
+        .collect();
+    let arrangements = replayed.arrangements.iter();
+    let held = arrangements
+        .filter(|(key, _)| bases.contains(key))
         .map(|(_, size)| size)
         .sum();
     RunResult { rounds, held }

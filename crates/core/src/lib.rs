@@ -13,8 +13,9 @@
 //! * Batch-oriented operator shells (paper §5): [`join_core`](Arranged::join_core) with
 //!   alternating seeks, [`reduce_core`](Arranged::reduce_core) with per-`(key, time)`
 //!   future-work scheduling and a shared output arrangement,
-//!   [`count_total`](Arranged::count_total) for Counts in the streaming scope, and the
-//!   `distinct`, `count`, `threshold`, `semijoin`, and `antijoin` shells built on them.
+//!   [`count`](Arranged::count) (by `count_total` in the streaming scope), and the
+//!   `distinct`, `Collection::count`, `threshold`, `semijoin`, and `antijoin` shells
+//!   built on them.
 //! * [`iterate`](Collection::iterate) / [`Variable`] — fixed-point iteration with
 //!   product-ordered timestamps (paper §5.4).
 //!

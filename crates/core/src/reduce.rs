@@ -44,12 +44,12 @@
 //! neither input nor output mentions. Outside an `iterate` the times are epochs, totally
 //! ordered, and a Count needs none of it: its previous answer for a key *is* the key's
 //! count so far, so the answer at each new time is that count plus the time's delta. The
-//! operator [`count_total`](Arranged::count_total) (differential dataflow's
-//! `count_total`) reads the arriving batches and its own output only — one seek per
-//! changed key into its output trace, none into the input trace, on which it registers
-//! no reader — and schedules no future work. Every Count in the streaming scope
-//! (`Collection::count` and the plan's `ReduceKind::Count` at depth 0) renders to it; a
-//! Count inside an `iterate`, and every other reduction, renders to `reduce_core`.
+//! operator `count_total` (differential dataflow's `count_total`) reads the arriving
+//! batches and its own output only — one seek per changed key into its output trace,
+//! none into the input trace, on which it registers no reader — and schedules no future
+//! work. The rule lives in one place, [`Arranged::count`], which every Count calls
+//! (`Collection::count` and the plan's `ReduceKind::Count`): `count_total` in the
+//! streaming scope, `reduce_core` inside an `iterate`, as for every other reduction.
 
 use std::collections::{BTreeSet, HashMap};
 use std::marker::PhantomData;
@@ -578,21 +578,39 @@ where
 }
 
 impl<B1: Batch<Time = Time> + 'static> Arranged<B1> {
-    /// The Count of the streaming scope: each key's total multiplicity, as the single
-    /// output value `encode(count)` (none where the count is zero), maintained as an
-    /// arrangement from the batch stream and the output trace alone (see the module
-    /// docs). `decode` must invert `encode`. The times must be totally ordered, so the
-    /// arrangement must not be inside an `iterate`; there, use `reduce_core`.
-    pub fn count_total<V2: Data>(
+    /// Each key's total multiplicity, as the single output value `encode(count)` (none
+    /// where the count is zero), maintained as an arrangement. In the streaming scope it
+    /// is read from the batch stream and the output trace alone (`count_total`, see the
+    /// module docs), which needs `decode` to invert `encode`; inside an `iterate`, whose
+    /// times are partially ordered, by the general reduction.
+    pub fn count<V2: Data>(
         &self,
         name: &'static str,
         encode: impl Fn(&B1::Diff) -> V2 + 'static,
         decode: impl Fn(&V2) -> B1::Diff + 'static,
     ) -> Arranged<ValBatch<B1::Key, V2, Diff>> {
-        assert_eq!(
-            self.depth, 0,
-            "count_total needs the streaming scope's times"
-        );
+        if self.depth == 0 {
+            return self.count_total(name, encode, decode);
+        }
+        self.reduce_core(name, move |_key, input, output| {
+            let mut total = input[0].1.clone();
+            for (_, diff) in &input[1..] {
+                total.plus_equals(diff);
+            }
+            if !total.is_zero() {
+                output.push((encode(&total), 1));
+            }
+        })
+    }
+
+    /// The Count of the streaming scope (see [`Arranged::count`]): its times must be
+    /// totally ordered.
+    fn count_total<V2: Data>(
+        &self,
+        name: &'static str,
+        encode: impl Fn(&B1::Diff) -> V2 + 'static,
+        decode: impl Fn(&V2) -> B1::Diff + 'static,
+    ) -> Arranged<ValBatch<B1::Key, V2, Diff>> {
         let output_trace = TraceAgent::<ValBatch<B1::Key, V2, Diff>>::new(MergeEffort::Default);
         let operator = CountTotalOperator::<B1, V2, _, _> {
             name,
@@ -718,21 +736,15 @@ impl<K: Data, R: Semigroup> Collection<K, R> {
             .as_collection(|key, _| key.clone())
     }
 
-    /// Counts the occurrences of each record, producing `(record, count)` pairs: by
-    /// [`count_total`](Arranged::count_total) in the streaming scope, by `reduce_core`
-    /// inside an `iterate`.
+    /// Counts the occurrences of each record, producing `(record, count)` pairs (see
+    /// [`Arranged::count`]).
     pub fn count(&self) -> Collection<(K, R), Diff>
     where
         R: Abelian + Data,
     {
         let arranged: Arranged<KeyBatch<K, R>> = self.arrange_by_self();
-        let counted = if arranged.depth == 0 {
-            arranged.count_total("Count", R::clone, R::clone)
-        } else {
-            arranged.reduce_core("Count", |_key, input, output: &mut Vec<(R, Diff)>| {
-                output.push((input[0].1.clone(), 1));
-            })
-        };
-        counted.as_collection(|key, count| (key.clone(), count.clone()))
+        arranged
+            .count("Count", R::clone, R::clone)
+            .as_collection(|key, count| (key.clone(), count.clone()))
     }
 }

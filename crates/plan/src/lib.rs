@@ -12,12 +12,12 @@
 //!   literals, arithmetic, comparisons, boolean connectives).
 //! * [`Plan`] — the IR: `Source`, `Map`, `Filter`, `Join { keys }`,
 //!   `Reduce { Count | Sum | Min | Top }`, `Distinct`, `Concat`, `Negate`, and
-//!   `Iterate`/`Recur` for fixed points. Plans are plain values (`Eq + Hash`), which is
+//!   `Iterate`/`Recur` for fixed points. Plans are plain, ordered values (`Ord`), which is
 //!   what makes sub-plan sharing *recognisable*.
-//! * [`Renderer`] — the render pass compiling a validated plan into a dataflow against
-//!   the existing [`Catalog`](kpg_core::Catalog) / `install_query` lifecycle. Sub-trees
-//!   reading only shared state are imported from memoized shared arrangements;
-//!   plan-identical subtrees across queries import the *same* trace.
+//! * [`render`] — the render pass compiling a validated plan into a dataflow that
+//!   imports the manager's registry handles ([`Trace`]). Sub-trees reading only shared
+//!   state are imported from memoized shared arrangements; plan-identical subtrees
+//!   across queries import the *same* trace.
 //! * [`Manager`] — the per-worker engine: named inputs, one registry of maintained
 //!   arrangements (input bases and memoized sub-plans, by plan and key), and
 //!   [`Command`] execution (`CreateInput`, `Update`, `AdvanceTime`, `Install`,
@@ -67,6 +67,6 @@ pub mod value;
 pub use expr::{project, Expr};
 pub use manager::{Command, Manager, PlanError, Response};
 pub use plan::{ArrangeKey, KeySpec, Plan, PlanValidity, ReduceKind};
-pub use render::{Renderer, RowBatch, SourceBinding};
+pub use render::{RowBatch, Trace};
 pub use replay::{replay, Replay};
 pub use value::{Row, Value};

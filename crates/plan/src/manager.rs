@@ -7,31 +7,32 @@
 //! stream can come from a recorded log or a network socket.
 //!
 //! **One kind of maintained state.** An input's base, a memoized sub-plan and a query's
-//! answer are each a dataflow that renders a plan and publishes it as a catalog
-//! arrangement: one `Maintained` record, built only by `Manager::maintain` (which first
-//! ensures, the same way, an arrangement for every `(sub-plan, key)` pair the render
-//! pass will import) and dropped only by `Manager::retire`. Bases and memos share one
-//! registry keyed by [`ArrangeKey`] — a base is the entry for `Source(name)` keyed as
-//! the input was created — so plan-identical subtrees *share one arrangement across
-//! queries*: the paper's inter-query sharing applied between queries that arrive at
-//! runtime. Registry entries are reference-counted by their dependants but **retained**
-//! when the count reaches zero (arrangements outlive the queries that prompted them, so
-//! the next arriving query attaches in milliseconds); they are evicted when their
-//! underlying input is removed. A query's answer goes with its `Uninstall`.
+//! answer are each a dataflow that renders a plan arranged, and the manager holds that
+//! arrangement's trace handle ([`Trace`]): one `Maintained` record, built only by
+//! `Manager::maintain` (which first ensures, the same way, an arrangement for every
+//! `(sub-plan, key)` pair the render pass will import) and dropped only by
+//! `Manager::retire`. Bases and memos share one registry keyed by [`ArrangeKey`] — a
+//! base is the entry for `Source(name)` keyed as the input was created — so
+//! plan-identical subtrees *share one arrangement across queries*: the paper's
+//! inter-query sharing applied between queries that arrive at runtime; imports, `Query`
+//! and compaction all go through that handle. Registry entries are reference-counted by
+//! their dependants but **retained** when the count reaches zero (arrangements outlive
+//! the queries that prompted them, so the next arriving query attaches in milliseconds);
+//! they are evicted when their underlying input is removed. A query's answer goes with
+//! its `Uninstall`.
 //!
 //! **Settling.** An answer is deterministic only when read from a settled manager. The
 //! rule lives here — [`Manager::execute`] settles ahead of a [`Command::Query`] — so a
 //! driver (`kpg_server`'s worker loop, [`replay`](crate::replay())) only executes.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
-use kpg_timestamp::Antichain;
 
 use crate::plan::{ArrangeKey, KeySpec, Plan, PlanValidity};
-use crate::render::{Renderer, SourceBinding};
+use crate::render::{publish, Trace};
 use crate::value::Row;
 
 /// One instruction of the runtime query protocol.
@@ -61,7 +62,7 @@ pub enum Command {
         /// The multiplicity change.
         diff: isize,
     },
-    /// Advances every input (and the catalog's read frontiers) to `epoch`.
+    /// Advances every input (and the registry's read frontiers) to `epoch`.
     AdvanceTime {
         /// The new epoch; must not regress.
         epoch: u64,
@@ -128,7 +129,8 @@ pub enum PlanError {
     DuplicateInput(String),
     /// An `Update` or plan source named an input that does not exist.
     UnknownInput(String),
-    /// An `Install` reused the name of a live query.
+    /// An `Install` reused the name of a live query, or a command would build a dataflow
+    /// under a name a query holds (the worker's one namespace).
     DuplicateQuery(String),
     /// A `Query` named no installed query.
     UnknownQuery(String),
@@ -147,8 +149,6 @@ pub enum PlanError {
         /// The requested epoch.
         to: u64,
     },
-    /// An underlying catalog operation failed.
-    Catalog(CatalogError),
     /// The server cannot currently make mutations durable (its log is failing) and
     /// is refusing state-defining commands; queries still answer from memory. Issued
     /// by the server's sequencer, never by a manager itself.
@@ -183,7 +183,6 @@ impl PlanError {
             PlanError::UnknownQuery(_) => "unknown-query",
             PlanError::InputInUse { .. } => "input-in-use",
             PlanError::TimeRegression { .. } => "time-regression",
-            PlanError::Catalog(_) => "catalog",
             PlanError::DegradedReadOnly => "degraded-read-only",
         }
     }
@@ -203,7 +202,6 @@ impl fmt::Display for PlanError {
             PlanError::TimeRegression { from, to } => {
                 write!(f, "cannot advance time from epoch {from} back to {to}")
             }
-            PlanError::Catalog(error) => write!(f, "catalog: {error}"),
             PlanError::DegradedReadOnly => {
                 write!(
                     f,
@@ -216,12 +214,6 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
-
-impl From<CatalogError> for PlanError {
-    fn from(error: CatalogError) -> Self {
-        PlanError::Catalog(error)
-    }
-}
 
 struct Input {
     handle: InputHandle<Row, isize>,
@@ -237,12 +229,12 @@ enum Owner {
 }
 
 /// One maintained arrangement — an input's base, a memoized sub-plan or a query's
-/// answer: a dataflow that renders a plan and publishes it, arranged, in the catalog.
+/// answer: a dataflow that renders a plan arranged, and the arrangement's trace handle.
 struct Maintained {
     dataflow: String,
-    /// The arrangement's catalog name and keying. Bases and answers are keyed by a
-    /// prefix `Columns(0..k)` or `SelfRow`, so they read back as rows.
-    binding: SourceBinding,
+    /// The registry's handle. Bases and answers are keyed by a prefix `Columns(0..k)` or
+    /// `SelfRow`, so they read back as rows.
+    trace: Trace,
     probe: ProbeHandle,
     /// The registry entries the rendering imports.
     requirements: Vec<ArrangeKey>,
@@ -268,16 +260,15 @@ const IDLE_TURN_FUEL: isize = 384;
 
 /// The per-worker runtime-plan engine. See the module docs for the protocol.
 pub struct Manager {
-    catalog: Catalog,
     epoch: u64,
     /// Memos numbered so far (`plan-memo-N`).
     counter: u64,
     /// Every live input, by name — ordered, so that walking them (`advance_to`) visits
     /// them in the same order on every worker.
     inputs: BTreeMap<String, Input>,
-    /// Input bases and memoized sub-plans alike, by what they arrange and how. Looked
-    /// up, never acted on in iteration order: each worker thread hashes it for itself.
-    shared: HashMap<ArrangeKey, Maintained>,
+    /// Input bases and memoized sub-plans alike, by what they arrange and how — ordered,
+    /// so that `advance_to` and `idle_turn` walk it alike in every process.
+    shared: BTreeMap<ArrangeKey, Maintained>,
     /// The installed queries' answers, by query name — ordered, so that whichever one a
     /// command singles out (the `user` of an `InputInUse`) is the same on every worker.
     installed: BTreeMap<String, Maintained>,
@@ -290,14 +281,13 @@ impl Default for Manager {
 }
 
 impl Manager {
-    /// A fresh manager with its own (empty) catalog, at epoch 0.
+    /// A fresh manager with an empty registry, at epoch 0.
     pub fn new() -> Self {
         Manager {
-            catalog: Catalog::new(),
             epoch: 0,
             counter: 0,
             inputs: BTreeMap::new(),
-            shared: HashMap::new(),
+            shared: BTreeMap::new(),
             installed: BTreeMap::new(),
         }
     }
@@ -373,11 +363,11 @@ impl Manager {
                 Some(arity) => KeySpec::Columns((0..arity).collect()),
             },
         };
-        let names = (format!("plan-input-{name}"), format!("plan-source-{name}"));
+        let dataflow = format!("plan-input-{name}");
         let locals = BTreeSet::from([name.to_string()]);
         let created = &mut Vec::new();
         let (base, mut handles) =
-            self.maintain(worker, |_| names, &key.plan, &key.keys, &locals, created)?;
+            self.maintain(worker, |_| dataflow, &key.plan, &key.keys, &locals, created)?;
         let (handle, owner) = (handles.remove(0), Owner::Base(key.clone()));
         let input = Input { handle, owner };
         self.inputs.insert(name.to_string(), input);
@@ -397,7 +387,7 @@ impl Manager {
         Ok(())
     }
 
-    /// Advances every input to `epoch` and lets the catalog's arrangements consolidate
+    /// Advances every input to `epoch` and lets every maintained arrangement consolidate
     /// history no longer distinguishable by queries installed from now on.
     pub fn advance_to(&mut self, epoch: u64) -> Result<(), PlanError> {
         if epoch < self.epoch {
@@ -410,8 +400,9 @@ impl Manager {
         for entry in self.inputs.values_mut() {
             entry.handle.advance_to(epoch);
         }
-        self.catalog
-            .advance_all(Antichain::from_elem(Time::from_epoch(epoch)).borrow());
+        for entry in self.shared.values_mut().chain(self.installed.values_mut()) {
+            entry.trace.advance_to(epoch);
+        }
         Ok(())
     }
 
@@ -449,9 +440,10 @@ impl Manager {
             Plan::Reduce { key_arity, .. } => KeySpec::Columns((0..*key_arity).collect()),
             _ => KeySpec::SelfRow,
         };
-        let names = (name.to_string(), format!("plan-result-{name}"));
+        let dataflow = name.to_string();
         let created = &mut Vec::new();
-        let (result, handles) = self.maintain(worker, |_| names, &plan, &keys, &locals, created)?;
+        let (result, handles) =
+            self.maintain(worker, |_| dataflow, &plan, &keys, &locals, created)?;
         for (local, handle) in locals.into_iter().zip(handles) {
             let owner = Owner::Query(name.to_string());
             self.inputs.insert(local, Input { handle, owner });
@@ -509,8 +501,8 @@ impl Manager {
     }
 
     /// Drops a maintained arrangement its registry no longer lists: releases what it
-    /// imported, forgets the inputs its dataflow held, and uninstalls the dataflow,
-    /// which unpublishes the arrangement. Callers decide *when*.
+    /// imported, forgets the inputs its dataflow held, uninstalls the dataflow and drops
+    /// the registry's handle. Callers decide *when*.
     fn retire(&mut self, worker: &mut Worker, entry: Maintained) {
         for requirement in entry.requirements {
             let imported = self.shared.get_mut(&requirement);
@@ -519,11 +511,11 @@ impl Manager {
         for input in entry.inputs {
             self.inputs.remove(&input);
         }
-        let removed = worker.uninstall_query(&entry.dataflow, &self.catalog);
+        let removed = worker.uninstall(&entry.dataflow);
         debug_assert!(removed, "a maintained arrangement had no dataflow");
     }
 
-    /// The catalog name of the shared arrangement for `key`, memoized now if nothing
+    /// Ensures the registry holds an arrangement for `key`, memoizing it now if nothing
     /// maintains it yet. An input's base is found like any other entry, so a source
     /// keyed the way its base is keyed is never re-arranged.
     fn ensure(
@@ -531,37 +523,35 @@ impl Manager {
         worker: &mut Worker,
         key: &ArrangeKey,
         created: &mut Vec<ArrangeKey>,
-    ) -> Result<String, PlanError> {
-        if let Some(entry) = self.shared.get(key) {
-            return Ok(entry.binding.arrangement.clone());
+    ) -> Result<(), PlanError> {
+        if self.shared.contains_key(key) {
+            return Ok(());
         }
         // Numbered when `maintain` asks: after the memo's own requirements have theirs.
         let numbered = |manager: &mut Manager| {
             manager.counter += 1;
-            let number = manager.counter;
-            (format!("plan-memo-{number}"), format!("plan-arr-{number}"))
+            format!("plan-memo-{}", manager.counter)
         };
         let no_locals = BTreeSet::new();
         let (memo, _) =
             self.maintain(worker, numbered, &key.plan, &key.keys, &no_locals, created)?;
-        let arrangement = memo.binding.arrangement.clone();
         self.shared.insert(key.clone(), memo);
         created.push(key.clone());
-        Ok(arrangement)
+        Ok(())
     }
 
     /// Builds one maintained arrangement: ensures every shared arrangement `plan`'s
     /// rendering imports (appending each one it had to memoize to `created`,
-    /// dependencies before dependants), then asks `names` what to call the dataflow and
-    /// its catalog entry and installs the dataflow, which holds an input per name in
-    /// `locals`, renders `plan` and publishes it keyed by `keys`. Returns the record,
-    /// for the caller to register under the name or key it chose, and the locals'
-    /// handles in `locals` order. On any failure it evicts exactly what it appended to
-    /// `created`, so a failed command leaves no state.
+    /// dependencies before dependants), then asks `name` what to call the dataflow and
+    /// installs it: it holds an input per name in `locals` and renders `plan` arranged by
+    /// `keys`. Returns the record, for the caller to register under the name or key it
+    /// chose, and the locals' handles in `locals` order. On any failure — a dataflow name
+    /// a query holds — it evicts exactly what it appended to `created`, so a failed
+    /// command leaves no state.
     fn maintain(
         &mut self,
         worker: &mut Worker,
-        names: impl FnOnce(&mut Manager) -> (String, String),
+        name: impl FnOnce(&mut Manager) -> String,
         plan: &Plan,
         keys: &KeySpec,
         locals: &BTreeSet<String>,
@@ -572,37 +562,17 @@ impl Manager {
         plan.arrangement_requirements(locals, &mut requirements);
         let mut sources = BTreeSet::new();
         plan.sources(&mut sources);
-        let ensured: Result<HashMap<ArrangeKey, String>, PlanError> = requirements
+        let ensured = requirements
             .iter()
-            .map(|key| Ok((key.clone(), self.ensure(worker, key, created)?)))
-            .collect();
-        let built = ensured.and_then(|arrangements| {
-            let (dataflow, arrangement) = names(self);
-            let keys = keys.clone();
-            let binding = SourceBinding { arrangement, keys };
-            // A shared source read as rows is read from its base.
-            let bases = sources
-                .iter()
-                .filter_map(|name| match &self.inputs.get(name)?.owner {
-                    Owner::Base(key) => Some((name.clone(), self.shared[key].binding.clone())),
-                    Owner::Query(_) => None,
-                });
-            let bases = bases.collect();
-            let built = worker.install_query(&dataflow, &self.catalog, |builder, catalog| {
-                let (handles, collections): (Vec<_>, BTreeMap<_, _>) = locals
-                    .iter()
-                    .map(|local| {
-                        let (handle, rows) = new_collection::<Row, isize>(builder);
-                        (handle, (local.clone(), rows))
-                    })
-                    .unzip();
-                let renderer = Renderer::new(catalog, arrangements, bases, collections);
-                (handles, renderer.publish(builder, plan, &binding))
-            })?;
-            Ok((dataflow, binding, built.result))
+            .try_for_each(|key| self.ensure(worker, key, created));
+        let named = ensured.map(|()| name(self)).and_then(|dataflow| {
+            if worker.installed_index(&dataflow).is_some() {
+                return Err(PlanError::DuplicateQuery(dataflow));
+            }
+            Ok(dataflow)
         });
-        let (dataflow, binding, (mut handles, probe)) = match built {
-            Ok(built) => built,
+        let dataflow = match named {
+            Ok(dataflow) => dataflow,
             Err(error) => {
                 // Newest first, so each dependant releases its dependencies before they go.
                 for key in created.split_off(mark).iter().rev() {
@@ -611,6 +581,28 @@ impl Manager {
                 return Err(error);
             }
         };
+        // The renderer imports the registry's own handles: each entry the plan reads by
+        // key, and the base of each shared source it reads as rows.
+        let bases: BTreeMap<String, &ArrangeKey> = sources
+            .iter()
+            .filter_map(|name| match &self.inputs.get(name)?.owner {
+                Owner::Base(key) => Some((name.clone(), key)),
+                Owner::Query(_) => None,
+            })
+            .collect();
+        let traces = requirements.iter().chain(bases.values().copied());
+        let traces = traces.map(|key| (key, &self.shared[key].trace)).collect();
+        let (mut handles, (probe, trace)) = worker.install(&dataflow, |builder| {
+            let (handles, collections): (Vec<_>, BTreeMap<_, _>) = locals
+                .iter()
+                .map(|local| {
+                    let (handle, rows) = new_collection::<Row, isize>(builder);
+                    (handle, (local.clone(), rows))
+                })
+                .unzip();
+            let published = publish(builder, plan, keys, traces, bases, collections);
+            (handles, published)
+        });
         for requirement in &requirements {
             let imported = self.shared.get_mut(requirement);
             imported.expect("just ensured").uses += 1;
@@ -620,7 +612,7 @@ impl Manager {
         }
         let maintained = Maintained {
             dataflow,
-            binding,
+            trace,
             probe,
             requirements,
             sources,
@@ -631,25 +623,15 @@ impl Manager {
     }
 
     /// The named query's consolidated output — see [`Command::Query`] for what it
-    /// covers — sorted by row: one pass over the query's result arrangement, through a
-    /// handle looked up and dropped per call. Deterministic on a settled manager only:
+    /// covers — sorted by row: one pass over the query's result arrangement, through the
+    /// registry's own handle. Deterministic on a settled manager only:
     /// [`Manager::execute`] settles first itself, a direct caller calls
     /// [`Manager::settle`].
     pub fn query(&self, name: &str) -> Result<Vec<(Row, isize)>, PlanError> {
-        let answer = self
-            .installed
-            .get(name)
-            .ok_or_else(|| PlanError::UnknownQuery(name.to_string()))?;
-        Ok(answer.binding.read(&self.catalog)?)
-    }
-
-    /// True iff any maintained arrangement (base, memo, or answer) has not yet caught
-    /// up to `time`.
-    pub fn behind(&self, time: &Time) -> bool {
-        let maintained = self.shared.values().chain(self.installed.values());
-        maintained
-            .into_iter()
-            .any(|entry| entry.probe.less_than(time))
+        let answer = self.answer(name);
+        Ok(answer
+            .ok_or_else(|| PlanError::UnknownQuery(name.to_string()))?
+            .read())
     }
 
     /// Steps `worker` until everything managed is current at the manager's epoch:
@@ -658,29 +640,25 @@ impl Manager {
     /// a result arrangement whole. Idempotent: a settled manager steps nothing.
     pub fn settle(&self, worker: &mut Worker) {
         let target = Time::from_epoch(self.epoch);
-        worker.step_while(|| self.behind(&target));
+        let maintained = || self.shared.values().chain(self.installed.values());
+        worker.step_while(|| maintained().any(|entry| entry.probe.less_than(&target)));
     }
 
     /// One bounded turn of trace maintenance for a worker with nothing else to do: at
     /// most `IDLE_TURN_FUEL` (384) units of merge work across every arrangement the
-    /// manager maintains (bases, memoized sub-plans, answers — all of them are catalog
-    /// entries). Returns true iff a merge is still in progress, i.e. another turn would
+    /// manager maintains (bases and memoized sub-plans in registry order, then answers
+    /// by query name, so a budget that runs out stops at the same trace in every
+    /// process). Returns true iff a merge is still in progress, i.e. another turn would
     /// find work; with nothing merging the turn is a scan of layer tags. Local to this
     /// worker, and invisible in every answer: a merge changes how a trace is laid out,
     /// never what it accumulates to.
     pub fn idle_turn(&self) -> bool {
         let mut fuel = IDLE_TURN_FUEL;
-        self.catalog.exert_all(&mut fuel)
-    }
-
-    /// The manager's catalog (for introspection: reader counts, arrangement sizes).
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The probe of an installed query's output.
-    pub fn query_probe(&self, name: &str) -> Option<ProbeHandle> {
-        self.installed.get(name).map(|entry| entry.probe.clone())
+        let mut merging = false;
+        for entry in self.shared.values().chain(self.installed.values()) {
+            merging |= entry.trace.exert(&mut fuel);
+        }
+        merging
     }
 
     /// The names of the installed queries, sorted.
@@ -700,26 +678,23 @@ impl Manager {
         memos.count()
     }
 
-    /// The catalog name of the shared arrangement serving `key`, if one exists: an
+    /// The registry's arrangements — input bases and memoized sub-plans — with their
+    /// trace handles, in key order.
+    pub fn arrangements(&self) -> impl Iterator<Item = (&ArrangeKey, &Trace)> {
+        self.shared.iter().map(|(key, entry)| (key, &entry.trace))
+    }
+
+    /// The trace handle of the shared arrangement serving `key`, if one exists: an
     /// input's base for a source keyed the way the base is, a memo arrangement
-    /// otherwise.
-    pub fn arrangement_name(&self, key: &ArrangeKey) -> Option<String> {
-        let entry = self.shared.get(key)?;
-        Some(entry.binding.arrangement.clone())
+    /// otherwise. Its reader count is the sharing introspection: each importing
+    /// dataflow holds readers, so two queries sharing a subtree are visible there.
+    pub fn arrangement(&self, key: &ArrangeKey) -> Option<&Trace> {
+        self.shared.get(key).map(|entry| &entry.trace)
     }
 
-    /// The catalog name of the arrangement holding the named query's answer.
-    pub fn result_name(&self, query: &str) -> Option<String> {
-        let answer = self.installed.get(query)?;
-        Some(answer.binding.arrangement.clone())
-    }
-
-    /// The number of live read handles on the arrangement serving `key` — the sharing
-    /// introspection: each importing dataflow holds readers, so two queries sharing a
-    /// subtree are visible here.
-    pub fn arrangement_reader_count(&self, key: &ArrangeKey) -> Option<usize> {
-        let name = self.arrangement_name(key)?;
-        self.catalog.reader_count(&name).ok()
+    /// The trace handle of the named query's answer.
+    pub fn answer(&self, query: &str) -> Option<&Trace> {
+        self.installed.get(query).map(|entry| &entry.trace)
     }
 
     /// The number of current dependants of the shared arrangement for `key`: the

@@ -1,7 +1,7 @@
 //! The Plan IR: dataflow-shaped query descriptions that are *data*, not closures.
 //!
 //! A [`Plan`] is a tree of relational operators over [`Row`](crate::Row) collections.
-//! Because plans are plain values (`Eq + Hash`), the render layer can recognise when two
+//! Because plans are plain, ordered values (`Ord`), the render layer can recognise when two
 //! queries contain the same subtree and hand both the *same* shared arrangement — the
 //! paper's inter-query sharing applied between queries that arrive at runtime.
 
@@ -20,7 +20,7 @@ use crate::expr::Expr;
 /// column every `Int` precedes every `UInt` (so `Min` can pick `Int(7)` over `UInt(3)`
 /// where `Expr::Lt` would say the opposite). Per `Value`'s contract, plans that rank a
 /// column should produce it with a consistent variant.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ReduceKind {
     /// The number of rows in the group (sum of multiplicities), as one `Int` column.
     Count,
@@ -37,11 +37,11 @@ pub enum ReduceKind {
 
 /// A runtime query plan over row collections.
 ///
-/// Every variant describes its operator with data only; [`crate::Renderer`] compiles a
-/// validated plan into a live dataflow against the catalog of shared arrangements.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// Every variant describes its operator with data only; [`crate::render`] compiles a
+/// validated plan into a live dataflow against the registry of shared arrangements.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Plan {
-    /// A named input collection (resolved against the manager's catalog, or against the
+    /// A named input collection (resolved against the manager's inputs, or against the
     /// query's local inputs).
     Source(String),
     /// The loop variable of the innermost enclosing [`Plan::Iterate`].
@@ -98,7 +98,7 @@ pub enum Plan {
 }
 
 /// How a sub-plan's rows are keyed for arrangement.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum KeySpec {
     /// Key on the listed columns (in order); the value is the remaining columns.
     Columns(Vec<usize>),
@@ -140,7 +140,7 @@ impl KeySpec {
 
 /// A sub-plan arrangement identity: *this* subtree, keyed *this* way. The unit of
 /// memoization — plan-identical subtrees with the same key spec import the same trace.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrangeKey {
     /// The sub-plan whose output is arranged.
     pub plan: Plan,

@@ -1,20 +1,22 @@
 //! The render pass: compiling a validated [`Plan`] into a live dataflow.
 //!
-//! Rendering happens *inside* an `install_query` closure: the [`Renderer`] is a snapshot
-//! of everything the plan needs that lives outside the dataflow under construction —
-//! the catalog names of base-input arrangements and of every memoized sub-plan
-//! arrangement the manager pre-installed. Sub-trees that read only shared state are
-//! **imported** (one shared arrangement, any number of reading queries — the paper's
-//! economy applied between runtime queries); sub-trees bound to the loop variable or to
-//! a query-local input are rendered inline, arranged privately within this dataflow.
-//! Reading an arrangement back as rows ([`SourceBinding::read`]) applies no time filter
-//! and settles nothing: `Manager::execute` settles ahead of a `Query`, nowhere else.
+//! Rendering happens *inside* a dataflow install: the renderer borrows, from the
+//! manager's registry, the trace handle of every arrangement the plan needs that lives
+//! outside the dataflow under construction — base inputs and the memoized sub-plans the
+//! manager pre-installed, each keyed by what it arranges. Sub-trees that read only
+//! shared state are **imported** (one shared arrangement, any number of reading queries
+//! — the paper's economy applied between runtime queries); sub-trees bound to the loop
+//! variable or to a query-local input are rendered inline, arranged privately within
+//! this dataflow. Reading an arrangement back as rows ([`Trace::read`]) applies no time
+//! filter and settles nothing: `Manager::execute` settles ahead of a `Query`, nowhere
+//! else.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use kpg_core::arrange::{KeyBatch, ValBatch};
 use kpg_core::prelude::*;
+use kpg_timestamp::Antichain;
 use kpg_trace::{Batch, Cursor};
 
 use crate::expr::project;
@@ -86,26 +88,30 @@ pub type RowBatch = ValBatch<Row, Row>;
 /// nothing and costs one offset word per key.
 pub type RowKeyBatch = KeyBatch<Row>;
 
-/// How a row collection is published as an arrangement: its catalog name and key spec.
-/// Input bases and query results are both described this way.
-///
-/// These keyings are always row prefixes (or the whole row), so the original row is
-/// reconstructible as key ++ rest wherever the arrangement is read back as rows.
-#[derive(Clone, Debug)]
-pub struct SourceBinding {
-    /// The catalog name of the arrangement.
-    pub arrangement: String,
-    /// How its rows are keyed (a prefix `Columns(0..k)` or `SelfRow`).
-    pub keys: KeySpec,
+/// A maintained arrangement's trace handle, in the batch type its [`KeySpec`] names:
+/// the unit the manager's registry holds, imports from and reads answers through.
+pub enum Trace {
+    /// `KeySpec::Columns`: rows keyed by the key columns.
+    Rows(TraceAgent<RowBatch>),
+    /// `KeySpec::SelfRow`: rows keyed by themselves.
+    SelfRow(TraceAgent<RowKeyBatch>),
 }
 
-impl SourceBinding {
-    /// Everything the arrangement currently holds, as `(row, multiplicity)` pairs in
-    /// row order: one walk of the spine, summing each `(key, rest)` pair's diffs. No
-    /// time filter is applied — compaction legitimately rewrites sealed times forward
-    /// to the read frontier, so a bound would drop sealed updates — and the handle
-    /// looked up is dropped on return, so no reader outlives the call to pin `since`.
-    pub fn read(&self, catalog: &Catalog) -> Result<Vec<(Row, isize)>, CatalogError> {
+/// Evaluates `$body` with `$agent` bound to whichever handle `$trace` holds.
+macro_rules! on_agent {
+    ($trace:expr, $agent:ident => $body:expr) => {
+        match $trace {
+            Trace::Rows($agent) => $body,
+            Trace::SelfRow($agent) => $body,
+        }
+    };
+}
+
+impl Trace {
+    /// Everything the trace holds as `(key ++ value, multiplicity)` in row order (the
+    /// original rows, for a prefix keying): one walk, no time filter — compaction moves
+    /// sealed times forward to the read frontier, so a bound would drop sealed updates.
+    pub fn read(&self) -> Vec<(Row, isize)> {
         fn rows<B: Batch<Key = Row, Time = Time, Diff = isize>>(
             trace: &TraceAgent<B>,
             row: impl Fn(&Row, &B::Val) -> Row,
@@ -126,16 +132,36 @@ impl SourceBinding {
                 rows
             })
         }
-        Ok(match self.keys {
-            KeySpec::SelfRow => rows(
-                &catalog.lookup::<RowKeyBatch>(&self.arrangement)?,
-                |key, _| key.clone(),
-            ),
-            KeySpec::Columns(_) => rows(
-                &catalog.lookup::<RowBatch>(&self.arrangement)?,
-                |key, rest| concat_rows(key, rest, &[]),
-            ),
-        })
+        match self {
+            Trace::Rows(trace) => rows(trace, |key, rest| concat_rows(key, rest, &[])),
+            Trace::SelfRow(trace) => rows(trace, |key, _| key.clone()),
+        }
+    }
+
+    /// The number of updates the trace holds (the paper's memory-footprint proxy).
+    pub fn size(&self) -> usize {
+        on_agent!(self, trace => trace.len())
+    }
+
+    /// The number of live read handles on the trace, the registry's own among them.
+    pub fn reader_count(&self) -> usize {
+        on_agent!(self, trace => trace.reader_count())
+    }
+
+    /// See [`TraceAgent::reader_slot_capacity`].
+    pub fn reader_slot_capacity(&self) -> usize {
+        on_agent!(self, trace => trace.reader_slot_capacity())
+    }
+
+    /// Advances the registry handle's read frontier to `epoch`, permitting compaction.
+    pub(crate) fn advance_to(&mut self, epoch: u64) {
+        let frontier = Antichain::from_elem(Time::from_epoch(epoch));
+        on_agent!(self, trace => trace.set_logical_compaction(frontier.borrow()));
+    }
+
+    /// See [`TraceAgent::exert`].
+    pub(crate) fn exert(&self, fuel: &mut isize) -> bool {
+        on_agent!(self, trace => trace.exert(fuel))
     }
 }
 
@@ -153,18 +179,11 @@ const ROOT: Scope<'static> = Scope {
     depth: 0,
 };
 
-/// A plan compiler bound to one dataflow installation.
-///
-/// The maps are snapshots taken by the manager immediately before installing: rendering
-/// panics if the plan was not validated or a required arrangement was not pre-installed,
-/// both of which the manager guarantees.
-pub struct Renderer {
-    /// The catalog the shared arrangements are imported from.
-    catalog: Catalog,
-    /// Catalog names of the memoized sub-plan arrangements this plan imports.
-    pub arrangements: HashMap<ArrangeKey, String>,
-    /// Base-arrangement bindings of the global inputs, by input name.
-    pub sources: BTreeMap<String, SourceBinding>,
+/// A plan compiler bound to one dataflow installation (see [`publish`]). Rendering panics
+/// if the plan was not validated or an import was not pre-installed: the manager's job.
+struct Renderer<'a> {
+    traces: BTreeMap<&'a ArrangeKey, &'a Trace>,
+    sources: BTreeMap<String, &'a ArrangeKey>,
     /// Query-local input collections, created inside the dataflow being built.
     locals: BTreeMap<String, Collection<Row>>,
     /// The names of `locals` (kept in step by construction): a sub-tree mentioning one
@@ -178,8 +197,8 @@ pub struct Renderer {
     imported_self: Imports<RowKeyBatch>,
 }
 
-/// One batch type's import cache, per catalog name and loop depth.
-type Imports<B> = RefCell<HashMap<(String, usize), Arranged<B>>>;
+/// One batch type's import cache, per registry key and loop depth.
+type Imports<B> = RefCell<BTreeMap<(ArrangeKey, usize), Arranged<B>>>;
 
 /// The two batch types plan arrangements come in, and the only things that differ
 /// between them where an arrangement is imported or rendered. Each names its own form of
@@ -189,12 +208,14 @@ trait PlanBatch: Batch<Key = Row, Time = Time, Diff = isize> + 'static {
     type Keys: ?Sized;
     /// `keys` as the [`KeySpec`] shared arrangements are registered under.
     fn spec(keys: &Self::Keys) -> KeySpec;
+    /// The handle of a registry entry keyed for this batch type.
+    fn agent(trace: &Trace) -> &TraceAgent<Self>;
     /// The renderer's cache of imports of this batch type.
-    fn imports(renderer: &Renderer) -> &Imports<Self>;
+    fn imports<'r>(renderer: &'r Renderer<'_>) -> &'r Imports<Self>;
     /// Arranges `plan` by `keys` inside the dataflow under construction: the published
     /// roots' entry point, and the path for loop-bound / query-local sub-trees.
     fn arrange_inline(
-        renderer: &Renderer,
+        renderer: &Renderer<'_>,
         builder: &mut DataflowBuilder,
         plan: &Plan,
         keys: &Self::Keys,
@@ -208,7 +229,13 @@ impl PlanBatch for RowBatch {
     fn spec(columns: &[usize]) -> KeySpec {
         KeySpec::Columns(columns.to_vec())
     }
-    fn imports(renderer: &Renderer) -> &Imports<Self> {
+    fn agent(trace: &Trace) -> &TraceAgent<Self> {
+        let Trace::Rows(agent) = trace else {
+            unreachable!("a column keying is published as a RowBatch trace")
+        };
+        agent
+    }
+    fn imports<'r>(renderer: &'r Renderer<'_>) -> &'r Imports<Self> {
         &renderer.imported
     }
     /// Fusions: a join — bare or under a pure column projection — that feeds an
@@ -217,7 +244,7 @@ impl PlanBatch for RowBatch {
     /// are never materialized. Multi-stage plans (2-hop, path queries) spend most of
     /// their per-update work in exactly this shape.
     fn arrange_inline(
-        renderer: &Renderer,
+        renderer: &Renderer<'_>,
         builder: &mut DataflowBuilder,
         plan: &Plan,
         columns: &[usize],
@@ -274,13 +301,19 @@ impl PlanBatch for RowKeyBatch {
     fn spec(_: &()) -> KeySpec {
         KeySpec::SelfRow
     }
-    fn imports(renderer: &Renderer) -> &Imports<Self> {
+    fn agent(trace: &Trace) -> &TraceAgent<Self> {
+        let Trace::SelfRow(agent) = trace else {
+            unreachable!("a self keying is published as a RowKeyBatch trace")
+        };
+        agent
+    }
+    fn imports<'r>(renderer: &'r Renderer<'_>) -> &'r Imports<Self> {
         &renderer.imported_self
     }
     /// The join/projection fusions live in [`Renderer::collection`], so a `Distinct`
     /// over a (projected) join still materializes only the final row per match.
     fn arrange_inline(
-        renderer: &Renderer,
+        renderer: &Renderer<'_>,
         builder: &mut DataflowBuilder,
         plan: &Plan,
         _: &(),
@@ -296,77 +329,65 @@ impl PlanBatch for RowKeyBatch {
     }
 }
 
-impl Renderer {
-    /// A renderer over the given snapshots, with an empty import cache.
-    pub fn new(
-        catalog: &Catalog,
-        arrangements: HashMap<ArrangeKey, String>,
-        sources: BTreeMap<String, SourceBinding>,
-        locals: BTreeMap<String, Collection<Row>>,
-    ) -> Self {
-        Renderer {
-            catalog: catalog.clone(),
-            arrangements,
-            sources,
-            local_names: locals.keys().cloned().collect(),
-            locals,
-            imported: RefCell::new(HashMap::new()),
-            imported_self: RefCell::new(HashMap::new()),
+/// Renders `plan` arranged the way `keys` says, in the dataflow under construction, and
+/// returns the arrangement's probe and its trace handle, for the registry to hold. Every
+/// kind of plan state — input bases, memoized sub-plans, query results — is built here,
+/// and here is where a [`KeySpec`] picks the batch type. `traces` holds the registry
+/// handles the plan imports: each entry it reads by key, and the base of each shared
+/// input it reads as rows, whose key `sources` gives by input name. `locals` are the
+/// query-local inputs, created inside the dataflow.
+pub(crate) fn publish(
+    builder: &mut DataflowBuilder,
+    plan: &Plan,
+    keys: &KeySpec,
+    traces: BTreeMap<&ArrangeKey, &Trace>,
+    sources: BTreeMap<String, &ArrangeKey>,
+    locals: BTreeMap<String, Collection<Row>>,
+) -> (ProbeHandle, Trace) {
+    let renderer = &Renderer {
+        traces,
+        sources,
+        local_names: locals.keys().cloned().collect(),
+        locals,
+        imported: RefCell::default(),
+        imported_self: RefCell::default(),
+    };
+    match keys {
+        KeySpec::Columns(columns) => {
+            let arranged = RowBatch::arrange_inline(renderer, builder, plan, columns, &ROOT);
+            (arranged.probe(), Trace::Rows(arranged.trace))
+        }
+        KeySpec::SelfRow => {
+            let arranged = RowKeyBatch::arrange_inline(renderer, builder, plan, &(), &ROOT);
+            (arranged.probe(), Trace::SelfRow(arranged.trace))
         }
     }
+}
 
-    /// Imports the named catalog arrangement at `depth`, reusing a previous import of
-    /// the same name at the same depth.
+impl Renderer<'_> {
+    /// Imports the registry entry for `key` at `depth`, reusing a previous import of the
+    /// same entry at the same depth.
     fn import<B: PlanBatch>(
         &self,
         builder: &mut DataflowBuilder,
-        name: &str,
+        key: &ArrangeKey,
         depth: usize,
     ) -> Arranged<B> {
-        let key = (name.to_string(), depth);
-        if let Some(imported) = B::imports(self).borrow().get(&key) {
+        let cached = (key.clone(), depth);
+        if let Some(imported) = B::imports(self).borrow().get(&cached) {
             return imported.clone();
         }
-        let mut imported = self
-            .catalog
-            .import::<B>(name, builder)
-            .expect("arrangement published before plan install");
+        let trace = self.traces.get(key);
+        let trace =
+            trace.unwrap_or_else(|| panic!("arrangement for {key:?} was not pre-installed"));
+        let mut imported = B::agent(trace).import(builder);
         for _ in 0..depth {
             imported = imported.enter();
         }
-        B::imports(self).borrow_mut().insert(key, imported.clone());
+        B::imports(self)
+            .borrow_mut()
+            .insert(cached, imported.clone());
         imported
-    }
-
-    /// Renders `plan` arranged the way `binding.keys` says and publishes the arrangement
-    /// under `binding.arrangement`, owned by the dataflow under construction (uninstalling
-    /// it unpublishes the entry). Every kind of plan state — input bases, memoized
-    /// sub-plans, query results — enters the catalog here, and here is where a
-    /// [`KeySpec`] picks the batch type. Returns the arrangement's probe.
-    pub fn publish(
-        &self,
-        builder: &mut DataflowBuilder,
-        plan: &Plan,
-        binding: &SourceBinding,
-    ) -> ProbeHandle {
-        let fresh = "plan arrangement names are never reused while published";
-        let name = &binding.arrangement;
-        match &binding.keys {
-            KeySpec::Columns(columns) => {
-                let arranged = RowBatch::arrange_inline(self, builder, plan, columns, &ROOT);
-                self.catalog
-                    .publish_if_absent(name, &arranged)
-                    .expect(fresh);
-                arranged.probe()
-            }
-            KeySpec::SelfRow => {
-                let arranged = RowKeyBatch::arrange_inline(self, builder, plan, &(), &ROOT);
-                self.catalog
-                    .publish_if_absent(name, &arranged)
-                    .expect(fresh);
-                arranged.probe()
-            }
-        }
     }
 
     fn collection(
@@ -390,11 +411,11 @@ impl Renderer {
                         .unwrap_or_else(|| panic!("source {name:?} was not validated"));
                     match base.keys {
                         KeySpec::SelfRow => self
-                            .import::<RowKeyBatch>(builder, &base.arrangement, scope.depth)
+                            .import::<RowKeyBatch>(builder, base, scope.depth)
                             .as_collection(|key, _| key.clone()),
                         // Prefix-keyed bases: the original row is key ++ rest.
                         KeySpec::Columns(_) => self
-                            .import::<RowBatch>(builder, &base.arrangement, scope.depth)
+                            .import::<RowBatch>(builder, base, scope.depth)
                             .as_collection(|key, rest| concat_rows(key, rest, &[])),
                     }
                 }
@@ -479,23 +500,12 @@ impl Renderer {
         let columns: Vec<usize> = (0..key_arity).collect();
         let arranged = self.arranged::<RowBatch>(builder, input, &columns, scope);
         match kind.clone() {
-            // In the streaming scope times are totally ordered, so a key's new count is
-            // its held count plus the batch's delta: `count_total` reads its own output
-            // and never the shared input trace (`kpg_core::reduce`, "Counts in the
-            // streaming scope"). Inside an `Iterate` the general reduction re-forms it.
-            ReduceKind::Count if scope.depth == 0 => arranged.count_total(
+            // `Arranged::count` picks the operator by scope: in the streaming scope it
+            // reads its own output and never the shared input trace.
+            ReduceKind::Count => arranged.count(
                 "PlanCount",
                 |count: &isize| Row::from(vec![Value::Int(*count as i64)]),
                 |row: &Row| row[0].as_i64() as isize,
-            ),
-            ReduceKind::Count => arranged.reduce_core(
-                "PlanCount",
-                |_key, input, output: &mut Vec<(Row, isize)>| {
-                    let total: isize = input.iter().map(|(_, diff)| *diff).sum();
-                    if total != 0 {
-                        output.push((Row::from(vec![Value::Int(total as i64)]), 1));
-                    }
-                },
             ),
             ReduceKind::Sum(column) => {
                 let index = column - key_arity;
@@ -587,11 +597,7 @@ impl Renderer {
             plan: plan.clone(),
             keys: B::spec(keys),
         };
-        let name = self
-            .arrangements
-            .get(&key)
-            .unwrap_or_else(|| panic!("arrangement for {key:?} was not pre-installed"));
-        self.import(builder, name, scope.depth)
+        self.import(builder, &key, scope.depth)
     }
 
     /// The two arranged sides of a join.
@@ -679,7 +685,14 @@ mod tests {
         worker.install(dataflow, |builder| {
             let (_input, rows) = new_collection::<Row, isize>(builder);
             let locals = BTreeMap::from([("rows".to_string(), rows)]);
-            let renderer = Renderer::new(&Catalog::new(), HashMap::new(), BTreeMap::new(), locals);
+            let renderer = Renderer {
+                traces: BTreeMap::new(),
+                sources: BTreeMap::new(),
+                local_names: locals.keys().cloned().collect(),
+                locals,
+                imported: RefCell::default(),
+                imported_self: RefCell::default(),
+            };
             let node = match keys {
                 KeySpec::Columns(columns) => {
                     RowBatch::arrange_inline(&renderer, builder, plan, columns, &ROOT).node()

@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 use kpg_dataflow::{execute, Config};
 
 use crate::manager::{Command, Manager, PlanError, Response};
+use crate::plan::ArrangeKey;
 use crate::value::Row;
 
 /// What [`replay`] observed.
@@ -15,9 +16,13 @@ pub struct Replay {
     /// every worker's shard with multiplicities summed, sorted by row; any other
     /// outcome is worker 0's, which every worker shares — and its wall time on worker 0.
     pub outcomes: Vec<(Result<Response, PlanError>, Duration)>,
-    /// Updates held per catalog arrangement when the stream ended, summed across
-    /// workers (the paper's memory-footprint proxy), sorted by name.
-    pub held: Vec<(String, usize)>,
+    /// Updates held per registry arrangement — input bases and memoized sub-plans —
+    /// when the stream ended, summed across workers (the paper's memory-footprint
+    /// proxy), in key order.
+    pub arrangements: Vec<(ArrangeKey, usize)>,
+    /// Updates held per installed query's answer when the stream ended, summed across
+    /// workers, by query name.
+    pub answers: Vec<(String, usize)>,
 }
 
 /// Runs `commands` on `workers` workers, each executing the whole stream against a
@@ -41,21 +46,18 @@ pub fn replay(workers: usize, commands: Vec<Command>) -> Replay {
                 (outcome, start.elapsed())
             })
             .collect();
-        let catalog = manager.catalog();
-        let held: Vec<(String, usize)> = catalog
-            .names()
-            .into_iter()
-            .map(|name| {
-                let size = catalog.arrangement_size(&name).expect("listed name");
-                (name, size)
-            })
-            .collect();
-        (outcomes, held)
+        let arrangements = manager.arrangements();
+        let arrangements = arrangements.map(|(key, trace)| (key.clone(), trace.size()));
+        let answers = manager.installed_names().into_iter().map(|name| {
+            let size = manager.answer(&name).expect("an installed query").size();
+            (name, size)
+        });
+        (outcomes, arrangements.collect(), answers.collect())
     });
 
-    let (mut outcomes, held) = per_worker.remove(0);
-    let mut held: BTreeMap<String, usize> = held.into_iter().collect();
-    for (shards, sizes) in per_worker {
+    // Every worker ran the same stream, so every registry lists the same entries.
+    let (mut outcomes, mut arrangements, mut answers): (_, Vec<_>, Vec<_>) = per_worker.remove(0);
+    for (shards, their_arrangements, their_answers) in per_worker {
         for ((outcome, _), (shard, _)) in outcomes.iter_mut().zip(shards) {
             if let (Ok(Response::Rows(rows)), Ok(Response::Rows(shard))) = (outcome, shard) {
                 let mut merged: BTreeMap<Row, isize> = std::mem::take(rows).into_iter().collect();
@@ -65,12 +67,16 @@ pub fn replay(workers: usize, commands: Vec<Command>) -> Replay {
                 rows.extend(merged.into_iter().filter(|(_, diff)| *diff != 0));
             }
         }
-        for (name, size) in sizes {
-            *held.entry(name).or_insert(0) += size;
+        for ((_, size), (_, theirs)) in arrangements.iter_mut().zip(their_arrangements) {
+            *size += theirs;
+        }
+        for ((_, size), (_, theirs)) in answers.iter_mut().zip(their_answers) {
+            *size += theirs;
         }
     }
     Replay {
         outcomes,
-        held: held.into_iter().collect(),
+        arrangements,
+        answers,
     }
 }

@@ -3,7 +3,7 @@
 //! Closure-compiled queries pick whatever Rust types suit them; queries that *arrive at
 //! runtime* cannot. Every plan-rendered collection therefore carries [`Row`]s — vectors
 //! of a small dynamic [`Value`] — so one render pass, one arrangement type, and one
-//! catalog entry shape serve every query a server will ever be asked to install.
+//! registry entry shape serve every query a server will ever be asked to install.
 
 use kpg_sync::{Arc, OnceLock};
 use std::fmt;

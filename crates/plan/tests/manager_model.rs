@@ -10,7 +10,7 @@ use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_plan::{
     replay, ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, ReduceKind, Response,
-    Row, SourceBinding, Value,
+    Row, Trace, Value,
 };
 use kpg_timestamp::rng::SmallRng;
 
@@ -146,7 +146,7 @@ fn two_plans_share_one_subtree_arrangement() {
         assert_eq!(first, 2, "query dataflow + one memo dataflow");
         assert_eq!(manager.memo_count(), 1);
         assert_eq!(manager.memo_uses(&shared), Some(1));
-        let readers_one = manager.arrangement_reader_count(&shared).unwrap();
+        let readers_one = manager.arrangement(&shared).unwrap().reader_count();
 
         // The second plan shares the (edges, keyed-by-src) subtree: no new memo
         // dataflow, one more importing reader on the same arrangement.
@@ -161,7 +161,7 @@ fn two_plans_share_one_subtree_arrangement() {
         assert_eq!(second, 1, "only the query dataflow itself");
         assert_eq!(manager.memo_count(), 1, "the subtree arrangement is shared");
         assert_eq!(manager.memo_uses(&shared), Some(2));
-        let readers_two = manager.arrangement_reader_count(&shared).unwrap();
+        let readers_two = manager.arrangement(&shared).unwrap().reader_count();
         assert!(
             readers_two > readers_one,
             "the second plan imports the shared arrangement: {readers_one} -> {readers_two}"
@@ -181,7 +181,8 @@ fn two_plans_share_one_subtree_arrangement() {
         // Retiring a query releases its readers; the memo entry is retained (uses 0)
         // so the next arriving plan attaches without rebuilding.
         assert!(manager.uninstall(worker, "q2").unwrap());
-        assert_eq!(manager.arrangement_reader_count(&shared), Some(readers_one));
+        let readers = manager.arrangement(&shared).map(Trace::reader_count);
+        assert_eq!(readers, Some(readers_one));
         assert!(manager.uninstall(worker, "q1").unwrap());
         assert_eq!(manager.memo_count(), 1);
         assert_eq!(manager.memo_uses(&shared), Some(0));
@@ -243,16 +244,14 @@ fn private_inputs_hold_four_times_the_updates_of_one_shared_input() {
             }
             manager.advance_to(1).unwrap();
             manager.settle(worker);
-            let catalog = manager.catalog();
-            let sources: Vec<String> = catalog
-                .names()
-                .into_iter()
-                .filter(|name| name.starts_with("plan-source-"))
+            // Query-local arguments have no registry entry, and no plan here re-keys an
+            // input: the registry's sources are the input bases.
+            let sources: Vec<&Trace> = manager
+                .arrangements()
+                .filter(|(key, _)| matches!(key.plan, Plan::Source(_)))
+                .map(|(_, trace)| trace)
                 .collect();
-            let held: usize = sources
-                .iter()
-                .map(|name| catalog.arrangement_size(name).unwrap())
-                .sum();
+            let held: usize = sources.iter().map(|trace| trace.size()).sum();
             let answers: Vec<_> = (0..4)
                 .map(|query| manager.query(&format!("q{query}")).unwrap())
                 .collect();
@@ -314,7 +313,7 @@ fn assert_churn_is_bounded(workers: usize, key_arity: Option<usize>) {
         // directly and need none.
         let shared = edges_by_src("edges");
         let live_idle = worker.live_dataflow_count();
-        let mut readers_idle = manager.arrangement_reader_count(&shared);
+        let mut readers_idle = manager.arrangement(&shared).map(Trace::reader_count);
         let mut first_burst = None;
         let mut rng = SmallRng::seed_from_u64(7);
         for burst in 0..50u64 {
@@ -344,10 +343,9 @@ fn assert_churn_is_bounded(workers: usize, key_arity: Option<usize>) {
             exec(&mut manager, worker, Command::AdvanceTime { epoch });
             manager.settle(worker);
 
-            let arrangement = manager.arrangement_name(&shared).unwrap();
             let marks = (
                 worker.live_dataflow_count(),
-                manager.catalog().reader_slots(&arrangement).unwrap(),
+                manager.arrangement(&shared).unwrap().reader_slot_capacity(),
                 manager.memo_count(),
             );
             assert_eq!(marks, *first_burst.get_or_insert(marks), "burst {burst}");
@@ -369,7 +367,7 @@ fn assert_churn_is_bounded(workers: usize, key_arity: Option<usize>) {
                 live_idle + manager.memo_count(),
                 "burst {burst}"
             );
-            let readers = manager.arrangement_reader_count(&shared).unwrap();
+            let readers = manager.arrangement(&shared).unwrap().reader_count();
             assert_eq!(readers, *readers_idle.get_or_insert(readers));
         }
     });
@@ -491,11 +489,7 @@ fn base_rows_live_at_the_worker_their_key_hashes_to() {
             manager.execute(worker, command.clone()).unwrap();
         }
         manager.settle(worker);
-        let base = SourceBinding {
-            arrangement: manager.arrangement_name(&edges_by_src("edges")).unwrap(),
-            keys: KeySpec::Columns(vec![0]),
-        };
-        base.read(manager.catalog()).unwrap()
+        manager.arrangement(&edges_by_src("edges")).unwrap().read()
     });
     let mut together = BTreeMap::new();
     for (worker, rows) in held.into_iter().enumerate() {
@@ -590,7 +584,7 @@ fn a_count_registers_no_reader_on_the_input_it_counts() {
                 .create_input_keyed(worker, "edges", Some(1))
                 .unwrap();
             let base = edges_by_src("edges");
-            let readers = |manager: &Manager| manager.arrangement_reader_count(&base).unwrap();
+            let readers = |manager: &Manager| manager.arrangement(&base).unwrap().reader_count();
             let idle = readers(&manager);
             let degrees = Plan::source("edges").reduce(1, ReduceKind::Count);
             manager.install(worker, "degrees", degrees, vec![]).unwrap();
@@ -715,8 +709,7 @@ fn an_inputs_base_is_a_registry_entry() {
             .create_input_keyed(worker, "edges", Some(1))
             .unwrap();
         let base = edges_by_src("edges");
-        let name = manager.arrangement_name(&base);
-        assert_eq!(name.as_deref(), Some("plan-source-edges"));
+        assert!(manager.arrangement(&base).is_some());
         assert_eq!(
             (manager.memo_uses(&base), manager.memo_count()),
             (Some(0), 0)
@@ -754,23 +747,23 @@ fn an_inputs_base_is_a_registry_entry() {
         );
         assert!(manager.uninstall(worker, "edges").unwrap());
         assert_eq!(
-            (manager.arrangement_name(&base), manager.memo_count()),
-            (None, 0)
+            (manager.arrangement(&base).is_none(), manager.memo_count()),
+            (true, 0)
         );
-        assert!(manager.catalog().names().is_empty() && worker.installed().is_empty());
+        assert!(manager.arrangements().next().is_none() && worker.installed().is_empty());
     });
 }
 
 /// Removing an input retires everything built on it youngest first, and the next
-/// installs are addressed alike on every worker. The registry is a hash map whose
-/// iteration order each worker thread draws for itself, and a memo that reads a base as
-/// rows holds no count on it: the order is picked, by dataflow ordinal, so that each
-/// dependant releases its imports before what it reads is retired. Where the next
-/// dataflows live — how remote messages are addressed — is their ordinal, which no
-/// retirement order changes (`kpg_dataflow`'s `churn.rs` pins that on its own).
+/// installs are addressed alike on every worker. The registry is ordered by key, which
+/// is not the order of dependence, and a memo that reads a base as rows holds no count
+/// on it: the order is picked, by dataflow ordinal, so that each dependant releases its
+/// imports before what it reads is retired. Where the next dataflows live — how remote
+/// messages are addressed — is their ordinal, which no retirement order changes
+/// (`kpg_dataflow`'s `churn.rs` pins that on its own).
 ///
 /// Three-edge paths need a memo (two-edge paths, by end) built on a memo (`edges`, by
-/// destination) built on the base, and dependencies take the lower `plan-arr-N`.
+/// destination) built on the base, and dependencies take the lower `plan-memo-N`.
 #[test]
 fn input_removal_retires_in_one_order_on_every_worker() {
     let by_dst = || ArrangeKey {
@@ -804,7 +797,7 @@ fn input_removal_retires_in_one_order_on_every_worker() {
     let slots = execute(Config::new(2), move |worker| {
         let mut slots = Vec::new();
         for _ in 0..12 {
-            // A manager per round, for a registry hashed afresh.
+            // A manager per round, for a registry built afresh.
             let manager = &mut Manager::new();
             run(manager, worker, create("edges", Some(1)));
             let installed = run(manager, worker, install_paths());
@@ -853,14 +846,17 @@ fn input_removal_retires_in_one_order_on_every_worker() {
         assert_eq!(answer, [(row(&[3, 2, 1, 4]), 1)], "1 → 2 → 3 → 4");
     }
 
-    // Numbering: a memo's own requirements are numbered before it.
+    // Numbering: a memo is numbered as it is installed, after its own requirements —
+    // `by_dst`, read by `by_end` alone, which `paths` alone reads — so the numbers
+    // follow the installation order.
     execute(Config::new(1), move |worker| {
         let mut manager = Manager::new();
         manager.execute(worker, create("edges", Some(1))).unwrap();
         manager.execute(worker, install_paths()).unwrap();
-        let name = |key| manager.arrangement_name(&key);
-        assert_eq!(name(by_dst()).as_deref(), Some("plan-arr-1"));
-        assert_eq!(name(by_end()).as_deref(), Some("plan-arr-2"));
+        let uses = |key| manager.memo_uses(&key);
+        assert_eq!((uses(by_dst()), uses(by_end())), (Some(1), Some(1)));
+        let dataflows = ["plan-input-edges", "plan-memo-1", "plan-memo-2", "paths"];
+        assert_eq!(worker.installed(), dataflows);
     });
 }
 
@@ -1041,7 +1037,7 @@ fn root_shapes() -> Vec<(&'static str, Plan, Vec<String>, Oracle)> {
 
 /// A plan's answer is an arrangement like any other. Read across hundreds of
 /// compactions it stays equal to a from-scratch evaluation, its size follows the live
-/// answer rather than the epochs seen, and it leaves the catalog with its query —
+/// answer rather than the epochs seen, and it leaves the registry with its query —
 /// whatever the shape of the plan's root, on one worker and on two.
 #[test]
 fn answers_live_in_compacting_result_arrangements() {
@@ -1110,8 +1106,8 @@ fn answers_live_in_compacting_result_arrangements() {
                 );
             }
             let edge_readers = |manager: &Manager| {
-                let catalog = manager.catalog();
-                catalog.reader_count("plan-source-edges").unwrap()
+                let base = manager.arrangement(&edges_by_src("edges"));
+                base.unwrap().reader_count()
             };
             let readers_before = edge_readers(&manager);
             let mut names = Vec::new();
@@ -1148,28 +1144,19 @@ fn answers_live_in_compacting_result_arrangements() {
                 answers.push(names.iter().map(answer).collect::<Vec<_>>());
             }
 
-            let result_names: Vec<String> = names
+            let sizes: Vec<usize> = names
                 .iter()
-                .map(|name| manager.result_name(name).unwrap())
-                .collect();
-            assert_eq!(result_names[0], "plan-result-reduce-root");
-            let sizes: Vec<usize> = result_names
-                .iter()
-                .map(|name| manager.catalog().arrangement_size(name).unwrap())
+                .map(|name| manager.answer(name).unwrap().size())
                 .collect();
 
             // Uninstalling retires the result with the query and releases its imports.
-            for name in names {
+            for &name in &names {
                 let name = name.into();
                 run(&mut manager, worker, Command::Uninstall { name });
             }
-            let published = manager.catalog().names();
-            assert!(
-                !published
-                    .iter()
-                    .any(|name| name.starts_with("plan-result-")),
-                "results outlived their queries: {published:?}"
-            );
+            let kept = names.iter().filter(|name| manager.answer(name).is_some());
+            let kept: Vec<_> = kept.collect();
+            assert!(kept.is_empty(), "results outlived their queries: {kept:?}");
             assert_eq!(edge_readers(&manager), readers_before);
             (answers, sizes)
         });
@@ -1370,17 +1357,20 @@ fn idle_turn_stream() -> Vec<Command> {
     stream
 }
 
+/// The updates each registry arrangement holds, in key order, and each answer, by query.
+type Held = (Vec<(ArrangeKey, usize)>, Vec<(String, usize)>);
+
 /// Runs `stream` on `workers` workers the way a server worker does (`execute` alone,
 /// which settles ahead of a `Query`), taking `Manager::idle_turn`s between commands at random — per worker, from
 /// its own seed, as real workers idle on their own — when `idle_seed` is given. Returns,
-/// per worker, every query's answer shard in stream order and every catalog
-/// arrangement's `(name, len)` once the stream has ended and merges have drained.
+/// per worker, every query's answer shard in stream order and the updates every
+/// maintained arrangement holds once the stream has ended and merges have drained.
 #[allow(clippy::type_complexity)]
 fn run_with_idle_turns(
     workers: usize,
     stream: &[Command],
     idle_seed: Option<u64>,
-) -> Vec<(Vec<Vec<(Row, isize)>>, Vec<(String, usize)>)> {
+) -> Vec<(Vec<Vec<(Row, isize)>>, Held)> {
     let stream = stream.to_vec();
     execute(Config::new(workers), move |worker| {
         let mut manager = Manager::new();
@@ -1407,12 +1397,13 @@ fn run_with_idle_turns(
                 "idle turns must drain the merges in flight"
             );
         }
-        let catalog = manager.catalog();
-        let held = catalog.names().into_iter().map(|name| {
-            let len = catalog.arrangement_size(&name).unwrap();
-            (name, len)
+        let arrangements = manager.arrangements();
+        let arrangements = arrangements.map(|(key, trace)| (key.clone(), trace.size()));
+        let held = manager.installed_names().into_iter().map(|name| {
+            let size = manager.answer(&name).unwrap().size();
+            (name, size)
         });
-        (answers, held.collect())
+        (answers, (arrangements.collect(), held.collect()))
     })
 }
 
@@ -1455,7 +1446,8 @@ fn failed_install_rolls_back_created_memos() {
             two_hop("edges", "args"),
             vec!["args".into()],
         );
-        assert!(matches!(result, Err(PlanError::Catalog(_))), "{result:?}");
+        let squatted = PlanError::DuplicateQuery("plan-memo-1".into());
+        assert_eq!(result, Err(squatted));
         assert_eq!(manager.memo_count(), 0, "created memos were rolled back");
         assert_eq!(worker.live_dataflow_count(), live_before);
         assert!(manager.installed_names().is_empty());
@@ -1474,10 +1466,11 @@ fn failed_install_rolls_back_created_memos() {
 /// squatting on the name the manager will pick next makes the build fail at a chosen
 /// point: an input's base (`plan-input-x`), the *second* memo an install needs (after
 /// the first was created and a retained one was about to gain a dependant), and the
-/// query's own dataflow (after its memo was created). Each failed command must leave
-/// the catalog, the worker's dataflows, the inputs, the memo count and every surviving
-/// memo's dependants exactly as they were — and the manager usable: with the squatter
-/// gone (or the name no longer next) the same command succeeds.
+/// query's own dataflow (after its memo was created). Each failed command is refused as
+/// a `DuplicateQuery` of the squatted name, and must leave the registry, the answers,
+/// the worker's dataflows, the inputs, the memo count and every surviving memo's
+/// dependants exactly as they were — and the manager usable: with the squatter gone (or
+/// the name no longer next) the same command succeeds.
 #[test]
 fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
     let create = |name: &str| Command::CreateInput {
@@ -1528,7 +1521,11 @@ fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
             let memos = ["edges", "left", "right"].map(edges_by_src);
             let state = |manager: &Manager, worker: &Worker| {
                 (
-                    manager.catalog().names(),
+                    manager
+                        .arrangements()
+                        .map(|(key, _)| key.clone())
+                        .collect::<Vec<_>>(),
+                    manager.installed_names(),
                     worker.installed(),
                     manager.input_names(),
                     manager.memo_count(),
@@ -1536,13 +1533,11 @@ fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
                 )
             };
             let before = state(&manager, worker);
-            assert_eq!(before.4, [Some(1), None, None], "{kind}");
+            assert_eq!(before.5, [Some(1), None, None], "{kind}");
 
             let failed = run(&mut manager, worker, command.clone());
-            assert!(
-                matches!(failed, Err(PlanError::Catalog(_))),
-                "{kind}: {failed:?}"
-            );
+            let squatted = squatter.unwrap_or("plan-memo-2").to_string();
+            assert_eq!(failed, Err(PlanError::DuplicateQuery(squatted)), "{kind}");
             assert_eq!(state(&manager, worker), before, "{kind}");
 
             if let Some(name) = squatter {
@@ -1649,7 +1644,7 @@ fn validation_and_name_errors() {
             Err(PlanError::TimeRegression { from: 3, to: 1 })
         );
         assert!(!manager.uninstall(worker, "ghost").unwrap());
-        let _ = manager.query_probe("q").unwrap();
+        assert!(manager.answer("q").is_some());
         let _ = Time::minimum();
 
         // A failed Install leaves no state behind — in particular, a query name that

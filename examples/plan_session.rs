@@ -5,7 +5,9 @@
 //!
 //! Run with `cargo run --release --example plan_session`.
 
-use shared_arrangements::plan::{replay, Command, Expr, Plan, PlanError, ReduceKind, Response};
+use shared_arrangements::plan::{
+    replay, ArrangeKey, Command, Expr, KeySpec, Plan, PlanError, ReduceKind, Response,
+};
 
 fn edge(src: u32, dst: u32) -> shared_arrangements::plan::Row {
     vec![src.into(), dst.into()].into()
@@ -43,7 +45,8 @@ fn main() {
         .distinct();
     // Query 3, as data: in-degree counts. Grouping by destination needs the edges
     // keyed another way than their base, so the manager installs a memoized
-    // re-arrangement (`plan-arr-*`) that later plans keyed the same way would share.
+    // re-arrangement — a registry entry of its own — that later plans keyed the same way
+    // would share.
     let in_degrees = Plan::source("edges")
         .map(vec![Expr::col(1), Expr::col(0)])
         .reduce(1, ReduceKind::Count);
@@ -86,18 +89,30 @@ fn main() {
     assert_eq!(retired, &Ok(Response::Uninstalled { existed: true }));
     assert_eq!(gone, &Err(PlanError::UnknownQuery("two-hop".into())));
 
-    // Everything still maintained is a catalog entry, told apart by name prefix: input
-    // bases (`plan-source-*`), memoized sub-plans (`plan-arr-*`) and answers
-    // (`plan-result-*`) — the retired query's among them no longer.
-    for (name, size) in &replayed.held {
-        println!("catalog entry {name}: {size} updates");
+    // Everything still maintained holds a trace handle in the manager's registry: input
+    // bases and memoized sub-plans, by what they arrange and how, and the answers of
+    // the installed queries — the retired query's among them no longer.
+    for (key, size) in &replayed.arrangements {
+        println!(
+            "arrangement {:?} keyed {:?}: {size} updates",
+            key.plan, key.keys
+        );
     }
-    let held = replayed.held.iter().map(|(name, _)| name.as_str());
-    let maintained = [
-        "plan-arr-1",
-        "plan-result-degrees",
-        "plan-result-in-degrees",
-        "plan-source-edges",
-    ];
-    assert_eq!(held.collect::<Vec<_>>(), maintained);
+    for (name, size) in &replayed.answers {
+        println!("answer {name}: {size} updates");
+    }
+    let by_source = KeySpec::Columns(vec![0]);
+    let base = ArrangeKey {
+        plan: Plan::source("edges"),
+        keys: by_source.clone(),
+    };
+    let reversed = Plan::source("edges").map(vec![Expr::col(1), Expr::col(0)]);
+    let memo = ArrangeKey {
+        plan: reversed,
+        keys: by_source,
+    };
+    let arrangements = replayed.arrangements.iter().map(|(key, _)| key.clone());
+    assert_eq!(arrangements.collect::<Vec<_>>(), [base, memo]);
+    let answers = replayed.answers.iter().map(|(name, _)| name.as_str());
+    assert_eq!(answers.collect::<Vec<_>>(), ["degrees", "in-degrees"]);
 }
