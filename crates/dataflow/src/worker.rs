@@ -269,33 +269,36 @@ impl Worker {
     /// which order among themselves is each worker's own business, since no address
     /// depends on it.
     pub fn uninstall(&mut self, name: &str) -> bool {
-        match self.installed.remove(name) {
-            Some(ordinal) => {
-                self.drop_dataflow(ordinal);
-                true
-            }
-            None => false,
-        }
+        let ordinal = self.installed_index(name);
+        ordinal.is_some_and(|ordinal| self.retire(ordinal))
     }
 
-    /// Retires dataflow `ordinal`: removes its instance, which drops its operators with
+    /// Retires dataflow `ordinal` (its [`DataflowBuilder::dataflow_index`]), named or
+    /// not, and frees its name if it has one. Returns false if no dataflow by that
+    /// ordinal is live. Retiring removes the instance, which drops its operators with
     /// its graph and queued messages, and withdraws this worker's capabilities so the
     /// dataflow's frontiers empty out. Dropping the operators is what releases their
     /// resources: trace agents held by import and arrange operators unregister their
     /// read frontiers, letting shared spines compact past this dataflow's reads.
     ///
-    /// Retirement happens between steps, when every inbox is empty, and the ordinal is
-    /// never used again, so no message can address it afterwards. Handles obtained from
-    /// the dataflow (inputs, probes, captures) remain safe to hold but stop observing
-    /// anything new.
-    fn drop_dataflow(&mut self, ordinal: usize) {
-        let instance = self.dataflows.remove(&ordinal);
-        let instance = instance.expect("a named dataflow is live");
+    /// Every worker must retire the same dataflows between the same two steps, in any
+    /// order among themselves. Retirement happens between steps, when every inbox is
+    /// empty, and the ordinal is never used again, so no message can address it
+    /// afterwards. Handles obtained from the dataflow (inputs, probes, captures) remain
+    /// safe to hold but stop observing anything new.
+    pub fn retire(&mut self, ordinal: usize) -> bool {
+        let Some(instance) = self.dataflows.remove(&ordinal) else {
+            return false;
+        };
+        if let Some(name) = &instance.name {
+            self.installed.remove(name);
+        }
         if instance.shared.retire(self.index) {
             // Every installed worker has retired it: remove its entry from the
             // computation-wide registry so shared progress state stays O(live).
             self.shared.release_dataflow(ordinal);
         }
+        true
     }
 
     /// Enqueues a received remote message at the live dataflow its ordinal names.

@@ -161,6 +161,48 @@ fn live_operators_are_those_of_the_live_dataflows() {
     });
 }
 
+/// `retire` takes a dataflow by its ordinal, named or not: retiring a named one frees
+/// its name for a fresh `install`, an ordinal that is not live is refused, and the
+/// progress registry is back to the resident set.
+#[test]
+fn retire_takes_an_ordinal_and_frees_its_name() {
+    for workers in [1usize, 2] {
+        let observations = execute(Config::new(workers), |worker| {
+            let _resident = worker.install("resident", input_to_sink);
+            let _named = worker.install("named", input_to_sink);
+            let named = worker.installed_index("named").expect("just installed");
+            let unnamed = worker.dataflow(|builder| {
+                let _ = input_to_sink(builder);
+                builder.dataflow_index()
+            });
+            worker.step();
+            let retired = [worker.retire(named), worker.retire(unnamed)];
+            let again = [worker.retire(named), worker.retire(unnamed + 1)];
+            let freed = worker.installed_index("named");
+            let _fresh = worker.install("named", input_to_sink);
+            let fresh = worker.installed_index("named");
+            assert!(worker.uninstall("named"));
+            // Read after a step, when every worker has retired what it retires here.
+            worker.step();
+            let counts = [
+                worker.live_dataflow_count(),
+                worker.shared_dataflow_entries(),
+            ];
+            (retired, again, freed, fresh > Some(unnamed), counts)
+        });
+        for (retired, again, freed, fresh, counts) in observations {
+            assert_eq!(retired, [true, true], "workers = {workers}");
+            assert_eq!(again, [false, false], "workers = {workers}: not live");
+            assert_eq!(freed, None, "workers = {workers}: the name goes with it");
+            assert!(
+                fresh,
+                "workers = {workers}: a fresh install, a fresh ordinal"
+            );
+            assert_eq!(counts, [1, 1], "workers = {workers}: the resident alone");
+        }
+    }
+}
+
 /// Workers may retire the same dataflows in different orders between two steps: the
 /// next dataflow's address is its ordinal, which no retirement changes, so it is the
 /// same on both and they can exchange data for it.

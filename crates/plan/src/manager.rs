@@ -11,15 +11,19 @@
 //! arrangement's trace handle ([`Trace`]): one `Maintained` record, built only by
 //! `Manager::maintain` (which first ensures, the same way, an arrangement for every
 //! `(sub-plan, key)` pair the render pass will import) and dropped only by
-//! `Manager::retire`. Bases and memos share one registry keyed by [`ArrangeKey`] — a
-//! base is the entry for `Source(name)` keyed as the input was created — so
-//! plan-identical subtrees *share one arrangement across queries*: the paper's
-//! inter-query sharing applied between queries that arrive at runtime; imports, `Query`
-//! and compaction all go through that handle. Registry entries are reference-counted by
-//! their dependants but **retained** when the count reaches zero (arrangements outlive
-//! the queries that prompted them, so the next arriving query attaches in milliseconds);
-//! they are evicted when their underlying input is removed. A query's answer goes with
-//! its `Uninstall`.
+//! `Manager::retire`. The record holds its dataflow by the ordinal the construction
+//! returned, which is what [`Worker::retire`] takes: the manager names no dataflow, so
+//! no client name can collide with one. Every refusal — a live query's name, a local
+//! that is a live input, an invalid plan — comes before anything is built, and building
+//! cannot fail, so a failed command leaves no state. Bases and memos share one registry
+//! keyed by [`ArrangeKey`] — a base is the entry for `Source(name)` keyed as the input
+//! was created — so plan-identical subtrees *share one arrangement across queries*: the
+//! paper's inter-query sharing applied between queries that arrive at runtime; imports,
+//! `Query` and compaction all go through that handle. Registry entries are
+//! reference-counted by their dependants but **retained** when the count reaches zero
+//! (arrangements outlive the queries that prompted them, so the next arriving query
+//! attaches in milliseconds); they are evicted when their underlying input is removed.
+//! A query's answer goes with its `Uninstall`.
 //!
 //! **Settling.** An answer is deterministic only when read from a settled manager. The
 //! rule lives here — [`Manager::execute`] settles ahead of a [`Command::Query`] — so a
@@ -71,7 +75,7 @@ pub enum Command {
     /// created as inputs private to this query's dataflow (removed again on uninstall)
     /// rather than resolved against the shared inputs.
     Install {
-        /// The query name (also its dataflow name).
+        /// The query name.
         name: String,
         /// The plan to render.
         plan: Plan,
@@ -129,8 +133,7 @@ pub enum PlanError {
     DuplicateInput(String),
     /// An `Update` or plan source named an input that does not exist.
     UnknownInput(String),
-    /// An `Install` reused the name of a live query, or a command would build a dataflow
-    /// under a name a query holds (the worker's one namespace).
+    /// An `Install` reused the name of a live query.
     DuplicateQuery(String),
     /// A `Query` named no installed query.
     UnknownQuery(String),
@@ -231,7 +234,8 @@ enum Owner {
 /// One maintained arrangement — an input's base, a memoized sub-plan or a query's
 /// answer: a dataflow that renders a plan arranged, and the arrangement's trace handle.
 struct Maintained {
-    dataflow: String,
+    /// The dataflow's ordinal on the worker, for [`Worker::retire`].
+    dataflow: usize,
     /// The registry's handle. Bases and answers are keyed by a prefix `Columns(0..k)` or
     /// `SelfRow`, so they read back as rows.
     trace: Trace,
@@ -261,8 +265,6 @@ const IDLE_TURN_FUEL: isize = 384;
 /// The per-worker runtime-plan engine. See the module docs for the protocol.
 pub struct Manager {
     epoch: u64,
-    /// Memos numbered so far (`plan-memo-N`).
-    counter: u64,
     /// Every live input, by name — ordered, so that walking them (`advance_to`) visits
     /// them in the same order on every worker.
     inputs: BTreeMap<String, Input>,
@@ -285,7 +287,6 @@ impl Manager {
     pub fn new() -> Self {
         Manager {
             epoch: 0,
-            counter: 0,
             inputs: BTreeMap::new(),
             shared: BTreeMap::new(),
             installed: BTreeMap::new(),
@@ -363,27 +364,12 @@ impl Manager {
                 Some(arity) => KeySpec::Columns((0..arity).collect()),
             },
         };
-        let dataflow = format!("plan-input-{name}");
         let locals = BTreeSet::from([name.to_string()]);
-        let created = &mut Vec::new();
-        let (base, mut handles) =
-            self.maintain(worker, |_| dataflow, &key.plan, &key.keys, &locals, created)?;
+        let (base, mut handles) = self.maintain(worker, &key.plan, &key.keys, &locals);
         let (handle, owner) = (handles.remove(0), Owner::Base(key.clone()));
         let input = Input { handle, owner };
         self.inputs.insert(name.to_string(), input);
         self.shared.insert(key, base);
-        Ok(())
-    }
-
-    /// Introduces one update to a named input at the current epoch. Unlike
-    /// [`Command::Update`], this applies on whichever worker calls it: a caller that
-    /// runs it on every worker introduces the update once per worker.
-    pub fn update(&mut self, name: &str, row: Row, diff: isize) -> Result<(), PlanError> {
-        let entry = self
-            .inputs
-            .get_mut(name)
-            .ok_or_else(|| PlanError::UnknownInput(name.to_string()))?;
-        entry.handle.update(row, diff);
         Ok(())
     }
 
@@ -416,11 +402,8 @@ impl Manager {
         plan: Plan,
         locals: Vec<String>,
     ) -> Result<usize, PlanError> {
-        // Check the worker's dataflow namespace too (it also holds the manager's
-        // "plan-input-…"/"plan-memo-…" dataflows): name failures are detected before
-        // any memo dataflow is ensured, and later failures evict the ensured ones, so a
-        // failed command leaves no state either way.
-        if self.installed.contains_key(name) || worker.installed_index(name).is_some() {
+        // Every refusal comes before anything is built.
+        if self.installed.contains_key(name) {
             return Err(PlanError::DuplicateQuery(name.to_string()));
         }
         // One input operator per name, however often the command repeats it.
@@ -440,16 +423,14 @@ impl Manager {
             Plan::Reduce { key_arity, .. } => KeySpec::Columns((0..*key_arity).collect()),
             _ => KeySpec::SelfRow,
         };
-        let dataflow = name.to_string();
-        let created = &mut Vec::new();
-        let (result, handles) =
-            self.maintain(worker, |_| dataflow, &plan, &keys, &locals, created)?;
+        let memos = self.shared.len();
+        let (result, handles) = self.maintain(worker, &plan, &keys, &locals);
         for (local, handle) in locals.into_iter().zip(handles) {
             let owner = Owner::Query(name.to_string());
             self.inputs.insert(local, Input { handle, owner });
         }
         self.installed.insert(name.to_string(), result);
-        Ok(1 + created.len())
+        Ok(1 + self.shared.len() - memos)
     }
 
     /// Retires the named query, or removes the named shared input. Returns false if
@@ -484,24 +465,19 @@ impl Manager {
         // release its imports before what it reads is retired, the base last.
         let doomed = self.shared.iter();
         let doomed = doomed.filter(|(_, entry)| entry.sources.contains(name));
-        let mut doomed: Vec<_> = doomed
-            .map(|(key, entry)| (worker.installed_index(&entry.dataflow), key.clone()))
+        let doomed: BTreeMap<usize, ArrangeKey> = doomed
+            .map(|(key, entry)| (entry.dataflow, key.clone()))
             .collect();
-        doomed.sort_unstable_by_key(|(ordinal, _)| std::cmp::Reverse(*ordinal));
-        for (_, key) in doomed {
-            self.evict(worker, &key);
+        for key in doomed.into_values().rev() {
+            let entry = self.shared.remove(&key).expect("evicting a present entry");
+            debug_assert_eq!(entry.uses, 0, "evicting an arrangement in use");
+            self.retire(worker, entry);
         }
         Ok(true)
     }
 
-    fn evict(&mut self, worker: &mut Worker, key: &ArrangeKey) {
-        let entry = self.shared.remove(key).expect("evicting a present entry");
-        debug_assert_eq!(entry.uses, 0, "evicting an arrangement in use");
-        self.retire(worker, entry);
-    }
-
     /// Drops a maintained arrangement its registry no longer lists: releases what it
-    /// imported, forgets the inputs its dataflow held, uninstalls the dataflow and drops
+    /// imported, forgets the inputs its dataflow held, retires the dataflow and drops
     /// the registry's handle. Callers decide *when*.
     fn retire(&mut self, worker: &mut Worker, entry: Maintained) {
         for requirement in entry.requirements {
@@ -511,76 +487,39 @@ impl Manager {
         for input in entry.inputs {
             self.inputs.remove(&input);
         }
-        let removed = worker.uninstall(&entry.dataflow);
-        debug_assert!(removed, "a maintained arrangement had no dataflow");
+        let retired = worker.retire(entry.dataflow);
+        debug_assert!(retired, "a maintained arrangement had no dataflow");
     }
 
     /// Ensures the registry holds an arrangement for `key`, memoizing it now if nothing
     /// maintains it yet. An input's base is found like any other entry, so a source
     /// keyed the way its base is keyed is never re-arranged.
-    fn ensure(
-        &mut self,
-        worker: &mut Worker,
-        key: &ArrangeKey,
-        created: &mut Vec<ArrangeKey>,
-    ) -> Result<(), PlanError> {
-        if self.shared.contains_key(key) {
-            return Ok(());
+    fn ensure(&mut self, worker: &mut Worker, key: &ArrangeKey) {
+        if !self.shared.contains_key(key) {
+            let (memo, _) = self.maintain(worker, &key.plan, &key.keys, &BTreeSet::new());
+            self.shared.insert(key.clone(), memo);
         }
-        // Numbered when `maintain` asks: after the memo's own requirements have theirs.
-        let numbered = |manager: &mut Manager| {
-            manager.counter += 1;
-            format!("plan-memo-{}", manager.counter)
-        };
-        let no_locals = BTreeSet::new();
-        let (memo, _) =
-            self.maintain(worker, numbered, &key.plan, &key.keys, &no_locals, created)?;
-        self.shared.insert(key.clone(), memo);
-        created.push(key.clone());
-        Ok(())
     }
 
     /// Builds one maintained arrangement: ensures every shared arrangement `plan`'s
-    /// rendering imports (appending each one it had to memoize to `created`,
-    /// dependencies before dependants), then asks `name` what to call the dataflow and
-    /// installs it: it holds an input per name in `locals` and renders `plan` arranged by
-    /// `keys`. Returns the record, for the caller to register under the name or key it
-    /// chose, and the locals' handles in `locals` order. On any failure — a dataflow name
-    /// a query holds — it evicts exactly what it appended to `created`, so a failed
-    /// command leaves no state.
+    /// rendering imports (dependencies before dependants), then constructs the dataflow:
+    /// it holds an input per name in `locals` and renders `plan` arranged by `keys`.
+    /// Returns the record, for the caller to register under the name or key it chose,
+    /// and the locals' handles in `locals` order.
     fn maintain(
         &mut self,
         worker: &mut Worker,
-        name: impl FnOnce(&mut Manager) -> String,
         plan: &Plan,
         keys: &KeySpec,
         locals: &BTreeSet<String>,
-        created: &mut Vec<ArrangeKey>,
-    ) -> Result<(Maintained, Vec<InputHandle<Row, isize>>), PlanError> {
-        let mark = created.len();
+    ) -> (Maintained, Vec<InputHandle<Row, isize>>) {
         let mut requirements = Vec::new();
         plan.arrangement_requirements(locals, &mut requirements);
         let mut sources = BTreeSet::new();
         plan.sources(&mut sources);
-        let ensured = requirements
-            .iter()
-            .try_for_each(|key| self.ensure(worker, key, created));
-        let named = ensured.map(|()| name(self)).and_then(|dataflow| {
-            if worker.installed_index(&dataflow).is_some() {
-                return Err(PlanError::DuplicateQuery(dataflow));
-            }
-            Ok(dataflow)
-        });
-        let dataflow = match named {
-            Ok(dataflow) => dataflow,
-            Err(error) => {
-                // Newest first, so each dependant releases its dependencies before they go.
-                for key in created.split_off(mark).iter().rev() {
-                    self.evict(worker, key);
-                }
-                return Err(error);
-            }
-        };
+        for key in &requirements {
+            self.ensure(worker, key);
+        }
         // The renderer imports the registry's own handles: each entry the plan reads by
         // key, and the base of each shared source it reads as rows.
         let bases: BTreeMap<String, &ArrangeKey> = sources
@@ -592,7 +531,7 @@ impl Manager {
             .collect();
         let traces = requirements.iter().chain(bases.values().copied());
         let traces = traces.map(|key| (key, &self.shared[key].trace)).collect();
-        let (mut handles, (probe, trace)) = worker.install(&dataflow, |builder| {
+        let (mut handles, dataflow, (probe, trace)) = worker.dataflow(|builder| {
             let (handles, collections): (Vec<_>, BTreeMap<_, _>) = locals
                 .iter()
                 .map(|local| {
@@ -601,7 +540,7 @@ impl Manager {
                 })
                 .unzip();
             let published = publish(builder, plan, keys, traces, bases, collections);
-            (handles, published)
+            (handles, builder.dataflow_index(), published)
         });
         for requirement in &requirements {
             let imported = self.shared.get_mut(requirement);
@@ -619,7 +558,7 @@ impl Manager {
             inputs: locals.iter().cloned().collect(),
             uses: 0,
         };
-        Ok((maintained, handles))
+        (maintained, handles)
     }
 
     /// The named query's consolidated output — see [`Command::Query`] for what it

@@ -681,8 +681,8 @@ mod tests {
     /// Renders `plan` over one local input `rows` in a dataflow of its own and returns
     /// the index of the node carrying the root arrangement. Nodes are numbered in
     /// construction order, so it counts the operators the rendering built before it.
-    fn root_node(worker: &mut Worker, dataflow: &str, plan: &Plan, keys: &KeySpec) -> usize {
-        worker.install(dataflow, |builder| {
+    fn root_node(worker: &mut Worker, plan: &Plan, keys: &KeySpec) -> usize {
+        worker.dataflow(|builder| {
             let (_input, rows) = new_collection::<Row, isize>(builder);
             let locals = BTreeMap::from([("rows".to_string(), rows)]);
             let renderer = Renderer {
@@ -714,16 +714,16 @@ mod tests {
             let rows = Plan::source("rows");
             let counted = rows.clone().reduce(1, ReduceKind::Count);
             let by_first = KeySpec::Columns(vec![0]);
-            let input = root_node(worker, "reduce-input", &rows, &by_first);
-            let reduce = root_node(worker, "reduce", &counted, &by_first);
+            let input = root_node(worker, &rows, &by_first);
+            let reduce = root_node(worker, &counted, &by_first);
             assert_eq!(reduce, input + 1);
 
-            let input = root_node(worker, "distinct-input", &rows, &KeySpec::SelfRow);
-            let distinct = root_node(worker, "distinct", &rows.distinct(), &KeySpec::SelfRow);
+            let input = root_node(worker, &rows, &KeySpec::SelfRow);
+            let distinct = root_node(worker, &rows.distinct(), &KeySpec::SelfRow);
             assert_eq!(distinct, input + 1);
 
             let by_count = KeySpec::Columns(vec![1]);
-            let rekeyed = root_node(worker, "rekeyed", &counted, &by_count);
+            let rekeyed = root_node(worker, &counted, &by_count);
             assert!(rekeyed > reduce + 1, "{rekeyed} vs {reduce}");
         });
     }

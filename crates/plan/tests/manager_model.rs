@@ -9,8 +9,8 @@ use kpg_core::operators::route_hash;
 use kpg_core::prelude::*;
 use kpg_dataflow::Time;
 use kpg_plan::{
-    replay, ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, ReduceKind, Response,
-    Row, Trace, Value,
+    replay, ArrangeKey, Command, Expr, KeySpec, Manager, Plan, PlanError, PlanValidity, ReduceKind,
+    Response, Row, Trace, Value,
 };
 use kpg_timestamp::rng::SmallRng;
 
@@ -40,6 +40,14 @@ fn merged(shards: impl IntoIterator<Item = Vec<(Row, isize)>>) -> Vec<(Row, isiz
         *merged.entry(row).or_insert(0) += diff;
     }
     merged.into_iter().filter(|(_, diff)| *diff != 0).collect()
+}
+
+/// Inserts one row into a named input the way a command log does: worker 0
+/// introduces it.
+fn update(manager: &mut Manager, worker: &mut Worker, name: &str, values: &[u64]) {
+    let (name, row) = (name.to_string(), row(values));
+    let command = Command::Update { name, row, diff: 1 };
+    manager.execute(worker, command).unwrap();
 }
 
 fn edges_by_src(edges: &str) -> ArrangeKey {
@@ -128,7 +136,7 @@ fn two_plans_share_one_subtree_arrangement() {
         let mut manager = Manager::new();
         manager.create_input(worker, "edges").unwrap();
         for (src, dst) in [(1u64, 2u64), (2, 3), (2, 4)] {
-            manager.update("edges", row(&[src, dst]), 1).unwrap();
+            update(&mut manager, worker, "edges", &[src, dst]);
         }
         manager.advance_to(1).unwrap();
         manager.settle(worker);
@@ -168,8 +176,8 @@ fn two_plans_share_one_subtree_arrangement() {
         );
 
         // Both answer through the one arrangement.
-        manager.update("args-1", row(&[1]), 1).unwrap();
-        manager.update("args-2", row(&[2]), 1).unwrap();
+        update(&mut manager, worker, "args-1", &[1]);
+        update(&mut manager, worker, "args-2", &[2]);
         manager.advance_to(2).unwrap();
         manager.settle(worker);
         assert_eq!(
@@ -234,12 +242,12 @@ fn private_inputs_hold_four_times_the_updates_of_one_shared_input() {
                 manager
                     .install(worker, &format!("q{query}"), plan, vec![args.clone()])
                     .unwrap();
-                manager.update(&args, row(&[1]), 1).unwrap();
+                update(&mut manager, worker, &args, &[1]);
             }
             // A small diamond: 1 -> 2 -> 4, 1 -> 3 -> 4, 4 -> 5.
             for (src, dst) in [(1u64, 2u64), (2, 4), (1, 3), (3, 4), (4, 5)] {
                 for name in &inputs {
-                    manager.update(name, row(&[src, dst]), 1).unwrap();
+                    update(&mut manager, worker, name, &[src, dst]);
                 }
             }
             manager.advance_to(1).unwrap();
@@ -598,10 +606,8 @@ fn a_count_registers_no_reader_on_the_input_it_counts() {
             );
 
             // Worker 0 introduces every update; the exchange places each row.
-            if worker.index() == 0 {
-                for (src, dst) in [(1, 2), (1, 3), (2, 4)] {
-                    manager.update("edges", row(&[src, dst]), 1).unwrap();
-                }
+            for (src, dst) in [(1, 2), (1, 3), (2, 4)] {
+                update(&mut manager, worker, "edges", &[src, dst]);
             }
             manager.advance_to(1).unwrap();
             manager.settle(worker);
@@ -670,7 +676,7 @@ fn prefix_keyed_inputs_serve_joins_without_rearrangement() {
             .create_input_keyed(worker, "edges", Some(1))
             .unwrap();
         for (src, dst) in [(1u64, 2u64), (2, 3), (2, 4)] {
-            manager.update("edges", row(&[src, dst]), 1).unwrap();
+            update(&mut manager, worker, "edges", &[src, dst]);
         }
         let installs = manager
             .install(worker, "q", two_hop("edges", "args"), vec!["args".into()])
@@ -681,7 +687,7 @@ fn prefix_keyed_inputs_serve_joins_without_rearrangement() {
         manager
             .install(worker, "identity", Plan::source("edges"), vec![])
             .unwrap();
-        manager.update("args", row(&[1]), 1).unwrap();
+        update(&mut manager, worker, "args", &[1]);
         manager.advance_to(1).unwrap();
         manager.settle(worker);
         (
@@ -763,7 +769,7 @@ fn an_inputs_base_is_a_registry_entry() {
 /// (`kpg_dataflow`'s `churn.rs` pins that on its own).
 ///
 /// Three-edge paths need a memo (two-edge paths, by end) built on a memo (`edges`, by
-/// destination) built on the base, and dependencies take the lower `plan-memo-N`.
+/// destination) built on the base.
 #[test]
 fn input_removal_retires_in_one_order_on_every_worker() {
     let by_dst = || ArrangeKey {
@@ -792,8 +798,9 @@ fn input_removal_retires_in_one_order_on_every_worker() {
         manager.execute(worker, command).unwrap()
     }
 
-    // The slots the three inputs created after each removal land in: no settling here,
-    // so a disagreement is reported rather than waited on forever.
+    // The ordinal the next dataflow takes after each removal and the three inputs
+    // created after it: no settling here, so a disagreement is reported rather than
+    // waited on forever.
     let slots = execute(Config::new(2), move |worker| {
         let mut slots = Vec::new();
         for _ in 0..12 {
@@ -802,14 +809,18 @@ fn input_removal_retires_in_one_order_on_every_worker() {
             run(manager, worker, create("edges", Some(1)));
             let installed = run(manager, worker, install_paths());
             assert_eq!(installed, Response::Installed { new_dataflows: 3 });
+            let uses = |key| manager.memo_uses(&key);
+            assert_eq!((uses(by_dst()), uses(by_end())), (Some(1), Some(1)));
             for name in ["paths", "edges"] {
                 run(manager, worker, uninstall(name));
             }
             for next in ["next-0", "next-1", "next-2"] {
                 run(manager, worker, create(next, None));
             }
+            let next = worker.dataflow(|builder| builder.dataflow_index());
+            assert!(worker.retire(next));
+            slots.push(next);
             for next in ["next-0", "next-1", "next-2"] {
-                slots.push(worker.installed_index(&format!("plan-input-{next}")));
                 run(manager, worker, uninstall(next));
             }
             assert_eq!((manager.memo_count(), worker.live_dataflow_count()), (0, 0));
@@ -845,19 +856,6 @@ fn input_removal_retires_in_one_order_on_every_worker() {
         let answer = merged(answers.iter().map(|shards| shards[round].clone()));
         assert_eq!(answer, [(row(&[3, 2, 1, 4]), 1)], "1 → 2 → 3 → 4");
     }
-
-    // Numbering: a memo is numbered as it is installed, after its own requirements —
-    // `by_dst`, read by `by_end` alone, which `paths` alone reads — so the numbers
-    // follow the installation order.
-    execute(Config::new(1), move |worker| {
-        let mut manager = Manager::new();
-        manager.execute(worker, create("edges", Some(1))).unwrap();
-        manager.execute(worker, install_paths()).unwrap();
-        let uses = |key| manager.memo_uses(&key);
-        assert_eq!((uses(by_dst()), uses(by_end())), (Some(1), Some(1)));
-        let dataflows = ["plan-input-edges", "plan-memo-1", "plan-memo-2", "paths"];
-        assert_eq!(worker.installed(), dataflows);
-    });
 }
 
 /// `Reduce { key_arity: 0 }` is a global aggregate: one row with an empty key — just
@@ -932,14 +930,14 @@ fn query_excludes_the_unsealed_current_epoch() {
         manager
             .install(worker, "all", Plan::source("nums"), vec![])
             .unwrap();
-        manager.update("nums", row(&[1]), 1).unwrap();
+        update(&mut manager, worker, "nums", &[1]);
         manager.advance_to(1).unwrap();
         manager.settle(worker);
         assert_eq!(manager.query("all").unwrap(), vec![(row(&[1]), 1)]);
 
         // An update at the current epoch: settling (and stepping well past it) must
         // not leak a partially processed epoch into the answer.
-        manager.update("nums", row(&[2]), 1).unwrap();
+        update(&mut manager, worker, "nums", &[2]);
         manager.settle(worker);
         for _ in 0..32 {
             worker.step();
@@ -1430,49 +1428,15 @@ fn idle_turns_change_no_answer_and_no_arrangement_size() {
     }
 }
 
-/// An install that fails *after* memo dataflows were created rolls them back. The
-/// manager's reserved "plan-memo-…" names live in the worker's shared dataflow
-/// namespace, so a user query named like the next memo dataflow makes the query's own
-/// install fail after its memo was ensured — and must leave no memo state behind.
+/// Failure atomicity, one table over the refusals an `Install` can meet: a live
+/// query's name, a local that is a live input, and a source no input defines. Each is
+/// met before anything is built — here by an install that would need two memos beyond
+/// the one a standing query retains — and must leave the registry, the answers, the
+/// worker's dataflows, the inputs, the memo count and every surviving memo's
+/// dependants exactly as they were, and the manager usable: with the cause gone the
+/// same command succeeds.
 #[test]
-fn failed_install_rolls_back_created_memos() {
-    execute(Config::new(1), |worker| {
-        let mut manager = Manager::new();
-        manager.create_input(worker, "edges").unwrap();
-        let live_before = worker.live_dataflow_count();
-        let result = manager.install(
-            worker,
-            "plan-memo-1",
-            two_hop("edges", "args"),
-            vec!["args".into()],
-        );
-        let squatted = PlanError::DuplicateQuery("plan-memo-1".into());
-        assert_eq!(result, Err(squatted));
-        assert_eq!(manager.memo_count(), 0, "created memos were rolled back");
-        assert_eq!(worker.live_dataflow_count(), live_before);
-        assert!(manager.installed_names().is_empty());
-        assert!(!manager.input_names().contains(&"args".to_string()));
-        // The manager remains fully usable: the same plan installs cleanly now.
-        manager
-            .install(worker, "q", two_hop("edges", "args"), vec!["args".into()])
-            .unwrap();
-        assert!(manager.uninstall(worker, "q").unwrap());
-        assert!(manager.uninstall(worker, "edges").unwrap());
-    });
-}
-
-/// Failure atomicity, one table over the three kinds of maintained arrangement. Every
-/// dataflow the manager builds lives in the worker's one dataflow namespace, so a query
-/// squatting on the name the manager will pick next makes the build fail at a chosen
-/// point: an input's base (`plan-input-x`), the *second* memo an install needs (after
-/// the first was created and a retained one was about to gain a dependant), and the
-/// query's own dataflow (after its memo was created). Each failed command is refused as
-/// a `DuplicateQuery` of the squatted name, and must leave the registry, the answers,
-/// the worker's dataflows, the inputs, the memo count and every surviving memo's
-/// dependants exactly as they were — and the manager usable: with the squatter gone (or
-/// the name no longer next) the same command succeeds.
-#[test]
-fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
+fn a_failed_command_leaves_no_state_whichever_refusal_it_met() {
     let create = |name: &str| Command::CreateInput {
         name: name.to_string(),
         key_arity: None,
@@ -1482,28 +1446,35 @@ fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
         plan,
         locals: locals.iter().map(|local| local.to_string()).collect(),
     };
-    // Imports `edges` by source (memo 1, retained by the standing query), then needs
-    // `left` and `right` re-keyed too: memos 2 and 3, in that order.
-    let three_stage = || {
+    // Imports `edges` by source (retained by the standing query), then needs `left`
+    // and `right` re-keyed too: two new memos.
+    let three_stage = |last: &str| {
         lookup("edges", "probe-args")
             .join(Plan::source("left"), vec![(1, 0)])
-            .join(Plan::source("right"), vec![(2, 0)])
+            .join(Plan::source(last), vec![(2, 0)])
     };
-    let one_stage = || lookup("edges", "probe-args").join(Plan::source("left"), vec![(1, 0)]);
     let cases = [
-        ("base", Some("plan-input-x"), create("x")),
         (
-            "second memo",
-            Some("plan-memo-3"),
-            install("probe", three_stage(), &["probe-args"]),
+            install("standing", three_stage("right"), &["probe-args"]),
+            PlanError::DuplicateQuery("standing".into()),
+            Command::Uninstall {
+                name: "standing".into(),
+            },
         ),
         (
-            "query",
-            None,
-            install("plan-memo-2", one_stage(), &["probe-args"]),
+            install("probe", three_stage("right"), &["probe-args", "args"]),
+            PlanError::DuplicateInput("args".into()),
+            Command::Uninstall {
+                name: "standing".into(),
+            },
+        ),
+        (
+            install("probe", three_stage("later"), &["probe-args"]),
+            PlanError::Invalid(PlanValidity::UnknownSource("later".into())),
+            create("later"),
         ),
     ];
-    for (kind, squatter, command) in cases {
+    for (command, refusal, remedy) in cases {
         execute(Config::new(1), move |worker| {
             let mut manager = Manager::new();
             let run = |manager: &mut Manager, worker: &mut Worker, command: Command| {
@@ -1514,10 +1485,6 @@ fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
             }
             let standing = install("standing", two_hop("edges", "args"), &["args"]);
             run(&mut manager, worker, standing).unwrap();
-            if let Some(name) = squatter {
-                let squat = install(name, Plan::source("edges"), &[]);
-                run(&mut manager, worker, squat).unwrap();
-            }
             let memos = ["edges", "left", "right"].map(edges_by_src);
             let state = |manager: &Manager, worker: &Worker| {
                 (
@@ -1526,26 +1493,85 @@ fn a_failed_command_leaves_no_state_whichever_arrangement_failed() {
                         .map(|(key, _)| key.clone())
                         .collect::<Vec<_>>(),
                     manager.installed_names(),
-                    worker.installed(),
+                    worker.live_dataflow_count(),
                     manager.input_names(),
                     manager.memo_count(),
                     memos.clone().map(|key| manager.memo_uses(&key)),
                 )
             };
             let before = state(&manager, worker);
-            assert_eq!(before.5, [Some(1), None, None], "{kind}");
+            assert_eq!(before.5, [Some(1), None, None], "{refusal}");
 
             let failed = run(&mut manager, worker, command.clone());
-            let squatted = squatter.unwrap_or("plan-memo-2").to_string();
-            assert_eq!(failed, Err(PlanError::DuplicateQuery(squatted)), "{kind}");
-            assert_eq!(state(&manager, worker), before, "{kind}");
+            assert_eq!(failed, Err(refusal.clone()), "{refusal}");
+            assert_eq!(state(&manager, worker), before, "{refusal}");
 
-            if let Some(name) = squatter {
-                let name = name.to_string();
-                run(&mut manager, worker, Command::Uninstall { name }).unwrap();
-            }
-            run(&mut manager, worker, command.clone()).unwrap();
+            run(&mut manager, worker, remedy.clone()).unwrap();
+            let installed = run(&mut manager, worker, command.clone());
+            let new_dataflows = installed.unwrap_or_else(|error| panic!("{refusal}: {error}"));
+            assert_eq!(
+                new_dataflows,
+                Response::Installed { new_dataflows: 3 },
+                "{refusal}"
+            );
         });
+    }
+}
+
+/// The manager names none of its own dataflows, so no query name can stand in the way
+/// of one: with queries named `plan-input-x` and `plan-memo-1` to `plan-memo-3` live,
+/// input `x` is created, and an install that builds four memos succeeds and answers.
+#[test]
+fn no_query_name_blocks_an_input_or_a_memo() {
+    let squatters = ["plan-input-x", "plan-memo-1", "plan-memo-2", "plan-memo-3"];
+    let mut stream = vec![Command::CreateInput {
+        name: "edges".into(),
+        key_arity: None,
+    }];
+    stream.extend(squatters.map(|name| Command::Install {
+        name: name.into(),
+        plan: Plan::source("edges"),
+        locals: vec![],
+    }));
+    stream.push(Command::CreateInput {
+        name: "x".into(),
+        key_arity: None,
+    });
+    // Four memos: `edges` by destination and by source, the two-edge paths by their
+    // end, and `x` by its first column.
+    let paths = Plan::source("edges")
+        .join(Plan::source("edges"), vec![(1, 0)]) // [mid, src, dst]
+        .join(Plan::source("x"), vec![(2, 0)]); // [dst, mid, src, x1]
+    stream.push(Command::Install {
+        name: "paths".into(),
+        plan: paths,
+        locals: vec![],
+    });
+    let rows = [("edges", [1, 2]), ("edges", [2, 3]), ("x", [3, 9])];
+    stream.extend(rows.map(|(name, values)| Command::Update {
+        name: name.into(),
+        row: row(&values),
+        diff: 1,
+    }));
+    stream.push(Command::AdvanceTime { epoch: 1 });
+    stream.push(Command::Query {
+        name: "paths".into(),
+    });
+    for workers in [1, 2] {
+        let outcomes = replay(workers, stream.clone()).outcomes;
+        let outcomes: Vec<Response> = outcomes
+            .into_iter()
+            .map(|(outcome, _)| outcome.unwrap())
+            .collect();
+        assert_eq!(
+            outcomes[6],
+            Response::Installed { new_dataflows: 5 },
+            "{workers} workers"
+        );
+        let Some(Response::Rows(rows)) = outcomes.last() else {
+            panic!("a query answers with rows");
+        };
+        assert_eq!(rows, &[(row(&[3, 2, 1, 9]), 1)], "{workers} workers");
     }
 }
 
@@ -1621,8 +1647,9 @@ fn validation_and_name_errors() {
             manager.install(worker, "q", Plan::Recur, vec![]),
             Err(PlanError::Invalid(_))
         ));
+        let (name, row) = ("nope".to_string(), row(&[1]));
         assert_eq!(
-            manager.update("nope", row(&[1]), 1),
+            manager.execute(worker, Command::Update { name, row, diff: 1 }),
             Err(PlanError::UnknownInput("nope".into()))
         );
         manager
@@ -1646,22 +1673,5 @@ fn validation_and_name_errors() {
         assert!(!manager.uninstall(worker, "ghost").unwrap());
         assert!(manager.answer("q").is_some());
         let _ = Time::minimum();
-
-        // A failed Install leaves no state behind — in particular, a query name that
-        // collides with a manager-internal dataflow name is rejected *before* any memo
-        // dataflow is ensured.
-        let live_before = worker.live_dataflow_count();
-        assert_eq!(
-            manager.install(
-                worker,
-                "plan-input-edges",
-                two_hop("edges", "args"),
-                vec!["args".into()],
-            ),
-            Err(PlanError::DuplicateQuery("plan-input-edges".into()))
-        );
-        assert_eq!(manager.memo_count(), 0);
-        assert_eq!(worker.live_dataflow_count(), live_before);
-        assert!(!manager.input_names().contains(&"args".to_string()));
     });
 }

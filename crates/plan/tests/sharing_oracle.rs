@@ -7,8 +7,9 @@
 //! `Join` (self-joins among them), every `ReduceKind`, `Distinct`, `Concat` and
 //! `Negate`, with sub-plans drawn again from a per-case pool so that queries share
 //! memos. A query installed late imports traces that have compacted; an uninstalled one
-//! may leave memos its survivors still read. The case count is `CASES`, overridable
-//! with `KPG_MODEL_CASES`; a failure prints its seed.
+//! may leave memos its survivors still read. Odd seeds name the queries `plan-memo-N`,
+//! names that must block no dataflow the manager builds. The case count is `CASES`,
+//! overridable with `KPG_MODEL_CASES`; a failure prints its seed.
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -277,8 +278,12 @@ fn case(seed: u64) -> Case {
         rng: SmallRng::seed_from_u64(seed),
         pool: Vec::new(),
     };
+    let name = |index: usize| match seed % 2 {
+        0 => format!("q{index}"),
+        _ => format!("plan-memo-{}", index + 1),
+    };
     let queries: Vec<(String, Plan)> = (0..4)
-        .map(|index| (format!("q{index}"), generator.plan(3).0))
+        .map(|index| (name(index), generator.plan(3).0))
         .collect();
     let rng = &mut generator.rng;
     // Per query, the epochs it is installed and (maybe) uninstalled at.
