@@ -143,7 +143,8 @@ fn main() {
     println!("# Interactive graph queries: {nodes} nodes, {edges} edges, {rounds} rounds");
 
     // One sample per round settles all four classes together, so this is one CCDF,
-    // not Figure 5a's four per-class ones (ROADMAP item 2(a) measures those).
+    // not Figure 5a's four per-class ones (ROADMAP's "§6.2 measured the way the paper
+    // measures it" item measures those).
     println!("\n## Figure 5a: round latency CCDF, all four classes settled together (shared)");
     let shared = run(true, nodes, edges, rounds, per_round);
     shared.rounds.print_ccdf("round");

@@ -30,9 +30,10 @@
 //! point, so a durable path that costs O(changes) does not notice the state growing.
 //!
 //! `--spine-merge [--rows 10000] [--out BENCH_micro_spine_merge.json]` prices spine
-//! maintenance against the state held (ROADMAP item 2(a)'s first family): the same
-//! 100-update epoch inserted into a `Row`-keyed spine holding `rows`, 2x, 4x and 8x
-//! rows. One `micro_spine_merge` record per size: `per_epoch_us` is the mean
+//! maintenance against the state held (the first family of ROADMAP's "The paper's
+//! claims and the scaling exponents as checks" item): the same 100-update epoch
+//! inserted into a `Row`-keyed spine holding `rows`, 2x, 4x and 8x rows. One
+//! `micro_spine_merge` record per size: `per_epoch_us` is the mean
 //! `Spine::insert` (merges are amortised, so the mean is the cost), `vs_smallest_x`
 //! its ratio to the first size's — amortised merging makes it grow with the layer
 //! count, i.e. logarithmically, never with the rows — and `ns_per_fuel_unit` what the

@@ -19,8 +19,15 @@
 //! * [`iterate`](Collection::iterate) / [`Variable`] — fixed-point iteration with
 //!   product-ordered timestamps (paper §5.4).
 //!
-//! The quickest way to see it all together is the reachability example from Figure 1 of
-//! the paper, reproduced in `examples/quickstart.rs` of the workspace root.
+//! Queries are not posed here. A query arrives as a `kpg_plan::Plan` in a `Command`
+//! stream: `kpg_plan::Manager` renders it onto these operators, imports the
+//! arrangements its registry maintains through their [`TraceAgent`]s, and retires its
+//! dataflow by ordinal on `Uninstall` (`kpg_plan::replay` runs such a stream; the
+//! workspace's `examples/plan_session.rs` shows one). [`catalog`] is a stub that only
+//! the benchmark package's frozen probes call.
+//!
+//! The quickest way to see the operators together is the reachability example from
+//! Figure 1 of the paper, reproduced in `examples/quickstart.rs` of the workspace root.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +42,6 @@ pub mod operators;
 pub mod reduce;
 
 pub use arrange::{Arranged, TraceAgent};
-pub use catalog::{AnyTrace, Catalog, CatalogError, QueryHandle, QueryLifecycle};
 pub use collection::Collection;
 pub use input::new_collection;
 pub use iterate::Variable;
@@ -46,7 +52,7 @@ pub type Diff = isize;
 /// The prelude: everything a typical program needs.
 pub mod prelude {
     pub use crate::arrange::{Arranged, KeyBatch, TraceAgent, ValBatch};
-    pub use crate::catalog::{Catalog, CatalogError, QueryHandle, QueryLifecycle};
+    pub use crate::catalog::*;
     pub use crate::collection::Collection;
     pub use crate::input::new_collection;
     pub use crate::iterate::Variable;

@@ -1,7 +1,8 @@
-//! The sharing lifecycle end to end: publish an arrangement, install queries against it
-//! by name, retire one mid-stream, and verify that (a) the survivor's results are
-//! unaffected and (b) the departed query's read frontiers are released so the shared
-//! spine's compaction frontier advances past them.
+//! The sharing lifecycle at the trace level: arrange a collection once, import its trace
+//! into query dataflows, retire one mid-stream by its ordinal, and verify that (a) the
+//! survivor's results are unaffected and (b) the departed query's read frontiers are
+//! released so the shared spine's compaction frontier advances past them. The same
+//! lifecycle through the plan manager is `kpg_plan`'s `manager_model`.
 
 use std::collections::BTreeMap;
 
@@ -21,22 +22,16 @@ fn accumulate<D: Ord + Clone>(updates: &[(D, Time, isize)], epoch: u64) -> BTree
     map
 }
 
-/// Builds the canonical session: a published edge arrangement plus two queries reading
-/// it (per-key counts, and a value filter), runs it to epoch 1, uninstalls the counts
+/// Builds the canonical session: an edge arrangement plus two queries importing its
+/// trace (per-key counts, and a value filter), runs it to epoch 1, retires the counts
 /// query, keeps the survivor running through epoch 3, and returns the observations.
 fn run_lifecycle(workers: usize) -> Vec<LifecycleObservations> {
     execute(Config::new(workers), |worker| {
-        let catalog = Catalog::new();
-
-        // Publish the shared arrangement under a name.
-        let (mut edges, graph_probe) = worker.install("graph", {
-            let catalog = catalog.clone();
-            move |builder| {
-                let (input, edges) = new_collection::<(u32, u32), isize>(builder);
-                let arranged = edges.arrange_by_key();
-                catalog.publish_if_absent("edges", &arranged).unwrap();
-                (input, arranged.probe())
-            }
+        // The shared arrangement, and the test's own handle on its trace.
+        let (mut edges, graph_probe, mut trace) = worker.dataflow(|builder| {
+            let (input, edges) = new_collection::<(u32, u32), isize>(builder);
+            let arranged = edges.arrange_by_key();
+            (input, arranged.probe(), arranged.trace)
         });
         for n in 0..50u32 {
             if n as usize % worker.peers() == worker.index() {
@@ -46,56 +41,47 @@ fn run_lifecycle(workers: usize) -> Vec<LifecycleObservations> {
         edges.advance_to(1);
         worker.step_while(|| graph_probe.less_than(&edges.time()));
 
-        // Install two queries against the published arrangement.
-        let counts = worker
-            .install_query("counts", &catalog, |builder, catalog| {
-                let imported = catalog
-                    .import::<ValBatch<u32, u32>>("edges", builder)
-                    .unwrap();
-                let counts = imported
-                    .reduce_core("Count", |_k, input, output: &mut Vec<(isize, isize)>| {
-                        output.push((input.iter().map(|(_, r)| *r).sum(), 1));
-                    })
-                    .as_collection(|k, c| (*k, *c));
-                (counts.probe(), counts.capture())
-            })
-            .unwrap();
-        let survivor = worker
-            .install_query("survivor", &catalog, |builder, catalog| {
-                let imported = catalog
-                    .import::<ValBatch<u32, u32>>("edges", builder)
-                    .unwrap();
-                let hits = imported
-                    .as_collection(|k, v| (*k, *v))
-                    .filter(|(_, v)| *v % 2 == 0);
-                (hits.probe(), hits.capture())
-            })
-            .unwrap();
-        assert_eq!(worker.installed(), vec!["graph", "counts", "survivor"]);
+        // Two queries importing the shared trace.
+        let (counts, counts_probe, counts_results) = worker.dataflow(|builder| {
+            let counts = trace
+                .import(builder)
+                .reduce_core("Count", |_k, input, output: &mut Vec<(isize, isize)>| {
+                    output.push((input.iter().map(|(_, r)| *r).sum(), 1));
+                })
+                .as_collection(|k, c| (*k, *c));
+            (builder.dataflow_index(), counts.probe(), counts.capture())
+        });
+        let (survivor_probe, survivor_results) = worker.dataflow(|builder| {
+            let hits = trace
+                .import(builder)
+                .as_collection(|k, v| (*k, *v))
+                .filter(|(_, v)| *v % 2 == 0);
+            (hits.probe(), hits.capture())
+        });
+        assert_eq!(worker.live_dataflow_count(), 3);
 
-        let (counts_probe, counts_results) = &counts.result;
-        let (survivor_probe, survivor_results) = &survivor.result;
         worker.step_while(|| {
             counts_probe.less_than(&edges.time()) || survivor_probe.less_than(&edges.time())
         });
         let counts_at_0 = accumulate(&counts_results.borrow(), 0);
         let survivor_at_0 = accumulate(&survivor_results.borrow(), 0);
-        let since_before = catalog.since("edges").unwrap();
+        let since_before = trace.since();
 
         // Retire the counts query. Its dataflow leaves the scheduler and every reader it
         // registered (import handle, join/reduce trace handles) is dropped.
-        assert!(worker.uninstall_query("counts", &catalog));
-        assert!(!worker.uninstall_query("counts", &catalog), "idempotent");
-        assert_eq!(worker.installed(), vec!["graph", "survivor"]);
+        assert!(worker.retire(counts));
+        assert!(!worker.retire(counts), "idempotent");
+        assert_eq!(worker.live_dataflow_count(), 2);
 
-        // Keep the computation moving: more input, later epochs, catalog hygiene.
+        // Keep the computation moving: more input, later epochs, and the test's own
+        // handle advanced past what it no longer reads.
         edges.insert((3, 100 + worker.index() as u32 * 2));
         edges.advance_to(3);
-        catalog.advance_all(Antichain::from_elem(Time::from_epoch(2)).borrow());
+        trace.set_logical_compaction(Antichain::from_elem(Time::from_epoch(2)).borrow());
         worker.step_while(|| survivor_probe.less_than(&edges.time()));
 
         let survivor_at_2 = accumulate(&survivor_results.borrow(), 2);
-        let since_after = catalog.since("edges").unwrap();
+        let since_after = trace.since();
         let counts_frozen = accumulate(&counts_results.borrow(), 2);
 
         LifecycleObservations {
@@ -180,25 +166,20 @@ fn uninstall_releases_readers_and_preserves_survivors() {
     }
 }
 
-/// Query churn end to end: many install/uninstall cycles against a published
-/// arrangement leave the worker holding only what is live (the graph dataflow, plus the
-/// one query of the cycle while it runs) and the progress registry likewise, leave the
-/// catalog's reader table at its pre-churn size, and return the reader count to its
+/// Query churn end to end: many construct/retire cycles of a dataflow importing a shared
+/// trace leave the worker holding only what is live (the graph dataflow, plus the one
+/// query of the cycle while it runs) and the progress registry likewise, leave the
+/// trace's reader table at its pre-churn size, and return the reader count to its
 /// baseline — on one worker and on two.
 #[test]
 fn query_churn_keeps_slots_and_reader_tables_bounded() {
     for workers in [1usize, 2] {
         let cycles = 50usize;
         let observations = execute(Config::new(workers), move |worker| {
-            let catalog = Catalog::new();
-            let (mut edges, graph_probe) = worker.install("graph", {
-                let catalog = catalog.clone();
-                move |builder| {
-                    let (input, edges) = new_collection::<(u32, u32), isize>(builder);
-                    let arranged = edges.arrange_by_key();
-                    catalog.publish_if_absent("edges", &arranged).unwrap();
-                    (input, arranged.probe())
-                }
+            let (mut edges, graph_probe, trace) = worker.dataflow(|builder| {
+                let (input, edges) = new_collection::<(u32, u32), isize>(builder);
+                let arranged = edges.arrange_by_key();
+                (input, arranged.probe(), arranged.trace)
             });
             for n in 0..20u32 {
                 if n as usize % worker.peers() == worker.index() {
@@ -208,29 +189,24 @@ fn query_churn_keeps_slots_and_reader_tables_bounded() {
             edges.advance_to(1);
             worker.step_while(|| graph_probe.less_than(&edges.time()));
 
-            let baseline_readers = catalog.reader_count("edges").unwrap();
+            let baseline_readers = trace.reader_count();
             let mut live_high = 0usize;
             let mut reader_slots_after_first = 0usize;
             let mut epoch = 1u64;
             for cycle in 0..cycles {
-                let name = format!("q{cycle}");
-                let query = worker
-                    .install_query(&name, &catalog, |builder, catalog| {
-                        let imported = catalog
-                            .import::<ValBatch<u32, u32>>("edges", builder)
-                            .unwrap();
-                        imported.as_collection(|k, v| (*k, *v)).probe()
-                    })
-                    .unwrap();
+                let (query, probe) = worker.dataflow(|builder| {
+                    let imported = trace.import(builder);
+                    let probe = imported.as_collection(|k, v| (*k, *v)).probe();
+                    (builder.dataflow_index(), probe)
+                });
                 epoch += 1;
                 edges.advance_to(epoch);
-                let probe = query.result.clone();
                 worker.step_while(|| probe.less_than(&edges.time()));
                 live_high = live_high.max(worker.live_dataflow_count());
                 if cycle == 0 {
-                    reader_slots_after_first = catalog.reader_slots("edges").unwrap();
+                    reader_slots_after_first = trace.reader_slot_capacity();
                 }
-                assert!(worker.uninstall_query(&name, &catalog));
+                assert!(worker.retire(query));
             }
 
             // The registry is computation-wide: a step is where every worker is known
@@ -238,8 +214,8 @@ fn query_churn_keeps_slots_and_reader_tables_bounded() {
             worker.step();
             let final_registered = worker.shared_dataflow_entries();
             let final_live = worker.live_dataflow_count();
-            let final_readers = catalog.reader_count("edges").unwrap();
-            let final_reader_slots = catalog.reader_slots("edges").unwrap();
+            let final_readers = trace.reader_count();
+            let final_reader_slots = trace.reader_slot_capacity();
             (
                 baseline_readers,
                 live_high,
@@ -275,18 +251,15 @@ fn query_churn_keeps_slots_and_reader_tables_bounded() {
     }
 }
 
-/// Reader-slot hygiene: churning many short-lived handles (clones and lookups) reuses
-/// slots instead of growing the reader table, and departed readers stop pinning
-/// compaction.
+/// Reader-slot hygiene: churning many short-lived handles reuses slots instead of
+/// growing the reader table, and departed readers stop pinning compaction.
 #[test]
 fn reader_slots_are_reused_after_drop() {
-    let catalog = Catalog::new();
     let trace = TraceAgent::<ValBatch<u32, u32>>::new(MergeEffort::Default);
-    catalog.publish_trace_if_absent("edges", &trace).unwrap();
+    let held = trace.clone();
     let baseline = trace.reader_slot_capacity();
     for _ in 0..1000 {
-        let looked = catalog.lookup::<ValBatch<u32, u32>>("edges").unwrap();
-        drop(looked);
+        drop(held.clone());
     }
     assert!(
         trace.reader_slot_capacity() <= baseline + 1,
@@ -294,10 +267,10 @@ fn reader_slots_are_reused_after_drop() {
         baseline,
         trace.reader_slot_capacity()
     );
-    assert_eq!(trace.reader_count(), 2, "trace handle + catalog entry");
+    assert_eq!(trace.reader_count(), 2, "the two handles held");
 }
 
-/// A read handle's frontier only advances. A join imports a catalog arrangement that
+/// A read handle's frontier only advances. A join imports a shared arrangement that
 /// has already compacted to epoch 3 and reports its *other* input's frontier — still
 /// the minimum time on its first activation — as what it needs: that must leave the
 /// handle (and so the spine) where it was, not ask for history back.
@@ -319,16 +292,14 @@ fn a_read_frontier_that_would_regress_is_ignored() {
 /// Merge work has two sources of fuel, the insert that owes it and the idle worker: a
 /// step that mints no batch spends none. Epoch sizes 1000, 400, 100 and 100 leave the
 /// last insert's 464 units (4 × 100 + 64) short of the 400 + 200 merge it cascades
-/// into, and no number of empty steps may finish it; the idle worker's fuel, through
-/// the catalog, does.
+/// into, and no number of empty steps may finish it; the idle worker's fuel, spent
+/// through a trace handle, does.
 #[test]
 fn a_step_spends_no_merge_fuel_an_insert_did_not_owe() {
     execute(Config::new(1), |worker| {
-        let catalog = Catalog::new();
         let (mut edges, probe, trace) = worker.dataflow(|builder| {
             let (input, edges) = new_collection::<(u32, u32), isize>(builder);
             let arranged = edges.arrange_by_key();
-            catalog.publish_if_absent("edges", &arranged).unwrap();
             (input, arranged.probe(), arranged.trace)
         });
         let mut next = 0u32;
@@ -352,7 +323,7 @@ fn a_step_spends_no_merge_fuel_an_insert_did_not_owe() {
             "steps with nothing to mint finished a merge no insert paid for"
         );
         let mut turns = 0;
-        while catalog.exert_all(&mut 384) {
+        while trace.exert(&mut 384) {
             turns += 1;
             assert!(turns <= 16, "idle turns did not drain the merges");
         }
@@ -370,15 +341,10 @@ fn a_step_spends_no_merge_fuel_an_insert_did_not_owe() {
 #[test]
 fn a_join_over_a_trace_imported_mid_merge_pairs_like_a_nested_loop() {
     execute(Config::new(1), |worker| {
-        let catalog = Catalog::new();
-        let (mut edges, graph_probe, trace) = worker.install("graph", {
-            let catalog = catalog.clone();
-            move |builder| {
-                let (input, edges) = new_collection::<(u32, u32), isize>(builder);
-                let arranged = edges.arrange_by_key();
-                catalog.publish_if_absent("edges", &arranged).unwrap();
-                (input, arranged.probe(), arranged.trace)
-            }
+        let (mut edges, graph_probe, trace) = worker.dataflow(|builder| {
+            let (input, edges) = new_collection::<(u32, u32), isize>(builder);
+            let arranged = edges.arrange_by_key();
+            (input, arranged.probe(), arranged.trace)
         });
         let mut all_edges = Vec::new();
         let insert_edges = |edges: &mut InputHandle<(u32, u32), isize>,
@@ -399,20 +365,15 @@ fn a_join_over_a_trace_imported_mid_merge_pairs_like_a_nested_loop() {
         }
         assert!(trace.exert(&mut 0), "no merge in progress at the import");
 
-        let query = worker
-            .install_query("pairs", &catalog, |builder, catalog| {
-                let imported = catalog
-                    .import::<ValBatch<u32, u32>>("edges", builder)
-                    .unwrap();
-                let (probes_in, probes) = new_collection::<(u32, u32), isize>(builder);
-                let probes = probes.arrange_by_key();
-                let self_joined = imported.join_core(&imported, |k, v1, v2| (*k, *v1, *v2));
-                let probed = imported.join_core(&probes, |k, v, w| (*k, *v, *w));
-                let probe = self_joined.concat(&probed).probe();
-                (probes_in, probe, self_joined.capture(), probed.capture())
-            })
-            .unwrap();
-        let (mut probes, probe, self_joined, probed) = query.result;
+        let (mut probes, probe, self_joined, probed) = worker.dataflow(|builder| {
+            let imported = trace.import(builder);
+            let (probes_in, probes) = new_collection::<(u32, u32), isize>(builder);
+            let probes = probes.arrange_by_key();
+            let self_joined = imported.join_core(&imported, |k, v1, v2| (*k, *v1, *v2));
+            let probed = imported.join_core(&probes, |k, v, w| (*k, *v, *w));
+            let probe = self_joined.concat(&probed).probe();
+            (probes_in, probe, self_joined.capture(), probed.capture())
+        });
         let mut all_probes = Vec::new();
         let mut epoch = 4u64;
         let check = |epoch: u64, all_edges: &[(u32, u32)], all_probes: &[(u32, u32)]| {
@@ -450,7 +411,7 @@ fn a_join_over_a_trace_imported_mid_merge_pairs_like_a_nested_loop() {
             worker.step_while(|| probe.less_than(&edges.time()));
             check(epoch - 1, &all_edges, &all_probes);
             // Finish whatever the inserts left merging, under the join's holds.
-            while catalog.exert_all(&mut 384) {}
+            while trace.exert(&mut 384) {}
         }
     });
 }

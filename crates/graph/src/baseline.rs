@@ -3,9 +3,11 @@
 //! The paper compares K-Pg against simple single-threaded implementations that are not
 //! required to follow the same algorithms: array-indexed BFS, the same BFS with hash maps
 //! (as one would need without pre-processed dense identifiers), and union-find for
-//! undirected connectivity.
+//! undirected connectivity. Beside them sit the scalar references for §6.2's interactive
+//! classes ([`lookup`], [`two_hop`], [`four_path`]), evaluated from scratch over the
+//! edges and arguments live at one epoch.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 use crate::Edge;
 
@@ -108,6 +110,60 @@ pub fn union_find_components(edges: &[Edge]) -> HashMap<u32, u32> {
             (n, root)
         })
         .collect()
+}
+
+/// Out-neighbours by node, one entry per edge copy.
+fn out_neighbours(edges: &[Edge]) -> BTreeMap<u32, Vec<u32>> {
+    let mut adjacency: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for &(src, dst) in edges {
+        adjacency.entry(src).or_default().push(dst);
+    }
+    adjacency
+}
+
+/// Point look-up: `(q, dst)` for every argument `q` and edge `(q, dst)`, counted once per
+/// copy of the argument and once per copy of the edge.
+pub fn lookup(edges: &[Edge], args: &[u32]) -> BTreeMap<(u32, u32), isize> {
+    let adjacency = out_neighbours(edges);
+    let mut answer = BTreeMap::new();
+    for &q in args {
+        for &dst in adjacency.get(&q).into_iter().flatten() {
+            *answer.entry((q, dst)).or_insert(0) += 1;
+        }
+    }
+    answer
+}
+
+/// 2-hop: the set of `(q, dst)` for every argument `q` and path `q -> mid -> dst`.
+pub fn two_hop(edges: &[Edge], args: &[u32]) -> BTreeSet<(u32, u32)> {
+    let adjacency = out_neighbours(edges);
+    let next = |node: &u32| adjacency.get(node).into_iter().flatten();
+    let mut answer = BTreeSet::new();
+    for q in args {
+        for mid in next(q) {
+            answer.extend(next(mid).map(|&dst| (*q, dst)));
+        }
+    }
+    answer
+}
+
+/// 4-hop path: for every argument pair `(src, dst)` that some walk of one to four edges
+/// leads along, the least such number of edges.
+pub fn four_path(edges: &[Edge], pairs: &[(u32, u32)]) -> BTreeMap<(u32, u32), u32> {
+    let adjacency = out_neighbours(edges);
+    let mut answer = BTreeMap::new();
+    for &(src, dst) in pairs {
+        let mut frontier = BTreeSet::from([src]);
+        for hops in 1..=4 {
+            let reached = frontier.iter().filter_map(|node| adjacency.get(node));
+            frontier = reached.flatten().copied().collect();
+            if frontier.contains(&dst) {
+                answer.insert((src, dst), hops);
+                break;
+            }
+        }
+    }
+    answer
 }
 
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //!   transitive closure and same-generation bottom-up and top-down, null propagation and
 //!   points-to. The only statement of those queries in the library.
 //! * [`baseline`] — the paper's "purpose-written single-threaded code" comparators
-//!   (array- and hash-map-based BFS, union-find connectivity), which double as the
-//!   plans' oracles.
+//!   (array- and hash-map-based BFS, union-find connectivity) and scalar evaluators of
+//!   the interactive classes, which double as the plans' oracles.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -5,8 +5,9 @@
 //!
 //! * §6.2's interactive classes (Figure 5, Table 10): [`lookup_plan`], [`two_hop_plan`],
 //!   [`four_path_plan`]. `tests/plan_equivalence.rs` proves them equal at every epoch to
-//!   the closure-built twin in `tests/closure_oracle/`; what installing, answering and
-//!   retiring them costs is the benchmark's `query_churn` workload and `plan.*` probes.
+//!   the scalar references in [`baseline`](crate::baseline); what installing, answering
+//!   and retiring them costs is the benchmark's `query_churn` workload and `plan.*`
+//!   probes.
 //! * Appendix C's batch computations (Tables 7–9): [`reach_plan`], [`bfs_plan`],
 //!   [`components_plan`].
 //! * §6.3's Datalog (Tables 2 and 11): [`tc_plan`], [`sg_plan`], and the top-down

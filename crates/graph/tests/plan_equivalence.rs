@@ -1,30 +1,19 @@
-//! Plan/closure equivalence: the plan-IR formulations of the §6.2 query classes must
-//! give the *same answer at every epoch* as the closure-built `InteractiveSession`
-//! versions (`closure_oracle/`, which lives only under `tests/`).
+//! Plan/scalar equivalence: the plan-IR formulations of the §6.2 query classes must give
+//! the *same answer at every epoch* as `kpg_graph::baseline`'s scalar references, which
+//! evaluate each class from scratch over the edges and arguments live at that epoch and
+//! share no code with the dataflow engine.
 //!
-//! Both formulations are driven with an identical seeded workload (same initial graph,
-//! same per-epoch argument and edge churn, same epochs). The closure side is the
-//! reference: it captures its `(answer, time, diff)` output stream, and its answer at
-//! epoch `e` is that stream accumulated over every time before `e`. The plan side has
-//! no such stream — a query's answer is an arrangement — so after each epoch's `settle`
-//! it reads `Manager::query`. The two are compared at every epoch, on 1 and 2 workers
-//! (per-worker answers unioned first) and for both base keyings.
-//!
-//! These queries live at the streaming scope, where update times *are* epochs, so
-//! "equal answers at every epoch" is the same statement as "equal consolidated update
-//! streams" (each is the other's prefix sums / successive differences). Batching
-//! granularity within an epoch is an implementation detail on either side.
+//! The plans are driven with a seeded workload (an initial graph, then per-epoch
+//! argument and edge churn). After each epoch's `settle` the plan side reads
+//! `Manager::query`; the reference side replays the same churn on plain vectors. The
+//! two are compared at every epoch, on 1 and 2 workers (per-worker answers unioned
+//! first) and for both base keyings.
 
-mod closure_oracle;
-
-use closure_oracle::InteractiveSession;
 use kpg_core::prelude::*;
-use kpg_dataflow::Time;
-use kpg_graph::generate;
 use kpg_graph::plans::{
     edge_row, four_path_plan, lookup_plan, node_row, pair_row, row_u32, two_hop_plan,
 };
-use kpg_graph::Edge;
+use kpg_graph::{baseline, generate, Edge};
 use kpg_plan::{Command, Manager, Row};
 use kpg_timestamp::rng::SmallRng;
 
@@ -33,7 +22,7 @@ const INITIAL_EDGES: usize = 150;
 const EPOCHS: u64 = 6;
 const SEED: u64 = 11;
 
-/// One epoch's interactive activity, identical for both formulations.
+/// One epoch's interactive activity.
 struct Step {
     node_args: Vec<u32>,
     pair_args: Vec<(u32, u32)>,
@@ -87,22 +76,6 @@ type Answers<D> = Vec<Vec<(D, isize)>>;
 type Pair = (u32, u32);
 type Triple = (u32, u32, u32);
 
-/// The reference side: per-worker captured update streams, accumulated through each
-/// epoch.
-fn accumulated<D: Ord + Clone>(streams: &[Vec<(D, Time, isize)>]) -> Answers<D> {
-    (1..=EPOCHS)
-        .map(|epoch| {
-            consolidated(
-                streams
-                    .iter()
-                    .flatten()
-                    .filter(|(_, time, _)| time.epoch() < epoch)
-                    .map(|(data, _, diff)| (data.clone(), *diff)),
-            )
-        })
-        .collect()
-}
-
 /// The plan side: per-worker, per-epoch `Manager::query` answers, unioned across
 /// workers.
 fn unioned<D: Ord>(per_worker: Vec<Answers<D>>) -> Answers<D> {
@@ -115,85 +88,30 @@ fn unioned<D: Ord>(per_worker: Vec<Answers<D>>) -> Answers<D> {
     epochs.into_iter().map(consolidated).collect()
 }
 
-/// The closure formulation: `InteractiveSession` with the three query classes installed
-/// up front, driven through the shared workload.
-fn run_closures(workers: usize) -> (Answers<Pair>, Answers<Pair>, Answers<Triple>) {
-    let per_worker = execute(Config::new(workers), move |worker| {
-        let peers = worker.peers();
-        let index = worker.index();
-        let (initial, steps) = workload();
-
-        let catalog = Catalog::new();
-        let mut session = InteractiveSession::install(worker, &catalog, "edges");
-        let mut lookup = session.install_lookup(worker, "lookup").unwrap();
-        let mut two_hop = session.install_two_hop(worker, "two-hop").unwrap();
-        let mut four_path = session.install_four_path(worker, "four-path").unwrap();
-
-        for (i, edge) in initial.into_iter().enumerate() {
-            if i % peers == index {
-                session.edges.insert(edge);
-            }
+/// The scalar references: the step's churn applied to plain vectors, and each class
+/// evaluated from scratch at every epoch.
+fn expected() -> (Answers<Pair>, Answers<Pair>, Answers<Triple>) {
+    let (mut edges, steps) = workload();
+    let (mut node_args, mut pair_args) = (Vec::new(), Vec::new());
+    let (mut lookups, mut two_hops, mut fours) = (Vec::new(), Vec::new(), Vec::new());
+    for step in steps {
+        node_args.extend(step.node_args);
+        pair_args.extend(step.pair_args);
+        for removal in step.removals {
+            let position = edges.iter().position(|edge| *edge == removal);
+            edges.swap_remove(position.expect("a removal takes back a live edge"));
         }
-        let mut epoch = 0u64;
-        for step in steps {
-            for (i, &arg) in step.node_args.iter().enumerate() {
-                if i % peers == index {
-                    lookup.result.input.insert(arg);
-                    two_hop.result.input.insert(arg);
-                }
-            }
-            for (i, &pair) in step.pair_args.iter().enumerate() {
-                if i % peers == index {
-                    four_path.result.input.insert(pair);
-                }
-            }
-            for (i, &edge) in step.additions.iter().enumerate() {
-                if i % peers == index {
-                    session.edges.insert(edge);
-                }
-            }
-            for (i, &edge) in step.removals.iter().enumerate() {
-                if i % peers == index {
-                    session.edges.remove(edge);
-                }
-            }
-            epoch += 1;
-            session.edges.advance_to(epoch);
-            lookup.result.input.advance_to(epoch);
-            two_hop.result.input.advance_to(epoch);
-            four_path.result.input.advance_to(epoch);
-            let target = Time::from_epoch(epoch);
-            let probes = [
-                lookup.result.probe.clone(),
-                two_hop.result.probe.clone(),
-                four_path.result.probe.clone(),
-            ];
-            worker.step_while(|| probes.iter().any(|probe| probe.less_than(&target)));
-        }
-        let four: Vec<(Triple, Time, isize)> = four_path
-            .result
-            .results
-            .borrow()
-            .iter()
-            .map(|&(((src, dst), hops), time, diff)| ((src, dst, hops), time, diff))
-            .collect();
-        let lookup_updates = lookup.result.results.borrow().clone();
-        let two_hop_updates = two_hop.result.results.borrow().clone();
-        (lookup_updates, two_hop_updates, four)
-    });
-    let mut lookups = Vec::new();
-    let mut two_hops = Vec::new();
-    let mut fours = Vec::new();
-    for (lookup, two_hop, four) in per_worker {
-        lookups.push(lookup);
-        two_hops.push(two_hop);
-        fours.push(four);
+        edges.extend(step.additions);
+        lookups.push(baseline::lookup(&edges, &node_args).into_iter().collect());
+        let two_hop = baseline::two_hop(&edges, &node_args).into_iter();
+        two_hops.push(two_hop.map(|pair| (pair, 1)).collect());
+        let four = baseline::four_path(&edges, &pair_args).into_iter();
+        fours.push(
+            four.map(|((src, dst), hops)| ((src, dst, hops), 1))
+                .collect(),
+        );
     }
-    (
-        accumulated(&lookups),
-        accumulated(&two_hops),
-        accumulated(&fours),
-    )
+    (lookups, two_hops, fours)
 }
 
 /// The plan formulation: the same workload executed as a `Manager` command stream.
@@ -302,34 +220,34 @@ fn run_plans(
 }
 
 fn assert_equivalent(workers: usize) {
-    let (closure_lookup, closure_two_hop, closure_four) = run_closures(workers);
+    let (lookup, two_hop, four) = expected();
     assert!(
-        closure_two_hop.iter().all(|answer| !answer.is_empty()),
+        two_hop.iter().all(|answer| !answer.is_empty()),
         "the workload must exercise the queries at every epoch"
     );
     for key_arity in [None, Some(1)] {
         let (plan_lookup, plan_two_hop, plan_four) = run_plans(workers, key_arity);
         assert_eq!(
-            closure_lookup, plan_lookup,
+            lookup, plan_lookup,
             "lookup answers diverge on {workers} workers (key_arity {key_arity:?})"
         );
         assert_eq!(
-            closure_two_hop, plan_two_hop,
+            two_hop, plan_two_hop,
             "2-hop answers diverge on {workers} workers (key_arity {key_arity:?})"
         );
         assert_eq!(
-            closure_four, plan_four,
+            four, plan_four,
             "4-hop path answers diverge on {workers} workers (key_arity {key_arity:?})"
         );
     }
 }
 
 #[test]
-fn plan_and_closure_two_hop_agree_on_one_worker() {
+fn plans_answer_as_the_scalar_references_on_one_worker() {
     assert_equivalent(1);
 }
 
 #[test]
-fn plan_and_closure_two_hop_agree_on_two_workers() {
+fn plans_answer_as_the_scalar_references_on_two_workers() {
     assert_equivalent(2);
 }

@@ -1428,6 +1428,52 @@ fn idle_turns_change_no_answer_and_no_arrangement_size() {
     }
 }
 
+/// Idle turns fuel the registry in key order, whatever order its entries were built
+/// in: with a merge in progress in each of eight bases, the turns that finish the
+/// first base's merge leave the same merges in progress for either creation order,
+/// the later keys' among them.
+#[test]
+fn idle_turns_fuel_the_registry_in_key_order() {
+    let merging_once_the_first_is_done = |order: Vec<String>| {
+        let per_worker = execute(Config::new(1), move |worker| {
+            let mut manager = Manager::new();
+            for name in &order {
+                manager.create_input_keyed(worker, name, Some(1)).unwrap();
+            }
+            // As in `sharing_lifecycle`: the last epoch leaves a merge in progress.
+            let mut next = 0;
+            for (epoch, size) in [(1, 1000), (2, 400), (3, 100), (4, 100)] {
+                for name in &order {
+                    for _ in 0..size {
+                        update(&mut manager, worker, name, &[next, next]);
+                        next += 1;
+                    }
+                }
+                manager.advance_to(epoch).unwrap();
+                manager.settle(worker);
+            }
+            let merging = |manager: &Manager| -> Vec<bool> {
+                let traces = manager.arrangements().map(|(_, trace)| match trace {
+                    Trace::Rows(agent) => agent.exert(&mut 0),
+                    Trace::SelfRow(agent) => agent.exert(&mut 0),
+                });
+                traces.collect()
+            };
+            assert!(merging(&manager).iter().all(|&merging| merging));
+            while merging(&manager)[0] {
+                manager.idle_turn();
+            }
+            merging(&manager)
+        });
+        per_worker.into_iter().next().unwrap()
+    };
+    let names: Vec<String> = (0..8).map(|index| format!("in-{index}")).collect();
+    let forward = merging_once_the_first_is_done(names.clone());
+    let backward = merging_once_the_first_is_done(names.into_iter().rev().collect());
+    assert_eq!(forward, backward);
+    assert!(forward[7], "{forward:?}");
+}
+
 /// Failure atomicity, one table over the refusals an `Install` can meet: a live
 /// query's name, a local that is a live input, and a source no input defines. Each is
 /// met before anything is built — here by an install that would need two memos beyond

@@ -3,16 +3,24 @@
 //! evaluator computes from scratch — whether the queries share one manager's registry
 //! (on one worker and on two) or each runs in a manager of its own.
 //!
-//! Plans are well-typed trees over three sources of fixed arity: `Map`, `Filter`,
+//! Plans are well-typed trees over three shared sources of fixed arity: `Map`, `Filter`,
 //! `Join` (self-joins among them), every `ReduceKind`, `Distinct`, `Concat` and
 //! `Negate`, with sub-plans drawn again from a per-case pool so that queries share
 //! memos. A query installed late imports traces that have compacted; an uninstalled one
 //! may leave memos its survivors still read. Odd seeds name the queries `plan-memo-N`,
-//! names that must block no dataflow the manager builds. The case count is `CASES`,
+//! names that must block no dataflow the manager builds.
+//!
+//! Two queries in three also read one or two query-local inputs, which the stream
+//! updates between epochs like the shared ones. The evaluator scopes a local to its
+//! query: it starts empty at the install and its rows go with the uninstall, after which
+//! an update to it is refused (`unknown-input`) and a later query may take the name
+//! afresh. An install naming a local that is a live input — another live query's local,
+//! or a shared source — is refused (`duplicate-input`) and must leave no state: the next
+//! install of the same query under the same name succeeds. The case count is `CASES`,
 //! overridable with `KPG_MODEL_CASES`; a failure prints its seed.
 
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use kpg_plan::{replay, Command, Expr, Plan, ReduceKind, Response, Row, Value};
 use kpg_timestamp::rng::SmallRng;
@@ -24,10 +32,16 @@ const CASES: u64 = 48;
 const SOURCES: [(&str, usize, Option<usize>); 3] =
     [("a", 2, Some(1)), ("b", 2, None), ("c", 3, Some(1))];
 
+/// The query-local inputs a query may read: name and row arity. Queries draw from one
+/// set of names, so a name outlives its first owner and two live queries may want it.
+const LOCALS: [(&str, usize); 3] = [("u", 1), ("v", 2), ("w", 1)];
+
 /// Column values are drawn below this, so joins and groups find partners.
 const VALUES: u64 = 4;
 
 const EPOCHS: u64 = 8;
+
+const QUERIES: usize = 4;
 
 fn cases() -> u64 {
     std::env::var("KPG_MODEL_CASES")
@@ -157,6 +171,8 @@ fn evaluate(plan: &Plan, inputs: &BTreeMap<String, Bag>) -> Bag {
 struct Generator {
     rng: SmallRng,
     pool: Vec<(Plan, usize)>,
+    /// The locals the query being drawn may read.
+    locals: Vec<(&'static str, usize)>,
 }
 
 impl Generator {
@@ -175,6 +191,30 @@ impl Generator {
         columns
     }
 
+    /// A query: a plan over the shared sources and the locals it names, each of which
+    /// it reads.
+    fn query(&mut self) -> (Plan, Vec<String>) {
+        // A pooled sub-plan that reads a local belongs to the query it was drawn for.
+        let local_names = LOCALS.iter().map(|(name, _)| name.to_string()).collect();
+        self.pool
+            .retain(|(plan, _)| !plan.mentions_source(&local_names));
+        let count = self.below(3);
+        let picks = self.columns(count, LOCALS.len());
+        self.locals = picks.into_iter().map(|index| LOCALS[index]).collect();
+        let (mut plan, arity) = self.plan(3);
+        let mut read = BTreeSet::new();
+        plan.sources(&mut read);
+        for (name, local_arity) in std::mem::take(&mut self.locals) {
+            if !read.contains(name) {
+                let padded = (0..arity).map(|i| Expr::col(i % local_arity)).collect();
+                plan = plan.concat(Plan::source(name).map(padded));
+            }
+            read.insert(name.to_string());
+        }
+        let locals = read.into_iter().filter(|name| local_names.contains(name));
+        (plan, locals.collect())
+    }
+
     /// A plan and the arity of its rows.
     fn plan(&mut self, depth: usize) -> (Plan, usize) {
         if !self.pool.is_empty() && self.below(4) == 0 {
@@ -182,6 +222,11 @@ impl Generator {
             return self.pool[index].clone();
         }
         if depth == 0 || self.below(6) == 0 {
+            if !self.locals.is_empty() && self.below(3) == 0 {
+                let pick = self.below(self.locals.len());
+                let (name, arity) = self.locals[pick];
+                return (Plan::source(name), arity);
+            }
             let (name, arity, _) = SOURCES[self.below(SOURCES.len())];
             return (Plan::source(name), arity);
         }
@@ -266,24 +311,57 @@ impl Generator {
     }
 }
 
-/// One case: a command stream and, per command, the answer the naive evaluator expects
-/// of it if it is a `Query`.
-struct Case {
-    stream: Vec<Command>,
-    expected: Vec<Option<Vec<(Row, isize)>>>,
+/// Which replays a step belongs to.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Scope {
+    /// Every replay: the shared inputs and time.
+    All,
+    /// The replays holding query `i`: its lifecycle, its queries, its locals' updates.
+    Query(usize),
+    /// Only the replays holding every query: refusals that other queries cause.
+    Together,
 }
 
-fn case(seed: u64) -> Case {
+/// What a step must answer.
+#[derive(Clone, Debug)]
+enum Expected {
+    /// Any success but rows; an uninstall finds its query.
+    Done,
+    Rows(Vec<(Row, isize)>),
+    /// A refusal, by its wire code.
+    Refused(&'static str),
+}
+
+struct Step {
+    command: Command,
+    scope: Scope,
+    expected: Expected,
+}
+
+/// What happens at one point of an epoch, resolved in stream order.
+enum Event {
+    Update,
+    Install(usize),
+    Uninstall(usize),
+    Query(usize),
+}
+
+/// One case: the steps of its command stream.
+fn case(seed: u64) -> Vec<Step> {
     let mut generator = Generator {
         rng: SmallRng::seed_from_u64(seed),
         pool: Vec::new(),
+        locals: Vec::new(),
     };
     let name = |index: usize| match seed % 2 {
         0 => format!("q{index}"),
         _ => format!("plan-memo-{}", index + 1),
     };
-    let queries: Vec<(String, Plan)> = (0..4)
-        .map(|index| (name(index), generator.plan(3).0))
+    let queries: Vec<(String, Plan, Vec<String>)> = (0..QUERIES)
+        .map(|index| {
+            let (plan, locals) = generator.query();
+            (name(index), plan, locals)
+        })
         .collect();
     let rng = &mut generator.rng;
     // Per query, the epochs it is installed and (maybe) uninstalled at.
@@ -296,142 +374,255 @@ fn case(seed: u64) -> Case {
         })
         .collect();
 
-    let mut stream: Vec<Command> = SOURCES
+    let mut steps: Vec<Step> = SOURCES
         .iter()
-        .map(|&(name, _, key_arity)| Command::CreateInput {
-            name: name.into(),
-            key_arity,
+        .map(|&(name, _, key_arity)| Step {
+            command: Command::CreateInput {
+                name: name.into(),
+                key_arity,
+            },
+            scope: Scope::All,
+            expected: Expected::Done,
         })
         .collect();
+    // Every live input's rows, now and as the last `AdvanceTime` sealed them; a
+    // query-local one from its query's install to its uninstall.
     let mut current: BTreeMap<String, Bag> = SOURCES
         .iter()
         .map(|&(name, ..)| (name.to_string(), Bag::new()))
         .collect();
     let mut sealed = current.clone();
-    let mut expected = vec![None; stream.len()];
-    let mut live: Vec<bool> = vec![false; queries.len()];
+    // The query holding each live local, and the locals whose query has gone.
+    let mut owners: BTreeMap<String, usize> = BTreeMap::new();
+    let mut departed: BTreeSet<String> = BTreeSet::new();
+    let mut live = vec![false; queries.len()];
     for epoch in 0..EPOCHS {
-        let mut commands = Vec::new();
-        for _ in 0..rng.gen_range(6..16) {
-            let (name, arity, _) = SOURCES[rng.gen_range(0..SOURCES.len())];
-            let rows: Vec<&Row> = current[name].keys().collect();
-            // Mostly insertions; a retraction takes back a present row.
-            let (row, diff) = if !rows.is_empty() && rng.gen_range(0..3) == 0 {
-                (rows[rng.gen_range(0..rows.len())].clone(), -1)
-            } else {
-                let row = (0..arity).map(|_| Value::UInt(rng.gen_range(0..VALUES)));
-                (row.collect::<Row>(), 1)
-            };
-            add(current.get_mut(name).unwrap(), row.clone(), diff);
-            commands.push(Command::Update {
-                name: name.into(),
-                row,
-                diff,
-            });
-        }
-        for (index, (name, plan)) in queries.iter().enumerate() {
-            let (installed, retired) = lifetimes[index];
-            let at = rng.gen_range(0..=commands.len());
+        let mut events: Vec<Event> = (0..rng.gen_range(6..16)).map(|_| Event::Update).collect();
+        for (index, &(installed, retired)) in lifetimes.iter().enumerate() {
+            let at = rng.gen_range(0..=events.len());
             if installed == epoch {
-                let install = Command::Install {
-                    name: name.clone(),
-                    plan: plan.clone(),
-                    locals: vec![],
-                };
-                commands.insert(at, install);
+                events.insert(at, Event::Install(index));
             } else if retired == Some(epoch) {
-                let name = name.clone();
-                commands.insert(at, Command::Uninstall { name });
-            } else if live[index] {
+                events.insert(at, Event::Uninstall(index));
+            } else {
                 // A query mid-epoch reads what the last `AdvanceTime` sealed.
-                let name = name.clone();
-                commands.insert(at, Command::Query { name });
+                events.insert(at, Event::Query(index));
             }
         }
-        for command in commands {
-            if let Command::Install { name, .. } | Command::Uninstall { name } = &command {
-                let index = queries.iter().position(|(query, _)| query == name).unwrap();
-                live[index] = matches!(command, Command::Install { .. });
-            }
-            let answer = match &command {
-                Command::Query { name } => {
-                    let (_, plan) = queries.iter().find(|(query, _)| query == name).unwrap();
-                    Some(evaluate(plan, &sealed).into_iter().collect())
+        for event in events {
+            match event {
+                Event::Update => {
+                    let local = (!owners.is_empty() && rng.gen_range(0..3) == 0)
+                        .then(|| owners.keys().nth(rng.gen_range(0..owners.len())).unwrap());
+                    let (name, scope) = match local {
+                        Some(local) => (local.clone(), Scope::Query(owners[local])),
+                        None if !departed.is_empty() && rng.gen_range(0..8) == 0 => {
+                            let gone = departed.iter().nth(rng.gen_range(0..departed.len()));
+                            let name = gone.unwrap().clone();
+                            let row = Row::from(vec![Value::UInt(0); arity_of(&name)]);
+                            steps.push(Step {
+                                command: Command::Update { name, row, diff: 1 },
+                                scope: Scope::Together,
+                                expected: Expected::Refused("unknown-input"),
+                            });
+                            continue;
+                        }
+                        None => {
+                            let (name, ..) = SOURCES[rng.gen_range(0..SOURCES.len())];
+                            (name.to_string(), Scope::All)
+                        }
+                    };
+                    let rows: Vec<&Row> = current[&name].keys().collect();
+                    // Mostly insertions; a retraction takes back a present row.
+                    let (row, diff) = if !rows.is_empty() && rng.gen_range(0..3) == 0 {
+                        (rows[rng.gen_range(0..rows.len())].clone(), -1)
+                    } else {
+                        let row =
+                            (0..arity_of(&name)).map(|_| Value::UInt(rng.gen_range(0..VALUES)));
+                        (row.collect::<Row>(), 1)
+                    };
+                    add(current.get_mut(&name).unwrap(), row.clone(), diff);
+                    steps.push(Step {
+                        command: Command::Update { name, row, diff },
+                        scope,
+                        expected: Expected::Done,
+                    });
                 }
-                _ => None,
-            };
-            stream.push(command);
-            expected.push(answer);
+                Event::Install(index) => {
+                    let (name, plan, locals) = &queries[index];
+                    let install = |locals: Vec<String>| Command::Install {
+                        name: name.clone(),
+                        plan: plan.clone(),
+                        locals,
+                    };
+                    let refused = |command| Step {
+                        command,
+                        scope: Scope::Together,
+                        expected: Expected::Refused("duplicate-input"),
+                    };
+                    // A query refused here is never retried.
+                    if locals.iter().any(|local| owners.contains_key(local)) {
+                        steps.push(refused(install(locals.clone())));
+                        continue;
+                    }
+                    // Now and then the install first names a shared source as a local too.
+                    if rng.gen_range(0..4) == 0 {
+                        let mut colliding = locals.clone();
+                        colliding.push(SOURCES[rng.gen_range(0..SOURCES.len())].0.into());
+                        steps.push(refused(install(colliding)));
+                    }
+                    for local in locals {
+                        departed.remove(local);
+                        owners.insert(local.clone(), index);
+                        current.insert(local.clone(), Bag::new());
+                        sealed.insert(local.clone(), Bag::new());
+                    }
+                    steps.push(Step {
+                        command: install(locals.clone()),
+                        scope: Scope::Query(index),
+                        expected: Expected::Done,
+                    });
+                    live[index] = true;
+                }
+                Event::Uninstall(index) if live[index] => {
+                    for local in &queries[index].2 {
+                        owners.remove(local);
+                        current.remove(local);
+                        sealed.remove(local);
+                        departed.insert(local.clone());
+                    }
+                    steps.push(Step {
+                        command: Command::Uninstall {
+                            name: queries[index].0.clone(),
+                        },
+                        scope: Scope::Query(index),
+                        expected: Expected::Done,
+                    });
+                    live[index] = false;
+                }
+                Event::Query(index) if live[index] => {
+                    let (name, plan, _) = &queries[index];
+                    steps.push(Step {
+                        command: Command::Query { name: name.clone() },
+                        scope: Scope::Query(index),
+                        expected: Expected::Rows(evaluate(plan, &sealed).into_iter().collect()),
+                    });
+                }
+                Event::Uninstall(_) | Event::Query(_) => {}
+            }
         }
-        stream.push(Command::AdvanceTime { epoch: epoch + 1 });
-        expected.push(None);
+        steps.push(Step {
+            command: Command::AdvanceTime { epoch: epoch + 1 },
+            scope: Scope::All,
+            expected: Expected::Done,
+        });
         sealed = current.clone();
-        for (index, (name, plan)) in queries.iter().enumerate() {
+        for (index, (name, plan, _)) in queries.iter().enumerate() {
             if live[index] {
-                stream.push(Command::Query { name: name.clone() });
-                expected.push(Some(evaluate(plan, &sealed).into_iter().collect()));
+                steps.push(Step {
+                    command: Command::Query { name: name.clone() },
+                    scope: Scope::Query(index),
+                    expected: Expected::Rows(evaluate(plan, &sealed).into_iter().collect()),
+                });
             }
         }
     }
-    Case { stream, expected }
+    steps
 }
 
-/// Replays `stream` on `workers` workers and checks every command's outcome against
-/// `expected`.
-fn check(workers: usize, label: &str, stream: &[Command], expected: &[Option<Vec<(Row, isize)>>]) {
-    let outcomes = replay(workers, stream.to_vec()).outcomes;
-    for ((command, (outcome, _)), expected) in stream.iter().zip(outcomes).zip(expected) {
-        let outcome = outcome.unwrap_or_else(|error| panic!("{label}: {command:?}: {error}"));
-        match (outcome, expected) {
-            (Response::Rows(rows), Some(expected)) => {
+/// The row arity of a shared source or a local.
+fn arity_of(name: &str) -> usize {
+    let shared = SOURCES.iter().map(|&(source, arity, _)| (source, arity));
+    let mut inputs = shared.chain(LOCALS);
+    inputs.find(|(input, _)| *input == name).unwrap().1
+}
+
+/// Replays `steps` on `workers` workers and checks every command's outcome.
+fn check(workers: usize, label: &str, steps: &[&Step]) {
+    let stream = steps.iter().map(|step| step.command.clone()).collect();
+    let outcomes = replay(workers, stream).outcomes;
+    for (step, (outcome, _)) in steps.iter().zip(outcomes) {
+        let command = &step.command;
+        match (outcome, &step.expected) {
+            (Ok(Response::Rows(rows)), Expected::Rows(expected)) => {
                 assert_eq!(&rows, expected, "{label}: {command:?}");
             }
-            (Response::Installed { .. }, None) => {}
-            (Response::Uninstalled { existed }, None) => assert!(existed, "{label}"),
-            (Response::Done, None) => {}
-            (outcome, _) => panic!("{label}: {command:?} answered {outcome:?}"),
+            (Ok(Response::Installed { .. } | Response::Done), Expected::Done) => {}
+            (Ok(Response::Uninstalled { existed }), Expected::Done) => {
+                assert!(existed, "{label}: {command:?}");
+            }
+            (Err(error), Expected::Refused(code)) => {
+                assert_eq!(error.code(), *code, "{label}: {command:?}: {error}");
+            }
+            (outcome, expected) => {
+                panic!("{label}: {command:?} answered {outcome:?}, not {expected:?}")
+            }
         }
     }
 }
 
 /// Replays one case shared at one worker and at two, and each of its queries alone.
-fn run(seed: u64) {
-    let Case { stream, expected } = case(seed);
-    assert!(
-        expected.iter().flatten().count() > 0,
-        "the case queries nothing"
-    );
-    check(1, "1 worker", &stream, &expected);
-    check(2, "2 workers", &stream, &expected);
-    // Each query alone in a manager of its own: the inputs' history, and only its own
-    // install, queries and uninstall.
-    let names = stream.iter().filter_map(|command| match command {
-        Command::Install { name, .. } => Some(name.clone()),
-        _ => None,
-    });
-    for name in names.collect::<Vec<_>>() {
-        let (alone, expected): (Vec<Command>, Vec<_>) = stream
+fn run(seed: u64) -> Vec<Step> {
+    let steps = case(seed);
+    let queries = steps
+        .iter()
+        .filter(|step| matches!(step.expected, Expected::Rows(_)));
+    assert!(queries.count() > 0, "the case queries nothing");
+    let together: Vec<&Step> = steps.iter().collect();
+    check(1, "1 worker", &together);
+    check(2, "2 workers", &together);
+    // Each query alone in a manager of its own: the shared inputs' history, and only
+    // its own install, locals, queries and uninstall.
+    for index in 0..QUERIES {
+        let alone = steps
             .iter()
-            .zip(&expected)
-            .filter(|(command, _)| match command {
-                Command::Install { name: query, .. }
-                | Command::Uninstall { name: query }
-                | Command::Query { name: query } => *query == name,
-                _ => true,
-            })
-            .map(|(command, expected)| (command.clone(), expected.clone()))
-            .unzip();
-        check(1, &format!("{name} alone"), &alone, &expected);
+            .filter(|step| [Scope::All, Scope::Query(index)].contains(&step.scope));
+        let alone: Vec<&Step> = alone.collect();
+        if alone.iter().any(|step| step.scope == Scope::Query(index)) {
+            check(1, &format!("query {index} alone"), &alone);
+        }
     }
+    steps
+}
+
+/// How often `steps` took each path through a local: an install naming one, an
+/// install taking a name an earlier query held, a refused install, and an update
+/// refused because its query had gone.
+fn local_paths(steps: &[Step]) -> [usize; 4] {
+    let mut paths = [0; 4];
+    let mut taken = BTreeSet::new();
+    for step in steps {
+        match (&step.command, &step.expected) {
+            (Command::Install { locals, .. }, Expected::Done) => {
+                paths[0] += usize::from(!locals.is_empty());
+                paths[1] += locals.iter().filter(|local| !taken.insert(*local)).count();
+            }
+            (_, Expected::Refused("duplicate-input")) => paths[2] += 1,
+            (_, Expected::Refused("unknown-input")) => paths[3] += 1,
+            _ => {}
+        }
+    }
+    paths
 }
 
 #[test]
 fn shared_and_private_plans_answer_as_the_naive_evaluator() {
+    let mut paths = [0; 4];
     for index in 0..cases() {
         let seed = 0x5a4e_0059_0000 + index;
-        if let Err(panic) = std::panic::catch_unwind(|| run(seed)) {
-            eprintln!("sharing_oracle: the case with seed {seed:#x} failed");
-            std::panic::resume_unwind(panic);
+        match std::panic::catch_unwind(|| run(seed)) {
+            Ok(steps) => {
+                let taken = local_paths(&steps);
+                (0..4).for_each(|path| paths[path] += taken[path]);
+            }
+            Err(panic) => {
+                eprintln!("sharing_oracle: the case with seed {seed:#x} failed");
+                std::panic::resume_unwind(panic);
+            }
         }
+    }
+    // The default case count takes every path through a local.
+    if cases() >= CASES {
+        assert!(paths.iter().all(|&count| count > 0), "{paths:?}");
     }
 }

@@ -336,7 +336,12 @@ impl Reactor {
             // Dropping the connections here — on the thread that accepts — is
             // what makes the shutdown/accept race unable to leak a registration.
             if self.stop.load(Ordering::SeqCst) {
-                for (_, conn) in self.conns.drain() {
+                // In token order, i.e. accept order, so the cleanup `Uninstall`s a
+                // shutdown sequences (and a durable core logs) are the same in every
+                // process.
+                let mut conns: Vec<(u64, Conn)> = self.conns.drain().collect();
+                conns.sort_unstable_by_key(|(token, _)| *token);
+                for (_, conn) in conns {
                     let _ = self.poller.deregister(conn.stream.stream());
                     self.core.disconnect(conn.client);
                 }

@@ -7,8 +7,7 @@
 //!
 //! * [`ChannelRoute`] — an mpsc channel, one per client. What
 //!   [`ServerCore::register_client`](crate::ServerCore::register_client)
-//!   creates; the embedding test (or the blocking [`Client`](crate::Client)
-//!   handle's old thread-per-connection peer) blocks on the receiver.
+//!   creates; the embedding test blocks on the receiver.
 //! * [`QueueRoute`] — one shared queue for every socket-backed client, drained
 //!   by the reactor. The reactor is worker 0 of the socket server, so most
 //!   deliveries are made on the reactor's own thread, which drains the queue on

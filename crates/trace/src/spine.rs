@@ -18,7 +18,7 @@
 //!   budget — one budget across all layers, newest merge first — and learns whether a
 //!   merge is still in progress. The server's workers do this whenever the log is dry
 //!   and a merge is in progress, one bounded turn at a time (`Manager::idle_turn` →
-//!   `Catalog::exert_all` → here), so with a few milliseconds between epochs most
+//!   `TraceAgent::exert` → here), so with a few milliseconds between epochs most
 //!   merges finish between them and the next insert finds nothing to fuel. A merge
 //!   that completes early is also one batch fewer for every cursor to seek and frees
 //!   its two sources sooner.

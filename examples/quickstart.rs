@@ -22,12 +22,11 @@ fn consolidated(captured: &[((u32, u32), Time, isize)]) -> Vec<((u32, u32), isiz
 
 fn main() {
     execute(Config::new(1), |worker| {
-        // Install the dataflow under a name: `query` holds (src, dst) pairs we want
-        // answered, `edges` holds the graph; the output is the set of query pairs that
-        // are reachable. (A named install can later be retired with
-        // `worker.uninstall("reachability")`; see examples/shared_queries.rs for the
-        // full catalog-based lifecycle.)
-        let (mut query, mut edges, probe, answers) = worker.install("reachability", |builder| {
+        // Build the dataflow: `query` holds (src, dst) pairs we want answered, `edges`
+        // holds the graph; the output is the set of query pairs that are reachable.
+        // (examples/plan_session.rs poses queries as data, installing and retiring
+        // them at runtime against shared arrangements.)
+        let (mut query, mut edges, probe, answers) = worker.dataflow(|builder| {
             let (query_in, query) = new_collection::<(u32, u32), isize>(builder);
             let (edges_in, edges) = new_collection::<(u32, u32), isize>(builder);
 

@@ -10,10 +10,9 @@
 //! * [`dataflow`] — the multi-worker dataflow runtime (workers, exchange channels,
 //!   epoch/round-synchronous progress tracking), including the install/uninstall
 //!   dataflow lifecycle.
-//! * [`core`](mod@core) — differential collections, the `arrange` operator, the
-//!   batch-oriented operator shells (`join`, `reduce`, `distinct`, `count`, `iterate`),
-//!   and the [`Catalog`](kpg_core::Catalog) of named shared arrangements with the
-//!   [`QueryLifecycle`](kpg_core::QueryLifecycle) install/uninstall API.
+//! * [`core`](mod@core) — differential collections, the `arrange` operator and the
+//!   batch-oriented operator shells (`join`, `reduce`, `distinct`, `count`, `iterate`)
+//!   whose arrangements are shared through `TraceAgent` handles.
 //! * [`plan`] — runtime query plans: the data-described `Plan` IR, the render pass
 //!   onto shared arrangements, and the per-worker `Manager` command loop.
 //! * [`wire`], [`server`] — the network boundary: the length-prefixed binary codec
@@ -30,48 +29,41 @@
 //!
 //! The paper's central claim is *interactive* sharing: new queries attach to
 //! already-maintained indexes mid-stream, and retired queries release the index history
-//! they alone were pinning. That loop is a first-class operation here:
+//! they alone were pinning. Here a query session is a stream of [`plan::Command`]s: a
+//! [`plan::Manager`] per worker keeps one registry of maintained arrangements, keyed by
+//! what they arrange, and every `Install` imports from it. [`plan::replay()`] runs a
+//! recorded stream the way the server's workers run a live one:
 //!
 //! ```no_run
-//! use shared_arrangements::prelude::*;
+//! use shared_arrangements::plan::{replay, Command, Plan, ReduceKind, Response, Row};
 //!
-//! execute(Config::new(1), |worker| {
-//!     let catalog = Catalog::new();
-//!
-//!     // Ingest and arrange the data once; publish the arrangement by name.
-//!     let (mut edges, probe) = worker.install("graph", {
-//!         let catalog = catalog.clone();
-//!         move |builder| {
-//!             let (input, edges) = new_collection::<(u32, u32), isize>(builder);
-//!             let arranged = edges.arrange_by_key();
-//!             catalog.publish_if_absent("edges", &arranged).unwrap();
-//!             (input, arranged.probe())
-//!         }
-//!     });
-//!
-//!     // Install a query against the published arrangement, by name.
-//!     let degrees = worker
-//!         .install_query("degrees", &catalog, |builder, catalog| {
-//!             let edges = catalog
-//!                 .import::<ValBatch<u32, u32>>("edges", builder)
-//!                 .unwrap();
-//!             edges.as_collection(|src, _dst| *src).probe()
-//!         })
-//!         .unwrap();
-//!
-//!     // ...run interactively (insert, advance_to, step_while)...
-//!     let _ = (&mut edges, probe, degrees);
-//!
+//! let edge = |src: u32, dst: u32| -> Row { vec![src.into(), dst.into()].into() };
+//! let session = vec![
+//!     // Ingest and arrange the data once, keyed by source node.
+//!     Command::CreateInput { name: "edges".into(), key_arity: Some(1) },
+//!     Command::Update { name: "edges".into(), row: edge(1, 2), diff: 1 },
+//!     Command::Update { name: "edges".into(), row: edge(1, 3), diff: 1 },
+//!     // Install a query described as data; it imports the shared base arrangement.
+//!     Command::Install {
+//!         name: "degrees".into(),
+//!         plan: Plan::source("edges").reduce(1, ReduceKind::Count),
+//!         locals: vec![],
+//!     },
+//!     Command::AdvanceTime { epoch: 1 },
+//!     Command::Query { name: "degrees".into() },
 //!     // Retire the query: its dataflow leaves the scheduler and its read frontiers
 //!     // are released, so the shared arrangement can compact past them.
-//!     worker.uninstall_query("degrees", &catalog);
-//! });
+//!     Command::Uninstall { name: "degrees".into() },
+//! ];
+//! let replayed = replay(1, session);
+//! let (answer, _elapsed) = &replayed.outcomes[5];
+//! assert!(matches!(answer, Ok(Response::Rows(rows)) if rows.len() == 1));
 //! ```
 //!
 //! The fastest way in is `examples/quickstart.rs` (the paper's Figure 1 reachability
-//! dataflow, interactively updated) and `examples/shared_queries.rs` (the full
-//! publish → install → uninstall lifecycle, with the compaction frontier visibly
-//! advancing when a reader departs).
+//! dataflow, interactively updated) and `examples/plan_session.rs` (one command stream:
+//! queries installed as data against a shared input, answered, and retired, with every
+//! arrangement the registry still maintains listed at the end).
 
 #![forbid(unsafe_code)]
 
